@@ -13,7 +13,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="base output directory")
     parser.add_argument("--seed", type=int, default=None, help="override every config seed")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     configs = sorted((pathlib.Path(__file__).parent / "configs").glob("*.cfg"))
@@ -24,7 +23,7 @@ def main():
     for cfg in configs:
         outdir = base / cfg.stem
         started = time.perf_counter()
-        artifacts = cli.run(str(cfg), str(outdir), args.seed, args.threads)
+        artifacts = cli.run(str(cfg), str(outdir), args.seed)
         print(f"{cfg.stem}: {len(artifacts)} artifacts in {outdir} "
               f"({time.perf_counter() - started:.1f}s)")
     return 0

@@ -28,7 +28,6 @@ from .sampling import (
     info_rate_hat,
     monte_carlo,
     monte_carlo_components,
-    sample_multinomial,
     sample_trajectory,
 )
 from .clustering import (

@@ -22,7 +22,7 @@ from . import filtering as flt
 from . import rng
 from . import sampling as smp
 from . import theory as th
-from .simplex import Distribution
+from .simplex import Distribution, TangentVector
 
 KNOWN_KEYS = {
     "experiment", "N", "n", "dt", "t0", "t_end", "fine_step", "replications",
@@ -74,11 +74,17 @@ def _get(cfg, key, default, conv):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    values = [int(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _fmt(x) -> str:
@@ -92,7 +98,8 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _model(cfg) -> tuple[dyn.SirParams, float, float]:
+def _model(cfg) -> tuple[dyn.Trajectory, float]:
+    """Integrate the configured model; returns (trajectory, sampling step dt)."""
     n_var = _get(cfg, "N", 9, int) + 1
     dt = _get(cfg, "dt", 0.25, float)
     t_end = _get(cfg, "t_end", 10.0, float)
@@ -109,27 +116,61 @@ def _model(cfg) -> tuple[dyn.SirParams, float, float]:
         params = dyn.SirParams(gamma, epsilon, s0, i0, r0)
     else:
         params = dyn.default_sir_params(n_var, s0=s0, r0=r0)
-    return params, t_end, fine_step
+    return dyn.integrate_sir(params, t_end, fine_step), dt
+
+
+def _full_grid(traj: dyn.Trajectory, dt: float) -> smp.SampleGrid:
+    """Instants 0, dt, ..., t_end over the whole trajectory."""
+    return smp.SampleGrid(0.0, dt, int(round(traj.t_end / dt)) + 1)
+
+
+def _config_grid(cfg, dt: float, t0: float, count: int) -> smp.SampleGrid:
+    """Grid from the `t0` and `count` keys, with the given defaults."""
+    return smp.SampleGrid(_get(cfg, "t0", t0, float), dt, _get(cfg, "count", count, int))
 
 
 def _two_point_grid(t: float, dt: float) -> smp.SampleGrid:
     return smp.SampleGrid(t - dt / 2.0, dt, 2)
 
 
+def _on_sample(traj, grid, n, estimator):
+    """Replication estimator: sample the trajectory from the replication seed,
+    then apply `estimator` to the sampled trajectory."""
+    return lambda rep_seed: estimator(smp.sample_trajectory(traj, grid, n, rep_seed))
+
+
+def _distance_sq(p: Distribution, n: int):
+    """Replication estimator: squared Shahshahani distance from p of the
+    frequencies of n draws from p.  p must be interior."""
+    try:
+        p.require_interior()
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 'p': {exc}") from exc
+
+    def draw(rep_seed):
+        counts = rng.sample_counts(p.probs, n, rng.stream(rep_seed))
+        diff = counts / n - p.probs
+        return float(np.sum(diff * diff / p.probs))
+    return draw
+
+
+def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
+    """Mean row and variance row of one estimate; `label` has a {} for the
+    moment name.  The variance SE var*sqrt(2/(R-1)) holds for normal data."""
+    var = est.std**2
+    return [(label.format("mean"), est.mean, est.standard_error, mean_th),
+            (label.format("var"), var, var * np.sqrt(2.0 / (est.replications - 1)), var_th)]
+
+
 @experiment("distance-moments")
-def run_distance_moments(cfg, outdir, seed, threads):
+def run_distance_moments(cfg, outdir, seed):
     p = Distribution(_get(cfg, "p", [0.1, 0.2, 0.3, 0.4], _float_list))
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, int)
-    N = len(p) - 1
     rows = []
     for i, n in enumerate(ns):
-        def draw(rep_seed):
-            counts = rng.sample_counts(p.probs, n, rng.stream(rep_seed))
-            diff = counts / n - p.probs
-            return float(np.sum(diff * diff / p.probs))
-        est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, i), threads=threads)
-        mean_th, var_th = th.distance_moments(N, n)
+        est = smp.monte_carlo(_distance_sq(p, n), reps, seed=rng.derive_key(seed, i))
+        mean_th, var_th = th.distance_moments(len(p) - 1, n)
         rows.append((n, est.mean, est.standard_error, est.std**2, mean_th, var_th))
     write_csv(os.path.join(outdir, "distance_moments.csv"),
               ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], rows)
@@ -137,10 +178,8 @@ def run_distance_moments(cfg, outdir, seed, threads):
 
 
 @experiment("model-trajectory")
-def run_model_trajectory(cfg, outdir, seed, threads):
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
-    traj = dyn.integrate_sir(params, t_end, fine_step)
+def run_model_trajectory(cfg, outdir, seed):
+    traj, dt = _model(cfg)
     stride = _get(cfg, "output_stride", 25, int)
     sub = dyn.Trajectory(
         traj.times[::stride].copy(), traj.p[::stride].copy(),
@@ -151,8 +190,7 @@ def run_model_trajectory(cfg, outdir, seed, threads):
     )
     dyn.trajectory_to_csv(sub, os.path.join(outdir, "trajectory.csv"))
 
-    count = _get(cfg, "count", int(round(t_end / dt)) + 1, int)
-    grid = smp.SampleGrid(_get(cfg, "t0", 0.0, float), dt, count)
+    grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     ell = _get(cfg, "ell", 3, int)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     cl.clustering_to_csv(f, os.path.join(outdir, "clustering.csv"))
@@ -170,21 +208,18 @@ def run_model_trajectory(cfg, outdir, seed, threads):
 
 
 @experiment("fisher-bias-vs-n")
-def run_fisher_bias_vs_n(cfg, outdir, seed, threads):
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
+def run_fisher_bias_vs_n(cfg, outdir, seed):
+    traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
     reps = _get(cfg, "replications", 500, int)
-    traj = dyn.integrate_sir(params, t_end, fine_step)
     g_tt = float(traj.fisher_curve()[traj.index_at(t)])
     N = traj.n_variants - 1
     grid = _two_point_grid(t, dt)
     rows = []
     for i, n in enumerate(ns):
-        def draw(rep_seed):
-            return smp.fisher_hat(smp.sample_trajectory(traj, grid, n, rep_seed), 0)
-        est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, i), threads=threads)
+        draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s, 0))
+        est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, i))
         pred = th.fisher_prediction(g_tt, N, n, dt)
         rows.append((n, est.mean, est.standard_error, pred.expected_value, pred.std))
     write_csv(os.path.join(outdir, "fisher_bias_vs_n.csv"),
@@ -193,21 +228,15 @@ def run_fisher_bias_vs_n(cfg, outdir, seed, threads):
 
 
 @experiment("fisher-bias-vs-t")
-def run_fisher_bias_vs_t(cfg, outdir, seed, threads):
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
+def run_fisher_bias_vs_t(cfg, outdir, seed):
+    traj, dt = _model(cfg)
     n = _get(cfg, "n", [100000], _int_list)[0]
     reps = _get(cfg, "replications", 500, int)
-    count = _get(cfg, "count", int(round(t_end / dt)) + 1, int)
-    grid = smp.SampleGrid(_get(cfg, "t0", 0.0, float), dt, count)
-    traj = dyn.integrate_sir(params, t_end, fine_step)
+    grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     N = traj.n_variants - 1
-
-    def draw(rep_seed):
-        sampled = smp.sample_trajectory(traj, grid, n, rep_seed)
-        return [smp.fisher_hat(sampled, k) for k in range(count - 1)]
-
-    ests = smp.monte_carlo_components(draw, reps, seed=seed, threads=threads)
+    draw = _on_sample(traj, grid, n,
+                      lambda s: [smp.fisher_hat(s, k) for k in range(grid.count - 1)])
+    ests = smp.monte_carlo_components(draw, reps, seed=seed)
     g = traj.fisher_curve()
     rows = []
     for k, est in enumerate(ests):
@@ -220,37 +249,30 @@ def run_fisher_bias_vs_t(cfg, outdir, seed, threads):
 
 
 @experiment("info-rate-moments")
-def run_info_rate_moments(cfg, outdir, seed, threads):
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
+def run_info_rate_moments(cfg, outdir, seed):
+    traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
-    traj = dyn.integrate_sir(params, t_end, fine_step)
     grid = _two_point_grid(t, dt)
     k_mid = traj.index_at(t)
     p_mid = traj.p[k_mid]
     rate = traj.info_rate_curve()[k_mid]
-    f = cl.kmeans(cl.kmeans_features(traj, smp.SampleGrid(0.0, dt, int(round(t_end / dt)) + 1)), ell)
+    f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
     q_mid = cl.aggregate(p_mid, f)
     qdot = cl.aggregate(traj.pdot[k_mid], f)
     cluster_rate = qdot / q_mid
 
     var_rows, clu_rows = [], []
     for i, n in enumerate(ns):
-        def draw_var(rep_seed):
-            return smp.info_rate_hat(smp.sample_trajectory(traj, grid, n, rep_seed), 0)
-
-        def draw_clu(rep_seed):
-            return smp.cluster_info_rate_hat(
-                smp.sample_trajectory(traj, grid, n, rep_seed), 0, f)
-
-        ests = smp.monte_carlo_components(draw_var, reps, seed=rng.derive_key(seed, 2 * i), threads=threads)
+        draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s, 0))
+        ests = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 2 * i))
         for mu, est in enumerate(ests):
             m_th, v_th = th.info_rate_moments(float(rate[mu]), float(p_mid[mu]), n, dt)
             var_rows.append((n, mu + 1, est.mean, est.standard_error, est.std**2, m_th, v_th))
-        ests = smp.monte_carlo_components(draw_clu, reps, seed=rng.derive_key(seed, 2 * i + 1), threads=threads)
+        draw = _on_sample(traj, grid, n, lambda s: smp.cluster_info_rate_hat(s, 0, f))
+        ests = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 2 * i + 1))
         for a, est in enumerate(ests):
             m_th, v_th = th.cluster_info_rate_moments(float(cluster_rate[a]), float(q_mid[a]), n, dt)
             clu_rows.append((n, a + 1, est.mean, est.standard_error, est.std**2, m_th, v_th))
@@ -263,22 +285,19 @@ def run_info_rate_moments(cfg, outdir, seed, threads):
 
 
 @experiment("filtering-comparison")
-def run_filtering_comparison(cfg, outdir, seed, threads):
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
+def run_filtering_comparison(cfg, outdir, seed):
+    traj, dt = _model(cfg)
     n = _get(cfg, "n", [250000], _int_list)[0]
-    count = _get(cfg, "count", 31, int)
-    grid = smp.SampleGrid(_get(cfg, "t0", 2.5, float), dt, count)
+    grid = _config_grid(cfg, dt, 2.5, 31)
     kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, int),
                                  _get(cfg, "shape", 4.0 / 9.0, float))
-    traj = dyn.integrate_sir(params, t_end, fine_step)
     sampled = smp.sample_trajectory(traj, grid, n, seed)
     rates = traj.info_rate_curve()
     true_rates = np.stack([rates[traj.index_at(tm)] for tm in grid.midpoints()])
-    raw = np.stack([smp.info_rate_hat(sampled, k) for k in range(count - 1)])
+    raw = np.stack([smp.info_rate_hat(sampled, k) for k in range(grid.count - 1)])
     filt_p = flt.filter_probs(sampled.counts / n, kernel)
     filt = np.stack([smp.info_rate_between(filt_p[k], filt_p[k + 1], dt)
-                     for k in range(count - 1)])
+                     for k in range(grid.count - 1)])
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     write_csv(os.path.join(outdir, "filtering_rmse.csv"),
@@ -289,18 +308,14 @@ def run_filtering_comparison(cfg, outdir, seed, threads):
 
 
 @experiment("elbow-scan")
-def run_elbow_scan(cfg, outdir, seed, threads):
+def run_elbow_scan(cfg, outdir, seed):
     if "groups" not in cfg:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
+    traj, dt = _model(cfg)
     t_eval = _get(cfg, "t", 1.0, float)
     ells = _get(cfg, "ell", list(range(4, 11)), _int_list)
-    traj = dyn.integrate_sir(params, t_end, fine_step)
-    grid = smp.SampleGrid(0.0, dt, int(round(t_end / dt)) + 1)
-    feats = cl.kmeans_features(traj, grid)
+    feats = cl.kmeans_features(traj, _full_grid(traj, dt))
     k_eval = traj.index_at(t_eval)
-    from .simplex import TangentVector
     p = Distribution(traj.p[k_eval])
     pdot = TangentVector(traj.pdot[k_eval])
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
@@ -312,72 +327,48 @@ def run_elbow_scan(cfg, outdir, seed, threads):
 
 
 @experiment("theory-vs-mc")
-def run_theory_vs_mc(cfg, outdir, seed, threads):
-    params, t_end, fine_step = _model(cfg)
-    dt = _get(cfg, "dt", 0.25, float)
+def run_theory_vs_mc(cfg, outdir, seed):
+    traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
     n = _get(cfg, "n", [10000], _int_list)[0]
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
-    traj = dyn.integrate_sir(params, t_end, fine_step)
     N = traj.n_variants - 1
     grid = _two_point_grid(t, dt)
     k_mid = traj.index_at(t)
     g_tt = float(traj.fisher_curve()[k_mid])
-    f = cl.kmeans(cl.kmeans_features(traj, smp.SampleGrid(0.0, dt, int(round(t_end / dt)) + 1)), ell)
+    f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
     q = cl.aggregate(traj.p[k_mid], f)
     qdot = cl.aggregate(traj.pdot[k_mid], f)
     g_f = float(np.sum(qdot * qdot / q))
-
+    p4 = Distribution(_get(cfg, "p", [0.1, 0.2, 0.3, 0.4], _float_list))
     rows = []
 
-    def add(label, mc_value, mc_se, theory_value):
-        rows.append((label, mc_value, mc_se, theory_value))
+    est = smp.monte_carlo(_distance_sq(p4, 1000), reps, seed=rng.derive_key(seed, 0))
+    rows += _mean_var_rows("distance_{}", est, *th.distance_moments(len(p4) - 1, 1000))
 
-    p4 = Distribution(_get(cfg, "p", [0.1, 0.2, 0.3, 0.4], _float_list))
-
-    def draw_dist(rep_seed):
-        counts = rng.sample_counts(p4.probs, 1000, rng.stream(rep_seed))
-        diff = counts / 1000 - p4.probs
-        return float(np.sum(diff * diff / p4.probs))
-
-    est = smp.monte_carlo(draw_dist, reps, seed=rng.derive_key(seed, 0), threads=threads)
-    mean_th, var_th = th.distance_moments(len(p4) - 1, 1000)
-    add("distance_mean", est.mean, est.standard_error, mean_th)
-    add("distance_var", est.std**2, est.std**2 * np.sqrt(2.0 / (reps - 1)), var_th)
-
-    def draw_fisher(rep_seed):
-        return smp.fisher_hat(smp.sample_trajectory(traj, grid, n, rep_seed), 0)
-
-    est = smp.monte_carlo(draw_fisher, reps, seed=rng.derive_key(seed, 1), threads=threads)
+    draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s, 0))
+    est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, 1))
     pred = th.fisher_prediction(g_tt, N, n, dt)
-    add("fisher_mean", est.mean, est.standard_error, pred.expected_value)
-    add("fisher_var", est.std**2, est.std**2 * np.sqrt(2.0 / (reps - 1)), pred.variance)
+    rows += _mean_var_rows("fisher_{}", est, pred.expected_value, pred.variance)
 
-    def draw_cfisher(rep_seed):
-        return smp.clustered_fisher_hat(smp.sample_trajectory(traj, grid, n, rep_seed), 0, f)
-
-    est = smp.monte_carlo(draw_cfisher, reps, seed=rng.derive_key(seed, 2), threads=threads)
-    cpred = th.clustered_fisher_prediction(g_f, ell, n, dt)
-    add("clustered_fisher_mean", est.mean, est.standard_error, cpred.expected_value)
-    add("clustered_fisher_var", est.std**2, est.std**2 * np.sqrt(2.0 / (reps - 1)), cpred.variance)
+    draw = _on_sample(traj, grid, n, lambda s: smp.clustered_fisher_hat(s, 0, f))
+    est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, 2))
+    pred = th.clustered_fisher_prediction(g_f, ell, n, dt)
+    rows += _mean_var_rows("clustered_fisher_{}", est, pred.expected_value, pred.variance)
 
     rate = traj.info_rate_curve()[k_mid]
-
-    def draw_rate(rep_seed):
-        return smp.info_rate_hat(smp.sample_trajectory(traj, grid, n, rep_seed), 0)
-
-    ests = smp.monte_carlo_components(draw_rate, reps, seed=rng.derive_key(seed, 3), threads=threads)
-    m_th, v_th = th.info_rate_moments(float(rate[0]), float(traj.p[k_mid][0]), n, dt)
-    add("info_rate_mean_mu1", ests[0].mean, ests[0].standard_error, m_th)
-    add("info_rate_var_mu1", ests[0].std**2, ests[0].std**2 * np.sqrt(2.0 / (reps - 1)), v_th)
+    draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s, 0))
+    est = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 3))[0]
+    rows += _mean_var_rows("info_rate_{}_mu1", est,
+                           *th.info_rate_moments(float(rate[0]), float(traj.p[k_mid][0]), n, dt))
 
     write_csv(os.path.join(outdir, "theory_vs_mc.csv"),
               ["quantity", "mc_value", "mc_se", "theory_value"], rows)
     return ["theory_vs_mc.csv"]
 
 
-def run(config_path, outdir, seed_override=None, threads: int = 1) -> list[str]:
+def run(config_path, outdir, seed_override=None) -> list[str]:
     """Execute the configured experiment; returns the artifact list."""
     with open(config_path, "rb") as fh:
         raw = fh.read()
@@ -387,10 +378,8 @@ def run(config_path, outdir, seed_override=None, threads: int = 1) -> list[str]:
         raise ConfigError(
             f"unknown experiment {name!r}; valid: {sorted(EXPERIMENTS)}")
     seed = seed_override if seed_override is not None else _get(cfg, "seed", 1, int)
-    if threads == 0:
-        threads = os.cpu_count() or 1
     os.makedirs(outdir, exist_ok=True)
-    artifacts = EXPERIMENTS[name](cfg, outdir, seed, threads)
+    artifacts = EXPERIMENTS[name](cfg, outdir, seed)
     manifest = {
         "experiment": name,
         "config_sha256": hashlib.sha256(raw).hexdigest(),
@@ -411,11 +400,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="Monte Carlo worker threads (0 = auto)")
     args = parser.parse_args(argv)
     try:
-        artifacts = run(args.config, args.out, args.seed, args.threads)
+        artifacts = run(args.config, args.out, args.seed)
     except (ConfigError, FileNotFoundError, ValueError,
             dyn.IntegrationError, smp.MonteCarloError) as exc:
         print(f"error: {exc}", file=sys.stderr)

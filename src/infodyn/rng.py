@@ -5,6 +5,11 @@ generator.  Sub-streams are derived by mixing the base seed with a
 structured index through a SplitMix64-style finalizer, so any (seed,
 index...) pair names the same stream regardless of the order in which
 streams are created or consumed.
+
+Multinomial counts come from numpy's ``Generator.multinomial``, which draws
+them by sequential conditional binomials.  ``tests/test_rng.py`` keeps that
+algorithm as a Python reference loop and checks the counts, and the stream
+state after each draw, against it bit for bit.
 """
 
 from __future__ import annotations
@@ -37,24 +42,14 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
 
 
 def sample_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One multinomial draw via sequential conditional binomials.
+    """One multinomial draw of size n from p: ``rng.multinomial(n, p)``.
 
-    Exact distribution, O(N) per draw: category mu gets a binomial draw
-    with the remaining trials and the renormalized probability
-    p[mu] / mass of the categories not yet drawn.
+    numpy draws category mu as a binomial of the remaining trials with the
+    renormalized probability p[mu] / (mass not yet drawn): the exact
+    sequential conditional-binomial algorithm, O(M) per draw, pinned by the
+    reference loop in the tests.  A negative, NaN or > 1 probability raises
+    ValueError.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    p = np.asarray(p, dtype=float)
-    counts = np.zeros(p.size, dtype=np.int64)
-    remaining = int(n)
-    mass = 1.0
-    for mu in range(p.size - 1):
-        if remaining == 0:
-            break
-        ratio = min(max(p[mu] / mass, 0.0), 1.0) if mass > 0 else 1.0
-        counts[mu] = rng.binomial(remaining, ratio)
-        remaining -= counts[mu]
-        mass -= p[mu]
-    counts[-1] += remaining
-    return counts
+    return rng.multinomial(n, p)

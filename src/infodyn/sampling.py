@@ -15,8 +15,6 @@ order.
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,6 @@ import numpy as np
 from . import rng
 from .clustering import Clustering, aggregate
 from .dynamics import Trajectory
-from .simplex import Distribution
 
 
 class MonteCarloError(RuntimeError):
@@ -87,11 +84,6 @@ class MonteCarloEstimate:
     std: float
     standard_error: float
     replications: int
-
-
-def sample_multinomial(p: Distribution, n: int, stream: np.random.Generator) -> np.ndarray:
-    """One multinomial draw of size n from p, consuming the given stream."""
-    return rng.sample_counts(p.probs, n, stream)
 
 
 def sample_trajectory(traj: Trajectory, grid: SampleGrid, n: int, seed: int) -> SampledTrajectory:
@@ -166,32 +158,27 @@ def cluster_info_rate_hat(sampled: SampledTrajectory, k: int, f: Clustering) -> 
     return info_rate_between(lo, hi, sampled.grid.dt)
 
 
-def _replicate(estimator, replications: int, seed: int, threads: int) -> list:
+def _replicate(estimator, replications: int, seed: int) -> np.ndarray:
     if replications < 2:
         raise ValueError("need at least 2 replications")
-
-    def run_one(r: int):
+    values = []
+    for r in range(replications):
         rep_seed = rng.derive_key(seed, r)
         try:
-            return estimator(rep_seed)
+            values.append(estimator(rep_seed))
         except Exception as exc:
             raise MonteCarloError(f"replication {r} (seed {rep_seed}) failed: {exc}") from exc
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, range(replications)))
-    return [run_one(r) for r in range(replications)]
+    return np.asarray(values, dtype=float)
 
 
-def monte_carlo(estimator, replications: int, seed: int = 0, threads: int = 1) -> MonteCarloEstimate:
+def monte_carlo(estimator, replications: int, seed: int = 0) -> MonteCarloEstimate:
     """Mean / sample std / standard error of a scalar estimator.
 
-    The estimator is called once per replication with a derived seed;
-    seeds depend only on (seed, replication index), and results are
-    reduced in replication order, so the estimate is independent of any
-    scheduling.
+    The estimator is called once per replication r = 0..R-1, in order, with
+    the seed derive_key(seed, r); the result depends only on (estimator,
+    replications, seed).
     """
-    values = np.asarray(_replicate(estimator, replications, seed, threads), dtype=float)
+    values = _replicate(estimator, replications, seed)
     std = float(values.std(ddof=1))
     return MonteCarloEstimate(
         mean=float(values.mean()),
@@ -201,10 +188,9 @@ def monte_carlo(estimator, replications: int, seed: int = 0, threads: int = 1) -
     )
 
 
-def monte_carlo_components(estimator, replications: int, seed: int = 0,
-                           threads: int = 1) -> list[MonteCarloEstimate]:
+def monte_carlo_components(estimator, replications: int, seed: int = 0) -> list[MonteCarloEstimate]:
     """Componentwise Monte Carlo summary of a vector-valued estimator."""
-    values = np.asarray(_replicate(estimator, replications, seed, threads), dtype=float)
+    values = _replicate(estimator, replications, seed)
     stds = values.std(axis=0, ddof=1)
     return [
         MonteCarloEstimate(
@@ -214,25 +200,3 @@ def monte_carlo_components(estimator, replications: int, seed: int = 0,
         )
         for m, s in zip(values.mean(axis=0), stds)
     ]
-
-
-def sampled_to_csv(sampled: SampledTrajectory, path) -> None:
-    """Write `t, n, count_*` rows with a header line."""
-    m = sampled.n_variants
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n"] + [f"count_{i}" for i in range(1, m + 1)])
-        for t, row in zip(sampled.grid.times(), sampled.counts):
-            writer.writerow([f"{t:.17g}", sampled.n] + [int(c) for c in row])
-
-
-def estimates_to_csv(rows, path) -> None:
-    """Write labelled estimates as `label, mean, std, se, R` lines."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "mean", "std", "se", "R"])
-        for label, est in rows:
-            writer.writerow([
-                label, f"{est.mean:.17g}", f"{est.std:.17g}",
-                f"{est.standard_error:.17g}", est.replications,
-            ])

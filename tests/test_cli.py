@@ -1,10 +1,13 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from infodyn import cli
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -37,6 +40,23 @@ class TestConfigParsing:
     def test_rejects_malformed_line(self):
         with pytest.raises(cli.ConfigError, match="line 1"):
             cli.parse_config("just some words\n")
+
+    def test_list_values(self):
+        assert cli._int_list("10, 20,") == [10, 20]
+        assert cli._float_list("0.5,0.5") == [0.5, 0.5]
+        for conv in (cli._int_list, cli._float_list):
+            with pytest.raises(ValueError, match="empty"):
+                conv(" , ")
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_config_is_valid(self, path):
+        cfg = cli.parse_config(path.read_text())  # rejects unknown keys
+        assert set(cfg) <= cli.KNOWN_KEYS
+        assert cfg["experiment"] in cli.EXPERIMENTS
+
+    def test_every_experiment_has_a_shipped_config(self):
+        names = {cli.parse_config(p.read_text())["experiment"] for p in CONFIGS.glob("*.cfg")}
+        assert names == set(cli.EXPERIMENTS)
 
 
 class TestRunner:
@@ -85,13 +105,22 @@ class TestRunner:
         cli.run(cfg, str(tmp_path / "b"))
         assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["distance-moments", "theory-vs-mc"])
+    def test_boundary_p_rejected(self, tmp_path, capsys, experiment):
         cfg = write_cfg(
-            tmp_path, "experiment = distance-moments\nn = 500\nreplications = 80\nseed = 3\n"
+            tmp_path, f"experiment = {experiment}\np = 0,0.5,0.5\nn = 100\nreplications = 5\n"
         )
-        cli.run(cfg, str(tmp_path / "a"), threads=1)
-        cli.run(cfg, str(tmp_path / "b"), threads=4)
-        assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert "'p'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "experiment", ["fisher-bias-vs-t", "filtering-comparison", "theory-vs-mc"])
+    def test_empty_list_rejected(self, tmp_path, capsys, experiment):
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nn = ,\n")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "bad value for 'n'" in capsys.readouterr().err
 
 
 class TestExperiments:

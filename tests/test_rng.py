@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from infodyn import dynamics as dyn
 from infodyn import rng
 
 
@@ -27,7 +28,69 @@ class TestStreams:
             assert 0 <= rng.derive_key(seed, 123456789) < 2**64
 
 
+def reference_sample_counts(p, n, gen):
+    """The sequential conditional-binomial loop numpy's multinomial follows.
+
+    Category mu gets a binomial draw with the remaining trials and the
+    renormalized probability p[mu] / mass of the categories not yet drawn.
+    """
+    p = np.asarray(p, dtype=float)
+    counts = np.zeros(p.size, dtype=np.int64)
+    remaining = int(n)
+    mass = 1.0
+    for mu in range(p.size - 1):
+        if remaining == 0:
+            break
+        ratio = min(max(p[mu] / mass, 0.0), 1.0) if mass > 0 else 1.0
+        counts[mu] = gen.binomial(remaining, ratio)
+        remaining -= counts[mu]
+        mass -= p[mu]
+    counts[-1] += remaining
+    return counts
+
+
+def reference_cases():
+    """Probability vectors at M = 2..1000 with zero and 1e-12 entries."""
+    gen = np.random.default_rng(20260)
+    for m in (2, 10, 100, 1000):
+        w = gen.random(m) + 0.01
+        yield m, "dense", w / w.sum()
+        w = w.copy()
+        w[gen.choice(m, size=max(1, m // 5), replace=False)] = 0.0
+        yield m, "zeros", w / w.sum()
+        w = gen.random(m) + 0.01
+        w[gen.choice(m, size=max(1, m // 5), replace=False)] = 1e-12
+        yield m, "tiny", w / w.sum()
+    yield 3, "zero-first", np.array([0.0, 0.4, 0.6])
+    yield 3, "zero-last", np.array([0.5, 0.5, 0.0])
+
+
 class TestSampleCounts:
+    @pytest.mark.parametrize("n", [1, 7, 1000, 100000])
+    def test_bit_identical_to_reference_loop(self, n):
+        # same counts and the same stream state after every draw
+        for r, (m, kind, p) in enumerate(reference_cases()):
+            ours, ref = rng.stream(31, n, r), rng.stream(31, n, r)
+            for draw in range(3):
+                got = rng.sample_counts(p, n, ours)
+                want = reference_sample_counts(p, n, ref)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (m, kind, n, draw)
+                assert ours.integers(0, 2**63) == ref.integers(0, 2**63), (m, kind, n, draw)
+
+    def test_bit_identical_on_trajectory_rows(self):
+        traj = dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 0.01)
+        for k in range(0, traj.times.size, 50):
+            ours, ref = rng.stream(5, k), rng.stream(5, k)
+            assert np.array_equal(rng.sample_counts(traj.p[k], 100000, ours),
+                                  reference_sample_counts(traj.p[k], 100000, ref))
+            assert ours.integers(0, 2**63) == ref.integers(0, 2**63)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_probability(self, bad):
+        with pytest.raises(ValueError):
+            rng.sample_counts(np.array([0.6, bad, 0.5]), 10, rng.stream(0))
+
     def test_counts_sum_to_n(self):
         gen = rng.stream(0)
         p = np.array([0.2, 0.3, 0.5])

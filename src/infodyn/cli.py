@@ -87,6 +87,13 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _distribution(text: str) -> Distribution:
+    """Comma-list distribution with every entry positive."""
+    p = Distribution(_float_list(text))
+    p.require_interior()
+    return p
+
+
 def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
@@ -142,11 +149,6 @@ def _on_sample(traj, grid, n, estimator):
 def _distance_sq(p: Distribution, n: int):
     """Replication estimator: squared Shahshahani distance from p of the
     frequencies of n draws from p.  p must be interior."""
-    try:
-        p.require_interior()
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 'p': {exc}") from exc
-
     def draw(rep_seed):
         counts = rng.sample_counts(p.probs, n, rng.stream(rep_seed))
         diff = counts / n - p.probs
@@ -164,7 +166,7 @@ def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> 
 
 @experiment("distance-moments")
 def run_distance_moments(cfg, outdir, seed):
-    p = Distribution(_get(cfg, "p", [0.1, 0.2, 0.3, 0.4], _float_list))
+    p = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, int)
     rows = []
@@ -181,6 +183,8 @@ def run_distance_moments(cfg, outdir, seed):
 def run_model_trajectory(cfg, outdir, seed):
     traj, dt = _model(cfg)
     stride = _get(cfg, "output_stride", 25, int)
+    grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
+    ell = _get(cfg, "ell", 3, int)
     sub = dyn.Trajectory(
         traj.times[::stride].copy(), traj.p[::stride].copy(),
         traj.pdot[::stride].copy(), traj.susceptible[::stride].copy(),
@@ -188,22 +192,18 @@ def run_model_trajectory(cfg, outdir, seed):
         traj.infected[::stride].copy(), traj.recovered[::stride].copy(),
         traj.params,
     )
-    dyn.trajectory_to_csv(sub, os.path.join(outdir, "trajectory.csv"))
-
-    grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
-    ell = _get(cfg, "ell", 3, int)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
+    dyn.trajectory_to_csv(sub, os.path.join(outdir, "trajectory.csv"))
     cl.clustering_to_csv(f, os.path.join(outdir, "clustering.csv"))
 
     labels = f.labels0()
     members = np.zeros((traj.n_variants, f.n_clusters))
     members[np.arange(traj.n_variants), labels] = 1.0
-    q = traj.p @ members
-    qdot = traj.pdot @ members
-    g = traj.fisher_curve()
+    q = sub.p @ members
+    qdot = sub.pdot @ members
     g_f = np.sum(qdot * qdot / q, axis=1)
     write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              zip(traj.times[::stride], g[::stride], g_f[::stride]))
+              zip(sub.times, sub.fisher_curve(), g_f))
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
@@ -213,12 +213,12 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
     t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
     reps = _get(cfg, "replications", 500, int)
-    g_tt = float(traj.fisher_curve()[traj.index_at(t)])
+    g_tt = float(traj.fisher_curve(traj.index_at(t)))
     N = traj.n_variants - 1
     grid = _two_point_grid(t, dt)
     rows = []
     for i, n in enumerate(ns):
-        draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s, 0))
+        draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s)[0])
         est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, i))
         pred = th.fisher_prediction(g_tt, N, n, dt)
         rows.append((n, est.mean, est.standard_error, pred.expected_value, pred.std))
@@ -230,18 +230,16 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
 @experiment("fisher-bias-vs-t")
 def run_fisher_bias_vs_t(cfg, outdir, seed):
     traj, dt = _model(cfg)
-    n = _get(cfg, "n", [100000], _int_list)[0]
+    n = _get(cfg, "n", 100000, int)
     reps = _get(cfg, "replications", 500, int)
     grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     N = traj.n_variants - 1
-    draw = _on_sample(traj, grid, n,
-                      lambda s: [smp.fisher_hat(s, k) for k in range(grid.count - 1)])
-    ests = smp.monte_carlo_components(draw, reps, seed=seed)
-    g = traj.fisher_curve()
+    ests = smp.monte_carlo_components(_on_sample(traj, grid, n, smp.fisher_hat), reps, seed=seed)
+    g = traj.fisher_curve(traj.index_at(grid.midpoints()))
     rows = []
     for k, est in enumerate(ests):
         t_mid = grid.midpoint(k)
-        pred = th.fisher_prediction(float(g[traj.index_at(t_mid)]), N, n, dt)
+        pred = th.fisher_prediction(float(g[k]), N, n, dt)
         rows.append((t_mid, est.mean, est.standard_error, pred.expected_value, pred.std))
     write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
               ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"], rows)
@@ -258,7 +256,7 @@ def run_info_rate_moments(cfg, outdir, seed):
     grid = _two_point_grid(t, dt)
     k_mid = traj.index_at(t)
     p_mid = traj.p[k_mid]
-    rate = traj.info_rate_curve()[k_mid]
+    rate = traj.info_rate_curve(k_mid)
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
     q_mid = cl.aggregate(p_mid, f)
     qdot = cl.aggregate(traj.pdot[k_mid], f)
@@ -266,12 +264,12 @@ def run_info_rate_moments(cfg, outdir, seed):
 
     var_rows, clu_rows = [], []
     for i, n in enumerate(ns):
-        draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s, 0))
+        draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s)[0])
         ests = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 2 * i))
         for mu, est in enumerate(ests):
             m_th, v_th = th.info_rate_moments(float(rate[mu]), float(p_mid[mu]), n, dt)
             var_rows.append((n, mu + 1, est.mean, est.standard_error, est.std**2, m_th, v_th))
-        draw = _on_sample(traj, grid, n, lambda s: smp.cluster_info_rate_hat(s, 0, f))
+        draw = _on_sample(traj, grid, n, lambda s: smp.cluster_info_rate_hat(s, f)[0])
         ests = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 2 * i + 1))
         for a, est in enumerate(ests):
             m_th, v_th = th.cluster_info_rate_moments(float(cluster_rate[a]), float(q_mid[a]), n, dt)
@@ -287,17 +285,15 @@ def run_info_rate_moments(cfg, outdir, seed):
 @experiment("filtering-comparison")
 def run_filtering_comparison(cfg, outdir, seed):
     traj, dt = _model(cfg)
-    n = _get(cfg, "n", [250000], _int_list)[0]
+    n = _get(cfg, "n", 250000, int)
     grid = _config_grid(cfg, dt, 2.5, 31)
     kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, int),
                                  _get(cfg, "shape", 4.0 / 9.0, float))
     sampled = smp.sample_trajectory(traj, grid, n, seed)
-    rates = traj.info_rate_curve()
-    true_rates = np.stack([rates[traj.index_at(tm)] for tm in grid.midpoints()])
-    raw = np.stack([smp.info_rate_hat(sampled, k) for k in range(grid.count - 1)])
+    true_rates = traj.info_rate_curve(traj.index_at(grid.midpoints()))
+    raw = smp.info_rate_hat(sampled)
     filt_p = flt.filter_probs(sampled.counts / n, kernel)
-    filt = np.stack([smp.info_rate_between(filt_p[k], filt_p[k + 1], dt)
-                     for k in range(grid.count - 1)])
+    filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], dt)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     write_csv(os.path.join(outdir, "filtering_rmse.csv"),
@@ -319,8 +315,8 @@ def run_elbow_scan(cfg, outdir, seed):
     p = Distribution(traj.p[k_eval])
     pdot = TangentVector(traj.pdot[k_eval])
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
-    cl.delta_curve_to_csv(curve, os.path.join(outdir, "elbow_curve.csv"))
     ell_star = cl.elbow_select(curve)
+    cl.delta_curve_to_csv(curve, os.path.join(outdir, "elbow_curve.csv"))
     with open(os.path.join(outdir, "elbow_summary.csv"), "w", newline="") as fh:
         fh.write("ell_star," + str(ell_star) + "\n")
     return ["elbow_curve.csv", "elbow_summary.csv"]
@@ -330,35 +326,35 @@ def run_elbow_scan(cfg, outdir, seed):
 def run_theory_vs_mc(cfg, outdir, seed):
     traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
-    n = _get(cfg, "n", [10000], _int_list)[0]
+    n = _get(cfg, "n", 10000, int)
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
     N = traj.n_variants - 1
     grid = _two_point_grid(t, dt)
     k_mid = traj.index_at(t)
-    g_tt = float(traj.fisher_curve()[k_mid])
+    g_tt = float(traj.fisher_curve(k_mid))
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
     q = cl.aggregate(traj.p[k_mid], f)
     qdot = cl.aggregate(traj.pdot[k_mid], f)
     g_f = float(np.sum(qdot * qdot / q))
-    p4 = Distribution(_get(cfg, "p", [0.1, 0.2, 0.3, 0.4], _float_list))
+    p4 = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
     rows = []
 
     est = smp.monte_carlo(_distance_sq(p4, 1000), reps, seed=rng.derive_key(seed, 0))
     rows += _mean_var_rows("distance_{}", est, *th.distance_moments(len(p4) - 1, 1000))
 
-    draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s, 0))
+    draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s)[0])
     est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, 1))
     pred = th.fisher_prediction(g_tt, N, n, dt)
     rows += _mean_var_rows("fisher_{}", est, pred.expected_value, pred.variance)
 
-    draw = _on_sample(traj, grid, n, lambda s: smp.clustered_fisher_hat(s, 0, f))
+    draw = _on_sample(traj, grid, n, lambda s: smp.clustered_fisher_hat(s, f)[0])
     est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, 2))
     pred = th.clustered_fisher_prediction(g_f, ell, n, dt)
     rows += _mean_var_rows("clustered_fisher_{}", est, pred.expected_value, pred.variance)
 
-    rate = traj.info_rate_curve()[k_mid]
-    draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s, 0))
+    rate = traj.info_rate_curve(k_mid)
+    draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s)[0])
     est = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 3))[0]
     rows += _mean_var_rows("info_rate_{}_mu1", est,
                            *th.info_rate_moments(float(rate[0]), float(traj.p[k_mid][0]), n, dt))

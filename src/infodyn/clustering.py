@@ -160,9 +160,8 @@ def kmeans_features(traj, grid) -> np.ndarray:
     filtered rate rows can be passed to kmeans directly instead.
     """
     times = grid.times() if hasattr(grid, "times") else np.asarray(grid, dtype=float)
-    rates = traj.info_rate_curve()
-    rows = np.stack([rates[traj.index_at(float(t))] for t in np.atleast_1d(times)], axis=1)
-    return rows
+    rows = traj.index_at(np.atleast_1d(times))
+    return np.ascontiguousarray(traj.info_rate_curve(rows).T)
 
 
 def _principal_scores(features: np.ndarray) -> np.ndarray:

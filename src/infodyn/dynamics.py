@@ -160,23 +160,34 @@ class Trajectory:
     def n_variants(self) -> int:
         return self.p.shape[1]
 
-    def index_at(self, t: float) -> int:
-        """Nearest fine-grid index; raises for t outside [0, t_end]."""
-        if not 0.0 <= t <= self.t_end + 1e-12:
-            raise ValueError(f"time {t} outside trajectory domain [0, {self.t_end}]")
-        return min(int(round(t / self.step)), self.times.size - 1)
+    def index_at(self, t):
+        """Nearest fine-grid index, or an array of them for an array of
+        times; raises for a time outside [0, t_end]."""
+        times = np.asarray(t, dtype=float)
+        inside = (times >= 0.0) & (times <= self.t_end + 1e-12)
+        if not np.all(inside):
+            bad = float(np.extract(~inside, times)[0])
+            raise ValueError(f"time {bad} outside trajectory domain [0, {self.t_end}]")
+        idx = np.minimum(np.rint(times / self.step), self.times.size - 1).astype(np.intp)
+        return int(idx) if idx.ndim == 0 else idx
 
-    def fisher_curve(self) -> np.ndarray:
-        """g_tt(t) = sum(pdot^2 / p) on the fine grid."""
-        return np.sum(self.pdot**2 / self.p, axis=1)
+    def fisher_curve(self, rows=slice(None)) -> np.ndarray:
+        """g_tt(t) = sum(pdot^2 / p) at the given fine-grid rows (all by default)."""
+        return np.sum(self.pdot[rows] ** 2 / self.p[rows], axis=-1)
 
-    def info_rate_curve(self) -> np.ndarray:
-        """Self-information rates pdot/p, shape (times, variants)."""
-        return self.pdot / self.p
+    def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
+        """Self-information rates pdot/p at the given fine-grid rows, one row
+        of variants per fine-grid row."""
+        return self.pdot[rows] / self.p[rows]
 
 
 def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
-    """Classical RK4 solution on the uniform grid 0, step, ..., t_end."""
+    """Classical RK4 solution on the uniform grid 0, step, ..., t_end.
+
+    The step loop writes into preallocated buffers; the per-step checks
+    (positive infected fractions, conservation) run after it on all rows at
+    once and report the first failing step.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     if t_end < step:
@@ -185,45 +196,64 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     times = np.arange(n_steps + 1) * step
 
     gamma, epsilon = params.gamma, params.epsilon
+    rates = np.empty_like(gamma)
 
-    def deriv(state):
-        s, infected = state[0], state[1:-1]
-        ds = -s * np.dot(gamma, infected)
-        di = infected * (gamma * s - epsilon)
-        dr = np.dot(epsilon, infected)
-        return np.concatenate(([ds], di, [dr]))
+    def deriv(s, infected, out, out_infected):
+        """Write (dS, dI, dR) at (s, infected) into out; out_infected is out[1:-1]."""
+        out[0] = -s * np.dot(gamma, infected)
+        np.multiply(gamma, s, out=rates)
+        np.subtract(rates, epsilon, out=rates)
+        np.multiply(infected, rates, out=out_infected)
+        out[-1] = np.dot(epsilon, infected)
 
-    state = np.concatenate(([params.s0], params.i0, [params.r0]))
-    states = np.empty((n_steps + 1, state.size))
-    states[0] = state
-    for k in range(n_steps):
-        k1 = deriv(state)
-        k2 = deriv(state + 0.5 * step * k1)
-        k3 = deriv(state + 0.5 * step * k2)
-        k4 = deriv(state + step * k3)
-        state = state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        infected = state[1:-1]
-        if np.any(infected <= 0):
-            idx = int(np.argmin(infected))
+    states = np.empty((n_steps + 1, gamma.size + 2))
+    states[0, 0], states[0, 1:-1], states[0, -1] = params.s0, params.i0, params.r0
+    infected = states[:, 1:-1]
+    buffers = np.empty((5, states.shape[1]))
+    k1, k2, k3, k4, stage = buffers
+    k1_i, k2_i, k3_i, k4_i, stage_i = buffers[:, 1:-1]
+    half, sixth = 0.5 * step, step / 6.0
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            state = states[k]
+            deriv(state[0], infected[k], k1, k1_i)
+            np.add(state, np.multiply(half, k1, out=stage), out=stage)
+            deriv(stage[0], stage_i, k2, k2_i)
+            np.add(state, np.multiply(half, k2, out=stage), out=stage)
+            deriv(stage[0], stage_i, k3, k3_i)
+            np.add(state, np.multiply(step, k3, out=stage), out=stage)
+            deriv(stage[0], stage_i, k4, k4_i)
+            # state + (step/6) * (((k1 + 2 k2) + 2 k3) + k4)
+            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(state, np.multiply(sixth, k1, out=k1), out=states[k + 1])
+        # fmin skips NaN, so low <= 0 exactly when some entry is <= 0
+        low = np.fmin.reduce(infected[1:], axis=1)
+        drift = np.abs(states[1:].sum(axis=1) - 1.0)
+    bad = np.flatnonzero((low <= 0) | (drift > CONSERVATION_TOL))
+    if bad.size:
+        k = int(bad[0]) + 1
+        if low[k - 1] <= 0:
+            idx = int(np.argmin(infected[k]))
             raise IntegrationError(
                 f"infected fraction of variant {idx} reached "
-                f"{infected[idx]} at t={times[k + 1]:g}"
+                f"{infected[k, idx]} at t={times[k]:g}"
             )
-        drift = abs(state.sum() - 1.0)
-        if drift > CONSERVATION_TOL:
-            raise IntegrationError(
-                f"conservation drift {drift:.3e} at t={times[k + 1]:g}; "
-                f"use a smaller step"
-            )
-        states[k + 1] = state
+        raise IntegrationError(
+            f"conservation drift {drift[k - 1]:.3e} at t={times[k]:g}; "
+            f"use a smaller step"
+        )
 
     susceptible = states[:, 0]
-    infected = states[:, 1:-1]
     recovered = states[:, -1]
     p = infected / infected.sum(axis=1, keepdims=True)
-    couplings = susceptible[:, None] * gamma[None, :] - epsilon[None, :]
+    # in place: the same operations with fewer (T, M) temporaries
+    couplings = susceptible[:, None] * gamma[None, :]
+    np.subtract(couplings, epsilon[None, :], out=couplings)
     mean_d = np.sum(p * couplings, axis=1)
-    pdot = p * (couplings - mean_d[:, None])
+    pdot = couplings - mean_d[:, None]
+    np.multiply(p, pdot, out=pdot)
     return Trajectory(times, p, pdot, susceptible, couplings, mean_d,
                       infected, recovered, params)
 

@@ -4,7 +4,8 @@ Streams are numpy Generators backed by Philox, a counter-based bit
 generator.  Sub-streams are derived by mixing the base seed with a
 structured index through a SplitMix64-style finalizer, so any (seed,
 index...) pair names the same stream regardless of the order in which
-streams are created or consumed.
+streams are created or consumed.  ``sample_rows`` draws a whole matrix of
+sub-streams (seed, k) from one Philox that it re-keys before each row.
 
 Multinomial counts come from numpy's ``Generator.multinomial``, which draws
 them by sequential conditional binomials.  ``tests/test_rng.py`` keeps that
@@ -20,16 +21,24 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit word."""
-    x &= _MASK64
+def _mix64(x):
+    """SplitMix64 finalizer: avalanche a 64-bit word.
+
+    Works on a Python int and, element by element, on a uint64 array, whose
+    arithmetic wraps modulo 2**64 like the masked int arithmetic.
+    """
+    x = x & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
 
 
-def derive_key(seed: int, *indices: int) -> int:
-    """64-bit sub-stream key: seed xor-folded with each mixed index."""
+def derive_key(seed: int, *indices):
+    """64-bit sub-stream key: seed xor-folded with each mixed index.
+
+    An index may be a uint64 array; the result is then the array of the
+    keys of its elements.
+    """
     key = seed & _MASK64
     for idx in indices:
         key = _mix64(key ^ _mix64((idx + 1) * _GOLDEN))
@@ -39,6 +48,30 @@ def derive_key(seed: int, *indices: int) -> int:
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Generator for the sub-stream named by (seed, indices...)."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *indices)))
+
+
+def sample_rows(p: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Row k is ``sample_counts(p[k], n, stream(seed, k))``, for every row of p.
+
+    Building a Philox costs several times a small draw, so one Philox is
+    re-keyed before each row instead: key derive_key(seed, k), counter 0,
+    empty buffer, exactly the state ``stream(seed, k)`` starts in.  The
+    Generator keeps no other state that affects a draw.
+    """
+    keys = derive_key(seed, np.arange(len(p), dtype=np.uint64))
+    key = np.zeros(2, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    counts = np.empty(p.shape, dtype=np.int64)
+    for k, row in enumerate(p):
+        key[0] = keys[k]
+        bitgen.state = state
+        counts[k] = sample_counts(row, n, gen)
+    return counts
 
 
 def sample_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

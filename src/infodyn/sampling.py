@@ -8,6 +8,8 @@ instants feed a discretised Fisher information
     s_mu = 2 / (phat_hi + phat_lo)   (term contributes 0 when both vanish)
 
 and the per-variant information rates s_mu * (phat_hi - phat_lo) / dt.
+The estimators take a whole sampled trajectory and return one value (or
+one row of rates) per interval k = 0..K-2 between instants k and k+1.
 Everything is a pure function of (inputs, seed); sub-streams are keyed by
 instant and replication indices so results never depend on evaluation
 order.
@@ -98,64 +100,58 @@ def sample_trajectory(traj: Trajectory, grid: SampleGrid, n: int, seed: int) -> 
             f"sample grid [{times[0]:g}, {times[-1]:g}] outside "
             f"trajectory domain [0, {traj.t_end:g}]"
         )
-    counts = np.empty((grid.count, traj.n_variants), dtype=np.int64)
-    for k, t in enumerate(times):
-        p = traj.p[traj.index_at(t)]
-        counts[k] = rng.sample_counts(p, n, rng.stream(seed, k))
+    counts = rng.sample_rows(traj.p[traj.index_at(times)], n, seed)
     return SampledTrajectory(grid, n, counts, seed)
 
 
-def _check_instant(sampled: SampledTrajectory, k: int) -> None:
-    if not 0 <= k < sampled.grid.count - 1:
-        raise IndexError(
-            f"instant index {k} invalid: need k and k+1 within "
-            f"0..{sampled.grid.count - 1}"
-        )
-
-
-def fisher_between(p_lo: np.ndarray, p_hi: np.ndarray, dt: float) -> float:
-    """Discretised Fisher information from two frequency vectors."""
+def _rate_weights(p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
     total = p_lo + p_hi
-    s = np.where(total > 0, 2.0 / np.where(total > 0, total, 1.0), 0.0)
+    return np.where(total > 0, 2.0 / np.where(total > 0, total, 1.0), 0.0)
+
+
+def fisher_between(p_lo: np.ndarray, p_hi: np.ndarray, dt: float) -> float | np.ndarray:
+    """Discretised Fisher information from two frequency vectors.
+
+    Works along the last axis: rows of frequencies give one value per row.
+    """
+    s = _rate_weights(p_lo, p_hi)
     diff = (p_hi - p_lo) / dt
-    return float(np.sum(s * diff * diff))
+    return np.sum(s * diff * diff, axis=-1)
 
 
 def info_rate_between(p_lo: np.ndarray, p_hi: np.ndarray, dt: float) -> np.ndarray:
-    """Discretised per-component information rates from two frequency vectors."""
-    total = p_lo + p_hi
-    s = np.where(total > 0, 2.0 / np.where(total > 0, total, 1.0), 0.0)
-    return s * (p_hi - p_lo) / dt
+    """Discretised per-component information rates from two frequency vectors
+    (or from matching rows of them)."""
+    return _rate_weights(p_lo, p_hi) * (p_hi - p_lo) / dt
 
 
-def fisher_hat(sampled: SampledTrajectory, k: int) -> float:
-    """Sampled Fisher information at the midpoint of instants k and k+1."""
-    _check_instant(sampled, k)
-    return fisher_between(sampled.phat(k), sampled.phat(k + 1), sampled.grid.dt)
+def _cluster_phat(sampled: SampledTrajectory, f: Clustering) -> np.ndarray:
+    # integer cluster sums are exact, so this equals aggregating row by row
+    return aggregate(sampled.counts, f) / sampled.n
 
 
-def clustered_fisher_hat(sampled: SampledTrajectory, k: int, f: Clustering) -> float:
-    """Sampled Fisher information of the clustered counts."""
-    _check_instant(sampled, k)
-    f.check_size(sampled.n_variants)
-    lo = aggregate(sampled.counts[k], f) / sampled.n
-    hi = aggregate(sampled.counts[k + 1], f) / sampled.n
-    return fisher_between(lo, hi, sampled.grid.dt)
+def fisher_hat(sampled: SampledTrajectory) -> np.ndarray:
+    """Sampled Fisher information at every interval midpoint, shape (K-1,)."""
+    phat = sampled.counts / sampled.n
+    return fisher_between(phat[:-1], phat[1:], sampled.grid.dt)
 
 
-def info_rate_hat(sampled: SampledTrajectory, k: int) -> np.ndarray:
-    """Sampled per-variant information rates at the midpoint of k, k+1."""
-    _check_instant(sampled, k)
-    return info_rate_between(sampled.phat(k), sampled.phat(k + 1), sampled.grid.dt)
+def clustered_fisher_hat(sampled: SampledTrajectory, f: Clustering) -> np.ndarray:
+    """Sampled Fisher information of the clustered counts, shape (K-1,)."""
+    qhat = _cluster_phat(sampled, f)
+    return fisher_between(qhat[:-1], qhat[1:], sampled.grid.dt)
 
 
-def cluster_info_rate_hat(sampled: SampledTrajectory, k: int, f: Clustering) -> np.ndarray:
-    """Sampled per-cluster information rates at the midpoint of k, k+1."""
-    _check_instant(sampled, k)
-    f.check_size(sampled.n_variants)
-    lo = aggregate(sampled.counts[k], f) / sampled.n
-    hi = aggregate(sampled.counts[k + 1], f) / sampled.n
-    return info_rate_between(lo, hi, sampled.grid.dt)
+def info_rate_hat(sampled: SampledTrajectory) -> np.ndarray:
+    """Sampled per-variant information rates, shape (K-1, variants)."""
+    phat = sampled.counts / sampled.n
+    return info_rate_between(phat[:-1], phat[1:], sampled.grid.dt)
+
+
+def cluster_info_rate_hat(sampled: SampledTrajectory, f: Clustering) -> np.ndarray:
+    """Sampled per-cluster information rates, shape (K-1, clusters)."""
+    qhat = _cluster_phat(sampled, f)
+    return info_rate_between(qhat[:-1], qhat[1:], sampled.grid.dt)
 
 
 def _replicate(estimator, replications: int, seed: int) -> np.ndarray:

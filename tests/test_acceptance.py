@@ -45,7 +45,7 @@ def fisher_mc(traj, t, n, reps, seed):
     grid = smp.SampleGrid(t - DT / 2, DT, 2)
 
     def draw(s):
-        return smp.fisher_hat(smp.sample_trajectory(traj, grid, n, s), 0)
+        return smp.fisher_hat(smp.sample_trajectory(traj, grid, n, s))[0]
 
     return smp.monte_carlo(draw, reps, seed=seed)
 
@@ -155,7 +155,7 @@ def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
 
     def draw(s):
         return smp.clustered_fisher_hat(
-            smp.sample_trajectory(desk_traj, grid, n, s), 0, desk_f3)
+            smp.sample_trajectory(desk_traj, grid, n, s), desk_f3)[0]
 
     est_cl = smp.monte_carlo(draw, reps, seed=606)
     est_un = fisher_mc(desk_traj, t, n, reps, seed=607)
@@ -175,17 +175,17 @@ def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     n, reps, t = 10**4, 1000, 5.0
     k = desk_traj.index_at(t)
     p = desk_traj.p[k]
-    rate = desk_traj.info_rate_curve()[k]
+    rate = desk_traj.info_rate_curve(k)
     q = cl.aggregate(p, desk_f3)
     cluster_rate = cl.aggregate(desk_traj.pdot[k], desk_f3) / q
     grid = smp.SampleGrid(t - DT / 2, DT, 2)
 
     def draw_var(s):
-        return smp.info_rate_hat(smp.sample_trajectory(desk_traj, grid, n, s), 0)
+        return smp.info_rate_hat(smp.sample_trajectory(desk_traj, grid, n, s))[0]
 
     def draw_clu(s):
         return smp.cluster_info_rate_hat(
-            smp.sample_trajectory(desk_traj, grid, n, s), 0, desk_f3)
+            smp.sample_trajectory(desk_traj, grid, n, s), desk_f3)[0]
 
     worst_mean = worst_var = 0.0
     for ests, rates, probs in (
@@ -231,8 +231,7 @@ def test_criterion_08_exact_identities(desk_traj):
     # identity clustering is bitwise-identical on both estimator routes
     sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(3.0, DT, 5), 800, seed=88)
     ident = cl.Clustering.identity(N_VARIANTS)
-    for k in range(4):
-        assert smp.clustered_fisher_hat(sampled, k, ident) == smp.fisher_hat(sampled, k)
+    assert np.array_equal(smp.clustered_fisher_hat(sampled, ident), smp.fisher_hat(sampled))
     k = desk_traj.index_at(4.0)
     p4 = Distribution(desk_traj.p[k])
     pdot4 = TangentVector(desk_traj.pdot[k])
@@ -322,12 +321,10 @@ def test_criterion_12_filtering(desk_traj):
     n = 250000
     grid = smp.SampleGrid(2.5, DT, 31)
     sampled = smp.sample_trajectory(desk_traj, grid, n, seed=1212)
-    rates = desk_traj.info_rate_curve()
-    true_rates = np.stack([rates[desk_traj.index_at(t)] for t in grid.midpoints()])
-    raw = np.stack([smp.info_rate_hat(sampled, k) for k in range(grid.count - 1)])
+    true_rates = desk_traj.info_rate_curve(desk_traj.index_at(grid.midpoints()))
+    raw = smp.info_rate_hat(sampled)
     filt_p = flt.filter_trajectory(sampled)
-    filt = np.stack([smp.info_rate_between(filt_p[k], filt_p[k + 1], DT)
-                     for k in range(grid.count - 1)])
+    filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], DT)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     ok = bool(np.all(rmse_filt < rmse_raw))

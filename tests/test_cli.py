@@ -107,13 +107,14 @@ class TestRunner:
 
     @pytest.mark.parametrize("experiment", ["distance-moments", "theory-vs-mc"])
     def test_boundary_p_rejected(self, tmp_path, capsys, experiment):
-        cfg = write_cfg(
-            tmp_path, f"experiment = {experiment}\np = 0,0.5,0.5\nn = 100\nreplications = 5\n"
-        )
-        out = tmp_path / "out"
-        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
-        assert "'p'" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        for p in ("0,0.5,0.5", "-0.1,0.6,0.5"):
+            cfg = write_cfg(
+                tmp_path, f"experiment = {experiment}\np = {p}\nn = 100\nreplications = 5\n"
+            )
+            out = tmp_path / "out"
+            assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+            assert "bad value for 'p'" in capsys.readouterr().err, p
+            assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "experiment", ["fisher-bias-vs-t", "filtering-comparison", "theory-vs-mc"])
@@ -121,6 +122,25 @@ class TestRunner:
         cfg = write_cfg(tmp_path, f"experiment = {experiment}\nn = ,\n")
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "bad value for 'n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment", ["fisher-bias-vs-t", "filtering-comparison", "theory-vs-mc"])
+    def test_single_n_rejects_list(self, tmp_path, capsys, experiment):
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nn = 1000,5\n")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "bad value for 'n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        ("experiment = model-trajectory\ncount = 1\n", "sampling instants"),
+        ("experiment = model-trajectory\nell = 20\n", "n_clusters"),
+        ("experiment = elbow-scan\ngroups = 50\n", "no elbow"),
+    ])
+    def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
+        cfg = write_cfg(tmp_path, text + "t_end = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestExperiments:

@@ -5,6 +5,47 @@ from infodyn import dynamics as dyn
 from infodyn.simplex import fisher_information
 
 
+def reference_integrate_sir(params, t_end, step):
+    """The step loop integrate_sir replaced: one concatenated derivative per
+    stage and both checks inside the loop.  Returns the (steps+1, N+3)
+    state rows or raises IntegrationError for the first failing step."""
+    n_steps = int(round(t_end / step))
+    times = np.arange(n_steps + 1) * step
+    gamma, epsilon = params.gamma, params.epsilon
+
+    def deriv(state):
+        s, infected = state[0], state[1:-1]
+        ds = -s * np.dot(gamma, infected)
+        di = infected * (gamma * s - epsilon)
+        dr = np.dot(epsilon, infected)
+        return np.concatenate(([ds], di, [dr]))
+
+    state = np.concatenate(([params.s0], params.i0, [params.r0]))
+    states = np.empty((n_steps + 1, state.size))
+    states[0] = state
+    for k in range(n_steps):
+        k1 = deriv(state)
+        k2 = deriv(state + 0.5 * step * k1)
+        k3 = deriv(state + 0.5 * step * k2)
+        k4 = deriv(state + step * k3)
+        state = state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        infected = state[1:-1]
+        if np.any(infected <= 0):
+            idx = int(np.argmin(infected))
+            raise dyn.IntegrationError(
+                f"infected fraction of variant {idx} reached "
+                f"{infected[idx]} at t={times[k + 1]:g}"
+            )
+        drift = abs(state.sum() - 1.0)
+        if drift > dyn.CONSERVATION_TOL:
+            raise dyn.IntegrationError(
+                f"conservation drift {drift:.3e} at t={times[k + 1]:g}; "
+                f"use a smaller step"
+            )
+        states[k + 1] = state
+    return states
+
+
 @pytest.fixture(scope="module")
 def desk_traj():
     return dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
@@ -98,6 +139,32 @@ class TestIntegration:
         params = dyn.SirParams([200.0, 100.0], [1.0, 1.0], 0.9, [0.05, 0.05], 0.0)
         with pytest.raises(dyn.IntegrationError, match="variant 0"):
             dyn.integrate_sir(params, 2.0, 0.1)
+
+    @pytest.mark.parametrize("n_variants, t_end", [(2, 10.0), (10, 10.0), (1000, 2.0)])
+    def test_bit_identical_to_reference_loop(self, n_variants, t_end):
+        params = dyn.default_sir_params(n_variants)
+        traj = dyn.integrate_sir(params, t_end, 1e-3)
+        states = reference_integrate_sir(params, t_end, 1e-3)
+        assert np.array_equal(traj.susceptible, states[:, 0])
+        assert np.array_equal(traj.infected, states[:, 1:-1])
+        assert np.array_equal(traj.recovered, states[:, -1])
+        p = states[:, 1:-1] / states[:, 1:-1].sum(axis=1, keepdims=True)
+        couplings = states[:, :1] * params.gamma - params.epsilon
+        pdot = p * (couplings - np.sum(p * couplings, axis=1)[:, None])
+        assert np.array_equal(traj.pdot, pdot)
+
+    @pytest.mark.parametrize("gamma, epsilon, i0, step, t_end", [
+        ([200.0, 100.0], [1.0, 1.0], [0.05, 0.05], 0.1, 2.0),      # step 1, then overflow
+        ([68.0, 0.7], [53.0, 339.0], [0.25, 0.25], 0.01, 2.0),     # step 11
+        ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56, 5.6),   # conservation drift
+    ])
+    def test_first_failure_matches_reference_loop(self, gamma, epsilon, i0, step, t_end):
+        params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
+        with pytest.raises(dyn.IntegrationError) as want:
+            reference_integrate_sir(params, t_end, step)
+        with pytest.raises(dyn.IntegrationError) as got:
+            dyn.integrate_sir(params, t_end, step)
+        assert str(got.value) == str(want.value)
 
     def test_bad_step_rejected(self):
         params = dyn.default_sir_params(3)

@@ -27,6 +27,13 @@ class TestStreams:
         for seed in (0, 1, 2**64 - 1):
             assert 0 <= rng.derive_key(seed, 123456789) < 2**64
 
+    @pytest.mark.parametrize("seed", [0, 1, 91, 2**63 + 5, 2**64 - 1, -3])
+    def test_array_indices_match_scalar_keys(self, seed):
+        indices = np.array([0, 1, 2, 40, 2**32, 2**63, 2**64 - 2], dtype=np.uint64)
+        keys = rng.derive_key(seed, indices)
+        assert keys.dtype == np.uint64
+        assert [int(k) for k in keys] == [rng.derive_key(seed, int(i)) for i in indices]
+
 
 def reference_sample_counts(p, n, gen):
     """The sequential conditional-binomial loop numpy's multinomial follows.
@@ -85,6 +92,22 @@ class TestSampleCounts:
             assert np.array_equal(rng.sample_counts(traj.p[k], 100000, ours),
                                   reference_sample_counts(traj.p[k], 100000, ref))
             assert ours.integers(0, 2**63) == ref.integers(0, 2**63)
+
+    @pytest.mark.parametrize("count", [2, 41])
+    @pytest.mark.parametrize("n", [1, 100000])
+    def test_rows_match_one_stream_per_row(self, count, n):
+        # sample_rows re-keys one Philox; each row must equal a fresh stream's draw
+        cases = [(m, kind, p) for m, kind, p in reference_cases() if m in (2, 10, 1000)]
+        for m, kind, p in cases:
+            rows = np.stack([np.roll(p, k) for k in range(count)])
+            counts = rng.sample_rows(rows, n, 2**63 + count)
+            for k in range(count):
+                want = rng.sample_counts(rows[k], n, rng.stream(2**63 + count, k))
+                assert np.array_equal(counts[k], want), (m, kind, n, k)
+
+    def test_rows_reject_zero_draws(self):
+        with pytest.raises(ValueError):
+            rng.sample_rows(np.array([[0.5, 0.5]]), 0, 1)
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_rejects_negative_or_nan_probability(self, bad):

@@ -7,7 +7,7 @@ import pytest
 from infodyn import dynamics as dyn
 from infodyn import rng
 from infodyn import sampling as smp
-from infodyn.clustering import Clustering
+from infodyn.clustering import Clustering, aggregate
 from infodyn.simplex import Distribution
 
 
@@ -21,6 +21,40 @@ def make_sampled(counts, dt=0.25, t0=0.0):
     n = int(counts[0].sum())
     grid = smp.SampleGrid(t0, dt, counts.shape[0])
     return smp.SampledTrajectory(grid, n, counts, seed=0)
+
+
+def reference_between(p_lo, p_hi):
+    """Weights and displacement of the per-instant estimators that the
+    whole-grid ones replaced."""
+    total = p_lo + p_hi
+    s = np.where(total > 0, 2.0 / np.where(total > 0, total, 1.0), 0.0)
+    return s, p_hi - p_lo
+
+
+def reference_fisher(lo, hi, dt):
+    s, diff = reference_between(lo, hi)
+    diff = diff / dt
+    return float(np.sum(s * diff * diff))
+
+
+def reference_rates(lo, hi, dt):
+    s, diff = reference_between(lo, hi)
+    return s * diff / dt
+
+
+def reference_estimates(sampled, f):
+    """Per-interval values of the four estimators, computed instant pair by
+    instant pair as before: (fisher, clustered fisher, rates, cluster rates)."""
+    n, dt = sampled.n, sampled.grid.dt
+    out = ([], [], [], [])
+    for k in range(sampled.grid.count - 1):
+        lo, hi = sampled.counts[k] / n, sampled.counts[k + 1] / n
+        clo, chi = aggregate(sampled.counts[k], f) / n, aggregate(sampled.counts[k + 1], f) / n
+        out[0].append(reference_fisher(lo, hi, dt))
+        out[1].append(reference_fisher(clo, chi, dt))
+        out[2].append(reference_rates(lo, hi, dt))
+        out[3].append(reference_rates(clo, chi, dt))
+    return out
 
 
 def random_clustering(gen, size, ell):
@@ -75,14 +109,18 @@ class TestSampleTrajectory:
         sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(0.0, 0.25, 9), 321, seed=5)
         assert np.all(sampled.counts.sum(axis=1) == 321)
 
-    def test_instants_use_isolated_substreams(self, desk_traj):
+    def test_instants_use_isolated_substreams(self):
         # instant k is reproducible alone via the (seed, k) sub-stream
-        grid = smp.SampleGrid(0.0, 0.25, 9)
-        sampled = smp.sample_trajectory(desk_traj, grid, 400, seed=91)
-        for k, t in enumerate(grid.times()):
-            p = desk_traj.p[desk_traj.index_at(t)]
-            direct = rng.sample_counts(p, 400, rng.stream(91, k))
-            assert np.array_equal(sampled.counts[k], direct)
+        for n_variants in (2, 10, 1000):
+            traj = dyn.integrate_sir(dyn.default_sir_params(n_variants), 2.0, 0.01)
+            for count, dt in ((2, 0.5), (41, 0.05)):
+                grid = smp.SampleGrid(0.0, dt, count)
+                for n in (1, 100000):
+                    sampled = smp.sample_trajectory(traj, grid, n, seed=91)
+                    for k, t in enumerate(grid.times()):
+                        p = traj.p[traj.index_at(float(t))]
+                        direct = rng.sample_counts(p, n, rng.stream(91, k))
+                        assert np.array_equal(sampled.counts[k], direct), (n_variants, count, n, k)
 
     def test_large_n_consistency(self, desk_traj):
         grid = smp.SampleGrid(0.0, 0.25, 41)
@@ -99,23 +137,24 @@ class TestSampleTrajectory:
 class TestFisherHat:
     def test_no_displacement(self):
         sampled = make_sampled([[5, 5], [5, 5]])
-        assert smp.fisher_hat(sampled, 0) == 0.0
+        assert smp.fisher_hat(sampled).tolist() == [0.0]
 
     def test_hand_value(self):
         # phat (0.5,0.5) -> (0.6,0.4), dt = 0.25
         sampled = make_sampled([[5, 5], [6, 4]])
         expected = (0.01 / 0.0625) * (1 / 0.55 + 1 / 0.45)
-        assert smp.fisher_hat(sampled, 0) == pytest.approx(expected, rel=1e-14)
+        assert smp.fisher_hat(sampled)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_zero_count_category_contributes_nothing(self):
         with_dead = make_sampled([[5, 5, 0], [6, 4, 0]])
         without = make_sampled([[5, 5], [6, 4]])
-        assert smp.fisher_hat(with_dead, 0) == smp.fisher_hat(without, 0)
+        assert smp.fisher_hat(with_dead)[0] == smp.fisher_hat(without)[0]
 
-    def test_bad_index(self):
-        sampled = make_sampled([[5, 5], [6, 4]])
-        with pytest.raises(IndexError):
-            smp.fisher_hat(sampled, 1)
+    def test_one_value_per_interval(self):
+        sampled = make_sampled([[5, 5], [6, 4], [6, 4], [5, 5]])
+        values = smp.fisher_hat(sampled)
+        assert values.shape == (3,)
+        assert values[1] == 0.0 and values[0] == values[2] > 0.0
 
     def test_scaled_bias_law_mid_sample_size(self, desk_traj):
         # (MC mean - g_tt) * n dt^2 / (2N) is 1 at the middle sample size too
@@ -124,7 +163,7 @@ class TestFisherHat:
         g_tt = float(desk_traj.fisher_curve()[desk_traj.index_at(5.0)])
 
         def draw(seed):
-            return smp.fisher_hat(smp.sample_trajectory(desk_traj, grid, n, seed), 0)
+            return smp.fisher_hat(smp.sample_trajectory(desk_traj, grid, n, seed))[0]
 
         est = smp.monte_carlo(draw, reps, seed=4242)
         scale = n * dt**2 / (2 * 9)
@@ -159,13 +198,12 @@ class TestFisherHat:
 class TestClusteredFisherHat:
     def test_single_cluster_is_zero(self):
         sampled = make_sampled([[5, 3, 2], [6, 2, 2]])
-        assert smp.clustered_fisher_hat(sampled, 0, Clustering.single(3)) == 0.0
+        assert smp.clustered_fisher_hat(sampled, Clustering.single(3)).tolist() == [0.0]
 
     def test_identity_clustering_bitwise(self, desk_traj):
         sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(4.0, 0.25, 5), 500, seed=2)
         ident = Clustering.identity(10)
-        for k in range(4):
-            assert smp.clustered_fisher_hat(sampled, k, ident) == smp.fisher_hat(sampled, k)
+        assert np.array_equal(smp.clustered_fisher_hat(sampled, ident), smp.fisher_hat(sampled))
 
     def test_coarsening_never_increases(self):
         gen = np.random.default_rng(17)
@@ -177,40 +215,68 @@ class TestClusteredFisherHat:
             ell = int(gen.integers(1, m))
             coarse = random_clustering(gen, m, ell)
             fine = refine(gen, coarse)
-            g_fine = smp.clustered_fisher_hat(sampled, 0, fine)
-            g_coarse = smp.clustered_fisher_hat(sampled, 0, coarse)
+            g_fine = smp.clustered_fisher_hat(sampled, fine)[0]
+            g_coarse = smp.clustered_fisher_hat(sampled, coarse)[0]
             assert 0.0 <= g_coarse <= g_fine + 1e-12
-            assert smp.fisher_hat(sampled, 0) >= g_fine - 1e-12
+            assert smp.fisher_hat(sampled)[0] >= g_fine - 1e-12
 
     def test_wrong_size_clustering(self):
         sampled = make_sampled([[5, 5], [6, 4]])
         with pytest.raises(ValueError):
-            smp.clustered_fisher_hat(sampled, 0, Clustering.identity(3))
+            smp.clustered_fisher_hat(sampled, Clustering.identity(3))
 
 
 class TestInfoRateHat:
     def test_no_displacement(self):
         sampled = make_sampled([[4, 6], [4, 6]])
-        assert np.all(smp.info_rate_hat(sampled, 0) == 0.0)
+        assert np.all(smp.info_rate_hat(sampled) == 0.0)
 
     def test_hand_value(self):
         sampled = make_sampled([[5, 5], [6, 4]])
-        rates = smp.info_rate_hat(sampled, 0)
+        rates = smp.info_rate_hat(sampled)[0]
         assert rates == pytest.approx([(2 / 1.1) * 0.4, -(2 / 0.9) * 0.4], rel=1e-14)
 
     def test_dead_category_rate_zero(self):
         sampled = make_sampled([[5, 5, 0], [6, 4, 0]])
-        assert smp.info_rate_hat(sampled, 0)[2] == 0.0
+        assert smp.info_rate_hat(sampled)[0, 2] == 0.0
 
     def test_cluster_version_identity(self, desk_traj):
         sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(4.0, 0.25, 2), 700, seed=6)
         ident = Clustering.identity(10)
-        assert np.array_equal(smp.cluster_info_rate_hat(sampled, 0, ident),
-                              smp.info_rate_hat(sampled, 0))
+        assert np.array_equal(smp.cluster_info_rate_hat(sampled, ident),
+                              smp.info_rate_hat(sampled))
 
     def test_cluster_version_single(self):
         sampled = make_sampled([[5, 3, 2], [6, 2, 2]])
-        assert smp.cluster_info_rate_hat(sampled, 0, Clustering.single(3)).tolist() == [0.0]
+        assert smp.cluster_info_rate_hat(sampled, Clustering.single(3)).tolist() == [[0.0]]
+
+
+class TestWholeGridEstimators:
+    @pytest.mark.parametrize("count", [2, 41])
+    @pytest.mark.parametrize("n_variants", [2, 10, 200, 1000])
+    def test_bit_identical_to_per_interval_reference(self, count, n_variants):
+        gen = np.random.default_rng(count * 7919 + n_variants)
+        w = gen.random(n_variants) + 0.01
+        w[gen.choice(n_variants, size=n_variants // 3, replace=False)] = 0.0
+        p = w / w.sum()
+        for n in (1, 50, 100000):
+            sampled = make_sampled(gen.multinomial(n, p, size=count))
+            f = random_clustering(gen, n_variants, max(1, n_variants // 4))
+            fisher, clustered, rates, cluster_rates = reference_estimates(sampled, f)
+            assert np.array_equal(smp.fisher_hat(sampled), fisher)
+            assert np.array_equal(smp.clustered_fisher_hat(sampled, f), clustered)
+            assert np.array_equal(smp.info_rate_hat(sampled), np.stack(rates))
+            assert np.array_equal(smp.cluster_info_rate_hat(sampled, f),
+                                  np.stack(cluster_rates))
+
+    def test_between_works_row_by_row(self):
+        gen = np.random.default_rng(5)
+        lo, hi = gen.dirichlet(np.ones(300), size=(2, 7))
+        fisher = smp.fisher_between(lo, hi, 0.25)
+        rates = smp.info_rate_between(lo, hi, 0.25)
+        for k in range(7):
+            assert fisher[k] == reference_fisher(lo[k], hi[k], 0.25)
+            assert np.array_equal(rates[k], reference_rates(lo[k], hi[k], 0.25))
 
 
 class TestMonteCarlo:

@@ -186,7 +186,8 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
 
     The step loop writes into preallocated buffers; the per-step checks
     (positive infected fractions, conservation) run after it on all rows at
-    once and report the first failing step.
+    once and report the first failing step.  A model that fails therefore
+    runs every remaining step (on inf/NaN values) before the error is raised.
     """
     if step <= 0:
         raise ValueError("step must be positive")

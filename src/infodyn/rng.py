@@ -53,10 +53,11 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
 def sample_rows(p: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Row k is ``sample_counts(p[k], n, stream(seed, k))``, for every row of p.
 
-    Building a Philox costs several times a small draw, so one Philox is
-    re-keyed before each row instead: key derive_key(seed, k), counter 0,
-    empty buffer, exactly the state ``stream(seed, k)`` starts in.  The
-    Generator keeps no other state that affects a draw.
+    Building a Philox costs several times a small draw, so the Philox of
+    ``stream(seed)`` is re-keyed before each row instead, row 0 included:
+    key derive_key(seed, k), counter 0, empty buffer, exactly the state
+    ``stream(seed, k)`` starts in.  The Generator keeps no other state that
+    affects a draw.
     """
     keys = derive_key(seed, np.arange(len(p), dtype=np.uint64))
     key = np.zeros(2, dtype=np.uint64)
@@ -64,12 +65,11 @@ def sample_rows(p: np.ndarray, n: int, seed: int) -> np.ndarray:
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    gen = stream(seed)
     counts = np.empty(p.shape, dtype=np.int64)
     for k, row in enumerate(p):
         key[0] = keys[k]
-        bitgen.state = state
+        gen.bit_generator.state = state
         counts[k] = sample_counts(row, n, gen)
     return counts
 

@@ -75,9 +75,9 @@ class SampledTrajectory:
     def n_variants(self) -> int:
         return self.counts.shape[1]
 
-    def phat(self, k: int) -> np.ndarray:
-        """Empirical frequencies counts/n at instant k."""
-        return self.counts[k] / self.n
+    def phat(self) -> np.ndarray:
+        """Empirical frequencies counts/n, one row per instant."""
+        return self.counts / self.n
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _cluster_phat(sampled: SampledTrajectory, f: Clustering) -> np.ndarray:
 
 def fisher_hat(sampled: SampledTrajectory) -> np.ndarray:
     """Sampled Fisher information at every interval midpoint, shape (K-1,)."""
-    phat = sampled.counts / sampled.n
+    phat = sampled.phat()
     return fisher_between(phat[:-1], phat[1:], sampled.grid.dt)
 
 
@@ -144,7 +144,7 @@ def clustered_fisher_hat(sampled: SampledTrajectory, f: Clustering) -> np.ndarra
 
 def info_rate_hat(sampled: SampledTrajectory) -> np.ndarray:
     """Sampled per-variant information rates, shape (K-1, variants)."""
-    phat = sampled.counts / sampled.n
+    phat = sampled.phat()
     return info_rate_between(phat[:-1], phat[1:], sampled.grid.dt)
 
 

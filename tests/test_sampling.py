@@ -127,7 +127,7 @@ class TestSampleTrajectory:
         sampled = smp.sample_trajectory(desk_traj, grid, 10_000_000, seed=11)
         for k, t in enumerate(grid.times()):
             p = desk_traj.p[desk_traj.index_at(t)]
-            assert np.max(np.abs(sampled.phat(k) - p)) < 1e-3
+            assert np.max(np.abs(sampled.phat()[k] - p)) < 1e-3
 
     def test_out_of_range_grid(self, desk_traj):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -127,8 +128,9 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
 
 
 def _full_grid(traj: dyn.Trajectory, dt: float) -> smp.SampleGrid:
-    """Instants 0, dt, ..., t_end over the whole trajectory."""
-    return smp.SampleGrid(0.0, dt, int(round(traj.t_end / dt)) + 1)
+    """Instants 0, dt, 2 dt, ... up to the last one not after t_end (within a
+    relative 1e-9, so that rounding in t_end / dt does not drop an instant)."""
+    return smp.SampleGrid(0.0, dt, math.floor(traj.t_end / dt * (1.0 + 1e-9)) + 1)
 
 
 def _config_grid(cfg, dt: float, t0: float, count: int) -> smp.SampleGrid:
@@ -185,25 +187,19 @@ def run_model_trajectory(cfg, outdir, seed):
     stride = _get(cfg, "output_stride", 25, int)
     grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     ell = _get(cfg, "ell", 3, int)
-    sub = dyn.Trajectory(
-        traj.times[::stride].copy(), traj.p[::stride].copy(),
-        traj.pdot[::stride].copy(), traj.susceptible[::stride].copy(),
-        traj.couplings[::stride].copy(), traj.mean_coupling[::stride].copy(),
-        traj.infected[::stride].copy(), traj.recovered[::stride].copy(),
-        traj.params,
-    )
+    rows = slice(None, None, stride)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
-    dyn.trajectory_to_csv(sub, os.path.join(outdir, "trajectory.csv"))
+    dyn.trajectory_to_csv(traj, os.path.join(outdir, "trajectory.csv"), rows)
     cl.clustering_to_csv(f, os.path.join(outdir, "clustering.csv"))
 
     labels = f.labels0()
     members = np.zeros((traj.n_variants, f.n_clusters))
     members[np.arange(traj.n_variants), labels] = 1.0
-    q = sub.p @ members
-    qdot = sub.pdot @ members
+    q = traj.p(rows) @ members
+    qdot = traj.pdot(rows) @ members
     g_f = np.sum(qdot * qdot / q, axis=1)
     write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              zip(sub.times, sub.fisher_curve(), g_f))
+              zip(traj.times[rows], traj.fisher_curve(rows), g_f))
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
@@ -255,11 +251,11 @@ def run_info_rate_moments(cfg, outdir, seed):
     ell = _get(cfg, "ell", 3, int)
     grid = _two_point_grid(t, dt)
     k_mid = traj.index_at(t)
-    p_mid = traj.p[k_mid]
+    p_mid = traj.p(k_mid)
     rate = traj.info_rate_curve(k_mid)
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
     q_mid = cl.aggregate(p_mid, f)
-    qdot = cl.aggregate(traj.pdot[k_mid], f)
+    qdot = cl.aggregate(traj.pdot(k_mid), f)
     cluster_rate = qdot / q_mid
 
     var_rows, clu_rows = [], []
@@ -312,8 +308,8 @@ def run_elbow_scan(cfg, outdir, seed):
     ells = _get(cfg, "ell", list(range(4, 11)), _int_list)
     feats = cl.kmeans_features(traj, _full_grid(traj, dt))
     k_eval = traj.index_at(t_eval)
-    p = Distribution(traj.p[k_eval])
-    pdot = TangentVector(traj.pdot[k_eval])
+    p = Distribution(traj.p(k_eval))
+    pdot = TangentVector(traj.pdot(k_eval))
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
     cl.delta_curve_to_csv(curve, os.path.join(outdir, "elbow_curve.csv"))
@@ -334,8 +330,9 @@ def run_theory_vs_mc(cfg, outdir, seed):
     k_mid = traj.index_at(t)
     g_tt = float(traj.fisher_curve(k_mid))
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
-    q = cl.aggregate(traj.p[k_mid], f)
-    qdot = cl.aggregate(traj.pdot[k_mid], f)
+    p_mid = traj.p(k_mid)
+    q = cl.aggregate(p_mid, f)
+    qdot = cl.aggregate(traj.pdot(k_mid), f)
     g_f = float(np.sum(qdot * qdot / q))
     p4 = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
     rows = []
@@ -357,7 +354,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
     draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s)[0])
     est = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 3))[0]
     rows += _mean_var_rows("info_rate_{}_mu1", est,
-                           *th.info_rate_moments(float(rate[0]), float(traj.p[k_mid][0]), n, dt))
+                           *th.info_rate_moments(float(rate[0]), float(p_mid[0]), n, dt))
 
     write_csv(os.path.join(outdir, "theory_vs_mc.csv"),
               ["quantity", "mc_value", "mc_se", "theory_value"], rows)

@@ -147,8 +147,9 @@ def sufficiency_residuals(traj, f: Clustering) -> float:
     labels = f.labels0()
     members = np.zeros((traj.n_variants, f.n_clusters))
     members[np.arange(traj.n_variants), labels] = 1.0
-    q = traj.p @ members
-    r = traj.p / q[:, labels]
+    p = traj.p()
+    q = p @ members
+    r = p / q[:, labels]
     dr = (r[2:] - r[:-2]) / (2.0 * traj.step)
     return float(np.max(np.abs(dr))) if dr.size else 0.0
 
@@ -179,9 +180,10 @@ def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
     """Lloyd iterations with deterministic quantile seeding.
 
     Initial centroids are the data points sitting at the (a - 1/2)/ell
-    quantiles of the first principal score.  An emptied cluster is
-    re-seeded at the point farthest from its current centroid, so the
-    result is always surjective.
+    quantiles of the first principal score.  A point whose distances to two
+    centroids agree within a relative 1e-9 joins the lower-numbered one.  An
+    emptied cluster is re-seeded at the point farthest from its current
+    centroid, so the result is always surjective.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n_points = features.shape[0]
@@ -197,7 +199,11 @@ def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
     labels = np.full(n_points, -1)
     for _ in range(max_iters):
         dist = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dist, axis=1)
+        # nearest centroid; distances equal to a relative 1e-9 count as a tie,
+        # which goes to the lower-numbered centroid.  Evenly spaced features
+        # give exact ties, and rounding in the features must not decide them.
+        nearest = dist.min(axis=1, keepdims=True)
+        new_labels = np.argmax(dist <= nearest * (1.0 + 1e-9), axis=1)
         point_cost = dist[np.arange(n_points), new_labels]
         empty = [a for a in range(n_clusters) if not np.any(new_labels == a)]
         while empty:

@@ -1,14 +1,26 @@
 """Compartmental generator of continuous statistical models.
 
-Integrates the susceptible / N+1 infected variants / recovered system
+The susceptible / N+1 infected variants / recovered system
 
     dS/dt  = -S * sum(gamma * I)
     dI/dt  =  I * (gamma * S - epsilon)
     dR/dt  =  sum(epsilon * I)
 
-with classical fixed-step RK4 and turns the infected fractions into a
-time-parametrized probability distribution p = I / sum(I).  The velocity
-of p is computed analytically from the replicator identity
+reduces exactly to three scalar states.  Each infected equation is linear
+in its own variable, with a rate that depends on time only through S, so
+with the cumulative susceptible fraction X(t) = integral of S over [0, t]
+
+    I(t) = i0 * exp(gamma * X(t) - epsilon * t).
+
+The system is therefore the ODE in (S, X, R) with X' = S, where the sums
+over variants are taken over that closed form: no approximation is made
+before the time discretisation, which is classical fixed-step RK4 on the
+three scalars.  R stays an integrated state rather than 1 - S - sum(I), so
+conservation remains a check of the integration.
+
+The distribution p = I / sum(I) = softmax(log i0 + gamma * X - epsilon * t)
+is positive by construction, and its velocity is computed analytically from
+the replicator identity
 
     pdot = p * (d - <d>_p),    d = gamma * S - epsilon,
 
@@ -17,7 +29,7 @@ which keeps derivative checks free of finite-difference bias.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,24 +140,24 @@ def mean_coupling(p, d) -> float:
 class Trajectory:
     """Continuous model on a uniform fine grid.
 
-    Arrays are laid out time-major: ``p[k]`` is the distribution at
-    ``times[k]``.  All arrays are read-only.
+    Stores one value per grid point of S, X (the integral of S), R and the
+    total infected fraction sum(I); all arrays are read-only.  The
+    per-variant quantities are evaluated from them for the fine-grid
+    ``rows`` a caller asks for: an index, an index array or a slice, all
+    rows by default.  The result has one row of variants per requested
+    row, or is a single row for an integer index.
     """
 
     times: np.ndarray
-    p: np.ndarray
-    pdot: np.ndarray
     susceptible: np.ndarray
-    couplings: np.ndarray
-    mean_coupling: np.ndarray
-    infected: np.ndarray
+    cumulative_susceptible: np.ndarray
     recovered: np.ndarray
+    total_infected: np.ndarray
     params: SirParams
 
     def __post_init__(self):
-        for arr in (self.times, self.p, self.pdot, self.susceptible,
-                    self.couplings, self.mean_coupling, self.infected,
-                    self.recovered):
+        for arr in (self.times, self.susceptible, self.cumulative_susceptible,
+                    self.recovered, self.total_infected):
             arr.flags.writeable = False
 
     @property
@@ -158,7 +170,7 @@ class Trajectory:
 
     @property
     def n_variants(self) -> int:
-        return self.p.shape[1]
+        return self.params.n_variants
 
     def index_at(self, t):
         """Nearest fine-grid index, or an array of them for an array of
@@ -171,23 +183,70 @@ class Trajectory:
         idx = np.minimum(np.rint(times / self.step), self.times.size - 1).astype(np.intp)
         return int(idx) if idx.ndim == 0 else idx
 
-    def fisher_curve(self, rows=slice(None)) -> np.ndarray:
-        """g_tt(t) = sum(pdot^2 / p) at the given fine-grid rows (all by default)."""
-        return np.sum(self.pdot[rows] ** 2 / self.p[rows], axis=-1)
+    def _exponents(self, rows) -> np.ndarray:
+        """log I = log i0 + gamma * X - epsilon * t at the rows."""
+        x = np.asarray(self.cumulative_susceptible[rows])[..., None]
+        t = np.asarray(self.times[rows])[..., None]
+        return np.log(self.params.i0) + self.params.gamma * x - self.params.epsilon * t
+
+    def infected(self, rows=slice(None)) -> np.ndarray:
+        """Infected fractions I = i0 * exp(gamma * X - epsilon * t)."""
+        return np.exp(self._exponents(rows))
+
+    def p(self, rows=slice(None)) -> np.ndarray:
+        """Distribution p = I / sum(I), as a softmax of the exponents."""
+        a = self._exponents(rows)
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+        return a
+
+    def couplings(self, rows=slice(None)) -> np.ndarray:
+        """Per-variant growth rates d = gamma * S - epsilon."""
+        s = np.asarray(self.susceptible[rows])[..., None]
+        return self.params.gamma * s - self.params.epsilon
+
+    def mean_coupling(self, rows=slice(None)) -> np.ndarray:
+        """<d>_p, the probability-weighted mean coupling."""
+        return np.sum(self.p(rows) * self.couplings(rows), axis=-1)
 
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
-        """Self-information rates pdot/p at the given fine-grid rows, one row
-        of variants per fine-grid row."""
-        return self.pdot[rows] / self.p[rows]
+        """Self-information rates pdot/p = d - <d>_p."""
+        return self.couplings(rows) - self.mean_coupling(rows)[..., None]
+
+    def pdot(self, rows=slice(None)) -> np.ndarray:
+        """Velocity pdot = p * (d - <d>_p)."""
+        return self.p(rows) * self.info_rate_curve(rows)
+
+    def fisher_curve(self, rows=slice(None)) -> np.ndarray:
+        """g_tt(t) = sum(pdot^2 / p) = sum(p * (d - <d>_p)^2)."""
+        rate = self.info_rate_curve(rows)
+        return np.sum(self.p(rows) * rate * rate, axis=-1)
+
+
+def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> IntegrationError:
+    """The error for grid point k, whose state failed a check."""
+    where = f"at step {k}, t={t:g}"
+    if not all(math.isfinite(v) for v in (s, x, r, total)):
+        return IntegrationError(
+            f"non-finite state (S={s}, X={x}, R={r}, infected {total}) {where}")
+    if not 0.0 <= s <= 1.0:
+        return IntegrationError(f"susceptible fraction {s} left [0, 1] {where}")
+    return IntegrationError(
+        f"conservation drift {abs(s + total + r - 1.0):.3e} {where}; use a smaller step")
 
 
 def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
-    """Classical RK4 solution on the uniform grid 0, step, ..., t_end.
+    """Classical RK4 solution of the reduced (S, X, R) system on the uniform
+    grid 0, step, ..., t_end.
 
-    The step loop writes into preallocated buffers; the per-step checks
-    (positive infected fractions, conservation) run after it on all rows at
-    once and report the first failing step.  A model that fails therefore
-    runs every remaining step (on inf/NaN values) before the error is raised.
+    Each stage takes the exponents log i0 + gamma * X - epsilon * t as one
+    matrix-vector product, exponentiates them to I, and takes the sums
+    gamma . I, epsilon . I and sum(I) as a second one; the state itself is
+    three Python floats.  Every grid point is checked as it is reached: the
+    first with a non-finite state, S outside [0, 1], or S + sum(I) + R off
+    1 by more than CONSERVATION_TOL raises IntegrationError naming its step
+    and t.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -196,67 +255,45 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     n_steps = int(round(t_end / step))
     times = np.arange(n_steps + 1) * step
 
-    gamma, epsilon = params.gamma, params.epsilon
-    rates = np.empty_like(gamma)
+    exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
+    weights = np.stack((params.gamma, params.epsilon, np.ones_like(params.gamma)))
+    point = np.ones(3)  # (1, X, t)
+    infected = np.empty(params.n_variants)
+    sums = np.empty(3)
 
-    def deriv(s, infected, out, out_infected):
-        """Write (dS, dI, dR) at (s, infected) into out; out_infected is out[1:-1]."""
-        out[0] = -s * np.dot(gamma, infected)
-        np.multiply(gamma, s, out=rates)
-        np.subtract(rates, epsilon, out=rates)
-        np.multiply(infected, rates, out=out_infected)
-        out[-1] = np.dot(epsilon, infected)
+    def rates(x, t):
+        """(gamma . I, epsilon . I, sum(I)) at (X, t), as Python floats."""
+        point[1] = x
+        point[2] = t
+        np.exp(np.dot(exponents, point, out=infected), out=infected)
+        return np.dot(weights, infected, out=sums).tolist()
 
-    states = np.empty((n_steps + 1, gamma.size + 2))
-    states[0, 0], states[0, 1:-1], states[0, -1] = params.s0, params.i0, params.r0
-    infected = states[:, 1:-1]
-    buffers = np.empty((5, states.shape[1]))
-    k1, k2, k3, k4, stage = buffers
-    k1_i, k2_i, k3_i, k4_i, stage_i = buffers[:, 1:-1]
+    s, x, r = params.s0, 0.0, params.r0
     half, sixth = 0.5 * step, step / 6.0
-    with np.errstate(all="ignore"):
-        for k in range(n_steps):
-            state = states[k]
-            deriv(state[0], infected[k], k1, k1_i)
-            np.add(state, np.multiply(half, k1, out=stage), out=stage)
-            deriv(stage[0], stage_i, k2, k2_i)
-            np.add(state, np.multiply(half, k2, out=stage), out=stage)
-            deriv(stage[0], stage_i, k3, k3_i)
-            np.add(state, np.multiply(step, k3, out=stage), out=stage)
-            deriv(stage[0], stage_i, k4, k4_i)
-            # state + (step/6) * (((k1 + 2 k2) + 2 k3) + k4)
-            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-            np.add(k1, k4, out=k1)
-            np.add(state, np.multiply(sixth, k1, out=k1), out=states[k + 1])
-        # fmin skips NaN, so low <= 0 exactly when some entry is <= 0
-        low = np.fmin.reduce(infected[1:], axis=1)
-        drift = np.abs(states[1:].sum(axis=1) - 1.0)
-    bad = np.flatnonzero((low <= 0) | (drift > CONSERVATION_TOL))
-    if bad.size:
-        k = int(bad[0]) + 1
-        if low[k - 1] <= 0:
-            idx = int(np.argmin(infected[k]))
-            raise IntegrationError(
-                f"infected fraction of variant {idx} reached "
-                f"{infected[k, idx]} at t={times[k]:g}"
-            )
-        raise IntegrationError(
-            f"conservation drift {drift[k - 1]:.3e} at t={times[k]:g}; "
-            f"use a smaller step"
-        )
-
-    susceptible = states[:, 0]
-    recovered = states[:, -1]
-    p = infected / infected.sum(axis=1, keepdims=True)
-    # in place: the same operations with fewer (T, M) temporaries
-    couplings = susceptible[:, None] * gamma[None, :]
-    np.subtract(couplings, epsilon[None, :], out=couplings)
-    mean_d = np.sum(p * couplings, axis=1)
-    pdot = couplings - mean_d[:, None]
-    np.multiply(p, pdot, out=pdot)
-    return Trajectory(times, p, pdot, susceptible, couplings, mean_d,
-                      infected, recovered, params)
+    states = []  # (S, X, R, sum(I)) at each grid point
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
+        for k, t in enumerate(times.tolist()):
+            g1, e1, total = rates(x, t)
+            if not (0.0 <= s <= 1.0 and abs(s + total + r - 1.0) <= CONSERVATION_TOL
+                    and math.isfinite(x)):
+                raise _failure(k, t, s, x, r, total)
+            states.append((s, x, r, total))
+            if k == n_steps:
+                break
+            ds1 = -s * g1
+            s2, x2 = s + half * ds1, x + half * s
+            g2, e2, _ = rates(x2, t + half)
+            ds2 = -s2 * g2
+            s3, x3 = s + half * ds2, x + half * s2
+            g3, e3, _ = rates(x3, t + half)
+            ds3 = -s3 * g3
+            s4, x4 = s + step * ds3, x + step * s3
+            g4, e4, _ = rates(x4, t + step)
+            ds4 = -s4 * g4
+            s, x, r = (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
+                       x + sixth * (s + 2.0 * s2 + 2.0 * s3 + s4),
+                       r + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
+    return Trajectory(times, *np.array(states).T, params)
 
 
 def trajectory_at(traj: Trajectory, t: float):
@@ -266,15 +303,16 @@ def trajectory_at(traj: Trajectory, t: float):
     """
     k = traj.index_at(t)
     return (
-        Distribution(traj.p[k]),
-        TangentVector(traj.pdot[k]),
+        Distribution(traj.p(k)),
+        TangentVector(traj.pdot(k)),
         float(traj.susceptible[k]),
-        traj.couplings[k].copy(),
+        traj.couplings(k),
     )
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t, S, p_*, pdot_*, d_*, mean_d` rows with a header line."""
+def trajectory_to_csv(traj: Trajectory, path, rows=slice(None)) -> None:
+    """Write `t, S, p_*, pdot_*, d_*, mean_d` at the given fine-grid rows
+    (all by default) after a header line, with CRLF line ends."""
     m = traj.n_variants
     header = (
         ["t", "S"]
@@ -283,15 +321,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         + [f"d_{i}" for i in range(1, m + 1)]
         + ["mean_d"]
     )
+    table = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
+                             traj.pdot(rows), traj.couplings(rows), traj.mean_coupling(rows)))
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.times.size):
-            row = (
-                [traj.times[k], traj.susceptible[k]]
-                + list(traj.p[k])
-                + list(traj.pdot[k])
-                + list(traj.couplings[k])
-                + [traj.mean_coupling[k]]
-            )
-            writer.writerow(f"{x:.17g}" for x in row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % tuple(row.tolist()) for row in table)

@@ -18,30 +18,38 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+# SplitMix64 constants (golden-ratio increment, one, the two multipliers, the
+# three shifts, the mask), as Python ints for scalar keys and as uint64 for
+# key arrays, so that no operation converts one kind into the other.
+_INT_CONSTANTS = (0x9E3779B97F4A7C15, 1, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+                  30, 27, 31, _MASK64)
+_UINT64_CONSTANTS = tuple(np.uint64(c) for c in _INT_CONSTANTS)
 
 
-def _mix64(x):
+def _mix64(x, constants):
     """SplitMix64 finalizer: avalanche a 64-bit word.
 
-    Works on a Python int and, element by element, on a uint64 array, whose
-    arithmetic wraps modulo 2**64 like the masked int arithmetic.
+    Works on a Python int below 2**64 with ``_INT_CONSTANTS`` and, element by
+    element, on a uint64 array with ``_UINT64_CONSTANTS``, whose arithmetic
+    wraps modulo 2**64 like the masked int arithmetic.
     """
-    x = x & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+    _, _, mul1, mul2, shift1, shift2, shift3, mask = constants
+    x = ((x ^ (x >> shift1)) * mul1) & mask
+    x = ((x ^ (x >> shift2)) * mul2) & mask
+    return x ^ (x >> shift3)
 
 
 def derive_key(seed: int, *indices):
     """64-bit sub-stream key: seed xor-folded with each mixed index.
 
     An index may be a uint64 array; the result is then the array of the
-    keys of its elements.
+    keys of its elements.  Keys of scalar indices are Python ints.
     """
     key = seed & _MASK64
     for idx in indices:
-        key = _mix64(key ^ _mix64((idx + 1) * _GOLDEN))
+        c = _UINT64_CONSTANTS if isinstance(idx, np.ndarray) else _INT_CONSTANTS
+        golden, one, mask = c[0], c[1], c[-1]
+        key = _mix64(key ^ _mix64(((idx + one) * golden) & mask, c), c)
     return key
 
 

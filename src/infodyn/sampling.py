@@ -100,7 +100,7 @@ def sample_trajectory(traj: Trajectory, grid: SampleGrid, n: int, seed: int) -> 
             f"sample grid [{times[0]:g}, {times[-1]:g}] outside "
             f"trajectory domain [0, {traj.t_end:g}]"
         )
-    counts = rng.sample_rows(traj.p[traj.index_at(times)], n, seed)
+    counts = rng.sample_rows(traj.p(traj.index_at(times)), n, seed)
     return SampledTrajectory(grid, n, counts, seed)
 
 

@@ -201,3 +201,19 @@ class TestExperiments:
         rows = (out / "filtering_rmse.csv").read_text().strip().splitlines()
         assert rows[0] == "mu,rmse_raw,rmse_filtered"
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("experiment", ["fisher-bias-vs-t", "info-rate-moments",
+                                            "model-trajectory"])
+    def test_t_end_between_sampling_instants(self, tmp_path, experiment):
+        # 10.2 is not a multiple of dt = 0.25: the full grid ends at t = 10
+        cfg = write_cfg(
+            tmp_path,
+            f"experiment = {experiment}\nt_end = 10.2\nfine_step = 0.01\nn = 1000\n"
+            "replications = 3\nell = 2\nseed = 8\n",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        if experiment == "fisher-bias-vs-t":
+            rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
+            assert len(rows) == 1 + 40
+            assert rows[-1].startswith("9.875,")

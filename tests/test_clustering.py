@@ -169,8 +169,8 @@ class TestSufficiencyResiduals:
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert cl.sufficiency_residuals(traj, f) > 1e-4
         k = traj.index_at(1.0)
-        dg = cl.delta_g_prob_form(Distribution(traj.p[k]),
-                                  TangentVector(traj.pdot[k]), f)
+        dg = cl.delta_g_prob_form(Distribution(traj.p(k)),
+                                  TangentVector(traj.pdot(k)), f)
         assert dg > 0.0
 
 
@@ -225,6 +225,15 @@ class TestKmeans:
         feats = np.zeros((5, 2))
         f = cl.kmeans(feats, 3)
         assert f.n_clusters == 3
+
+    def test_rounding_does_not_decide_ties(self):
+        # ten evenly spaced points on a line: the seeds are points 1, 5 and 8,
+        # so point 3 is equidistant from the first two; one ulp toward point
+        # 5 must not move it
+        feats = np.arange(10.0)[:, None] * np.array([1.0, 0.2])
+        nudged = feats.copy()
+        nudged[3] = np.nextafter(feats[3], np.inf)
+        assert cl.kmeans(nudged, 3).assignment == cl.kmeans(feats, 3).assignment
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ class TestFilterTrajectory:
         traj = dyn.integrate_sir(params, 10.0, 1e-3)
         grid = smp.SampleGrid(0.0, 0.25, 41)
         sampled = smp.sample_trajectory(traj, grid, 2000, seed=4)
-        p_true = traj.p[0]
+        p_true = traj.p(0)
         raw_err = np.abs(sampled.counts / sampled.n - p_true).mean()
         filt_err = np.abs(flt.filter_trajectory(sampled) - p_true).mean()
         assert filt_err < raw_err

@@ -89,8 +89,8 @@ class TestSampleCounts:
         traj = dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 0.01)
         for k in range(0, traj.times.size, 50):
             ours, ref = rng.stream(5, k), rng.stream(5, k)
-            assert np.array_equal(rng.sample_counts(traj.p[k], 100000, ours),
-                                  reference_sample_counts(traj.p[k], 100000, ref))
+            assert np.array_equal(rng.sample_counts(traj.p(k), 100000, ours),
+                                  reference_sample_counts(traj.p(k), 100000, ref))
             assert ours.integers(0, 2**63) == ref.integers(0, 2**63)
 
     @pytest.mark.parametrize("count", [2, 41])

@@ -118,7 +118,7 @@ class TestSampleTrajectory:
                 for n in (1, 100000):
                     sampled = smp.sample_trajectory(traj, grid, n, seed=91)
                     for k, t in enumerate(grid.times()):
-                        p = traj.p[traj.index_at(float(t))]
+                        p = traj.p(traj.index_at(float(t)))
                         direct = rng.sample_counts(p, n, rng.stream(91, k))
                         assert np.array_equal(sampled.counts[k], direct), (n_variants, count, n, k)
 
@@ -126,7 +126,7 @@ class TestSampleTrajectory:
         grid = smp.SampleGrid(0.0, 0.25, 41)
         sampled = smp.sample_trajectory(desk_traj, grid, 10_000_000, seed=11)
         for k, t in enumerate(grid.times()):
-            p = desk_traj.p[desk_traj.index_at(t)]
+            p = desk_traj.p(desk_traj.index_at(t))
             assert np.max(np.abs(sampled.phat()[k] - p)) < 1e-3
 
     def test_out_of_range_grid(self, desk_traj):

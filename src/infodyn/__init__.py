@@ -11,24 +11,19 @@ from .simplex import (
 from .dynamics import (
     SirParams,
     Trajectory,
-    couplings_at,
     default_sir_params,
     grouped_sir_params,
     integrate_sir,
-    mean_coupling,
-    trajectory_at,
 )
 from .sampling import (
     MonteCarloEstimate,
     SampleGrid,
-    SampledTrajectory,
     cluster_info_rate_hat,
     clustered_fisher_hat,
+    distance_sq_hat,
     fisher_hat,
     info_rate_hat,
-    monte_carlo,
     monte_carlo_components,
-    sample_trajectory,
 )
 from .clustering import (
     Clustering,
@@ -53,6 +48,6 @@ from .theory import (
     info_rate_moments,
     normalization_z,
 )
-from .filtering import filter_probs, filter_trajectory, gaussian_kernel
+from .filtering import filter_probs, gaussian_kernel
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -142,20 +142,10 @@ def _two_point_grid(t: float, dt: float) -> smp.SampleGrid:
     return smp.SampleGrid(t - dt / 2.0, dt, 2)
 
 
-def _on_sample(traj, grid, n, estimator):
-    """Replication estimator: sample the trajectory from the replication seed,
-    then apply `estimator` to the sampled trajectory."""
-    return lambda rep_seed: estimator(smp.sample_trajectory(traj, grid, n, rep_seed))
-
-
-def _distance_sq(p: Distribution, n: int):
-    """Replication estimator: squared Shahshahani distance from p of the
-    frequencies of n draws from p.  p must be interior."""
-    def draw(rep_seed):
-        counts = rng.sample_counts(p.probs, n, rng.stream(rep_seed))
-        diff = counts / n - p.probs
-        return float(np.sum(diff * diff / p.probs))
-    return draw
+def _grid_p(traj: dyn.Trajectory, grid: smp.SampleGrid) -> np.ndarray:
+    """Distributions at the grid instants, one row each, for sampling; raises
+    for an instant outside the trajectory, naming it."""
+    return traj.p(traj.index_at(grid.times()))
 
 
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
@@ -173,7 +163,8 @@ def run_distance_moments(cfg, outdir, seed):
     reps = _get(cfg, "replications", 2000, int)
     rows = []
     for i, n in enumerate(ns):
-        est = smp.monte_carlo(_distance_sq(p, n), reps, seed=rng.derive_key(seed, i))
+        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), reps,
+                                         rng.derive_key(seed, i), p.probs, n)
         mean_th, var_th = th.distance_moments(len(p) - 1, n)
         rows.append((n, est.mean, est.standard_error, est.std**2, mean_th, var_th))
     write_csv(os.path.join(outdir, "distance_moments.csv"),
@@ -211,11 +202,11 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
     reps = _get(cfg, "replications", 500, int)
     g_tt = float(traj.fisher_curve(traj.index_at(t)))
     N = traj.n_variants - 1
-    grid = _two_point_grid(t, dt)
+    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     rows = []
     for i, n in enumerate(ns):
-        draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s)[0])
-        est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, i))
+        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
+                                         rng.derive_key(seed, i), p_grid, n)
         pred = th.fisher_prediction(g_tt, N, n, dt)
         rows.append((n, est.mean, est.standard_error, pred.expected_value, pred.std))
     write_csv(os.path.join(outdir, "fisher_bias_vs_n.csv"),
@@ -230,13 +221,14 @@ def run_fisher_bias_vs_t(cfg, outdir, seed):
     reps = _get(cfg, "replications", 500, int)
     grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     N = traj.n_variants - 1
-    ests = smp.monte_carlo_components(_on_sample(traj, grid, n, smp.fisher_hat), reps, seed=seed)
+    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt), reps, seed,
+                                     _grid_p(traj, grid), n)
     g = traj.fisher_curve(traj.index_at(grid.midpoints()))
     rows = []
-    for k, est in enumerate(ests):
-        t_mid = grid.midpoint(k)
+    for k in range(grid.count - 1):
         pred = th.fisher_prediction(float(g[k]), N, n, dt)
-        rows.append((t_mid, est.mean, est.standard_error, pred.expected_value, pred.std))
+        rows.append((grid.midpoint(k), est[k].mean, est[k].standard_error,
+                     pred.expected_value, pred.std))
     write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
               ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"], rows)
     return ["fisher_bias_vs_t.csv"]
@@ -249,7 +241,7 @@ def run_info_rate_moments(cfg, outdir, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
-    grid = _two_point_grid(t, dt)
+    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     k_mid = traj.index_at(t)
     p_mid = traj.p(k_mid)
     rate = traj.info_rate_curve(k_mid)
@@ -260,16 +252,18 @@ def run_info_rate_moments(cfg, outdir, seed):
 
     var_rows, clu_rows = [], []
     for i, n in enumerate(ns):
-        draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s)[0])
-        ests = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 2 * i))
-        for mu, est in enumerate(ests):
+        est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0], reps,
+                                         rng.derive_key(seed, 2 * i), p_grid, n)
+        for mu in range(traj.n_variants):
             m_th, v_th = th.info_rate_moments(float(rate[mu]), float(p_mid[mu]), n, dt)
-            var_rows.append((n, mu + 1, est.mean, est.standard_error, est.std**2, m_th, v_th))
-        draw = _on_sample(traj, grid, n, lambda s: smp.cluster_info_rate_hat(s, f)[0])
-        ests = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 2 * i + 1))
-        for a, est in enumerate(ests):
+            e = est[mu]
+            var_rows.append((n, mu + 1, e.mean, e.standard_error, e.std**2, m_th, v_th))
+        est = smp.monte_carlo_components(lambda c: smp.cluster_info_rate_hat(c, n, dt, f)[:, 0],
+                                         reps, rng.derive_key(seed, 2 * i + 1), p_grid, n)
+        for a in range(f.n_clusters):
             m_th, v_th = th.cluster_info_rate_moments(float(cluster_rate[a]), float(q_mid[a]), n, dt)
-            clu_rows.append((n, a + 1, est.mean, est.standard_error, est.std**2, m_th, v_th))
+            e = est[a]
+            clu_rows.append((n, a + 1, e.mean, e.standard_error, e.std**2, m_th, v_th))
 
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
     write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, var_rows)
@@ -285,10 +279,11 @@ def run_filtering_comparison(cfg, outdir, seed):
     grid = _config_grid(cfg, dt, 2.5, 31)
     kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, int),
                                  _get(cfg, "shape", 4.0 / 9.0, float))
-    sampled = smp.sample_trajectory(traj, grid, n, seed)
+    counts = rng.sample_block(_grid_p(traj, grid), n,
+                              rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
     true_rates = traj.info_rate_curve(traj.index_at(grid.midpoints()))
-    raw = smp.info_rate_hat(sampled)
-    filt_p = flt.filter_probs(sampled.counts / n, kernel)
+    raw = smp.info_rate_hat(counts, n, dt)
+    filt_p = flt.filter_probs(counts / n, kernel)
     filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], dt)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
@@ -326,7 +321,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
     N = traj.n_variants - 1
-    grid = _two_point_grid(t, dt)
+    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     k_mid = traj.index_at(t)
     g_tt = float(traj.fisher_curve(k_mid))
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
@@ -337,22 +332,25 @@ def run_theory_vs_mc(cfg, outdir, seed):
     p4 = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
     rows = []
 
-    est = smp.monte_carlo(_distance_sq(p4, 1000), reps, seed=rng.derive_key(seed, 0))
+    est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, 1000, p4.probs), reps,
+                                     rng.derive_key(seed, 0), p4.probs, 1000)
     rows += _mean_var_rows("distance_{}", est, *th.distance_moments(len(p4) - 1, 1000))
 
-    draw = _on_sample(traj, grid, n, lambda s: smp.fisher_hat(s)[0])
-    est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, 1))
+    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
+                                     rng.derive_key(seed, 1), p_grid, n)
     pred = th.fisher_prediction(g_tt, N, n, dt)
     rows += _mean_var_rows("fisher_{}", est, pred.expected_value, pred.variance)
 
-    draw = _on_sample(traj, grid, n, lambda s: smp.clustered_fisher_hat(s, f)[0])
-    est = smp.monte_carlo(draw, reps, seed=rng.derive_key(seed, 2))
+    est = smp.monte_carlo_components(lambda c: smp.clustered_fisher_hat(c, n, dt, f)[:, 0], reps,
+                                     rng.derive_key(seed, 2), p_grid, n)
     pred = th.clustered_fisher_prediction(g_f, ell, n, dt)
     rows += _mean_var_rows("clustered_fisher_{}", est, pred.expected_value, pred.variance)
 
     rate = traj.info_rate_curve(k_mid)
-    draw = _on_sample(traj, grid, n, lambda s: smp.info_rate_hat(s)[0])
-    est = smp.monte_carlo_components(draw, reps, seed=rng.derive_key(seed, 3))[0]
+    # the whole (R, M) rate array is summarised, then variant 1 is taken:
+    # a column reduction is not bit-equal to the same reduction of a 1-D copy
+    est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0], reps,
+                                     rng.derive_key(seed, 3), p_grid, n)[0]
     rows += _mean_var_rows("info_rate_{}_mu1", est,
                            *th.info_rate_moments(float(rate[0]), float(p_mid[0]), n, dt))
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Distribution, TangentVector
-
 CONSERVATION_TOL = 1e-6
 
 
@@ -63,6 +61,9 @@ class SirParams:
             raise ValueError("need at least 2 variants")
         if np.any(gamma < 0) or np.any(epsilon < 0):
             raise ValueError("rates must be nonnegative")
+        for name, value in (("s0", s0), ("r0", r0)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"initial fraction {name} = {value} outside [0, 1]")
         if np.any(i0 <= 0):
             idx = int(np.argmin(i0))
             raise ValueError(f"initial infected fraction at index {idx} is not > 0")
@@ -118,22 +119,6 @@ def grouped_sir_params(
     n = gamma.size
     i0 = np.full(n, (1.0 - s0 - r0) / n)
     return SirParams(gamma, epsilon, s0, i0, r0)
-
-
-def couplings_at(params: SirParams, susceptible: float) -> np.ndarray:
-    """Per-variant growth rates gamma*S - epsilon at a susceptible level."""
-    if not 0.0 <= susceptible <= 1.0:
-        raise ValueError(f"susceptible fraction {susceptible} outside [0, 1]")
-    return params.gamma * susceptible - params.epsilon
-
-
-def mean_coupling(p, d) -> float:
-    """Probability-weighted average of the couplings."""
-    probs = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if probs.shape != d.shape:
-        raise ValueError(f"size mismatch: {probs.size} probabilities vs {d.size} couplings")
-    return float(np.dot(probs, d))
 
 
 @dataclass(frozen=True)
@@ -294,20 +279,6 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
                        x + sixth * (s + 2.0 * s2 + 2.0 * s3 + s4),
                        r + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
     return Trajectory(times, *np.array(states).T, params)
-
-
-def trajectory_at(traj: Trajectory, t: float):
-    """Model state at the fine-grid point nearest to t.
-
-    Returns (distribution, velocity, susceptible fraction, couplings).
-    """
-    k = traj.index_at(t)
-    return (
-        Distribution(traj.p(k)),
-        TangentVector(traj.pdot(k)),
-        float(traj.susceptible[k]),
-        traj.couplings(k),
-    )
 
 
 def trajectory_to_csv(traj: Trajectory, path, rows=slice(None)) -> None:

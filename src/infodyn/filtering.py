@@ -45,9 +45,3 @@ def filter_probs(series: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         out[t] = w @ series[lo: hi + 1] / w.sum()
     return out
 
-
-def filter_trajectory(sampled, kernel=None) -> np.ndarray:
-    """Filtered frequencies of a sampled trajectory, one row per instant."""
-    if kernel is None:
-        kernel = gaussian_kernel()
-    return filter_probs(sampled.counts / sampled.n, kernel)

@@ -4,8 +4,11 @@ Streams are numpy Generators backed by Philox, a counter-based bit
 generator.  Sub-streams are derived by mixing the base seed with a
 structured index through a SplitMix64-style finalizer, so any (seed,
 index...) pair names the same stream regardless of the order in which
-streams are created or consumed.  ``sample_rows`` draws a whole matrix of
-sub-streams (seed, k) from one Philox that it re-keys before each row.
+streams are created or consumed.  Indices fold in one at a time, so
+derive_key(seed, r, k) == derive_key(derive_key(seed, r), k), and index
+arrays broadcast into tables of keys.  ``sample_block`` draws one row per
+key, each equal to a draw from a fresh stream with that key: any row can be
+reproduced alone, and slices of the keys give slices of the block.
 
 Multinomial counts come from numpy's ``Generator.multinomial``, which draws
 them by sequential conditional binomials.  ``tests/test_rng.py`` keeps that
@@ -58,28 +61,34 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *indices)))
 
 
-def sample_rows(p: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Row k is ``sample_counts(p[k], n, stream(seed, k))``, for every row of p.
+def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:
+    """Multinomial counts of size n, one row per key: shape keys.shape + (M,).
 
-    Building a Philox costs several times a small draw, so the Philox of
-    ``stream(seed)`` is re-keyed before each row instead, row 0 included:
-    key derive_key(seed, k), counter 0, empty buffer, exactly the state
-    ``stream(seed, k)`` starts in.  The Generator keeps no other state that
+    For a (K, M) p, keys has shape (..., K) and row [..., k] is
+    ``sample_counts(p[k], n, g)`` for the Philox g keyed by keys[..., k] at
+    counter 0, which is ``stream(key)``.  A 1-D p is drawn under every key.
+
+    Building a Philox costs several times a small draw, so one is re-keyed
+    before each row instead: key, counter 0, empty buffer, exactly the state
+    a fresh stream starts in.  The Generator keeps no other state that
     affects a draw.
     """
-    keys = derive_key(seed, np.arange(len(p), dtype=np.uint64))
+    keys = np.asarray(keys, dtype=np.uint64)
+    rows = p.reshape(-1, p.shape[-1])
+    if p.ndim != 1 and keys.shape[-1:] != p.shape[:1]:
+        raise ValueError(f"keys of shape {keys.shape} do not match {len(p)} rows of p")
     key = np.zeros(2, dtype=np.uint64)
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    gen = stream(seed)
-    counts = np.empty(p.shape, dtype=np.int64)
-    for k, row in enumerate(p):
-        key[0] = keys[k]
+    gen = stream(0)
+    counts = np.empty((keys.size, rows.shape[1]), dtype=np.int64)
+    for i, row_key in enumerate(keys.reshape(-1).tolist()):
+        key[0] = row_key
         gen.bit_generator.state = state
-        counts[k] = sample_counts(row, n, gen)
-    return counts
+        counts[i] = sample_counts(rows[i % len(rows)], n, gen)
+    return counts.reshape(keys.shape + rows.shape[1:])
 
 
 def sample_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

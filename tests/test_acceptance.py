@@ -41,13 +41,20 @@ def desk_f3(desk_traj):
     return cl.kmeans(cl.kmeans_features(desk_traj, grid), 3)
 
 
+def two_point_p(traj, t):
+    """Distributions at t - DT/2 and t + DT/2, one row each."""
+    return traj.p(traj.index_at(np.array([t - DT / 2, t + DT / 2])))
+
+
+def sample_grid(traj, grid, n, seed):
+    """Counts at every grid instant, instant k from the sub-stream (seed, k)."""
+    return rng.sample_block(traj.p(traj.index_at(grid.times())), n,
+                            rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
+
+
 def fisher_mc(traj, t, n, reps, seed):
-    grid = smp.SampleGrid(t - DT / 2, DT, 2)
-
-    def draw(s):
-        return smp.fisher_hat(smp.sample_trajectory(traj, grid, n, s))[0]
-
-    return smp.monte_carlo(draw, reps, seed=seed)
+    return smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, DT)[:, 0], reps, seed,
+                                      two_point_p(traj, t), n)
 
 
 def test_criterion_01_distance_mean():
@@ -55,12 +62,8 @@ def test_criterion_01_distance_mean():
     started = time.perf_counter()
     devs = []
     for i, n in enumerate((100, 1000, 10000)):
-        def draw(s):
-            counts = rng.sample_counts(p.probs, n, rng.stream(s))
-            diff = counts / n - p.probs
-            return float(np.sum(diff * diff / p.probs))
-
-        est = smp.monte_carlo(draw, 2000, seed=rng.derive_key(101, i))
+        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), 2000,
+                                         rng.derive_key(101, i), p.probs, n)
         devs.append(abs(est.mean - 3.0 / n) / est.standard_error)
     elapsed = time.perf_counter() - started
     ok = all(d <= 3.0 for d in devs) and elapsed < 10.0
@@ -72,12 +75,8 @@ def test_criterion_02_distance_variance():
     p = Distribution([0.1, 0.2, 0.3, 0.4])
     rels = []
     for i, n in enumerate((1000, 10000)):
-        def draw(s):
-            counts = rng.sample_counts(p.probs, n, rng.stream(s))
-            diff = counts / n - p.probs
-            return float(np.sum(diff * diff / p.probs))
-
-        est = smp.monte_carlo(draw, 10000, seed=rng.derive_key(202, i))
+        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), 10000,
+                                         rng.derive_key(202, i), p.probs, n)
         _, var_th = th.distance_moments(3, n)
         rels.append(abs(est.std**2 - var_th) / var_th)
     ok = all(r <= 0.15 for r in rels)
@@ -108,12 +107,6 @@ def test_criterion_04_second_order_bias():
     n, reps = 1000, 5000
     p = Distribution([1.0 - 9 * 0.006] + [0.006] * 9)
 
-    def draw(s):
-        gen_lo, gen_hi = rng.stream(s, 0), rng.stream(s, 1)
-        lo = rng.sample_counts(p.probs, n, gen_lo) / n
-        hi = rng.sample_counts(p.probs, n, gen_hi) / n
-        return smp.fisher_between(lo, hi, DT)
-
     def term_error(size):
         lead = th.fisher_bias(N_DOF, size, DT)
         term = th.fisher_bias_second_order(p, size, DT) - lead
@@ -121,7 +114,8 @@ def test_criterion_04_second_order_bias():
         return abs(term - exact_resid) / abs(exact_resid)
 
     err_1k, err_4k = term_error(n), term_error(4 * n)
-    est = smp.monte_carlo(draw, reps, seed=2027)
+    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, DT)[:, 0], reps, 2027,
+                                     np.stack([p.probs, p.probs]), n)
     mc_dev = abs(est.mean - th.exact_static_fisher_mean(p, n, DT)) / est.standard_error
     ok = err_1k <= 0.05 and err_4k <= 0.001 and mc_dev <= 3.0
     report(
@@ -151,13 +145,9 @@ def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
     qdot = cl.aggregate(desk_traj.pdot(k), desk_f3)
     g_f = float(np.sum(qdot * qdot / q))
     ell = desk_f3.n_clusters
-    grid = smp.SampleGrid(t - DT / 2, DT, 2)
-
-    def draw(s):
-        return smp.clustered_fisher_hat(
-            smp.sample_trajectory(desk_traj, grid, n, s), desk_f3)[0]
-
-    est_cl = smp.monte_carlo(draw, reps, seed=606)
+    est_cl = smp.monte_carlo_components(
+        lambda c: smp.clustered_fisher_hat(c, n, DT, desk_f3)[:, 0], reps, 606,
+        two_point_p(desk_traj, t), n)
     est_un = fisher_mc(desk_traj, t, n, reps, seed=607)
     bias_cl = est_cl.mean - g_f
     bias_un = est_un.mean - g_tt
@@ -178,21 +168,16 @@ def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     rate = desk_traj.info_rate_curve(k)
     q = cl.aggregate(p, desk_f3)
     cluster_rate = cl.aggregate(desk_traj.pdot(k), desk_f3) / q
-    grid = smp.SampleGrid(t - DT / 2, DT, 2)
-
-    def draw_var(s):
-        return smp.info_rate_hat(smp.sample_trajectory(desk_traj, grid, n, s))[0]
-
-    def draw_clu(s):
-        return smp.cluster_info_rate_hat(
-            smp.sample_trajectory(desk_traj, grid, n, s), desk_f3)[0]
+    p_grid = two_point_p(desk_traj, t)
+    var = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, DT)[:, 0], reps, 707,
+                                     p_grid, n)
+    clu = smp.monte_carlo_components(
+        lambda c: smp.cluster_info_rate_hat(c, n, DT, desk_f3)[:, 0], reps, 708, p_grid, n)
 
     worst_mean = worst_var = 0.0
-    for ests, rates, probs in (
-        (smp.monte_carlo_components(draw_var, reps, seed=707), rate, p),
-        (smp.monte_carlo_components(draw_clu, reps, seed=708), cluster_rate, q),
-    ):
-        for idx, est in enumerate(ests):
+    for ests, rates, probs in ((var, rate, p), (clu, cluster_rate, q)):
+        for idx in range(len(probs)):
+            est = ests[idx]
             m_th, v_th = th.info_rate_moments(float(rates[idx]), float(probs[idx]), n, DT)
             worst_mean = max(worst_mean, abs(est.mean - m_th) / est.standard_error)
             worst_var = max(worst_var, abs(est.std**2 - v_th) / v_th)
@@ -229,9 +214,10 @@ def test_criterion_08_exact_identities(desk_traj):
         assert abs(dgc - direct) <= tol
 
     # identity clustering is bitwise-identical on both estimator routes
-    sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(3.0, DT, 5), 800, seed=88)
+    counts = sample_grid(desk_traj, smp.SampleGrid(3.0, DT, 5), 800, seed=88)
     ident = cl.Clustering.identity(N_VARIANTS)
-    assert np.array_equal(smp.clustered_fisher_hat(sampled, ident), smp.fisher_hat(sampled))
+    assert np.array_equal(smp.clustered_fisher_hat(counts, 800, DT, ident),
+                          smp.fisher_hat(counts, 800, DT))
     k = desk_traj.index_at(4.0)
     p4 = Distribution(desk_traj.p(k))
     pdot4 = TangentVector(desk_traj.pdot(k))
@@ -321,10 +307,10 @@ def test_criterion_11_elbow():
 def test_criterion_12_filtering(desk_traj):
     n = 250000
     grid = smp.SampleGrid(2.5, DT, 31)
-    sampled = smp.sample_trajectory(desk_traj, grid, n, seed=1212)
+    counts = sample_grid(desk_traj, grid, n, seed=1212)
     true_rates = desk_traj.info_rate_curve(desk_traj.index_at(grid.midpoints()))
-    raw = smp.info_rate_hat(sampled)
-    filt_p = flt.filter_trajectory(sampled)
+    raw = smp.info_rate_hat(counts, n, DT)
+    filt_p = flt.filter_probs(counts / n, flt.gaussian_kernel())
     filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], DT)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))

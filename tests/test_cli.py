@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -8,6 +9,70 @@ import pytest
 from infodyn import cli
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+# SHA-256 of every file each shipped config writes at its own seed,
+# manifest.json included, computed with numpy 2.4.6.  Any change to these
+# bytes is an output change, to be declared in CHANGES.md with the new digests.
+SHIPPED_DIGESTS = {
+    "distance_moments": {
+        "distance_moments.csv":
+            "58723311fdc1f3b7aa1b3b99641c6d5506866cbe07913851d9a69b39fa1961a1",
+        "manifest.json":
+            "a35de6ad00d655b159cb3db6ca4e1b49d7df884a63bbae9914d524a6abc380ce",
+    },
+    "elbow_scan": {
+        "elbow_curve.csv":
+            "8128555344640f83635c31ca7860c7a7cf5045e56fda742322cca415187f74d1",
+        "elbow_summary.csv":
+            "0e938bd8fbe33387602074136906a7d08fa981dd412dbf9023bcfd239b5e1e72",
+        "manifest.json":
+            "b56e334398be0cd5e6f71f2d49644a3cb0a458f200c58efcd2473e76ea8fef9e",
+    },
+    "filtering_comparison": {
+        "filtering_rmse.csv":
+            "c0d4490e321415d1f379a4c1fd5e981d538168855b45c36433d2965bc97b0e1d",
+        "manifest.json":
+            "902ed301c52b11332fe9486e33eeac441589e14b37d0e364512629e3e134f102",
+    },
+    "fisher_bias_vs_n": {
+        "fisher_bias_vs_n.csv":
+            "509d472aa47897ed24fae2745d8b4b9bd51834391395dce44c81e8462e21820e",
+        "manifest.json":
+            "ee4bced645cc4604b1393ac41bfdb86389000c48cb5ccb9c9778ed544c6c5d46",
+    },
+    "fisher_bias_vs_t": {
+        "fisher_bias_vs_t.csv":
+            "657aad1c6766296eaa307eef479d21cc7cc84b90e71225e05d00936e6585406d",
+        "manifest.json":
+            "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
+    },
+    "info_rate_moments": {
+        "clustering.csv":
+            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+        "info_rate_clusters.csv":
+            "a72f05159c964ddc62829a1e18825f1438e3f731b54b60c15c91c24b5fe891c7",
+        "info_rate_variants.csv":
+            "6bf335980a77a83512bb8b3276ebd1f3acfc26c39384c21a9e3b206091f59b23",
+        "manifest.json":
+            "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
+    },
+    "model_trajectory": {
+        "clustering.csv":
+            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+        "fisher.csv":
+            "1ed25555c8aea9f797854ad89fac411f26479d778c7519ca53cbbd0742935fe3",
+        "manifest.json":
+            "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
+        "trajectory.csv":
+            "39a8a0191e4b4af129e35b980e1b250115603c9a73b79e493fba16b7904a88fb",
+    },
+    "theory_vs_mc": {
+        "manifest.json":
+            "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
+        "theory_vs_mc.csv":
+            "86fffe58175f1fa793b8b4858d11530bc9e34a9321b870a2c895f574cd87cf14",
+    },
+}
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -134,6 +199,7 @@ class TestRunner:
         ("experiment = model-trajectory\ncount = 1\n", "sampling instants"),
         ("experiment = model-trajectory\nell = 20\n", "n_clusters"),
         ("experiment = elbow-scan\ngroups = 50\n", "no elbow"),
+        ("experiment = model-trajectory\ns0 = 1.05\n", "initial fraction s0 = 1.05 outside"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         cfg = write_cfg(tmp_path, text + "t_end = 2\n")
@@ -217,3 +283,15 @@ class TestExperiments:
             rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
             assert len(rows) == 1 + 40
             assert rows[-1].startswith("9.875,")
+
+
+class TestShippedOutputs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_outputs_match_pinned_digests(self, tmp_path, path):
+        cli.run(str(path), str(tmp_path))
+        got = {name: hashlib.sha256(blob).hexdigest() for name, blob in read_all(tmp_path).items()}
+        assert got == SHIPPED_DIGESTS[path.stem], (
+            f"{path.name} no longer writes the pinned bytes.  The digests assume numpy's "
+            f"binomial sampler as in numpy 2.4.6 (this is numpy {np.__version__}); under the "
+            "same numpy, a declared output change must update SHIPPED_DIGESTS and say so in "
+            "CHANGES.md.")

@@ -66,6 +66,17 @@ class TestSirParams:
         with pytest.raises(ValueError, match="index 1"):
             dyn.SirParams([1.0, 1.0], [0.5, 0.5], 0.9, [0.1, 0.0], 0.0)
 
+    @pytest.mark.parametrize("s0, i0, r0, name", [
+        (1.05, [0.05, 0.05], -0.15, "s0"),
+        (-0.1, [0.5, 0.5], 0.1, "s0"),
+        (0.9, [0.1, 0.1], -0.1, "r0"),
+        (0.0, [0.05, 0.05], 1.0 + 1e-9, "r0"),
+        (float("nan"), [0.5, 0.5], 0.0, "s0"),
+    ])
+    def test_rejects_initial_fraction_outside_unit_interval(self, s0, i0, r0, name):
+        with pytest.raises(ValueError, match=f"initial fraction {name} = .* outside \\[0, 1\\]"):
+            dyn.SirParams([2.0, 2.0], [1.0, 1.0], s0, i0, r0)
+
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError, match="rates"):
             dyn.SirParams([1.0, -1.0], [0.5, 0.5], 0.8, [0.1, 0.1], 0.0)
@@ -200,10 +211,11 @@ class TestIntegration:
             str(got.value))
 
     def test_susceptible_outside_unit_interval_reported(self):
-        params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 1.05, [0.05, 0.05], -0.15)
+        # a step far too long for the rates overshoots S above 1 at step 1
+        params = dyn.SirParams([8.0, 8.0], [1.0, 1.0], 0.9, [0.05, 0.05], 0.0)
         with pytest.raises(dyn.IntegrationError,
-                           match=r"susceptible fraction 1.05 left \[0, 1\] at step 0, t=0$"):
-            dyn.integrate_sir(params, 1.0, 0.1)
+                           match=r"susceptible fraction 3\.04\d* left \[0, 1\] at step 1, t=1$"):
+            dyn.integrate_sir(params, 5.0, 1.0)
 
     def test_bad_step_rejected(self):
         params = dyn.default_sir_params(3)
@@ -213,27 +225,31 @@ class TestIntegration:
             dyn.integrate_sir(params, 0.001, 0.01)
 
 
+def first_row(params):
+    """Trajectory of one step, whose row 0 is the initial condition."""
+    return dyn.integrate_sir(params, 0.01, 0.01)
+
+
 class TestCouplings:
     def test_no_susceptible_means_pure_decay(self):
-        params = dyn.SirParams([1.5, 2.5], [0.9, 1.1], 0.8, [0.1, 0.1], 0.0)
-        assert np.allclose(dyn.couplings_at(params, 0.0), [-0.9, -1.1])
+        params = dyn.SirParams([1.5, 2.5], [0.9, 1.1], 0.0, [0.5, 0.5], 0.0)
+        assert np.array_equal(first_row(params).couplings(), [[-0.9, -1.1], [-0.9, -1.1]])
 
     def test_hand_value(self):
-        params = dyn.SirParams([2.0, 3.0], [1.0, 1.0], 0.8, [0.1, 0.1], 0.0)
-        assert np.allclose(dyn.couplings_at(params, 0.5), [0.0, 0.5])
+        params = dyn.SirParams([2.0, 3.0], [1.0, 1.0], 0.5, [0.25, 0.25], 0.0)
+        assert np.allclose(first_row(params).couplings(0), [0.0, 0.5])
 
     def test_out_of_range_susceptible(self):
-        params = dyn.default_sir_params(3)
-        with pytest.raises(ValueError):
-            dyn.couplings_at(params, 1.5)
+        # the susceptible level enters from outside only as s0
+        with pytest.raises(ValueError, match="s0 = 1.5 outside"):
+            dyn.SirParams([2.0, 2.0], [1.0, 1.0], 1.5, [0.1, 0.1], -0.7)
 
     def test_mean_coupling_examples(self):
-        from infodyn.simplex import Distribution
-
-        assert dyn.mean_coupling(Distribution([0.25, 0.75]), [4.0, 0.0]) == 1.0
-        assert dyn.mean_coupling(Distribution([0.3, 0.7]), [2.0, 2.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            dyn.mean_coupling(Distribution([0.5, 0.5]), [1.0, 2.0, 3.0])
+        # p = (0.25, 0.75) with couplings (4, 0), then equal couplings (2, 2)
+        params = dyn.SirParams([10.0, 2.0], [1.0, 1.0], 0.5, [0.125, 0.375], 0.0)
+        assert first_row(params).mean_coupling(0) == pytest.approx(1.0, rel=1e-15)
+        params = dyn.SirParams([6.0, 6.0], [1.0, 1.0], 0.5, [0.15, 0.35], 0.0)
+        assert first_row(params).mean_coupling(0) == pytest.approx(2.0, rel=1e-15)
 
     def test_fisher_equals_coupling_variance_on_grid(self, desk_traj):
         g = desk_traj.fisher_curve()
@@ -253,28 +269,27 @@ class TestCouplings:
 
 class TestTrajectoryAt:
     def test_initial_condition_exact(self, desk_traj):
-        p, pdot, s, d = dyn.trajectory_at(desk_traj, 0.0)
+        k = desk_traj.index_at(0.0)
         params = desk_traj.params
         expected = params.i0 / params.i0.sum()
-        assert np.allclose(p.probs, expected, atol=1e-15)
-        assert s == params.s0
+        assert np.allclose(desk_traj.p(k), expected, atol=1e-15)
+        assert desk_traj.susceptible[k] == params.s0
 
     def test_nearest_point_snapping(self, desk_traj):
         step = desk_traj.step
         t_grid = 100 * step
-        a = dyn.trajectory_at(desk_traj, t_grid)
-        b = dyn.trajectory_at(desk_traj, t_grid + 0.4 * step)
-        assert np.array_equal(a[0].probs, b[0].probs)
+        a = desk_traj.p(desk_traj.index_at(t_grid))
+        b = desk_traj.p(desk_traj.index_at(t_grid + 0.4 * step))
+        assert np.array_equal(a, b)
 
     def test_velocity_is_tangent(self, desk_traj):
-        _, pdot, _, _ = dyn.trajectory_at(desk_traj, 3.21)
-        assert abs(pdot.components.sum()) < 1e-10
+        assert abs(desk_traj.pdot(desk_traj.index_at(3.21)).sum()) < 1e-10
 
     def test_out_of_range(self, desk_traj):
-        with pytest.raises(ValueError):
-            dyn.trajectory_at(desk_traj, 11.0)
-        with pytest.raises(ValueError):
-            dyn.trajectory_at(desk_traj, -0.5)
+        with pytest.raises(ValueError, match="time 11.0 outside"):
+            desk_traj.index_at(11.0)
+        with pytest.raises(ValueError, match="time -0.5 outside"):
+            desk_traj.index_at(-0.5)
 
 
 class TestCsvExport:

@@ -3,7 +3,7 @@ import pytest
 
 from infodyn import dynamics as dyn
 from infodyn import filtering as flt
-from infodyn import sampling as smp
+from infodyn import rng
 
 
 class TestGaussianKernel:
@@ -70,9 +70,10 @@ class TestFilterTrajectory:
         # static probabilities: filtering must reduce fluctuation around truth
         params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.02, 0.08], 0.0)
         traj = dyn.integrate_sir(params, 10.0, 1e-3)
-        grid = smp.SampleGrid(0.0, 0.25, 41)
-        sampled = smp.sample_trajectory(traj, grid, 2000, seed=4)
+        times = np.arange(41) * 0.25
+        counts = rng.sample_block(traj.p(traj.index_at(times)), 2000,
+                                  rng.derive_key(4, np.arange(41, dtype=np.uint64)))
         p_true = traj.p(0)
-        raw_err = np.abs(sampled.counts / sampled.n - p_true).mean()
-        filt_err = np.abs(flt.filter_trajectory(sampled) - p_true).mean()
+        raw_err = np.abs(counts / 2000 - p_true).mean()
+        filt_err = np.abs(flt.filter_probs(counts / 2000, flt.gaussian_kernel()) - p_true).mean()
         assert filt_err < raw_err

@@ -96,18 +96,41 @@ class TestSampleCounts:
     @pytest.mark.parametrize("count", [2, 41])
     @pytest.mark.parametrize("n", [1, 100000])
     def test_rows_match_one_stream_per_row(self, count, n):
-        # sample_rows re-keys one Philox; each row must equal a fresh stream's draw
+        # sample_block re-keys one Philox; each row must equal a fresh stream's draw
         cases = [(m, kind, p) for m, kind, p in reference_cases() if m in (2, 10, 1000)]
+        seed = 2**63 + count
+        reps = np.arange(3, dtype=np.uint64)
         for m, kind, p in cases:
             rows = np.stack([np.roll(p, k) for k in range(count)])
-            counts = rng.sample_rows(rows, n, 2**63 + count)
-            for k in range(count):
-                want = rng.sample_counts(rows[k], n, rng.stream(2**63 + count, k))
-                assert np.array_equal(counts[k], want), (m, kind, n, k)
+            keys = rng.derive_key(seed, reps[:, None], np.arange(count, dtype=np.uint64))
+            counts = rng.sample_block(rows, n, keys)
+            assert counts.shape == (3, count, m)
+            for r in range(3):
+                for k in range(count):
+                    want = rng.sample_counts(rows[k], n, rng.stream(seed, r, k))
+                    assert np.array_equal(counts[r, k], want), (m, kind, n, r, k)
+            flat = rng.sample_block(p, n, keys)  # a 1-D p is drawn under every key
+            assert flat.shape == (3, count, m)
+            assert np.array_equal(flat[2, 1], rng.sample_counts(p, n, rng.stream(seed, 2, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 10), (41, 10), (2, 1000)])
+    def test_block_slices_are_rows_of_the_whole_block(self, shape):
+        # the determinism contract: drawing keys[a:b] alone gives rows a..b
+        gen = np.random.default_rng(shape[0] * shape[1])
+        p = gen.dirichlet(np.ones(shape[1]), size=shape[0])
+        keys = rng.derive_key(5, np.arange(9, dtype=np.uint64)[:, None],
+                              np.arange(shape[0], dtype=np.uint64))
+        whole = rng.sample_block(p, 1000, keys)
+        for a, b in ((0, 1), (0, 9), (3, 7), (8, 9)):
+            assert np.array_equal(rng.sample_block(p, 1000, keys[a:b]), whole[a:b]), (a, b)
 
     def test_rows_reject_zero_draws(self):
         with pytest.raises(ValueError):
-            rng.sample_rows(np.array([[0.5, 0.5]]), 0, 1)
+            rng.sample_block(np.array([[0.5, 0.5]]), 0, np.array([1], dtype=np.uint64))
+
+    def test_block_keys_must_match_rows(self):
+        with pytest.raises(ValueError, match="do not match"):
+            rng.sample_block(np.full((3, 2), 0.5), 10, np.zeros((4, 2), dtype=np.uint64))
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_rejects_negative_or_nan_probability(self, bad):

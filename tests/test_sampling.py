@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infodyn import dynamics as dyn
 from infodyn import rng
@@ -10,17 +12,20 @@ from infodyn import sampling as smp
 from infodyn.clustering import Clustering, aggregate
 from infodyn.simplex import Distribution
 
+DT = 0.25
+P4 = np.array([0.1, 0.2, 0.3, 0.4])
+
 
 @pytest.fixture(scope="module")
 def desk_traj():
     return dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
 
 
-def make_sampled(counts, dt=0.25, t0=0.0):
-    counts = np.asarray(counts, dtype=np.int64)
-    n = int(counts[0].sum())
-    grid = smp.SampleGrid(t0, dt, counts.shape[0])
-    return smp.SampledTrajectory(grid, n, counts, seed=0)
+def sample_grid(traj, grid, n, seed):
+    """Counts at every grid instant, instant k drawn from the sub-stream
+    (seed, k): one sampled trajectory, shape (instants, variants)."""
+    return rng.sample_block(traj.p(traj.index_at(grid.times())), n,
+                            rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
 
 
 def reference_between(p_lo, p_hi):
@@ -42,19 +47,52 @@ def reference_rates(lo, hi, dt):
     return s * diff / dt
 
 
-def reference_estimates(sampled, f):
-    """Per-interval values of the four estimators, computed instant pair by
-    instant pair as before: (fisher, clustered fisher, rates, cluster rates)."""
-    n, dt = sampled.n, sampled.grid.dt
+def reference_estimates(counts, n, dt, f):
+    """Per-interval values of the four estimators on one (K, M) count array,
+    computed instant pair by instant pair: (fisher, clustered fisher, rates,
+    cluster rates)."""
     out = ([], [], [], [])
-    for k in range(sampled.grid.count - 1):
-        lo, hi = sampled.counts[k] / n, sampled.counts[k + 1] / n
-        clo, chi = aggregate(sampled.counts[k], f) / n, aggregate(sampled.counts[k + 1], f) / n
+    for k in range(len(counts) - 1):
+        lo, hi = counts[k] / n, counts[k + 1] / n
+        clo, chi = aggregate(counts[k], f) / n, aggregate(counts[k + 1], f) / n
         out[0].append(reference_fisher(lo, hi, dt))
         out[1].append(reference_fisher(clo, chi, dt))
         out[2].append(reference_rates(lo, hi, dt))
         out[3].append(reference_rates(clo, chi, dt))
     return out
+
+
+def reference_monte_carlo(estimator, replications, seed, p, n):
+    """The per-replication loop the block driver replaced: one fresh stream
+    per replication (and instant), the estimator applied to one replication
+    at a time.  Returns (values, mean, std, standard error)."""
+    values = []
+    for r in range(replications):
+        seed_r = rng.derive_key(seed, r)
+        if p.ndim == 1:
+            counts = rng.sample_counts(p, n, rng.stream(seed_r))
+        else:
+            counts = np.stack([rng.sample_counts(row, n, rng.stream(seed_r, k))
+                               for k, row in enumerate(p)])
+        values.append(estimator(counts[None])[0])
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        std = float(values.std(ddof=1))
+        return values, float(values.mean()), std, std / np.sqrt(replications)
+    stds = values.std(axis=0, ddof=1)
+    return (values, values.mean(axis=0), stds,
+            np.array([float(s) / np.sqrt(replications) for s in stds]))
+
+
+def recording(estimator):
+    """The estimator, and the list of the value chunks it returns."""
+    seen = []
+
+    def record(counts):
+        seen.append(estimator(counts))
+        return seen[-1]
+
+    return record, seen
 
 
 def random_clustering(gen, size, ell):
@@ -99,15 +137,15 @@ class TestSampleGrid:
 class TestSampleTrajectory:
     def test_deterministic(self, desk_traj):
         grid = smp.SampleGrid(0.0, 0.25, 9)
-        a = smp.sample_trajectory(desk_traj, grid, 1000, seed=77)
-        b = smp.sample_trajectory(desk_traj, grid, 1000, seed=77)
-        assert np.array_equal(a.counts, b.counts)
-        c = smp.sample_trajectory(desk_traj, grid, 1000, seed=78)
-        assert not np.array_equal(a.counts, c.counts)
+        a = sample_grid(desk_traj, grid, 1000, seed=77)
+        b = sample_grid(desk_traj, grid, 1000, seed=77)
+        assert np.array_equal(a, b)
+        c = sample_grid(desk_traj, grid, 1000, seed=78)
+        assert not np.array_equal(a, c)
 
     def test_counts_sum_to_n(self, desk_traj):
-        sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(0.0, 0.25, 9), 321, seed=5)
-        assert np.all(sampled.counts.sum(axis=1) == 321)
+        counts = sample_grid(desk_traj, smp.SampleGrid(0.0, 0.25, 9), 321, seed=5)
+        assert np.all(counts.sum(axis=1) == 321)
 
     def test_instants_use_isolated_substreams(self):
         # instant k is reproducible alone via the (seed, k) sub-stream
@@ -116,56 +154,50 @@ class TestSampleTrajectory:
             for count, dt in ((2, 0.5), (41, 0.05)):
                 grid = smp.SampleGrid(0.0, dt, count)
                 for n in (1, 100000):
-                    sampled = smp.sample_trajectory(traj, grid, n, seed=91)
+                    counts = sample_grid(traj, grid, n, seed=91)
                     for k, t in enumerate(grid.times()):
                         p = traj.p(traj.index_at(float(t)))
                         direct = rng.sample_counts(p, n, rng.stream(91, k))
-                        assert np.array_equal(sampled.counts[k], direct), (n_variants, count, n, k)
+                        assert np.array_equal(counts[k], direct), (n_variants, count, n, k)
 
     def test_large_n_consistency(self, desk_traj):
         grid = smp.SampleGrid(0.0, 0.25, 41)
-        sampled = smp.sample_trajectory(desk_traj, grid, 10_000_000, seed=11)
+        counts = sample_grid(desk_traj, grid, 10_000_000, seed=11)
         for k, t in enumerate(grid.times()):
             p = desk_traj.p(desk_traj.index_at(t))
-            assert np.max(np.abs(sampled.phat()[k] - p)) < 1e-3
+            assert np.max(np.abs(counts[k] / 10_000_000 - p)) < 1e-3
 
     def test_out_of_range_grid(self, desk_traj):
-        with pytest.raises(ValueError):
-            smp.sample_trajectory(desk_traj, smp.SampleGrid(9.0, 0.5, 4), 10, seed=0)
+        with pytest.raises(ValueError, match="time 10.5 outside trajectory domain"):
+            sample_grid(desk_traj, smp.SampleGrid(9.0, 0.5, 4), 10, seed=0)
 
 
 class TestFisherHat:
     def test_no_displacement(self):
-        sampled = make_sampled([[5, 5], [5, 5]])
-        assert smp.fisher_hat(sampled).tolist() == [0.0]
+        assert smp.fisher_hat(np.array([[5, 5], [5, 5]]), 10, DT).tolist() == [0.0]
 
     def test_hand_value(self):
         # phat (0.5,0.5) -> (0.6,0.4), dt = 0.25
-        sampled = make_sampled([[5, 5], [6, 4]])
         expected = (0.01 / 0.0625) * (1 / 0.55 + 1 / 0.45)
-        assert smp.fisher_hat(sampled)[0] == pytest.approx(expected, rel=1e-14)
+        assert smp.fisher_hat(np.array([[5, 5], [6, 4]]), 10, DT)[0] == \
+            pytest.approx(expected, rel=1e-14)
 
     def test_zero_count_category_contributes_nothing(self):
-        with_dead = make_sampled([[5, 5, 0], [6, 4, 0]])
-        without = make_sampled([[5, 5], [6, 4]])
-        assert smp.fisher_hat(with_dead)[0] == smp.fisher_hat(without)[0]
+        with_dead = smp.fisher_hat(np.array([[5, 5, 0], [6, 4, 0]]), 10, DT)
+        assert with_dead[0] == smp.fisher_hat(np.array([[5, 5], [6, 4]]), 10, DT)[0]
 
     def test_one_value_per_interval(self):
-        sampled = make_sampled([[5, 5], [6, 4], [6, 4], [5, 5]])
-        values = smp.fisher_hat(sampled)
+        values = smp.fisher_hat(np.array([[5, 5], [6, 4], [6, 4], [5, 5]]), 10, DT)
         assert values.shape == (3,)
         assert values[1] == 0.0 and values[0] == values[2] > 0.0
 
     def test_scaled_bias_law_mid_sample_size(self, desk_traj):
         # (MC mean - g_tt) * n dt^2 / (2N) is 1 at the middle sample size too
         n, dt, reps = 30000, 0.25, 300
-        grid = smp.SampleGrid(5.0 - dt / 2, dt, 2)
+        p = desk_traj.p(desk_traj.index_at(np.array([5.0 - dt / 2, 5.0 + dt / 2])))
         g_tt = float(desk_traj.fisher_curve()[desk_traj.index_at(5.0)])
-
-        def draw(seed):
-            return smp.fisher_hat(smp.sample_trajectory(desk_traj, grid, n, seed))[0]
-
-        est = smp.monte_carlo(draw, reps, seed=4242)
+        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps, 4242,
+                                         p, n)
         scale = n * dt**2 / (2 * 9)
         ratio = (est.mean - g_tt) * scale
         assert abs(ratio - 1.0) <= 3 * est.standard_error * scale
@@ -197,13 +229,14 @@ class TestFisherHat:
 
 class TestClusteredFisherHat:
     def test_single_cluster_is_zero(self):
-        sampled = make_sampled([[5, 3, 2], [6, 2, 2]])
-        assert smp.clustered_fisher_hat(sampled, Clustering.single(3)).tolist() == [0.0]
+        counts = np.array([[5, 3, 2], [6, 2, 2]])
+        assert smp.clustered_fisher_hat(counts, 10, DT, Clustering.single(3)).tolist() == [0.0]
 
     def test_identity_clustering_bitwise(self, desk_traj):
-        sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(4.0, 0.25, 5), 500, seed=2)
+        counts = sample_grid(desk_traj, smp.SampleGrid(4.0, 0.25, 5), 500, seed=2)
         ident = Clustering.identity(10)
-        assert np.array_equal(smp.clustered_fisher_hat(sampled, ident), smp.fisher_hat(sampled))
+        assert np.array_equal(smp.clustered_fisher_hat(counts, 500, DT, ident),
+                              smp.fisher_hat(counts, 500, DT))
 
     def test_coarsening_never_increases(self):
         gen = np.random.default_rng(17)
@@ -211,44 +244,39 @@ class TestClusteredFisherHat:
             m = int(gen.integers(3, 9))
             w = gen.random(m) + 0.05
             counts = gen.multinomial(30, w / w.sum(), size=2)
-            sampled = make_sampled(counts)
             ell = int(gen.integers(1, m))
             coarse = random_clustering(gen, m, ell)
             fine = refine(gen, coarse)
-            g_fine = smp.clustered_fisher_hat(sampled, fine)[0]
-            g_coarse = smp.clustered_fisher_hat(sampled, coarse)[0]
+            g_fine = smp.clustered_fisher_hat(counts, 30, DT, fine)[0]
+            g_coarse = smp.clustered_fisher_hat(counts, 30, DT, coarse)[0]
             assert 0.0 <= g_coarse <= g_fine + 1e-12
-            assert smp.fisher_hat(sampled)[0] >= g_fine - 1e-12
+            assert smp.fisher_hat(counts, 30, DT)[0] >= g_fine - 1e-12
 
     def test_wrong_size_clustering(self):
-        sampled = make_sampled([[5, 5], [6, 4]])
         with pytest.raises(ValueError):
-            smp.clustered_fisher_hat(sampled, Clustering.identity(3))
+            smp.clustered_fisher_hat(np.array([[5, 5], [6, 4]]), 10, DT, Clustering.identity(3))
 
 
 class TestInfoRateHat:
     def test_no_displacement(self):
-        sampled = make_sampled([[4, 6], [4, 6]])
-        assert np.all(smp.info_rate_hat(sampled) == 0.0)
+        assert np.all(smp.info_rate_hat(np.array([[4, 6], [4, 6]]), 10, DT) == 0.0)
 
     def test_hand_value(self):
-        sampled = make_sampled([[5, 5], [6, 4]])
-        rates = smp.info_rate_hat(sampled)[0]
+        rates = smp.info_rate_hat(np.array([[5, 5], [6, 4]]), 10, DT)[0]
         assert rates == pytest.approx([(2 / 1.1) * 0.4, -(2 / 0.9) * 0.4], rel=1e-14)
 
     def test_dead_category_rate_zero(self):
-        sampled = make_sampled([[5, 5, 0], [6, 4, 0]])
-        assert smp.info_rate_hat(sampled)[0, 2] == 0.0
+        assert smp.info_rate_hat(np.array([[5, 5, 0], [6, 4, 0]]), 10, DT)[0, 2] == 0.0
 
     def test_cluster_version_identity(self, desk_traj):
-        sampled = smp.sample_trajectory(desk_traj, smp.SampleGrid(4.0, 0.25, 2), 700, seed=6)
+        counts = sample_grid(desk_traj, smp.SampleGrid(4.0, 0.25, 2), 700, seed=6)
         ident = Clustering.identity(10)
-        assert np.array_equal(smp.cluster_info_rate_hat(sampled, ident),
-                              smp.info_rate_hat(sampled))
+        assert np.array_equal(smp.cluster_info_rate_hat(counts, 700, DT, ident),
+                              smp.info_rate_hat(counts, 700, DT))
 
     def test_cluster_version_single(self):
-        sampled = make_sampled([[5, 3, 2], [6, 2, 2]])
-        assert smp.cluster_info_rate_hat(sampled, Clustering.single(3)).tolist() == [[0.0]]
+        counts = np.array([[5, 3, 2], [6, 2, 2]])
+        assert smp.cluster_info_rate_hat(counts, 10, DT, Clustering.single(3)).tolist() == [[0.0]]
 
 
 class TestWholeGridEstimators:
@@ -260,14 +288,38 @@ class TestWholeGridEstimators:
         w[gen.choice(n_variants, size=n_variants // 3, replace=False)] = 0.0
         p = w / w.sum()
         for n in (1, 50, 100000):
-            sampled = make_sampled(gen.multinomial(n, p, size=count))
+            counts = gen.multinomial(n, p, size=count)
             f = random_clustering(gen, n_variants, max(1, n_variants // 4))
-            fisher, clustered, rates, cluster_rates = reference_estimates(sampled, f)
-            assert np.array_equal(smp.fisher_hat(sampled), fisher)
-            assert np.array_equal(smp.clustered_fisher_hat(sampled, f), clustered)
-            assert np.array_equal(smp.info_rate_hat(sampled), np.stack(rates))
-            assert np.array_equal(smp.cluster_info_rate_hat(sampled, f),
+            fisher, clustered, rates, cluster_rates = reference_estimates(counts, n, DT, f)
+            assert np.array_equal(smp.fisher_hat(counts, n, DT), fisher)
+            assert np.array_equal(smp.clustered_fisher_hat(counts, n, DT, f), clustered)
+            assert np.array_equal(smp.info_rate_hat(counts, n, DT), np.stack(rates))
+            assert np.array_equal(smp.cluster_info_rate_hat(counts, n, DT, f),
                                   np.stack(cluster_rates))
+
+    @given(seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 3), count=st.integers(2, 5),
+           m=st.integers(1, 8), n=st.sampled_from([1, 2, 7, 1000]), ell=st.integers(1, 8),
+           dead=st.integers(-1, 6))
+    @example(seed=0, chunk=2, count=2, m=1, n=1, ell=1, dead=-1)  # one variant, one cluster
+    @example(seed=1, chunk=3, count=3, m=5, n=1, ell=1, dead=2)   # n = 1, a dead category
+    @example(seed=2, chunk=2, count=2, m=6, n=7, ell=6, dead=0)   # every variant its own cluster
+    @settings(max_examples=150, deadline=None)
+    def test_batched_rows_match_per_interval_reference(self, seed, chunk, count, m, n, ell,
+                                                       dead):
+        # zero counts, n = 1, a category that is zero at every instant (index
+        # 1 + dead when dead >= 0), one variant, one cluster: each row of a
+        # (C, K, M) batch equals the per-interval reference bit for bit
+        gen = np.random.default_rng(seed)
+        w = gen.random((count, m)) + 0.01
+        if 0 <= dead < m - 1:
+            w[:, 1 + dead] = 0.0
+        counts = gen.multinomial(n, w / w.sum(axis=1, keepdims=True), size=(chunk, count))
+        f = random_clustering(gen, m, min(ell, m))
+        batched = (smp.fisher_hat(counts, n, DT), smp.clustered_fisher_hat(counts, n, DT, f),
+                   smp.info_rate_hat(counts, n, DT), smp.cluster_info_rate_hat(counts, n, DT, f))
+        for c in range(chunk):
+            for got, want in zip(batched, reference_estimates(counts[c], n, DT, f)):
+                assert np.array_equal(got[c], np.array(want)), (c, got[c], want)
 
     def test_between_works_row_by_row(self):
         gen = np.random.default_rng(5)
@@ -281,58 +333,96 @@ class TestWholeGridEstimators:
 
 class TestMonteCarlo:
     def test_constant_estimator(self):
-        est = smp.monte_carlo(lambda seed: 2.5, replications=50)
+        est = smp.monte_carlo_components(lambda c: np.full(len(c), 2.5), 50, 0, P4, 10)
         assert est.mean == 2.5
         assert est.std == 0.0
         assert est.standard_error == 0.0
         assert est.replications == 50
 
     def test_standard_error_relation(self):
-        est = smp.monte_carlo(lambda seed: float(seed % 97), replications=64)
+        est = smp.monte_carlo_components(lambda c: c[:, 0] % 97.0, 64, 0, P4, 1000)
+        assert est.std > 0.0
         assert est.standard_error == pytest.approx(est.std / 8.0, rel=1e-12)
 
-    def test_failure_carries_replication_index(self):
-        def flaky(seed):
-            if seed % 5 == 0:
-                raise RuntimeError("boom")
-            return 1.0
+    def test_failure_carries_replication_index(self, monkeypatch):
+        # NaN for the counts of replication 37 only: the error names 37 and
+        # its seed whatever chunk it is drawn in
+        draws = np.stack([rng.sample_counts(P4, 1000, rng.stream(rng.derive_key(3, r)))
+                          for r in range(100)])
+        target = draws[37]
+        assert np.all(draws == target, axis=1).sum() == 1
 
-        with pytest.raises(smp.MonteCarloError, match="replication"):
-            smp.monte_carlo(flaky, replications=100)
+        def flaky(counts):
+            return np.where(np.all(counts == target, axis=1), np.nan, 1.0)
+
+        for chunk in (1, 7 * P4.size, smp.CHUNK_COUNTS):
+            monkeypatch.setattr(smp, "CHUNK_COUNTS", chunk)
+            with pytest.raises(smp.MonteCarloError,
+                               match=rf"^replication 37 \(seed {rng.derive_key(3, 37)}\) "
+                                     r"failed: non-finite value nan$"):
+                smp.monte_carlo_components(flaky, 100, 3, P4, 1000)
+
+    def test_draw_failure_names_replication_zero(self):
+        p = np.array([[0.5, 0.5], [0.6, -0.1]])
+        with pytest.raises(smp.MonteCarloError,
+                           match=rf"^replication 0 \(seed {rng.derive_key(8, 0)}\) failed: ") as got:
+            smp.monte_carlo_components(lambda c: smp.fisher_hat(c, 10, DT), 20, 8, p, 10)
+        assert isinstance(got.value.__cause__, ValueError)
 
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
-            smp.monte_carlo(lambda seed: 1.0, replications=1)
+            smp.monte_carlo_components(lambda c: np.ones(len(c)), 1, 0, P4, 10)
 
     def test_replication_seeds_in_order(self):
-        seen = []
-
-        def draw(seed):
-            seen.append(seed)
-            return float(len(seen))
-
-        est = smp.monte_carlo(draw, replications=40, seed=3)
-        assert seen == [rng.derive_key(3, r) for r in range(40)]
-        assert est.mean == pytest.approx(20.5, rel=1e-15)
+        estimator, seen = recording(lambda c: c[:, 0] * 1.0)
+        est = smp.monte_carlo_components(estimator, 40, 3, P4, 1000)
+        want = [rng.sample_counts(P4, 1000, rng.stream(rng.derive_key(3, r)))[0]
+                for r in range(40)]
+        assert np.concatenate(seen).tolist() == want
+        assert est.mean == pytest.approx(np.mean(want), rel=1e-15)
 
     def test_vector_components(self):
-        def draw(seed):
-            gen = rng.stream(seed)
-            return [float(gen.integers(0, 10)), 5.0]
-
-        ests = smp.monte_carlo_components(draw, replications=30, seed=1)
-        assert len(ests) == 2
-        assert ests[1].mean == 5.0 and ests[1].std == 0.0
+        est = smp.monte_carlo_components(
+            lambda c: np.stack([c[:, 0] * 1.0, np.full(len(c), 5.0)], axis=1), 30, 1, P4, 10)
+        assert est.mean.shape == est.std.shape == est.standard_error.shape == (2,)
+        assert est[1].mean == 5.0 and est[1].std == 0.0
+        assert est[0] == smp.MonteCarloEstimate(float(est.mean[0]), float(est.std[0]),
+                                                float(est.standard_error[0]), 30)
 
     def test_distance_mean_matches_theory(self):
         # Monte Carlo mean of the squared distance is N/n within 3 SE
         p = Distribution([0.1, 0.2, 0.3, 0.4])
-
-        def draw(seed):
-            counts = rng.sample_counts(p.probs, 1000, rng.stream(seed))
-            diff = counts / 1000 - p.probs
-            return float(np.sum(diff * diff / p.probs))
-
-        est = smp.monte_carlo(draw, replications=2000, seed=10)
+        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, 1000, p.probs),
+                                         2000, 10, p.probs, 1000)
         assert abs(est.mean - 0.003) <= 3 * est.standard_error
 
+
+SHAPES = [(2,), (10,), (1000,), (2, 2), (2, 10), (2, 1000), (41, 2), (41, 10), (41, 1000)]
+
+
+class TestChunking:
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_bit_equal_to_reference_loop(self, shape, monkeypatch):
+        # chunks of one replication, of 7, and of the default size give the
+        # reference loop's values and summary bit for bit
+        gen = np.random.default_rng(sum(shape))
+        p = gen.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        n = 1000
+        if p.ndim == 1:
+            def estimator(c):
+                return smp.distance_sq_hat(c, n, p)
+        else:
+            def estimator(c):
+                return smp.fisher_hat(c, n, DT)
+        default = max(1, smp.CHUNK_COUNTS // p.size)
+        for reps in (2, 7, default + 1):
+            want = reference_monte_carlo(estimator, reps, 17, p, n)
+            for chunk in (1, 7 * p.size, smp.CHUNK_COUNTS):
+                monkeypatch.setattr(smp, "CHUNK_COUNTS", chunk)
+                recorded, seen = recording(estimator)
+                est = smp.monte_carlo_components(recorded, reps, 17, p, n)
+                monkeypatch.undo()
+                got = (np.concatenate(seen), est.mean, est.std, est.standard_error)
+                for name, a, b in zip(("values", "mean", "std", "se"), got, want):
+                    assert np.array_equal(a, b), (shape, reps, chunk, name)
+                assert type(est.mean) is type(want[1]), (shape, reps, chunk)

@@ -14,6 +14,7 @@ from .dynamics import (
     default_sir_params,
     grouped_sir_params,
     integrate_sir,
+    solve_sir,
 )
 from .sampling import (
     MonteCarloEstimate,

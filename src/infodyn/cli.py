@@ -74,6 +74,20 @@ def _get(cfg, key, default, conv):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError("must be positive and finite")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     values = [int(x) for x in text.split(",") if x.strip()]
     if not values:
@@ -109,9 +123,9 @@ def write_csv(path, header, rows) -> None:
 def _model(cfg) -> tuple[dyn.Trajectory, float]:
     """Integrate the configured model; returns (trajectory, sampling step dt)."""
     n_var = _get(cfg, "N", 9, int) + 1
-    dt = _get(cfg, "dt", 0.25, float)
-    t_end = _get(cfg, "t_end", 10.0, float)
-    fine_step = _get(cfg, "fine_step", dt / 250.0, float)
+    dt = _get(cfg, "dt", 0.25, _positive)
+    t_end = _get(cfg, "t_end", 10.0, _positive)
+    fine_step = _get(cfg, "fine_step", dt / 20.0, _positive)
     s0 = _get(cfg, "s0", 0.9445, float)
     r0 = _get(cfg, "r0", 0.0, float)
     if "groups" in cfg:
@@ -124,7 +138,7 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
         params = dyn.SirParams(gamma, epsilon, s0, i0, r0)
     else:
         params = dyn.default_sir_params(n_var, s0=s0, r0=r0)
-    return dyn.integrate_sir(params, t_end, fine_step), dt
+    return dyn.solve_sir(params, t_end, fine_step), dt
 
 
 def _full_grid(traj: dyn.Trajectory, dt: float) -> smp.SampleGrid:
@@ -175,7 +189,7 @@ def run_distance_moments(cfg, outdir, seed):
 @experiment("model-trajectory")
 def run_model_trajectory(cfg, outdir, seed):
     traj, dt = _model(cfg)
-    stride = _get(cfg, "output_stride", 25, int)
+    stride = _get(cfg, "output_stride", 2, _positive_int)
     grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     ell = _get(cfg, "ell", 3, int)
     rows = slice(None, None, stride)
@@ -241,8 +255,8 @@ def run_info_rate_moments(cfg, outdir, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
-    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     k_mid = traj.index_at(t)
+    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     p_mid = traj.p(k_mid)
     rate = traj.info_rate_curve(k_mid)
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
@@ -321,8 +335,8 @@ def run_theory_vs_mc(cfg, outdir, seed):
     reps = _get(cfg, "replications", 1000, int)
     ell = _get(cfg, "ell", 3, int)
     N = traj.n_variants - 1
-    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     k_mid = traj.index_at(t)
+    p_grid = _grid_p(traj, _two_point_grid(t, dt))
     g_tt = float(traj.fisher_curve(k_mid))
     f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
     p_mid = traj.p(k_mid)

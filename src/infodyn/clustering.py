@@ -138,20 +138,24 @@ def delta_g_coupling_form(p: Distribution, d, f: Clustering) -> float:
 
 
 def sufficiency_residuals(traj, f: Clustering) -> float:
-    """Max |d/dt (p_mu / q_{f(mu)})| over the fine grid.
+    """Max |d/dt (p_mu / q_{f(mu)})| over the grid.
 
     Vanishing residuals characterise a sufficient clustering: the shares
-    inside every cluster are frozen in time.
+    inside every cluster are frozen in time.  The derivative is exact: with
+    the replicator velocity pdot = p (d - <d>_p), the share r_mu =
+    p_mu / q_a of variant mu in its cluster a moves as
+
+        dr_mu/dt = r_mu (d_mu - sum_{nu in a} r_nu d_nu).
     """
     f.check_size(traj.n_variants)
     labels = f.labels0()
     members = np.zeros((traj.n_variants, f.n_clusters))
     members[np.arange(traj.n_variants), labels] = 1.0
     p = traj.p()
-    q = p @ members
-    r = p / q[:, labels]
-    dr = (r[2:] - r[:-2]) / (2.0 * traj.step)
-    return float(np.max(np.abs(dr))) if dr.size else 0.0
+    d = traj.couplings()
+    r = p / (p @ members)[:, labels]
+    cluster_d = (r * d) @ members
+    return float(np.max(np.abs(r * (d - cluster_d[:, labels]))))
 
 
 def kmeans_features(traj, grid) -> np.ndarray:

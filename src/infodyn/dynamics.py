@@ -25,6 +25,13 @@ the replicator identity
     pdot = p * (d - <d>_p),    d = gamma * S - epsilon,
 
 which keeps derivative checks free of finite-difference bias.
+
+`solve_sir` is the integrator the experiments use.  It runs RK4 at two
+internal steps, h and h/2, and stores their Richardson combination
+y_{h/2} + (y_{h/2} - y_h)/15 on the grid 0, step, 2 step, ...: a
+fifth-order solution.  The difference of the two runs is the classical
+step-doubling error estimate; while it is above STEP_TOL, both internal
+steps are halved and the stored grid stays the same.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 CONSERVATION_TOL = 1e-6
+# bound on the step-doubling estimate of solve_sir (see there), and how many
+# times it may halve its internal steps to meet it
+STEP_TOL = 1e-9
+MAX_HALVINGS = 4
 
 
 class IntegrationError(RuntimeError):
@@ -158,14 +169,21 @@ class Trajectory:
         return self.params.n_variants
 
     def index_at(self, t):
-        """Nearest fine-grid index, or an array of them for an array of
-        times; raises for a time outside [0, t_end]."""
+        """Grid index of a grid time, or an array of them for an array of
+        times; raises for a time outside [0, t_end] or more than 1e-9 steps
+        from a grid point."""
         times = np.asarray(t, dtype=float)
         inside = (times >= 0.0) & (times <= self.t_end + 1e-12)
         if not np.all(inside):
             bad = float(np.extract(~inside, times)[0])
             raise ValueError(f"time {bad} outside trajectory domain [0, {self.t_end}]")
-        idx = np.minimum(np.rint(times / self.step), self.times.size - 1).astype(np.intp)
+        steps = times / self.step
+        idx = np.rint(steps)
+        off = np.abs(steps - idx) > 1e-9
+        if np.any(off):
+            bad = float(np.extract(off, times)[0])
+            raise ValueError(f"time {bad} is not a point of the grid of step {self.step:g}")
+        idx = idx.astype(np.intp)
         return int(idx) if idx.ndim == 0 else idx
 
     def _exponents(self, rows) -> np.ndarray:
@@ -221,9 +239,23 @@ def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> In
         f"conservation drift {abs(s + total + r - 1.0):.3e} {where}; use a smaller step")
 
 
+def _grid_steps(t_end: float, step: float) -> int:
+    """Steps of the grid 0, step, 2 step, ... up to its last point not after
+    t_end (within a relative 1e-9, so that rounding in t_end / step does not
+    drop a point)."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
+    n_steps = math.floor(t_end / step * (1.0 + 1e-9))
+    if n_steps < 1:
+        raise ValueError("t_end must be at least one step")
+    return n_steps
+
+
 def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     """Classical RK4 solution of the reduced (S, X, R) system on the uniform
-    grid 0, step, ..., t_end.
+    grid 0, step, 2 step, ..., up to the last point not after t_end.
 
     Each stage takes the exponents log i0 + gamma * X - epsilon * t as one
     matrix-vector product, exponentiates them to I, and takes the sums
@@ -233,11 +265,7 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     1 by more than CONSERVATION_TOL raises IntegrationError naming its step
     and t.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t_end < step:
-        raise ValueError("t_end must be at least one step")
-    n_steps = int(round(t_end / step))
+    n_steps = _grid_steps(t_end, step)
     times = np.arange(n_steps + 1) * step
 
     exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
@@ -279,6 +307,54 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
                        x + sixth * (s + 2.0 * s2 + 2.0 * s3 + s4),
                        r + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
     return Trajectory(times, *np.array(states).T, params)
+
+
+def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
+    """Richardson-extrapolated RK4 solution on the grid 0, step, 2 step, ...,
+    up to the last point not after t_end.
+
+    Runs integrate_sir at the internal steps h = step and h/2, both to the
+    grid's last point, and stores y = y_{h/2} + (y_{h/2} - y_h)/15 of S, X,
+    R and sum(I) at the grid points.  The runs' difference Delta estimates
+    the error of the coarser one; to first order
+
+        est = max_k ptp(gamma) |Delta X_k| + max(gamma) |Delta S_k|
+
+    bounds the change it makes in log p and in the couplings.  While
+    est > STEP_TOL, or while a run fails its checks, h is halved and the
+    finer run becomes the coarser one; the stored grid does not change.  An
+    estimate or a failure that persists after MAX_HALVINGS halvings raises
+    IntegrationError naming it and the step.
+    """
+    n_steps = _grid_steps(t_end, step)
+    spread, top = float(np.ptp(params.gamma)), float(np.max(params.gamma))
+
+    def grid_states(div):
+        """(S, X, R, sum(I)) at the grid points from RK4 at step / div."""
+        traj = integrate_sir(params, n_steps * step, step / div)
+        return [state[::div] for state in (traj.susceptible, traj.cumulative_susceptible,
+                                           traj.recovered, traj.total_infected)]
+
+    coarse, div = None, 1
+    for _ in range(MAX_HALVINGS + 1):
+        try:
+            if coarse is None:
+                coarse = grid_states(div)
+            fine = grid_states(2 * div)
+        except IntegrationError as exc:
+            coarse, failure = None, str(exc)
+        else:
+            est = float(np.max(spread * np.abs(fine[1] - coarse[1])
+                               + top * np.abs(fine[0] - coarse[0])))
+            if est <= STEP_TOL:
+                return Trajectory(np.arange(n_steps + 1) * step,
+                                  *(f + (f - c) / 15.0 for f, c in zip(fine, coarse)), params)
+            coarse, failure = fine, f"step-doubling error estimate {est:.3e} > {STEP_TOL:g}"
+        last = step / div
+        div *= 2
+    raise IntegrationError(
+        f"step check failed after {MAX_HALVINGS} halvings of step {step:g}, at RK4 steps "
+        f"{last:g} and {last / 2.0:g}: {failure}; use a smaller fine_step")
 
 
 def trajectory_to_csv(traj: Trajectory, path, rows=slice(None)) -> None:

@@ -22,7 +22,7 @@ SHIPPED_DIGESTS = {
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "8128555344640f83635c31ca7860c7a7cf5045e56fda742322cca415187f74d1",
+            "dfbe38e3bfc590acd9c02dc9c78529c563d774d75d8bef592d86205432cba176",
         "elbow_summary.csv":
             "0e938bd8fbe33387602074136906a7d08fa981dd412dbf9023bcfd239b5e1e72",
         "manifest.json":
@@ -30,19 +30,19 @@ SHIPPED_DIGESTS = {
     },
     "filtering_comparison": {
         "filtering_rmse.csv":
-            "c0d4490e321415d1f379a4c1fd5e981d538168855b45c36433d2965bc97b0e1d",
+            "714227a219d06e27a2f2cdfda78af66f16ce7c62e7f542518f77b7dd76b7248a",
         "manifest.json":
             "902ed301c52b11332fe9486e33eeac441589e14b37d0e364512629e3e134f102",
     },
     "fisher_bias_vs_n": {
         "fisher_bias_vs_n.csv":
-            "509d472aa47897ed24fae2745d8b4b9bd51834391395dce44c81e8462e21820e",
+            "3ee10ca803fa11bab5391c20ed2843072247107d949457dcdc7934f9567d27da",
         "manifest.json":
             "ee4bced645cc4604b1393ac41bfdb86389000c48cb5ccb9c9778ed544c6c5d46",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "657aad1c6766296eaa307eef479d21cc7cc84b90e71225e05d00936e6585406d",
+            "0bfe29ba6c192d7820373d5979a2d720ff4da02d2a94c46cb4315df9c1e445d1",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -50,9 +50,9 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
         "info_rate_clusters.csv":
-            "a72f05159c964ddc62829a1e18825f1438e3f731b54b60c15c91c24b5fe891c7",
+            "796c130777751e41006a118de33bfe182dc083e65151af32f10b8f5546c7e195",
         "info_rate_variants.csv":
-            "6bf335980a77a83512bb8b3276ebd1f3acfc26c39384c21a9e3b206091f59b23",
+            "1679a535ee8f9d5cf253914043c04d651d8883799dd355de2496a205011ef9ee",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -60,19 +60,90 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
         "fisher.csv":
-            "1ed25555c8aea9f797854ad89fac411f26479d778c7519ca53cbbd0742935fe3",
+            "8e3381a69915f08426f08abbae281fd08c46dae25476a3d13cc453ba479d4f05",
         "manifest.json":
             "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
         "trajectory.csv":
-            "39a8a0191e4b4af129e35b980e1b250115603c9a73b79e493fba16b7904a88fb",
+            "c5c9afd2470b31d36b3b0a4d79622d114004d1439fc96f2dd24f11745367043c",
     },
     "theory_vs_mc": {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "86fffe58175f1fa793b8b4858d11530bc9e34a9321b870a2c895f574cd87cf14",
+            "c628640af148ca5c8e471d9050d9eca5c9d702b59c3ac3bd02e215b1e299732e",
     },
 }
+
+
+# Shipped files that hold no model-derived number; SAMPLED_DIGESTS pins them whole.
+MODEL_FREE = {"distance_moments.csv", "clustering.csv", "elbow_summary.csv", "manifest.json"}
+
+# SHA-256 of the random half of each shipped output, from sampled_bytes: the
+# mc_* columns of each CSV, and the model-free files whole.  A declared
+# change of the model numbers leaves these; a moved multinomial count does not.
+SAMPLED_DIGESTS = {
+    "distance_moments": {
+        "distance_moments.csv":
+            "58723311fdc1f3b7aa1b3b99641c6d5506866cbe07913851d9a69b39fa1961a1",
+        "manifest.json":
+            "a35de6ad00d655b159cb3db6ca4e1b49d7df884a63bbae9914d524a6abc380ce",
+    },
+    "elbow_scan": {
+        "elbow_summary.csv":
+            "0e938bd8fbe33387602074136906a7d08fa981dd412dbf9023bcfd239b5e1e72",
+        "manifest.json":
+            "b56e334398be0cd5e6f71f2d49644a3cb0a458f200c58efcd2473e76ea8fef9e",
+    },
+    "filtering_comparison": {
+        "manifest.json":
+            "902ed301c52b11332fe9486e33eeac441589e14b37d0e364512629e3e134f102",
+    },
+    "fisher_bias_vs_n": {
+        "fisher_bias_vs_n.csv":
+            "2e0454793a37a8f9da0300ec0e30bccc2a123ac8e965e7db31c13d6dde35647f",
+        "manifest.json":
+            "ee4bced645cc4604b1393ac41bfdb86389000c48cb5ccb9c9778ed544c6c5d46",
+    },
+    "fisher_bias_vs_t": {
+        "fisher_bias_vs_t.csv":
+            "6d28aa7901bbeaf9c3ee834a07798181ed7b9d2ebf3843388ed57b9bf0b57806",
+        "manifest.json":
+            "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
+    },
+    "info_rate_moments": {
+        "clustering.csv":
+            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+        "info_rate_clusters.csv":
+            "874f87470b2fd8a9810289918a05ab7e6c61bf25f68df02189a6d49fb410cab0",
+        "info_rate_variants.csv":
+            "0281e70520fd652447d92fa95807e2b24cf70b5954091e20fe15de6c20ef7321",
+        "manifest.json":
+            "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
+    },
+    "model_trajectory": {
+        "clustering.csv":
+            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+        "manifest.json":
+            "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
+    },
+    "theory_vs_mc": {
+        "manifest.json":
+            "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
+        "theory_vs_mc.csv":
+            "123ca19ba0ae1095b744d202ed2429c92d61922cd8b756f5e05f03cd8c44b2ad",
+    },
+}
+
+
+def sampled_bytes(name, blob):
+    """The bytes of a shipped file that no model number reaches, or None."""
+    if name in MODEL_FREE:
+        return blob
+    rows = [line.split(",") for line in blob.decode().splitlines()]
+    cols = [j for j, key in enumerate(rows[0]) if key.startswith("mc_")]
+    if not cols:
+        return None
+    return "\n".join(",".join(row[j] for j in cols) for row in rows).encode()
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -200,9 +271,16 @@ class TestRunner:
         ("experiment = model-trajectory\nell = 20\n", "n_clusters"),
         ("experiment = elbow-scan\ngroups = 50\n", "no elbow"),
         ("experiment = model-trajectory\ns0 = 1.05\n", "initial fraction s0 = 1.05 outside"),
+        ("experiment = model-trajectory\ndt = 0\n", "bad value for 'dt'"),
+        ("experiment = model-trajectory\nfine_step = nan\n", "bad value for 'fine_step'"),
+        ("experiment = model-trajectory\nt_end = inf\n", "bad value for 't_end'"),
+        ("experiment = model-trajectory\noutput_stride = 0\n", "bad value for 'output_stride'"),
+        ("experiment = model-trajectory\noutput_stride = -3\n", "bad value for 'output_stride'"),
+        ("experiment = info-rate-moments\nt = 1.01\n",
+         "time 1.01 is not a point of the grid of step 0.0125"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
-        cfg = write_cfg(tmp_path, text + "t_end = 2\n")
+        cfg = write_cfg(tmp_path, "t_end = 2\n" + text)
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
@@ -274,7 +352,7 @@ class TestExperiments:
         # 10.2 is not a multiple of dt = 0.25: the full grid ends at t = 10
         cfg = write_cfg(
             tmp_path,
-            f"experiment = {experiment}\nt_end = 10.2\nfine_step = 0.01\nn = 1000\n"
+            f"experiment = {experiment}\nt_end = 10.2\nn = 1000\n"
             "replications = 3\nell = 2\nseed = 8\n",
         )
         out = tmp_path / "out"
@@ -284,12 +362,42 @@ class TestExperiments:
             assert len(rows) == 1 + 40
             assert rows[-1].startswith("9.875,")
 
+    def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, capsys):
+        # 5.01 is no point of the default dt/20 grid, but one of a 0.001 grid
+        text = ("experiment = info-rate-moments\nt = 5.01\nt_end = 6\nn = 1000\n"
+                "replications = 5\nell = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "time 5.01 is not a point of the grid of step 0.0125" in capsys.readouterr().err
+        cfg = write_cfg(tmp_path, text + "fine_step = 0.001\n")
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+
+    def test_model_integrates_two_runs_per_grid_step(self, monkeypatch):
+        # the mc-wide benchmark model: RK4 at dt/20 and dt/40 up to t_end = 6
+        steps = []
+        integrate = cli.dyn.integrate_sir
+
+        def counted(params, t_end, step):
+            steps.append(round(t_end / step))
+            return integrate(params, t_end, step)
+
+        monkeypatch.setattr(cli.dyn, "integrate_sir", counted)
+        traj, dt = cli._model(cli.parse_config(
+            "experiment = info-rate-moments\nN = 999\nt = 5\nt_end = 6\n"))
+        assert steps == [480, 960]
+        assert traj.times.size == 481 and traj.step == dt / 20
+
 
 class TestShippedOutputs:
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_outputs_match_pinned_digests(self, tmp_path, path):
         cli.run(str(path), str(tmp_path))
-        got = {name: hashlib.sha256(blob).hexdigest() for name, blob in read_all(tmp_path).items()}
+        blobs = read_all(tmp_path)
+        sampled = {name: sampled_bytes(name, blob) for name, blob in blobs.items()}
+        assert {name: hashlib.sha256(blob).hexdigest() for name, blob in sampled.items()
+                if blob is not None} == SAMPLED_DIGESTS[path.stem], (
+            f"{path.name}: a Monte Carlo column or a model-free file changed")
+        got = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
         assert got == SHIPPED_DIGESTS[path.stem], (
             f"{path.name} no longer writes the pinned bytes.  The digests assume numpy's "
             f"binomial sampler as in numpy 2.4.6 (this is numpy {np.__version__}); under the "

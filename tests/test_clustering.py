@@ -164,6 +164,34 @@ class TestSufficiencyResiduals:
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert cl.sufficiency_residuals(traj, f) < 1e-8
 
+    def test_sufficient_blocks_vanish_to_rounding(self):
+        groups = [9, 9, 8, 8, 8, 8]
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
+        f = cl.Clustering(np.repeat(np.arange(1, 7), groups))
+        assert cl.sufficiency_residuals(traj, f) <= 1e-15
+
+    def test_matches_central_difference(self):
+        # on the interior rows, where the central difference of the shares
+        # is defined, the two agree to O(step^2)
+        params = dyn.default_sir_params(6)
+        f = cl.Clustering([1, 1, 2, 2, 3, 3])
+        labels = f.labels0()
+
+        def gap(step):
+            traj = dyn.integrate_sir(params, 5.0, step)
+            p = traj.p()
+            q = np.stack([p[:, labels == a].sum(axis=1) for a in range(3)], axis=1)
+            r = p / q[:, labels]
+            fd = np.max(np.abs(r[2:] - r[:-2])) / (2.0 * step)
+            interior = dyn.Trajectory(traj.times[1:-1], traj.susceptible[1:-1],
+                                      traj.cumulative_susceptible[1:-1],
+                                      traj.recovered[1:-1], traj.total_infected[1:-1], params)
+            return abs(cl.sufficiency_residuals(interior, f) - fd)
+
+        coarse, fine = gap(0.01), gap(0.005)
+        assert coarse <= 2e-3 * 0.01**2
+        assert 3.5 <= coarse / fine <= 4.5
+
     def test_generic_model_not_sufficient(self):
         traj = dyn.integrate_sir(dyn.default_sir_params(6), 5.0, 1e-3)
         f = cl.Clustering([1, 1, 2, 2, 3, 3])

@@ -219,10 +219,86 @@ class TestIntegration:
 
     def test_bad_step_rejected(self):
         params = dyn.default_sir_params(3)
-        with pytest.raises(ValueError):
-            dyn.integrate_sir(params, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            dyn.integrate_sir(params, 0.001, 0.01)
+        for t_end, step in ((1.0, 0.0), (0.001, 0.01), (1.0, float("nan")),
+                            (float("inf"), 0.01)):
+            with pytest.raises(ValueError):
+                dyn.integrate_sir(params, t_end, step)
+
+    @pytest.mark.parametrize("t_end, step, points, last", [
+        (1.0, 0.4, 3, 0.8), (0.35, 0.2, 2, 0.2), (10.0, 0.0125, 801, 10.0)])
+    def test_grid_ends_at_last_point_not_after_t_end(self, t_end, step, points, last):
+        traj = dyn.integrate_sir(dyn.default_sir_params(3), t_end, step)
+        assert traj.times.size == points
+        assert traj.t_end == pytest.approx(last, rel=1e-15)
+
+
+class TestSolveSir:
+    """Richardson-extrapolated RK4 against plain RK4 at dt/2000 = 1.25e-4."""
+
+    @staticmethod
+    def errors(params, t_end, step=0.0125):
+        traj = dyn.solve_sir(params, t_end, step)
+        ref = dyn.integrate_sir(params, t_end, 1.25e-4)
+        rows = np.arange(traj.times.size) * int(round(step / 1.25e-4))
+        p_err = np.max(np.abs(traj.p() - ref.p(rows)) / ref.p(rows))
+        g_ref = ref.fisher_curve(rows)
+        return traj, p_err, np.max(np.abs(traj.fisher_curve() - g_ref)) / np.max(g_ref)
+
+    @pytest.mark.parametrize("n_variants, t_end", [(10, 10.0), (1000, 6.0)])
+    def test_matches_fine_rk4(self, n_variants, t_end):
+        traj, p_err, g_err = self.errors(dyn.default_sir_params(n_variants), t_end)
+        assert np.array_equal(traj.times, np.arange(traj.times.size) * 0.0125)
+        assert traj.times.size == int(round(t_end / 0.0125)) + 1
+        assert p_err <= 5e-14 and g_err <= 5e-14
+
+    def test_extrapolation_is_fifth_order(self, monkeypatch):
+        # with the step check off, halving the step divides the error by ~2^5
+        monkeypatch.setattr(dyn, "STEP_TOL", np.inf)
+        params = dyn.default_sir_params(4)
+        ref_step = 0.1 / 256
+        ref = dyn.integrate_sir(params, 2.0, ref_step)
+
+        def err(step):
+            # at the points of the coarser grid, 0, 0.1, ..., 2
+            traj = dyn.solve_sir(params, 2.0, step)
+            rows = np.arange(0, traj.times.size, int(round(0.1 / step)))
+            ref_rows = rows * int(round(step / ref_step))
+            return np.max(np.abs(traj.infected(rows) - ref.infected(ref_rows)))
+
+        assert 24.0 <= err(0.1) / err(0.05) <= 48.0
+
+    def test_fast_model_halves_and_keeps_its_grid(self, monkeypatch):
+        steps = []
+        integrate = dyn.integrate_sir
+
+        def counted(params, t_end, step):
+            steps.append(step)
+            return integrate(params, t_end, step)
+
+        monkeypatch.setattr(dyn, "integrate_sir", counted)
+        traj, p_err, g_err = self.errors(dyn.default_sir_params(10, gamma_range=(6.0, 8.0)),
+                                         10.0)
+        # two halvings, then the reference run
+        assert steps == [0.0125, 0.00625, 0.003125, 0.0015625, 1.25e-4]
+        assert np.array_equal(traj.times, np.arange(801) * 0.0125)
+        assert p_err <= 5e-14 and g_err <= 5e-14
+
+    def test_run_failing_its_checks_is_halved(self):
+        # plain RK4 at 0.0125 drifts past CONSERVATION_TOL on this model
+        params = dyn.default_sir_params(10, gamma_range=(20.0, 22.0))
+        with pytest.raises(dyn.IntegrationError, match="conservation drift"):
+            dyn.integrate_sir(params, 2.0, 0.0125)
+        traj, p_err, g_err = self.errors(params, 2.0)
+        assert p_err <= 5e-14 and g_err <= 5e-14
+
+    def test_estimate_beyond_last_halving_raises(self, monkeypatch):
+        monkeypatch.setattr(dyn, "MAX_HALVINGS", 1)
+        params = dyn.default_sir_params(10, gamma_range=(6.0, 8.0))
+        with pytest.raises(dyn.IntegrationError,
+                           match=r"after 1 halvings of step 0\.0125, at RK4 steps 0\.00625 and "
+                                 r"0\.003125: step-doubling error estimate \d\.\d{3}e-09 > 1e-09; "
+                                 "use a smaller fine_step$"):
+            dyn.solve_sir(params, 10.0, 0.0125)
 
 
 def first_row(params):
@@ -275,12 +351,15 @@ class TestTrajectoryAt:
         assert np.allclose(desk_traj.p(k), expected, atol=1e-15)
         assert desk_traj.susceptible[k] == params.s0
 
-    def test_nearest_point_snapping(self, desk_traj):
+    def test_off_grid_time_raises(self, desk_traj):
         step = desk_traj.step
         t_grid = 100 * step
-        a = desk_traj.p(desk_traj.index_at(t_grid))
-        b = desk_traj.p(desk_traj.index_at(t_grid + 0.4 * step))
-        assert np.array_equal(a, b)
+        assert desk_traj.index_at(t_grid) == 100
+        with pytest.raises(ValueError, match=r"time 0\.1004 is not a point of the grid "
+                                             r"of step 0\.001$"):
+            desk_traj.index_at(t_grid + 0.4 * step)
+        with pytest.raises(ValueError, match="time 0.1004 is not"):
+            desk_traj.index_at(np.array([t_grid, t_grid + 0.4 * step]))
 
     def test_velocity_is_tangent(self, desk_traj):
         assert abs(desk_traj.pdot(desk_traj.index_at(3.21)).sum()) < 1e-10

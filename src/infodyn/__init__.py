@@ -39,8 +39,6 @@ from .clustering import (
 )
 from .theory import (
     BiasVariancePrediction,
-    cluster_info_rate_moments,
-    clustered_fisher_prediction,
     distance_moments,
     exact_static_fisher_mean,
     fisher_bias,

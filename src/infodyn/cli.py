@@ -81,17 +81,29 @@ def _positive(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
+def _at_least(low: int, what: str):
+    """Converter to an integer of at least `low`; `what` names the value
+    in the error."""
+    def conv(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{what} must be at least {low}")
+        return value
+    return conv
+
+
+_sample_size = _at_least(1, "sample size")
+_replications = _at_least(2, "replications")
+_cluster_count = _at_least(1, "cluster count")
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma list of positive integers."""
     values = [int(x) for x in text.split(",") if x.strip()]
     if not values:
         raise ValueError("empty list")
+    if min(values) < 1:
+        raise ValueError("entries must be at least 1")
     return values
 
 
@@ -109,27 +121,31 @@ def _distribution(text: str) -> Distribution:
     return p
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row, with LF line ends; every
+    CSV artifact is written here.  A float cell is written with %.17g, so it
+    reads back as the same double, any other cell (a string, an integer) as
+    str(); a column takes its format from its cell in the first row."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        if first is not None:
+            line = ",".join("%.17g" if isinstance(x, float) else "%s" for x in first) + "\n"
+            fh.write(line % tuple(first))
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def _model(cfg) -> tuple[dyn.Trajectory, float]:
     """Integrate the configured model; returns (trajectory, sampling step dt)."""
-    n_var = _get(cfg, "N", 9, int) + 1
+    n_var = _get(cfg, "N", 9, _at_least(1, "N")) + 1
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
     fine_step = _get(cfg, "fine_step", dt / 20.0, _positive)
     s0 = _get(cfg, "s0", 0.9445, float)
     r0 = _get(cfg, "r0", 0.0, float)
     if "groups" in cfg:
-        params = dyn.grouped_sir_params(_int_list(cfg["groups"]), s0=s0, r0=r0)
+        params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list), s0=s0, r0=r0)
     elif "gamma" in cfg or "epsilon" in cfg or "i0" in cfg:
         base = dyn.default_sir_params(n_var, s0=s0, r0=r0)
         gamma = np.array(_get(cfg, "gamma", list(base.gamma), _float_list))
@@ -142,14 +158,15 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
 
 
 def _full_grid(traj: dyn.Trajectory, dt: float) -> smp.SampleGrid:
-    """Instants 0, dt, 2 dt, ... up to the last one not after t_end (within a
-    relative 1e-9, so that rounding in t_end / dt does not drop an instant)."""
-    return smp.SampleGrid(0.0, dt, math.floor(traj.t_end / dt * (1.0 + 1e-9)) + 1)
+    """Instants 0, dt, 2 dt, ... up to the last one not after t_end, by the
+    rule of the model grid."""
+    return smp.SampleGrid(0.0, dt, dyn.grid_steps(traj.t_end, dt) + 1)
 
 
 def _config_grid(cfg, dt: float, t0: float, count: int) -> smp.SampleGrid:
     """Grid from the `t0` and `count` keys, with the given defaults."""
-    return smp.SampleGrid(_get(cfg, "t0", t0, float), dt, _get(cfg, "count", count, int))
+    return smp.SampleGrid(_get(cfg, "t0", t0, float), dt,
+                          _get(cfg, "count", count, _at_least(2, "number of sampling instants")))
 
 
 def _two_point_grid(t: float, dt: float) -> smp.SampleGrid:
@@ -160,6 +177,12 @@ def _grid_p(traj: dyn.Trajectory, grid: smp.SampleGrid) -> np.ndarray:
     """Distributions at the grid instants, one row each, for sampling; raises
     for an instant outside the trajectory, naming it."""
     return traj.p(traj.index_at(grid.times()))
+
+
+def _write_clustering(f: cl.Clustering, outdir) -> None:
+    """`clustering.csv`: one `mu,label` row per variant, both 1-based."""
+    write_csv(os.path.join(outdir, "clustering.csv"), ["mu", "label"],
+              enumerate(f.assignment, start=1))
 
 
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
@@ -174,7 +197,7 @@ def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> 
 def run_distance_moments(cfg, outdir, seed):
     p = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
-    reps = _get(cfg, "replications", 2000, int)
+    reps = _get(cfg, "replications", 2000, _replications)
     rows = []
     for i, n in enumerate(ns):
         est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), reps,
@@ -189,13 +212,18 @@ def run_distance_moments(cfg, outdir, seed):
 @experiment("model-trajectory")
 def run_model_trajectory(cfg, outdir, seed):
     traj, dt = _model(cfg)
-    stride = _get(cfg, "output_stride", 2, _positive_int)
+    stride = _get(cfg, "output_stride", 2, _at_least(1, "output stride"))
     grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
-    ell = _get(cfg, "ell", 3, int)
+    ell = _get(cfg, "ell", 3, _cluster_count)
     rows = slice(None, None, stride)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
-    dyn.trajectory_to_csv(traj, os.path.join(outdir, "trajectory.csv"), rows)
-    cl.clustering_to_csv(f, os.path.join(outdir, "clustering.csv"))
+    m = traj.n_variants
+    header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
+              + ["mean_d"])
+    table = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
+                             traj.pdot(rows), traj.couplings(rows), traj.mean_coupling(rows)))
+    write_csv(os.path.join(outdir, "trajectory.csv"), header, map(np.ndarray.tolist, table))
+    _write_clustering(f, outdir)
 
     labels = f.labels0()
     members = np.zeros((traj.n_variants, f.n_clusters))
@@ -213,7 +241,7 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
     traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
-    reps = _get(cfg, "replications", 500, int)
+    reps = _get(cfg, "replications", 500, _replications)
     g_tt = float(traj.fisher_curve(traj.index_at(t)))
     N = traj.n_variants - 1
     p_grid = _grid_p(traj, _two_point_grid(t, dt))
@@ -231,8 +259,8 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
 @experiment("fisher-bias-vs-t")
 def run_fisher_bias_vs_t(cfg, outdir, seed):
     traj, dt = _model(cfg)
-    n = _get(cfg, "n", 100000, int)
-    reps = _get(cfg, "replications", 500, int)
+    n = _get(cfg, "n", 100000, _sample_size)
+    reps = _get(cfg, "replications", 500, _replications)
     grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
     N = traj.n_variants - 1
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt), reps, seed,
@@ -253,8 +281,8 @@ def run_info_rate_moments(cfg, outdir, seed):
     traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
-    reps = _get(cfg, "replications", 1000, int)
-    ell = _get(cfg, "ell", 3, int)
+    reps = _get(cfg, "replications", 1000, _replications)
+    ell = _get(cfg, "ell", 3, _cluster_count)
     k_mid = traj.index_at(t)
     p_grid = _grid_p(traj, _two_point_grid(t, dt))
     p_mid = traj.p(k_mid)
@@ -275,24 +303,24 @@ def run_info_rate_moments(cfg, outdir, seed):
         est = smp.monte_carlo_components(lambda c: smp.cluster_info_rate_hat(c, n, dt, f)[:, 0],
                                          reps, rng.derive_key(seed, 2 * i + 1), p_grid, n)
         for a in range(f.n_clusters):
-            m_th, v_th = th.cluster_info_rate_moments(float(cluster_rate[a]), float(q_mid[a]), n, dt)
+            m_th, v_th = th.info_rate_moments(float(cluster_rate[a]), float(q_mid[a]), n, dt)
             e = est[a]
             clu_rows.append((n, a + 1, e.mean, e.standard_error, e.std**2, m_th, v_th))
 
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
     write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, var_rows)
     write_csv(os.path.join(outdir, "info_rate_clusters.csv"), header, clu_rows)
-    cl.clustering_to_csv(f, os.path.join(outdir, "clustering.csv"))
+    _write_clustering(f, outdir)
     return ["info_rate_variants.csv", "info_rate_clusters.csv", "clustering.csv"]
 
 
 @experiment("filtering-comparison")
 def run_filtering_comparison(cfg, outdir, seed):
     traj, dt = _model(cfg)
-    n = _get(cfg, "n", 250000, int)
+    n = _get(cfg, "n", 250000, _sample_size)
     grid = _config_grid(cfg, dt, 2.5, 31)
-    kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, int),
-                                 _get(cfg, "shape", 4.0 / 9.0, float))
+    kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, _at_least(0, "half width")),
+                                 _get(cfg, "shape", 4.0 / 9.0, _positive))
     counts = rng.sample_block(_grid_p(traj, grid), n,
                               rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
     true_rates = traj.info_rate_curve(traj.index_at(grid.midpoints()))
@@ -321,9 +349,8 @@ def run_elbow_scan(cfg, outdir, seed):
     pdot = TangentVector(traj.pdot(k_eval))
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
-    cl.delta_curve_to_csv(curve, os.path.join(outdir, "elbow_curve.csv"))
-    with open(os.path.join(outdir, "elbow_summary.csv"), "w", newline="") as fh:
-        fh.write("ell_star," + str(ell_star) + "\n")
+    write_csv(os.path.join(outdir, "elbow_curve.csv"), ["ell", "delta_g"], curve)
+    write_csv(os.path.join(outdir, "elbow_summary.csv"), ["ell_star", str(ell_star)], [])
     return ["elbow_curve.csv", "elbow_summary.csv"]
 
 
@@ -331,9 +358,9 @@ def run_elbow_scan(cfg, outdir, seed):
 def run_theory_vs_mc(cfg, outdir, seed):
     traj, dt = _model(cfg)
     t = _get(cfg, "t", 5.0, float)
-    n = _get(cfg, "n", 10000, int)
-    reps = _get(cfg, "replications", 1000, int)
-    ell = _get(cfg, "ell", 3, int)
+    n = _get(cfg, "n", 10000, _sample_size)
+    reps = _get(cfg, "replications", 1000, _replications)
+    ell = _get(cfg, "ell", 3, _cluster_count)
     N = traj.n_variants - 1
     k_mid = traj.index_at(t)
     p_grid = _grid_p(traj, _two_point_grid(t, dt))
@@ -357,7 +384,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
 
     est = smp.monte_carlo_components(lambda c: smp.clustered_fisher_hat(c, n, dt, f)[:, 0], reps,
                                      rng.derive_key(seed, 2), p_grid, n)
-    pred = th.clustered_fisher_prediction(g_f, ell, n, dt)
+    pred = th.fisher_prediction(g_f, ell - 1, n, dt)  # ell clusters: ell - 1 degrees of freedom
     rows += _mean_var_rows("clustered_fisher_{}", est, pred.expected_value, pred.variance)
 
     rate = traj.info_rate_curve(k_mid)

@@ -9,7 +9,6 @@ cluster, which is the quantity K-means minimises here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +187,11 @@ def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
     centroids agree within a relative 1e-9 joins the lower-numbered one.  An
     emptied cluster is re-seeded at the point farthest from its current
     centroid, so the result is always surjective.
+
+    Iteration stops at the first labelling already visited.  A converging
+    run repeats only its final one; with more clusters than distinct points,
+    re-seeding and the tie rule can cycle instead, and stopping at the
+    repeat keeps the result from depending on max_iters.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n_points = features.shape[0]
@@ -201,6 +205,7 @@ def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
     centroids = features[picks].copy()
 
     labels = np.full(n_points, -1)
+    seen = set()
     for _ in range(max_iters):
         dist = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         # nearest centroid; distances equal to a relative 1e-9 count as a tie,
@@ -219,8 +224,9 @@ def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
             new_labels[far] = a
             centroids[a] = features[far]
             point_cost[far] = 0.0
-        if np.array_equal(new_labels, labels):
+        if new_labels.tobytes() in seen:
             break
+        seen.add(new_labels.tobytes())
         labels = new_labels
         for a in range(n_clusters):
             centroids[a] = features[labels == a].mean(axis=0)
@@ -258,21 +264,3 @@ def elbow_select(delta_curve) -> int:
     if np.max(second) <= 1e-12:
         raise NoElbowError("no elbow: curve has no convex kink above tolerance")
     return int(ells[1:-1][int(np.argmax(second))])
-
-
-def clustering_to_csv(f: Clustering, path) -> None:
-    """Write `mu,label` lines, 1-based on both sides."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "label"])
-        for mu, label in enumerate(f.assignment, start=1):
-            writer.writerow([mu, label])
-
-
-def delta_curve_to_csv(curve, path) -> None:
-    """Write `ell,delta_g` lines."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ell", "delta_g"])
-        for ell, dg in curve:
-            writer.writerow([int(ell), f"{dg:.17g}"])

@@ -239,17 +239,18 @@ def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> In
         f"conservation drift {abs(s + total + r - 1.0):.3e} {where}; use a smaller step")
 
 
-def _grid_steps(t_end: float, step: float) -> int:
+def grid_steps(t_end: float, step: float) -> int:
     """Steps of the grid 0, step, 2 step, ... up to its last point not after
     t_end (within a relative 1e-9, so that rounding in t_end / step does not
-    drop a point)."""
+    drop a point).  The model grid and the sampling grid both end by this
+    rule."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     n_steps = math.floor(t_end / step * (1.0 + 1e-9))
     if n_steps < 1:
-        raise ValueError("t_end must be at least one step")
+        raise ValueError(f"t_end = {t_end:g} is shorter than one step of {step:g}")
     return n_steps
 
 
@@ -265,7 +266,7 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     1 by more than CONSERVATION_TOL raises IntegrationError naming its step
     and t.
     """
-    n_steps = _grid_steps(t_end, step)
+    n_steps = grid_steps(t_end, step)
     times = np.arange(n_steps + 1) * step
 
     exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
@@ -326,7 +327,7 @@ def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     estimate or a failure that persists after MAX_HALVINGS halvings raises
     IntegrationError naming it and the step.
     """
-    n_steps = _grid_steps(t_end, step)
+    n_steps = grid_steps(t_end, step)
     spread, top = float(np.ptp(params.gamma)), float(np.max(params.gamma))
 
     def grid_states(div):
@@ -355,22 +356,3 @@ def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     raise IntegrationError(
         f"step check failed after {MAX_HALVINGS} halvings of step {step:g}, at RK4 steps "
         f"{last:g} and {last / 2.0:g}: {failure}; use a smaller fine_step")
-
-
-def trajectory_to_csv(traj: Trajectory, path, rows=slice(None)) -> None:
-    """Write `t, S, p_*, pdot_*, d_*, mean_d` at the given fine-grid rows
-    (all by default) after a header line, with CRLF line ends."""
-    m = traj.n_variants
-    header = (
-        ["t", "S"]
-        + [f"p_{i}" for i in range(1, m + 1)]
-        + [f"pdot_{i}" for i in range(1, m + 1)]
-        + [f"d_{i}" for i in range(1, m + 1)]
-        + ["mean_d"]
-    )
-    table = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
-                             traj.pdot(rows), traj.couplings(rows), traj.mean_coupling(rows)))
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % tuple(row.tolist()) for row in table)

@@ -20,8 +20,8 @@ def gaussian_kernel(half_width: int = DEFAULT_HALF_WIDTH,
     """Normalised weights exp(-shape * k^2) for k = -half_width..half_width."""
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
-    if shape <= 0:
-        raise ValueError("shape must be positive")
+    if not 0.0 < shape < np.inf:
+        raise ValueError(f"shape must be positive and finite, got {shape}")
     k = np.arange(-half_width, half_width + 1)
     w = np.exp(-shape * k.astype(float) ** 2)
     return w / w.sum()

@@ -19,7 +19,6 @@ from .simplex import Distribution
 class BiasVariancePrediction:
     expected_value: float
     variance: float
-    order_note: str = "leading"
 
     def __post_init__(self):
         if self.variance < 0:
@@ -43,7 +42,11 @@ def fisher_bias(N: int, n: int, dt: float) -> float:
 
 
 def fisher_prediction(g_tt: float, N: int, n: int, dt: float) -> BiasVariancePrediction:
-    """Leading mean and variance of the sampled Fisher information."""
+    """Leading mean and variance of the sampled Fisher information.
+
+    The clustered estimator into ell clusters follows the same law with the
+    clustered information g_f in place of g_tt and N = ell - 1.
+    """
     return BiasVariancePrediction(
         expected_value=g_tt + fisher_bias(N, n, dt),
         variance=8.0 * g_tt / (n * dt**2) + 8.0 * N / (n**2 * dt**4),
@@ -116,14 +119,6 @@ def exact_static_fisher_mean(p: Distribution, n: int, dt: float) -> float:
     return total / dt**2
 
 
-def clustered_fisher_prediction(g_f: float, ell: int, n: int, dt: float) -> BiasVariancePrediction:
-    """Leading mean and variance of the clustered sampled Fisher information."""
-    return BiasVariancePrediction(
-        expected_value=g_f + 2.0 * (ell - 1) / (n * dt**2),
-        variance=8.0 * g_f / (n * dt**2) + 8.0 * (ell - 1) / (n**2 * dt**4),
-    )
-
-
 def info_rate_moments(i_rate, p_mu, n: int, dt: float):
     """Leading mean and variance of a sampled information rate.
 
@@ -137,11 +132,6 @@ def info_rate_moments(i_rate, p_mu, n: int, dt: float):
     if mean.ndim == 0:
         return float(mean), float(var)
     return mean, var
-
-
-def cluster_info_rate_moments(i_rate_a, q_a, n: int, dt: float):
-    """Same law with the cluster probability in place of the variant one."""
-    return info_rate_moments(i_rate_a, q_a, n, dt)
 
 
 def normalization_z(p: Distribution, n: int) -> float:

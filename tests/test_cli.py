@@ -22,7 +22,7 @@ SHIPPED_DIGESTS = {
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "dfbe38e3bfc590acd9c02dc9c78529c563d774d75d8bef592d86205432cba176",
+            "7d2ad650b9bab679e886c6f3a1e7913ffa21277b406694545e7c78b6d4e4bca5",
         "elbow_summary.csv":
             "0e938bd8fbe33387602074136906a7d08fa981dd412dbf9023bcfd239b5e1e72",
         "manifest.json":
@@ -48,7 +48,7 @@ SHIPPED_DIGESTS = {
     },
     "info_rate_moments": {
         "clustering.csv":
-            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+            "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
             "796c130777751e41006a118de33bfe182dc083e65151af32f10b8f5546c7e195",
         "info_rate_variants.csv":
@@ -58,13 +58,13 @@ SHIPPED_DIGESTS = {
     },
     "model_trajectory": {
         "clustering.csv":
-            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+            "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "fisher.csv":
             "8e3381a69915f08426f08abbae281fd08c46dae25476a3d13cc453ba479d4f05",
         "manifest.json":
             "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
         "trajectory.csv":
-            "c5c9afd2470b31d36b3b0a4d79622d114004d1439fc96f2dd24f11745367043c",
+            "0027523e87fcdda810c9c79aa542ece547c4a76af7480513c0137ad0166f12a1",
     },
     "theory_vs_mc": {
         "manifest.json":
@@ -112,7 +112,7 @@ SAMPLED_DIGESTS = {
     },
     "info_rate_moments": {
         "clustering.csv":
-            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+            "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
             "874f87470b2fd8a9810289918a05ab7e6c61bf25f68df02189a6d49fb410cab0",
         "info_rate_variants.csv":
@@ -122,7 +122,7 @@ SAMPLED_DIGESTS = {
     },
     "model_trajectory": {
         "clustering.csv":
-            "00db0bb382c9031b7a8030244035ddf5509914214c2dafb1096ea511eded49a7",
+            "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "manifest.json":
             "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
     },
@@ -278,6 +278,18 @@ class TestRunner:
         ("experiment = model-trajectory\noutput_stride = -3\n", "bad value for 'output_stride'"),
         ("experiment = info-rate-moments\nt = 1.01\n",
          "time 1.01 is not a point of the grid of step 0.0125"),
+        ("experiment = filtering-comparison\nshape = nan\n", "bad value for 'shape'"),
+        ("experiment = filtering-comparison\nshape = inf\n", "bad value for 'shape'"),
+        ("experiment = filtering-comparison\nhalf_width = -1\n", "bad value for 'half_width'"),
+        ("experiment = fisher-bias-vs-n\nn = 0\n", "bad value for 'n'"),
+        ("experiment = theory-vs-mc\nn = 0\n", "bad value for 'n'"),
+        ("experiment = model-trajectory\nN = 0\n", "bad value for 'N'"),
+        ("experiment = model-trajectory\nN = -3\n", "bad value for 'N'"),
+        ("experiment = fisher-bias-vs-n\nreplications = 1\n", "bad value for 'replications'"),
+        ("experiment = fisher-bias-vs-t\ncount = 1\n", "bad value for 'count'"),
+        ("experiment = model-trajectory\nell = 0\n", "bad value for 'ell'"),
+        ("experiment = elbow-scan\nell = 0,4,5,6\n", "bad value for 'ell'"),
+        ("experiment = elbow-scan\ngroups = 9,0\n", "bad value for 'groups'"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         cfg = write_cfg(tmp_path, "t_end = 2\n" + text)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodyn import cli
 from infodyn import clustering as cl
 from infodyn import dynamics as dyn
 from infodyn.simplex import Distribution, TangentVector, fisher_information
@@ -263,6 +264,16 @@ class TestKmeans:
         nudged[3] = np.nextafter(feats[3], np.inf)
         assert cl.kmeans(nudged, 3).assignment == cl.kmeans(feats, 3).assignment
 
+    def test_result_does_not_depend_on_the_iteration_cap(self):
+        # six distinct rate rows: with more clusters than that, re-seeding an
+        # emptied cluster on a duplicate point and the tie rule can cycle
+        # through labellings, which must not leave the result to max_iters
+        traj = dyn.integrate_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 0.0125)
+        feats = cl.kmeans_features(traj, np.arange(41) * 0.25)
+        assert len(np.unique(feats, axis=0)) == 6
+        for ell in range(7, 13):
+            assert cl.kmeans(feats, ell, 99) == cl.kmeans(feats, ell, 100), ell
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cl.kmeans(np.zeros((3, 1)), 4)
@@ -320,17 +331,13 @@ class TestElbow:
 
 
 class TestCsv:
+    """clustering.csv and elbow_curve.csv, as the experiments write them."""
+
     def test_clustering_round_trip(self, tmp_path):
-        f = cl.Clustering([1, 2, 1, 3])
-        path = tmp_path / "clust.csv"
-        cl.clustering_to_csv(f, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "mu,label"
-        assert rows[1:] == ["1,1", "2,2", "3,1", "4,3"]
+        cli._write_clustering(cl.Clustering([1, 2, 1, 3]), str(tmp_path))
+        assert (tmp_path / "clustering.csv").read_bytes() == b"mu,label\n1,1\n2,2\n3,1\n4,3\n"
 
     def test_delta_curve(self, tmp_path):
         path = tmp_path / "curve.csv"
-        cl.delta_curve_to_csv([(2, 0.5), (3, 0.125)], path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "ell,delta_g"
-        assert rows[1] == "2,0.5"
+        cli.write_csv(path, ["ell", "delta_g"], [(2, 0.5), (3, 0.125)])
+        assert path.read_bytes() == b"ell,delta_g\n2,0.5\n3,0.125\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodyn import cli
 from infodyn import dynamics as dyn
 from infodyn.simplex import fisher_information
 
@@ -372,42 +373,52 @@ class TestTrajectoryAt:
 
 
 class TestCsvExport:
-    def test_round_trip(self, desk_traj, tmp_path):
-        path = tmp_path / "traj.csv"
-        dyn.trajectory_to_csv(desk_traj, path)
+    """trajectory.csv, as the model-trajectory experiment writes it."""
+
+    def test_round_trip(self, tmp_path):
+        text = "experiment = model-trajectory\nN = 4\nt_end = 2\nell = 2\n"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        cli.run(str(cfg), str(tmp_path / "out"))
+        path = tmp_path / "out" / "trajectory.csv"
+        traj, _ = cli._model(cli.parse_config(text))
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        m = desk_traj.n_variants
-        assert header[:2] == ["t", "S"]
-        assert header[-1] == "mean_d"
-        assert len(header) == 2 + 3 * m + 1
+            header = fh.readline().rstrip("\n").split(",")
+        names = [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, 6)]
+        assert header == ["t", "S"] + names + ["mean_d"]
+        rows = slice(None, None, 2)  # the default output_stride
+        expected = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
+                                    traj.pdot(rows), traj.couplings(rows),
+                                    traj.mean_coupling(rows)))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (desk_traj.times.size, len(header))
-        assert np.allclose(data[:, 0], desk_traj.times)
-        assert np.allclose(data[:, 2:2 + m], desk_traj.p(), atol=0)
+        assert np.array_equal(data, expected)  # 17 digits read back exactly
 
     def test_bytes_match_csv_writer(self, tmp_path):
         # cells that are negative (couplings), zero (t = 0) and in exponent
-        # form (the share of a variant that starts at 1e-7)
+        # form (the share of a variant that starts at 1e-7), next to a string
+        # column, as in theory_vs_mc.csv, and an integer column
         params = dyn.SirParams([2.0, 2.0, 0.5], [1.0, 1.0, 1.5], 0.9,
                                [1e-7, 0.04, 0.06 - 1e-7], 0.0)
         traj = dyn.integrate_sir(params, 1.0, 0.01)
-        rows = slice(None, None, 7)
+        header = (["quantity", "k", "t", "S"]
+                  + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]
+                  + ["mean_d"])
+        rows = [[f"row_{k}", k, traj.times[k], traj.susceptible[k]] + list(traj.p(k))
+                + list(traj.pdot(k)) + list(traj.couplings(k)) + [traj.mean_coupling(k)]
+                for k in range(0, traj.times.size, 7)]
         path = tmp_path / "fast.csv"
-        dyn.trajectory_to_csv(traj, path, rows)
+        cli.write_csv(path, header, rows)
 
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d")
-                                          for i in (1, 2, 3)] + ["mean_d"])
-            for k in range(traj.times.size)[rows]:
-                row = ([traj.times[k], traj.susceptible[k]] + list(traj.p(k))
-                       + list(traj.pdot(k)) + list(traj.couplings(k))
-                       + [traj.mean_coupling(k)])
-                writer.writerow(f"{x:.17g}" for x in row)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row[:2] + [f"{x:.17g}" for x in row[2:]])
         assert path.read_bytes() == ref.read_bytes()
-        cells = [c for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+        lines = path.read_text().splitlines()
+        cells = [c for line in lines[1:] for c in line.split(",")]
         assert any(c.startswith("-") for c in cells)
         assert "0" in cells
         assert any("e-" in c for c in cells)
+        assert lines[2].startswith("row_7,7,0.07")

@@ -23,8 +23,9 @@ class TestGaussianKernel:
     def test_validation(self):
         with pytest.raises(ValueError):
             flt.gaussian_kernel(-1, 1.0)
-        with pytest.raises(ValueError):
-            flt.gaussian_kernel(2, 0.0)
+        for shape in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                flt.gaussian_kernel(2, shape)
 
 
 class TestFilterProbs:

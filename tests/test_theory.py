@@ -109,20 +109,16 @@ class TestExactStaticFisherMean:
 
 
 class TestClusteredPrediction:
-    def test_identity_cluster_count_reduces_to_plain(self):
-        plain = th.fisher_prediction(0.02, 9, 5000, 0.25)
-        clustered = th.clustered_fisher_prediction(0.02, 10, 5000, 0.25)
-        assert clustered == plain
-
+    # ell clusters: fisher_prediction with N = ell - 1
     def test_single_cluster_has_no_bias(self):
-        pred = th.clustered_fisher_prediction(0.0, 1, 5000, 0.25)
+        pred = th.fisher_prediction(0.0, 0, 5000, 0.25)
         assert pred.expected_value == 0.0
         assert pred.variance == 0.0
 
     def test_bias_reduction_ratio(self):
         n, dt = 10000, 0.25
         unclustered = th.fisher_bias(9, n, dt)
-        clustered = th.clustered_fisher_prediction(0.0, 3, n, dt).expected_value
+        clustered = th.fisher_prediction(0.0, 3 - 1, n, dt).expected_value
         assert unclustered / clustered == pytest.approx(4.5, rel=1e-12)
 
 
@@ -135,10 +131,6 @@ class TestInfoRateMoments:
         _, v_small = th.info_rate_moments(0.1, 0.01, 1000, 0.25)
         _, v_large = th.info_rate_moments(0.1, 0.3, 1000, 0.25)
         assert v_small > v_large
-
-    def test_cluster_version_same_law(self):
-        assert th.cluster_info_rate_moments(0.2, 0.4, 500, 0.25) == \
-            th.info_rate_moments(0.2, 0.4, 500, 0.25)
 
     def test_vectorized(self):
         mean, var = th.info_rate_moments(np.array([0.0, 0.1]), np.array([0.5, 0.2]),

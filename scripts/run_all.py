@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every experiment config in scripts/configs/ into out/<name>/."""
+"""Run every experiment config in scripts/configs/ into out/<name>/.
+
+Each config goes through the `infodyn` command line, so a bad config or
+--seed prints `error: ...` and exits 2.
+"""
 
 import argparse
 import pathlib
@@ -12,7 +16,7 @@ from infodyn import cli
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="base output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override every config seed")
+    parser.add_argument("--seed", default=None, help="override every config seed")
     args = parser.parse_args()
 
     configs = sorted((pathlib.Path(__file__).parent / "configs").glob("*.cfg"))
@@ -23,9 +27,11 @@ def main():
     for cfg in configs:
         outdir = base / cfg.stem
         started = time.perf_counter()
-        artifacts = cli.run(str(cfg), str(outdir), args.seed)
-        print(f"{cfg.stem}: {len(artifacts)} artifacts in {outdir} "
-              f"({time.perf_counter() - started:.1f}s)")
+        seed = [] if args.seed is None else ["--seed", args.seed]
+        status = cli.main(["--config", str(cfg), "--out", str(outdir)] + seed)
+        if status:
+            return status
+        print(f"{cfg.stem}: done in {time.perf_counter() - started:.1f}s")
     return 0
 
 

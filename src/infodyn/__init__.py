@@ -38,7 +38,6 @@ from .clustering import (
     sufficiency_residuals,
 )
 from .theory import (
-    BiasVariancePrediction,
     distance_moments,
     exact_static_fisher_mean,
     fisher_bias,

@@ -81,6 +81,30 @@ def _positive(text: str) -> float:
     return value
 
 
+def _time(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError("must be a finite time of at least 0")
+    return value
+
+
+def _fraction(name: str):
+    """Converter to a float in [0, 1]; `name` names the value in the error."""
+    def conv(text: str) -> float:
+        value = float(text)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"initial fraction {name} = {value} outside [0, 1]")
+        return value
+    return conv
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise ValueError("must lie in [0, 2**64)")
+    return value
+
+
 def _at_least(low: int, what: str):
     """Converter to an integer of at least `low`; `what` names the value
     in the error."""
@@ -114,6 +138,22 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _per_variant(size: int, positive: bool):
+    """Converter to a comma list of `size` finite floats, each positive or,
+    if not `positive`, at least 0."""
+    def conv(text: str) -> np.ndarray:
+        values = np.array(_float_list(text))
+        if values.size != size:
+            raise ValueError(f"{values.size} entries for N + 1 = {size} variants")
+        bad = ~np.isfinite(values) | (values <= 0 if positive else values < 0)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise ValueError(f"entry {idx} = {values[idx]} must be finite and "
+                             + ("positive" if positive else "at least 0"))
+        return values
+    return conv
+
+
 def _distribution(text: str) -> Distribution:
     """Comma-list distribution with every entry positive."""
     p = Distribution(_float_list(text))
@@ -137,46 +177,53 @@ def write_csv(path, header, rows) -> None:
 
 
 def _model(cfg) -> tuple[dyn.Trajectory, float]:
-    """Integrate the configured model; returns (trajectory, sampling step dt)."""
+    """Parse the model keys, then integrate the model; returns (trajectory,
+    sampling step dt)."""
     n_var = _get(cfg, "N", 9, _at_least(1, "N")) + 1
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
     fine_step = _get(cfg, "fine_step", dt / 20.0, _positive)
-    s0 = _get(cfg, "s0", 0.9445, float)
-    r0 = _get(cfg, "r0", 0.0, float)
+    s0 = _get(cfg, "s0", 0.9445, _fraction("s0"))
+    r0 = _get(cfg, "r0", 0.0, _fraction("r0"))
     if "groups" in cfg:
         params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list), s0=s0, r0=r0)
-    elif "gamma" in cfg or "epsilon" in cfg or "i0" in cfg:
-        base = dyn.default_sir_params(n_var, s0=s0, r0=r0)
-        gamma = np.array(_get(cfg, "gamma", list(base.gamma), _float_list))
-        epsilon = np.array(_get(cfg, "epsilon", list(base.epsilon), _float_list))
-        i0 = np.array(_get(cfg, "i0", list(base.i0), _float_list))
-        params = dyn.SirParams(gamma, epsilon, s0, i0, r0)
     else:
-        params = dyn.default_sir_params(n_var, s0=s0, r0=r0)
+        base = dyn.default_sir_params(n_var, s0=s0, r0=r0)
+        rates = _per_variant(n_var, positive=False)
+        params = dyn.SirParams(_get(cfg, "gamma", base.gamma, rates),
+                               _get(cfg, "epsilon", base.epsilon, rates), s0,
+                               _get(cfg, "i0", base.i0, _per_variant(n_var, positive=True)), r0)
     return dyn.solve_sir(params, t_end, fine_step), dt
 
 
-def _full_grid(traj: dyn.Trajectory, dt: float) -> smp.SampleGrid:
-    """Instants 0, dt, 2 dt, ... up to the last one not after t_end, by the
-    rule of the model grid."""
-    return smp.SampleGrid(0.0, dt, dyn.grid_steps(traj.t_end, dt) + 1)
+def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
+    """Instants t0, t0 + dt, ...: `count` of them or, by default, as many as
+    the full grid 0, dt, 2 dt, ... has up to its last instant not after
+    t_end, by the rule of the model grid."""
+    return smp.SampleGrid(t0, dt, count or dyn.grid_steps(traj.t_end, dt) + 1)
 
 
-def _config_grid(cfg, dt: float, t0: float, count: int) -> smp.SampleGrid:
-    """Grid from the `t0` and `count` keys, with the given defaults."""
-    return smp.SampleGrid(_get(cfg, "t0", t0, float), dt,
-                          _get(cfg, "count", count, _at_least(2, "number of sampling instants")))
+def _grid_keys(cfg, t0: float = 0.0, count: int | None = None) -> tuple:
+    """The `t0` and `count` keys, with the given defaults for _grid."""
+    return (_get(cfg, "t0", t0, _time),
+            _get(cfg, "count", count, _at_least(2, "number of sampling instants")))
 
 
-def _two_point_grid(t: float, dt: float) -> smp.SampleGrid:
-    return smp.SampleGrid(t - dt / 2.0, dt, 2)
+def _at_t(cfg) -> tuple:
+    """Parse `t` and the model keys, integrate the model, and locate t:
+    returns (trajectory, dt, model-grid row of t, the (2, M) distributions
+    at t - dt/2 and t + dt/2)."""
+    t = _get(cfg, "t", 5.0, _time)
+    traj, dt = _model(cfg)
+    k = traj.index_at(t)
+    return traj, dt, k, traj.p(traj.index_at(smp.SampleGrid(t - dt / 2.0, dt, 2).times()))
 
 
-def _grid_p(traj: dyn.Trajectory, grid: smp.SampleGrid) -> np.ndarray:
-    """Distributions at the grid instants, one row each, for sampling; raises
-    for an instant outside the trajectory, naming it."""
-    return traj.p(traj.index_at(grid.times()))
+def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
+    """K-means into ell clusters on the full sampling grid; returns the
+    clustering and the cluster sums q and qdot at model-grid row k."""
+    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
+    return f, cl.aggregate(traj.p(k), f), cl.aggregate(traj.pdot(k), f)
 
 
 def _write_clustering(f: cl.Clustering, outdir) -> None:
@@ -185,12 +232,21 @@ def _write_clustering(f: cl.Clustering, outdir) -> None:
               enumerate(f.assignment, start=1))
 
 
+# An mc_var cell squares one float64 scalar, by libm's pow, as when the outputs
+# were pinned; an array square (x * x) differs in the last bit about 1 in 1000.
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
-    """Mean row and variance row of one estimate; `label` has a {} for the
-    moment name.  The variance SE var*sqrt(2/(R-1)) holds for normal data."""
+    """Mean row and variance row of a scalar estimate; `label` has a {} for
+    the moment name.  The variance SE var*sqrt(2/(R-1)) holds for normal data."""
     var = est.std**2
     return [(label.format("mean"), est.mean, est.standard_error, mean_th),
             (label.format("var"), var, var * np.sqrt(2.0 / (est.replications - 1)), var_th)]
+
+
+def _component_rows(n: int, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
+    """`n, idx, mc_mean, mc_se, mc_var, theory_mean, theory_var` rows, one per
+    component of a vector estimate and of the closed-form columns (idx from 1)."""
+    return [(n, idx, mean, se, std**2, m_th, v_th) for idx, (mean, se, std, m_th, v_th)
+            in enumerate(zip(est.mean, est.standard_error, est.std, mean_th, var_th), start=1)]
 
 
 @experiment("distance-moments")
@@ -211,46 +267,39 @@ def run_distance_moments(cfg, outdir, seed):
 
 @experiment("model-trajectory")
 def run_model_trajectory(cfg, outdir, seed):
-    traj, dt = _model(cfg)
     stride = _get(cfg, "output_stride", 2, _at_least(1, "output stride"))
-    grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
+    t0, count = _grid_keys(cfg)
     ell = _get(cfg, "ell", 3, _cluster_count)
+    traj, dt = _model(cfg)
+    grid = _grid(traj, dt, t0, count)
     rows = slice(None, None, stride)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
-    table = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
-                             traj.pdot(rows), traj.couplings(rows), traj.mean_coupling(rows)))
+    p, pdot = traj.p(rows), traj.pdot(rows)
+    table = np.column_stack((traj.times[rows], traj.susceptible[rows], p, pdot,
+                             traj.couplings(rows), traj.mean_coupling(rows)))
     write_csv(os.path.join(outdir, "trajectory.csv"), header, map(np.ndarray.tolist, table))
     _write_clustering(f, outdir)
-
-    labels = f.labels0()
-    members = np.zeros((traj.n_variants, f.n_clusters))
-    members[np.arange(traj.n_variants), labels] = 1.0
-    q = traj.p(rows) @ members
-    qdot = traj.pdot(rows) @ members
-    g_f = np.sum(qdot * qdot / q, axis=1)
+    q, qdot = cl.aggregate(p, f), cl.aggregate(pdot, f)
     write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              zip(traj.times[rows], traj.fisher_curve(rows), g_f))
+              zip(traj.times[rows], traj.fisher_curve(rows), np.sum(qdot * qdot / q, axis=1)))
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
 @experiment("fisher-bias-vs-n")
 def run_fisher_bias_vs_n(cfg, outdir, seed):
-    traj, dt = _model(cfg)
-    t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
     reps = _get(cfg, "replications", 500, _replications)
-    g_tt = float(traj.fisher_curve(traj.index_at(t)))
-    N = traj.n_variants - 1
-    p_grid = _grid_p(traj, _two_point_grid(t, dt))
+    traj, dt, k, p2 = _at_t(cfg)
+    g_tt = traj.fisher_curve(k)
     rows = []
     for i, n in enumerate(ns):
         est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
-                                         rng.derive_key(seed, i), p_grid, n)
-        pred = th.fisher_prediction(g_tt, N, n, dt)
-        rows.append((n, est.mean, est.standard_error, pred.expected_value, pred.std))
+                                         rng.derive_key(seed, i), p2, n)
+        mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
+        rows.append((n, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
     write_csv(os.path.join(outdir, "fisher_bias_vs_n.csv"),
               ["n", "mc_mean", "mc_se", "theory_mean", "theory_sd"], rows)
     return ["fisher_bias_vs_n.csv"]
@@ -258,55 +307,38 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
 
 @experiment("fisher-bias-vs-t")
 def run_fisher_bias_vs_t(cfg, outdir, seed):
-    traj, dt = _model(cfg)
     n = _get(cfg, "n", 100000, _sample_size)
     reps = _get(cfg, "replications", 500, _replications)
-    grid = _config_grid(cfg, dt, 0.0, _full_grid(traj, dt).count)
-    N = traj.n_variants - 1
+    t0, count = _grid_keys(cfg)
+    traj, dt = _model(cfg)
+    grid = _grid(traj, dt, t0, count)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt), reps, seed,
-                                     _grid_p(traj, grid), n)
-    g = traj.fisher_curve(traj.index_at(grid.midpoints()))
-    rows = []
-    for k in range(grid.count - 1):
-        pred = th.fisher_prediction(float(g[k]), N, n, dt)
-        rows.append((grid.midpoint(k), est[k].mean, est[k].standard_error,
-                     pred.expected_value, pred.std))
+                                     traj.p(traj.index_at(grid.times())), n)
+    t = grid.midpoints()
+    mean_th, var_th = th.fisher_prediction(traj.fisher_curve(traj.index_at(t)),
+                                           traj.n_variants - 1, n, dt)
     write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
-              ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"], rows)
+              ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
+              zip(t, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
     return ["fisher_bias_vs_t.csv"]
 
 
 @experiment("info-rate-moments")
 def run_info_rate_moments(cfg, outdir, seed):
-    traj, dt = _model(cfg)
-    t = _get(cfg, "t", 5.0, float)
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    k_mid = traj.index_at(t)
-    p_grid = _grid_p(traj, _two_point_grid(t, dt))
-    p_mid = traj.p(k_mid)
-    rate = traj.info_rate_curve(k_mid)
-    f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
-    q_mid = cl.aggregate(p_mid, f)
-    qdot = cl.aggregate(traj.pdot(k_mid), f)
-    cluster_rate = qdot / q_mid
-
+    traj, dt, k, p2 = _at_t(cfg)
+    f, q, qdot = _clusters(traj, dt, k, ell)
+    rate, p = traj.info_rate_curve(k), traj.p(k)
     var_rows, clu_rows = [], []
     for i, n in enumerate(ns):
         est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0], reps,
-                                         rng.derive_key(seed, 2 * i), p_grid, n)
-        for mu in range(traj.n_variants):
-            m_th, v_th = th.info_rate_moments(float(rate[mu]), float(p_mid[mu]), n, dt)
-            e = est[mu]
-            var_rows.append((n, mu + 1, e.mean, e.standard_error, e.std**2, m_th, v_th))
+                                         rng.derive_key(seed, 2 * i), p2, n)
+        var_rows += _component_rows(n, est, *th.info_rate_moments(rate, p, n, dt))
         est = smp.monte_carlo_components(lambda c: smp.cluster_info_rate_hat(c, n, dt, f)[:, 0],
-                                         reps, rng.derive_key(seed, 2 * i + 1), p_grid, n)
-        for a in range(f.n_clusters):
-            m_th, v_th = th.info_rate_moments(float(cluster_rate[a]), float(q_mid[a]), n, dt)
-            e = est[a]
-            clu_rows.append((n, a + 1, e.mean, e.standard_error, e.std**2, m_th, v_th))
-
+                                         reps, rng.derive_key(seed, 2 * i + 1), p2, n)
+        clu_rows += _component_rows(n, est, *th.info_rate_moments(qdot / q, q, n, dt))
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
     write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, var_rows)
     write_csv(os.path.join(outdir, "info_rate_clusters.csv"), header, clu_rows)
@@ -316,12 +348,13 @@ def run_info_rate_moments(cfg, outdir, seed):
 
 @experiment("filtering-comparison")
 def run_filtering_comparison(cfg, outdir, seed):
-    traj, dt = _model(cfg)
     n = _get(cfg, "n", 250000, _sample_size)
-    grid = _config_grid(cfg, dt, 2.5, 31)
+    t0, count = _grid_keys(cfg, 2.5, 31)
     kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, _at_least(0, "half width")),
                                  _get(cfg, "shape", 4.0 / 9.0, _positive))
-    counts = rng.sample_block(_grid_p(traj, grid), n,
+    traj, dt = _model(cfg)
+    grid = _grid(traj, dt, t0, count)
+    counts = rng.sample_block(traj.p(traj.index_at(grid.times())), n,
                               rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
     true_rates = traj.info_rate_curve(traj.index_at(grid.midpoints()))
     raw = smp.info_rate_hat(counts, n, dt)
@@ -331,8 +364,7 @@ def run_filtering_comparison(cfg, outdir, seed):
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     write_csv(os.path.join(outdir, "filtering_rmse.csv"),
               ["mu", "rmse_raw", "rmse_filtered"],
-              [(mu + 1, float(rr), float(rf))
-               for mu, (rr, rf) in enumerate(zip(rmse_raw, rmse_filt))])
+              zip(range(1, traj.n_variants + 1), rmse_raw, rmse_filt))
     return ["filtering_rmse.csv"]
 
 
@@ -340,10 +372,10 @@ def run_filtering_comparison(cfg, outdir, seed):
 def run_elbow_scan(cfg, outdir, seed):
     if "groups" not in cfg:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
-    traj, dt = _model(cfg)
-    t_eval = _get(cfg, "t", 1.0, float)
+    t_eval = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _int_list)
-    feats = cl.kmeans_features(traj, _full_grid(traj, dt))
+    traj, dt = _model(cfg)
+    feats = cl.kmeans_features(traj, _grid(traj, dt))
     k_eval = traj.index_at(t_eval)
     p = Distribution(traj.p(k_eval))
     pdot = TangentVector(traj.pdot(k_eval))
@@ -356,44 +388,35 @@ def run_elbow_scan(cfg, outdir, seed):
 
 @experiment("theory-vs-mc")
 def run_theory_vs_mc(cfg, outdir, seed):
-    traj, dt = _model(cfg)
-    t = _get(cfg, "t", 5.0, float)
     n = _get(cfg, "n", 10000, _sample_size)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    N = traj.n_variants - 1
-    k_mid = traj.index_at(t)
-    p_grid = _grid_p(traj, _two_point_grid(t, dt))
-    g_tt = float(traj.fisher_curve(k_mid))
-    f = cl.kmeans(cl.kmeans_features(traj, _full_grid(traj, dt)), ell)
-    p_mid = traj.p(k_mid)
-    q = cl.aggregate(p_mid, f)
-    qdot = cl.aggregate(traj.pdot(k_mid), f)
-    g_f = float(np.sum(qdot * qdot / q))
     p4 = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
-    rows = []
+    traj, dt, k, p2 = _at_t(cfg)
+    f, q, qdot = _clusters(traj, dt, k, ell)
 
     est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, 1000, p4.probs), reps,
                                      rng.derive_key(seed, 0), p4.probs, 1000)
-    rows += _mean_var_rows("distance_{}", est, *th.distance_moments(len(p4) - 1, 1000))
+    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(len(p4) - 1, 1000))
 
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
-                                     rng.derive_key(seed, 1), p_grid, n)
-    pred = th.fisher_prediction(g_tt, N, n, dt)
-    rows += _mean_var_rows("fisher_{}", est, pred.expected_value, pred.variance)
+                                     rng.derive_key(seed, 1), p2, n)
+    rows += _mean_var_rows("fisher_{}", est, *th.fisher_prediction(
+        traj.fisher_curve(k), traj.n_variants - 1, n, dt))
 
     est = smp.monte_carlo_components(lambda c: smp.clustered_fisher_hat(c, n, dt, f)[:, 0], reps,
-                                     rng.derive_key(seed, 2), p_grid, n)
-    pred = th.fisher_prediction(g_f, ell - 1, n, dt)  # ell clusters: ell - 1 degrees of freedom
-    rows += _mean_var_rows("clustered_fisher_{}", est, pred.expected_value, pred.variance)
+                                     rng.derive_key(seed, 2), p2, n)
+    # ell clusters: ell - 1 degrees of freedom
+    rows += _mean_var_rows("clustered_fisher_{}", est, *th.fisher_prediction(
+        np.sum(qdot * qdot / q), ell - 1, n, dt))
 
-    rate = traj.info_rate_curve(k_mid)
     # the whole (R, M) rate array is summarised, then variant 1 is taken:
     # a column reduction is not bit-equal to the same reduction of a 1-D copy
     est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0], reps,
-                                     rng.derive_key(seed, 3), p_grid, n)[0]
-    rows += _mean_var_rows("info_rate_{}_mu1", est,
-                           *th.info_rate_moments(float(rate[0]), float(p_mid[0]), n, dt))
+                                     rng.derive_key(seed, 3), p2, n)
+    mu1 = smp.MonteCarloEstimate(est.mean[0], est.std[0], est.standard_error[0], reps)
+    rows += _mean_var_rows("info_rate_{}_mu1", mu1, *th.info_rate_moments(
+        traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt))
 
     write_csv(os.path.join(outdir, "theory_vs_mc.csv"),
               ["quantity", "mc_value", "mc_se", "theory_value"], rows)
@@ -409,7 +432,9 @@ def run(config_path, outdir, seed_override=None) -> list[str]:
     if name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; valid: {sorted(EXPERIMENTS)}")
-    seed = seed_override if seed_override is not None else _get(cfg, "seed", 1, int)
+    if seed_override is not None:
+        cfg["seed"] = str(seed_override)
+    seed = _get(cfg, "seed", 1, _seed)
     os.makedirs(outdir, exist_ok=True)
     artifacts = EXPERIMENTS[name](cfg, outdir, seed)
     manifest = {
@@ -431,7 +456,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed, an integer in [0, 2**64)")
     args = parser.parse_args(argv)
     try:
         artifacts = run(args.config, args.out, args.seed)

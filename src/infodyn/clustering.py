@@ -94,7 +94,6 @@ def cluster_probs(p: Distribution, f: Clustering) -> Distribution:
 def clustered_fisher(p: Distribution, pdot: TangentVector, f: Clustering) -> float:
     """Fisher information of the clustered model: sum(qdot^2 / q)."""
     p.require_interior()
-    f.check_size(len(p))
     q = aggregate(p.probs, f)
     qdot = aggregate(pdot.components, f)
     return float(np.sum(qdot * qdot / q))
@@ -107,7 +106,6 @@ def delta_g_prob_form(p: Distribution, pdot: TangentVector, f: Clustering) -> fl
     r_mu = p_mu / q_{f(mu)}; equals fisher - clustered_fisher.
     """
     p.require_interior()
-    f.check_size(len(p))
     labels = f.labels0()
     q = aggregate(p.probs, f)
     qdot = aggregate(pdot.components, f)
@@ -146,14 +144,11 @@ def sufficiency_residuals(traj, f: Clustering) -> float:
 
         dr_mu/dt = r_mu (d_mu - sum_{nu in a} r_nu d_nu).
     """
-    f.check_size(traj.n_variants)
     labels = f.labels0()
-    members = np.zeros((traj.n_variants, f.n_clusters))
-    members[np.arange(traj.n_variants), labels] = 1.0
     p = traj.p()
     d = traj.couplings()
-    r = p / (p @ members)[:, labels]
-    cluster_d = (r * d) @ members
+    r = p / aggregate(p, f)[:, labels]
+    cluster_d = aggregate(r * d, f)
     return float(np.max(np.abs(r * (d - cluster_d[:, labels]))))
 
 

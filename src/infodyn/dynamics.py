@@ -70,6 +70,10 @@ class SirParams:
             raise ValueError("gamma, epsilon, i0 must be 1-d and equally sized")
         if gamma.size < 2:
             raise ValueError("need at least 2 variants")
+        for name, arr in (("gamma", gamma), ("epsilon", epsilon), ("i0", i0)):
+            if not np.all(np.isfinite(arr)):
+                idx = int(np.argmin(np.isfinite(arr)))
+                raise ValueError(f"{name}[{idx}] = {arr[idx]} is not finite")
         if np.any(gamma < 0) or np.any(epsilon < 0):
             raise ValueError("rates must be nonnegative")
         for name, value in (("s0", s0), ("r0", r0)):

@@ -55,28 +55,21 @@ class SampleGrid:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.count) * self.dt
 
-    def midpoint(self, k: int) -> float:
-        """Time t0 + (k + 1/2) dt where the k-th estimator lives."""
-        return self.t0 + (k + 0.5) * self.dt
-
     def midpoints(self) -> np.ndarray:
+        """Times t0 + (k + 1/2) dt where the estimators of the intervals live."""
         return self.t0 + (np.arange(self.count - 1) + 0.5) * self.dt
 
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Mean, sample std and standard error of an estimator over replications:
-    floats for a scalar estimator, arrays for a vector one."""
+    """Mean, sample std and standard error of an estimator over replications,
+    as numpy reduces them: scalars for a scalar estimator, arrays for a
+    vector one."""
 
-    mean: float | np.ndarray
-    std: float | np.ndarray
-    standard_error: float | np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    standard_error: np.ndarray
     replications: int
-
-    def __getitem__(self, j) -> MonteCarloEstimate:
-        """Estimate of component j of a vector estimator."""
-        return MonteCarloEstimate(float(self.mean[j]), float(self.std[j]),
-                                  float(self.standard_error[j]), self.replications)
 
 
 def _rate_weights(p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
@@ -177,7 +170,5 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
                                           f"failed: {exc}") from exc
             raise
     values = np.concatenate(chunks)
-    mean, std = values.mean(axis=0), values.std(axis=0, ddof=1)
-    if values.ndim == 1:
-        mean, std = float(mean), float(std)
-    return MonteCarloEstimate(mean, std, std / np.sqrt(replications), replications)
+    std = values.std(axis=0, ddof=1)
+    return MonteCarloEstimate(values.mean(axis=0), std, std / np.sqrt(replications), replications)

@@ -8,25 +8,10 @@ smoothing; callers pick their own comparison tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .simplex import Distribution
-
-
-@dataclass(frozen=True)
-class BiasVariancePrediction:
-    expected_value: float
-    variance: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance prediction must be nonnegative")
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
 
 
 def distance_moments(N: int, n: int) -> tuple[float, float]:
@@ -41,16 +26,19 @@ def fisher_bias(N: int, n: int, dt: float) -> float:
     return 2.0 * N / (n * dt**2)
 
 
-def fisher_prediction(g_tt: float, N: int, n: int, dt: float) -> BiasVariancePrediction:
-    """Leading mean and variance of the sampled Fisher information.
+def fisher_prediction(g_tt, N: int, n: int, dt: float):
+    """Leading mean and variance of the sampled Fisher information,
+    elementwise in g_tt.
 
     The clustered estimator into ell clusters follows the same law with the
-    clustered information g_f in place of g_tt and N = ell - 1.
+    clustered information g_f in place of g_tt and N = ell - 1.  A negative
+    g_tt, the one input that can make the variance negative, raises
+    ValueError.
     """
-    return BiasVariancePrediction(
-        expected_value=g_tt + fisher_bias(N, n, dt),
-        variance=8.0 * g_tt / (n * dt**2) + 8.0 * N / (n**2 * dt**4),
-    )
+    g_tt = np.asarray(g_tt, dtype=float)
+    if np.any(g_tt < 0):
+        raise ValueError(f"Fisher information g_tt must be >= 0, got {g_tt.min()}")
+    return g_tt + fisher_bias(N, n, dt), 8.0 * g_tt / (n * dt**2) + 8.0 * N / (n**2 * dt**4)
 
 
 def fisher_bias_second_order(p: Distribution, n: int, dt: float) -> float:
@@ -120,18 +108,13 @@ def exact_static_fisher_mean(p: Distribution, n: int, dt: float) -> float:
 
 
 def info_rate_moments(i_rate, p_mu, n: int, dt: float):
-    """Leading mean and variance of a sampled information rate.
+    """Leading mean and variance of a sampled information rate, elementwise.
 
     mean = rate * (1 + 1/(2n)), var = ((2/dt^2) * (1-p)/p - rate^2) / n.
-    Accepts scalars or arrays elementwise.
     """
     i_rate = np.asarray(i_rate, dtype=float)
     p_mu = np.asarray(p_mu, dtype=float)
-    mean = i_rate * (1.0 + 0.5 / n)
-    var = ((2.0 / dt**2) * (1.0 - p_mu) / p_mu - i_rate**2) / n
-    if mean.ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    return i_rate * (1.0 + 0.5 / n), ((2.0 / dt**2) * (1.0 - p_mu) / p_mu - i_rate**2) / n
 
 
 def normalization_z(p: Distribution, n: int) -> float:

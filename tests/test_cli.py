@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn import cli
 
@@ -290,6 +295,19 @@ class TestRunner:
         ("experiment = model-trajectory\nell = 0\n", "bad value for 'ell'"),
         ("experiment = elbow-scan\nell = 0,4,5,6\n", "bad value for 'ell'"),
         ("experiment = elbow-scan\ngroups = 9,0\n", "bad value for 'groups'"),
+        ("experiment = model-trajectory\nN = 3\ngamma = nan,1,1,1\n",
+         "bad value for 'gamma': 'nan,1,1,1' (entry 0 = nan must be finite and at least 0)"),
+        ("experiment = model-trajectory\nepsilon = 1,1,-1,1,1,1,1,1,1,1\n",
+         "bad value for 'epsilon'"),
+        ("experiment = model-trajectory\nN = 1\ni0 = 0.05,inf\n", "bad value for 'i0'"),
+        ("experiment = model-trajectory\ngamma = 1,2\n",
+         "bad value for 'gamma': '1,2' (2 entries for N + 1 = 10 variants)"),
+        ("experiment = model-trajectory\ns0 = nan\n", "bad value for 's0'"),
+        ("experiment = model-trajectory\nr0 = -1\n", "bad value for 'r0'"),
+        ("experiment = fisher-bias-vs-n\nt = inf\n", "bad value for 't'"),
+        ("experiment = elbow-scan\nt = nan\n", "bad value for 't'"),
+        ("experiment = fisher-bias-vs-t\nt0 = -1\n", "bad value for 't0'"),
+        ("experiment = theory-vs-mc\nt = 100\n", "time 100.0 outside trajectory domain"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         cfg = write_cfg(tmp_path, "t_end = 2\n" + text)
@@ -297,6 +315,97 @@ class TestRunner:
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cfg_seed, flag", [
+        ("-1", None), ("18446744073709551616", None), ("1.5", None), ("1", "-1"),
+    ])
+    def test_seed_outside_u64_rejected(self, tmp_path, capsys, cfg_seed, flag):
+        cfg = write_cfg(tmp_path, f"experiment = distance-moments\nseed = {cfg_seed}\n")
+        out = tmp_path / "out"
+        argv = ["--config", cfg, "--out", str(out)] + (["--seed", flag] if flag else [])
+        assert cli.main(argv) == 2
+        assert "bad value for 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, "experiment = distance-moments\nn = 10\nreplications = 3\n")
+        cli.run(cfg, str(tmp_path / "out"), seed_override=(1 << 64) - 1)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["seed"] == (1 << 64) - 1
+
+
+# A small config of every experiment, each key of which the experiment reads.
+SMALL_CONFIGS = {
+    "distance-moments": "p = 0.2,0.3,0.5\nn = 50,100\nreplications = 4\nseed = 3\n",
+    "model-trajectory": ("N = 3\ndt = 0.25\nt_end = 1\nfine_step = 0.0125\nt0 = 0\ncount = 4\n"
+                         "ell = 2\noutput_stride = 4\ns0 = 0.9\nr0 = 0.05\nseed = 3\n"),
+    "fisher-bias-vs-n": ("N = 3\nt = 0.5\nt_end = 1\nn = 100,200\nreplications = 4\n"
+                         "gamma = 1.5,1.8,2.1,2.5\nepsilon = 0.9,1,1,1.1\n"
+                         "i0 = 0.01,0.01,0.02,0.01\ns0 = 0.95\n"),
+    "fisher-bias-vs-t": "N = 3\nn = 100\nreplications = 4\nt0 = 0.25\ncount = 3\nt_end = 1\n",
+    "info-rate-moments": "N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
+    "filtering-comparison": ("N = 3\nn = 1000\nt0 = 0.25\ncount = 5\nt_end = 2\n"
+                             "half_width = 1\nshape = 0.5\n"),
+    "elbow-scan": "groups = 3,3,2,2,2,2\nell = 4,5,6,7\nt = 0.5\nt_end = 2\n",
+    "theory-vs-mc": ("N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n"
+                     "p = 0.2,0.3,0.5\n"),
+}
+MALFORMED = ["x", "nan", "inf", "-1", ","]
+
+
+@pytest.fixture(scope="module")
+def keys_read(tmp_path_factory):
+    """Keys each small config sets that its experiment asks _get for."""
+    tmp = tmp_path_factory.mktemp("small")
+    read = {}
+    get = cli._get
+    for experiment, text in SMALL_CONFIGS.items():
+        seen = set()
+
+        def recording(cfg, key, default, conv):
+            if key in cfg:
+                seen.add(key)
+            return get(cfg, key, default, conv)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_get", recording)
+            cli.run(write_cfg(tmp, f"experiment = {experiment}\n" + text), str(tmp / experiment))
+        read[experiment] = sorted(seen)
+    return read
+
+
+class TestConfigFuzzing:
+    def test_small_configs_set_only_keys_that_are_read(self, keys_read):
+        for experiment, text in SMALL_CONFIGS.items():
+            assert keys_read[experiment] == sorted(cli.parse_config(
+                f"experiment = {experiment}\n" + text).keys() - {"experiment"}), experiment
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_token_exits_2_naming_the_key(self, keys_read, data):
+        # the token replaces the whole value, or one entry of a comma list
+        experiment = data.draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+        cfg = cli.parse_config(f"experiment = {experiment}\n" + SMALL_CONFIGS[experiment])
+        key = data.draw(st.sampled_from(keys_read[experiment]))
+        token = data.draw(st.sampled_from(MALFORMED))
+        entries = cfg[key].split(",")
+        if token != "," and len(entries) > 1 and data.draw(st.booleans()):
+            entries[data.draw(st.integers(0, len(entries) - 1))] = token
+            cfg[key] = ",".join(entries)
+        else:
+            cfg[key] = token
+        text = "".join(f"{k} = {v}\n" for k, v in cfg.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = cli.main(["--config", path, "--out", out])
+            assert status == 2, text
+            assert f"'{key}'" in err.getvalue(), (text, err.getvalue())
+            assert not os.path.exists(out) or os.listdir(out) == [], text
 
 
 class TestExperiments:

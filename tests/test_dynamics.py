@@ -82,6 +82,15 @@ class TestSirParams:
         with pytest.raises(ValueError, match="rates"):
             dyn.SirParams([1.0, -1.0], [0.5, 0.5], 0.8, [0.1, 0.1], 0.0)
 
+    @pytest.mark.parametrize("name", ["gamma", "epsilon", "i0"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_entry(self, name, bad):
+        # nan passes every sign check (nan < 0 is false), so it is named here
+        arrays = {"gamma": [1.0, 1.0, 1.0], "epsilon": [0.5, 0.5, 0.5], "i0": [0.1, 0.05, 0.05]}
+        arrays[name][1] = bad
+        with pytest.raises(ValueError, match=rf"^{name}\[1\] = {bad} is not finite$"):
+            dyn.SirParams(arrays["gamma"], arrays["epsilon"], 0.8, arrays["i0"], 0.0)
+
     def test_default_generator(self):
         params = dyn.default_sir_params(10)
         assert params.gamma[0] == 1.5 and params.gamma[-1] == 2.5

@@ -131,7 +131,7 @@ class TestSampleGrid:
         grid = smp.SampleGrid(1.0, 0.5, 3)
         assert np.allclose(grid.times(), [1.0, 1.5, 2.0])
         assert np.allclose(grid.midpoints(), [1.25, 1.75])
-        assert grid.midpoint(1) == 1.75
+        assert grid.midpoints()[1] == 1.75
 
 
 class TestSampleTrajectory:
@@ -385,9 +385,7 @@ class TestMonteCarlo:
         est = smp.monte_carlo_components(
             lambda c: np.stack([c[:, 0] * 1.0, np.full(len(c), 5.0)], axis=1), 30, 1, P4, 10)
         assert est.mean.shape == est.std.shape == est.standard_error.shape == (2,)
-        assert est[1].mean == 5.0 and est[1].std == 0.0
-        assert est[0] == smp.MonteCarloEstimate(float(est.mean[0]), float(est.std[0]),
-                                                float(est.standard_error[0]), 30)
+        assert est.mean[1] == 5.0 and est.std[1] == 0.0
 
     def test_distance_mean_matches_theory(self):
         # Monte Carlo mean of the squared distance is N/n within 3 SE
@@ -425,4 +423,4 @@ class TestChunking:
                 got = (np.concatenate(seen), est.mean, est.std, est.standard_error)
                 for name, a, b in zip(("values", "mean", "std", "se"), got, want):
                     assert np.array_equal(a, b), (shape, reps, chunk, name)
-                assert type(est.mean) is type(want[1]), (shape, reps, chunk)
+                assert np.shape(est.mean) == np.shape(want[1]), (shape, reps, chunk)

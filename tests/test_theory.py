@@ -37,13 +37,14 @@ class TestFisherPrediction:
         assert th.fisher_bias(9, 10**9, 0.25) == th.fisher_bias(9, 10**6, 0.25) / 1000
 
     def test_variance_at_zero_information(self):
-        pred = th.fisher_prediction(0.0, 9, 1000, 0.25)
-        assert pred.expected_value == th.fisher_bias(9, 1000, 0.25)
-        assert pred.variance == pytest.approx(8 * 9 / (1000**2 * 0.25**4), rel=1e-12)
+        mean, var = th.fisher_prediction(0.0, 9, 1000, 0.25)
+        assert mean == th.fisher_bias(9, 1000, 0.25)
+        assert var == pytest.approx(8 * 9 / (1000**2 * 0.25**4), rel=1e-12)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            th.BiasVariancePrediction(1.0, -0.5)
+        # a negative g_tt is the one input that can give a negative variance
+        with pytest.raises(ValueError, match="g_tt must be >= 0"):
+            th.fisher_prediction(np.array([0.1, -0.5]), 9, 1000, 0.25)
 
 
 class TestSecondOrderBias:
@@ -111,14 +112,14 @@ class TestExactStaticFisherMean:
 class TestClusteredPrediction:
     # ell clusters: fisher_prediction with N = ell - 1
     def test_single_cluster_has_no_bias(self):
-        pred = th.fisher_prediction(0.0, 0, 5000, 0.25)
-        assert pred.expected_value == 0.0
-        assert pred.variance == 0.0
+        mean, var = th.fisher_prediction(0.0, 0, 5000, 0.25)
+        assert mean == 0.0
+        assert var == 0.0
 
     def test_bias_reduction_ratio(self):
         n, dt = 10000, 0.25
         unclustered = th.fisher_bias(9, n, dt)
-        clustered = th.fisher_prediction(0.0, 3 - 1, n, dt).expected_value
+        clustered, _ = th.fisher_prediction(0.0, 3 - 1, n, dt)
         assert unclustered / clustered == pytest.approx(4.5, rel=1e-12)
 
 

@@ -2,9 +2,9 @@
 
 from .simplex import (
     Distribution,
-    TangentVector,
     fisher_information,
     kl_divergence,
+    require_interior,
     self_information_rate,
     shahshahani_distance_sq,
 )
@@ -21,14 +21,12 @@ from .sampling import (
     SampleGrid,
     cluster_info_rate_hat,
     clustered_fisher_hat,
-    distance_sq_hat,
     fisher_hat,
     info_rate_hat,
     monte_carlo_components,
 )
 from .clustering import (
     Clustering,
-    cluster_probs,
     clustered_fisher,
     delta_g_coupling_form,
     delta_g_prob_form,

@@ -23,7 +23,8 @@ from . import filtering as flt
 from . import rng
 from . import sampling as smp
 from . import theory as th
-from .simplex import Distribution, TangentVector
+from .simplex import (Distribution, fisher_information, self_information_rate,
+                      shahshahani_distance_sq)
 
 KNOWN_KEYS = {
     "experiment", "N", "n", "dt", "t0", "t_end", "fine_step", "replications",
@@ -154,11 +155,14 @@ def _per_variant(size: int, positive: bool):
     return conv
 
 
-def _distribution(text: str) -> Distribution:
+def _distribution(text: str) -> np.ndarray:
     """Comma-list distribution with every entry positive."""
     p = Distribution(_float_list(text))
     p.require_interior()
-    return p
+    return p.probs
+
+
+DEFAULT_P = _distribution("0.1,0.2,0.3,0.4")
 
 
 def write_csv(path, header, rows) -> None:
@@ -183,8 +187,11 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
     fine_step = _get(cfg, "fine_step", dt / 20.0, _positive)
-    s0 = _get(cfg, "s0", 0.9445, _fraction("s0"))
+    s0 = _get(cfg, "s0", dyn.DEFAULT_S0, _fraction("s0"))
     r0 = _get(cfg, "r0", 0.0, _fraction("r0"))
+    if s0 + r0 >= 1.0:
+        raise ConfigError(f"bad value for 's0': s0 = {s0} and r0 = {r0} leave no initial "
+                          "infected fraction (s0 + r0 must be < 1)")
     if "groups" in cfg:
         params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list), s0=s0, r0=r0)
     else:
@@ -197,10 +204,15 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
 
 
 def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
-    """Instants t0, t0 + dt, ...: `count` of them or, by default, as many as
-    the full grid 0, dt, 2 dt, ... has up to its last instant not after
-    t_end, by the rule of the model grid."""
-    return smp.SampleGrid(t0, dt, count or dyn.grid_steps(traj.t_end, dt) + 1)
+    """Instants t0, t0 + dt, ...: `count` of them or, by default, every one
+    up to the last not after t_end, by the rule of the model grid."""
+    if count is None:
+        try:
+            count = dyn.grid_steps(traj.t_end - t0, dt) + 1
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 't0': {t0} is less than one step dt = {dt} "
+                              f"before t_end = {traj.t_end}") from exc
+    return smp.SampleGrid(t0, dt, count)
 
 
 def _grid_keys(cfg, t0: float = 0.0, count: int | None = None) -> tuple:
@@ -222,7 +234,7 @@ def _at_t(cfg) -> tuple:
 def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
     """K-means into ell clusters on the full sampling grid; returns the
     clustering and the cluster sums q and qdot at model-grid row k."""
-    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
+    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt).times()), ell)
     return f, cl.aggregate(traj.p(k), f), cl.aggregate(traj.pdot(k), f)
 
 
@@ -232,12 +244,10 @@ def _write_clustering(f: cl.Clustering, outdir) -> None:
               enumerate(f.assignment, start=1))
 
 
-# An mc_var cell squares one float64 scalar, by libm's pow, as when the outputs
-# were pinned; an array square (x * x) differs in the last bit about 1 in 1000.
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
     """Mean row and variance row of a scalar estimate; `label` has a {} for
     the moment name.  The variance SE var*sqrt(2/(R-1)) holds for normal data."""
-    var = est.std**2
+    var = est.std * est.std
     return [(label.format("mean"), est.mean, est.standard_error, mean_th),
             (label.format("var"), var, var * np.sqrt(2.0 / (est.replications - 1)), var_th)]
 
@@ -245,21 +255,21 @@ def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> 
 def _component_rows(n: int, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
     """`n, idx, mc_mean, mc_se, mc_var, theory_mean, theory_var` rows, one per
     component of a vector estimate and of the closed-form columns (idx from 1)."""
-    return [(n, idx, mean, se, std**2, m_th, v_th) for idx, (mean, se, std, m_th, v_th)
+    return [(n, idx, mean, se, std * std, m_th, v_th) for idx, (mean, se, std, m_th, v_th)
             in enumerate(zip(est.mean, est.standard_error, est.std, mean_th, var_th), start=1)]
 
 
 @experiment("distance-moments")
 def run_distance_moments(cfg, outdir, seed):
-    p = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
+    p = _get(cfg, "p", DEFAULT_P, _distribution)
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, _replications)
     rows = []
     for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), reps,
-                                         rng.derive_key(seed, i), p.probs, n)
-        mean_th, var_th = th.distance_moments(len(p) - 1, n)
-        rows.append((n, est.mean, est.standard_error, est.std**2, mean_th, var_th))
+        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), reps,
+                                         rng.derive_key(seed, i), p, n)
+        mean_th, var_th = th.distance_moments(p.size - 1, n)
+        rows.append((n, est.mean, est.standard_error, est.std * est.std, mean_th, var_th))
     write_csv(os.path.join(outdir, "distance_moments.csv"),
               ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], rows)
     return ["distance_moments.csv"]
@@ -273,7 +283,7 @@ def run_model_trajectory(cfg, outdir, seed):
     traj, dt = _model(cfg)
     grid = _grid(traj, dt, t0, count)
     rows = slice(None, None, stride)
-    f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
+    f = cl.kmeans(cl.kmeans_features(traj, grid.times()), ell)
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
@@ -282,9 +292,8 @@ def run_model_trajectory(cfg, outdir, seed):
                              traj.couplings(rows), traj.mean_coupling(rows)))
     write_csv(os.path.join(outdir, "trajectory.csv"), header, map(np.ndarray.tolist, table))
     _write_clustering(f, outdir)
-    q, qdot = cl.aggregate(p, f), cl.aggregate(pdot, f)
     write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              zip(traj.times[rows], traj.fisher_curve(rows), np.sum(qdot * qdot / q, axis=1)))
+              zip(traj.times[rows], traj.fisher_curve(rows), cl.clustered_fisher(p, pdot, f)))
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
@@ -338,7 +347,8 @@ def run_info_rate_moments(cfg, outdir, seed):
         var_rows += _component_rows(n, est, *th.info_rate_moments(rate, p, n, dt))
         est = smp.monte_carlo_components(lambda c: smp.cluster_info_rate_hat(c, n, dt, f)[:, 0],
                                          reps, rng.derive_key(seed, 2 * i + 1), p2, n)
-        clu_rows += _component_rows(n, est, *th.info_rate_moments(qdot / q, q, n, dt))
+        clu_rows += _component_rows(n, est, *th.info_rate_moments(
+            self_information_rate(q, qdot), q, n, dt))
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
     write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, var_rows)
     write_csv(os.path.join(outdir, "info_rate_clusters.csv"), header, clu_rows)
@@ -350,8 +360,9 @@ def run_info_rate_moments(cfg, outdir, seed):
 def run_filtering_comparison(cfg, outdir, seed):
     n = _get(cfg, "n", 250000, _sample_size)
     t0, count = _grid_keys(cfg, 2.5, 31)
-    kernel = flt.gaussian_kernel(_get(cfg, "half_width", 3, _at_least(0, "half width")),
-                                 _get(cfg, "shape", 4.0 / 9.0, _positive))
+    kernel = flt.gaussian_kernel(
+        _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width")),
+        _get(cfg, "shape", flt.DEFAULT_SHAPE, _positive))
     traj, dt = _model(cfg)
     grid = _grid(traj, dt, t0, count)
     counts = rng.sample_block(traj.p(traj.index_at(grid.times())), n,
@@ -375,10 +386,9 @@ def run_elbow_scan(cfg, outdir, seed):
     t_eval = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _int_list)
     traj, dt = _model(cfg)
-    feats = cl.kmeans_features(traj, _grid(traj, dt))
+    feats = cl.kmeans_features(traj, _grid(traj, dt).times())
     k_eval = traj.index_at(t_eval)
-    p = Distribution(traj.p(k_eval))
-    pdot = TangentVector(traj.pdot(k_eval))
+    p, pdot = traj.p(k_eval), traj.pdot(k_eval)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
     write_csv(os.path.join(outdir, "elbow_curve.csv"), ["ell", "delta_g"], curve)
@@ -391,13 +401,13 @@ def run_theory_vs_mc(cfg, outdir, seed):
     n = _get(cfg, "n", 10000, _sample_size)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    p4 = _get(cfg, "p", Distribution([0.1, 0.2, 0.3, 0.4]), _distribution)
+    p4 = _get(cfg, "p", DEFAULT_P, _distribution)
     traj, dt, k, p2 = _at_t(cfg)
     f, q, qdot = _clusters(traj, dt, k, ell)
 
-    est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, 1000, p4.probs), reps,
-                                     rng.derive_key(seed, 0), p4.probs, 1000)
-    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(len(p4) - 1, 1000))
+    est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p4, c / 1000), reps,
+                                     rng.derive_key(seed, 0), p4, 1000)
+    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(p4.size - 1, 1000))
 
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
                                      rng.derive_key(seed, 1), p2, n)
@@ -408,7 +418,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
                                      rng.derive_key(seed, 2), p2, n)
     # ell clusters: ell - 1 degrees of freedom
     rows += _mean_var_rows("clustered_fisher_{}", est, *th.fisher_prediction(
-        np.sum(qdot * qdot / q), ell - 1, n, dt))
+        fisher_information(q, qdot), ell - 1, n, dt))
 
     # the whole (R, M) rate array is summarised, then variant 1 is taken:
     # a column reduction is not bit-equal to the same reduction of a 1-D copy

@@ -4,7 +4,9 @@ A clustering is a surjective, time-independent map from the N+1 variants
 onto ell cluster labels.  Summing probabilities inside clusters gives a
 coarse model whose Fisher information never exceeds the original one; the
 gap equals the probability-weighted variance of the couplings inside each
-cluster, which is the quantity K-means minimises here.
+cluster, which is the quantity K-means minimises here.  Like the functions
+of ``simplex``, the information functions take arrays of shape (..., M) and
+reduce along the last axis.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Distribution, TangentVector
+from .simplex import fisher_information, require_interior, self_information_rate
 
 
 class NoElbowError(ValueError):
@@ -76,62 +78,51 @@ class Clustering:
 
 
 def aggregate(values, f: Clustering) -> np.ndarray:
-    """Cluster sums of a per-variant array (dtype preserved)."""
+    """Cluster sums of a per-variant array along its last axis (dtype
+    preserved).  Each row's members are gathered contiguously, so a row of
+    a table sums, bit for bit, as it does alone."""
     values = np.asarray(values)
     f.check_size(values.shape[-1])
     labels = f.labels0()
     out = np.zeros(values.shape[:-1] + (f.n_clusters,), dtype=values.dtype)
     for a in range(f.n_clusters):
-        out[..., a] = values[..., labels == a].sum(axis=-1)
+        out[..., a] = np.take(values, np.flatnonzero(labels == a), axis=-1).sum(axis=-1)
     return out
 
 
-def cluster_probs(p: Distribution, f: Clustering) -> Distribution:
-    """Coarse distribution q_a = sum of p over cluster a."""
-    return Distribution(aggregate(p.probs, f))
+def _shares(p: np.ndarray, f: Clustering) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster sums q of p and the shares r_mu = p_mu / q_{f(mu)}."""
+    q = aggregate(p, f)
+    return q, p / q[..., f.labels0()]
 
 
-def clustered_fisher(p: Distribution, pdot: TangentVector, f: Clustering) -> float:
+def clustered_fisher(p, pdot, f: Clustering) -> np.ndarray:
     """Fisher information of the clustered model: sum(qdot^2 / q)."""
-    p.require_interior()
-    q = aggregate(p.probs, f)
-    qdot = aggregate(pdot.components, f)
-    return float(np.sum(qdot * qdot / q))
+    return fisher_information(aggregate(require_interior(p), f), aggregate(pdot, f))
 
 
-def delta_g_prob_form(p: Distribution, pdot: TangentVector, f: Clustering) -> float:
+def delta_g_prob_form(p, pdot, f: Clustering) -> np.ndarray:
     """Information loss from p and pdot alone.
 
     sum_a q_a * (sum_{mu in a} r_mu * irate_mu^2 - cluster_rate_a^2) with
     r_mu = p_mu / q_{f(mu)}; equals fisher - clustered_fisher.
     """
-    p.require_interior()
-    labels = f.labels0()
-    q = aggregate(p.probs, f)
-    qdot = aggregate(pdot.components, f)
-    r = p.probs / q[labels]
-    irate = pdot.components / p.probs
+    p = require_interior(p)
+    q, r = _shares(p, f)
     # centered form of sum(r * irate^2) - rate_a^2, robust to cancellation
-    cluster_rate = qdot / q
-    dev = irate - cluster_rate[labels]
-    inner = aggregate(r * dev * dev, f)
-    return float(np.sum(q * inner))
+    cluster_rate = self_information_rate(q, aggregate(pdot, f))
+    dev = self_information_rate(p, pdot) - cluster_rate[..., f.labels0()]
+    return np.sum(q * aggregate(r * dev * dev, f), axis=-1)
 
 
-def delta_g_coupling_form(p: Distribution, d, f: Clustering) -> float:
+def delta_g_coupling_form(p, d, f: Clustering) -> np.ndarray:
     """Information loss as the cluster-averaged variance of the couplings."""
-    p.require_interior()
+    p = require_interior(p)
     d = np.asarray(d, dtype=float)
-    f.check_size(len(p))
-    if d.size != len(p):
-        raise ValueError(f"{d.size} couplings for {len(p)} variants")
-    labels = f.labels0()
-    q = aggregate(p.probs, f)
-    r = p.probs / q[labels]
-    mean_d = aggregate(r * d, f)
-    dev = d - mean_d[labels]
-    var_a = aggregate(r * dev * dev, f)
-    return float(np.sum(q * var_a))
+    f.check_size(d.shape[-1])
+    q, r = _shares(p, f)
+    dev = d - aggregate(r * d, f)[..., f.labels0()]
+    return np.sum(q * aggregate(r * dev * dev, f), axis=-1)
 
 
 def sufficiency_residuals(traj, f: Clustering) -> float:
@@ -144,22 +135,15 @@ def sufficiency_residuals(traj, f: Clustering) -> float:
 
         dr_mu/dt = r_mu (d_mu - sum_{nu in a} r_nu d_nu).
     """
-    labels = f.labels0()
-    p = traj.p()
     d = traj.couplings()
-    r = p / aggregate(p, f)[:, labels]
-    cluster_d = aggregate(r * d, f)
-    return float(np.max(np.abs(r * (d - cluster_d[:, labels]))))
+    _, r = _shares(traj.p(), f)
+    return float(np.max(np.abs(r * (d - aggregate(r * d, f)[:, f.labels0()]))))
 
 
-def kmeans_features(traj, grid) -> np.ndarray:
-    """Per-variant feature rows: information rates at the grid instants.
-
-    ``grid`` may be a SampleGrid or any array of times; sampled or
-    filtered rate rows can be passed to kmeans directly instead.
-    """
-    times = grid.times() if hasattr(grid, "times") else np.asarray(grid, dtype=float)
-    rows = traj.index_at(np.atleast_1d(times))
+def kmeans_features(traj, times) -> np.ndarray:
+    """Per-variant feature rows: information rates at an array of times;
+    sampled or filtered rate rows can be passed to kmeans directly instead."""
+    rows = traj.index_at(np.atleast_1d(np.asarray(times, dtype=float)))
     return np.ascontiguousarray(traj.info_rate_curve(rows).T)
 
 

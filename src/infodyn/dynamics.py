@@ -46,6 +46,8 @@ CONSERVATION_TOL = 1e-6
 # times it may halve its internal steps to meet it
 STEP_TOL = 1e-9
 MAX_HALVINGS = 4
+# initial susceptible fraction of the default and grouped parameter sets
+DEFAULT_S0 = 0.9445
 
 
 class IntegrationError(RuntimeError):
@@ -99,7 +101,7 @@ class SirParams:
 
 def default_sir_params(
     n_variants: int = 10,
-    s0: float = 0.9445,
+    s0: float = DEFAULT_S0,
     r0: float = 0.0,
     gamma_range: tuple[float, float] = (1.5, 2.5),
     epsilon_range: tuple[float, float] = (0.9, 1.1),
@@ -113,7 +115,7 @@ def default_sir_params(
 
 def grouped_sir_params(
     group_sizes,
-    s0: float = 0.9445,
+    s0: float = DEFAULT_S0,
     r0: float = 0.0,
     gamma_range: tuple[float, float] = (1.5, 2.5),
     epsilon_range: tuple[float, float] = (0.9, 1.1),

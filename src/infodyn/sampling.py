@@ -118,13 +118,6 @@ def cluster_info_rate_hat(counts: np.ndarray, n: int, dt: float, f: Clustering) 
     return info_rate_hat(aggregate(counts, f), n, dt)
 
 
-def distance_sq_hat(counts: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """Squared Shahshahani distance from an interior p of the frequencies
-    counts / n, along the last axis."""
-    diff = counts / n - p
-    return np.sum(diff * diff / p, axis=-1)
-
-
 def _values(estimator, p: np.ndarray, n: int, seed: int, reps: np.ndarray) -> np.ndarray:
     """Estimator values of replications `reps`, drawn as one block; raises
     ValueError for a value that is not finite."""

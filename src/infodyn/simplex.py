@@ -2,13 +2,16 @@
 
 A distribution is a point of the (N+1)-simplex; a statistical model moves
 such a point in time, and the squared Shahshahani norm of its velocity is
-the Fisher information.  Everything here is a pure function of immutable
-values.
+the Fisher information.  The geometry functions take float arrays of shape
+(..., M) and reduce along the last axis, so one call evaluates a single
+point or every row of a (T, M) table; each row gives, bit for bit, what it
+gives alone.  ``Distribution`` is the checked constructor for a
+distribution read from outside input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,13 +19,29 @@ import numpy as np
 # error, anything smaller is renormalized away (float accumulation).
 NORM_TOL = 1e-12
 REJECT_TOL = 1e-9
-TANGENT_TOL = 1e-10
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
-    arr.flags.writeable = False
-    return arr
+def require_interior(p, floor: float = 0.0) -> np.ndarray:
+    """p as a float array, every entry of which must exceed ``floor`` (the
+    open simplex for 0); raises ValueError naming the first entry that does
+    not."""
+    p = np.asarray(p, dtype=float)
+    inside = p > floor
+    if not inside.all():
+        idx = np.unravel_index(np.argmin(inside), p.shape)
+        where = int(idx[0]) if p.ndim == 1 else tuple(map(int, idx))
+        raise ValueError(f"distribution is not interior: entry {p[idx]} "
+                         f"at index {where} (floor {floor})")
+    return p
+
+
+def _at(p, v) -> tuple[np.ndarray, np.ndarray]:
+    """An interior p and a float array v over the same variants."""
+    p = require_interior(p)
+    v = np.asarray(v, dtype=float)
+    if p.shape[-1:] != v.shape[-1:]:
+        raise ValueError(f"size mismatch: {p.shape[-1]} vs {v.shape[-1]} variants")
+    return p, v
 
 
 @dataclass(frozen=True)
@@ -43,84 +62,40 @@ class Distribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if abs(total - 1.0) > NORM_TOL:
             arr = arr / total
-        object.__setattr__(self, "probs", _frozen(arr))
-
-    def __len__(self) -> int:
-        return self.probs.size
-
-    @property
-    def size(self) -> int:
-        return self.probs.size
-
-    def is_interior(self, floor: float = 0.0) -> bool:
-        """True when every entry exceeds ``floor`` (open simplex for 0)."""
-        return bool(np.all(self.probs > floor))
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "probs", arr)
 
     def require_interior(self, floor: float = 0.0) -> None:
-        if not self.is_interior(floor):
-            idx = int(np.argmin(self.probs))
-            raise ValueError(
-                f"distribution is not interior: entry {self.probs[idx]} "
-                f"at index {idx} (floor {floor})"
-            )
+        require_interior(self.probs, floor)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Velocity of a point moving on the simplex; components sum to zero."""
-
-    components: np.ndarray = field()
-
-    def __init__(self, components):
-        arr = np.asarray(components, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a tangent vector needs at least 1 component")
-        total = arr.sum()
-        if abs(total) > TANGENT_TOL:
-            raise ValueError(f"tangent components sum to {total!r}, not 0")
-        object.__setattr__(self, "components", _frozen(arr))
-
-    def __len__(self) -> int:
-        return self.components.size
-
-
-def _check_sizes(a, b) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-
-
-def shahshahani_distance_sq(reference: Distribution, point: Distribution) -> float:
+def shahshahani_distance_sq(reference, point) -> np.ndarray:
     """Squared simplex distance sum((point - reference)^2 / reference).
 
     The metric is evaluated at ``reference``, which must be interior; the
     result is therefore not symmetric in its arguments away from
-    coinciding points.
+    coinciding points.  The two broadcast against each other, so one
+    reference serves a (C, M) block of points.
     """
-    reference.require_interior()
-    _check_sizes(reference, point)
-    diff = point.probs - reference.probs
-    return float(np.sum(diff * diff / reference.probs))
+    reference, point = _at(reference, point)
+    diff = point - reference
+    return np.sum(diff * diff / reference, axis=-1)
 
 
-def kl_divergence(point: Distribution, reference: Distribution) -> float:
+def kl_divergence(point, reference) -> np.ndarray:
     """Kullback-Leibler divergence D(point || reference), 0*log 0 := 0."""
-    reference.require_interior()
-    _check_sizes(point, reference)
-    p = point.probs
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / reference.probs[mask])))
+    reference, point = _at(reference, point)
+    return np.sum(point * np.log(np.where(point > 0, point, reference) / reference), axis=-1)
 
 
-def fisher_information(p: Distribution, pdot: TangentVector) -> float:
+def fisher_information(p, pdot) -> np.ndarray:
     """Squared Shahshahani norm of pdot at p: sum(pdot^2 / p)."""
-    p.require_interior()
-    _check_sizes(p, pdot)
-    v = pdot.components
-    return float(np.sum(v * v / p.probs))
+    p, pdot = _at(p, pdot)
+    return np.sum(pdot * pdot / p, axis=-1)
 
 
-def self_information_rate(p: Distribution, pdot: TangentVector) -> np.ndarray:
+def self_information_rate(p, pdot) -> np.ndarray:
     """Logarithmic growth rate pdot/p per degree of freedom."""
-    p.require_interior()
-    _check_sizes(p, pdot)
-    return pdot.components / p.probs
+    p, pdot = _at(p, pdot)
+    return pdot / p

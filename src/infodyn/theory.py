@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .simplex import Distribution
+from .simplex import require_interior
 
 
 def distance_moments(N: int, n: int) -> tuple[float, float]:
@@ -41,8 +41,9 @@ def fisher_prediction(g_tt, N: int, n: int, dt: float):
     return g_tt + fisher_bias(N, n, dt), 8.0 * g_tt / (n * dt**2) + 8.0 * N / (n**2 * dt**4)
 
 
-def fisher_bias_second_order(p: Distribution, n: int, dt: float) -> float:
-    """Bias of a constant model through order n^-2: 2N/(n dt^2) + N/(n^2 dt^2).
+def fisher_bias_second_order(p, n: int, dt: float) -> np.ndarray:
+    """Bias of a constant model through order n^-2: 2N/(n dt^2) + N/(n^2 dt^2),
+    one value per row of an interior p of shape (..., N+1).
 
     Derivation.  Per component write the two sampled frequencies as
     x = p + a and y = p + b, with a and b independent, mean zero and
@@ -68,18 +69,19 @@ def fisher_bias_second_order(p: Distribution, n: int, dt: float) -> float:
     minus 2N/(n dt^2)) to N/(n^2 dt^2) is -23.7 at n = 250, -1.44 at
     n = 500, 0.989 at n = 1000 and 1.00013 at n = 4000.
     """
-    p.require_interior()
-    N = len(p) - 1
-    return fisher_bias(N, n, dt) + N / (n**2 * dt**2)
+    p = require_interior(p)
+    N = p.shape[-1] - 1
+    return np.zeros(p.shape[:-1]) + (fisher_bias(N, n, dt) + N / (n**2 * dt**2))
 
 
-def exact_static_fisher_mean(p: Distribution, n: int, dt: float) -> float:
+def exact_static_fisher_mean(p, n: int, dt: float) -> np.ndarray:
     """Exact expectation of the sampled Fisher information for a constant model.
 
-    Both instants draw n counts from the same distribution p.  Each
-    component of the estimator depends only on that component's count
-    pair, whose exact law is a product of two Binomial(n, p_mu) laws, so
-    the expectation is a sum of per-component double sums.  Counts whose
+    Both instants draw n counts from the same distribution p; a p of shape
+    (..., N+1) gives one value per row.  Each component of the estimator
+    depends only on that component's count pair, whose exact law is a
+    product of two Binomial(n, p_mu) laws, so the expectation is a sum of
+    per-component double sums, added in component order.  Counts whose
     binomial probability is below 1e-30 are left out; since each term is
     at most 2/dt^2, that changes a component's sum by less than
     4 (n + 1) 1e-30 / dt^2.  Components with p_mu = 0 or 1 contribute
@@ -93,8 +95,9 @@ def exact_static_fisher_mean(p: Distribution, n: int, dt: float) -> float:
     ks = np.arange(n + 1)
     log_binom = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
                           for k in range(n + 1)])
-    total = 0.0
-    for p_mu in p.probs:
+    p = np.asarray(p, dtype=float)
+    total = np.zeros(p.shape[:-1])
+    for idx, p_mu in np.ndenumerate(p):
         if p_mu == 0.0 or p_mu == 1.0:
             continue
         w = np.exp(log_binom + ks * math.log(p_mu) + (n - ks) * math.log1p(-p_mu))
@@ -103,7 +106,7 @@ def exact_static_fisher_mean(p: Distribution, n: int, dt: float) -> float:
         w = w[keep]
         tot = x[:, None] + x[None, :]
         vals = 2.0 * (x[:, None] - x[None, :]) ** 2 / np.where(tot > 0, tot, 1.0)
-        total += float(w @ vals @ w)
+        total[idx[:-1]] += w @ vals @ w
     return total / dt**2
 
 
@@ -117,16 +120,17 @@ def info_rate_moments(i_rate, p_mu, n: int, dt: float):
     return i_rate * (1.0 + 0.5 / n), ((2.0 / dt**2) * (1.0 - p_mu) / p_mu - i_rate**2) / n
 
 
-def normalization_z(p: Distribution, n: int) -> float:
+def normalization_z(p, n: int) -> np.ndarray:
     """Gaussian normalisation of the large-n sampling probability.
 
-    sqrt(n * prod(2 pi n p) / (2 pi * sum(p))); evaluated in log space to
-    stay finite for many degrees of freedom.
+    sqrt(n * prod(2 pi n p) / (2 pi * sum(p))) along the last axis of an
+    interior p; evaluated in log space to stay finite for many degrees of
+    freedom.
     """
-    p.require_interior()
+    p = require_interior(p)
     log_z = 0.5 * (
         np.log(n)
-        + float(np.sum(np.log(2.0 * np.pi * n * p.probs)))
-        - np.log(2.0 * np.pi * float(np.sum(p.probs)))
+        + np.sum(np.log(2.0 * np.pi * n * p), axis=-1)
+        - np.log(2.0 * np.pi * np.sum(p, axis=-1))
     )
-    return float(np.exp(log_z))
+    return np.exp(log_z)

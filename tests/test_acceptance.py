@@ -17,7 +17,7 @@ from infodyn import filtering as flt
 from infodyn import rng
 from infodyn import sampling as smp
 from infodyn import theory as th
-from infodyn.simplex import Distribution, TangentVector, fisher_information
+from infodyn.simplex import fisher_information, shahshahani_distance_sq
 
 DT = 0.25
 N_VARIANTS = 10
@@ -38,7 +38,7 @@ def desk_traj():
 @pytest.fixture(scope="module")
 def desk_f3(desk_traj):
     grid = smp.SampleGrid(0.0, DT, 41)
-    return cl.kmeans(cl.kmeans_features(desk_traj, grid), 3)
+    return cl.kmeans(cl.kmeans_features(desk_traj, grid.times()), 3)
 
 
 def two_point_p(traj, t):
@@ -58,12 +58,12 @@ def fisher_mc(traj, t, n, reps, seed):
 
 
 def test_criterion_01_distance_mean():
-    p = Distribution([0.1, 0.2, 0.3, 0.4])
+    p = np.array([0.1, 0.2, 0.3, 0.4])
     started = time.perf_counter()
     devs = []
     for i, n in enumerate((100, 1000, 10000)):
-        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), 2000,
-                                         rng.derive_key(101, i), p.probs, n)
+        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 2000,
+                                         rng.derive_key(101, i), p, n)
         devs.append(abs(est.mean - 3.0 / n) / est.standard_error)
     elapsed = time.perf_counter() - started
     ok = all(d <= 3.0 for d in devs) and elapsed < 10.0
@@ -72,11 +72,11 @@ def test_criterion_01_distance_mean():
 
 
 def test_criterion_02_distance_variance():
-    p = Distribution([0.1, 0.2, 0.3, 0.4])
+    p = np.array([0.1, 0.2, 0.3, 0.4])
     rels = []
     for i, n in enumerate((1000, 10000)):
-        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, n, p.probs), 10000,
-                                         rng.derive_key(202, i), p.probs, n)
+        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 10000,
+                                         rng.derive_key(202, i), p, n)
         _, var_th = th.distance_moments(3, n)
         rels.append(abs(est.std**2 - var_th) / var_th)
     ok = all(r <= 0.15 for r in rels)
@@ -105,7 +105,7 @@ def test_criterion_04_second_order_bias():
     # checked against the exact-enumeration oracle, and the Monte Carlo
     # mean against the oracle's exact mean.
     n, reps = 1000, 5000
-    p = Distribution([1.0 - 9 * 0.006] + [0.006] * 9)
+    p = np.array([1.0 - 9 * 0.006] + [0.006] * 9)
 
     def term_error(size):
         lead = th.fisher_bias(N_DOF, size, DT)
@@ -115,7 +115,7 @@ def test_criterion_04_second_order_bias():
 
     err_1k, err_4k = term_error(n), term_error(4 * n)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, DT)[:, 0], reps, 2027,
-                                     np.stack([p.probs, p.probs]), n)
+                                     np.stack([p, p]), n)
     mc_dev = abs(est.mean - th.exact_static_fisher_mean(p, n, DT)) / est.standard_error
     ok = err_1k <= 0.05 and err_4k <= 0.001 and mc_dev <= 3.0
     report(
@@ -191,10 +191,10 @@ def test_criterion_08_exact_identities(desk_traj):
     for _ in range(1000):
         size = int(gen.integers(3, 9))
         w = gen.integers(1, 100, size=size).astype(float)
-        p = Distribution(w / w.sum())
+        p = w / w.sum()
         d = gen.normal(size=size) * 3.0
-        pdot_raw = p.probs * (d - np.dot(p.probs, d))
-        pdot = TangentVector(pdot_raw - pdot_raw.sum() / size)
+        pdot_raw = p * (d - np.dot(p, d))
+        pdot = pdot_raw - pdot_raw.sum() / size
         ell = int(gen.integers(2, size + 1))
         labels = np.concatenate([np.arange(1, ell + 1),
                                  gen.integers(1, ell + 1, size=size - ell)])
@@ -217,18 +217,17 @@ def test_criterion_08_exact_identities(desk_traj):
     assert np.array_equal(smp.clustered_fisher_hat(counts, 800, DT, ident),
                           smp.fisher_hat(counts, 800, DT))
     k = desk_traj.index_at(4.0)
-    p4 = Distribution(desk_traj.p(k))
-    pdot4 = TangentVector(desk_traj.pdot(k))
+    p4, pdot4 = desk_traj.p(k), desk_traj.pdot(k)
     assert cl.clustered_fisher(p4, pdot4, ident) == fisher_information(p4, pdot4)
 
     # refinement monotonicity on 1000 random refinement pairs
     for _ in range(1000):
         size = int(gen.integers(3, 9))
         w = gen.integers(1, 100, size=size).astype(float)
-        p = Distribution(w / w.sum())
+        p = w / w.sum()
         d = gen.normal(size=size) * 3.0
-        pdot_raw = p.probs * (d - np.dot(p.probs, d))
-        pdot = TangentVector(pdot_raw - pdot_raw.sum() / size)
+        pdot_raw = p * (d - np.dot(p, d))
+        pdot = pdot_raw - pdot_raw.sum() / size
         ell = int(gen.integers(1, size))
         labels = np.concatenate([np.arange(1, ell + 1),
                                  gen.integers(1, ell + 1, size=size - ell)])
@@ -291,10 +290,9 @@ def test_criterion_10_conservation_and_rk4_order(desk_traj):
 
 def test_criterion_11_elbow():
     traj = dyn.integrate_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 1e-3)
-    feats = cl.kmeans_features(traj, smp.SampleGrid(0.0, DT, 41))
+    feats = cl.kmeans_features(traj, smp.SampleGrid(0.0, DT, 41).times())
     k = traj.index_at(1.0)
-    p = Distribution(traj.p(k))
-    pdot = TangentVector(traj.pdot(k))
+    p, pdot = traj.p(k), traj.pdot(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell)))
              for ell in range(4, 11)]
     ell_star = cl.elbow_select(curve)

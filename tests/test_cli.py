@@ -308,6 +308,17 @@ class TestRunner:
         ("experiment = elbow-scan\nt = nan\n", "bad value for 't'"),
         ("experiment = fisher-bias-vs-t\nt0 = -1\n", "bad value for 't0'"),
         ("experiment = theory-vs-mc\nt = 100\n", "time 100.0 outside trajectory domain"),
+        ("experiment = fisher-bias-vs-t\nt0 = 1.9\n",
+         "bad value for 't0': 1.9 is less than one step dt = 0.25 before t_end = 2.0"),
+        ("experiment = model-trajectory\nt0 = 3\n", "bad value for 't0'"),
+        ("experiment = model-trajectory\ns0 = 1\n",
+         "bad value for 's0': s0 = 1.0 and r0 = 0.0 leave no initial infected fraction"),
+        ("experiment = model-trajectory\ns0 = 0.5\nr0 = 0.5\n",
+         "bad value for 's0': s0 = 0.5 and r0 = 0.5"),
+        ("experiment = model-trajectory\ngroups = 2,2\ns0 = 1\n",
+         "bad value for 's0': s0 = 1.0 and r0 = 0.0"),
+        ("experiment = elbow-scan\ns0 = 0.5\nr0 = 0.5\n",
+         "bad value for 's0': s0 = 0.5 and r0 = 0.5"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         cfg = write_cfg(tmp_path, "t_end = 2\n" + text)
@@ -483,6 +494,18 @@ class TestExperiments:
             assert len(rows) == 1 + 40
             assert rows[-1].startswith("9.875,")
 
+    @pytest.mark.parametrize("experiment", ["fisher-bias-vs-t", "model-trajectory"])
+    def test_t0_without_count_ends_at_t_end(self, tmp_path, experiment):
+        # the default grid runs from t0 to its last instant not after t_end
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nt0 = 1\nn = 1000\n"
+                                  "replications = 3\nell = 2\nseed = 8\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        if experiment == "fisher-bias-vs-t":
+            rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
+            assert len(rows) == 1 + 36
+            assert rows[1].startswith("1.125,") and rows[-1].startswith("9.875,")
+
     def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, capsys):
         # 5.01 is no point of the default dt/20 grid, but one of a 0.001 grid
         text = ("experiment = info-rate-moments\nt = 5.01\nt_end = 6\nn = 1000\n"
@@ -507,6 +530,52 @@ class TestExperiments:
             "experiment = info-rate-moments\nN = 999\nt = 5\nt_end = 6\n"))
         assert steps == [480, 960]
         assert traj.times.size == 481 and traj.step == dt / 20
+
+
+# one small config of each experiment that writes an mc_var cell, the file,
+# and which rows of which column hold the variances
+MC_VAR_CELLS = {
+    "distance-moments": ("p = 0.2,0.3,0.5\nn = 50,100\nreplications = 4\n",
+                         ["distance_moments.csv"], "mc_var"),
+    "info-rate-moments": ("N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
+                          ["info_rate_variants.csv", "info_rate_clusters.csv"], "mc_var"),
+    "theory-vs-mc": ("N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
+                     ["theory_vs_mc.csv"], "mc_value"),
+}
+
+
+def square_differs_from_pow():
+    """A float64 x of a fixed stream whose product x * x differs from x ** 2
+    (libm's pow) on the running platform; the first of the stream if there
+    is none."""
+    xs = np.random.default_rng(0).random(10**4)
+    return next((x for x in xs if x ** 2 != x * x), xs[0])
+
+
+class TestVarianceCells:
+    @pytest.mark.parametrize("experiment", sorted(MC_VAR_CELLS))
+    def test_mc_var_is_the_product_std_times_std(self, tmp_path, monkeypatch, experiment):
+        # every Monte Carlo std is replaced by x; each variance cell must read
+        # back as x * x, the correctly rounded square, not as pow(x, 2)
+        x = square_differs_from_pow()
+        monte_carlo = cli.smp.monte_carlo_components
+
+        def fixed_std(*args):
+            est = monte_carlo(*args)
+            std = x if np.ndim(est.std) == 0 else np.full(est.std.shape, x)
+            return cli.smp.MonteCarloEstimate(est.mean, std, est.standard_error,
+                                              est.replications)
+
+        monkeypatch.setattr(cli.smp, "monte_carlo_components", fixed_std)
+        text, files, column = MC_VAR_CELLS[experiment]
+        cli.run(write_cfg(tmp_path, f"experiment = {experiment}\n" + text), str(tmp_path / "o"))
+        cells = []
+        for name in files:
+            header, *rows = [line.split(",") for line in
+                             (tmp_path / "o" / name).read_text().splitlines()]
+            j = header.index(column)
+            cells += [row[j] for row in rows if header[0] != "quantity" or "_var" in row[0]]
+        assert cells and all(float(cell) == x * x for cell in cells), (x, cells)
 
 
 class TestShippedOutputs:

@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 from infodyn import cli
 from infodyn import clustering as cl
 from infodyn import dynamics as dyn
-from infodyn.simplex import Distribution, TangentVector, fisher_information
+from infodyn.simplex import fisher_information
 
 
 def random_instance(gen, size):
     """Interior point, replicator-compatible velocity, and its couplings."""
     w = gen.integers(1, 100, size=size).astype(float)
-    p = Distribution(w / w.sum())
+    p = w / w.sum()
     d = gen.normal(size=size) * 3.0
-    pdot = p.probs * (d - np.dot(p.probs, d))
-    return p, TangentVector(pdot - pdot.sum() / size), d
+    pdot = p * (d - np.dot(p, d))
+    return p, pdot - pdot.sum() / size, d
 
 
 def random_clustering(gen, size, ell):
@@ -52,23 +52,22 @@ class TestClustering:
 
 
 class TestClusterProbs:
+    """Cluster probabilities q_a are the cluster sums `aggregate` of p."""
+
     def test_identity(self):
-        p = Distribution([0.1, 0.2, 0.7])
-        q = cl.cluster_probs(p, cl.Clustering.identity(3))
-        assert np.array_equal(q.probs, p.probs)
+        p = np.array([0.1, 0.2, 0.7])
+        assert np.array_equal(cl.aggregate(p, cl.Clustering.identity(3)), p)
 
     def test_single(self):
-        q = cl.cluster_probs(Distribution([0.5, 0.5]), cl.Clustering.single(2))
-        assert q.probs.tolist() == [1.0]
+        assert cl.aggregate([0.5, 0.5], cl.Clustering.single(2)).tolist() == [1.0]
 
     def test_hand_value(self):
-        q = cl.cluster_probs(Distribution([0.1, 0.2, 0.3, 0.4]),
-                             cl.Clustering([1, 1, 2, 2]))
-        assert np.allclose(q.probs, [0.3, 0.7])
+        q = cl.aggregate([0.1, 0.2, 0.3, 0.4], cl.Clustering([1, 1, 2, 2]))
+        assert np.allclose(q, [0.3, 0.7])
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            cl.cluster_probs(Distribution([0.5, 0.5]), cl.Clustering([1, 1, 2]))
+        with pytest.raises(ValueError, match="covers 3 variants, need 2"):
+            cl.aggregate([0.5, 0.5], cl.Clustering([1, 1, 2]))
 
 
 class TestClusteredFisher:
@@ -89,10 +88,10 @@ class TestClusteredFisher:
         gen = np.random.default_rng(2)
         f = cl.Clustering([1, 1, 2, 2, 3])
         w = gen.integers(1, 50, size=5).astype(float)
-        p = Distribution(w / w.sum())
+        p = w / w.sum()
         d = np.array([2.0, 2.0, -1.0, -1.0, 0.5])
-        pdot_raw = p.probs * (d - np.dot(p.probs, d))
-        pdot = TangentVector(pdot_raw - pdot_raw.sum() / 5)
+        pdot_raw = p * (d - np.dot(p, d))
+        pdot = pdot_raw - pdot_raw.sum() / 5
         g = fisher_information(p, pdot)
         g_f = cl.clustered_fisher(p, pdot, f)
         assert g_f == pytest.approx(g, rel=1e-12)
@@ -121,10 +120,10 @@ class TestDeltaForms:
         gen = np.random.default_rng(5)
         f = cl.Clustering([1, 2, 2, 1, 3, 3])
         w = gen.integers(1, 50, size=6).astype(float)
-        p = Distribution(w / w.sum())
+        p = w / w.sum()
         d = np.array([1.0, -2.0, -2.0, 1.0, 0.25, 0.25])
-        pdot_raw = p.probs * (d - np.dot(p.probs, d))
-        pdot = TangentVector(pdot_raw - pdot_raw.sum() / 6)
+        pdot_raw = p * (d - np.dot(p, d))
+        pdot = pdot_raw - pdot_raw.sum() / 6
         assert cl.delta_g_prob_form(p, pdot, f) < 1e-12
         assert cl.delta_g_coupling_form(p, d, f) < 1e-12
 
@@ -144,6 +143,11 @@ class TestDeltaForms:
             assert abs(dgp - direct) <= tol
             assert abs(dgc - direct) <= tol
             assert dgp >= 0.0 and dgc >= 0.0
+
+    def test_coupling_count_must_match(self):
+        p, _, d = random_instance(np.random.default_rng(11), 6)
+        with pytest.raises(ValueError, match="covers 6 variants, need 5"):
+            cl.delta_g_coupling_form(p, d[:5], cl.Clustering.identity(6))
 
     def test_coupling_shift_invariance(self):
         gen = np.random.default_rng(7)
@@ -198,8 +202,7 @@ class TestSufficiencyResiduals:
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert cl.sufficiency_residuals(traj, f) > 1e-4
         k = traj.index_at(1.0)
-        dg = cl.delta_g_prob_form(Distribution(traj.p(k)),
-                                  TangentVector(traj.pdot(k)), f)
+        dg = cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f)
         assert dg > 0.0
 
 

@@ -1,0 +1,35 @@
+"""README's module table names only what its modules define."""
+
+import importlib
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROW = re.compile(r"^\| `(infodyn(?:\.\w+)?)` \| (.*) \|$")
+
+
+def missing_names(text):
+    """(module, name) for every backticked Python identifier in a module-table
+    row of `text` that the row's module does not define."""
+    missing = []
+    for line in text.splitlines():
+        match = ROW.match(line)
+        if not match:
+            continue
+        module = importlib.import_module(match.group(1))
+        for name in re.findall(r"`([^`]+)`", match.group(2)):
+            if name.isidentifier() and not hasattr(module, name):
+                missing.append((match.group(1), name))
+    return missing
+
+
+def test_readme_module_table_names_exist():
+    text = README.read_text()
+    rows = [line for line in text.splitlines() if ROW.match(line)]
+    assert len(rows) == 8
+    assert missing_names(text) == []
+
+
+def test_a_removed_name_is_caught():
+    row = "| `infodyn.simplex` | `Distribution`, `TangentVector`, `(mean, variance)` |"
+    assert missing_names(row) == [("infodyn.simplex", "TangentVector")]

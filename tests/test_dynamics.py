@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import dynamics as dyn
-from infodyn.simplex import fisher_information
 
 
 def reference_integrate_sir(params, t_end, step):

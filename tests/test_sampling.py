@@ -10,7 +10,7 @@ from infodyn import dynamics as dyn
 from infodyn import rng
 from infodyn import sampling as smp
 from infodyn.clustering import Clustering, aggregate
-from infodyn.simplex import Distribution
+from infodyn.simplex import shahshahani_distance_sq
 
 DT = 0.25
 P4 = np.array([0.1, 0.2, 0.3, 0.4])
@@ -389,9 +389,8 @@ class TestMonteCarlo:
 
     def test_distance_mean_matches_theory(self):
         # Monte Carlo mean of the squared distance is N/n within 3 SE
-        p = Distribution([0.1, 0.2, 0.3, 0.4])
-        est = smp.monte_carlo_components(lambda c: smp.distance_sq_hat(c, 1000, p.probs),
-                                         2000, 10, p.probs, 1000)
+        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(P4, c / 1000),
+                                         2000, 10, P4, 1000)
         assert abs(est.mean - 0.003) <= 3 * est.standard_error
 
 
@@ -408,7 +407,7 @@ class TestChunking:
         n = 1000
         if p.ndim == 1:
             def estimator(c):
-                return smp.distance_sq_hat(c, n, p)
+                return shahshahani_distance_sq(p, c / n)
         else:
             def estimator(c):
                 return smp.fisher_hat(c, n, DT)

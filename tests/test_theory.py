@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infodyn import theory as th
-from infodyn.simplex import Distribution, kl_divergence
+from infodyn.simplex import kl_divergence
 
 interior = st.lists(st.integers(1, 500), min_size=2, max_size=10).map(
-    lambda w: Distribution(np.asarray(w, dtype=float) / sum(w))
+    lambda w: np.asarray(w, dtype=float) / sum(w)
 )
 
 
@@ -52,7 +52,7 @@ class TestSecondOrderBias:
         # The n^-2 term must match the exact residual; the old value
         # N^2 / (2 n^2 dt^2) is 4.5x too large here.
         n, dt, N = 1000, 0.25, 9
-        p = Distribution(np.full(N + 1, 1.0 / (N + 1)))
+        p = np.full(N + 1, 1.0 / (N + 1))
         lead = th.fisher_bias(N, n, dt)
         term = th.fisher_bias_second_order(p, n, dt) - lead
         exact_resid = th.exact_static_fisher_mean(p, n, dt) - lead
@@ -62,11 +62,11 @@ class TestSecondOrderBias:
     @settings(max_examples=100, deadline=None)
     def test_correction_is_nonnegative(self, p):
         n, dt = 1000, 0.25
-        N = len(p) - 1
+        N = p.size - 1
         assert th.fisher_bias_second_order(p, n, dt) >= th.fisher_bias(N, n, dt) - 1e-18
 
     def test_correction_fades_for_large_n(self):
-        p = Distribution([0.2, 0.3, 0.5])
+        p = np.array([0.2, 0.3, 0.5])
         lead = th.fisher_bias(2, 10**7, 0.25)
         full = th.fisher_bias_second_order(p, 10**7, 0.25)
         assert abs(full - lead) / lead < 1e-5
@@ -91,18 +91,18 @@ def lattice_fisher_mean(p, n, dt):
 class TestExactStaticFisherMean:
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
     def test_matches_full_lattice(self, n):
-        p = Distribution([0.2, 0.3, 0.5])
+        p = np.array([0.2, 0.3, 0.5])
         exact = th.exact_static_fisher_mean(p, n, 0.25)
-        assert exact == pytest.approx(lattice_fisher_mean(p.probs, n, 0.25), rel=1e-12)
+        assert exact == pytest.approx(lattice_fisher_mean(p, n, 0.25), rel=1e-12)
 
     def test_boundary_components_contribute_nothing(self):
-        inner = th.exact_static_fisher_mean(Distribution([0.4, 0.6]), 50, 0.25)
-        padded = th.exact_static_fisher_mean(Distribution([0.4, 0.0, 0.6]), 50, 0.25)
+        inner = th.exact_static_fisher_mean(np.array([0.4, 0.6]), 50, 0.25)
+        padded = th.exact_static_fisher_mean(np.array([0.4, 0.0, 0.6]), 50, 0.25)
         assert padded == inner
-        assert th.exact_static_fisher_mean(Distribution([1.0, 0.0]), 50, 0.25) == 0.0
+        assert th.exact_static_fisher_mean(np.array([1.0, 0.0]), 50, 0.25) == 0.0
 
     def test_domain(self):
-        p = Distribution([0.2, 0.3, 0.5])
+        p = np.array([0.2, 0.3, 0.5])
         with pytest.raises(ValueError, match="sample size n"):
             th.exact_static_fisher_mean(p, 0, 0.25)
         with pytest.raises(ValueError, match="time step dt"):
@@ -142,26 +142,26 @@ class TestInfoRateMoments:
 class TestNormalizationZ:
     def test_two_state_closed_form(self):
         for n in (100, 1000):
-            z = th.normalization_z(Distribution([0.5, 0.5]), n)
+            z = th.normalization_z(np.array([0.5, 0.5]), n)
             assert z == pytest.approx(n**1.5 * np.sqrt(np.pi / 2.0), rel=1e-12)
 
     def test_monotone_in_n(self):
-        p = Distribution([0.2, 0.3, 0.5])
+        p = np.array([0.2, 0.3, 0.5])
         assert th.normalization_z(p, 2000) > th.normalization_z(p, 1000)
 
     def test_non_interior_rejected(self):
         with pytest.raises(ValueError):
-            th.normalization_z(Distribution([1.0, 0.0]), 100)
+            th.normalization_z(np.array([1.0, 0.0]), 100)
 
     @pytest.mark.parametrize("n", [200, 500, 1000])
     def test_lattice_sum_oracle(self, n):
         # Exact enumeration of all n+1 two-state lattice points.  The
         # closed form carries one density factor n per lattice dimension
         # more than the bare sum, so the sum approaches Z / n.
-        p = Distribution([0.5, 0.5])
+        p = np.array([0.5, 0.5])
         total = 0.0
         for k in range(n + 1):
-            phat = Distribution([k / n, 1 - k / n])
+            phat = np.array([k / n, 1 - k / n])
             total += np.exp(-n * kl_divergence(phat, p))
         z = th.normalization_z(p, n)
         assert abs(total - z / n) / (z / n) < 0.10

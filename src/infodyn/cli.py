@@ -156,8 +156,10 @@ def _per_variant(size: int, positive: bool):
 
 
 def _distribution(text: str) -> np.ndarray:
-    """Comma-list distribution with every entry positive."""
+    """Comma-list distribution of at least two entries, every one positive."""
     p = Distribution(_float_list(text))
+    if p.probs.size < 2:
+        raise ValueError("a distribution needs at least 2 entries")
     p.require_interior()
     return p.probs
 
@@ -180,9 +182,22 @@ def write_csv(path, header, rows) -> None:
             fh.writelines(line % tuple(row) for row in rows)
 
 
-def _model(cfg) -> tuple[dyn.Trajectory, float]:
-    """Parse the model keys, then integrate the model; returns (trajectory,
-    sampling step dt)."""
+def _scan_counts(text: str) -> list[int]:
+    """Comma list of at least 4 strictly increasing cluster counts."""
+    values = _int_list(text)
+    if len(values) < 4 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("need at least 4 strictly increasing cluster counts")
+    return values
+
+
+# the keys that `groups` replaces: it fixes the variants and their rates
+_UNGROUPED_KEYS = ("N", "gamma", "epsilon", "i0")
+
+
+def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
+    """Parse the model keys and check each cluster count of `ells`, the
+    value of `ell`, against the variant count; then integrate the model.
+    Returns (trajectory, sampling step dt)."""
     n_var = _get(cfg, "N", 9, _at_least(1, "N")) + 1
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
@@ -193,6 +208,10 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
         raise ConfigError(f"bad value for 's0': s0 = {s0} and r0 = {r0} leave no initial "
                           "infected fraction (s0 + r0 must be < 1)")
     if "groups" in cfg:
+        clash = [key for key in _UNGROUPED_KEYS if key in cfg]
+        if clash:
+            raise ConfigError(f"keys 'groups' and {clash[0]!r} cannot both be set: "
+                              "'groups' fixes the variants and their rates")
         params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list), s0=s0, r0=r0)
     else:
         base = dyn.default_sir_params(n_var, s0=s0, r0=r0)
@@ -200,18 +219,29 @@ def _model(cfg) -> tuple[dyn.Trajectory, float]:
         params = dyn.SirParams(_get(cfg, "gamma", base.gamma, rates),
                                _get(cfg, "epsilon", base.epsilon, rates), s0,
                                _get(cfg, "i0", base.i0, _per_variant(n_var, positive=True)), r0)
+    n_var = params.gamma.size
+    for ell in ells:
+        if ell > n_var:
+            raise ConfigError(f"bad value for 'ell': {ell} clusters for {n_var} variants "
+                              f"(need 1 <= n_clusters <= {n_var})")
     return dyn.solve_sir(params, t_end, fine_step), dt
 
 
 def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
     """Instants t0, t0 + dt, ...: `count` of them or, by default, every one
-    up to the last not after t_end, by the rule of the model grid."""
+    up to the last not after t_end, by the rule of the model grid; a larger
+    `count` is an error."""
+    try:
+        fits = dyn.grid_steps(traj.t_end - t0, dt) + 1
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 't0': {t0} is less than one step dt = {dt} "
+                          f"before t_end = {traj.t_end}") from exc
     if count is None:
-        try:
-            count = dyn.grid_steps(traj.t_end - t0, dt) + 1
-        except ValueError as exc:
-            raise ConfigError(f"bad value for 't0': {t0} is less than one step dt = {dt} "
-                              f"before t_end = {traj.t_end}") from exc
+        count = fits
+    elif count > fits:
+        raise ConfigError(f"bad value for 'count': {count} instants from t0 = {t0} at step "
+                          f"dt = {dt} end at {t0 + (count - 1) * dt}, after t_end = "
+                          f"{traj.t_end} (at most {fits} fit)")
     return smp.SampleGrid(t0, dt, count)
 
 
@@ -221,14 +251,19 @@ def _grid_keys(cfg, t0: float = 0.0, count: int | None = None) -> tuple:
             _get(cfg, "count", count, _at_least(2, "number of sampling instants")))
 
 
-def _at_t(cfg) -> tuple:
+def _at_t(cfg, ells=()) -> tuple:
     """Parse `t` and the model keys, integrate the model, and locate t:
     returns (trajectory, dt, model-grid row of t, the (2, M) distributions
-    at t - dt/2 and t + dt/2)."""
+    at t - dt/2 and t + dt/2).  `ells` is passed to _model."""
     t = _get(cfg, "t", 5.0, _time)
-    traj, dt = _model(cfg)
-    k = traj.index_at(t)
-    return traj, dt, k, traj.p(traj.index_at(smp.SampleGrid(t - dt / 2.0, dt, 2).times()))
+    traj, dt = _model(cfg, ells)
+    try:
+        k = traj.index_at(t)
+        rows = traj.index_at(smp.SampleGrid(t - dt / 2.0, dt, 2).times())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 't': t, t - dt/2 and t + dt/2 must be points of "
+                          f"the model grid ({exc})") from exc
+    return traj, dt, k, traj.p(rows)
 
 
 def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
@@ -241,7 +276,7 @@ def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
 def _write_clustering(f: cl.Clustering, outdir) -> None:
     """`clustering.csv`: one `mu,label` row per variant, both 1-based."""
     write_csv(os.path.join(outdir, "clustering.csv"), ["mu", "label"],
-              enumerate(f.assignment, start=1))
+              enumerate((f.labels + 1).tolist(), start=1))
 
 
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
@@ -280,7 +315,7 @@ def run_model_trajectory(cfg, outdir, seed):
     stride = _get(cfg, "output_stride", 2, _at_least(1, "output stride"))
     t0, count = _grid_keys(cfg)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt = _model(cfg)
+    traj, dt = _model(cfg, [ell])
     grid = _grid(traj, dt, t0, count)
     rows = slice(None, None, stride)
     f = cl.kmeans(cl.kmeans_features(traj, grid.times()), ell)
@@ -337,7 +372,7 @@ def run_info_rate_moments(cfg, outdir, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, k, p2 = _at_t(cfg)
+    traj, dt, k, p2 = _at_t(cfg, [ell])
     f, q, qdot = _clusters(traj, dt, k, ell)
     rate, p = traj.info_rate_curve(k), traj.p(k)
     var_rows, clu_rows = [], []
@@ -381,11 +416,11 @@ def run_filtering_comparison(cfg, outdir, seed):
 
 @experiment("elbow-scan")
 def run_elbow_scan(cfg, outdir, seed):
-    if "groups" not in cfg:
+    if not cfg.keys() & {"groups", *_UNGROUPED_KEYS}:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
     t_eval = _get(cfg, "t", 1.0, _time)
-    ells = _get(cfg, "ell", list(range(4, 11)), _int_list)
-    traj, dt = _model(cfg)
+    ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
+    traj, dt = _model(cfg, ells)
     feats = cl.kmeans_features(traj, _grid(traj, dt).times())
     k_eval = traj.index_at(t_eval)
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
@@ -402,7 +437,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
     p4 = _get(cfg, "p", DEFAULT_P, _distribution)
-    traj, dt, k, p2 = _at_t(cfg)
+    traj, dt, k, p2 = _at_t(cfg, [ell])
     f, q, qdot = _clusters(traj, dt, k, ell)
 
     est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p4, c / 1000), reps,

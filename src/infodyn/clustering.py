@@ -22,59 +22,35 @@ class NoElbowError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Surjective assignment of variants to cluster labels 1..n_clusters."""
+    """Surjective map of variants onto clusters, given by 1-based labels
+    1..n_clusters and held as the read-only zero-based array `labels`."""
 
-    assignment: tuple
+    labels: np.ndarray
     n_clusters: int
 
-    def __init__(self, assignment, n_clusters: int | None = None):
-        labels = tuple(int(a) for a in assignment)
-        if not labels:
-            raise ValueError("assignment must not be empty")
-        ell = int(n_clusters) if n_clusters is not None else max(labels)
-        present = set(labels)
-        if any(a < 1 or a > ell for a in labels):
-            raise ValueError(f"labels must lie in 1..{ell}, got {sorted(present)}")
-        if present != set(range(1, ell + 1)):
-            missing = sorted(set(range(1, ell + 1)) - present)
-            raise ValueError(f"clustering not surjective: labels {missing} unused")
-        object.__setattr__(self, "assignment", labels)
-        object.__setattr__(self, "n_clusters", ell)
-
-    @classmethod
-    def identity(cls, size: int) -> "Clustering":
-        return cls(range(1, size + 1))
-
-    @classmethod
-    def single(cls, size: int) -> "Clustering":
-        return cls([1] * size)
-
-    def __len__(self) -> int:
-        return len(self.assignment)
+    def __init__(self, labels):
+        given = np.asarray(labels)
+        if given.ndim != 1 or given.size == 0:
+            raise ValueError(f"labels must be a non-empty 1-d sequence, got shape {given.shape}")
+        if given.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {given.dtype}")
+        present = np.unique(given)
+        if present[0] < 1:
+            raise ValueError(f"labels must be at least 1, got {present[0]}")
+        unused = np.flatnonzero(present != np.arange(1, present.size + 1))
+        if unused.size:
+            raise ValueError(f"clustering not surjective: label {unused[0] + 1} of "
+                             f"1..{present[-1]} unused")
+        zero_based = given.astype(np.intp) - 1
+        zero_based.flags.writeable = False
+        object.__setattr__(self, "labels", zero_based)
+        object.__setattr__(self, "n_clusters", present.size)
 
     def check_size(self, size: int) -> None:
-        if len(self.assignment) != size:
-            raise ValueError(f"clustering covers {len(self.assignment)} variants, need {size}")
-
-    def labels0(self) -> np.ndarray:
-        """Zero-based label array, for indexing."""
-        return np.asarray(self.assignment, dtype=np.intp) - 1
-
-    def members(self, a: int) -> list[int]:
-        """Zero-based indices assigned to cluster label a (1-based)."""
-        return [mu for mu, lab in enumerate(self.assignment) if lab == a]
-
-    def refines(self, other: "Clustering") -> bool:
-        """True when every cluster of self lies inside a cluster of other."""
-        if len(self) != len(other):
-            return False
-        image = {}
-        for mine, theirs in zip(self.assignment, other.assignment):
-            if image.setdefault(mine, theirs) != theirs:
-                return False
-        return True
+        if self.labels.size != size:
+            raise ValueError(f"clustering covers {self.labels.size} variants, need {size}")
 
 
 def aggregate(values, f: Clustering) -> np.ndarray:
@@ -83,17 +59,16 @@ def aggregate(values, f: Clustering) -> np.ndarray:
     a table sums, bit for bit, as it does alone."""
     values = np.asarray(values)
     f.check_size(values.shape[-1])
-    labels = f.labels0()
     out = np.zeros(values.shape[:-1] + (f.n_clusters,), dtype=values.dtype)
     for a in range(f.n_clusters):
-        out[..., a] = np.take(values, np.flatnonzero(labels == a), axis=-1).sum(axis=-1)
+        out[..., a] = np.take(values, np.flatnonzero(f.labels == a), axis=-1).sum(axis=-1)
     return out
 
 
 def _shares(p: np.ndarray, f: Clustering) -> tuple[np.ndarray, np.ndarray]:
     """Cluster sums q of p and the shares r_mu = p_mu / q_{f(mu)}."""
     q = aggregate(p, f)
-    return q, p / q[..., f.labels0()]
+    return q, p / q[..., f.labels]
 
 
 def clustered_fisher(p, pdot, f: Clustering) -> np.ndarray:
@@ -111,7 +86,7 @@ def delta_g_prob_form(p, pdot, f: Clustering) -> np.ndarray:
     q, r = _shares(p, f)
     # centered form of sum(r * irate^2) - rate_a^2, robust to cancellation
     cluster_rate = self_information_rate(q, aggregate(pdot, f))
-    dev = self_information_rate(p, pdot) - cluster_rate[..., f.labels0()]
+    dev = self_information_rate(p, pdot) - cluster_rate[..., f.labels]
     return np.sum(q * aggregate(r * dev * dev, f), axis=-1)
 
 
@@ -121,7 +96,7 @@ def delta_g_coupling_form(p, d, f: Clustering) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     f.check_size(d.shape[-1])
     q, r = _shares(p, f)
-    dev = d - aggregate(r * d, f)[..., f.labels0()]
+    dev = d - aggregate(r * d, f)[..., f.labels]
     return np.sum(q * aggregate(r * dev * dev, f), axis=-1)
 
 
@@ -137,7 +112,7 @@ def sufficiency_residuals(traj, f: Clustering) -> float:
     """
     d = traj.couplings()
     _, r = _shares(traj.p(), f)
-    return float(np.max(np.abs(r * (d - aggregate(r * d, f)[:, f.labels0()]))))
+    return float(np.max(np.abs(r * (d - aggregate(r * d, f)[:, f.labels]))))
 
 
 def kmeans_features(traj, times) -> np.ndarray:
@@ -216,10 +191,9 @@ def kmeans_objective(features, f: Clustering) -> float:
     """Within-cluster sum of squared Euclidean distances to centroids."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     f.check_size(features.shape[0])
-    labels = f.labels0()
     total = 0.0
     for a in range(f.n_clusters):
-        block = features[labels == a]
+        block = features[f.labels == a]
         total += float(np.sum((block - block.mean(axis=0)) ** 2))
     return total
 

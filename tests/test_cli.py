@@ -319,6 +319,27 @@ class TestRunner:
          "bad value for 's0': s0 = 1.0 and r0 = 0.0"),
         ("experiment = elbow-scan\ns0 = 0.5\nr0 = 0.5\n",
          "bad value for 's0': s0 = 0.5 and r0 = 0.5"),
+        ("experiment = model-trajectory\ngroups = 2,2\ngamma = 1,2,3,4\n",
+         "keys 'groups' and 'gamma' cannot both be set"),
+        ("experiment = elbow-scan\ngroups = 9,9\nN = 20\n",
+         "keys 'groups' and 'N' cannot both be set"),
+        ("experiment = theory-vs-mc\ngroups = 2,2\ni0 = 0.1,0.1,0.1,0.1\n",
+         "keys 'groups' and 'i0' cannot both be set"),
+        ("experiment = elbow-scan\nN = 3\n",
+         "bad value for 'ell': 5 clusters for 4 variants"),
+        ("experiment = elbow-scan\nell = 4,5,6\n", "bad value for 'ell'"),
+        ("experiment = elbow-scan\nell = 4,6,5,7\n", "bad value for 'ell'"),
+        ("experiment = elbow-scan\ngroups = 2,2,2\nell = 4,5,6,7\n",
+         "bad value for 'ell': 7 clusters for 6 variants"),
+        ("experiment = info-rate-moments\nN = 3\nell = 5\n",
+         "bad value for 'ell': 5 clusters for 4 variants"),
+        ("experiment = distance-moments\np = 1\n", "bad value for 'p'"),
+        ("experiment = theory-vs-mc\np = 1\n", "bad value for 'p'"),
+        ("experiment = fisher-bias-vs-n\nt = 0\n", "bad value for 't'"),
+        ("experiment = info-rate-moments\nt = 2\n", "bad value for 't'"),
+        ("experiment = fisher-bias-vs-t\ncount = 100\n",
+         "bad value for 'count': 100 instants from t0 = 0.0 at step dt = 0.25 end at 24.75"),
+        ("experiment = model-trajectory\nt0 = 1\ncount = 6\n", "bad value for 'count'"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         cfg = write_cfg(tmp_path, "t_end = 2\n" + text)

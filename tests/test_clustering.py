@@ -27,28 +27,37 @@ def random_clustering(gen, size, ell):
 
 class TestClustering:
     def test_surjectivity_enforced(self):
-        with pytest.raises(ValueError, match="surjective"):
-            cl.Clustering([1, 1, 3], n_clusters=3)
+        with pytest.raises(ValueError, match="surjective: label 2 of 1..3 unused"):
+            cl.Clustering([1, 1, 3])
 
     def test_label_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 1"):
             cl.Clustering([0, 1, 2])
-        with pytest.raises(ValueError):
-            cl.Clustering([1, 2, 5], n_clusters=3)
+        with pytest.raises(ValueError, match="surjective"):
+            cl.Clustering([1, 2, 5])
 
-    def test_identity_and_single(self):
-        ident = cl.Clustering.identity(4)
-        assert ident.assignment == (1, 2, 3, 4)
-        single = cl.Clustering.single(4)
-        assert single.n_clusters == 1
-        assert single.members(1) == [0, 1, 2, 3]
+    def test_labels_are_zero_based_and_read_only(self):
+        labels = np.array([2, 1, 2, 3])
+        f = cl.Clustering(labels)
+        labels[0] = 1
+        assert f.labels.dtype == np.intp
+        assert f.labels.tolist() == [1, 0, 1, 2]
+        assert f.n_clusters == 3
+        assert np.flatnonzero(f.labels == 1).tolist() == [0, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            f.labels[0] = 0
+        assert cl.Clustering([1] * 4).n_clusters == 1
+        assert cl.Clustering(range(1, 5)).labels.tolist() == [0, 1, 2, 3]
 
-    def test_refines(self):
-        fine = cl.Clustering([1, 2, 3, 4])
-        coarse = cl.Clustering([1, 1, 2, 2])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
-        assert coarse.refines(coarse)
+    @pytest.mark.parametrize("labels", [[1.7, 2, 2.9], [1.0, 2.0], [True, True], ["1", "2"]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            cl.Clustering(labels)
+
+    @pytest.mark.parametrize("labels", [[], [[1, 2]]])
+    def test_empty_or_nested_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            cl.Clustering(labels)
 
 
 class TestClusterProbs:
@@ -56,10 +65,10 @@ class TestClusterProbs:
 
     def test_identity(self):
         p = np.array([0.1, 0.2, 0.7])
-        assert np.array_equal(cl.aggregate(p, cl.Clustering.identity(3)), p)
+        assert np.array_equal(cl.aggregate(p, cl.Clustering(range(1, 4))), p)
 
     def test_single(self):
-        assert cl.aggregate([0.5, 0.5], cl.Clustering.single(2)).tolist() == [1.0]
+        assert cl.aggregate([0.5, 0.5], cl.Clustering([1] * 2)).tolist() == [1.0]
 
     def test_hand_value(self):
         q = cl.aggregate([0.1, 0.2, 0.3, 0.4], cl.Clustering([1, 1, 2, 2]))
@@ -75,13 +84,13 @@ class TestClusteredFisher:
         gen = np.random.default_rng(0)
         for _ in range(20):
             p, pdot, _ = random_instance(gen, 5)
-            assert cl.clustered_fisher(p, pdot, cl.Clustering.identity(5)) == \
+            assert cl.clustered_fisher(p, pdot, cl.Clustering(range(1, 6))) == \
                 pytest.approx(fisher_information(p, pdot), rel=1e-14, abs=1e-300)
 
     def test_single_cluster_is_zero(self):
         gen = np.random.default_rng(1)
         p, pdot, _ = random_instance(gen, 5)
-        assert abs(cl.clustered_fisher(p, pdot, cl.Clustering.single(5))) < 1e-28
+        assert abs(cl.clustered_fisher(p, pdot, cl.Clustering([1] * 5))) < 1e-28
 
     def test_piecewise_constant_couplings_lose_nothing(self):
         # d constant inside each cluster -> clustering is sufficient
@@ -112,7 +121,7 @@ class TestDeltaForms:
     def test_identity_is_zero(self):
         gen = np.random.default_rng(4)
         p, pdot, d = random_instance(gen, 6)
-        ident = cl.Clustering.identity(6)
+        ident = cl.Clustering(range(1, 7))
         assert cl.delta_g_prob_form(p, pdot, ident) == pytest.approx(0.0, abs=1e-18)
         assert cl.delta_g_coupling_form(p, d, ident) == pytest.approx(0.0, abs=1e-18)
 
@@ -147,7 +156,7 @@ class TestDeltaForms:
     def test_coupling_count_must_match(self):
         p, _, d = random_instance(np.random.default_rng(11), 6)
         with pytest.raises(ValueError, match="covers 6 variants, need 5"):
-            cl.delta_g_coupling_form(p, d[:5], cl.Clustering.identity(6))
+            cl.delta_g_coupling_form(p, d[:5], cl.Clustering(range(1, 7)))
 
     def test_coupling_shift_invariance(self):
         gen = np.random.default_rng(7)
@@ -162,7 +171,7 @@ class TestDeltaForms:
 class TestSufficiencyResiduals:
     def test_identity_is_exact(self):
         traj = dyn.integrate_sir(dyn.default_sir_params(4), 2.0, 1e-3)
-        assert cl.sufficiency_residuals(traj, cl.Clustering.identity(4)) == 0.0
+        assert cl.sufficiency_residuals(traj, cl.Clustering(range(1, 5))) == 0.0
 
     def test_symmetric_model_block_clustering(self):
         traj = dyn.integrate_sir(dyn.grouped_sir_params([2, 2, 2]), 10.0, 1e-3)
@@ -180,7 +189,7 @@ class TestSufficiencyResiduals:
         # is defined, the two agree to O(step^2)
         params = dyn.default_sir_params(6)
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
-        labels = f.labels0()
+        labels = f.labels
 
         def gap(step):
             traj = dyn.integrate_sir(params, 5.0, step)
@@ -210,9 +219,9 @@ class TestKmeans:
     def test_two_separated_groups(self):
         feats = np.array([[0.0], [0.1], [5.0], [5.1]])
         f = cl.kmeans(feats, 2)
-        assert f.assignment[0] == f.assignment[1]
-        assert f.assignment[2] == f.assignment[3]
-        assert f.assignment[0] != f.assignment[2]
+        assert f.labels[0] == f.labels[1]
+        assert f.labels[2] == f.labels[3]
+        assert f.labels[0] != f.labels[2]
 
     def test_six_synthetic_groups_recovered(self):
         gen = np.random.default_rng(8)
@@ -227,12 +236,12 @@ class TestKmeans:
         for i in range(len(rows)):
             for j in range(len(rows)):
                 same = truth[i] == truth[j]
-                assert (f.assignment[i] == f.assignment[j]) == same
+                assert (f.labels[i] == f.labels[j]) == same
 
     def test_each_point_its_own_cluster(self):
         feats = np.array([[3.0], [1.0], [2.0], [0.0]])
         f = cl.kmeans(feats, 4)
-        assert sorted(f.assignment) == [1, 2, 3, 4]
+        assert sorted(f.labels) == [0, 1, 2, 3]
         assert cl.kmeans_objective(feats, f) == 0.0
 
     def test_objective_non_increasing_in_iterations(self):
@@ -250,8 +259,8 @@ class TestKmeans:
         f_perm = cl.kmeans(feats[perm], 3)
         for i in range(12):
             for j in range(12):
-                assert (f.assignment[perm[i]] == f.assignment[perm[j]]) == \
-                    (f_perm.assignment[i] == f_perm.assignment[j])
+                assert (f.labels[perm[i]] == f.labels[perm[j]]) == \
+                    (f_perm.labels[i] == f_perm.labels[j])
 
     def test_surjective_even_with_duplicate_rows(self):
         feats = np.zeros((5, 2))
@@ -265,7 +274,7 @@ class TestKmeans:
         feats = np.arange(10.0)[:, None] * np.array([1.0, 0.2])
         nudged = feats.copy()
         nudged[3] = np.nextafter(feats[3], np.inf)
-        assert cl.kmeans(nudged, 3).assignment == cl.kmeans(feats, 3).assignment
+        assert np.array_equal(cl.kmeans(nudged, 3).labels, cl.kmeans(feats, 3).labels)
 
     def test_result_does_not_depend_on_the_iteration_cap(self):
         # six distinct rate rows: with more clusters than that, re-seeding an
@@ -275,7 +284,8 @@ class TestKmeans:
         feats = cl.kmeans_features(traj, np.arange(41) * 0.25)
         assert len(np.unique(feats, axis=0)) == 6
         for ell in range(7, 13):
-            assert cl.kmeans(feats, ell, 99) == cl.kmeans(feats, ell, 100), ell
+            assert np.array_equal(cl.kmeans(feats, ell, 99).labels,
+                                  cl.kmeans(feats, ell, 100).labels), ell
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -302,8 +312,7 @@ class TestKmeansFeatures:
         traj = dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
         grid_times = np.arange(41) * 0.25
         f = cl.kmeans(cl.kmeans_features(traj, grid_times), 3)
-        labels = np.asarray(f.assignment)
-        changes = np.count_nonzero(np.diff(labels))
+        changes = np.count_nonzero(np.diff(f.labels))
         assert changes == 2  # three contiguous blocks
 
 

@@ -1,8 +1,11 @@
-"""README's module table names only what its modules define."""
+"""README's module table names only what its modules define, and its
+config-key paragraph names every key the runner accepts."""
 
 import importlib
 import pathlib
 import re
+
+from infodyn import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `(infodyn(?:\.\w+)?)` \| (.*) \|$")
@@ -33,3 +36,10 @@ def test_readme_module_table_names_exist():
 def test_a_removed_name_is_caught():
     row = "| `infodyn.simplex` | `Distribution`, `TangentVector`, `(mean, variance)` |"
     assert missing_names(row) == [("infodyn.simplex", "TangentVector")]
+
+
+def test_readme_names_every_config_key():
+    text = README.read_text()
+    start = text.index("Config keys (all optional except `experiment`)")
+    paragraph = text[start:text.index("\n\n", start)]
+    assert cli.KNOWN_KEYS - set(re.findall(r"`(\w+)`", paragraph)) == set()

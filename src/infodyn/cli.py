@@ -257,13 +257,19 @@ def _at_t(cfg, ells=()) -> tuple:
     at t - dt/2 and t + dt/2).  `ells` is passed to _model."""
     t = _get(cfg, "t", 5.0, _time)
     traj, dt = _model(cfg, ells)
-    try:
-        k = traj.index_at(t)
-        rows = traj.index_at(smp.SampleGrid(t - dt / 2.0, dt, 2).times())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 't': t, t - dt/2 and t + dt/2 must be points of "
-                          f"the model grid ({exc})") from exc
+    k = _t_rows(traj, t, "t")
+    rows = _t_rows(traj, smp.SampleGrid(t - dt / 2.0, dt, 2).times(), "t - dt/2 and t + dt/2")
     return traj, dt, k, traj.p(rows)
+
+
+def _t_rows(traj: dyn.Trajectory, times, what: str):
+    """Model-grid rows of `times`, which are `what` in terms of the key `t`;
+    a time off the grid raises a ConfigError naming `t`."""
+    try:
+        return traj.index_at(times)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 't': {what} must lie on the model grid "
+                          f"({exc})") from exc
 
 
 def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
@@ -421,8 +427,8 @@ def run_elbow_scan(cfg, outdir, seed):
     t_eval = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
     traj, dt = _model(cfg, ells)
+    k_eval = _t_rows(traj, t_eval, "t")
     feats = cl.kmeans_features(traj, _grid(traj, dt).times())
-    k_eval = traj.index_at(t_eval)
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)

@@ -219,18 +219,24 @@ class Trajectory:
         """<d>_p, the probability-weighted mean coupling."""
         return np.sum(self.p(rows) * self.couplings(rows), axis=-1)
 
+    def _p_and_rates(self, rows) -> tuple:
+        """(p, d - <d>_p) at the rows, evaluating p and d once each."""
+        p, d = self.p(rows), self.couplings(rows)
+        return p, d - np.sum(p * d, axis=-1)[..., None]
+
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
         """Self-information rates pdot/p = d - <d>_p."""
-        return self.couplings(rows) - self.mean_coupling(rows)[..., None]
+        return self._p_and_rates(rows)[1]
 
     def pdot(self, rows=slice(None)) -> np.ndarray:
         """Velocity pdot = p * (d - <d>_p)."""
-        return self.p(rows) * self.info_rate_curve(rows)
+        p, rate = self._p_and_rates(rows)
+        return p * rate
 
     def fisher_curve(self, rows=slice(None)) -> np.ndarray:
         """g_tt(t) = sum(pdot^2 / p) = sum(p * (d - <d>_p)^2)."""
-        rate = self.info_rate_curve(rows)
-        return np.sum(self.p(rows) * rate * rate, axis=-1)
+        p, rate = self._p_and_rates(rows)
+        return np.sum(p * rate * rate, axis=-1)
 
 
 def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> IntegrationError:
@@ -280,13 +286,15 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     point = np.ones(3)  # (1, X, t)
     infected = np.empty(params.n_variants)
     sums = np.empty(3)
+    # bound ndarray.dot skips np.dot's array-function dispatch; same BLAS call
+    exponents_dot, weights_dot = exponents.dot, weights.dot
 
     def rates(x, t):
         """(gamma . I, epsilon . I, sum(I)) at (X, t), as Python floats."""
         point[1] = x
         point[2] = t
-        np.exp(np.dot(exponents, point, out=infected), out=infected)
-        return np.dot(weights, infected, out=sums).tolist()
+        np.exp(exponents_dot(point, out=infected), out=infected)
+        return weights_dot(infected, out=sums).tolist()
 
     s, x, r = params.s0, 0.0, params.r0
     half, sixth = 0.5 * step, step / 6.0

@@ -18,6 +18,8 @@ state after each draw, against it bit for bit.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -67,27 +69,37 @@ def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:
     For a (K, M) p, keys has shape (..., K) and row [..., k] is
     ``sample_counts(p[k], n, g)`` for the Philox g keyed by keys[..., k] at
     counter 0, which is ``stream(key)``.  A 1-D p is drawn under every key.
+    A sample size below 1 raises ValueError before anything is drawn, even
+    for no keys.
 
     Building a Philox costs several times a small draw, so one is re-keyed
     before each row instead: key, counter 0, empty buffer, exactly the state
     a fresh stream starts in.  The Generator keeps no other state that
-    affects a draw.
+    affects a draw.  The state dict holds lists of Python ints, not uint64
+    arrays, because numpy's state setter reads ints faster: about 0.8-1.0 us
+    per re-keying against 1.8-2.4 us for arrays, where the 10-category draw
+    itself costs about 2.9 us (numpy 2.4.6, one core of a 2-core x86-64
+    host).  Rows are written into one preallocated array: collecting them in a
+    list and stacking once is about 0.1 us per row faster at M = 10, but
+    holds a chunk of 2**14 counts twice (490 KB peak allocation against 200
+    KB at M = 10, 254 against 135 KB at M = 1000).
     """
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
     keys = np.asarray(keys, dtype=np.uint64)
     rows = p.reshape(-1, p.shape[-1])
     if p.ndim != 1 and keys.shape[-1:] != p.shape[:1]:
         raise ValueError(f"keys of shape {keys.shape} do not match {len(p)} rows of p")
-    key = np.zeros(2, dtype=np.uint64)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    key = [0, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     gen = stream(0)
+    bit_generator = gen.bit_generator
     counts = np.empty((keys.size, rows.shape[1]), dtype=np.int64)
-    for i, row_key in enumerate(keys.reshape(-1).tolist()):
+    for i, (row_key, row) in enumerate(zip(keys.reshape(-1).tolist(), itertools.cycle(rows))):
         key[0] = row_key
-        gen.bit_generator.state = state
-        counts[i] = sample_counts(rows[i % len(rows)], n, gen)
+        bit_generator.state = state
+        counts[i] = sample_counts(row, n, gen)
     return counts.reshape(keys.shape + rows.shape[1:])
 
 

@@ -306,6 +306,10 @@ class TestRunner:
         ("experiment = model-trajectory\nr0 = -1\n", "bad value for 'r0'"),
         ("experiment = fisher-bias-vs-n\nt = inf\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = nan\n", "bad value for 't'"),
+        ("experiment = elbow-scan\nt = 20\n",
+         "bad value for 't': t must lie on the model grid (time 20.0 outside"),
+        ("experiment = elbow-scan\nt = 1.01\n",
+         "bad value for 't': t must lie on the model grid (time 1.01 is not a point"),
         ("experiment = fisher-bias-vs-t\nt0 = -1\n", "bad value for 't0'"),
         ("experiment = theory-vs-mc\nt = 100\n", "time 100.0 outside trajectory domain"),
         ("experiment = fisher-bias-vs-t\nt0 = 1.9\n",

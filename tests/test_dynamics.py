@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 
 import numpy as np
@@ -299,6 +300,20 @@ class TestSolveSir:
             dyn.integrate_sir(params, 2.0, 0.0125)
         traj, p_err, g_err = self.errors(params, 2.0)
         assert p_err <= 5e-14 and g_err <= 5e-14
+
+    @pytest.mark.parametrize("n_variants, digest", [
+        (10, "7388c471c0f85096244835ed7f81ae9eaad2873d7ddbb256b4a901ade2810b65"),
+        (1000, "3980f48985243696a3fa1dd82519966af9854f0d7277737c5e50b6f320da2edd"),
+    ])
+    def test_states_match_pinned_digest(self, n_variants, digest):
+        # a change meant to touch only Python overhead must keep every byte;
+        # a declared rounding-level change updates these digests
+        traj = dyn.solve_sir(dyn.default_sir_params(n_variants), 10.0, 0.0125)
+        h = hashlib.sha256()
+        for state in (traj.susceptible, traj.cumulative_susceptible, traj.recovered,
+                      traj.total_infected):
+            h.update(state.tobytes())
+        assert h.hexdigest() == digest
 
     def test_estimate_beyond_last_halving_raises(self, monkeypatch):
         monkeypatch.setattr(dyn, "MAX_HALVINGS", 1)

@@ -35,6 +35,11 @@ class TestStreams:
         assert [int(k) for k in keys] == [rng.derive_key(seed, int(i)) for i in indices]
 
 
+def fresh_stream(key):
+    """A Generator on a newly built Philox with this key, at counter 0."""
+    return np.random.Generator(np.random.Philox(key=int(key)))
+
+
 def reference_sample_counts(p, n, gen):
     """The sequential conditional-binomial loop numpy's multinomial follows.
 
@@ -96,22 +101,26 @@ class TestSampleCounts:
     @pytest.mark.parametrize("count", [2, 41])
     @pytest.mark.parametrize("n", [1, 100000])
     def test_rows_match_one_stream_per_row(self, count, n):
-        # sample_block re-keys one Philox; each row must equal a fresh stream's draw
-        cases = [(m, kind, p) for m, kind, p in reference_cases() if m in (2, 10, 1000)]
+        # sample_block re-keys one Philox; each row must equal a fresh stream's
+        # draw, also at the ends 0 and 2**64 - 1 of the key range
+        cases = [(m, kind, p) for m, kind, p in reference_cases() if m in (2, 10, 100, 1000)]
         seed = 2**63 + count
         reps = np.arange(3, dtype=np.uint64)
+        keys = rng.derive_key(seed, reps[:, None], np.arange(count, dtype=np.uint64))
+        keys[0, 0], keys[2, 1] = 0, 2**64 - 1
         for m, kind, p in cases:
             rows = np.stack([np.roll(p, k) for k in range(count)])
-            keys = rng.derive_key(seed, reps[:, None], np.arange(count, dtype=np.uint64))
             counts = rng.sample_block(rows, n, keys)
             assert counts.shape == (3, count, m)
             for r in range(3):
                 for k in range(count):
-                    want = rng.sample_counts(rows[k], n, rng.stream(seed, r, k))
+                    want = rng.sample_counts(rows[k], n, fresh_stream(keys[r, k]))
                     assert np.array_equal(counts[r, k], want), (m, kind, n, r, k)
             flat = rng.sample_block(p, n, keys)  # a 1-D p is drawn under every key
             assert flat.shape == (3, count, m)
-            assert np.array_equal(flat[2, 1], rng.sample_counts(p, n, rng.stream(seed, 2, 1)))
+            for r, k in ((0, 0), (2, 1), (1, count - 1)):
+                want = rng.sample_counts(p, n, fresh_stream(keys[r, k]))
+                assert np.array_equal(flat[r, k], want), (m, kind, n, r, k)
 
     @pytest.mark.parametrize("shape", [(2, 10), (41, 10), (2, 1000)])
     def test_block_slices_are_rows_of_the_whole_block(self, shape):
@@ -127,6 +136,12 @@ class TestSampleCounts:
     def test_rows_reject_zero_draws(self):
         with pytest.raises(ValueError):
             rng.sample_block(np.array([[0.5, 0.5]]), 0, np.array([1], dtype=np.uint64))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_checks_sample_size_before_drawing(self, n):
+        # no keys means no draw, but the sample size is still rejected
+        with pytest.raises(ValueError, match=f"sample size must be >= 1, got {n}"):
+            rng.sample_block(np.array([[0.5, 0.5]]), n, np.zeros((0, 1), dtype=np.uint64))
 
     def test_block_keys_must_match_rows(self):
         with pytest.raises(ValueError, match="do not match"):

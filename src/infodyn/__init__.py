@@ -1,7 +1,6 @@
 """Information geometry of sampled dynamical systems."""
 
 from .simplex import (
-    Distribution,
     fisher_information,
     kl_divergence,
     require_interior,

@@ -23,7 +23,7 @@ from . import filtering as flt
 from . import rng
 from . import sampling as smp
 from . import theory as th
-from .simplex import (Distribution, fisher_information, self_information_rate,
+from .simplex import (fisher_information, require_interior, self_information_rate,
                       shahshahani_distance_sq)
 
 KNOWN_KEYS = {
@@ -156,12 +156,20 @@ def _per_variant(size: int, positive: bool):
 
 
 def _distribution(text: str) -> np.ndarray:
-    """Comma-list distribution of at least two entries, every one positive."""
-    p = Distribution(_float_list(text))
-    if p.probs.size < 2:
+    """Comma-list distribution as a read-only array: at least two entries,
+    every one positive, summing to 1 within 1e-9; a sum off by more than
+    1e-12 (float accumulation) is renormalised."""
+    p = np.array(_float_list(text))
+    if p.size < 2:
         raise ValueError("a distribution needs at least 2 entries")
-    p.require_interior()
-    return p.probs
+    require_interior(p)
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    if abs(total - 1.0) > 1e-12:
+        p = p / total
+    p.flags.writeable = False
+    return p
 
 
 DEFAULT_P = _distribution("0.1,0.2,0.3,0.4")
@@ -193,15 +201,27 @@ def _scan_counts(text: str) -> list[int]:
 # the keys that `groups` replaces: it fixes the variants and their rates
 _UNGROUPED_KEYS = ("N", "gamma", "epsilon", "i0")
 
+# the experiments that evaluate the model half a sampling step from the
+# sampling instants (at midpoints, or at t - dt/2 and t + dt/2)
+_HALF_STEP_EXPERIMENTS = {"fisher-bias-vs-n", "fisher-bias-vs-t", "info-rate-moments",
+                          "filtering-comparison", "theory-vs-mc"}
+
 
 def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
-    """Parse the model keys and check each cluster count of `ells`, the
-    value of `ell`, against the variant count; then integrate the model.
-    Returns (trajectory, sampling step dt)."""
+    """Parse the model keys, check that the sampling step dt (or dt/2, for
+    the experiments that need it) is a whole number of fine steps, and check
+    each cluster count of `ells`, the value of `ell`, against the variant
+    count; then integrate the model.  Returns (trajectory, sampling step dt)."""
     n_var = _get(cfg, "N", 9, _at_least(1, "N")) + 1
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
     fine_step = _get(cfg, "fine_step", dt / 20.0, _positive)
+    span, what = ((dt / 2.0, f"dt/2 = {dt / 2.0:g} (dt = {dt:g})")
+                  if cfg["experiment"] in _HALF_STEP_EXPERIMENTS else (dt, f"dt = {dt:g}"))
+    steps = span / fine_step
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+        raise ConfigError(f"bad value for 'fine_step': {what} is not a whole number of "
+                          f"fine steps {fine_step:g}")
     s0 = _get(cfg, "s0", dyn.DEFAULT_S0, _fraction("s0"))
     r0 = _get(cfg, "r0", 0.0, _fraction("r0"))
     if s0 + r0 >= 1.0:
@@ -328,13 +348,12 @@ def run_model_trajectory(cfg, outdir, seed):
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
-    p, pdot = traj.p(rows), traj.pdot(rows)
-    table = np.column_stack((traj.times[rows], traj.susceptible[rows], p, pdot,
-                             traj.couplings(rows), traj.mean_coupling(rows)))
+    p, pdot, d, mean_d, g_tt = traj.replicator(rows)
+    table = np.column_stack((traj.times[rows], traj.susceptible[rows], p, pdot, d, mean_d))
     write_csv(os.path.join(outdir, "trajectory.csv"), header, map(np.ndarray.tolist, table))
     _write_clustering(f, outdir)
     write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              zip(traj.times[rows], traj.fisher_curve(rows), cl.clustered_fisher(p, pdot, f)))
+              zip(traj.times[rows], g_tt, cl.clustered_fisher(p, pdot, f)))
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
@@ -461,12 +480,9 @@ def run_theory_vs_mc(cfg, outdir, seed):
     rows += _mean_var_rows("clustered_fisher_{}", est, *th.fisher_prediction(
         fisher_information(q, qdot), ell - 1, n, dt))
 
-    # the whole (R, M) rate array is summarised, then variant 1 is taken:
-    # a column reduction is not bit-equal to the same reduction of a 1-D copy
-    est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0], reps,
+    est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0, 0], reps,
                                      rng.derive_key(seed, 3), p2, n)
-    mu1 = smp.MonteCarloEstimate(est.mean[0], est.std[0], est.standard_error[0], reps)
-    rows += _mean_var_rows("info_rate_{}_mu1", mu1, *th.info_rate_moments(
+    rows += _mean_var_rows("info_rate_{}_mu1", est, *th.info_rate_moments(
         traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt))
 
     write_csv(os.path.join(outdir, "theory_vs_mc.csv"),

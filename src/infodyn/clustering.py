@@ -133,7 +133,7 @@ def _principal_scores(features: np.ndarray) -> np.ndarray:
     return centered @ v
 
 
-def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
+def kmeans(features, n_clusters: int) -> Clustering:
     """Lloyd iterations with deterministic quantile seeding.
 
     Initial centroids are the data points sitting at the (a - 1/2)/ell
@@ -142,25 +142,23 @@ def kmeans(features, n_clusters: int, max_iters: int = 100) -> Clustering:
     emptied cluster is re-seeded at the point farthest from its current
     centroid, so the result is always surjective.
 
-    Iteration stops at the first labelling already visited.  A converging
-    run repeats only its final one; with more clusters than distinct points,
-    re-seeding and the tie rule can cycle instead, and stopping at the
-    repeat keeps the result from depending on max_iters.
+    Iteration stops at the first labelling already visited and returns the
+    last new one.  Each iteration but the last visits a new labelling, and
+    there are finitely many, so the loop ends.  A converging run repeats only its
+    final one; with more clusters than distinct points, re-seeding and the
+    tie rule can cycle instead, and the run ends where the cycle closes.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n_points = features.shape[0]
     if not 1 <= n_clusters <= n_points:
         raise ValueError(f"need 1 <= n_clusters <= {n_points}, got {n_clusters}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
 
     order = np.argsort(_principal_scores(features), kind="stable")
     picks = [order[int((a - 0.5) * n_points / n_clusters)] for a in range(1, n_clusters + 1)]
     centroids = features[picks].copy()
 
-    labels = np.full(n_points, -1)
     seen = set()
-    for _ in range(max_iters):
+    while True:
         dist = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         # nearest centroid; distances equal to a relative 1e-9 count as a tie,
         # which goes to the lower-numbered centroid.  Evenly spaced features

@@ -99,28 +99,17 @@ class SirParams:
         return self.gamma.size
 
 
-def default_sir_params(
-    n_variants: int = 10,
-    s0: float = DEFAULT_S0,
-    r0: float = 0.0,
-    gamma_range: tuple[float, float] = (1.5, 2.5),
-    epsilon_range: tuple[float, float] = (0.9, 1.1),
-) -> SirParams:
-    """Deterministic desk-scale parameter set: evenly spaced rates, uniform i0."""
-    gamma = np.linspace(*gamma_range, n_variants)
-    epsilon = np.linspace(*epsilon_range, n_variants)
-    i0 = np.full(n_variants, (1.0 - s0 - r0) / n_variants)
-    return SirParams(gamma, epsilon, s0, i0, r0)
+def default_sir_params(n_variants: int = 10, s0: float = DEFAULT_S0,
+                       r0: float = 0.0) -> SirParams:
+    """Deterministic desk-scale parameter set: the grouped set with one
+    variant per group, so evenly spaced rates and uniform i0."""
+    return grouped_sir_params([1] * n_variants, s0, r0)
 
 
-def grouped_sir_params(
-    group_sizes,
-    s0: float = DEFAULT_S0,
-    r0: float = 0.0,
-    gamma_range: tuple[float, float] = (1.5, 2.5),
-    epsilon_range: tuple[float, float] = (0.9, 1.1),
-) -> SirParams:
-    """Variants in blocks with identical rates inside each block.
+def grouped_sir_params(group_sizes, s0: float = DEFAULT_S0, r0: float = 0.0) -> SirParams:
+    """Variants in blocks with identical rates inside each block; the block
+    rates are evenly spaced, gamma over [1.5, 2.5] and epsilon over
+    [0.9, 1.1], and i0 is uniform.
 
     Within a block the couplings coincide for all times, so the block
     clustering is a sufficient statistic of the induced model.
@@ -129,10 +118,8 @@ def grouped_sir_params(
     if any(s < 1 for s in group_sizes):
         raise ValueError("group sizes must be >= 1")
     k = len(group_sizes)
-    gam_g = np.linspace(*gamma_range, k)
-    eps_g = np.linspace(*epsilon_range, k)
-    gamma = np.repeat(gam_g, group_sizes)
-    epsilon = np.repeat(eps_g, group_sizes)
+    gamma = np.repeat(np.linspace(1.5, 2.5, k), group_sizes)
+    epsilon = np.repeat(np.linspace(0.9, 1.1, k), group_sizes)
     n = gamma.size
     i0 = np.full(n, (1.0 - s0 - r0) / n)
     return SirParams(gamma, epsilon, s0, i0, r0)
@@ -215,28 +202,28 @@ class Trajectory:
         s = np.asarray(self.susceptible[rows])[..., None]
         return self.params.gamma * s - self.params.epsilon
 
-    def mean_coupling(self, rows=slice(None)) -> np.ndarray:
-        """<d>_p, the probability-weighted mean coupling."""
-        return np.sum(self.p(rows) * self.couplings(rows), axis=-1)
-
-    def _p_and_rates(self, rows) -> tuple:
-        """(p, d - <d>_p) at the rows, evaluating p and d once each."""
+    def replicator(self, rows=slice(None)) -> tuple:
+        """(p, pdot, d, <d>_p, g_tt) at the rows, from one evaluation of p and
+        of the couplings d: the velocity pdot = p * (d - <d>_p) and the Fisher
+        information g_tt = sum(pdot^2 / p) = sum(pdot * (d - <d>_p))."""
         p, d = self.p(rows), self.couplings(rows)
-        return p, d - np.sum(p * d, axis=-1)[..., None]
+        mean_d = np.sum(p * d, axis=-1)
+        rate = d - mean_d[..., None]
+        pdot = p * rate
+        return p, pdot, d, mean_d, np.sum(pdot * rate, axis=-1)
 
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
         """Self-information rates pdot/p = d - <d>_p."""
-        return self._p_and_rates(rows)[1]
+        _, _, d, mean_d, _ = self.replicator(rows)
+        return d - mean_d[..., None]
 
     def pdot(self, rows=slice(None)) -> np.ndarray:
         """Velocity pdot = p * (d - <d>_p)."""
-        p, rate = self._p_and_rates(rows)
-        return p * rate
+        return self.replicator(rows)[1]
 
     def fisher_curve(self, rows=slice(None)) -> np.ndarray:
         """g_tt(t) = sum(pdot^2 / p) = sum(p * (d - <d>_p)^2)."""
-        p, rate = self._p_and_rates(rows)
-        return np.sum(p * rate * rate, axis=-1)
+        return self.replicator(rows)[4]
 
 
 def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> IntegrationError:

@@ -139,7 +139,9 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
     module docstring for its keys).  ``estimator`` maps a chunk of counts of
     shape (C, M) for a 1-D p, or (C, K, M) for a (K, M) p, to C values or C
     rows of values.  The summary reduces the (R,) or (R, J) values along the
-    replications; it depends only on (estimator, replications, seed, p, n).
+    replications, each component on its own, so that component j equals the
+    summary of the same estimator reduced to column j; it depends only on
+    (estimator, replications, seed, p, n).
     The first replication whose draw or estimator raises, or whose value is
     not finite, raises MonteCarloError naming it and its seed.
     """
@@ -162,6 +164,8 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
                     raise MonteCarloError(f"replication {r} (seed {rng.derive_key(seed, r)}) "
                                           f"failed: {exc}") from exc
             raise
-    values = np.concatenate(chunks)
-    std = values.std(axis=0, ddof=1)
-    return MonteCarloEstimate(values.mean(axis=0), std, std / np.sqrt(replications), replications)
+    # one contiguous row per component, reduced as that component alone
+    values = np.ascontiguousarray(np.moveaxis(np.concatenate(chunks), 0, -1))
+    std = values.std(axis=-1, ddof=1)
+    return MonteCarloEstimate(values.mean(axis=-1), std, std / np.sqrt(replications),
+                              replications)

@@ -5,33 +5,23 @@ such a point in time, and the squared Shahshahani norm of its velocity is
 the Fisher information.  The geometry functions take float arrays of shape
 (..., M) and reduce along the last axis, so one call evaluates a single
 point or every row of a (T, M) table; each row gives, bit for bit, what it
-gives alone.  ``Distribution`` is the checked constructor for a
-distribution read from outside input.
+gives alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# Construction tolerances: a sum deviating by more than REJECT_TOL is a hard
-# error, anything smaller is renormalized away (float accumulation).
-NORM_TOL = 1e-12
-REJECT_TOL = 1e-9
 
-
-def require_interior(p, floor: float = 0.0) -> np.ndarray:
-    """p as a float array, every entry of which must exceed ``floor`` (the
-    open simplex for 0); raises ValueError naming the first entry that does
-    not."""
+def require_interior(p) -> np.ndarray:
+    """p as a float array, every entry of which must be positive (the open
+    simplex); raises ValueError naming the first entry that is not."""
     p = np.asarray(p, dtype=float)
-    inside = p > floor
+    inside = p > 0.0
     if not inside.all():
         idx = np.unravel_index(np.argmin(inside), p.shape)
         where = int(idx[0]) if p.ndim == 1 else tuple(map(int, idx))
-        raise ValueError(f"distribution is not interior: entry {p[idx]} "
-                         f"at index {where} (floor {floor})")
+        raise ValueError(f"distribution is not interior: entry {p[idx]} at index {where}")
     return p
 
 
@@ -42,32 +32,6 @@ def _at(p, v) -> tuple[np.ndarray, np.ndarray]:
     if p.shape[-1:] != v.shape[-1:]:
         raise ValueError(f"size mismatch: {p.shape[-1]} vs {v.shape[-1]} variants")
     return p, v
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Point of the simplex: nonnegative probabilities summing to one."""
-
-    probs: np.ndarray
-
-    def __init__(self, probs):
-        arr = np.asarray(probs, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a distribution needs at least 1 probability")
-        if np.any(arr < 0):
-            idx = int(np.argmin(arr))
-            raise ValueError(f"negative probability {arr[idx]} at index {idx}")
-        total = arr.sum()
-        if abs(total - 1.0) > REJECT_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if abs(total - 1.0) > NORM_TOL:
-            arr = arr / total
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    def require_interior(self, floor: float = 0.0) -> None:
-        require_interior(self.probs, floor)
 
 
 def shahshahani_distance_sq(reference, point) -> np.ndarray:

@@ -47,7 +47,7 @@ SHIPPED_DIGESTS = {
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "0bfe29ba6c192d7820373d5979a2d720ff4da02d2a94c46cb4315df9c1e445d1",
+            "f133155a6947052ffae624b4ce5b4be786721a2876151ee0e1784dfcbc133a79",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -55,9 +55,9 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "796c130777751e41006a118de33bfe182dc083e65151af32f10b8f5546c7e195",
+            "b3ecee5c18b23a6a246739a4dbdce017622edce1dceef874e13d5f2ba2e37dde",
         "info_rate_variants.csv":
-            "1679a535ee8f9d5cf253914043c04d651d8883799dd355de2496a205011ef9ee",
+            "553aac0fea983406b396a0ebc99ce56ce30f74707ce3d07c58698804e50dc74c",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -75,7 +75,7 @@ SHIPPED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "c628640af148ca5c8e471d9050d9eca5c9d702b59c3ac3bd02e215b1e299732e",
+            "7e2d7268b127b0a2c5338476233bb6a7af9df9fc82e958e03e458076652ea66c",
     },
 }
 
@@ -111,7 +111,7 @@ SAMPLED_DIGESTS = {
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "6d28aa7901bbeaf9c3ee834a07798181ed7b9d2ebf3843388ed57b9bf0b57806",
+            "3c88f62c45be2bf3debe4e86f36ab5fb16df25b2d37a2e97d2484f66bc08ba72",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -119,9 +119,9 @@ SAMPLED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "874f87470b2fd8a9810289918a05ab7e6c61bf25f68df02189a6d49fb410cab0",
+            "f427452de1b35dac77072fb4330737273bd72600263e907fdcee398b1d8e6501",
         "info_rate_variants.csv":
-            "0281e70520fd652447d92fa95807e2b24cf70b5954091e20fe15de6c20ef7321",
+            "36985311afd3c5868db7f85383a5bdee3850c35dcc49e2b81f2ce97cee8e2fe9",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -135,7 +135,7 @@ SAMPLED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "123ca19ba0ae1095b744d202ed2429c92d61922cd8b756f5e05f03cd8c44b2ad",
+            "c22b520427401fa035454108a12051a8a32012d48867cffa46d265d974c9e736",
     },
 }
 
@@ -257,6 +257,20 @@ class TestRunner:
             assert "bad value for 'p'" in capsys.readouterr().err, p
             assert not (out / "manifest.json").exists()
 
+    def test_p_off_one_by_rounding_is_renormalised(self, tmp_path):
+        # a sum 2e-10 off 1 is renormalised: the run writes the bytes of a
+        # run given the renormalised entries
+        drifted = np.array([0.2, 0.3000000002, 0.5])
+        exact = ",".join("%.17g" % x for x in drifted / drifted.sum())
+        blobs = []
+        for p in ("0.2,0.3000000002,0.5", exact):
+            text = SMALL_CONFIGS["distance-moments"].replace("p = 0.2,0.3,0.5", f"p = {p}")
+            cli.run(write_cfg(tmp_path, "experiment = distance-moments\n" + text),
+                    str(tmp_path / "out"))
+            blobs.append({name: blob for name, blob in read_all(tmp_path / "out").items()
+                          if name != "manifest.json"})
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.parametrize(
         "experiment", ["fisher-bias-vs-t", "filtering-comparison", "theory-vs-mc"])
     def test_empty_list_rejected(self, tmp_path, capsys, experiment):
@@ -344,6 +358,29 @@ class TestRunner:
         ("experiment = fisher-bias-vs-t\ncount = 100\n",
          "bad value for 'count': 100 instants from t0 = 0.0 at step dt = 0.25 end at 24.75"),
         ("experiment = model-trajectory\nt0 = 1\ncount = 6\n", "bad value for 'count'"),
+        ("experiment = distance-moments\np = 0.5,0.6\n",
+         "bad value for 'p': '0.5,0.6' (probabilities sum to 1.1, not 1)"),
+        ("experiment = theory-vs-mc\np = 0.2,0.3,0.5000001\n", "bad value for 'p'"),
+        ("experiment = fisher-bias-vs-t\nfine_step = 0.002\n",
+         "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25) is not a whole number of fine "
+         "steps 0.002"),
+        ("experiment = filtering-comparison\nt0 = 0.5\ncount = 5\nfine_step = 0.002\n",
+         "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25)"),
+        ("experiment = fisher-bias-vs-n\nfine_step = 0.002\n",
+         "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25)"),
+        ("experiment = info-rate-moments\nt = 1\nfine_step = 0.002\n",
+         "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25)"),
+        ("experiment = theory-vs-mc\nt = 1\ndt = 0.5\nfine_step = 0.1\n",
+         "bad value for 'fine_step': dt/2 = 0.25 (dt = 0.5) is not a whole number of fine "
+         "steps 0.1"),
+        ("experiment = model-trajectory\nfine_step = 0.03\n",
+         "bad value for 'fine_step': dt = 0.25 is not a whole number of fine steps 0.03"),
+        ("experiment = elbow-scan\nfine_step = 0.03\n",
+         "bad value for 'fine_step': dt = 0.25 is not a whole number of fine steps 0.03"),
+        ("experiment = fisher-bias-vs-t\nfine_step = 0.03\n",
+         "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25)"),
+        ("experiment = model-trajectory\nfine_step = 0.5\n",
+         "bad value for 'fine_step': dt = 0.25 is not a whole number of fine steps 0.5"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         cfg = write_cfg(tmp_path, "t_end = 2\n" + text)

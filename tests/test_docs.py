@@ -34,7 +34,7 @@ def test_readme_module_table_names_exist():
 
 
 def test_a_removed_name_is_caught():
-    row = "| `infodyn.simplex` | `Distribution`, `TangentVector`, `(mean, variance)` |"
+    row = "| `infodyn.simplex` | `require_interior`, `TangentVector`, `(mean, variance)` |"
     assert missing_names(row) == [("infodyn.simplex", "TangentVector")]
 
 

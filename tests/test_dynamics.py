@@ -97,6 +97,13 @@ class TestSirParams:
         assert params.epsilon[0] == 0.9 and params.epsilon[-1] == 1.1
         assert params.s0 + params.i0.sum() + params.r0 == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n_variants", [2, 3, 10, 50, 1000])
+    def test_default_generator_is_evenly_spaced(self, n_variants):
+        params = dyn.default_sir_params(n_variants)
+        assert np.array_equal(params.gamma, np.linspace(1.5, 2.5, n_variants))
+        assert np.array_equal(params.epsilon, np.linspace(0.9, 1.1, n_variants))
+        assert np.array_equal(params.i0, np.full(n_variants, (1.0 - dyn.DEFAULT_S0) / n_variants))
+
     def test_grouped_generator_blocks(self):
         params = dyn.grouped_sir_params([3, 2])
         assert len(set(params.gamma[:3])) == 1
@@ -193,13 +200,21 @@ class TestIntegration:
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= m * 1e-15
         rows = np.array(rows)
-        for name in ("p", "pdot", "couplings", "mean_coupling", "infected",
-                     "fisher_curve", "info_rate_curve"):
+        for name in ("p", "pdot", "couplings", "infected", "fisher_curve", "info_rate_curve"):
             accessor = getattr(traj, name)
             every = accessor()
             assert np.array_equal(accessor(rows), every[rows]), name
             assert np.array_equal(accessor(row), every[row]), name
             assert np.array_equal(accessor(slice(3, None, 7)), every[3::7]), name
+        # the one evaluation gives each accessor's array, row by row as whole
+        every = traj.replicator()
+        for name, whole in zip(("p", "pdot", "couplings"), every):
+            assert np.array_equal(whole, getattr(traj, name)()), name
+        assert np.array_equal(every[4], traj.fisher_curve())
+        for part, whole in zip(traj.replicator(rows), every):
+            assert np.array_equal(part, whole[rows])
+        for part, whole in zip(traj.replicator(row), every):
+            assert np.array_equal(part, whole[row])
 
     @pytest.mark.parametrize("gamma, epsilon, i0, step, t_end", [
         ([200.0, 100.0], [1.0, 1.0], [0.05, 0.05], 0.1, 2.0),      # overflow
@@ -240,6 +255,13 @@ class TestIntegration:
         traj = dyn.integrate_sir(dyn.default_sir_params(3), t_end, step)
         assert traj.times.size == points
         assert traj.t_end == pytest.approx(last, rel=1e-15)
+
+
+def fast_params(gamma_lo, gamma_hi):
+    """default_sir_params(10) with gamma spread evenly over [gamma_lo, gamma_hi]."""
+    base = dyn.default_sir_params(10)
+    return dyn.SirParams(np.linspace(gamma_lo, gamma_hi, 10), base.epsilon, base.s0, base.i0,
+                         base.r0)
 
 
 class TestSolveSir:
@@ -286,8 +308,7 @@ class TestSolveSir:
             return integrate(params, t_end, step)
 
         monkeypatch.setattr(dyn, "integrate_sir", counted)
-        traj, p_err, g_err = self.errors(dyn.default_sir_params(10, gamma_range=(6.0, 8.0)),
-                                         10.0)
+        traj, p_err, g_err = self.errors(fast_params(6.0, 8.0), 10.0)
         # two halvings, then the reference run
         assert steps == [0.0125, 0.00625, 0.003125, 0.0015625, 1.25e-4]
         assert np.array_equal(traj.times, np.arange(801) * 0.0125)
@@ -295,7 +316,7 @@ class TestSolveSir:
 
     def test_run_failing_its_checks_is_halved(self):
         # plain RK4 at 0.0125 drifts past CONSERVATION_TOL on this model
-        params = dyn.default_sir_params(10, gamma_range=(20.0, 22.0))
+        params = fast_params(20.0, 22.0)
         with pytest.raises(dyn.IntegrationError, match="conservation drift"):
             dyn.integrate_sir(params, 2.0, 0.0125)
         traj, p_err, g_err = self.errors(params, 2.0)
@@ -315,9 +336,36 @@ class TestSolveSir:
             h.update(state.tobytes())
         assert h.hexdigest() == digest
 
+    def test_matches_extended_precision_reference(self):
+        # mpmath's Taylor-series integrator on the reduced (S, X, R) system at
+        # 20 digits, with the sums over variants taken over the closed form I;
+        # Taylor degree 20 rather than mpmath's 33 at 20 digits gives the same
+        # values here in about two thirds of the time
+        mpmath = pytest.importorskip("mpmath")
+        params = dyn.default_sir_params(10)
+        traj = dyn.solve_sir(params, 10.0, 0.0125)
+        with mpmath.workdps(20):
+            log_i0 = [mpmath.log(x) for x in params.i0.tolist()]
+            gamma = [mpmath.mpf(x) for x in params.gamma.tolist()]
+            epsilon = [mpmath.mpf(x) for x in params.epsilon.tolist()]
+
+            def rates(t, y):
+                s, x, _ = y
+                infected = [mpmath.exp(a + g * x - e * t)
+                            for a, g, e in zip(log_i0, gamma, epsilon)]
+                return [-s * mpmath.fdot(gamma, infected), s, mpmath.fdot(epsilon, infected)]
+
+            reference = mpmath.odefun(rates, 0, [mpmath.mpf(params.s0), 0, mpmath.mpf(params.r0)],
+                                      degree=20)
+            for t in (0.5, 1.0, 1.5, 2.0):
+                k = traj.index_at(t)
+                got = (traj.susceptible[k], traj.cumulative_susceptible[k], traj.recovered[k])
+                for name, value, want in zip("SXR", got, reference(t)):
+                    assert abs(value - float(want)) <= 1e-13 * abs(float(want)), (t, name)
+
     def test_estimate_beyond_last_halving_raises(self, monkeypatch):
         monkeypatch.setattr(dyn, "MAX_HALVINGS", 1)
-        params = dyn.default_sir_params(10, gamma_range=(6.0, 8.0))
+        params = fast_params(6.0, 8.0)
         with pytest.raises(dyn.IntegrationError,
                            match=r"after 1 halvings of step 0\.0125, at RK4 steps 0\.00625 and "
                                  r"0\.003125: step-doubling error estimate \d\.\d{3}e-09 > 1e-09; "
@@ -347,14 +395,14 @@ class TestCouplings:
     def test_mean_coupling_examples(self):
         # p = (0.25, 0.75) with couplings (4, 0), then equal couplings (2, 2)
         params = dyn.SirParams([10.0, 2.0], [1.0, 1.0], 0.5, [0.125, 0.375], 0.0)
-        assert first_row(params).mean_coupling(0) == pytest.approx(1.0, rel=1e-15)
+        assert first_row(params).replicator(0)[3] == pytest.approx(1.0, rel=1e-15)
         params = dyn.SirParams([6.0, 6.0], [1.0, 1.0], 0.5, [0.15, 0.35], 0.0)
-        assert first_row(params).mean_coupling(0) == pytest.approx(2.0, rel=1e-15)
+        assert first_row(params).replicator(0)[3] == pytest.approx(2.0, rel=1e-15)
 
     def test_fisher_equals_coupling_variance_on_grid(self, desk_traj):
         g = desk_traj.fisher_curve()
         d = desk_traj.couplings()
-        mean_d = desk_traj.mean_coupling()
+        mean_d = desk_traj.replicator()[3]
         var_d = np.sum(desk_traj.p() * (d - mean_d[:, None]) ** 2, axis=1)
         assert np.all(g >= 0.0)
         mask = var_d > 1e-30
@@ -363,7 +411,7 @@ class TestCouplings:
     def test_weighted_rate_identity(self, desk_traj):
         # tangency written through couplings: sum p*(d - <d>) = 0
         resid = np.sum(desk_traj.p() * (desk_traj.couplings()
-                                        - desk_traj.mean_coupling()[:, None]), axis=1)
+                                        - desk_traj.replicator()[3][:, None]), axis=1)
         assert np.max(np.abs(resid)) < 1e-12
 
 
@@ -412,7 +460,7 @@ class TestCsvExport:
         rows = slice(None, None, 2)  # the default output_stride
         expected = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
                                     traj.pdot(rows), traj.couplings(rows),
-                                    traj.mean_coupling(rows)))
+                                    traj.replicator(rows)[3]))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, expected)  # 17 digits read back exactly
 
@@ -427,7 +475,7 @@ class TestCsvExport:
                   + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]
                   + ["mean_d"])
         rows = [[f"row_{k}", k, traj.times[k], traj.susceptible[k]] + list(traj.p(k))
-                + list(traj.pdot(k)) + list(traj.couplings(k)) + [traj.mean_coupling(k)]
+                + list(traj.pdot(k)) + list(traj.couplings(k)) + [traj.replicator(k)[3]]
                 for k in range(0, traj.times.size, 7)]
         path = tmp_path / "fast.csv"
         cli.write_csv(path, header, rows)

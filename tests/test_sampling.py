@@ -65,7 +65,8 @@ def reference_estimates(counts, n, dt, f):
 def reference_monte_carlo(estimator, replications, seed, p, n):
     """The per-replication loop the block driver replaced: one fresh stream
     per replication (and instant), the estimator applied to one replication
-    at a time.  Returns (values, mean, std, standard error)."""
+    at a time, and each component summarised alone.  Returns (values, mean,
+    std, standard error)."""
     values = []
     for r in range(replications):
         seed_r = rng.derive_key(seed, r)
@@ -79,9 +80,10 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
     if values.ndim == 1:
         std = float(values.std(ddof=1))
         return values, float(values.mean()), std, std / np.sqrt(replications)
-    stds = values.std(axis=0, ddof=1)
-    return (values, values.mean(axis=0), stds,
-            np.array([float(s) / np.sqrt(replications) for s in stds]))
+    columns = [np.ascontiguousarray(values[:, j]) for j in range(values.shape[1])]
+    stds = [float(column.std(ddof=1)) for column in columns]
+    return (values, np.array([float(column.mean()) for column in columns]), np.array(stds),
+            np.array([s / np.sqrt(replications) for s in stds]))
 
 
 def recording(estimator):
@@ -386,6 +388,20 @@ class TestMonteCarlo:
             lambda c: np.stack([c[:, 0] * 1.0, np.full(len(c), 5.0)], axis=1), 30, 1, P4, 10)
         assert est.mean.shape == est.std.shape == est.standard_error.shape == (2,)
         assert est.mean[1] == 5.0 and est.std[1] == 0.0
+
+    def test_component_equals_its_column_alone(self):
+        # each component of a (C, J) estimator is summarised bit for bit as
+        # the same estimator reduced to that column
+        p = np.random.default_rng(3).dirichlet(np.ones(10), size=2)
+
+        def rates(c):
+            return smp.info_rate_hat(c, 1000, DT)[:, 0]
+
+        est = smp.monte_carlo_components(rates, 1000, 5, p, 1000)
+        for j in range(10):
+            alone = smp.monte_carlo_components(lambda c: rates(c)[:, j], 1000, 5, p, 1000)
+            assert (est.mean[j], est.std[j], est.standard_error[j]) == (
+                alone.mean, alone.std, alone.standard_error), j
 
     def test_distance_mean_matches_theory(self):
         # Monte Carlo mean of the squared distance is N/n within 3 SE

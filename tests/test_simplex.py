@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from infodyn import clustering as cl
 from infodyn import dynamics as dyn
 from infodyn import theory as th
+from infodyn.cli import _distribution
 from infodyn.simplex import (
-    Distribution,
     fisher_information,
     kl_divergence,
     require_interior,
@@ -47,29 +47,31 @@ def points_with_tangents(draw):
 
 
 class TestDistribution:
+    """A distribution read from a config's comma list."""
+
     def test_renormalizes_small_drift(self):
-        d = Distribution([0.5 + 2e-10, 0.5])
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        p = _distribution("0.5000000002,0.5")
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_large_drift(self):
         with pytest.raises(ValueError, match="sum"):
-            Distribution([0.5, 0.6])
+            _distribution("0.5,0.6")
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="index 1"):
-            Distribution([1.1, -0.1])
+            _distribution("1.1,-0.1")
 
     def test_interior_predicate(self):
-        Distribution([0.3, 0.7]).require_interior()
+        assert _distribution("0.3,0.7").tolist() == [0.3, 0.7]
         with pytest.raises(ValueError, match="entry 0.0 at index 1"):
-            Distribution([1.0, 0.0]).require_interior()
-        with pytest.raises(ValueError, match=r"entry 0.05 at index 0 \(floor 0.1\)"):
-            Distribution([0.05, 0.95]).require_interior(floor=0.1)
+            _distribution("1,0")
+        with pytest.raises(ValueError, match="at least 2 entries"):
+            _distribution("1")
 
     def test_immutable(self):
-        d = Distribution([0.4, 0.6])
+        p = _distribution("0.4,0.6")
         with pytest.raises(ValueError):
-            d.probs[0] = 0.9
+            p[0] = 0.9
 
 
 class TestRequireInterior:

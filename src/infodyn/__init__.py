@@ -17,7 +17,6 @@ from .dynamics import (
 )
 from .sampling import (
     MonteCarloEstimate,
-    SampleGrid,
     cluster_info_rate_hat,
     clustered_fisher_hat,
     fisher_hat,

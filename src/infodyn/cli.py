@@ -26,18 +26,19 @@ from . import theory as th
 from .simplex import (fisher_information, require_interior, self_information_rate,
                       shahshahani_distance_sq)
 
-KNOWN_KEYS = {
-    "experiment", "N", "n", "dt", "t0", "t_end", "fine_step", "replications",
-    "ell", "seed", "gamma", "epsilon", "s0", "i0", "r0", "p", "t", "count",
-    "groups", "output_stride", "half_width", "shape",
-}
-
+# experiment name -> (function, the config keys it reads)
 EXPERIMENTS = {}
 
+# the keys of the model, which every experiment but distance-moments reads
+_MODEL_KEYS = ("N", "dt", "t_end", "fine_step", "s0", "r0", "groups", "gamma", "epsilon",
+               "i0")
 
-def experiment(name):
+
+def experiment(name, *keys):
+    """Register an experiment that reads `keys`, and `experiment` and `seed`,
+    which every run reads; run rejects a config that sets any other key."""
     def register(fn):
-        EXPERIMENTS[name] = fn
+        EXPERIMENTS[name] = fn, frozenset(("experiment", "seed") + keys)
         return fn
     return register
 
@@ -122,21 +123,24 @@ _replications = _at_least(2, "replications")
 _cluster_count = _at_least(1, "cluster count")
 
 
+def _entries(text: str) -> list[str]:
+    """The entries of a comma list; an empty entry is an error."""
+    entries = text.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValueError("empty entry in the comma list")
+    return entries
+
+
 def _int_list(text: str) -> list[int]:
     """Comma list of positive integers."""
-    values = [int(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise ValueError("empty list")
+    values = [int(x) for x in _entries(text)]
     if min(values) < 1:
         raise ValueError("entries must be at least 1")
     return values
 
 
 def _float_list(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise ValueError("empty list")
-    return values
+    return [float(x) for x in _entries(text)]
 
 
 def _per_variant(size: int, positive: bool):
@@ -247,22 +251,33 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
     return dyn.solve_sir(params, t_end, fine_step), dt
 
 
-def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
-    """Instants t0, t0 + dt, ...: `count` of them or, by default, every one
-    up to the last not after t_end, by the rule of the model grid; a larger
-    `count` is an error."""
+def _row(traj: dyn.Trajectory, t: float, key: str) -> int:
+    """Model-grid row of the time `t`, the value of `key`; a time off the grid
+    or outside [0, t_end] raises a ConfigError naming `key`."""
     try:
-        fits = dyn.grid_steps(traj.t_end - t0, dt) + 1
+        return traj.index_at(t)
     except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {key} must lie on the model grid "
+                          f"({exc})") from exc
+
+
+def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
+    """Model-grid rows of the sampling instants t0, t0 + dt, ...: `count` of
+    them or, by default, every one up to the last row; a larger `count` is an
+    error.  _model has checked that dt is a whole number of grid steps."""
+    stride = round(dt / traj.step)
+    first = _row(traj, t0, "t0")
+    fits = (traj.times.size - 1 - first) // stride + 1
+    if fits < 2:
         raise ConfigError(f"bad value for 't0': {t0} is less than one step dt = {dt} "
-                          f"before t_end = {traj.t_end}") from exc
+                          f"before t_end = {traj.t_end}")
     if count is None:
         count = fits
     elif count > fits:
         raise ConfigError(f"bad value for 'count': {count} instants from t0 = {t0} at step "
                           f"dt = {dt} end at {t0 + (count - 1) * dt}, after t_end = "
                           f"{traj.t_end} (at most {fits} fit)")
-    return smp.SampleGrid(t0, dt, count)
+    return first + stride * np.arange(count)
 
 
 def _grid_keys(cfg, t0: float = 0.0, count: int | None = None) -> tuple:
@@ -274,28 +289,22 @@ def _grid_keys(cfg, t0: float = 0.0, count: int | None = None) -> tuple:
 def _at_t(cfg, ells=()) -> tuple:
     """Parse `t` and the model keys, integrate the model, and locate t:
     returns (trajectory, dt, model-grid row of t, the (2, M) distributions
-    at t - dt/2 and t + dt/2).  `ells` is passed to _model."""
+    at t - dt/2 and t + dt/2).  `ells` is passed to _model, which has made
+    dt/2 a whole number of grid steps."""
     t = _get(cfg, "t", 5.0, _time)
     traj, dt = _model(cfg, ells)
-    k = _t_rows(traj, t, "t")
-    rows = _t_rows(traj, smp.SampleGrid(t - dt / 2.0, dt, 2).times(), "t - dt/2 and t + dt/2")
-    return traj, dt, k, traj.p(rows)
-
-
-def _t_rows(traj: dyn.Trajectory, times, what: str):
-    """Model-grid rows of `times`, which are `what` in terms of the key `t`;
-    a time off the grid raises a ConfigError naming `t`."""
-    try:
-        return traj.index_at(times)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 't': {what} must lie on the model grid "
-                          f"({exc})") from exc
+    k = _row(traj, t, "t")
+    half = round(dt / traj.step) // 2
+    if not half <= k <= traj.times.size - 1 - half:
+        raise ConfigError(f"bad value for 't': t - dt/2 = {t - dt / 2.0:g} and t + dt/2 = "
+                          f"{t + dt / 2.0:g} must lie in [0, t_end = {traj.t_end:g}]")
+    return traj, dt, k, traj.p(np.array([k - half, k + half]))
 
 
 def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
     """K-means into ell clusters on the full sampling grid; returns the
     clustering and the cluster sums q and qdot at model-grid row k."""
-    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt).times()), ell)
+    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
     return f, cl.aggregate(traj.p(k), f), cl.aggregate(traj.pdot(k), f)
 
 
@@ -320,7 +329,7 @@ def _component_rows(n: int, est: smp.MonteCarloEstimate, mean_th, var_th) -> lis
             in enumerate(zip(est.mean, est.standard_error, est.std, mean_th, var_th), start=1)]
 
 
-@experiment("distance-moments")
+@experiment("distance-moments", "p", "n", "replications")
 def run_distance_moments(cfg, outdir, seed):
     p = _get(cfg, "p", DEFAULT_P, _distribution)
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
@@ -336,15 +345,14 @@ def run_distance_moments(cfg, outdir, seed):
     return ["distance_moments.csv"]
 
 
-@experiment("model-trajectory")
+@experiment("model-trajectory", "output_stride", "t0", "count", "ell", *_MODEL_KEYS)
 def run_model_trajectory(cfg, outdir, seed):
     stride = _get(cfg, "output_stride", 2, _at_least(1, "output stride"))
     t0, count = _grid_keys(cfg)
     ell = _get(cfg, "ell", 3, _cluster_count)
     traj, dt = _model(cfg, [ell])
-    grid = _grid(traj, dt, t0, count)
+    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt, t0, count)), ell)
     rows = slice(None, None, stride)
-    f = cl.kmeans(cl.kmeans_features(traj, grid.times()), ell)
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
@@ -357,7 +365,7 @@ def run_model_trajectory(cfg, outdir, seed):
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
-@experiment("fisher-bias-vs-n")
+@experiment("fisher-bias-vs-n", "n", "replications", "t", *_MODEL_KEYS)
 def run_fisher_bias_vs_n(cfg, outdir, seed):
     ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
     reps = _get(cfg, "replications", 500, _replications)
@@ -374,25 +382,24 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
     return ["fisher_bias_vs_n.csv"]
 
 
-@experiment("fisher-bias-vs-t")
+@experiment("fisher-bias-vs-t", "n", "replications", "t0", "count", *_MODEL_KEYS)
 def run_fisher_bias_vs_t(cfg, outdir, seed):
     n = _get(cfg, "n", 100000, _sample_size)
     reps = _get(cfg, "replications", 500, _replications)
     t0, count = _grid_keys(cfg)
     traj, dt = _model(cfg)
-    grid = _grid(traj, dt, t0, count)
+    rows = _grid(traj, dt, t0, count)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt), reps, seed,
-                                     traj.p(traj.index_at(grid.times())), n)
-    t = grid.midpoints()
-    mean_th, var_th = th.fisher_prediction(traj.fisher_curve(traj.index_at(t)),
-                                           traj.n_variants - 1, n, dt)
+                                     traj.p(rows), n)
+    mid = (rows[:-1] + rows[1:]) // 2  # _model made dt/2 a whole number of grid steps
+    mean_th, var_th = th.fisher_prediction(traj.fisher_curve(mid), traj.n_variants - 1, n, dt)
     write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
               ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
-              zip(t, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
+              zip(traj.times[mid], est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
     return ["fisher_bias_vs_t.csv"]
 
 
-@experiment("info-rate-moments")
+@experiment("info-rate-moments", "n", "replications", "ell", "t", *_MODEL_KEYS)
 def run_info_rate_moments(cfg, outdir, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
@@ -416,7 +423,7 @@ def run_info_rate_moments(cfg, outdir, seed):
     return ["info_rate_variants.csv", "info_rate_clusters.csv", "clustering.csv"]
 
 
-@experiment("filtering-comparison")
+@experiment("filtering-comparison", "n", "t0", "count", "half_width", "shape", *_MODEL_KEYS)
 def run_filtering_comparison(cfg, outdir, seed):
     n = _get(cfg, "n", 250000, _sample_size)
     t0, count = _grid_keys(cfg, 2.5, 31)
@@ -424,10 +431,10 @@ def run_filtering_comparison(cfg, outdir, seed):
         _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width")),
         _get(cfg, "shape", flt.DEFAULT_SHAPE, _positive))
     traj, dt = _model(cfg)
-    grid = _grid(traj, dt, t0, count)
-    counts = rng.sample_block(traj.p(traj.index_at(grid.times())), n,
-                              rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
-    true_rates = traj.info_rate_curve(traj.index_at(grid.midpoints()))
+    rows = _grid(traj, dt, t0, count)
+    counts = rng.sample_block(traj.p(rows), n,
+                              rng.derive_key(seed, np.arange(rows.size, dtype=np.uint64)))
+    true_rates = traj.info_rate_curve((rows[:-1] + rows[1:]) // 2)
     raw = smp.info_rate_hat(counts, n, dt)
     filt_p = flt.filter_probs(counts / n, kernel)
     filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], dt)
@@ -439,15 +446,15 @@ def run_filtering_comparison(cfg, outdir, seed):
     return ["filtering_rmse.csv"]
 
 
-@experiment("elbow-scan")
+@experiment("elbow-scan", "t", "ell", *_MODEL_KEYS)
 def run_elbow_scan(cfg, outdir, seed):
     if not cfg.keys() & {"groups", *_UNGROUPED_KEYS}:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
     t_eval = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
     traj, dt = _model(cfg, ells)
-    k_eval = _t_rows(traj, t_eval, "t")
-    feats = cl.kmeans_features(traj, _grid(traj, dt).times())
+    k_eval = _row(traj, t_eval, "t")
+    feats = cl.kmeans_features(traj, _grid(traj, dt))
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
@@ -456,7 +463,7 @@ def run_elbow_scan(cfg, outdir, seed):
     return ["elbow_curve.csv", "elbow_summary.csv"]
 
 
-@experiment("theory-vs-mc")
+@experiment("theory-vs-mc", "n", "replications", "ell", "p", "t", *_MODEL_KEYS)
 def run_theory_vs_mc(cfg, outdir, seed):
     n = _get(cfg, "n", 10000, _sample_size)
     reps = _get(cfg, "replications", 1000, _replications)
@@ -490,6 +497,10 @@ def run_theory_vs_mc(cfg, outdir, seed):
     return ["theory_vs_mc.csv"]
 
 
+# every key some experiment reads
+KNOWN_KEYS = frozenset().union(*(keys for _, keys in EXPERIMENTS.values()))
+
+
 def run(config_path, outdir, seed_override=None) -> list[str]:
     """Execute the configured experiment; returns the artifact list."""
     with open(config_path, "rb") as fh:
@@ -499,11 +510,16 @@ def run(config_path, outdir, seed_override=None) -> list[str]:
     if name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; valid: {sorted(EXPERIMENTS)}")
+    fn, keys = EXPERIMENTS[name]
+    unread = next((key for key in cfg if key not in keys), None)
+    if unread is not None:
+        raise ConfigError(f"key {unread!r} is not read by experiment {name!r} "
+                          f"(it reads: {sorted(keys)})")
     if seed_override is not None:
         cfg["seed"] = str(seed_override)
     seed = _get(cfg, "seed", 1, _seed)
     os.makedirs(outdir, exist_ok=True)
-    artifacts = EXPERIMENTS[name](cfg, outdir, seed)
+    artifacts = fn(cfg, outdir, seed)
     manifest = {
         "experiment": name,
         "config_sha256": hashlib.sha256(raw).hexdigest(),

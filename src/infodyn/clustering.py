@@ -115,10 +115,10 @@ def sufficiency_residuals(traj, f: Clustering) -> float:
     return float(np.max(np.abs(r * (d - aggregate(r * d, f)[:, f.labels]))))
 
 
-def kmeans_features(traj, times) -> np.ndarray:
-    """Per-variant feature rows: information rates at an array of times;
-    sampled or filtered rate rows can be passed to kmeans directly instead."""
-    rows = traj.index_at(np.atleast_1d(np.asarray(times, dtype=float)))
+def kmeans_features(traj, rows) -> np.ndarray:
+    """Per-variant feature rows: information rates at an array of model-grid
+    rows; sampled or filtered rate rows can be passed to kmeans directly
+    instead."""
     return np.ascontiguousarray(traj.info_rate_curve(rows).T)
 
 

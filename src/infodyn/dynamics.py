@@ -161,23 +161,17 @@ class Trajectory:
     def n_variants(self) -> int:
         return self.params.n_variants
 
-    def index_at(self, t):
-        """Grid index of a grid time, or an array of them for an array of
-        times; raises for a time outside [0, t_end] or more than 1e-9 steps
-        from a grid point."""
-        times = np.asarray(t, dtype=float)
-        inside = (times >= 0.0) & (times <= self.t_end + 1e-12)
-        if not np.all(inside):
-            bad = float(np.extract(~inside, times)[0])
-            raise ValueError(f"time {bad} outside trajectory domain [0, {self.t_end}]")
-        steps = times / self.step
-        idx = np.rint(steps)
-        off = np.abs(steps - idx) > 1e-9
-        if np.any(off):
-            bad = float(np.extract(off, times)[0])
-            raise ValueError(f"time {bad} is not a point of the grid of step {self.step:g}")
-        idx = idx.astype(np.intp)
-        return int(idx) if idx.ndim == 0 else idx
+    def index_at(self, t: float) -> int:
+        """Grid index of a grid time; raises for a time outside [0, t_end] or
+        more than 1e-9 steps from a grid point."""
+        t = float(t)
+        if not 0.0 <= t <= self.t_end + 1e-12:
+            raise ValueError(f"time {t} outside trajectory domain [0, {self.t_end}]")
+        steps = t / self.step
+        idx = round(steps)
+        if abs(steps - idx) > 1e-9:
+            raise ValueError(f"time {t} is not a point of the grid of step {self.step:g}")
+        return idx
 
     def _exponents(self, rows) -> np.ndarray:
         """log I = log i0 + gamma * X - epsilon * t at the rows."""
@@ -241,8 +235,7 @@ def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> In
 def grid_steps(t_end: float, step: float) -> int:
     """Steps of the grid 0, step, 2 step, ... up to its last point not after
     t_end (within a relative 1e-9, so that rounding in t_end / step does not
-    drop a point).  The model grid and the sampling grid both end by this
-    rule."""
+    drop a point)."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if not 0.0 <= t_end < math.inf:

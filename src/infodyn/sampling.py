@@ -39,28 +39,6 @@ class MonteCarloError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SampleGrid:
-    """Equally spaced sampling instants t0 + k*dt, k = 0..count-1."""
-
-    t0: float
-    dt: float
-    count: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.count < 2:
-            raise ValueError("need at least 2 sampling instants")
-
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.count) * self.dt
-
-    def midpoints(self) -> np.ndarray:
-        """Times t0 + (k + 1/2) dt where the estimators of the intervals live."""
-        return self.t0 + (np.arange(self.count - 1) + 0.5) * self.dt
-
-
-@dataclass(frozen=True)
 class MonteCarloEstimate:
     """Mean, sample std and standard error of an estimator over replications,
     as numpy reduces them: scalars for a scalar estimator, arrays for a

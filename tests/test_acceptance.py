@@ -20,6 +20,7 @@ from infodyn import theory as th
 from infodyn.simplex import fisher_information, shahshahani_distance_sq
 
 DT = 0.25
+STRIDE = 250  # DT in model-grid rows of step 1e-3
 N_VARIANTS = 10
 N_DOF = N_VARIANTS - 1
 
@@ -37,19 +38,19 @@ def desk_traj():
 
 @pytest.fixture(scope="module")
 def desk_f3(desk_traj):
-    grid = smp.SampleGrid(0.0, DT, 41)
-    return cl.kmeans(cl.kmeans_features(desk_traj, grid.times()), 3)
+    return cl.kmeans(cl.kmeans_features(desk_traj, STRIDE * np.arange(41)), 3)
 
 
 def two_point_p(traj, t):
     """Distributions at t - DT/2 and t + DT/2, one row each."""
-    return traj.p(traj.index_at(np.array([t - DT / 2, t + DT / 2])))
+    k = traj.index_at(t)
+    return traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
 
 
-def sample_grid(traj, grid, n, seed):
-    """Counts at every grid instant, instant k from the sub-stream (seed, k)."""
-    return rng.sample_block(traj.p(traj.index_at(grid.times())), n,
-                            rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
+def sample_grid(traj, rows, n, seed):
+    """Counts at the model-grid rows, the k-th from the sub-stream (seed, k)."""
+    return rng.sample_block(traj.p(rows), n,
+                            rng.derive_key(seed, np.arange(len(rows), dtype=np.uint64)))
 
 
 def fisher_mc(traj, t, n, reps, seed):
@@ -212,7 +213,7 @@ def test_criterion_08_exact_identities(desk_traj):
         assert abs(dgc - direct) <= tol
 
     # identity clustering is bitwise-identical on both estimator routes
-    counts = sample_grid(desk_traj, smp.SampleGrid(3.0, DT, 5), 800, seed=88)
+    counts = sample_grid(desk_traj, 3000 + STRIDE * np.arange(5), 800, seed=88)
     ident = cl.Clustering(range(1, N_VARIANTS + 1))
     assert np.array_equal(smp.clustered_fisher_hat(counts, 800, DT, ident),
                           smp.fisher_hat(counts, 800, DT))
@@ -289,7 +290,7 @@ def test_criterion_10_conservation_and_rk4_order(desk_traj):
 
 def test_criterion_11_elbow():
     traj = dyn.integrate_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 1e-3)
-    feats = cl.kmeans_features(traj, smp.SampleGrid(0.0, DT, 41).times())
+    feats = cl.kmeans_features(traj, STRIDE * np.arange(41))
     k = traj.index_at(1.0)
     p, pdot = traj.p(k), traj.pdot(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell)))
@@ -301,9 +302,9 @@ def test_criterion_11_elbow():
 
 def test_criterion_12_filtering(desk_traj):
     n = 250000
-    grid = smp.SampleGrid(2.5, DT, 31)
-    counts = sample_grid(desk_traj, grid, n, seed=1212)
-    true_rates = desk_traj.info_rate_curve(desk_traj.index_at(grid.midpoints()))
+    rows = 2500 + STRIDE * np.arange(31)
+    counts = sample_grid(desk_traj, rows, n, seed=1212)
+    true_rates = desk_traj.info_rate_curve(rows[:-1] + STRIDE // 2)
     raw = smp.info_rate_hat(counts, n, DT)
     filt_p = flt.filter_probs(counts / n, flt.gaussian_kernel())
     filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], DT)

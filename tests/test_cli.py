@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infodyn import cli
@@ -183,17 +183,17 @@ class TestConfigParsing:
             cli.parse_config("just some words\n")
 
     def test_list_values(self):
-        assert cli._int_list("10, 20,") == [10, 20]
+        assert cli._int_list("10, 20") == [10, 20]
         assert cli._float_list("0.5,0.5") == [0.5, 0.5]
         for conv in (cli._int_list, cli._float_list):
-            with pytest.raises(ValueError, match="empty"):
-                conv(" , ")
+            for text in (" , ", "10, 20,", "100,,1000", ",5"):
+                with pytest.raises(ValueError, match="empty entry"):
+                    conv(text)
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_shipped_config_is_valid(self, path):
         cfg = cli.parse_config(path.read_text())  # rejects unknown keys
-        assert set(cfg) <= cli.KNOWN_KEYS
-        assert cfg["experiment"] in cli.EXPERIMENTS
+        assert set(cfg) <= cli.EXPERIMENTS[cfg["experiment"]][1]
 
     def test_every_experiment_has_a_shipped_config(self):
         names = {cli.parse_config(p.read_text())["experiment"] for p in CONFIGS.glob("*.cfg")}
@@ -381,13 +381,38 @@ class TestRunner:
          "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25)"),
         ("experiment = model-trajectory\nfine_step = 0.5\n",
          "bad value for 'fine_step': dt = 0.25 is not a whole number of fine steps 0.5"),
+        ("experiment = fisher-bias-vs-t\nt0 = 0.01\n",
+         "bad value for 't0': t0 must lie on the model grid (time 0.01 is not a point"),
+        ("experiment = model-trajectory\nt0 = 0.01\n", "bad value for 't0'"),
+        ("experiment = filtering-comparison\nt0 = 0.01\ncount = 5\n", "bad value for 't0'"),
+        ("experiment = distance-moments\nt = 3\n",
+         "key 't' is not read by experiment 'distance-moments'"),
+        ("experiment = model-trajectory\nn = 100\n",
+         "key 'n' is not read by experiment 'model-trajectory'"),
+        ("experiment = fisher-bias-vs-n\nell = 3\n",
+         "key 'ell' is not read by experiment 'fisher-bias-vs-n'"),
+        ("experiment = fisher-bias-vs-t\nt = 3\nell = 4\np = 0.5,0.5\nhalf_width = 2\n",
+         "key 't' is not read by experiment 'fisher-bias-vs-t'"),
+        ("experiment = info-rate-moments\np = 0.5,0.5\n",
+         "key 'p' is not read by experiment 'info-rate-moments'"),
+        ("experiment = filtering-comparison\nreplications = 10\n",
+         "key 'replications' is not read by experiment 'filtering-comparison'"),
+        ("experiment = elbow-scan\ncount = 5\n",
+         "key 'count' is not read by experiment 'elbow-scan'"),
+        ("experiment = theory-vs-mc\nt0 = 1\n",
+         "key 't0' is not read by experiment 'theory-vs-mc'"),
+        ("experiment = distance-moments\nn = 100,,1000\n",
+         "bad value for 'n': '100,,1000' (empty entry"),
+        ("experiment = theory-vs-mc\np = 0.5,0.5,\n", "bad value for 'p': '0.5,0.5,' (empty entry"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
-        cfg = write_cfg(tmp_path, "t_end = 2\n" + text)
+        if not text.startswith("experiment = distance-moments"):
+            text = "t_end = 2\n" + text  # a short model; distance-moments reads no t_end
+        cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("cfg_seed, flag", [
         ("-1", None), ("18446744073709551616", None), ("1.5", None), ("1", "-1"),
@@ -443,6 +468,7 @@ def keys_read(tmp_path_factory):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_get", recording)
             cli.run(write_cfg(tmp, f"experiment = {experiment}\n" + text), str(tmp / experiment))
+        assert seen <= cli.EXPERIMENTS[experiment][1], experiment
         read[experiment] = sorted(seen)
     return read
 
@@ -462,7 +488,7 @@ class TestConfigFuzzing:
         key = data.draw(st.sampled_from(keys_read[experiment]))
         token = data.draw(st.sampled_from(MALFORMED))
         entries = cfg[key].split(",")
-        if token != "," and len(entries) > 1 and data.draw(st.booleans()):
+        if len(entries) > 1 and data.draw(st.booleans()):
             entries[data.draw(st.integers(0, len(entries) - 1))] = token
             cfg[key] = ",".join(entries)
         else:
@@ -479,6 +505,15 @@ class TestConfigFuzzing:
             assert status == 2, text
             assert f"'{key}'" in err.getvalue(), (text, err.getvalue())
             assert not os.path.exists(out) or os.listdir(out) == [], text
+
+
+# the sample size, replications and cluster count of a quick run, as far as
+# the experiment reads them
+SMALL_RUN_KEYS = {
+    "fisher-bias-vs-t": "n = 1000\nreplications = 3\n",
+    "info-rate-moments": "n = 1000\nreplications = 3\nell = 2\n",
+    "model-trajectory": "ell = 2\n",
+}
 
 
 class TestExperiments:
@@ -544,11 +579,8 @@ class TestExperiments:
                                             "model-trajectory"])
     def test_t_end_between_sampling_instants(self, tmp_path, experiment):
         # 10.2 is not a multiple of dt = 0.25: the full grid ends at t = 10
-        cfg = write_cfg(
-            tmp_path,
-            f"experiment = {experiment}\nt_end = 10.2\nn = 1000\n"
-            "replications = 3\nell = 2\nseed = 8\n",
-        )
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nt_end = 10.2\nseed = 8\n"
+                                  + SMALL_RUN_KEYS[experiment])
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 0
         if experiment == "fisher-bias-vs-t":
@@ -559,8 +591,8 @@ class TestExperiments:
     @pytest.mark.parametrize("experiment", ["fisher-bias-vs-t", "model-trajectory"])
     def test_t0_without_count_ends_at_t_end(self, tmp_path, experiment):
         # the default grid runs from t0 to its last instant not after t_end
-        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nt0 = 1\nn = 1000\n"
-                                  "replications = 3\nell = 2\nseed = 8\n")
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nt0 = 1\nseed = 8\n"
+                                  + SMALL_RUN_KEYS[experiment])
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 0
         if experiment == "fisher-bias-vs-t":
@@ -577,6 +609,26 @@ class TestExperiments:
         assert "time 5.01 is not a point of the grid of step 0.0125" in capsys.readouterr().err
         cfg = write_cfg(tmp_path, text + "fine_step = 0.001\n")
         assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+
+    @given(step=st.sampled_from([0.005, 0.01, 0.0125, 0.02]), stride=st.integers(1, 60),
+           first=st.integers(0, 300), t_end=st.floats(0.5, 4.0))
+    @example(step=0.0125, stride=20, first=7, t_end=3.1)  # t0 = 0.0875, dt = 0.25
+    @example(step=0.01, stride=30, first=290, t_end=3.0)  # less than one dt before t_end
+    @settings(max_examples=100, deadline=None)
+    def test_grid_rows_are_the_rows_of_the_sampling_times(self, step, stride, first, t_end):
+        # the float rule that the row arithmetic replaced: instants t0 + k dt,
+        # as many as end by the rule of the model grid, each located by index_at;
+        # t0, dt and t_end are decimals as a config gives them
+        t0, dt, t_end = round(first * step, 10), round(stride * step, 10), round(t_end, 3)
+        traj = cli.dyn.integrate_sir(cli.dyn.default_sir_params(2), t_end, step)
+        if t0 + dt > traj.t_end + 1e-9:
+            with pytest.raises(cli.ConfigError, match="bad value for 't0'"):
+                cli._grid(traj, dt, t0)
+            return
+        count = cli.dyn.grid_steps(traj.t_end - t0, dt) + 1
+        want = [traj.index_at(t0 + k * dt) for k in range(count)]
+        assert cli._grid(traj, dt, t0).tolist() == want
+        assert cli._grid(traj, dt, t0, 2).tolist() == want[:2]
 
     def test_model_integrates_two_runs_per_grid_step(self, monkeypatch):
         # the mc-wide benchmark model: RK4 at dt/20 and dt/40 up to t_end = 6

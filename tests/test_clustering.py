@@ -283,7 +283,7 @@ class TestKmeans:
             12: "00000000023579b111444444446666666688888888aaaaaaaa",
         }
         traj = dyn.integrate_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 0.0125)
-        feats = cl.kmeans_features(traj, np.arange(41) * 0.25)
+        feats = cl.kmeans_features(traj, np.arange(41) * 20)  # every 0.25
         assert len(np.unique(feats, axis=0)) == 6
         for ell, labels in pinned.items():
             got = "".join("0123456789ab"[a] for a in cl.kmeans(feats, ell).labels)
@@ -299,20 +299,19 @@ class TestKmeansFeatures:
     def test_constant_model_gives_zero_rows(self):
         params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.03, 0.07], 0.0)
         traj = dyn.integrate_sir(params, 2.0, 1e-3)
-        feats = cl.kmeans_features(traj, np.array([0.5, 1.0, 1.5]))
+        feats = cl.kmeans_features(traj, np.array([500, 1000, 1500]))
         assert feats.shape == (2, 3)
         assert np.max(np.abs(feats)) < 1e-12
 
     def test_single_instant_gives_scalar_features(self):
         traj = dyn.integrate_sir(dyn.default_sir_params(4), 2.0, 1e-3)
-        feats = cl.kmeans_features(traj, np.array([1.0]))
+        feats = cl.kmeans_features(traj, np.array([1000]))
         assert feats.shape == (4, 1)
 
     def test_desk_model_bands_follow_coupling_order(self):
         # monotone rate design: rate rows separate into contiguous bands
         traj = dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
-        grid_times = np.arange(41) * 0.25
-        f = cl.kmeans(cl.kmeans_features(traj, grid_times), 3)
+        f = cl.kmeans(cl.kmeans_features(traj, np.arange(41) * 250), 3)  # every 0.25
         changes = np.count_nonzero(np.diff(f.labels))
         assert changes == 2  # three contiguous blocks
 

@@ -1,10 +1,13 @@
-"""README's module table names only what its modules define, and its
-config-key paragraph names every key the runner accepts."""
+"""README's module table names only what its modules define and every
+class and function the package exports, and its config-key paragraph names
+every key the runner accepts."""
 
 import importlib
+import inspect
 import pathlib
 import re
 
+import infodyn
 from infodyn import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -31,6 +34,15 @@ def test_readme_module_table_names_exist():
     rows = [line for line in text.splitlines() if ROW.match(line)]
     assert len(rows) == 8
     assert missing_names(text) == []
+
+
+def test_readme_module_table_names_every_export():
+    named = {name for line in README.read_text().splitlines() if (match := ROW.match(line))
+             for name in re.findall(r"`([^`]+)`", match.group(2))}
+    exported = {name for name in infodyn.__all__
+                if inspect.isclass(getattr(infodyn, name))
+                or inspect.isfunction(getattr(infodyn, name))}
+    assert exported - named == set()
 
 
 def test_a_removed_name_is_caught():

@@ -430,8 +430,6 @@ class TestTrajectoryAt:
         with pytest.raises(ValueError, match=r"time 0\.1004 is not a point of the grid "
                                              r"of step 0\.001$"):
             desk_traj.index_at(t_grid + 0.4 * step)
-        with pytest.raises(ValueError, match="time 0.1004 is not"):
-            desk_traj.index_at(np.array([t_grid, t_grid + 0.4 * step]))
 
     def test_velocity_is_tangent(self, desk_traj):
         assert abs(desk_traj.pdot(desk_traj.index_at(3.21)).sum()) < 1e-10

@@ -13,6 +13,7 @@ from infodyn.clustering import Clustering, aggregate
 from infodyn.simplex import shahshahani_distance_sq
 
 DT = 0.25
+STRIDE = 250  # DT in rows of desk_traj, whose step is 1e-3
 P4 = np.array([0.1, 0.2, 0.3, 0.4])
 
 
@@ -21,11 +22,11 @@ def desk_traj():
     return dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
 
 
-def sample_grid(traj, grid, n, seed):
-    """Counts at every grid instant, instant k drawn from the sub-stream
+def sample_grid(traj, rows, n, seed):
+    """Counts at the model-grid rows, the k-th drawn from the sub-stream
     (seed, k): one sampled trajectory, shape (instants, variants)."""
-    return rng.sample_block(traj.p(traj.index_at(grid.times())), n,
-                            rng.derive_key(seed, np.arange(grid.count, dtype=np.uint64)))
+    return rng.sample_block(traj.p(rows), n,
+                            rng.derive_key(seed, np.arange(len(rows), dtype=np.uint64)))
 
 
 def reference_between(p_lo, p_hi):
@@ -122,56 +123,36 @@ def refine(gen, coarse):
     return Clustering(fine)
 
 
-class TestSampleGrid:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            smp.SampleGrid(0.0, 0.0, 5)
-        with pytest.raises(ValueError):
-            smp.SampleGrid(0.0, 0.25, 1)
-
-    def test_times_and_midpoints(self):
-        grid = smp.SampleGrid(1.0, 0.5, 3)
-        assert np.allclose(grid.times(), [1.0, 1.5, 2.0])
-        assert np.allclose(grid.midpoints(), [1.25, 1.75])
-        assert grid.midpoints()[1] == 1.75
-
-
 class TestSampleTrajectory:
     def test_deterministic(self, desk_traj):
-        grid = smp.SampleGrid(0.0, 0.25, 9)
-        a = sample_grid(desk_traj, grid, 1000, seed=77)
-        b = sample_grid(desk_traj, grid, 1000, seed=77)
+        rows = STRIDE * np.arange(9)
+        a = sample_grid(desk_traj, rows, 1000, seed=77)
+        b = sample_grid(desk_traj, rows, 1000, seed=77)
         assert np.array_equal(a, b)
-        c = sample_grid(desk_traj, grid, 1000, seed=78)
+        c = sample_grid(desk_traj, rows, 1000, seed=78)
         assert not np.array_equal(a, c)
 
     def test_counts_sum_to_n(self, desk_traj):
-        counts = sample_grid(desk_traj, smp.SampleGrid(0.0, 0.25, 9), 321, seed=5)
+        counts = sample_grid(desk_traj, STRIDE * np.arange(9), 321, seed=5)
         assert np.all(counts.sum(axis=1) == 321)
 
     def test_instants_use_isolated_substreams(self):
         # instant k is reproducible alone via the (seed, k) sub-stream
         for n_variants in (2, 10, 1000):
             traj = dyn.integrate_sir(dyn.default_sir_params(n_variants), 2.0, 0.01)
-            for count, dt in ((2, 0.5), (41, 0.05)):
-                grid = smp.SampleGrid(0.0, dt, count)
+            for count, stride in ((2, 50), (41, 5)):  # dt = 0.5 and 0.05
+                rows = stride * np.arange(count)
                 for n in (1, 100000):
-                    counts = sample_grid(traj, grid, n, seed=91)
-                    for k, t in enumerate(grid.times()):
-                        p = traj.p(traj.index_at(float(t)))
-                        direct = rng.sample_counts(p, n, rng.stream(91, k))
+                    counts = sample_grid(traj, rows, n, seed=91)
+                    for k, row in enumerate(rows.tolist()):
+                        direct = rng.sample_counts(traj.p(row), n, rng.stream(91, k))
                         assert np.array_equal(counts[k], direct), (n_variants, count, n, k)
 
     def test_large_n_consistency(self, desk_traj):
-        grid = smp.SampleGrid(0.0, 0.25, 41)
-        counts = sample_grid(desk_traj, grid, 10_000_000, seed=11)
-        for k, t in enumerate(grid.times()):
-            p = desk_traj.p(desk_traj.index_at(t))
-            assert np.max(np.abs(counts[k] / 10_000_000 - p)) < 1e-3
-
-    def test_out_of_range_grid(self, desk_traj):
-        with pytest.raises(ValueError, match="time 10.5 outside trajectory domain"):
-            sample_grid(desk_traj, smp.SampleGrid(9.0, 0.5, 4), 10, seed=0)
+        rows = STRIDE * np.arange(41)
+        counts = sample_grid(desk_traj, rows, 10_000_000, seed=11)
+        for k, row in enumerate(rows.tolist()):
+            assert np.max(np.abs(counts[k] / 10_000_000 - desk_traj.p(row))) < 1e-3
 
 
 class TestFisherHat:
@@ -196,8 +177,9 @@ class TestFisherHat:
     def test_scaled_bias_law_mid_sample_size(self, desk_traj):
         # (MC mean - g_tt) * n dt^2 / (2N) is 1 at the middle sample size too
         n, dt, reps = 30000, 0.25, 300
-        p = desk_traj.p(desk_traj.index_at(np.array([5.0 - dt / 2, 5.0 + dt / 2])))
-        g_tt = float(desk_traj.fisher_curve()[desk_traj.index_at(5.0)])
+        k = desk_traj.index_at(5.0)
+        p = desk_traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
+        g_tt = float(desk_traj.fisher_curve()[k])
         est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps, 4242,
                                          p, n)
         scale = n * dt**2 / (2 * 9)
@@ -235,7 +217,7 @@ class TestClusteredFisherHat:
         assert smp.clustered_fisher_hat(counts, 10, DT, Clustering([1] * 3)).tolist() == [0.0]
 
     def test_identity_clustering_bitwise(self, desk_traj):
-        counts = sample_grid(desk_traj, smp.SampleGrid(4.0, 0.25, 5), 500, seed=2)
+        counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(5), 500, seed=2)
         ident = Clustering(range(1, 11))
         assert np.array_equal(smp.clustered_fisher_hat(counts, 500, DT, ident),
                               smp.fisher_hat(counts, 500, DT))
@@ -271,7 +253,7 @@ class TestInfoRateHat:
         assert smp.info_rate_hat(np.array([[5, 5, 0], [6, 4, 0]]), 10, DT)[0, 2] == 0.0
 
     def test_cluster_version_identity(self, desk_traj):
-        counts = sample_grid(desk_traj, smp.SampleGrid(4.0, 0.25, 2), 700, seed=6)
+        counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(2), 700, seed=6)
         ident = Clustering(range(1, 11))
         assert np.array_equal(smp.cluster_info_rate_hat(counts, 700, DT, ident),
                               smp.info_rate_hat(counts, 700, DT))

@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 def parse_config(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
-    cfg = {}
+    cfg, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,9 +59,11 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} (known: {sorted(KNOWN_KEYS)})")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {lines[key]}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        cfg[key] = value
+        cfg[key], lines[key] = value, lineno
     if "experiment" not in cfg:
         raise ConfigError("config must set 'experiment'")
     return cfg
@@ -268,6 +270,9 @@ def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = 
     stride = round(dt / traj.step)
     first = _row(traj, t0, "t0")
     fits = (traj.times.size - 1 - first) // stride + 1
+    if fits < 2 and first == 0:
+        raise ConfigError(f"bad value for 't_end': {traj.t_end} is less than one sampling "
+                          f"step dt = {dt}")
     if fits < 2:
         raise ConfigError(f"bad value for 't0': {t0} is less than one step dt = {dt} "
                           f"before t_end = {traj.t_end}")
@@ -373,7 +378,7 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
     g_tt = traj.fisher_curve(k)
     rows = []
     for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
+        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps,
                                          rng.derive_key(seed, i), p2, n)
         mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
         rows.append((n, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
@@ -389,7 +394,7 @@ def run_fisher_bias_vs_t(cfg, outdir, seed):
     t0, count = _grid_keys(cfg)
     traj, dt = _model(cfg)
     rows = _grid(traj, dt, t0, count)
-    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt), reps, seed,
+    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt), reps, seed,
                                      traj.p(rows), n)
     mid = (rows[:-1] + rows[1:]) // 2  # _model made dt/2 a whole number of grid steps
     mean_th, var_th = th.fisher_prediction(traj.fisher_curve(mid), traj.n_variants - 1, n, dt)
@@ -409,7 +414,7 @@ def run_info_rate_moments(cfg, outdir, seed):
     rate, p = traj.info_rate_curve(k), traj.p(k)
     var_rows, clu_rows = [], []
     for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0], reps,
+        est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, dt)[:, 0], reps,
                                          rng.derive_key(seed, 2 * i), p2, n)
         var_rows += _component_rows(n, est, *th.info_rate_moments(rate, p, n, dt))
         est = smp.monte_carlo_components(lambda c: smp.cluster_info_rate_hat(c, n, dt, f)[:, 0],
@@ -435,9 +440,9 @@ def run_filtering_comparison(cfg, outdir, seed):
     counts = rng.sample_block(traj.p(rows), n,
                               rng.derive_key(seed, np.arange(rows.size, dtype=np.uint64)))
     true_rates = traj.info_rate_curve((rows[:-1] + rows[1:]) // 2)
-    raw = smp.info_rate_hat(counts, n, dt)
-    filt_p = flt.filter_probs(counts / n, kernel)
-    filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], dt)
+    phat = counts / n
+    raw = smp.info_rate_hat(phat, dt)
+    filt = smp.info_rate_hat(flt.filter_probs(phat, kernel), dt)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     write_csv(os.path.join(outdir, "filtering_rmse.csv"),
@@ -476,7 +481,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
                                      rng.derive_key(seed, 0), p4, 1000)
     rows = _mean_var_rows("distance_{}", est, *th.distance_moments(p4.size - 1, 1000))
 
-    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps,
+    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps,
                                      rng.derive_key(seed, 1), p2, n)
     rows += _mean_var_rows("fisher_{}", est, *th.fisher_prediction(
         traj.fisher_curve(k), traj.n_variants - 1, n, dt))
@@ -487,7 +492,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
     rows += _mean_var_rows("clustered_fisher_{}", est, *th.fisher_prediction(
         fisher_information(q, qdot), ell - 1, n, dt))
 
-    est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, dt)[:, 0, 0], reps,
+    est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, dt)[:, 0, 0], reps,
                                      rng.derive_key(seed, 3), p2, n)
     rows += _mean_var_rows("info_rate_{}_mu1", est, *th.info_rate_moments(
         traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt))
@@ -544,7 +549,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         artifacts = run(args.config, args.out, args.seed)
-    except (ConfigError, FileNotFoundError, ValueError,
+    except (ConfigError, OSError, ValueError,
             dyn.IntegrationError, smp.MonteCarloError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -66,11 +66,11 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
 def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:
     """Multinomial counts of size n, one row per key: shape keys.shape + (M,).
 
-    For a (K, M) p, keys has shape (..., K) and row [..., k] is
-    ``sample_counts(p[k], n, g)`` for the Philox g keyed by keys[..., k] at
-    counter 0, which is ``stream(key)``.  A 1-D p is drawn under every key.
-    A sample size below 1 raises ValueError before anything is drawn, even
-    for no keys.
+    For a (K, M) p, keys has shape (..., K) and row [..., k] equals
+    ``stream(key).multinomial(n, p[k])`` for key = keys[..., k].  A 1-D p is
+    drawn under every key.  A sample size below 1 raises ValueError before
+    anything is drawn, even for no keys; a negative, NaN or > 1 probability
+    raises ValueError.
 
     Building a Philox costs several times a small draw, so one is re-keyed
     before each row instead: key, counter 0, empty buffer, exactly the state
@@ -99,19 +99,5 @@ def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:
     for i, (row_key, row) in enumerate(zip(keys.reshape(-1).tolist(), itertools.cycle(rows))):
         key[0] = row_key
         bit_generator.state = state
-        counts[i] = sample_counts(row, n, gen)
+        counts[i] = gen.multinomial(n, row)
     return counts.reshape(keys.shape + rows.shape[1:])
-
-
-def sample_counts(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One multinomial draw of size n from p: ``rng.multinomial(n, p)``.
-
-    numpy draws category mu as a binomial of the remaining trials with the
-    renormalized probability p[mu] / (mass not yet drawn): the exact
-    sequential conditional-binomial algorithm, O(M) per draw, pinned by the
-    reference loop in the tests.  A negative, NaN or > 1 probability raises
-    ValueError.
-    """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    return rng.multinomial(n, p)

@@ -8,8 +8,10 @@ instants feed a discretised Fisher information
     s_mu = 2 / (phat_hi + phat_lo)   (term contributes 0 when both vanish)
 
 and the per-variant information rates s_mu * (phat_hi - phat_lo) / dt.
-The estimators take counts of shape (..., K, M) and return one value (or
-one row of rates) per interval k = 0..K-2 between instants k and k+1.
+The estimators take a frequency series phat of shape (..., K, M), such as
+counts / n or a filtered series, and return one value (or one row of
+rates) per interval k = 0..K-2 between instants k and k+1.  The clustered
+ones take counts and n, and sum each cluster's counts as integers, exactly.
 
 ``monte_carlo_components`` is the Monte Carlo driver.  Replication r has
 the seed derive_key(seed, r) and draws a 1-D p under that key, or row k of
@@ -55,26 +57,12 @@ def _rate_weights(p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
     return np.where(total > 0, 2.0 / np.where(total > 0, total, 1.0), 0.0)
 
 
-def fisher_between(p_lo: np.ndarray, p_hi: np.ndarray, dt: float) -> float | np.ndarray:
-    """Discretised Fisher information from two frequency vectors.
-
-    Works along the last axis: rows of frequencies give one value per row.
-    """
+def fisher_hat(phat: np.ndarray, dt: float) -> np.ndarray:
+    """Sampled Fisher information of every interval, shape (..., K-1)."""
+    p_lo, p_hi = phat[..., :-1, :], phat[..., 1:, :]
     s = _rate_weights(p_lo, p_hi)
     diff = (p_hi - p_lo) / dt
     return np.sum(s * diff * diff, axis=-1)
-
-
-def info_rate_between(p_lo: np.ndarray, p_hi: np.ndarray, dt: float) -> np.ndarray:
-    """Discretised per-component information rates from two frequency vectors
-    (or from matching rows of them)."""
-    return _rate_weights(p_lo, p_hi) * (p_hi - p_lo) / dt
-
-
-def fisher_hat(counts: np.ndarray, n: int, dt: float) -> np.ndarray:
-    """Sampled Fisher information of every interval, shape (..., K-1)."""
-    phat = counts / n
-    return fisher_between(phat[..., :-1, :], phat[..., 1:, :], dt)
 
 
 def clustered_fisher_hat(counts: np.ndarray, n: int, dt: float, f: Clustering) -> np.ndarray:
@@ -82,18 +70,18 @@ def clustered_fisher_hat(counts: np.ndarray, n: int, dt: float, f: Clustering) -
 
     Cluster counts are summed as integers, which is exact, before dividing
     by n."""
-    return fisher_hat(aggregate(counts, f), n, dt)
+    return fisher_hat(aggregate(counts, f) / n, dt)
 
 
-def info_rate_hat(counts: np.ndarray, n: int, dt: float) -> np.ndarray:
+def info_rate_hat(phat: np.ndarray, dt: float) -> np.ndarray:
     """Sampled per-variant information rates, shape (..., K-1, variants)."""
-    phat = counts / n
-    return info_rate_between(phat[..., :-1, :], phat[..., 1:, :], dt)
+    p_lo, p_hi = phat[..., :-1, :], phat[..., 1:, :]
+    return _rate_weights(p_lo, p_hi) * (p_hi - p_lo) / dt
 
 
 def cluster_info_rate_hat(counts: np.ndarray, n: int, dt: float, f: Clustering) -> np.ndarray:
     """Sampled per-cluster information rates, shape (..., K-1, clusters)."""
-    return info_rate_hat(aggregate(counts, f), n, dt)
+    return info_rate_hat(aggregate(counts, f) / n, dt)
 
 
 def _values(estimator, p: np.ndarray, n: int, seed: int, reps: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ def sample_grid(traj, rows, n, seed):
 
 
 def fisher_mc(traj, t, n, reps, seed):
-    return smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, DT)[:, 0], reps, seed,
+    return smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, DT)[:, 0], reps, seed,
                                       two_point_p(traj, t), n)
 
 
@@ -115,7 +115,7 @@ def test_criterion_04_second_order_bias():
         return abs(term - exact_resid) / abs(exact_resid)
 
     err_1k, err_4k = term_error(n), term_error(4 * n)
-    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, DT)[:, 0], reps, 2027,
+    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, DT)[:, 0], reps, 2027,
                                      np.stack([p, p]), n)
     mc_dev = abs(est.mean - th.exact_static_fisher_mean(p, n, DT)) / est.standard_error
     ok = err_1k <= 0.05 and err_4k <= 0.001 and mc_dev <= 3.0
@@ -170,7 +170,7 @@ def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     q = cl.aggregate(p, desk_f3)
     cluster_rate = cl.aggregate(desk_traj.pdot(k), desk_f3) / q
     p_grid = two_point_p(desk_traj, t)
-    var = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c, n, DT)[:, 0], reps, 707,
+    var = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, DT)[:, 0], reps, 707,
                                      p_grid, n)
     clu = smp.monte_carlo_components(
         lambda c: smp.cluster_info_rate_hat(c, n, DT, desk_f3)[:, 0], reps, 708, p_grid, n)
@@ -216,7 +216,7 @@ def test_criterion_08_exact_identities(desk_traj):
     counts = sample_grid(desk_traj, 3000 + STRIDE * np.arange(5), 800, seed=88)
     ident = cl.Clustering(range(1, N_VARIANTS + 1))
     assert np.array_equal(smp.clustered_fisher_hat(counts, 800, DT, ident),
-                          smp.fisher_hat(counts, 800, DT))
+                          smp.fisher_hat(counts / 800, DT))
     k = desk_traj.index_at(4.0)
     p4, pdot4 = desk_traj.p(k), desk_traj.pdot(k)
     assert cl.clustered_fisher(p4, pdot4, ident) == fisher_information(p4, pdot4)
@@ -305,9 +305,9 @@ def test_criterion_12_filtering(desk_traj):
     rows = 2500 + STRIDE * np.arange(31)
     counts = sample_grid(desk_traj, rows, n, seed=1212)
     true_rates = desk_traj.info_rate_curve(rows[:-1] + STRIDE // 2)
-    raw = smp.info_rate_hat(counts, n, DT)
-    filt_p = flt.filter_probs(counts / n, flt.gaussian_kernel())
-    filt = smp.info_rate_between(filt_p[:-1], filt_p[1:], DT)
+    phat = counts / n
+    raw = smp.info_rate_hat(phat, DT)
+    filt = smp.info_rate_hat(flt.filter_probs(phat, flt.gaussian_kernel()), DT)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     ok = bool(np.all(rmse_filt < rmse_raw))

@@ -211,6 +211,22 @@ class TestRunner:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["out", "config"])
+    def test_file_system_error_names_the_path(self, tmp_path, capsys, bad):
+        # --out an existing regular file, --config a directory: no traceback
+        cfg = write_cfg(tmp_path, "experiment = distance-moments\nn = 10\nreplications = 3\n")
+        out = tmp_path / "out"
+        if bad == "out":
+            out.write_text("kept\n")
+            path = str(out)
+        else:
+            cfg = path = str(tmp_path / "configs")
+            os.mkdir(cfg)
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(path) in err
+        assert not out.is_dir()  # no output directory, so no artifact
+
     def test_manifest_contents(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -404,9 +420,15 @@ class TestRunner:
         ("experiment = distance-moments\nn = 100,,1000\n",
          "bad value for 'n': '100,,1000' (empty entry"),
         ("experiment = theory-vs-mc\np = 0.5,0.5,\n", "bad value for 'p': '0.5,0.5,' (empty entry"),
+        ("experiment = distance-moments\nn = 100\nn = 200\n",
+         "line 3: key 'n' is already set on line 2"),
+        ("experiment = elbow-scan\nt_end = 0.2\nt = 0.1\n",
+         "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
+        ("experiment = fisher-bias-vs-t\nt_end = 0.2\n",
+         "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
-        if not text.startswith("experiment = distance-moments"):
+        if not text.startswith("experiment = distance-moments") and "t_end" not in text:
             text = "t_end = 2\n" + text  # a short model; distance-moments reads no t_end
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
@@ -622,7 +644,8 @@ class TestExperiments:
         t0, dt, t_end = round(first * step, 10), round(stride * step, 10), round(t_end, 3)
         traj = cli.dyn.integrate_sir(cli.dyn.default_sir_params(2), t_end, step)
         if t0 + dt > traj.t_end + 1e-9:
-            with pytest.raises(cli.ConfigError, match="bad value for 't0'"):
+            key = "t0" if t0 else "t_end"  # with t0 = 0, t_end is too short
+            with pytest.raises(cli.ConfigError, match=f"bad value for '{key}'"):
                 cli._grid(traj, dt, t0)
             return
         count = cli.dyn.grid_steps(traj.t_end - t0, dt) + 1

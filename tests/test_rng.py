@@ -80,23 +80,29 @@ def reference_cases():
 class TestSampleCounts:
     @pytest.mark.parametrize("n", [1, 7, 1000, 100000])
     def test_bit_identical_to_reference_loop(self, n):
-        # same counts and the same stream state after every draw
+        # numpy's multinomial: same counts and the same stream state after
+        # every draw; a row of sample_block is the first draw of its stream
         for r, (m, kind, p) in enumerate(reference_cases()):
             ours, ref = rng.stream(31, n, r), rng.stream(31, n, r)
             for draw in range(3):
-                got = rng.sample_counts(p, n, ours)
+                got = ours.multinomial(n, p)
                 want = reference_sample_counts(p, n, ref)
-                assert got.dtype == np.int64
                 assert np.array_equal(got, want), (m, kind, n, draw)
                 assert ours.integers(0, 2**63) == ref.integers(0, 2**63), (m, kind, n, draw)
+            row = rng.sample_block(p, n, np.array([rng.derive_key(31, n, r)], dtype=np.uint64))
+            assert row.dtype == np.int64
+            assert np.array_equal(row[0], reference_sample_counts(p, n, rng.stream(31, n, r)))
 
     def test_bit_identical_on_trajectory_rows(self):
         traj = dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 0.01)
-        for k in range(0, traj.times.size, 50):
+        rows = np.arange(0, traj.times.size, 50)
+        block = rng.sample_block(traj.p(rows), 100000, rng.derive_key(5, rows.astype(np.uint64)))
+        for k, row in zip(rows.tolist(), block):
             ours, ref = rng.stream(5, k), rng.stream(5, k)
-            assert np.array_equal(rng.sample_counts(traj.p(k), 100000, ours),
-                                  reference_sample_counts(traj.p(k), 100000, ref))
+            want = reference_sample_counts(traj.p(k), 100000, ref)
+            assert np.array_equal(ours.multinomial(100000, traj.p(k)), want)
             assert ours.integers(0, 2**63) == ref.integers(0, 2**63)
+            assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("count", [2, 41])
     @pytest.mark.parametrize("n", [1, 100000])
@@ -114,12 +120,12 @@ class TestSampleCounts:
             assert counts.shape == (3, count, m)
             for r in range(3):
                 for k in range(count):
-                    want = rng.sample_counts(rows[k], n, fresh_stream(keys[r, k]))
+                    want = fresh_stream(keys[r, k]).multinomial(n, rows[k])
                     assert np.array_equal(counts[r, k], want), (m, kind, n, r, k)
             flat = rng.sample_block(p, n, keys)  # a 1-D p is drawn under every key
             assert flat.shape == (3, count, m)
             for r, k in ((0, 0), (2, 1), (1, count - 1)):
-                want = rng.sample_counts(p, n, fresh_stream(keys[r, k]))
+                want = fresh_stream(keys[r, k]).multinomial(n, p)
                 assert np.array_equal(flat[r, k], want), (m, kind, n, r, k)
 
     @pytest.mark.parametrize("shape", [(2, 10), (41, 10), (2, 1000)])
@@ -150,32 +156,25 @@ class TestSampleCounts:
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_rejects_negative_or_nan_probability(self, bad):
         with pytest.raises(ValueError):
-            rng.sample_counts(np.array([0.6, bad, 0.5]), 10, rng.stream(0))
+            rng.sample_block(np.array([0.6, bad, 0.5]), 10, np.zeros(1, dtype=np.uint64))
 
     def test_counts_sum_to_n(self):
-        gen = rng.stream(0)
         p = np.array([0.2, 0.3, 0.5])
+        keys = rng.derive_key(0, np.arange(20, dtype=np.uint64))
         for n in (1, 7, 1000):
-            counts = rng.sample_counts(p, n, gen)
-            assert counts.sum() == n
+            counts = rng.sample_block(p, n, keys)
+            assert np.all(counts.sum(axis=1) == n)
             assert np.all(counts >= 0)
 
     def test_degenerate_distribution(self):
         p = np.array([1.0, 0.0, 0.0])
-        for r in range(20):
-            counts = rng.sample_counts(p, 50, rng.stream(1, r))
-            assert counts.tolist() == [50, 0, 0]
-
-    def test_rejects_zero_draws(self):
-        with pytest.raises(ValueError):
-            rng.sample_counts(np.array([0.5, 0.5]), 0, rng.stream(0))
+        counts = rng.sample_block(p, 50, rng.derive_key(1, np.arange(20, dtype=np.uint64)))
+        assert counts.tolist() == [[50, 0, 0]] * 20
 
     def test_empirical_mean_unbiased(self):
         p = np.array([0.3, 0.7])
         n, reps = 100, 10000
-        freqs = np.stack(
-            [rng.sample_counts(p, n, rng.stream(9, r)) / n for r in range(reps)]
-        )
+        freqs = rng.sample_block(p, n, rng.derive_key(9, np.arange(reps, dtype=np.uint64))) / n
         se = freqs.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(freqs.mean(axis=0) - p) <= 3 * se)
 
@@ -186,10 +185,8 @@ class TestSampleCounts:
         expected = np.array(
             [math.comb(n, k) * 0.4**k * 0.6 ** (n - k) for k in range(n + 1)]
         )
-        observed = np.zeros(n + 1)
-        for r in range(reps):
-            counts = rng.sample_counts(p, n, rng.stream(1234, r))
-            observed[counts[0]] += 1
+        counts = rng.sample_block(p, n, rng.derive_key(1234, np.arange(reps, dtype=np.uint64)))
+        observed = np.bincount(counts[:, 0], minlength=n + 1)
         chi2 = float(np.sum((observed - reps * expected) ** 2 / (reps * expected)))
         critical = stats.chi2.isf(1e-3, df=n)
         assert chi2 < critical

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infodyn import dynamics as dyn
+from infodyn import filtering as flt
 from infodyn import rng
 from infodyn import sampling as smp
 from infodyn.clustering import Clustering, aggregate
@@ -72,9 +73,9 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
     for r in range(replications):
         seed_r = rng.derive_key(seed, r)
         if p.ndim == 1:
-            counts = rng.sample_counts(p, n, rng.stream(seed_r))
+            counts = rng.stream(seed_r).multinomial(n, p)
         else:
-            counts = np.stack([rng.sample_counts(row, n, rng.stream(seed_r, k))
+            counts = np.stack([rng.stream(seed_r, k).multinomial(n, row)
                                for k, row in enumerate(p)])
         values.append(estimator(counts[None])[0])
     values = np.asarray(values, dtype=float)
@@ -145,7 +146,7 @@ class TestSampleTrajectory:
                 for n in (1, 100000):
                     counts = sample_grid(traj, rows, n, seed=91)
                     for k, row in enumerate(rows.tolist()):
-                        direct = rng.sample_counts(traj.p(row), n, rng.stream(91, k))
+                        direct = rng.stream(91, k).multinomial(n, traj.p(row))
                         assert np.array_equal(counts[k], direct), (n_variants, count, n, k)
 
     def test_large_n_consistency(self, desk_traj):
@@ -157,20 +158,20 @@ class TestSampleTrajectory:
 
 class TestFisherHat:
     def test_no_displacement(self):
-        assert smp.fisher_hat(np.array([[5, 5], [5, 5]]), 10, DT).tolist() == [0.0]
+        assert smp.fisher_hat(np.array([[5, 5], [5, 5]]) / 10, DT).tolist() == [0.0]
 
     def test_hand_value(self):
         # phat (0.5,0.5) -> (0.6,0.4), dt = 0.25
         expected = (0.01 / 0.0625) * (1 / 0.55 + 1 / 0.45)
-        assert smp.fisher_hat(np.array([[5, 5], [6, 4]]), 10, DT)[0] == \
+        assert smp.fisher_hat(np.array([[5, 5], [6, 4]]) / 10, DT)[0] == \
             pytest.approx(expected, rel=1e-14)
 
     def test_zero_count_category_contributes_nothing(self):
-        with_dead = smp.fisher_hat(np.array([[5, 5, 0], [6, 4, 0]]), 10, DT)
-        assert with_dead[0] == smp.fisher_hat(np.array([[5, 5], [6, 4]]), 10, DT)[0]
+        with_dead = smp.fisher_hat(np.array([[5, 5, 0], [6, 4, 0]]) / 10, DT)
+        assert with_dead[0] == smp.fisher_hat(np.array([[5, 5], [6, 4]]) / 10, DT)[0]
 
     def test_one_value_per_interval(self):
-        values = smp.fisher_hat(np.array([[5, 5], [6, 4], [6, 4], [5, 5]]), 10, DT)
+        values = smp.fisher_hat(np.array([[5, 5], [6, 4], [6, 4], [5, 5]]) / 10, DT)
         assert values.shape == (3,)
         assert values[1] == 0.0 and values[0] == values[2] > 0.0
 
@@ -180,7 +181,7 @@ class TestFisherHat:
         k = desk_traj.index_at(5.0)
         p = desk_traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
         g_tt = float(desk_traj.fisher_curve()[k])
-        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c, n, dt)[:, 0], reps, 4242,
+        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps, 4242,
                                          p, n)
         scale = n * dt**2 / (2 * 9)
         ratio = (est.mean - g_tt) * scale
@@ -197,16 +198,13 @@ class TestFisherHat:
 
         exact = 0.0
         for i, j in itertools.product(range(n + 1), repeat=2):
-            value = smp.fisher_between(np.array([i, n - i]) / n,
-                                       np.array([j, n - j]) / n, dt)
+            value = smp.fisher_hat(np.array([[i, n - i], [j, n - j]]) / n, dt)[0]
             exact += pmf(i, p_lo[0]) * pmf(j, p_hi[0]) * value
 
         reps = 40000
-        vals = np.empty(reps)
-        for r in range(reps):
-            lo = rng.sample_counts(p_lo, n, rng.stream(2024, r, 0)) / n
-            hi = rng.sample_counts(p_hi, n, rng.stream(2024, r, 1)) / n
-            vals[r] = smp.fisher_between(lo, hi, dt)
+        keys = rng.derive_key(2024, np.arange(reps, dtype=np.uint64)[:, None],
+                              np.arange(2, dtype=np.uint64))
+        vals = smp.fisher_hat(rng.sample_block(np.stack([p_lo, p_hi]), n, keys) / n, dt)[:, 0]
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - exact) <= 3 * se
 
@@ -220,7 +218,7 @@ class TestClusteredFisherHat:
         counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(5), 500, seed=2)
         ident = Clustering(range(1, 11))
         assert np.array_equal(smp.clustered_fisher_hat(counts, 500, DT, ident),
-                              smp.fisher_hat(counts, 500, DT))
+                              smp.fisher_hat(counts / 500, DT))
 
     def test_coarsening_never_increases(self):
         gen = np.random.default_rng(17)
@@ -234,7 +232,7 @@ class TestClusteredFisherHat:
             g_fine = smp.clustered_fisher_hat(counts, 30, DT, fine)[0]
             g_coarse = smp.clustered_fisher_hat(counts, 30, DT, coarse)[0]
             assert 0.0 <= g_coarse <= g_fine + 1e-12
-            assert smp.fisher_hat(counts, 30, DT)[0] >= g_fine - 1e-12
+            assert smp.fisher_hat(counts / 30, DT)[0] >= g_fine - 1e-12
 
     def test_wrong_size_clustering(self):
         with pytest.raises(ValueError):
@@ -243,20 +241,20 @@ class TestClusteredFisherHat:
 
 class TestInfoRateHat:
     def test_no_displacement(self):
-        assert np.all(smp.info_rate_hat(np.array([[4, 6], [4, 6]]), 10, DT) == 0.0)
+        assert np.all(smp.info_rate_hat(np.array([[4, 6], [4, 6]]) / 10, DT) == 0.0)
 
     def test_hand_value(self):
-        rates = smp.info_rate_hat(np.array([[5, 5], [6, 4]]), 10, DT)[0]
+        rates = smp.info_rate_hat(np.array([[5, 5], [6, 4]]) / 10, DT)[0]
         assert rates == pytest.approx([(2 / 1.1) * 0.4, -(2 / 0.9) * 0.4], rel=1e-14)
 
     def test_dead_category_rate_zero(self):
-        assert smp.info_rate_hat(np.array([[5, 5, 0], [6, 4, 0]]), 10, DT)[0, 2] == 0.0
+        assert smp.info_rate_hat(np.array([[5, 5, 0], [6, 4, 0]]) / 10, DT)[0, 2] == 0.0
 
     def test_cluster_version_identity(self, desk_traj):
         counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(2), 700, seed=6)
         ident = Clustering(range(1, 11))
         assert np.array_equal(smp.cluster_info_rate_hat(counts, 700, DT, ident),
-                              smp.info_rate_hat(counts, 700, DT))
+                              smp.info_rate_hat(counts / 700, DT))
 
     def test_cluster_version_single(self):
         counts = np.array([[5, 3, 2], [6, 2, 2]])
@@ -275,9 +273,9 @@ class TestWholeGridEstimators:
             counts = gen.multinomial(n, p, size=count)
             f = random_clustering(gen, n_variants, max(1, n_variants // 4))
             fisher, clustered, rates, cluster_rates = reference_estimates(counts, n, DT, f)
-            assert np.array_equal(smp.fisher_hat(counts, n, DT), fisher)
+            assert np.array_equal(smp.fisher_hat(counts / n, DT), fisher)
             assert np.array_equal(smp.clustered_fisher_hat(counts, n, DT, f), clustered)
-            assert np.array_equal(smp.info_rate_hat(counts, n, DT), np.stack(rates))
+            assert np.array_equal(smp.info_rate_hat(counts / n, DT), np.stack(rates))
             assert np.array_equal(smp.cluster_info_rate_hat(counts, n, DT, f),
                                   np.stack(cluster_rates))
 
@@ -299,20 +297,21 @@ class TestWholeGridEstimators:
             w[:, 1 + dead] = 0.0
         counts = gen.multinomial(n, w / w.sum(axis=1, keepdims=True), size=(chunk, count))
         f = random_clustering(gen, m, min(ell, m))
-        batched = (smp.fisher_hat(counts, n, DT), smp.clustered_fisher_hat(counts, n, DT, f),
-                   smp.info_rate_hat(counts, n, DT), smp.cluster_info_rate_hat(counts, n, DT, f))
+        batched = (smp.fisher_hat(counts / n, DT), smp.clustered_fisher_hat(counts, n, DT, f),
+                   smp.info_rate_hat(counts / n, DT), smp.cluster_info_rate_hat(counts, n, DT, f))
         for c in range(chunk):
             for got, want in zip(batched, reference_estimates(counts[c], n, DT, f)):
                 assert np.array_equal(got[c], np.array(want)), (c, got[c], want)
 
-    def test_between_works_row_by_row(self):
-        gen = np.random.default_rng(5)
-        lo, hi = gen.dirichlet(np.ones(300), size=(2, 7))
-        fisher = smp.fisher_between(lo, hi, 0.25)
-        rates = smp.info_rate_between(lo, hi, 0.25)
-        for k in range(7):
-            assert fisher[k] == reference_fisher(lo[k], hi[k], 0.25)
-            assert np.array_equal(rates[k], reference_rates(lo[k], hi[k], 0.25))
+    def test_frequency_series_match_per_interval_reference(self):
+        # a series of frequencies that are not counts / n, as Dirichlet rows
+        # and as their filtered series, gives the per-interval reference
+        dirichlet = np.random.default_rng(5).dirichlet(np.ones(300), size=8)
+        for series in (dirichlet, flt.filter_probs(dirichlet, flt.gaussian_kernel())):
+            fisher, rates = smp.fisher_hat(series, 0.25), smp.info_rate_hat(series, 0.25)
+            for k in range(7):
+                assert fisher[k] == reference_fisher(series[k], series[k + 1], 0.25)
+                assert np.array_equal(rates[k], reference_rates(series[k], series[k + 1], 0.25))
 
 
 class TestMonteCarlo:
@@ -331,7 +330,7 @@ class TestMonteCarlo:
     def test_failure_carries_replication_index(self, monkeypatch):
         # NaN for the counts of replication 37 only: the error names 37 and
         # its seed whatever chunk it is drawn in
-        draws = np.stack([rng.sample_counts(P4, 1000, rng.stream(rng.derive_key(3, r)))
+        draws = np.stack([rng.stream(rng.derive_key(3, r)).multinomial(1000, P4)
                           for r in range(100)])
         target = draws[37]
         assert np.all(draws == target, axis=1).sum() == 1
@@ -350,7 +349,7 @@ class TestMonteCarlo:
         p = np.array([[0.5, 0.5], [0.6, -0.1]])
         with pytest.raises(smp.MonteCarloError,
                            match=rf"^replication 0 \(seed {rng.derive_key(8, 0)}\) failed: ") as got:
-            smp.monte_carlo_components(lambda c: smp.fisher_hat(c, 10, DT), 20, 8, p, 10)
+            smp.monte_carlo_components(lambda c: smp.fisher_hat(c / 10, DT), 20, 8, p, 10)
         assert isinstance(got.value.__cause__, ValueError)
 
     def test_needs_two_replications(self):
@@ -360,7 +359,7 @@ class TestMonteCarlo:
     def test_replication_seeds_in_order(self):
         estimator, seen = recording(lambda c: c[:, 0] * 1.0)
         est = smp.monte_carlo_components(estimator, 40, 3, P4, 1000)
-        want = [rng.sample_counts(P4, 1000, rng.stream(rng.derive_key(3, r)))[0]
+        want = [rng.stream(rng.derive_key(3, r)).multinomial(1000, P4)[0]
                 for r in range(40)]
         assert np.concatenate(seen).tolist() == want
         assert est.mean == pytest.approx(np.mean(want), rel=1e-15)
@@ -377,7 +376,7 @@ class TestMonteCarlo:
         p = np.random.default_rng(3).dirichlet(np.ones(10), size=2)
 
         def rates(c):
-            return smp.info_rate_hat(c, 1000, DT)[:, 0]
+            return smp.info_rate_hat(c / 1000, DT)[:, 0]
 
         est = smp.monte_carlo_components(rates, 1000, 5, p, 1000)
         for j in range(10):
@@ -408,7 +407,7 @@ class TestChunking:
                 return shahshahani_distance_sq(p, c / n)
         else:
             def estimator(c):
-                return smp.fisher_hat(c, n, DT)
+                return smp.fisher_hat(c / n, DT)
         default = max(1, smp.CHUNK_COUNTS // p.size)
         for reps in (2, 7, default + 1):
             want = reference_monte_carlo(estimator, reps, 17, p, n)

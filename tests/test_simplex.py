@@ -114,10 +114,8 @@ class TestShahshahani:
 
         p = np.array([0.1, 0.2, 0.3, 0.4])
         n, reps = 1000, 2000
-        vals = np.empty(reps)
-        for r in range(reps):
-            counts = rng.sample_counts(p, n, rng.stream(101, r))
-            vals[r] = shahshahani_distance_sq(p, counts / n)
+        counts = rng.sample_block(p, n, rng.derive_key(101, np.arange(reps, dtype=np.uint64)))
+        vals = shahshahani_distance_sq(p, counts / n)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - 3 / n) <= 3 * se
 

@@ -343,7 +343,7 @@ def run_distance_moments(cfg, outdir, seed):
     for i, n in enumerate(ns):
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), reps,
                                          rng.derive_key(seed, i), p, n)
-        mean_th, var_th = th.distance_moments(p.size - 1, n)
+        mean_th, var_th = th.distance_moments(p, n)
         rows.append((n, est.mean, est.standard_error, est.std * est.std, mean_th, var_th))
     write_csv(os.path.join(outdir, "distance_moments.csv"),
               ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], rows)
@@ -479,7 +479,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
 
     est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p4, c / 1000), reps,
                                      rng.derive_key(seed, 0), p4, 1000)
-    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(p4.size - 1, 1000))
+    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(p4, 1000))
 
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps,
                                      rng.derive_key(seed, 1), p2, n)
@@ -523,8 +523,16 @@ def run(config_path, outdir, seed_override=None) -> list[str]:
     if seed_override is not None:
         cfg["seed"] = str(seed_override)
     seed = _get(cfg, "seed", 1, _seed)
+    created = not os.path.exists(outdir)
     os.makedirs(outdir, exist_ok=True)
-    artifacts = fn(cfg, outdir, seed)
+    try:
+        artifacts = fn(cfg, outdir, seed)
+    except BaseException:
+        # an experiment checks its inputs before it writes: leave no empty
+        # directory behind, but never remove one that was there before
+        if created and not os.listdir(outdir):
+            os.rmdir(outdir)
+        raise
     manifest = {
         "experiment": name,
         "config_sha256": hashlib.sha256(raw).hexdigest(),

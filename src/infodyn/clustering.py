@@ -118,19 +118,19 @@ def sufficiency_residuals(traj, f: Clustering) -> float:
 def kmeans_features(traj, rows) -> np.ndarray:
     """Per-variant feature rows: information rates at an array of model-grid
     rows; sampled or filtered rate rows can be passed to kmeans directly
-    instead."""
+    instead.
+
+    The model's features have rank at most 2 once centered.  Row mu is
+    gamma_mu S_k - epsilon_mu - <d>_k over the rows k, and the shift <d>_k is
+    common to every variant, so the centered row is
+
+        (gamma_mu - mean gamma) S - (epsilon_mu - mean epsilon) 1,
+
+    a combination of the two vectors S = (S_k) and 1.  Where gamma and
+    epsilon are both affine in one index, as in ``grouped_sir_params``, the
+    two coefficients are proportional and the rank is 1.
+    """
     return np.ascontiguousarray(traj.info_rate_curve(rows).T)
-
-
-def _principal_scores(features: np.ndarray) -> np.ndarray:
-    centered = features - features.mean(axis=0)
-    # SVD sign is arbitrary; orient the axis by its largest component.
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    v = vt[0]
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    return centered @ v
 
 
 def kmeans(features, n_clusters: int) -> Clustering:
@@ -141,6 +141,14 @@ def kmeans(features, n_clusters: int) -> Clustering:
     centroids agree within a relative 1e-9 joins the lower-numbered one.  An
     emptied cluster is re-seeded at the point farthest from its current
     centroid, so the result is always surjective.
+
+    The iterations run in the principal coordinates of the centered
+    features, truncated to their numerical rank r: the singular values above
+    sigma_0 * max(M, K) * eps, numpy's ``matrix_rank`` rule, and at least 1.
+    The centered rows lie in the span of the first r right singular vectors,
+    so every distance is the features' own up to rounding, which the tie
+    rule absorbs; model features (see ``kmeans_features``) have r <= 2
+    however many instants they hold.
 
     Iteration stops at the first labelling already visited and returns the
     last new one.  Each iteration but the last visits a new labelling, and
@@ -153,13 +161,23 @@ def kmeans(features, n_clusters: int) -> Clustering:
     if not 1 <= n_clusters <= n_points:
         raise ValueError(f"need 1 <= n_clusters <= {n_points}, got {n_clusters}")
 
-    order = np.argsort(_principal_scores(features), kind="stable")
+    centered = features - features.mean(axis=0)
+    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    # SVD sign is arbitrary; orient the first axis by its largest component.
+    v = vt[0]
+    pivot = int(np.argmax(np.abs(v)))
+    if v[pivot] < 0:
+        v = -v
+    order = np.argsort(centered @ v, kind="stable")
     picks = [order[int((a - 0.5) * n_points / n_clusters)] for a in range(1, n_clusters + 1)]
-    centroids = features[picks].copy()
+    rank = max(1, int(np.count_nonzero(sigma > sigma[0] * max(centered.shape)
+                                       * np.finfo(float).eps)))
+    points = centered @ vt[:rank].T
+    centroids = points[picks].copy()
 
     seen = set()
     while True:
-        dist = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        dist = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         # nearest centroid; distances equal to a relative 1e-9 count as a tie,
         # which goes to the lower-numbered centroid.  Evenly spaced features
         # give exact ties, and rounding in the features must not decide them.
@@ -174,26 +192,15 @@ def kmeans(features, n_clusters: int) -> Clustering:
             movable = sizes[new_labels] > 1
             far = int(np.argmax(np.where(movable, point_cost, -1.0)))
             new_labels[far] = a
-            centroids[a] = features[far]
+            centroids[a] = points[far]
             point_cost[far] = 0.0
         if new_labels.tobytes() in seen:
             break
         seen.add(new_labels.tobytes())
         labels = new_labels
         for a in range(n_clusters):
-            centroids[a] = features[labels == a].mean(axis=0)
+            centroids[a] = points[labels == a].mean(axis=0)
     return Clustering(labels + 1)
-
-
-def kmeans_objective(features, f: Clustering) -> float:
-    """Within-cluster sum of squared Euclidean distances to centroids."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    f.check_size(features.shape[0])
-    total = 0.0
-    for a in range(f.n_clusters):
-        block = features[f.labels == a]
-        total += float(np.sum((block - block.mean(axis=0)) ** 2))
-    return total
 
 
 def elbow_select(delta_curve) -> int:

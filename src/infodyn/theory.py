@@ -14,11 +14,25 @@ import numpy as np
 from .simplex import require_interior
 
 
-def distance_moments(N: int, n: int) -> tuple[float, float]:
-    """Mean N/n and variance 2N/n^2 of the squared sampling distance."""
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be >= 1")
-    return N / n, 2.0 * N / n**2
+def distance_moments(p, n: int):
+    """Exact mean and variance of the squared sampling distance
+    D = sum((x/n - p)^2 / p) of n multinomial draws x from an interior p of
+    shape (..., N+1), one variance per row.
+
+    D is Pearson's statistic X^2 divided by n, whose first two moments are
+    known for every n >= 1, so
+
+        E[D] = N/n,
+        Var[D] = 2N/n^2 + (sum(1/p) - (N+1)^2 - 2(N+1) + 2)/n^3.
+
+    The n^-3 term is what the large-n variance 2N/n^2 leaves out.
+    """
+    p = require_interior(p)
+    if p.shape[-1] < 2 or n < 1:
+        raise ValueError(f"need at least 2 categories and n >= 1, got {p.shape[-1]} and {n}")
+    N = p.shape[-1] - 1
+    correction = np.sum(1.0 / p, axis=-1) - (N + 1) ** 2 - 2 * (N + 1) + 2
+    return N / n, 2.0 * N / n**2 + correction / n**3
 
 
 def fisher_bias(N: int, n: int, dt: float) -> float:

@@ -78,7 +78,7 @@ def test_criterion_02_distance_variance():
     for i, n in enumerate((1000, 10000)):
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 10000,
                                          rng.derive_key(202, i), p, n)
-        _, var_th = th.distance_moments(3, n)
+        _, var_th = th.distance_moments(p, n)
         rels.append(abs(est.std**2 - var_th) / var_th)
     ok = all(r <= 0.15 for r in rels)
     report(2, "distance variance 2N/n^2", ok,

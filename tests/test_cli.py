@@ -21,13 +21,13 @@ CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 SHIPPED_DIGESTS = {
     "distance_moments": {
         "distance_moments.csv":
-            "58723311fdc1f3b7aa1b3b99641c6d5506866cbe07913851d9a69b39fa1961a1",
+            "adfe3366f98a955ee039b7721a68b9745b35350e05a8487bf9be7980f41af18c",
         "manifest.json":
             "a35de6ad00d655b159cb3db6ca4e1b49d7df884a63bbae9914d524a6abc380ce",
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "7d2ad650b9bab679e886c6f3a1e7913ffa21277b406694545e7c78b6d4e4bca5",
+            "071e5772aaf4627fc0a68c56ed4c6ebe12497773d5ef0ce475eade0410e9377f",
         "elbow_summary.csv":
             "0e938bd8fbe33387602074136906a7d08fa981dd412dbf9023bcfd239b5e1e72",
         "manifest.json":
@@ -75,13 +75,14 @@ SHIPPED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "7e2d7268b127b0a2c5338476233bb6a7af9df9fc82e958e03e458076652ea66c",
+            "54adc66e930d39264a9788d6e4b8e5d9e6cb2d75804866f68e1a754389360b57",
     },
 }
 
 
-# Shipped files that hold no model-derived number; SAMPLED_DIGESTS pins them whole.
-MODEL_FREE = {"distance_moments.csv", "clustering.csv", "elbow_summary.csv", "manifest.json"}
+# Shipped files that hold no model-derived or closed-form number; SAMPLED_DIGESTS
+# pins them whole.
+MODEL_FREE = {"clustering.csv", "elbow_summary.csv", "manifest.json"}
 
 # SHA-256 of the random half of each shipped output, from sampled_bytes: the
 # mc_* columns of each CSV, and the model-free files whole.  A declared
@@ -89,7 +90,7 @@ MODEL_FREE = {"distance_moments.csv", "clustering.csv", "elbow_summary.csv", "ma
 SAMPLED_DIGESTS = {
     "distance_moments": {
         "distance_moments.csv":
-            "58723311fdc1f3b7aa1b3b99641c6d5506866cbe07913851d9a69b39fa1961a1",
+            "369e9721ffb4d4c5a68f3263025fb780013c1f6117469d6f189d763527063cef",
         "manifest.json":
             "a35de6ad00d655b159cb3db6ca4e1b49d7df884a63bbae9914d524a6abc380ce",
     },
@@ -434,7 +435,15 @@ class TestRunner:
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_bad_input_keeps_an_existing_out(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = elbow-scan\nt_end = 0.2\nt = 0.1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert "bad value for 't_end'" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("cfg_seed, flag", [
         ("-1", None), ("18446744073709551616", None), ("1.5", None), ("1", "-1"),

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from infodyn import cli
 from infodyn import clustering as cl
 from infodyn import dynamics as dyn
+from infodyn import rng
+from infodyn import sampling as smp
 from infodyn.simplex import fisher_information
 
 
@@ -23,6 +25,74 @@ def random_clustering(gen, size, ell):
                              gen.integers(1, ell + 1, size=size - ell)])
     gen.shuffle(labels)
     return cl.Clustering(labels)
+
+
+def _principal_scores(features):
+    centered = features - features.mean(axis=0)
+    # SVD sign is arbitrary; orient the axis by its largest component.
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    v = vt[0]
+    pivot = int(np.argmax(np.abs(v)))
+    if v[pivot] < 0:
+        v = -v
+    return centered @ v
+
+
+def reference_kmeans(features, n_clusters):
+    """K-means as `cl.kmeans` runs it, but with Lloyd's iterations on every
+    feature column: the same seeds, tie rule, re-seeding and stop rule."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    n_points = features.shape[0]
+    order = np.argsort(_principal_scores(features), kind="stable")
+    picks = [order[int((a - 0.5) * n_points / n_clusters)] for a in range(1, n_clusters + 1)]
+    centroids = features[picks].copy()
+
+    seen = set()
+    while True:
+        dist = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        nearest = dist.min(axis=1, keepdims=True)
+        new_labels = np.argmax(dist <= nearest * (1.0 + 1e-9), axis=1)
+        point_cost = dist[np.arange(n_points), new_labels]
+        empty = [a for a in range(n_clusters) if not np.any(new_labels == a)]
+        while empty:
+            a = empty.pop(0)
+            sizes = np.bincount(new_labels, minlength=n_clusters)
+            movable = sizes[new_labels] > 1
+            far = int(np.argmax(np.where(movable, point_cost, -1.0)))
+            new_labels[far] = a
+            centroids[a] = features[far]
+            point_cost[far] = 0.0
+        if new_labels.tobytes() in seen:
+            break
+        seen.add(new_labels.tobytes())
+        labels = new_labels
+        for a in range(n_clusters):
+            centroids[a] = features[labels == a].mean(axis=0)
+    return cl.Clustering(labels + 1)
+
+
+def kmeans_objective(features, f):
+    """Within-cluster sum of squared Euclidean distances to centroids."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    f.check_size(features.shape[0])
+    total = 0.0
+    for a in range(f.n_clusters):
+        block = features[f.labels == a]
+        total += float(np.sum((block - block.mean(axis=0)) ** 2))
+    return total
+
+
+def random_rate_features(n_variants, seed):
+    """Model features of a model with independent random gamma and epsilon,
+    at the 41 instants 0, 0.25, ..., 10."""
+    gen = np.random.default_rng(seed)
+    params = dyn.SirParams(gen.uniform(1.5, 2.5, n_variants), gen.uniform(0.9, 1.1, n_variants),
+                           0.9, np.full(n_variants, 0.1 / n_variants), 0.0)
+    return cl.kmeans_features(dyn.solve_sir(params, 10.0, 0.0125), np.arange(41) * 20)
+
+
+def centered_rank(features):
+    return np.linalg.matrix_rank(features - features.mean(axis=0))
 
 
 class TestClustering:
@@ -242,7 +312,7 @@ class TestKmeans:
         feats = np.array([[3.0], [1.0], [2.0], [0.0]])
         f = cl.kmeans(feats, 4)
         assert sorted(f.labels) == [0, 1, 2, 3]
-        assert cl.kmeans_objective(feats, f) == 0.0
+        assert kmeans_objective(feats, f) == 0.0
 
     def test_row_permutation_changes_only_labels(self):
         gen = np.random.default_rng(10)
@@ -273,26 +343,71 @@ class TestKmeans:
         # six distinct rate rows: with more clusters than that, re-seeding an
         # emptied cluster on a duplicate point and the tie rule can cycle
         # through labellings; the run ends where the cycle closes, with these
-        # zero-based labels, one character per variant
+        # zero-based labels, one character per variant.  Rounding in the
+        # distances to coincident centroids decides how identical points are
+        # split, so any change of the distance arithmetic moves these labels;
+        # every split keeps each cluster inside one rate group, and so loses
+        # no information, for the full-space reference as well
         pinned = {
-            7: "00000000012222222233333333444444445555555566666666",
-            8: "00000000016222222233333333444444445555555577777777",
-            9: "00000000024711111133333333555555556666666688888888",
-            10: "00000000023691111144444444555555557777777788888888",
-            11: "0000000002358a111144444444666666667777777799999999",
-            12: "00000000023579b111444444446666666688888888aaaaaaaa",
+            7: "00000000011111111133333333444444445555555562222222",
+            8: "60000000011111111133333333444444445555555577777722",
+            9: "47000000022222222233333333555555556666666688888811",
+            10: "13600000022222222244444444555555557777777799999988",
+            11: "035811111222222222444444446666666677777777aaaaaa99",
+            12: "135790000222222222444444446666666688888888bbbbbbaa",
         }
-        traj = dyn.integrate_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 0.0125)
+        groups = [9, 9, 8, 8, 8, 8]
+        traj = dyn.integrate_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
         feats = cl.kmeans_features(traj, np.arange(41) * 20)  # every 0.25
         assert len(np.unique(feats, axis=0)) == 6
+        group = np.repeat(np.arange(6), groups)
+        k = traj.index_at(1.0)
         for ell, labels in pinned.items():
             got = "".join("0123456789ab"[a] for a in cl.kmeans(feats, ell).labels)
             assert got == labels, ell
+            for f in (cl.kmeans(feats, ell), reference_kmeans(feats, ell)):
+                assert f.n_clusters == ell
+                assert all(np.unique(group[f.labels == a]).size == 1 for a in range(ell))
+                assert cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f) < 1e-30
 
     def test_validation(self):
         for n_clusters in (0, 4):
             with pytest.raises(ValueError, match="need 1 <= n_clusters <= 3"):
                 cl.kmeans(np.zeros((3, 1)), n_clusters)
+
+
+class TestKmeansAgainstFullSpace:
+    """`cl.kmeans` runs Lloyd's iterations in the principal coordinates of the
+    features; on every input whose clusters do not split identical points it
+    gives the labels of `reference_kmeans`, which uses every column."""
+
+    @pytest.mark.parametrize("n_variants, seed", [(10, 1), (40, 2), (40, 3), (200, 4)])
+    def test_random_rate_models(self, n_variants, seed):
+        feats = random_rate_features(n_variants, seed)
+        for ell in (2, 3, 5, 8, 13):
+            if ell <= n_variants:
+                assert np.array_equal(cl.kmeans(feats, ell).labels,
+                                      reference_kmeans(feats, ell).labels), ell
+
+    @pytest.mark.parametrize("n_variants", [10, 1000])
+    def test_default_model(self, n_variants):
+        traj = dyn.solve_sir(dyn.default_sir_params(n_variants), 10.0, 0.0125)
+        feats = cl.kmeans_features(traj, np.arange(41) * 20)
+        for ell in (1, 2, 3, 5, 8, 10):
+            assert np.array_equal(cl.kmeans(feats, ell).labels,
+                                  reference_kmeans(feats, ell).labels), ell
+
+    def test_sampled_rate_features(self):
+        # full rank: sampled rates carry independent noise in every column
+        traj = dyn.solve_sir(dyn.default_sir_params(20), 10.0, 0.0125)
+        rows, n = np.arange(41) * 20, 100000
+        counts = rng.sample_block(traj.p(rows), n,
+                                  rng.derive_key(3, np.arange(rows.size, dtype=np.uint64)))
+        feats = np.ascontiguousarray(smp.info_rate_hat(counts / n, 0.25).T)
+        assert centered_rank(feats) == 19  # M - 1, the rank of 20 centered rows
+        for ell in (2, 3, 5, 8, 13):
+            assert np.array_equal(cl.kmeans(feats, ell).labels,
+                                  reference_kmeans(feats, ell).labels), ell
 
 
 class TestKmeansFeatures:
@@ -307,6 +422,13 @@ class TestKmeansFeatures:
         traj = dyn.integrate_sir(dyn.default_sir_params(4), 2.0, 1e-3)
         feats = cl.kmeans_features(traj, np.array([1000]))
         assert feats.shape == (4, 1)
+
+    def test_model_features_have_rank_at_most_two(self):
+        # centered rows are combinations of S and 1; grouped rates are affine
+        # in one index, which leaves one direction
+        assert centered_rank(random_rate_features(40, 5)) == 2
+        traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 0.0125)
+        assert centered_rank(cl.kmeans_features(traj, np.arange(41) * 20)) == 1
 
     def test_desk_model_bands_follow_coupling_order(self):
         # monotone rate design: rate rows separate into contiguous bands

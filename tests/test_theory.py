@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,18 +15,58 @@ interior = st.lists(st.integers(1, 500), min_size=2, max_size=10).map(
 )
 
 
+def enumerated_distance_moments(p, n):
+    """Exact mean and variance of sum((x/n - p)^2 / p) over every count
+    vector x of n multinomial draws from p, in rational arithmetic."""
+    p = [Fraction(x) for x in p]
+    m1 = m2 = Fraction(0)
+    for x in itertools.product(range(n + 1), repeat=len(p) - 1):
+        if sum(x) > n:
+            continue
+        x = x + (n - sum(x),)
+        w = Fraction(math.factorial(n))
+        for k, q in zip(x, p):
+            w *= q**k / math.factorial(k)
+        d = sum((Fraction(k, n) - q) ** 2 / q for k, q in zip(x, p))
+        m1 += w * d
+        m2 += w * d * d
+    return m1, m2 - m1 * m1
+
+
 class TestDistanceMoments:
     def test_reference_values(self):
-        assert th.distance_moments(3, 1000) == (0.003, 6e-6)
+        # sum(1/p) = 125/6, so the n^-3 term is (125/6 - 22)/n^3 = -7/(6 n^3)
+        mean, var = th.distance_moments([0.1, 0.2, 0.3, 0.4], 1000)
+        assert mean == 0.003
+        assert var == pytest.approx(6e-6 - 7.0 / 6e9, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [(0.1, 0.2, 0.3, 0.4), (0.05, 0.95), (0.2, 0.5, 0.3)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_equals_enumeration(self, p, n):
+        mean, var = enumerated_distance_moments(p, n)
+        got_mean, got_var = th.distance_moments(np.array(p), n)
+        assert got_mean == pytest.approx(float(mean), rel=1e-14)
+        assert got_var == pytest.approx(float(var), rel=1e-12)
+
+    def test_rows(self):
+        p = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+        _, var = th.distance_moments(p, 10)
+        assert var.shape == (2,)
+        assert var[0] == th.distance_moments(p[0], 10)[1]
 
     def test_mean_scaling(self):
-        m1, _ = th.distance_moments(5, 1000)
-        m2, _ = th.distance_moments(5, 2000)
+        p = np.full(6, 1.0 / 6.0)
+        m1, _ = th.distance_moments(p, 1000)
+        m2, _ = th.distance_moments(p, 2000)
         assert m2 == m1 / 2
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            th.distance_moments(0, 100)
+            th.distance_moments([1.0], 100)
+        with pytest.raises(ValueError):
+            th.distance_moments([0.5, 0.5], 0)
+        with pytest.raises(ValueError, match="not interior"):
+            th.distance_moments([0.0, 1.0], 100)
 
 
 class TestFisherPrediction:

@@ -2,7 +2,6 @@
 
 from .simplex import (
     fisher_information,
-    kl_divergence,
     require_interior,
     self_information_rate,
     shahshahani_distance_sq,
@@ -40,7 +39,6 @@ from .theory import (
     fisher_bias_second_order,
     fisher_prediction,
     info_rate_moments,
-    normalization_z,
 )
 from .filtering import filter_probs, gaussian_kernel
 

@@ -120,9 +120,17 @@ def _at_least(low: int, what: str):
     return conv
 
 
-_sample_size = _at_least(1, "sample size")
+def _positive_int(text: str) -> int:
+    """An integer in [1, 2**63); numpy draws no larger sample size."""
+    value = int(text)
+    if not 1 <= value < 1 << 63:
+        raise ValueError("must be an integer in [1, 2**63)")
+    return value
+
+
 _replications = _at_least(2, "replications")
 _cluster_count = _at_least(1, "cluster count")
+_instant_count = _at_least(2, "number of sampling instants")
 
 
 def _entries(text: str) -> list[str]:
@@ -134,11 +142,8 @@ def _entries(text: str) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
-    """Comma list of positive integers."""
-    values = [int(x) for x in _entries(text)]
-    if min(values) < 1:
-        raise ValueError("entries must be at least 1")
-    return values
+    """Comma list of integers in [1, 2**63)."""
+    return [_positive_int(x) for x in _entries(text)]
 
 
 def _float_list(text: str) -> list[float]:
@@ -242,9 +247,13 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
     else:
         base = dyn.default_sir_params(n_var, s0=s0, r0=r0)
         rates = _per_variant(n_var, positive=False)
-        params = dyn.SirParams(_get(cfg, "gamma", base.gamma, rates),
-                               _get(cfg, "epsilon", base.epsilon, rates), s0,
-                               _get(cfg, "i0", base.i0, _per_variant(n_var, positive=True)), r0)
+        gamma = _get(cfg, "gamma", base.gamma, rates)
+        epsilon = _get(cfg, "epsilon", base.epsilon, rates)
+        i0 = _get(cfg, "i0", base.i0, _per_variant(n_var, positive=True))
+        try:  # the one check the converters leave: an explicit i0 must complete s0 + r0
+            params = dyn.SirParams(gamma, epsilon, s0, i0, r0)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'i0': {exc} (s0 = {s0}, r0 = {r0})") from exc
     n_var = params.gamma.size
     for ell in ells:
         if ell > n_var:
@@ -283,12 +292,6 @@ def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = 
                           f"dt = {dt} end at {t0 + (count - 1) * dt}, after t_end = "
                           f"{traj.t_end} (at most {fits} fit)")
     return first + stride * np.arange(count)
-
-
-def _grid_keys(cfg, t0: float = 0.0, count: int | None = None) -> tuple:
-    """The `t0` and `count` keys, with the given defaults for _grid."""
-    return (_get(cfg, "t0", t0, _time),
-            _get(cfg, "count", count, _at_least(2, "number of sampling instants")))
 
 
 def _at_t(cfg, ells=()) -> tuple:
@@ -350,14 +353,12 @@ def run_distance_moments(cfg, outdir, seed):
     return ["distance_moments.csv"]
 
 
-@experiment("model-trajectory", "output_stride", "t0", "count", "ell", *_MODEL_KEYS)
+@experiment("model-trajectory", "ell", *_MODEL_KEYS)
 def run_model_trajectory(cfg, outdir, seed):
-    stride = _get(cfg, "output_stride", 2, _at_least(1, "output stride"))
-    t0, count = _grid_keys(cfg)
     ell = _get(cfg, "ell", 3, _cluster_count)
     traj, dt = _model(cfg, [ell])
-    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt, t0, count)), ell)
-    rows = slice(None, None, stride)
+    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
+    rows = slice(None, None, 2)  # every dt/10 at the default fine step
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
@@ -387,13 +388,13 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
     return ["fisher_bias_vs_n.csv"]
 
 
-@experiment("fisher-bias-vs-t", "n", "replications", "t0", "count", *_MODEL_KEYS)
+@experiment("fisher-bias-vs-t", "n", "replications", "count", *_MODEL_KEYS)
 def run_fisher_bias_vs_t(cfg, outdir, seed):
-    n = _get(cfg, "n", 100000, _sample_size)
+    n = _get(cfg, "n", 100000, _positive_int)
     reps = _get(cfg, "replications", 500, _replications)
-    t0, count = _grid_keys(cfg)
+    count = _get(cfg, "count", None, _instant_count)
     traj, dt = _model(cfg)
-    rows = _grid(traj, dt, t0, count)
+    rows = _grid(traj, dt, count=count)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt), reps, seed,
                                      traj.p(rows), n)
     mid = (rows[:-1] + rows[1:]) // 2  # _model made dt/2 a whole number of grid steps
@@ -428,13 +429,13 @@ def run_info_rate_moments(cfg, outdir, seed):
     return ["info_rate_variants.csv", "info_rate_clusters.csv", "clustering.csv"]
 
 
-@experiment("filtering-comparison", "n", "t0", "count", "half_width", "shape", *_MODEL_KEYS)
+@experiment("filtering-comparison", "n", "t0", "count", "half_width", *_MODEL_KEYS)
 def run_filtering_comparison(cfg, outdir, seed):
-    n = _get(cfg, "n", 250000, _sample_size)
-    t0, count = _grid_keys(cfg, 2.5, 31)
+    n = _get(cfg, "n", 250000, _positive_int)
+    t0 = _get(cfg, "t0", 2.5, _time)
+    count = _get(cfg, "count", 31, _instant_count)
     kernel = flt.gaussian_kernel(
-        _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width")),
-        _get(cfg, "shape", flt.DEFAULT_SHAPE, _positive))
+        _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width")))
     traj, dt = _model(cfg)
     rows = _grid(traj, dt, t0, count)
     counts = rng.sample_block(traj.p(rows), n,
@@ -468,18 +469,17 @@ def run_elbow_scan(cfg, outdir, seed):
     return ["elbow_curve.csv", "elbow_summary.csv"]
 
 
-@experiment("theory-vs-mc", "n", "replications", "ell", "p", "t", *_MODEL_KEYS)
+@experiment("theory-vs-mc", "n", "replications", "ell", "t", *_MODEL_KEYS)
 def run_theory_vs_mc(cfg, outdir, seed):
-    n = _get(cfg, "n", 10000, _sample_size)
+    n = _get(cfg, "n", 10000, _positive_int)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    p4 = _get(cfg, "p", DEFAULT_P, _distribution)
     traj, dt, k, p2 = _at_t(cfg, [ell])
     f, q, qdot = _clusters(traj, dt, k, ell)
 
-    est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p4, c / 1000), reps,
-                                     rng.derive_key(seed, 0), p4, 1000)
-    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(p4, 1000))
+    est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(DEFAULT_P, c / 1000),
+                                     reps, rng.derive_key(seed, 0), DEFAULT_P, 1000)
+    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(DEFAULT_P, 1000))
 
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps,
                                      rng.derive_key(seed, 1), p2, n)

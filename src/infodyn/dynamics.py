@@ -84,9 +84,9 @@ class SirParams:
         if np.any(i0 <= 0):
             idx = int(np.argmin(i0))
             raise ValueError(f"initial infected fraction at index {idx} is not > 0")
-        total = s0 + i0.sum() + r0
+        total = float(s0 + i0.sum() + r0)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"initial fractions sum to {total!r}, not 1")
+            raise ValueError(f"initial fractions sum to {total}, not 1")
         for name, val in (("gamma", gamma), ("epsilon", epsilon), ("i0", i0)):
             arr = val.copy()
             arr.flags.writeable = False

@@ -68,9 +68,9 @@ def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:
 
     For a (K, M) p, keys has shape (..., K) and row [..., k] equals
     ``stream(key).multinomial(n, p[k])`` for key = keys[..., k].  A 1-D p is
-    drawn under every key.  A sample size below 1 raises ValueError before
-    anything is drawn, even for no keys; a negative, NaN or > 1 probability
-    raises ValueError.
+    drawn under every key.  A sample size below 1, or of 2**63 or more,
+    which numpy cannot draw, raises ValueError before anything is drawn,
+    even for no keys; a negative, NaN or > 1 probability raises ValueError.
 
     Building a Philox costs several times a small draw, so one is re-keyed
     before each row instead: key, counter 0, empty buffer, exactly the state
@@ -86,6 +86,8 @@ def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    if n >= 1 << 63:
+        raise ValueError(f"sample size must be < 2**63, got {n}")
     keys = np.asarray(keys, dtype=np.uint64)
     rows = p.reshape(-1, p.shape[-1])
     if p.ndim != 1 and keys.shape[-1:] != p.shape[:1]:

@@ -47,12 +47,6 @@ def shahshahani_distance_sq(reference, point) -> np.ndarray:
     return np.sum(diff * diff / reference, axis=-1)
 
 
-def kl_divergence(point, reference) -> np.ndarray:
-    """Kullback-Leibler divergence D(point || reference), 0*log 0 := 0."""
-    reference, point = _at(reference, point)
-    return np.sum(point * np.log(np.where(point > 0, point, reference) / reference), axis=-1)
-
-
 def fisher_information(p, pdot) -> np.ndarray:
     """Squared Shahshahani norm of pdot at p: sum(pdot^2 / p)."""
     p, pdot = _at(p, pdot)

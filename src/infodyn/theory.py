@@ -132,19 +132,3 @@ def info_rate_moments(i_rate, p_mu, n: int, dt: float):
     i_rate = np.asarray(i_rate, dtype=float)
     p_mu = np.asarray(p_mu, dtype=float)
     return i_rate * (1.0 + 0.5 / n), ((2.0 / dt**2) * (1.0 - p_mu) / p_mu - i_rate**2) / n
-
-
-def normalization_z(p, n: int) -> np.ndarray:
-    """Gaussian normalisation of the large-n sampling probability.
-
-    sqrt(n * prod(2 pi n p) / (2 pi * sum(p))) along the last axis of an
-    interior p; evaluated in log space to stay finite for many degrees of
-    freedom.
-    """
-    p = require_interior(p)
-    log_z = 0.5 * (
-        np.log(n)
-        + np.sum(np.log(2.0 * np.pi * n * p), axis=-1)
-        - np.log(2.0 * np.pi * np.sum(p, axis=-1))
-    )
-    return np.exp(log_z)

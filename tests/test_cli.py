@@ -200,6 +200,19 @@ class TestConfigParsing:
         names = {cli.parse_config(p.read_text())["experiment"] for p in CONFIGS.glob("*.cfg")}
         assert names == set(cli.EXPERIMENTS)
 
+    def test_shipped_configs_set_every_key_read(self):
+        # a key comes with a shipped run that sets it, so the pinned digests
+        # cover it; the model keys and the seed keep their defaults there
+        shipped = {}
+        for path in CONFIGS.glob("*.cfg"):
+            cfg = cli.parse_config(path.read_text())
+            shipped.setdefault(cfg["experiment"], set()).update(cfg)
+        assert set(shipped) == set(cli.EXPERIMENTS)
+        free = {"experiment", "seed", *cli._MODEL_KEYS}
+        unset = {name: sorted(keys - free - shipped[name])
+                 for name, (_, keys) in cli.EXPERIMENTS.items()}
+        assert {name: keys for name, keys in unset.items() if keys} == {}
+
 
 class TestRunner:
     def test_unknown_experiment(self, tmp_path):
@@ -263,7 +276,7 @@ class TestRunner:
         cli.run(cfg, str(tmp_path / "b"))
         assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
-    @pytest.mark.parametrize("experiment", ["distance-moments", "theory-vs-mc"])
+    @pytest.mark.parametrize("experiment", ["distance-moments"])
     def test_boundary_p_rejected(self, tmp_path, capsys, experiment):
         for p in ("0,0.5,0.5", "-0.1,0.6,0.5"):
             cfg = write_cfg(
@@ -303,19 +316,17 @@ class TestRunner:
         assert "bad value for 'n'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, error", [
-        ("experiment = model-trajectory\ncount = 1\n", "sampling instants"),
+        ("experiment = filtering-comparison\ncount = 1\n", "sampling instants"),
         ("experiment = model-trajectory\nell = 20\n", "n_clusters"),
         ("experiment = elbow-scan\ngroups = 50\n", "no elbow"),
         ("experiment = model-trajectory\ns0 = 1.05\n", "initial fraction s0 = 1.05 outside"),
         ("experiment = model-trajectory\ndt = 0\n", "bad value for 'dt'"),
         ("experiment = model-trajectory\nfine_step = nan\n", "bad value for 'fine_step'"),
         ("experiment = model-trajectory\nt_end = inf\n", "bad value for 't_end'"),
-        ("experiment = model-trajectory\noutput_stride = 0\n", "bad value for 'output_stride'"),
-        ("experiment = model-trajectory\noutput_stride = -3\n", "bad value for 'output_stride'"),
+        ("experiment = model-trajectory\noutput_stride = 2\n", "unknown key 'output_stride'"),
         ("experiment = info-rate-moments\nt = 1.01\n",
          "time 1.01 is not a point of the grid of step 0.0125"),
-        ("experiment = filtering-comparison\nshape = nan\n", "bad value for 'shape'"),
-        ("experiment = filtering-comparison\nshape = inf\n", "bad value for 'shape'"),
+        ("experiment = filtering-comparison\nshape = 0.5\n", "unknown key 'shape'"),
         ("experiment = filtering-comparison\nhalf_width = -1\n", "bad value for 'half_width'"),
         ("experiment = fisher-bias-vs-n\nn = 0\n", "bad value for 'n'"),
         ("experiment = theory-vs-mc\nn = 0\n", "bad value for 'n'"),
@@ -331,6 +342,8 @@ class TestRunner:
         ("experiment = model-trajectory\nepsilon = 1,1,-1,1,1,1,1,1,1,1\n",
          "bad value for 'epsilon'"),
         ("experiment = model-trajectory\nN = 1\ni0 = 0.05,inf\n", "bad value for 'i0'"),
+        ("experiment = model-trajectory\nN = 1\nell = 2\ni0 = 0.1,0.1\n",
+         "bad value for 'i0': initial fractions sum to 1.1445, not 1"),
         ("experiment = model-trajectory\ngamma = 1,2\n",
          "bad value for 'gamma': '1,2' (2 entries for N + 1 = 10 variants)"),
         ("experiment = model-trajectory\ns0 = nan\n", "bad value for 's0'"),
@@ -341,11 +354,11 @@ class TestRunner:
          "bad value for 't': t must lie on the model grid (time 20.0 outside"),
         ("experiment = elbow-scan\nt = 1.01\n",
          "bad value for 't': t must lie on the model grid (time 1.01 is not a point"),
-        ("experiment = fisher-bias-vs-t\nt0 = -1\n", "bad value for 't0'"),
+        ("experiment = filtering-comparison\nt0 = -1\n", "bad value for 't0'"),
         ("experiment = theory-vs-mc\nt = 100\n", "time 100.0 outside trajectory domain"),
-        ("experiment = fisher-bias-vs-t\nt0 = 1.9\n",
+        ("experiment = filtering-comparison\nt0 = 1.9\n",
          "bad value for 't0': 1.9 is less than one step dt = 0.25 before t_end = 2.0"),
-        ("experiment = model-trajectory\nt0 = 3\n", "bad value for 't0'"),
+        ("experiment = filtering-comparison\nt0 = 3\n", "bad value for 't0'"),
         ("experiment = model-trajectory\ns0 = 1\n",
          "bad value for 's0': s0 = 1.0 and r0 = 0.0 leave no initial infected fraction"),
         ("experiment = model-trajectory\ns0 = 0.5\nr0 = 0.5\n",
@@ -369,15 +382,13 @@ class TestRunner:
         ("experiment = info-rate-moments\nN = 3\nell = 5\n",
          "bad value for 'ell': 5 clusters for 4 variants"),
         ("experiment = distance-moments\np = 1\n", "bad value for 'p'"),
-        ("experiment = theory-vs-mc\np = 1\n", "bad value for 'p'"),
         ("experiment = fisher-bias-vs-n\nt = 0\n", "bad value for 't'"),
         ("experiment = info-rate-moments\nt = 2\n", "bad value for 't'"),
         ("experiment = fisher-bias-vs-t\ncount = 100\n",
          "bad value for 'count': 100 instants from t0 = 0.0 at step dt = 0.25 end at 24.75"),
-        ("experiment = model-trajectory\nt0 = 1\ncount = 6\n", "bad value for 'count'"),
+        ("experiment = filtering-comparison\nt0 = 1\ncount = 6\n", "bad value for 'count'"),
         ("experiment = distance-moments\np = 0.5,0.6\n",
          "bad value for 'p': '0.5,0.6' (probabilities sum to 1.1, not 1)"),
-        ("experiment = theory-vs-mc\np = 0.2,0.3,0.5000001\n", "bad value for 'p'"),
         ("experiment = fisher-bias-vs-t\nfine_step = 0.002\n",
          "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25) is not a whole number of fine "
          "steps 0.002"),
@@ -398,9 +409,8 @@ class TestRunner:
          "bad value for 'fine_step': dt/2 = 0.125 (dt = 0.25)"),
         ("experiment = model-trajectory\nfine_step = 0.5\n",
          "bad value for 'fine_step': dt = 0.25 is not a whole number of fine steps 0.5"),
-        ("experiment = fisher-bias-vs-t\nt0 = 0.01\n",
+        ("experiment = filtering-comparison\nt0 = 0.01\n",
          "bad value for 't0': t0 must lie on the model grid (time 0.01 is not a point"),
-        ("experiment = model-trajectory\nt0 = 0.01\n", "bad value for 't0'"),
         ("experiment = filtering-comparison\nt0 = 0.01\ncount = 5\n", "bad value for 't0'"),
         ("experiment = distance-moments\nt = 3\n",
          "key 't' is not read by experiment 'distance-moments'"),
@@ -418,15 +428,27 @@ class TestRunner:
          "key 'count' is not read by experiment 'elbow-scan'"),
         ("experiment = theory-vs-mc\nt0 = 1\n",
          "key 't0' is not read by experiment 'theory-vs-mc'"),
+        ("experiment = theory-vs-mc\np = 0.2,0.3,0.5\n",
+         "key 'p' is not read by experiment 'theory-vs-mc'"),
+        ("experiment = model-trajectory\nt0 = 1\n",
+         "key 't0' is not read by experiment 'model-trajectory'"),
+        ("experiment = model-trajectory\ncount = 4\n",
+         "key 'count' is not read by experiment 'model-trajectory'"),
+        # an unread key is rejected before its value is read
+        ("experiment = fisher-bias-vs-t\nt0 = -1\n",
+         "key 't0' is not read by experiment 'fisher-bias-vs-t'"),
         ("experiment = distance-moments\nn = 100,,1000\n",
          "bad value for 'n': '100,,1000' (empty entry"),
-        ("experiment = theory-vs-mc\np = 0.5,0.5,\n", "bad value for 'p': '0.5,0.5,' (empty entry"),
         ("experiment = distance-moments\nn = 100\nn = 200\n",
          "line 3: key 'n' is already set on line 2"),
         ("experiment = elbow-scan\nt_end = 0.2\nt = 0.1\n",
          "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
         ("experiment = fisher-bias-vs-t\nt_end = 0.2\n",
          "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
+        ("experiment = filtering-comparison\nn = 9223372036854775808\n",
+         "bad value for 'n': '9223372036854775808' (must be an integer in [1, 2**63))"),
+        ("experiment = distance-moments\nn = 100,9223372036854775808\n",
+         "bad value for 'n'"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         if not text.startswith("experiment = distance-moments") and "t_end" not in text:
@@ -466,18 +488,16 @@ class TestRunner:
 # A small config of every experiment, each key of which the experiment reads.
 SMALL_CONFIGS = {
     "distance-moments": "p = 0.2,0.3,0.5\nn = 50,100\nreplications = 4\nseed = 3\n",
-    "model-trajectory": ("N = 3\ndt = 0.25\nt_end = 1\nfine_step = 0.0125\nt0 = 0\ncount = 4\n"
-                         "ell = 2\noutput_stride = 4\ns0 = 0.9\nr0 = 0.05\nseed = 3\n"),
+    "model-trajectory": ("N = 3\ndt = 0.25\nt_end = 1\nfine_step = 0.0125\nell = 2\ns0 = 0.9\n"
+                         "r0 = 0.05\nseed = 3\n"),
     "fisher-bias-vs-n": ("N = 3\nt = 0.5\nt_end = 1\nn = 100,200\nreplications = 4\n"
                          "gamma = 1.5,1.8,2.1,2.5\nepsilon = 0.9,1,1,1.1\n"
                          "i0 = 0.01,0.01,0.02,0.01\ns0 = 0.95\n"),
-    "fisher-bias-vs-t": "N = 3\nn = 100\nreplications = 4\nt0 = 0.25\ncount = 3\nt_end = 1\n",
+    "fisher-bias-vs-t": "N = 3\nn = 100\nreplications = 4\ncount = 3\nt_end = 1\n",
     "info-rate-moments": "N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
-    "filtering-comparison": ("N = 3\nn = 1000\nt0 = 0.25\ncount = 5\nt_end = 2\n"
-                             "half_width = 1\nshape = 0.5\n"),
+    "filtering-comparison": "N = 3\nn = 1000\nt0 = 0.25\ncount = 5\nt_end = 2\nhalf_width = 1\n",
     "elbow-scan": "groups = 3,3,2,2,2,2\nell = 4,5,6,7\nt = 0.5\nt_end = 2\n",
-    "theory-vs-mc": ("N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n"
-                     "p = 0.2,0.3,0.5\n"),
+    "theory-vs-mc": "N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
 }
 MALFORMED = ["x", "nan", "inf", "-1", ","]
 
@@ -618,18 +638,6 @@ class TestExperiments:
             rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
             assert len(rows) == 1 + 40
             assert rows[-1].startswith("9.875,")
-
-    @pytest.mark.parametrize("experiment", ["fisher-bias-vs-t", "model-trajectory"])
-    def test_t0_without_count_ends_at_t_end(self, tmp_path, experiment):
-        # the default grid runs from t0 to its last instant not after t_end
-        cfg = write_cfg(tmp_path, f"experiment = {experiment}\nt0 = 1\nseed = 8\n"
-                                  + SMALL_RUN_KEYS[experiment])
-        out = tmp_path / "out"
-        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
-        if experiment == "fisher-bias-vs-t":
-            rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
-            assert len(rows) == 1 + 36
-            assert rows[1].startswith("1.125,") and rows[-1].startswith("9.875,")
 
     def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, capsys):
         # 5.01 is no point of the default dt/20 grid, but one of a 0.001 grid

@@ -149,6 +149,13 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match=f"sample size must be >= 1, got {n}"):
             rng.sample_block(np.array([[0.5, 0.5]]), n, np.zeros((0, 1), dtype=np.uint64))
 
+    def test_block_rejects_a_sample_size_numpy_cannot_draw(self):
+        # numpy draws a size that fits an int64 and overflows above it
+        p, keys = np.array([0.5, 0.5]), np.zeros(1, dtype=np.uint64)
+        assert rng.sample_block(p, (1 << 63) - 1, keys).sum() == (1 << 63) - 1
+        with pytest.raises(ValueError, match=rf"sample size must be < 2\*\*63, got {1 << 63}"):
+            rng.sample_block(p, 1 << 63, keys)
+
     def test_block_keys_must_match_rows(self):
         with pytest.raises(ValueError, match="do not match"):
             rng.sample_block(np.full((3, 2), 0.5), 10, np.zeros((4, 2), dtype=np.uint64))

@@ -9,11 +9,19 @@ from infodyn import theory as th
 from infodyn.cli import _distribution
 from infodyn.simplex import (
     fisher_information,
-    kl_divergence,
     require_interior,
     self_information_rate,
     shahshahani_distance_sq,
 )
+
+import test_theory
+
+
+def kl_divergence(point, reference) -> np.ndarray:
+    """Reference Kullback-Leibler divergence D(point || reference), 0*log 0 := 0,
+    along the last axis; the reference must be interior."""
+    reference, point = require_interior(reference), np.asarray(point, dtype=float)
+    return np.sum(point * np.log(np.where(point > 0, point, reference) / reference), axis=-1)
 
 
 def interior_distributions(min_size=2, max_size=8):
@@ -235,7 +243,7 @@ GEOMETRY = {
         lambda p, pdot, point, d, f: th.fisher_bias_second_order(p, 1000, 0.25),
     "exact_static_fisher_mean":
         lambda p, pdot, point, d, f: th.exact_static_fisher_mean(p[..., :4], 40, 0.25),
-    "normalization_z": lambda p, pdot, point, d, f: th.normalization_z(p, 1000),
+    "normalization_z": lambda p, pdot, point, d, f: test_theory.normalization_z(p, 1000),
 }
 
 

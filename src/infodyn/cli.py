@@ -186,19 +186,177 @@ def _distribution(text: str) -> np.ndarray:
 DEFAULT_P = _distribution("0.1,0.2,0.3,0.4")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header line and one line per row, with LF line ends; every
-    CSV artifact is written here.  A float cell is written with %.17g, so it
-    reads back as the same double, any other cell (a string, an integer) as
-    str(); a column takes its format from its cell in the first row."""
-    rows = iter(rows)
-    first = next(rows, None)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        if first is not None:
-            line = ",".join("%.17g" if isinstance(x, float) else "%s" for x in first) + "\n"
-            fh.write(line % tuple(first))
-            fh.writelines(line % tuple(row) for row in rows)
+# Cells formatted per chunk of whole rows by write_csv.  On the model-scan
+# benchmark workload's 401 x 3003 trajectory.csv (2-core machine, numpy 2.4.6,
+# best of 9), chunks of 2**12 to 2**16 cells wrote it in 0.22 to 0.29 s, all
+# within the machine's noise, against 1.1 to 1.4 s with `%` per cell; smaller
+# chunks keep the temporaries (about 100 bytes a cell) small.
+CSV_CHUNK_CELLS = 1 << 13
+
+
+def _split(a):
+    """Dekker's split: the upper 26 bits of a (the rest, a - head, is exact)."""
+    c = a * 134217729.0  # 2**27 + 1
+    return c - (c - a)
+
+
+def _pow10_table():
+    """10**k = hi + lo for k = -290 ... 300, row k + 290: hi is 10**k and lo
+    the remainder 10**k - hi, each correctly rounded from exact integers
+    (int / int rounds correctly), so hi + lo is within 2**-106 of 10**k; and
+    hi's Dekker head and tail."""
+    his, los = [], []
+    for k in range(-290, 301):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * hi_den - hi_num * den) / (den * hi_den))
+    hi = np.array(his)
+    head = _split(hi)
+    return hi, np.array(los), head, hi - head
+
+
+_POW10_HI, _POW10_LO, _POW10_HEAD, _POW10_TAIL = _pow10_table()
+
+
+def _round_scaled(a, k):
+    """round(a * 10**k) as int64, for a > 0 and 10**k in the table, and
+    whether that rounding is in doubt.  a * hi = p + e exactly (Dekker's
+    product), so a * 10**k = p + e + a * lo within 2e-14 while it is below
+    2**57; the rounding is in doubt when the fraction lies within 1e-9 of 1/2,
+    which covers exact ties."""
+    i = k + 290
+    head, tail = _POW10_HEAD[i], _POW10_TAIL[i]
+    p = a * _POW10_HI[i]
+    a_head = _split(a)
+    a_tail = a - a_head
+    e = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
+    whole = np.floor(p)
+    rest = (p - whole) + (e + a * _POW10_LO[i])
+    step = np.floor(rest)
+    frac = rest - step
+    return (whole.astype(np.int64) + step.astype(np.int64) + (frac > 0.5),
+            np.abs(frac - 0.5) < 1e-9)
+
+
+# row X + 300 for the decimal exponent X = -300 ... 300 of a %.17g cell: a
+# byte for the sign, then "0." and zeros (fixed form below 1), 18 bytes for
+# the digits and point, the exponent with at least two digits (outside fixed
+# form), and the comma; rows 601 on repeat them with the sign "-"
+_CELL = np.array(["\0" + ("0." + "0" * (-1 - x) if -4 <= x < 0 else "").ljust(23, "\0")
+                  + ("" if -4 <= x < 17 else f"e{x:+03d}").ljust(5, "\0") + ","
+                  for x in range(-300, 301)], dtype="S30").view(np.uint8).reshape(-1, 30)
+_CELL = np.vstack((_CELL, _CELL))
+_CELL[601:, 0] = 45
+_J18 = np.arange(18, dtype=np.uint8)[:, None]
+# column g: the four digits of g = 0 ... 9999 as characters
+_GROUPS = (np.arange(10000, dtype=np.uint16) // np.array([[1000], [100], [10], [1]], np.uint16)
+           % 10 + 48).astype(np.uint8)
+
+
+def _format_floats(x):
+    """'%.17g,' % v for every double v of x, byte for byte: row i of the
+    returned (x.size, 30) uint8 matrix is the cell of x[i] and a comma,
+    padded with NULs.  A cell the vectorised path cannot certify is made
+    with `%`: a non-finite one, |v| outside [1e-280, 1e280], or a rounding
+    in doubt (_round_scaled).  Returns the matrix and the indices of those
+    cells."""
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    zero = a == 0.0
+    a = np.where(fast, a, 1.0)
+    # the decade X, 10**X <= |v| < 10**(X + 1): floor(log10 |v|), which may
+    # be one off next to a power of ten, checked against hi + lo
+    x_dec = np.floor(np.log10(a)).astype(np.intp)
+    x_dec -= a - _POW10_HI[x_dec + 290] < _POW10_LO[x_dec + 290]
+    x_dec += a - _POW10_HI[x_dec + 291] >= _POW10_LO[x_dec + 291]
+    # the 17 digits D = round(|v| * 10**(16 - X)); a D of 10**17 carries
+    # into the next decade
+    d, doubt = _round_scaled(a, 16 - x_dec)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    x_dec += carry
+    d[zero] = 0
+
+    # the 17 digits as characters in rows 1 to 17 of 19: the leading one, then
+    # four groups of four from the table
+    lead, rest = np.divmod(d, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    chars = np.zeros((19, d.size), np.uint8)
+    chars[1] = lead
+    chars[1] += 48
+    groups = (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))
+    for row, group in zip((2, 6, 10, 14), groups):
+        np.take(_GROUPS, group, axis=1, out=chars[row:row + 4])
+    significant = ((chars[:18] > 48) * _J18).max(axis=0)  # 0 for v = 0
+    fixed = (x_dec >= -4) & (x_dec < 17)
+    whole = np.where(fixed, np.maximum(x_dec + 1, 0), 1)  # digits before the point
+    # trailing zeros after the point dropped, then the point shifted in after
+    # the whole digits
+    chars[1:18] *= _J18[1:] <= np.maximum(significant, whole)
+    point = np.where((whole > 0) & (significant > whole), whole, 18)  # 18: none
+    body = np.where(_J18 > point, chars[:18], chars[1:])
+    has_point = np.flatnonzero(point < 18)
+    body[point[has_point], has_point] = 46
+
+    out = np.take(_CELL, np.signbit(x) * 601 + x_dec + 300, axis=0)
+    out[:, 6:24] = body.T
+    slow = np.flatnonzero(~(fast | zero) | doubt)
+    for i in slow:
+        cell = ("%.17g" % x[i]).encode()
+        out[i, :29] = 0  # all but the comma
+        out[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return out, slow
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header line and one line per row of `columns`, with LF line
+    ends, as bytes; every CSV artifact is written here.  A column is a
+    sequence of cells or a 2-D float array of several columns.  A float
+    column's cells are written as '%.17g' % v writes them, byte for byte, so
+    they read back as the same doubles; any other cell (a string, an
+    integer) as str().
+
+    Float cells are formatted in chunks of CSV_CHUNK_CELLS cells, whole rows,
+    without a per-cell `%` (_format_floats).  A table gives 10**k = hi + lo,
+    both doubles correctly rounded from exact integers; with Dekker's exact
+    product a * hi = p + e, |v| * 10**(16 - X) = p + e + |v| * lo is known
+    within 2e-14, so its rounding D, the 17 digits, is certain unless the
+    fraction lies within 1e-9 of 1/2.  The decade X, 10**X <= |v| < 10**(X+1),
+    is floor(log10 |v|) moved a decade where hi + lo shows it one off (next
+    to a power of ten: the double 10.0**-277 lies below 1e-277); a D that
+    rounds up to 10**17 carries, as 10**16 at X + 1.  The %g layout follows:
+    fixed form for -4 <= X < 17, exponent form (at least two exponent
+    digits) otherwise, trailing zeros dropped.  `%` writes the cells the
+    vectorised path does not certify: non-finite ones, |v| outside [1e-280,
+    1e280] and those in the band around 1/2, exact ties among them."""
+    blocks = []  # text columns as (rows, width) uint8 cells, runs of float columns
+    rows = cells = 0
+    for col in columns:
+        col = np.asarray(col)
+        rows = len(col)
+        if col.dtype.kind == "f":
+            col = col.astype(np.float64, copy=False).reshape(rows, -1)
+            if not blocks or not isinstance(blocks[-1], list):
+                blocks.append([])
+            blocks[-1].append(col)
+            cells += col.shape[1]
+        else:
+            text = np.array([str(v).encode() for v in col]).view(np.uint8).reshape(rows, -1)
+            blocks.append(np.column_stack((text, np.full(rows, 44, np.uint8))))
+            cells += 1
+    step = max(1, CSV_CHUNK_CELLS // max(cells, 1))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            parts = [b[start:stop] if isinstance(b, np.ndarray) else
+                     _format_floats(np.hstack([c[start:stop] for c in b]).ravel())[0]
+                     .reshape(stop - start, -1) for b in blocks]
+            lines = np.hstack(parts) if len(parts) > 1 else parts[0]
+            lines[:, -1] = 10  # the last cell's comma
+            fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def _scan_counts(text: str) -> list[int]:
@@ -233,6 +391,12 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
         raise ConfigError(f"bad value for 'fine_step': {what} is not a whole number of "
                           f"fine steps {fine_step:g}")
+    # solve_sir's first run keeps 2 t_end / fine_step + 1 float64 states
+    if 2.0 * t_end / fine_step + 1.0 > np.iinfo(np.intp).max / 8:
+        step_key = "fine_step" if "fine_step" in cfg else "dt"
+        raise ConfigError(f"bad value for 't_end' or {step_key!r}: t_end = {t_end:g} is "
+                          f"{t_end / fine_step:.3g} fine steps of {fine_step:g}, more than "
+                          "an array can hold")
     s0 = _get(cfg, "s0", dyn.DEFAULT_S0, _fraction("s0"))
     r0 = _get(cfg, "r0", 0.0, _fraction("r0"))
     if s0 + r0 >= 1.0:
@@ -319,7 +483,7 @@ def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
 def _write_clustering(f: cl.Clustering, outdir) -> None:
     """`clustering.csv`: one `mu,label` row per variant, both 1-based."""
     write_csv(os.path.join(outdir, "clustering.csv"), ["mu", "label"],
-              enumerate((f.labels + 1).tolist(), start=1))
+              [np.arange(1, f.labels.size + 1), f.labels + 1])
 
 
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
@@ -349,7 +513,7 @@ def run_distance_moments(cfg, outdir, seed):
         mean_th, var_th = th.distance_moments(p, n)
         rows.append((n, est.mean, est.standard_error, est.std * est.std, mean_th, var_th))
     write_csv(os.path.join(outdir, "distance_moments.csv"),
-              ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], rows)
+              ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], zip(*rows))
     return ["distance_moments.csv"]
 
 
@@ -363,11 +527,11 @@ def run_model_trajectory(cfg, outdir, seed):
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
     p, pdot, d, mean_d, g_tt = traj.replicator(rows)
-    table = np.column_stack((traj.times[rows], traj.susceptible[rows], p, pdot, d, mean_d))
-    write_csv(os.path.join(outdir, "trajectory.csv"), header, map(np.ndarray.tolist, table))
+    write_csv(os.path.join(outdir, "trajectory.csv"), header,
+              [traj.times[rows], traj.susceptible[rows], p, pdot, d, mean_d])
     _write_clustering(f, outdir)
     write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              zip(traj.times[rows], g_tt, cl.clustered_fisher(p, pdot, f)))
+              [traj.times[rows], g_tt, cl.clustered_fisher(p, pdot, f)])
     return ["trajectory.csv", "clustering.csv", "fisher.csv"]
 
 
@@ -384,7 +548,7 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
         mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
         rows.append((n, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
     write_csv(os.path.join(outdir, "fisher_bias_vs_n.csv"),
-              ["n", "mc_mean", "mc_se", "theory_mean", "theory_sd"], rows)
+              ["n", "mc_mean", "mc_se", "theory_mean", "theory_sd"], zip(*rows))
     return ["fisher_bias_vs_n.csv"]
 
 
@@ -401,7 +565,7 @@ def run_fisher_bias_vs_t(cfg, outdir, seed):
     mean_th, var_th = th.fisher_prediction(traj.fisher_curve(mid), traj.n_variants - 1, n, dt)
     write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
               ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
-              zip(traj.times[mid], est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
+              [traj.times[mid], est.mean, est.standard_error, mean_th, np.sqrt(var_th)])
     return ["fisher_bias_vs_t.csv"]
 
 
@@ -423,8 +587,8 @@ def run_info_rate_moments(cfg, outdir, seed):
         clu_rows += _component_rows(n, est, *th.info_rate_moments(
             self_information_rate(q, qdot), q, n, dt))
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
-    write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, var_rows)
-    write_csv(os.path.join(outdir, "info_rate_clusters.csv"), header, clu_rows)
+    write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, zip(*var_rows))
+    write_csv(os.path.join(outdir, "info_rate_clusters.csv"), header, zip(*clu_rows))
     _write_clustering(f, outdir)
     return ["info_rate_variants.csv", "info_rate_clusters.csv", "clustering.csv"]
 
@@ -448,7 +612,7 @@ def run_filtering_comparison(cfg, outdir, seed):
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     write_csv(os.path.join(outdir, "filtering_rmse.csv"),
               ["mu", "rmse_raw", "rmse_filtered"],
-              zip(range(1, traj.n_variants + 1), rmse_raw, rmse_filt))
+              [np.arange(1, traj.n_variants + 1), rmse_raw, rmse_filt])
     return ["filtering_rmse.csv"]
 
 
@@ -464,7 +628,7 @@ def run_elbow_scan(cfg, outdir, seed):
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
-    write_csv(os.path.join(outdir, "elbow_curve.csv"), ["ell", "delta_g"], curve)
+    write_csv(os.path.join(outdir, "elbow_curve.csv"), ["ell", "delta_g"], zip(*curve))
     write_csv(os.path.join(outdir, "elbow_summary.csv"), ["ell_star", str(ell_star)], [])
     return ["elbow_curve.csv", "elbow_summary.csv"]
 
@@ -498,7 +662,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
         traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt))
 
     write_csv(os.path.join(outdir, "theory_vs_mc.csv"),
-              ["quantity", "mc_value", "mc_se", "theory_value"], rows)
+              ["quantity", "mc_value", "mc_se", "theory_value"], zip(*rows))
     return ["theory_vs_mc.csv"]
 
 

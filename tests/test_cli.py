@@ -2,9 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import tempfile
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,6 +452,13 @@ class TestRunner:
          "bad value for 'n': '9223372036854775808' (must be an integer in [1, 2**63))"),
         ("experiment = distance-moments\nn = 100,9223372036854775808\n",
          "bad value for 'n'"),
+        # grids of more points than numpy can allocate, refused before integrating
+        ("experiment = model-trajectory\ndt = 1e-300\n",
+         "bad value for 't_end' or 'dt': t_end = 2 is 4e+301 fine steps of 5e-302"),
+        ("experiment = elbow-scan\nt_end = 1e300\n",
+         "bad value for 't_end' or 'dt': t_end = 1e+300 is 8e+301 fine steps of 0.0125"),
+        ("experiment = fisher-bias-vs-t\nt_end = 1e300\nfine_step = 0.0125\n",
+         "bad value for 't_end' or 'fine_step': t_end = 1e+300 is 8e+301 fine steps"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         if not text.startswith("experiment = distance-moments") and "t_end" not in text:
@@ -747,3 +757,176 @@ class TestShippedOutputs:
             f"binomial sampler as in numpy 2.4.6 (this is numpy {np.__version__}); under the "
             "same numpy, a declared output change must update SHIPPED_DIGESTS and say so in "
             "CHANGES.md.")
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """The row writer that write_csv replaced, kept as its reference: a column
+    whose cell in the first row is a float is written with %.17g, any other
+    with %s."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        if first is not None:
+            line = ",".join("%.17g" if isinstance(x, float) else "%s" for x in first) + "\n"
+            fh.write(line % tuple(first))
+            fh.writelines(line % tuple(row) for row in rows)
+
+
+def formatted(values):
+    """The cells _format_floats makes of `values`, and the set of indices of
+    those it made with `%`."""
+    out, slow = cli._format_floats(np.array(values, dtype=float))
+    return out.tobytes().translate(None, b"\0").decode().split(",")[:-1], set(slow.tolist())
+
+
+def decade_values():
+    """Every double next to a power of ten 10**k, k = -323 ... 308: 10.0**k
+    and the correctly rounded literal 1ek, each with both neighbours."""
+    out = []
+    for k in range(-323, 309):
+        for v in dict.fromkeys((10.0 ** k, float(f"1e{k}"))):
+            out += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    return out
+
+
+def in_fast_range(v):
+    return 1e-280 <= abs(v) <= 1e280
+
+
+def is_tie(v) -> bool:
+    """Whether |v| lies exactly halfway between two 17-digit decimals."""
+    q, x_dec = abs(Fraction(v)), math.floor(math.log10(abs(v)))
+    x_dec += (q >= Fraction(10) ** (x_dec + 1)) - (q < Fraction(10) ** x_dec)
+    return (q * Fraction(10) ** (16 - x_dec)).denominator == 2
+
+
+def is_power_of_ten(q: Fraction) -> bool:
+    m = q.numerator if q.denominator == 1 else q.denominator if q.numerator == 1 else 0
+    return m > 0 and m == 10 ** (len(str(m)) - 1)
+
+
+class TestFloatCells:
+    """_format_floats writes what '%.17g' % v writes, and uses `%` only for
+    the cells it cannot certify."""
+
+    def test_decades(self):
+        values = decade_values()
+        cells, slow = formatted(values)
+        assert cells == ["%.17g" % v for v in values]
+        assert slow <= {i for i, v in enumerate(values) if not in_fast_range(v) or is_tie(v)}
+        # floor(log10) is -277 for the double 10.0**-277, which lies below 1e-277
+        assert cells[values.index(10.0 ** -277)] == "9.9999999999999997e-278"
+
+    @pytest.mark.parametrize("toward", [-math.inf, math.inf])
+    def test_decade_does_not_trust_log10(self, monkeypatch, toward):
+        # with log10 one ulp off next to every power of ten, floor(log10) is
+        # a decade off there; the check against hi + lo must undo that
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        values = decade_values()
+        assert formatted(values)[0] == ["%.17g" % v for v in values]
+
+    def test_carries_into_the_next_decade(self):
+        # doubles below 10**k whose 17 digits round up to it; no double below
+        # 1e-4 or 1e17 does, so the neighbours there keep their form
+        carries = [v for v in decade_values() if v and Fraction(v) < Fraction("%.17g" % v)
+                   and is_power_of_ten(Fraction("%.17g" % v))]
+        assert len(carries) >= 10
+        switch = [1e-4, 1e17, 1e16, 99999999999999999.0, 9.99999999999999999e-5,
+                  0.000099999999999999995, 99999999999999999.5, 9.9999999999999999e16]
+        switch += [math.nextafter(v, t) for v in switch for t in (0.0, math.inf)]
+        values = carries + switch + [-v for v in carries + switch]
+        cells, slow = formatted(values)
+        assert cells == ["%.17g" % v for v in values]
+        assert not slow & {i for i, v in enumerate(values) if in_fast_range(v) and not is_tie(v)}
+        assert "%.17g" % math.nextafter(1e-4, 0.0) == "9.9999999999999991e-05"
+        assert "%.17g" % math.nextafter(1e17, 0.0) == "99999999999999984"
+
+    def test_special_values(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  float(2 ** 53 - 1), float(2 ** 53 + 1), float(2 ** 53 + 2), -float(2 ** 53)]
+        cells, slow = formatted(values)
+        assert cells == ["%.17g" % v for v in values]
+        assert cells[:2] == ["0", "-0"]
+        assert slow == {i for i, v in enumerate(values) if v and not in_fast_range(v)}
+
+    def test_exact_ties_at_the_18th_digit(self):
+        # k / 2**(17 - X) with k odd has exactly 18 significant digits, the
+        # last a 5, in the decade X; %.17g rounds such a tie to even
+        values = []
+        for x_dec in range(-8, 15):
+            scale = Fraction(2) ** (17 - x_dec)
+            lo = math.ceil(10 ** Fraction(x_dec) * scale) | 1
+            hi = math.ceil(10 ** Fraction(x_dec + 1) * scale) - 1
+            for k in dict.fromkeys((lo, (lo + hi) // 2 | 1, hi - 1 + hi % 2)):
+                v = math.ldexp(k, x_dec - 17)
+                assert is_tie(v)
+                values += [v, -v]
+        cells, slow = formatted(values)
+        assert cells == ["%.17g" % v for v in values]
+        assert slow == set(range(len(values)))
+
+
+class TestWriteCsv:
+    """write_csv writes the bytes of reference_write_csv, the row writer it
+    replaced."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_bit_patterns(self, data):
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
+        bits = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=rows * cols,
+                                  max_size=rows * cols))
+        table = np.array(bits, dtype=np.uint64).view(np.float64).reshape(rows, cols)
+        layout = data.draw(st.sampled_from(["block", "columns", "split", "labelled"]))
+        chunk = data.draw(st.sampled_from([1, 3, cli.CSV_CHUNK_CELLS]))
+        columns = {"block": [table], "columns": list(table.T),
+                   "split": [table[:, 0], table[:, 1:]],
+                   "labelled": [[f"q_{r}" for r in range(rows)], range(rows), table]}[layout]
+        prefix = ([[f"q_{r}", r] for r in range(rows)] if layout == "labelled"
+                  else [[] for _ in range(rows)])
+        header = [f"c{j}" for j in range(len(prefix[0]) + cols)]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "CSV_CHUNK_CELLS", chunk):
+            got, ref = os.path.join(tmp, "got.csv"), os.path.join(tmp, "ref.csv")
+            cli.write_csv(got, header, columns)
+            reference_write_csv(ref, header, (p + r for p, r in zip(prefix, table.tolist())))
+            with open(got, "rb") as fh_got, open(ref, "rb") as fh_ref:
+                assert fh_got.read().splitlines() == fh_ref.read().splitlines()
+
+    def test_model_trajectory(self, tmp_path):
+        text = "experiment = model-trajectory\nN = 99\n"
+        cli.run(write_cfg(tmp_path, text), str(tmp_path / "out"))
+        traj, dt = cli._model(cli.parse_config(text), [3])
+        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, cli._grid(traj, dt)), 3)
+        rows = slice(None, None, 2)
+        p, pdot, d, mean_d, g_tt = traj.replicator(rows)
+        header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d")
+                                for i in range(1, 101)] + ["mean_d"])
+        table = np.column_stack((traj.times[rows], traj.susceptible[rows], p, pdot, d, mean_d))
+        reference_write_csv(tmp_path / "trajectory.csv", header, map(np.ndarray.tolist, table))
+        reference_write_csv(tmp_path / "fisher.csv", ["t", "g_tt", "g_f"],
+                            zip(traj.times[rows], g_tt, cli.cl.clustered_fisher(p, pdot, f)))
+        reference_write_csv(tmp_path / "clustering.csv", ["mu", "label"],
+                            enumerate((f.labels + 1).tolist(), start=1))
+        for name in ("trajectory.csv", "fisher.csv", "clustering.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_mixed_cells(self, tmp_path):
+        # the theory_vs_mc.csv shape: a string, an integer and float columns
+        rows = [("distance_mean", 1000, 0.0019500000000000001, 0.1, 1e-7),
+                ("distance_var", 1000, -2.5e-6, 0.0, 123456789.25),
+                ("fisher_mean", 10 ** 18, 1e300, -1e-300, math.inf),
+                ("info_rate_mean_mu1", 7, math.nan, 5e-324, 2.0 ** 53 + 2)]
+        header = ["quantity", "n", "mc_value", "mc_se", "theory_value"]
+        cli.write_csv(tmp_path / "got.csv", header, zip(*rows))
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_header_only(self, tmp_path):
+        cli.write_csv(tmp_path / "got.csv", ["ell_star", "6"], [])
+        reference_write_csv(tmp_path / "ref.csv", ["ell_star", "6"], [])
+        assert (tmp_path / "got.csv").read_bytes() == b"ell_star,6\n"
+        assert (tmp_path / "ref.csv").read_bytes() == b"ell_star,6\n"

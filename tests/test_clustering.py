@@ -473,5 +473,5 @@ class TestCsv:
 
     def test_delta_curve(self, tmp_path):
         path = tmp_path / "curve.csv"
-        cli.write_csv(path, ["ell", "delta_g"], [(2, 0.5), (3, 0.125)])
+        cli.write_csv(path, ["ell", "delta_g"], [(2, 3), (0.5, 0.125)])
         assert path.read_bytes() == b"ell,delta_g\n2,0.5\n3,0.125\n"

@@ -476,7 +476,7 @@ class TestCsvExport:
                 + list(traj.pdot(k)) + list(traj.couplings(k)) + [traj.replicator(k)[3]]
                 for k in range(0, traj.times.size, 7)]
         path = tmp_path / "fast.csv"
-        cli.write_csv(path, header, rows)
+        cli.write_csv(path, header, zip(*rows))
 
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:

@@ -30,8 +30,7 @@ from .simplex import (fisher_information, require_interior, self_information_rat
 EXPERIMENTS = {}
 
 # the keys of the model, which every experiment but distance-moments reads
-_MODEL_KEYS = ("N", "dt", "t_end", "fine_step", "s0", "r0", "groups", "gamma", "epsilon",
-               "i0")
+_MODEL_KEYS = ("N", "dt", "t_end", "groups")
 
 
 def experiment(name, *keys):
@@ -92,16 +91,6 @@ def _time(text: str) -> float:
     return value
 
 
-def _fraction(name: str):
-    """Converter to a float in [0, 1]; `name` names the value in the error."""
-    def conv(text: str) -> float:
-        value = float(text)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"initial fraction {name} = {value} outside [0, 1]")
-        return value
-    return conv
-
-
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 1 << 64:
@@ -148,22 +137,6 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(x) for x in _entries(text)]
-
-
-def _per_variant(size: int, positive: bool):
-    """Converter to a comma list of `size` finite floats, each positive or,
-    if not `positive`, at least 0."""
-    def conv(text: str) -> np.ndarray:
-        values = np.array(_float_list(text))
-        if values.size != size:
-            raise ValueError(f"{values.size} entries for N + 1 = {size} variants")
-        bad = ~np.isfinite(values) | (values <= 0 if positive else values < 0)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise ValueError(f"entry {idx} = {values[idx]} must be finite and "
-                             + ("positive" if positive else "at least 0"))
-        return values
-    return conv
 
 
 def _distribution(text: str) -> np.ndarray:
@@ -367,63 +340,38 @@ def _scan_counts(text: str) -> list[int]:
     return values
 
 
-# the keys that `groups` replaces: it fixes the variants and their rates
-_UNGROUPED_KEYS = ("N", "gamma", "epsilon", "i0")
-
-# the experiments that evaluate the model half a sampling step from the
-# sampling instants (at midpoints, or at t - dt/2 and t + dt/2)
-_HALF_STEP_EXPERIMENTS = {"fisher-bias-vs-n", "fisher-bias-vs-t", "info-rate-moments",
-                          "filtering-comparison", "theory-vs-mc"}
-
-
 def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
-    """Parse the model keys, check that the sampling step dt (or dt/2, for
-    the experiments that need it) is a whole number of fine steps, and check
-    each cluster count of `ells`, the value of `ell`, against the variant
-    count; then integrate the model.  Returns (trajectory, sampling step dt)."""
-    n_var = _get(cfg, "N", 9, _at_least(1, "N")) + 1
+    """Parse the model keys and check each cluster count of `ells`, the value
+    of `ell`, against the variant count; then integrate the model on the grid
+    of step dt/20, on which the sampling step dt and dt/2 are whole numbers
+    of grid steps.  Returns (trajectory, sampling step dt)."""
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
-    fine_step = _get(cfg, "fine_step", dt / 20.0, _positive)
-    span, what = ((dt / 2.0, f"dt/2 = {dt / 2.0:g} (dt = {dt:g})")
-                  if cfg["experiment"] in _HALF_STEP_EXPERIMENTS else (dt, f"dt = {dt:g}"))
-    steps = span / fine_step
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
-        raise ConfigError(f"bad value for 'fine_step': {what} is not a whole number of "
-                          f"fine steps {fine_step:g}")
-    # solve_sir's first run keeps 2 t_end / fine_step + 1 float64 states
-    if 2.0 * t_end / fine_step + 1.0 > np.iinfo(np.intp).max / 8:
-        step_key = "fine_step" if "fine_step" in cfg else "dt"
-        raise ConfigError(f"bad value for 't_end' or {step_key!r}: t_end = {t_end:g} is "
-                          f"{t_end / fine_step:.3g} fine steps of {fine_step:g}, more than "
-                          "an array can hold")
-    s0 = _get(cfg, "s0", dyn.DEFAULT_S0, _fraction("s0"))
-    r0 = _get(cfg, "r0", 0.0, _fraction("r0"))
-    if s0 + r0 >= 1.0:
-        raise ConfigError(f"bad value for 's0': s0 = {s0} and r0 = {r0} leave no initial "
-                          "infected fraction (s0 + r0 must be < 1)")
+    step = dt / 20.0
+    if step < sys.float_info.min:  # a subnormal step is too coarse to keep dt 20 steps
+        raise ConfigError(f"bad value for 'dt': the model grid step dt/20 = {step:g} is below "
+                          f"the smallest normal float {sys.float_info.min:g}")
+    try:
+        n_steps = dyn.grid_steps(t_end, step)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 't_end': {exc}") from exc
+    # solve_sir's first run keeps 2 n_steps + 1 float64 states
+    if 2.0 * n_steps + 1.0 > np.iinfo(np.intp).max / 8:
+        raise ConfigError(f"bad value for 't_end' or 'dt': t_end = {t_end:g} is "
+                          f"{n_steps:.3g} fine steps of {step:g}, more than an array can hold")
     if "groups" in cfg:
-        clash = [key for key in _UNGROUPED_KEYS if key in cfg]
-        if clash:
-            raise ConfigError(f"keys 'groups' and {clash[0]!r} cannot both be set: "
+        if "N" in cfg:
+            raise ConfigError("keys 'groups' and 'N' cannot both be set: "
                               "'groups' fixes the variants and their rates")
-        params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list), s0=s0, r0=r0)
+        params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list))
     else:
-        base = dyn.default_sir_params(n_var, s0=s0, r0=r0)
-        rates = _per_variant(n_var, positive=False)
-        gamma = _get(cfg, "gamma", base.gamma, rates)
-        epsilon = _get(cfg, "epsilon", base.epsilon, rates)
-        i0 = _get(cfg, "i0", base.i0, _per_variant(n_var, positive=True))
-        try:  # the one check the converters leave: an explicit i0 must complete s0 + r0
-            params = dyn.SirParams(gamma, epsilon, s0, i0, r0)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for 'i0': {exc} (s0 = {s0}, r0 = {r0})") from exc
+        params = dyn.default_sir_params(_get(cfg, "N", 9, _at_least(1, "N")) + 1)
     n_var = params.gamma.size
     for ell in ells:
         if ell > n_var:
             raise ConfigError(f"bad value for 'ell': {ell} clusters for {n_var} variants "
                               f"(need 1 <= n_clusters <= {n_var})")
-    return dyn.solve_sir(params, t_end, fine_step), dt
+    return dyn.solve_sir(params, t_end, step), dt
 
 
 def _row(traj: dyn.Trajectory, t: float, key: str) -> int:
@@ -439,7 +387,7 @@ def _row(traj: dyn.Trajectory, t: float, key: str) -> int:
 def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
     """Model-grid rows of the sampling instants t0, t0 + dt, ...: `count` of
     them or, by default, every one up to the last row; a larger `count` is an
-    error.  _model has checked that dt is a whole number of grid steps."""
+    error.  dt is 20 steps of the model grid (see _model)."""
     stride = round(dt / traj.step)
     first = _row(traj, t0, "t0")
     fits = (traj.times.size - 1 - first) // stride + 1
@@ -461,8 +409,8 @@ def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = 
 def _at_t(cfg, ells=()) -> tuple:
     """Parse `t` and the model keys, integrate the model, and locate t:
     returns (trajectory, dt, model-grid row of t, the (2, M) distributions
-    at t - dt/2 and t + dt/2).  `ells` is passed to _model, which has made
-    dt/2 a whole number of grid steps."""
+    at t - dt/2 and t + dt/2, 10 grid steps from t).  `ells` is passed to
+    _model."""
     t = _get(cfg, "t", 5.0, _time)
     traj, dt = _model(cfg, ells)
     k = _row(traj, t, "t")
@@ -522,7 +470,7 @@ def run_model_trajectory(cfg, outdir, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
     traj, dt = _model(cfg, [ell])
     f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
-    rows = slice(None, None, 2)  # every dt/10 at the default fine step
+    rows = slice(None, None, 2)  # every dt/10
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
@@ -561,7 +509,7 @@ def run_fisher_bias_vs_t(cfg, outdir, seed):
     rows = _grid(traj, dt, count=count)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt), reps, seed,
                                      traj.p(rows), n)
-    mid = (rows[:-1] + rows[1:]) // 2  # _model made dt/2 a whole number of grid steps
+    mid = (rows[:-1] + rows[1:]) // 2  # dt/2 is 10 grid steps
     mean_th, var_th = th.fisher_prediction(traj.fisher_curve(mid), traj.n_variants - 1, n, dt)
     write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
               ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
@@ -618,7 +566,7 @@ def run_filtering_comparison(cfg, outdir, seed):
 
 @experiment("elbow-scan", "t", "ell", *_MODEL_KEYS)
 def run_elbow_scan(cfg, outdir, seed):
-    if not cfg.keys() & {"groups", *_UNGROUPED_KEYS}:
+    if not cfg.keys() & {"groups", "N"}:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
     t_eval = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)

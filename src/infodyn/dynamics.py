@@ -99,17 +99,16 @@ class SirParams:
         return self.gamma.size
 
 
-def default_sir_params(n_variants: int = 10, s0: float = DEFAULT_S0,
-                       r0: float = 0.0) -> SirParams:
+def default_sir_params(n_variants: int = 10) -> SirParams:
     """Deterministic desk-scale parameter set: the grouped set with one
     variant per group, so evenly spaced rates and uniform i0."""
-    return grouped_sir_params([1] * n_variants, s0, r0)
+    return grouped_sir_params([1] * n_variants)
 
 
-def grouped_sir_params(group_sizes, s0: float = DEFAULT_S0, r0: float = 0.0) -> SirParams:
+def grouped_sir_params(group_sizes) -> SirParams:
     """Variants in blocks with identical rates inside each block; the block
     rates are evenly spaced, gamma over [1.5, 2.5] and epsilon over
-    [0.9, 1.1], and i0 is uniform.
+    [0.9, 1.1], and the model starts at s0 = DEFAULT_S0, r0 = 0, uniform i0.
 
     Within a block the couplings coincide for all times, so the block
     clustering is a sufficient statistic of the induced model.
@@ -121,8 +120,8 @@ def grouped_sir_params(group_sizes, s0: float = DEFAULT_S0, r0: float = 0.0) -> 
     gamma = np.repeat(np.linspace(1.5, 2.5, k), group_sizes)
     epsilon = np.repeat(np.linspace(0.9, 1.1, k), group_sizes)
     n = gamma.size
-    i0 = np.full(n, (1.0 - s0 - r0) / n)
-    return SirParams(gamma, epsilon, s0, i0, r0)
+    i0 = np.full(n, (1.0 - DEFAULT_S0) / n)
+    return SirParams(gamma, epsilon, DEFAULT_S0, i0)
 
 
 @dataclass(frozen=True)
@@ -349,4 +348,4 @@ def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
         div *= 2
     raise IntegrationError(
         f"step check failed after {MAX_HALVINGS} halvings of step {step:g}, at RK4 steps "
-        f"{last:g} and {last / 2.0:g}: {failure}; use a smaller fine_step")
+        f"{last:g} and {last / 2.0:g}: {failure}; use a smaller step")

@@ -15,15 +15,12 @@ DEFAULT_HALF_WIDTH = 3
 DEFAULT_SHAPE = 4.0 / 9.0
 
 
-def gaussian_kernel(half_width: int = DEFAULT_HALF_WIDTH,
-                    shape: float = DEFAULT_SHAPE) -> np.ndarray:
-    """Normalised weights exp(-shape * k^2) for k = -half_width..half_width."""
+def gaussian_kernel(half_width: int = DEFAULT_HALF_WIDTH) -> np.ndarray:
+    """Normalised weights exp(-DEFAULT_SHAPE * k^2) for k = -half_width..half_width."""
     if half_width < 0:
         raise ValueError("half_width must be >= 0")
-    if not 0.0 < shape < np.inf:
-        raise ValueError(f"shape must be positive and finite, got {shape}")
     k = np.arange(-half_width, half_width + 1)
-    w = np.exp(-shape * k.astype(float) ** 2)
+    w = np.exp(-DEFAULT_SHAPE * k.astype(float) ** 2)
     return w / w.sum()
 
 

@@ -369,7 +369,7 @@ class TestSolveSir:
         with pytest.raises(dyn.IntegrationError,
                            match=r"after 1 halvings of step 0\.0125, at RK4 steps 0\.00625 and "
                                  r"0\.003125: step-doubling error estimate \d\.\d{3}e-09 > 1e-09; "
-                                 "use a smaller fine_step$"):
+                                 "use a smaller step$"):
             dyn.solve_sir(params, 10.0, 0.0125)
 
 

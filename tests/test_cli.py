@@ -547,6 +547,49 @@ class TestConfigFuzzing:
             assert not os.path.exists(out) or os.listdir(out) == [], text
 
 
+# every experiment that integrates the model, each of which reads the model keys
+MODEL_EXPERIMENTS = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items()
+                           if set(cli._MODEL_KEYS) <= keys)
+
+
+def small_config(experiment, **keys):
+    """The config text of SMALL_CONFIGS[experiment] with `keys` set over it."""
+    cfg = cli.parse_config(f"experiment = {experiment}\n" + SMALL_CONFIGS[experiment])
+    cfg.update(keys)
+    return "".join(f"{k} = {v}\n" for k, v in cfg.items())
+
+
+class TestModelKeys:
+    def test_every_experiment_but_distance_moments_reads_them(self):
+        assert set(cli.EXPERIMENTS) - set(MODEL_EXPERIMENTS) == {"distance-moments"}
+
+    @pytest.mark.parametrize("experiment", MODEL_EXPERIMENTS)
+    def test_groups_and_n_clash_writes_no_artifact(self, tmp_path, capsys, experiment):
+        cfg = write_cfg(tmp_path, small_config(experiment, groups="2,2", N="3"))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert "keys 'groups' and 'N' cannot both be set" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", MODEL_EXPERIMENTS)
+    def test_runs_at_a_sampling_step_of_a_third(self, tmp_path, experiment):
+        # dt/2 = 1/6 is a whole number of dt/20 grid steps, as every dt/2 is;
+        # each time the small configs set is a multiple of 1/60 too
+        cfg = write_cfg(tmp_path, small_config(experiment, dt=repr(1 / 3)))
+        out = tmp_path / "out"
+        artifacts = cli.run(cfg, str(out))
+        assert artifacts and all((out / name).stat().st_size > 0 for name in artifacts)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.25, 1 / 3, 0.7, 3.0])
+    def test_sampling_step_and_half_step_are_grid_rows(self, dt):
+        traj, got = cli._model(cli.parse_config(
+            f"experiment = model-trajectory\nN = 1\ndt = {dt!r}\nt_end = {dt!r}\n"))
+        assert got == dt
+        assert traj.step == dt / 20
+        assert traj.index_at(dt / 2) == 10
+        assert traj.index_at(dt) == traj.times.size - 1 == 20
+
+
 # the sample size, replications and cluster count of a quick run, as far as
 # the experiment reads them
 SMALL_RUN_KEYS = {

@@ -341,24 +341,23 @@ def _scan_counts(text: str) -> list[int]:
 
 
 def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
-    """Parse the model keys and check each cluster count of `ells`, the value
-    of `ell`, against the variant count; then integrate the model on the grid
-    of step dt/20, on which the sampling step dt and dt/2 are whole numbers
-    of grid steps.  Returns (trajectory, sampling step dt)."""
+    """Parse the model keys, check each cluster count of `ells` (the value of
+    `ell`) against the variant count, and integrate the model on the grid of
+    step dt/20, on which dt and dt/2 are 20 and 10 steps.  Returns (trajectory, dt)."""
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
     step = dt / 20.0
     if step < sys.float_info.min:  # a subnormal step is too coarse to keep dt 20 steps
         raise ConfigError(f"bad value for 'dt': the model grid step dt/20 = {step:g} is below "
                           f"the smallest normal float {sys.float_info.min:g}")
+    # solve_sir's first run keeps 2 t_end / step + 1 float64 states
+    if 2.0 * t_end / step + 1.0 > np.iinfo(np.intp).max / 8:
+        raise ConfigError(f"bad value for 't_end' or 'dt': t_end = {t_end:g} is "
+                          f"{t_end / step:.3g} fine steps of {step:g}, more than an array can hold")
     try:
-        n_steps = dyn.grid_steps(t_end, step)
+        dyn.grid_steps(t_end, step)
     except ValueError as exc:
         raise ConfigError(f"bad value for 't_end': {exc}") from exc
-    # solve_sir's first run keeps 2 n_steps + 1 float64 states
-    if 2.0 * n_steps + 1.0 > np.iinfo(np.intp).max / 8:
-        raise ConfigError(f"bad value for 't_end' or 'dt': t_end = {t_end:g} is "
-                          f"{n_steps:.3g} fine steps of {step:g}, more than an array can hold")
     if "groups" in cfg:
         if "N" in cfg:
             raise ConfigError("keys 'groups' and 'N' cannot both be set: "
@@ -371,7 +370,10 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
         if ell > n_var:
             raise ConfigError(f"bad value for 'ell': {ell} clusters for {n_var} variants "
                               f"(need 1 <= n_clusters <= {n_var})")
-    return dyn.solve_sir(params, t_end, step), dt
+    try:
+        return dyn.solve_sir(params, t_end, step), dt
+    except dyn.IntegrationError as exc:
+        raise ConfigError(f"bad value for 'dt': {exc} (the model grid step is dt/20)") from exc
 
 
 def _row(traj: dyn.Trajectory, t: float, key: str) -> int:
@@ -669,8 +671,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         artifacts = run(args.config, args.out, args.seed)
-    except (ConfigError, OSError, ValueError,
-            dyn.IntegrationError, smp.MonteCarloError) as exc:
+    except (ConfigError, OSError, ValueError, smp.MonteCarloError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for name in artifacts:

@@ -441,6 +441,14 @@ class TestRunner:
          "bad value for 't_end' or 'dt': t_end = 2 is 4e+301 fine steps of 5e-302"),
         ("experiment = elbow-scan\nt_end = 1e300\n",
          "bad value for 't_end' or 'dt': t_end = 1e+300 is 8e+301 fine steps of 0.0125"),
+        # ... also where t_end / (dt/20) overflows to inf
+        ("experiment = elbow-scan\nt_end = 1e308\n",
+         "bad value for 't_end' or 'dt': t_end = 1e+308 is inf fine steps of 0.0125"),
+        ("experiment = model-trajectory\nt_end = 10\ndt = 1e-306\n",
+         "bad value for 't_end' or 'dt': t_end = 10 is inf fine steps of 5e-308"),
+        # a dt whose grid step dt/20 is too coarse for the integrator's step check
+        ("experiment = model-trajectory\ndt = 20\nt_end = 100\n",
+         "bad value for 'dt': step check failed after 4 halvings of step 1"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         if not text.startswith("experiment = distance-moments") and "t_end" not in text:
@@ -560,17 +568,6 @@ def small_config(experiment, **keys):
 
 
 class TestModelKeys:
-    def test_every_experiment_but_distance_moments_reads_them(self):
-        assert set(cli.EXPERIMENTS) - set(MODEL_EXPERIMENTS) == {"distance-moments"}
-
-    @pytest.mark.parametrize("experiment", MODEL_EXPERIMENTS)
-    def test_groups_and_n_clash_writes_no_artifact(self, tmp_path, capsys, experiment):
-        cfg = write_cfg(tmp_path, small_config(experiment, groups="2,2", N="3"))
-        out = tmp_path / "out"
-        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
-        assert "keys 'groups' and 'N' cannot both be set" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("experiment", MODEL_EXPERIMENTS)
     def test_runs_at_a_sampling_step_of_a_third(self, tmp_path, experiment):
         # dt/2 = 1/6 is a whole number of dt/20 grid steps, as every dt/2 is;

@@ -26,7 +26,7 @@ from . import theory as th
 from .simplex import (fisher_information, require_interior, self_information_rate,
                       shahshahani_distance_sq)
 
-# experiment name -> (function, the config keys it reads)
+# experiment name -> (fn(cfg, seed) -> {artifact: (header, columns)}, the keys it reads)
 EXPERIMENTS = {}
 
 # the keys of the model, which every experiment but distance-moments reads
@@ -362,7 +362,7 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
         if "N" in cfg:
             raise ConfigError("keys 'groups' and 'N' cannot both be set: "
                               "'groups' fixes the variants and their rates")
-        params = dyn.grouped_sir_params(_get(cfg, "groups", None, _int_list))
+        params = _get(cfg, "groups", None, lambda text: dyn.grouped_sir_params(_int_list(text)))
     else:
         params = dyn.default_sir_params(_get(cfg, "N", 9, _at_least(1, "N")) + 1)
     n_var = params.gamma.size
@@ -430,10 +430,9 @@ def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
     return f, cl.aggregate(traj.p(k), f), cl.aggregate(traj.pdot(k), f)
 
 
-def _write_clustering(f: cl.Clustering, outdir) -> None:
+def _clustering_table(f: cl.Clustering) -> tuple:
     """`clustering.csv`: one `mu,label` row per variant, both 1-based."""
-    write_csv(os.path.join(outdir, "clustering.csv"), ["mu", "label"],
-              [np.arange(1, f.labels.size + 1), f.labels + 1])
+    return ["mu", "label"], [np.arange(1, f.labels.size + 1), f.labels + 1]
 
 
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
@@ -452,7 +451,7 @@ def _component_rows(n: int, est: smp.MonteCarloEstimate, mean_th, var_th) -> lis
 
 
 @experiment("distance-moments", "p", "n", "replications")
-def run_distance_moments(cfg, outdir, seed):
+def run_distance_moments(cfg, seed):
     p = _get(cfg, "p", DEFAULT_P, _distribution)
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, _replications)
@@ -462,13 +461,12 @@ def run_distance_moments(cfg, outdir, seed):
                                          rng.derive_key(seed, i), p, n)
         mean_th, var_th = th.distance_moments(p, n)
         rows.append((n, est.mean, est.standard_error, est.std * est.std, mean_th, var_th))
-    write_csv(os.path.join(outdir, "distance_moments.csv"),
-              ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], zip(*rows))
-    return ["distance_moments.csv"]
+    return {"distance_moments.csv": (
+        ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], zip(*rows))}
 
 
 @experiment("model-trajectory", "ell", *_MODEL_KEYS)
-def run_model_trajectory(cfg, outdir, seed):
+def run_model_trajectory(cfg, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
     traj, dt = _model(cfg, [ell])
     f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
@@ -477,16 +475,14 @@ def run_model_trajectory(cfg, outdir, seed):
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
               + ["mean_d"])
     p, pdot, d, mean_d, g_tt = traj.replicator(rows)
-    write_csv(os.path.join(outdir, "trajectory.csv"), header,
-              [traj.times[rows], traj.susceptible[rows], p, pdot, d, mean_d])
-    _write_clustering(f, outdir)
-    write_csv(os.path.join(outdir, "fisher.csv"), ["t", "g_tt", "g_f"],
-              [traj.times[rows], g_tt, cl.clustered_fisher(p, pdot, f)])
-    return ["trajectory.csv", "clustering.csv", "fisher.csv"]
+    times = traj.times[rows]
+    return {"trajectory.csv": (header, [times, traj.susceptible[rows], p, pdot, d, mean_d]),
+            "clustering.csv": _clustering_table(f),
+            "fisher.csv": (["t", "g_tt", "g_f"], [times, g_tt, cl.clustered_fisher(p, pdot, f)])}
 
 
 @experiment("fisher-bias-vs-n", "n", "replications", "t", *_MODEL_KEYS)
-def run_fisher_bias_vs_n(cfg, outdir, seed):
+def run_fisher_bias_vs_n(cfg, seed):
     ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
     reps = _get(cfg, "replications", 500, _replications)
     traj, dt, k, p2 = _at_t(cfg)
@@ -497,13 +493,12 @@ def run_fisher_bias_vs_n(cfg, outdir, seed):
                                          rng.derive_key(seed, i), p2, n)
         mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
         rows.append((n, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
-    write_csv(os.path.join(outdir, "fisher_bias_vs_n.csv"),
-              ["n", "mc_mean", "mc_se", "theory_mean", "theory_sd"], zip(*rows))
-    return ["fisher_bias_vs_n.csv"]
+    return {"fisher_bias_vs_n.csv": (
+        ["n", "mc_mean", "mc_se", "theory_mean", "theory_sd"], zip(*rows))}
 
 
 @experiment("fisher-bias-vs-t", "n", "replications", "count", *_MODEL_KEYS)
-def run_fisher_bias_vs_t(cfg, outdir, seed):
+def run_fisher_bias_vs_t(cfg, seed):
     n = _get(cfg, "n", 100000, _positive_int)
     reps = _get(cfg, "replications", 500, _replications)
     count = _get(cfg, "count", None, _instant_count)
@@ -513,14 +508,13 @@ def run_fisher_bias_vs_t(cfg, outdir, seed):
                                      traj.p(rows), n)
     mid = (rows[:-1] + rows[1:]) // 2  # dt/2 is 10 grid steps
     mean_th, var_th = th.fisher_prediction(traj.fisher_curve(mid), traj.n_variants - 1, n, dt)
-    write_csv(os.path.join(outdir, "fisher_bias_vs_t.csv"),
-              ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
-              [traj.times[mid], est.mean, est.standard_error, mean_th, np.sqrt(var_th)])
-    return ["fisher_bias_vs_t.csv"]
+    return {"fisher_bias_vs_t.csv": (
+        ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
+        [traj.times[mid], est.mean, est.standard_error, mean_th, np.sqrt(var_th)])}
 
 
 @experiment("info-rate-moments", "n", "replications", "ell", "t", *_MODEL_KEYS)
-def run_info_rate_moments(cfg, outdir, seed):
+def run_info_rate_moments(cfg, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
@@ -537,14 +531,13 @@ def run_info_rate_moments(cfg, outdir, seed):
         clu_rows += _component_rows(n, est, *th.info_rate_moments(
             self_information_rate(q, qdot), q, n, dt))
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
-    write_csv(os.path.join(outdir, "info_rate_variants.csv"), header, zip(*var_rows))
-    write_csv(os.path.join(outdir, "info_rate_clusters.csv"), header, zip(*clu_rows))
-    _write_clustering(f, outdir)
-    return ["info_rate_variants.csv", "info_rate_clusters.csv", "clustering.csv"]
+    return {"info_rate_variants.csv": (header, zip(*var_rows)),
+            "info_rate_clusters.csv": (header, zip(*clu_rows)),
+            "clustering.csv": _clustering_table(f)}
 
 
 @experiment("filtering-comparison", "n", "t0", "count", "half_width", *_MODEL_KEYS)
-def run_filtering_comparison(cfg, outdir, seed):
+def run_filtering_comparison(cfg, seed):
     n = _get(cfg, "n", 250000, _positive_int)
     t0 = _get(cfg, "t0", 2.5, _time)
     count = _get(cfg, "count", 31, _instant_count)
@@ -560,14 +553,12 @@ def run_filtering_comparison(cfg, outdir, seed):
     filt = smp.info_rate_hat(flt.filter_probs(phat, kernel), dt)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
-    write_csv(os.path.join(outdir, "filtering_rmse.csv"),
-              ["mu", "rmse_raw", "rmse_filtered"],
-              [np.arange(1, traj.n_variants + 1), rmse_raw, rmse_filt])
-    return ["filtering_rmse.csv"]
+    return {"filtering_rmse.csv": (["mu", "rmse_raw", "rmse_filtered"],
+                                   [np.arange(1, traj.n_variants + 1), rmse_raw, rmse_filt])}
 
 
 @experiment("elbow-scan", "t", "ell", *_MODEL_KEYS)
-def run_elbow_scan(cfg, outdir, seed):
+def run_elbow_scan(cfg, seed):
     if not cfg.keys() & {"groups", "N"}:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
     t_eval = _get(cfg, "t", 1.0, _time)
@@ -578,13 +569,12 @@ def run_elbow_scan(cfg, outdir, seed):
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
-    write_csv(os.path.join(outdir, "elbow_curve.csv"), ["ell", "delta_g"], zip(*curve))
-    write_csv(os.path.join(outdir, "elbow_summary.csv"), ["ell_star", str(ell_star)], [])
-    return ["elbow_curve.csv", "elbow_summary.csv"]
+    return {"elbow_curve.csv": (["ell", "delta_g"], zip(*curve)),
+            "elbow_summary.csv": (["ell_star", str(ell_star)], [])}
 
 
 @experiment("theory-vs-mc", "n", "replications", "ell", "t", *_MODEL_KEYS)
-def run_theory_vs_mc(cfg, outdir, seed):
+def run_theory_vs_mc(cfg, seed):
     n = _get(cfg, "n", 10000, _positive_int)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
@@ -611,9 +601,7 @@ def run_theory_vs_mc(cfg, outdir, seed):
     rows += _mean_var_rows("info_rate_{}_mu1", est, *th.info_rate_moments(
         traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt))
 
-    write_csv(os.path.join(outdir, "theory_vs_mc.csv"),
-              ["quantity", "mc_value", "mc_se", "theory_value"], zip(*rows))
-    return ["theory_vs_mc.csv"]
+    return {"theory_vs_mc.csv": (["quantity", "mc_value", "mc_se", "theory_value"], zip(*rows))}
 
 
 # every key some experiment reads
@@ -621,10 +609,12 @@ KNOWN_KEYS = frozenset().union(*(keys for _, keys in EXPERIMENTS.values()))
 
 
 def run(config_path, outdir, seed_override=None) -> list[str]:
-    """Execute the configured experiment; returns the artifact list."""
+    """Execute the configured experiment, then create `outdir` and write its
+    tables and the manifest; returns the artifact list.  A run that fails
+    before the experiment returns creates and writes nothing."""
     with open(config_path, "rb") as fh:
         raw = fh.read()
-    cfg = parse_config(raw.decode("utf-8"))
+    cfg = parse_config(raw.decode("utf-8-sig"))  # a leading byte-order mark is skipped
     name = cfg["experiment"]
     if name not in EXPERIMENTS:
         raise ConfigError(
@@ -637,26 +627,20 @@ def run(config_path, outdir, seed_override=None) -> list[str]:
     if seed_override is not None:
         cfg["seed"] = str(seed_override)
     seed = _get(cfg, "seed", 1, _seed)
-    created = not os.path.exists(outdir)
+    tables = fn(cfg, seed)
     os.makedirs(outdir, exist_ok=True)
-    try:
-        artifacts = fn(cfg, outdir, seed)
-    except BaseException:
-        # an experiment checks its inputs before it writes: leave no empty
-        # directory behind, but never remove one that was there before
-        if created and not os.listdir(outdir):
-            os.rmdir(outdir)
-        raise
+    for artifact, (header, columns) in tables.items():
+        write_csv(os.path.join(outdir, artifact), header, columns)
     manifest = {
         "experiment": name,
         "config_sha256": hashlib.sha256(raw).hexdigest(),
         "seed": seed,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(tables),
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return sorted(artifacts) + ["manifest.json"]
+    return sorted(tables) + ["manifest.json"]
 
 
 def main(argv=None) -> int:

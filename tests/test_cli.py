@@ -354,6 +354,8 @@ class TestRunner:
         ("experiment = model-trajectory\nell = 0\n", "bad value for 'ell'"),
         ("experiment = elbow-scan\nell = 0,4,5,6\n", "bad value for 'ell'"),
         ("experiment = elbow-scan\ngroups = 9,0\n", "bad value for 'groups'"),
+        ("experiment = model-trajectory\ngroups = 1\n",
+         "bad value for 'groups': '1' (need at least 2 variants)"),
         ("experiment = model-trajectory\nN = 3\ngamma = nan,1,1,1\n", "unknown key 'gamma'"),
         ("experiment = model-trajectory\nepsilon = 1,1,-1,1,1,1,1,1,1,1\n",
          "unknown key 'epsilon'"),
@@ -477,6 +479,36 @@ class TestRunner:
         assert cli.main(argv) == 2
         assert "bad value for 'seed'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failure_after_the_checks_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # run creates --out and writes only once the experiment has returned
+        # every table: a failure late in model-trajectory, after its
+        # trajectory and clustering are computed, leaves no file behind
+        def fail(*args):
+            raise ValueError("clustered_fisher failed")
+
+        monkeypatch.setattr(cli.cl, "clustered_fisher", fail)
+        cfg = write_cfg(tmp_path,
+                        "experiment = model-trajectory\n" + SMALL_CONFIGS["model-trajectory"])
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert "clustered_fisher failed" in capsys.readouterr().err
+        assert not out.exists()
+        out.mkdir()  # an existing empty --out stays empty
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a UTF-8 BOM before the first key is not part of it; the manifest
+        # hashes the file's bytes, BOM included
+        raw = b"\xef\xbb\xbfexperiment = distance-moments\nn = 10\nreplications = 3\n"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(raw)
+        out = tmp_path / "out"
+        assert cli.run(str(cfg), str(out)) == ["distance_moments.csv", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
+        assert manifest["experiment"] == "distance-moments"
 
     def test_largest_seed_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, "experiment = distance-moments\nn = 10\nreplications = 3\n")

@@ -468,8 +468,9 @@ class TestCsv:
     """clustering.csv and elbow_curve.csv, as the experiments write them."""
 
     def test_clustering_round_trip(self, tmp_path):
-        cli._write_clustering(cl.Clustering([1, 2, 1, 3]), str(tmp_path))
-        assert (tmp_path / "clustering.csv").read_bytes() == b"mu,label\n1,1\n2,2\n3,1\n4,3\n"
+        path = tmp_path / "clustering.csv"
+        cli.write_csv(path, *cli._clustering_table(cl.Clustering([1, 2, 1, 3])))
+        assert path.read_bytes() == b"mu,label\n1,1\n2,2\n3,1\n4,3\n"
 
     def test_delta_curve(self, tmp_path):
         path = tmp_path / "curve.csv"

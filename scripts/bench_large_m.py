@@ -1,0 +1,108 @@
+"""In-process timings of the model path at many variants.
+
+    python3 scripts/bench_large_m.py --root . --repeats 5
+
+Imports infodyn from <root>/src, so the same script measures any checkout.
+Prints one JSON object of medians (and the raw samples):
+
+- `solve_sir` on the grouped model of six rate groups at M = 1000 and 10**5
+  variants, t_end = 10, step 0.0125 (dt = 0.25);
+- `kmeans_features` at M = 10**5 on the 41 sampling instants: traced
+  (tracemalloc) peak;
+- an elbow-scan run at M = 10**5 (six groups, ell = 4..7), through
+  `cli.run`: wall time, tracemalloc peak, and the ru_maxrss of a fresh
+  process that runs only it.
+
+Each elbow-scan sample runs in its own process, so that ru_maxrss is that
+run's; the time and the traced peak come from separate runs, since tracing
+slows the run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+
+
+def groups(m: int) -> list[int]:
+    """Six rate groups of sizes as equal as M allows, larger ones first."""
+    return [m // 6 + (i < m % 6) for i in range(6)]
+
+
+def elbow_once(trace: bool) -> dict:
+    from infodyn import cli
+
+    text = ("experiment = elbow-scan\ngroups = " + ",".join(map(str, groups(10 ** 5)))
+            + "\nell = 4,5,6,7\nseed = 1\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "elbow.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        if trace:
+            tracemalloc.start()
+        start = time.perf_counter()
+        cli.run(cfg, os.path.join(tmp, "out"))
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20 if trace else None
+        tracemalloc.stop()
+    return {"seconds": seconds, "traced_peak_mb": peak,
+            "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def in_process(repeats: int) -> dict:
+    import numpy as np
+
+    from infodyn import clustering as cl
+    from infodyn import dynamics as dyn
+
+    out = {}
+    for m in (1000, 10 ** 5):
+        params = dyn.grouped_sir_params(groups(m))
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            traj = dyn.solve_sir(params, 10.0, 0.0125)
+            samples.append(time.perf_counter() - start)
+        out[f"solve_sir_grouped_M{m}_s"] = samples
+    tracemalloc.start()
+    cl.kmeans_features(traj, np.arange(41) * 20)  # every dt = 0.25
+    out["kmeans_features_M100000_traced_peak_mb"] = [tracemalloc.get_traced_memory()[1] / 2 ** 20]
+    tracemalloc.stop()
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=".", help="checkout whose src/ is measured")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--elbow", choices=("time", "trace"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"  # single-threaded BLAS, as in perfbench; children inherit it
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    if args.elbow:  # one elbow-scan sample, in this process only
+        print(json.dumps(elbow_once(args.elbow == "trace")))
+        return 0
+    samples = in_process(args.repeats)
+    runs = [json.loads(subprocess.run(
+        [sys.executable, __file__, "--root", args.root, "--elbow", mode],
+        check=True, capture_output=True, text=True).stdout)
+        for _ in range(args.repeats) for mode in ("time", "trace")]
+    samples["elbow_scan_M100000_s"] = [r["seconds"] for r in runs[::2]]
+    samples["elbow_scan_M100000_traced_peak_mb"] = [r["traced_peak_mb"] for r in runs[1::2]]
+    samples["elbow_scan_M100000_ru_maxrss_mb"] = [r["ru_maxrss_mb"] for r in runs[::2]]
+    print(json.dumps({"median": {k: statistics.median(v) for k, v in samples.items()},
+                      "samples": samples}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

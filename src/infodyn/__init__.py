@@ -30,6 +30,8 @@ from .clustering import (
     elbow_select,
     kmeans,
     kmeans_features,
+    lloyd,
+    principal_scores,
     sufficiency_residuals,
 )
 from .theory import (

@@ -437,10 +437,14 @@ def _clustering_table(f: cl.Clustering) -> tuple:
 
 def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
     """Mean row and variance row of a scalar estimate; `label` has a {} for
-    the moment name.  The variance SE var*sqrt(2/(R-1)) holds for normal data."""
-    var = est.std * est.std
+    the moment name.  The SE of the sample variance s^2 of R replications is
+    sqrt((m4 - s^4 (R-3)/(R-1)) / R), with m4 the fourth central moment: the
+    estimate of Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R, which holds for
+    any distribution with a fourth moment, not only for normal data."""
+    var, reps = est.std * est.std, est.replications
+    var_se = np.sqrt((est.fourth_moment - var * var * (reps - 3) / (reps - 1)) / reps)
     return [(label.format("mean"), est.mean, est.standard_error, mean_th),
-            (label.format("var"), var, var * np.sqrt(2.0 / (est.replications - 1)), var_th)]
+            (label.format("var"), var, var_se, var_th)]
 
 
 def _component_rows(n: int, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
@@ -565,9 +569,9 @@ def run_elbow_scan(cfg, seed):
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
     traj, dt = _model(cfg, ells)
     k_eval = _row(traj, t_eval, "t")
-    feats = cl.kmeans_features(traj, _grid(traj, dt))
+    scores = cl.principal_scores(cl.kmeans_features(traj, _grid(traj, dt)))
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
-    curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell))) for ell in ells]
+    curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.lloyd(scores, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
     return {"elbow_curve.csv": (["ell", "delta_g"], zip(*curve)),
             "elbow_summary.csv": (["ell_star", str(ell_star)], [])}

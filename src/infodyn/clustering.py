@@ -133,22 +133,44 @@ def kmeans_features(traj, rows) -> np.ndarray:
     return np.ascontiguousarray(traj.info_rate_curve(rows).T)
 
 
-def kmeans(features, n_clusters: int) -> Clustering:
-    """Lloyd iterations with deterministic quantile seeding.
+def principal_scores(features) -> tuple[np.ndarray, np.ndarray]:
+    """The K-means step that does not depend on the cluster count: the
+    principal coordinates of the centered feature rows, truncated to their
+    numerical rank r, and the rows in stable order of their first principal
+    score.  Returns (points of shape (M, r), order); ``lloyd`` clusters them.
 
-    Initial centroids are the data points sitting at the (a - 1/2)/ell
-    quantiles of the first principal score.  A point whose distances to two
-    centroids agree within a relative 1e-9 joins the lower-numbered one.  An
-    emptied cluster is re-seeded at the point farthest from its current
-    centroid, so the result is always surjective.
+    r counts the singular values above sigma_0 * max(M, K) * eps, numpy's
+    ``matrix_rank`` rule, and is at least 1.  The centered rows lie in the
+    span of the first r right singular vectors, so every distance between
+    points is the features' own up to rounding, which the tie rule of
+    ``lloyd`` absorbs; model features (see ``kmeans_features``) have r <= 2
+    however many instants they hold.  The sign of the first axis, arbitrary
+    in an SVD, is fixed by its largest component.
+    """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    if features.shape[0] == 0:
+        raise ValueError("need at least 1 feature row, got 0")
+    centered = features - features.mean(axis=0)
+    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    v = vt[0]
+    pivot = int(np.argmax(np.abs(v)))
+    if v[pivot] < 0:
+        v = -v
+    order = np.argsort(centered @ v, kind="stable")
+    rank = max(1, int(np.count_nonzero(sigma > sigma[0] * max(centered.shape)
+                                       * np.finfo(float).eps)))
+    return centered @ vt[:rank].T, order
 
-    The iterations run in the principal coordinates of the centered
-    features, truncated to their numerical rank r: the singular values above
-    sigma_0 * max(M, K) * eps, numpy's ``matrix_rank`` rule, and at least 1.
-    The centered rows lie in the span of the first r right singular vectors,
-    so every distance is the features' own up to rounding, which the tie
-    rule absorbs; model features (see ``kmeans_features``) have r <= 2
-    however many instants they hold.
+
+def lloyd(scores, n_clusters: int) -> Clustering:
+    """Lloyd iterations on the (points, order) of ``principal_scores``, with
+    deterministic quantile seeding.
+
+    Initial centroids are the points at the (a - 1/2)/ell quantiles of
+    `order`.  A point whose distances to two centroids agree within a
+    relative 1e-9 joins the lower-numbered one.  An emptied cluster is
+    re-seeded at the point farthest from its current centroid, so the
+    result is always surjective.
 
     Iteration stops at the first labelling already visited and returns the
     last new one.  Each iteration but the last visits a new labelling, and
@@ -156,23 +178,11 @@ def kmeans(features, n_clusters: int) -> Clustering:
     final one; with more clusters than distinct points, re-seeding and the
     tie rule can cycle instead, and the run ends where the cycle closes.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    n_points = features.shape[0]
+    points, order = scores
+    n_points = points.shape[0]
     if not 1 <= n_clusters <= n_points:
         raise ValueError(f"need 1 <= n_clusters <= {n_points}, got {n_clusters}")
-
-    centered = features - features.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
-    # SVD sign is arbitrary; orient the first axis by its largest component.
-    v = vt[0]
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    order = np.argsort(centered @ v, kind="stable")
     picks = [order[int((a - 0.5) * n_points / n_clusters)] for a in range(1, n_clusters + 1)]
-    rank = max(1, int(np.count_nonzero(sigma > sigma[0] * max(centered.shape)
-                                       * np.finfo(float).eps)))
-    points = centered @ vt[:rank].T
     centroids = points[picks].copy()
 
     seen = set()
@@ -201,6 +211,13 @@ def kmeans(features, n_clusters: int) -> Clustering:
         for a in range(n_clusters):
             centroids[a] = points[labels == a].mean(axis=0)
     return Clustering(labels + 1)
+
+
+def kmeans(features, n_clusters: int) -> Clustering:
+    """K-means of the feature rows into n_clusters: ``lloyd`` on their
+    ``principal_scores``.  A scan over several cluster counts takes the
+    scores once and runs ``lloyd`` for each count, with the same result."""
+    return lloyd(principal_scores(features), n_clusters)
 
 
 def elbow_select(delta_curve) -> int:

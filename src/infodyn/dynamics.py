@@ -15,7 +15,9 @@ with the cumulative susceptible fraction X(t) = integral of S over [0, t]
 The system is therefore the ODE in (S, X, R) with X' = S, where the sums
 over variants are taken over that closed form: no approximation is made
 before the time discretisation, which is classical fixed-step RK4 on the
-three scalars.  R stays an integrated state rather than 1 - S - sum(I), so
+three scalars.  Variants with equal rates share one exponential, so the
+sums run over the distinct rate pairs (gamma, epsilon), each with the
+summed i0 of its variants.  R stays an integrated state rather than 1 - S - sum(I), so
 conservation remains a check of the integration.
 
 The distribution p = I / sum(I) = softmax(log i0 + gamma * X - epsilon * t)
@@ -207,8 +209,9 @@ class Trajectory:
 
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
         """Self-information rates pdot/p = d - <d>_p."""
-        _, _, d, mean_d, _ = self.replicator(rows)
-        return d - mean_d[..., None]
+        p, d = self.p(rows), self.couplings(rows)
+        d -= np.sum(np.multiply(p, d, out=p), axis=-1)[..., None]
+        return d
 
     def pdot(self, rows=slice(None)) -> np.ndarray:
         """Velocity pdot = p * (d - <d>_p)."""
@@ -249,6 +252,13 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     """Classical RK4 solution of the reduced (S, X, R) system on the uniform
     grid 0, step, 2 step, ..., up to the last point not after t_end.
 
+    The sums run over one row per distinct rate pair (gamma, epsilon), in
+    the order of first occurrence, carrying the sum of its variants' i0:
+    variants with equal rates have I = i0 * exp(gamma * X - epsilon * t)
+    with one exponential, so this is exact up to rounding, and a model of
+    a few rate groups costs a few rows however many variants it has.  With
+    every pair distinct the rows are the variants themselves, bit for bit.
+
     Each stage takes the exponents log i0 + gamma * X - epsilon * t as one
     matrix-vector product, exponentiates them to I, and takes the sums
     gamma . I, epsilon . I and sum(I) as a second one; the state itself is
@@ -260,10 +270,16 @@ def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     n_steps = grid_steps(t_end, step)
     times = np.arange(n_steps + 1) * step
 
-    exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
-    weights = np.stack((params.gamma, params.epsilon, np.ones_like(params.gamma)))
+    _, first, pair = np.unique(np.column_stack((params.gamma, params.epsilon)), axis=0,
+                               return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct pairs in order of first occurrence
+    row = np.argsort(order)[pair.ravel()]  # the row of each variant
+    gamma, epsilon = params.gamma[first[order]], params.epsilon[first[order]]
+    i0 = np.bincount(row, weights=params.i0)
+    exponents = np.column_stack((np.log(i0), gamma, -epsilon))
+    weights = np.stack((gamma, epsilon, np.ones_like(gamma)))
     point = np.ones(3)  # (1, X, t)
-    infected = np.empty(params.n_variants)
+    infected = np.empty(gamma.size)
     sums = np.empty(3)
     # bound ndarray.dot skips np.dot's array-function dispatch; same BLAS call
     exponents_dot, weights_dot = exponents.dot, weights.dot

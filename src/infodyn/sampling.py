@@ -42,14 +42,15 @@ class MonteCarloError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Mean, sample std and standard error of an estimator over replications,
-    as numpy reduces them: scalars for a scalar estimator, arrays for a
-    vector one."""
+    """Mean, sample std, standard error and fourth central moment (the mean
+    of (value - mean)^4) of an estimator over replications, as numpy reduces
+    them: scalars for a scalar estimator, arrays for a vector one."""
 
     mean: np.ndarray
     std: np.ndarray
     standard_error: np.ndarray
     replications: int
+    fourth_moment: np.ndarray
 
 
 def _rate_weights(p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
@@ -132,6 +133,8 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
             raise
     # one contiguous row per component, reduced as that component alone
     values = np.ascontiguousarray(np.moveaxis(np.concatenate(chunks), 0, -1))
-    std = values.std(axis=-1, ddof=1)
-    return MonteCarloEstimate(values.mean(axis=-1), std, std / np.sqrt(replications),
-                              replications)
+    mean, std = values.mean(axis=-1), values.std(axis=-1, ddof=1)
+    values -= mean[..., None]
+    values *= values
+    return MonteCarloEstimate(mean, std, std / np.sqrt(replications), replications,
+                              np.mean(values * values, axis=-1))

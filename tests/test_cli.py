@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -80,7 +81,7 @@ SHIPPED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "54adc66e930d39264a9788d6e4b8e5d9e6cb2d75804866f68e1a754389360b57",
+            "c8d8a64b0d111472015de46fc242fe6cfccc6455b163621586bc9532f6c29ca8",
     },
 }
 
@@ -141,7 +142,7 @@ SAMPLED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "c22b520427401fa035454108a12051a8a32012d48867cffa46d265d974c9e736",
+            "04a4ba9a0f1f71dc51196ef7f6b47a057e6ce0a1852f80c4d604a679bbc522e5",
     },
 }
 
@@ -776,8 +777,9 @@ class TestVarianceCells:
         def fixed_std(*args):
             est = monte_carlo(*args)
             std = x if np.ndim(est.std) == 0 else np.full(est.std.shape, x)
-            return cli.smp.MonteCarloEstimate(est.mean, std, est.standard_error,
-                                              est.replications)
+            # the fourth moment of data of std x and kurtosis 1, so that the
+            # variance SE stays real
+            return dataclasses.replace(est, std=std, fourth_moment=std ** 4)
 
         monkeypatch.setattr(cli.smp, "monte_carlo_components", fixed_std)
         text, files, column = MC_VAR_CELLS[experiment]
@@ -789,6 +791,26 @@ class TestVarianceCells:
             j = header.index(column)
             cells += [row[j] for row in rows if header[0] != "quantity" or "_var" in row[0]]
         assert cells and all(float(cell) == x * x for cell in cells), (x, cells)
+
+
+    def test_variance_se_matches_chi_square(self):
+        # two draws of n from one static p: the Fisher estimate is pure
+        # noise, and n dt^2 ghat / 2 tends to chi^2_N, whose central moments
+        # give the exact Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R of the
+        # sample variance of R replications.  mu4 / sigma^4 = 3 + 12/N, so
+        # the normal-data SE var * sqrt(2/(R-1)) is too small by about
+        # sqrt(1 + 6/N) (0.58 times the exact SE at N = 3).
+        p, n, dt, reps = cli.DEFAULT_P, 10000, 0.25, 20000
+        dof, scale = p.size - 1, 2.0 / (n * dt * dt)
+        sigma2, mu4 = 2 * dof * scale ** 2, 12 * dof * (dof + 4) * scale ** 4
+        exact = math.sqrt((mu4 - sigma2 ** 2 * (reps - 3) / (reps - 1)) / reps)
+        est = cli.smp.monte_carlo_components(lambda c: cli.smp.fisher_hat(c / n, dt)[:, 0],
+                                             reps, 5, np.stack([p, p]), n)
+        (_, var, var_se, _), = cli._mean_var_rows("fisher_{}", est, 0.0, sigma2)[1:]
+        assert var == pytest.approx(sigma2, rel=0.05)
+        # the fourth-moment estimate has a relative spread of about 4 % here
+        assert var_se == pytest.approx(exact, rel=0.15)
+        assert var * math.sqrt(2.0 / (reps - 1)) < 0.7 * exact
 
 
 class TestShippedOutputs:

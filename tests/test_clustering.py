@@ -349,7 +349,7 @@ class TestKmeans:
         # every split keeps each cluster inside one rate group, and so loses
         # no information, for the full-space reference as well
         pinned = {
-            7: "00000000011111111133333333444444445555555562222222",
+            7: "00000000011111111133333333444444445555555566666622",
             8: "60000000011111111133333333444444445555555577777722",
             9: "47000000022222222233333333555555556666666688888811",
             10: "13600000022222222244444444555555557777777799999988",
@@ -408,6 +408,33 @@ class TestKmeansAgainstFullSpace:
         for ell in (2, 3, 5, 8, 13):
             assert np.array_equal(cl.kmeans(feats, ell).labels,
                                   reference_kmeans(feats, ell).labels), ell
+
+
+class TestSharedScores:
+    """An elbow scan takes `principal_scores` once and runs `lloyd` for each
+    cluster count; every count must give the labels of a fresh `kmeans`."""
+
+    @staticmethod
+    def check(feats, ells):
+        scores = cl.principal_scores(feats)
+        points, order = (a.copy() for a in scores)
+        for ell in ells:
+            assert np.array_equal(cl.lloyd(scores, ell).labels, cl.kmeans(feats, ell).labels), ell
+        # lloyd leaves the shared scores as it found them
+        assert np.array_equal(scores[0], points) and np.array_equal(scores[1], order)
+
+    @pytest.mark.parametrize("groups, ells", [
+        ([9, 9, 8, 8, 8, 8], range(4, 11)),  # scripts/configs/elbow_scan.cfg
+        ([167, 167, 167, 167, 166, 166], range(4, 13)),  # the model-scan benchmark
+    ])
+    def test_elbow_scan_models(self, groups, ells):
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
+        self.check(cl.kmeans_features(traj, np.arange(41) * 20), ells)
+
+    def test_full_rank_features(self):
+        feats = np.random.default_rng(7).normal(size=(200, 41))
+        assert centered_rank(feats) == 41
+        self.check(feats, range(2, 14))
 
 
 class TestKmeansFeatures:

@@ -53,6 +53,38 @@ def reference_integrate_sir(params, t_end, step):
     return states
 
 
+def per_variant_integrate_sir(params, t_end, step):
+    """`dyn.integrate_sir` with one row per variant rather than per distinct
+    rate pair, and without its checks: the sums over variants taken term by
+    term, the reference of the row reduction."""
+    n_steps = dyn.grid_steps(t_end, step)
+    times = np.arange(n_steps + 1) * step
+    exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
+    weights = np.stack((params.gamma, params.epsilon, np.ones_like(params.gamma)))
+
+    def rates(x, t):
+        return weights.dot(np.exp(exponents.dot([1.0, x, t]))).tolist()
+
+    s, x, r = params.s0, 0.0, params.r0
+    half, sixth = 0.5 * step, step / 6.0
+    states = []
+    for k, t in enumerate(times.tolist()):
+        g1, e1, total = rates(x, t)
+        states.append((s, x, r, total))
+        if k == n_steps:
+            break
+        s2, x2 = s - half * s * g1, x + half * s
+        g2, e2, _ = rates(x2, t + half)
+        s3, x3 = s - half * s2 * g2, x + half * s2
+        g3, e3, _ = rates(x3, t + half)
+        s4, x4 = s - step * s3 * g3, x + step * s3
+        g4, e4, _ = rates(x4, t + step)
+        s, x, r = (s - sixth * (s * g1 + 2.0 * s2 * g2 + 2.0 * s3 * g3 + s4 * g4),
+                   x + sixth * (s + 2.0 * s2 + 2.0 * s3 + s4),
+                   r + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
+    return dyn.Trajectory(times, *np.array(states).T, params)
+
+
 @pytest.fixture(scope="module")
 def desk_traj():
     return dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
@@ -371,6 +403,58 @@ class TestSolveSir:
                                  r"0\.003125: step-doubling error estimate \d\.\d{3}e-09 > 1e-09; "
                                  "use a smaller step$"):
             dyn.solve_sir(params, 10.0, 0.0125)
+
+
+def interleaved_params():
+    """Rate pairs A, B, A, C, B with unequal i0: the distinct pairs in order of
+    first occurrence are not the sorted ones."""
+    return dyn.SirParams([2.5, 1.5, 2.5, 2.0, 1.5], [1.1, 0.9, 1.1, 1.0, 0.9], 0.9,
+                         [0.01, 0.02, 0.03, 0.015, 0.025], 0.0)
+
+
+class TestRatePairRows:
+    """integrate_sir sums over one row per distinct rate pair; solve_sir on
+    it matches solve_sir on the per-variant sums within 1e-13 relative."""
+
+    @pytest.mark.parametrize("params", [
+        dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]),
+        dyn.grouped_sir_params([167, 167, 167, 167, 166, 166]),
+        interleaved_params(),
+        dyn.grouped_sir_params([50]),
+    ], ids=["elbow-scan", "model-scan", "interleaved", "one-group"])
+    def test_solve_sir_matches_per_variant_sums(self, params, monkeypatch):
+        traj = dyn.solve_sir(params, 10.0, 0.0125)
+        monkeypatch.setattr(dyn, "integrate_sir", per_variant_integrate_sir)
+        ref = dyn.solve_sir(params, 10.0, 0.0125)
+        for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
+            got, want = getattr(traj, name), getattr(ref, name)
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-13, name
+        assert traj.params is params and traj.p().shape == (traj.times.size, params.n_variants)
+        assert np.max(np.abs(traj.p() - ref.p()) / ref.p()) <= 1e-13
+
+    def test_one_group_keeps_its_shares(self):
+        # one rate pair, one row: the shares stay at i0 / sum(i0) exactly
+        traj = dyn.solve_sir(dyn.grouped_sir_params([50]), 10.0, 0.0125)
+        assert np.all(traj.p() == 1.0 / 50) and traj.n_variants == 50
+        assert np.max(traj.fisher_curve()) < 1e-30
+
+    def test_rows_in_order_of_first_occurrence(self):
+        # A, B, A, C, B integrates bit for bit as the three variants A, B, C
+        # with the summed i0, not as the sorted pairs B, C, A
+        merged = dyn.SirParams([2.5, 1.5, 2.0], [1.1, 0.9, 1.0], 0.9,
+                               [0.01 + 0.03, 0.02 + 0.025, 0.015], 0.0)
+        traj = dyn.integrate_sir(interleaved_params(), 5.0, 0.0125)
+        ref = per_variant_integrate_sir(merged, 5.0, 0.0125)
+        for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+    def test_distinct_pairs_are_the_variants(self):
+        # every pair distinct: the rows are the variants, bit for bit
+        for params in (dyn.default_sir_params(10), fast_params(6.0, 8.0)):
+            traj = dyn.integrate_sir(params, 5.0, 0.0125)
+            ref = per_variant_integrate_sir(params, 5.0, 0.0125)
+            for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
 
 def first_row(params):

@@ -68,7 +68,7 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
     """The per-replication loop the block driver replaced: one fresh stream
     per replication (and instant), the estimator applied to one replication
     at a time, and each component summarised alone.  Returns (values, mean,
-    std, standard error)."""
+    std, standard error, fourth central moment)."""
     values = []
     for r in range(replications):
         seed_r = rng.derive_key(seed, r)
@@ -79,13 +79,20 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
                                for k, row in enumerate(p)])
         values.append(estimator(counts[None])[0])
     values = np.asarray(values, dtype=float)
+
+    def fourth(column):
+        square = (column - column.mean()) ** 2
+        return float(np.mean(square * square))
+
     if values.ndim == 1:
         std = float(values.std(ddof=1))
-        return values, float(values.mean()), std, std / np.sqrt(replications)
+        return (values, float(values.mean()), std, std / np.sqrt(replications),
+                fourth(values))
     columns = [np.ascontiguousarray(values[:, j]) for j in range(values.shape[1])]
     stds = [float(column.std(ddof=1)) for column in columns]
     return (values, np.array([float(column.mean()) for column in columns]), np.array(stds),
-            np.array([s / np.sqrt(replications) for s in stds]))
+            np.array([s / np.sqrt(replications) for s in stds]),
+            np.array([fourth(column) for column in columns]))
 
 
 def recording(estimator):
@@ -320,6 +327,7 @@ class TestMonteCarlo:
         assert est.mean == 2.5
         assert est.std == 0.0
         assert est.standard_error == 0.0
+        assert est.fourth_moment == 0.0
         assert est.replications == 50
 
     def test_standard_error_relation(self):
@@ -381,8 +389,8 @@ class TestMonteCarlo:
         est = smp.monte_carlo_components(rates, 1000, 5, p, 1000)
         for j in range(10):
             alone = smp.monte_carlo_components(lambda c: rates(c)[:, j], 1000, 5, p, 1000)
-            assert (est.mean[j], est.std[j], est.standard_error[j]) == (
-                alone.mean, alone.std, alone.standard_error), j
+            assert (est.mean[j], est.std[j], est.standard_error[j], est.fourth_moment[j]) == (
+                alone.mean, alone.std, alone.standard_error, alone.fourth_moment), j
 
     def test_distance_mean_matches_theory(self):
         # Monte Carlo mean of the squared distance is N/n within 3 SE
@@ -416,7 +424,8 @@ class TestChunking:
                 recorded, seen = recording(estimator)
                 est = smp.monte_carlo_components(recorded, reps, 17, p, n)
                 monkeypatch.undo()
-                got = (np.concatenate(seen), est.mean, est.std, est.standard_error)
-                for name, a, b in zip(("values", "mean", "std", "se"), got, want):
+                got = (np.concatenate(seen), est.mean, est.std, est.standard_error,
+                       est.fourth_moment)
+                for name, a, b in zip(("values", "mean", "std", "se", "m4"), got, want):
                     assert np.array_equal(a, b), (shape, reps, chunk, name)
                 assert np.shape(est.mean) == np.shape(want[1]), (shape, reps, chunk)

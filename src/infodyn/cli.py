@@ -340,10 +340,12 @@ def _scan_counts(text: str) -> list[int]:
     return values
 
 
-def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
-    """Parse the model keys, check each cluster count of `ells` (the value of
-    `ell`) against the variant count, and integrate the model on the grid of
-    step dt/20, on which dt and dt/2 are 20 and 10 steps.  Returns (trajectory, dt)."""
+def _model(cfg, ells=(), t0=0.0, count=None, t=None, pair=False) -> tuple:
+    """Parse the model keys, check each count of `ells` (the value of `ell`)
+    against the variant count, locate `t` (with `pair`, t - dt/2 and t + dt/2,
+    10 rows away, too) and the sampling instants (_grid) on the model grid of
+    step dt/20, which dt and t_end alone fix; only then integrate the model.
+    Returns (trajectory, dt, rows of the instants, row of t or None)."""
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
     step = dt / 20.0
@@ -355,7 +357,7 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
         raise ConfigError(f"bad value for 't_end' or 'dt': t_end = {t_end:g} is "
                           f"{t_end / step:.3g} fine steps of {step:g}, more than an array can hold")
     try:
-        dyn.grid_steps(t_end, step)
+        n_steps = dyn.grid_steps(t_end, step)
     except ValueError as exc:
         raise ConfigError(f"bad value for 't_end': {exc}") from exc
     if "groups" in cfg:
@@ -370,63 +372,62 @@ def _model(cfg, ells=()) -> tuple[dyn.Trajectory, float]:
         if ell > n_var:
             raise ConfigError(f"bad value for 'ell': {ell} clusters for {n_var} variants "
                               f"(need 1 <= n_clusters <= {n_var})")
+    k = None if t is None else _row(step, n_steps, t, "t")
+    if pair and not 10 <= k <= n_steps - 10:
+        raise ConfigError(f"bad value for 't': t - dt/2 = {t - dt / 2.0:g} and t + dt/2 = "
+                          f"{t + dt / 2.0:g} must lie in [0, t_end = {n_steps * step:g}]")
+    rows = _grid(step, n_steps, dt, t0, count)
     try:
-        return dyn.solve_sir(params, t_end, step), dt
+        return dyn.solve_sir(params, t_end, step), dt, rows, k
     except dyn.IntegrationError as exc:
         raise ConfigError(f"bad value for 'dt': {exc} (the model grid step is dt/20)") from exc
 
 
-def _row(traj: dyn.Trajectory, t: float, key: str) -> int:
-    """Model-grid row of the time `t`, the value of `key`; a time off the grid
-    or outside [0, t_end] raises a ConfigError naming `key`."""
+def _row(step: float, n_steps: int, t: float, key: str) -> int:
+    """Row of the time `t`, the value of `key`, on the grid 0, step, ..., n_steps
+    * step; a time off the grid or outside it raises a ConfigError naming `key`."""
     try:
-        return traj.index_at(t)
+        return dyn.grid_index(t, step, n_steps)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {key} must lie on the model grid "
                           f"({exc})") from exc
 
 
-def _grid(traj: dyn.Trajectory, dt: float, t0: float = 0.0, count: int | None = None):
-    """Model-grid rows of the sampling instants t0, t0 + dt, ...: `count` of
-    them or, by default, every one up to the last row; a larger `count` is an
-    error.  dt is 20 steps of the model grid (see _model)."""
-    stride = round(dt / traj.step)
-    first = _row(traj, t0, "t0")
-    fits = (traj.times.size - 1 - first) // stride + 1
+def _grid(step: float, n_steps: int, dt: float, t0: float = 0.0, count: int | None = None):
+    """Rows of the sampling instants t0, t0 + dt, ... on the grid 0, step, ...,
+    n_steps * step, dt a whole number of steps: `count` of them or, by
+    default, every one up to the last row; a larger `count` is an error."""
+    stride = round(dt / step)
+    t_end = n_steps * step
+    first = _row(step, n_steps, t0, "t0")
+    fits = (n_steps - first) // stride + 1
     if fits < 2 and first == 0:
-        raise ConfigError(f"bad value for 't_end': {traj.t_end} is less than one sampling "
+        raise ConfigError(f"bad value for 't_end': {t_end} is less than one sampling "
                           f"step dt = {dt}")
     if fits < 2:
         raise ConfigError(f"bad value for 't0': {t0} is less than one step dt = {dt} "
-                          f"before t_end = {traj.t_end}")
+                          f"before t_end = {t_end}")
     if count is None:
         count = fits
     elif count > fits:
         raise ConfigError(f"bad value for 'count': {count} instants from t0 = {t0} at step "
                           f"dt = {dt} end at {t0 + (count - 1) * dt}, after t_end = "
-                          f"{traj.t_end} (at most {fits} fit)")
+                          f"{t_end} (at most {fits} fit)")
     return first + stride * np.arange(count)
 
 
 def _at_t(cfg, ells=()) -> tuple:
-    """Parse `t` and the model keys, integrate the model, and locate t:
-    returns (trajectory, dt, model-grid row of t, the (2, M) distributions
-    at t - dt/2 and t + dt/2, 10 grid steps from t).  `ells` is passed to
-    _model."""
-    t = _get(cfg, "t", 5.0, _time)
-    traj, dt = _model(cfg, ells)
-    k = _row(traj, t, "t")
-    half = round(dt / traj.step) // 2
-    if not half <= k <= traj.times.size - 1 - half:
-        raise ConfigError(f"bad value for 't': t - dt/2 = {t - dt / 2.0:g} and t + dt/2 = "
-                          f"{t + dt / 2.0:g} must lie in [0, t_end = {traj.t_end:g}]")
-    return traj, dt, k, traj.p(np.array([k - half, k + half]))
+    """_model with `t` and its pair: returns (trajectory, dt, rows of the full
+    sampling grid, row of t, the (2, M) distributions at t - dt/2 and
+    t + dt/2).  `ells` is passed to _model."""
+    traj, dt, rows, k = _model(cfg, ells, t=_get(cfg, "t", 5.0, _time), pair=True)
+    return traj, dt, rows, k, traj.p(np.array([k - 10, k + 10]))
 
 
-def _clusters(traj: dyn.Trajectory, dt: float, k: int, ell: int) -> tuple:
-    """K-means into ell clusters on the full sampling grid; returns the
+def _clusters(traj: dyn.Trajectory, rows, k: int, ell: int) -> tuple:
+    """K-means into ell clusters on the sampling rows; returns the
     clustering and the cluster sums q and qdot at model-grid row k."""
-    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
+    f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
     return f, cl.aggregate(traj.p(k), f), cl.aggregate(traj.pdot(k), f)
 
 
@@ -472,8 +473,8 @@ def run_distance_moments(cfg, seed):
 @experiment("model-trajectory", "ell", *_MODEL_KEYS)
 def run_model_trajectory(cfg, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt = _model(cfg, [ell])
-    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj, dt)), ell)
+    traj, _, rows, _ = _model(cfg, [ell])
+    f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
     rows = slice(None, None, 2)  # every dt/10
     m = traj.n_variants
     header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
@@ -485,36 +486,26 @@ def run_model_trajectory(cfg, seed):
             "fisher.csv": (["t", "g_tt", "g_f"], [times, g_tt, cl.clustered_fisher(p, pdot, f)])}
 
 
-@experiment("fisher-bias-vs-n", "n", "replications", "t", *_MODEL_KEYS)
-def run_fisher_bias_vs_n(cfg, seed):
-    ns = _get(cfg, "n", [10000, 30000, 100000], _int_list)
-    reps = _get(cfg, "replications", 500, _replications)
-    traj, dt, k, p2 = _at_t(cfg)
-    g_tt = traj.fisher_curve(k)
-    rows = []
-    for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps,
-                                         rng.derive_key(seed, i), p2, n)
-        mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
-        rows.append((n, est.mean, est.standard_error, mean_th, np.sqrt(var_th)))
-    return {"fisher_bias_vs_n.csv": (
-        ["n", "mc_mean", "mc_se", "theory_mean", "theory_sd"], zip(*rows))}
-
-
-@experiment("fisher-bias-vs-t", "n", "replications", "count", *_MODEL_KEYS)
+@experiment("fisher-bias-vs-t", "n", "replications", "t0", "count", *_MODEL_KEYS)
 def run_fisher_bias_vs_t(cfg, seed):
-    n = _get(cfg, "n", 100000, _positive_int)
+    ns = _get(cfg, "n", [100000], _int_list)
     reps = _get(cfg, "replications", 500, _replications)
+    t0 = _get(cfg, "t0", 0.0, _time)
     count = _get(cfg, "count", None, _instant_count)
-    traj, dt = _model(cfg)
-    rows = _grid(traj, dt, count=count)
-    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt), reps, seed,
-                                     traj.p(rows), n)
+    traj, dt, rows, _ = _model(cfg, t0=t0, count=count)
+    p = traj.p(rows)
     mid = (rows[:-1] + rows[1:]) // 2  # dt/2 is 10 grid steps
-    mean_th, var_th = th.fisher_prediction(traj.fisher_curve(mid), traj.n_variants - 1, n, dt)
+    g_tt = traj.fisher_curve(mid)
+    blocks = []
+    for i, n in enumerate(ns):
+        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt), reps,
+                                         rng.derive_key(seed, i), p, n)
+        mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
+        blocks.append((traj.times[mid], np.full(mid.size, n), est.mean, est.standard_error,
+                       mean_th, np.sqrt(var_th)))
     return {"fisher_bias_vs_t.csv": (
-        ["t", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
-        [traj.times[mid], est.mean, est.standard_error, mean_th, np.sqrt(var_th)])}
+        ["t", "n", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
+        [np.concatenate(col) for col in zip(*blocks)])}
 
 
 @experiment("info-rate-moments", "n", "replications", "ell", "t", *_MODEL_KEYS)
@@ -522,8 +513,8 @@ def run_info_rate_moments(cfg, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, k, p2 = _at_t(cfg, [ell])
-    f, q, qdot = _clusters(traj, dt, k, ell)
+    traj, dt, rows, k, p2 = _at_t(cfg, [ell])
+    f, q, qdot = _clusters(traj, rows, k, ell)
     rate, p = traj.info_rate_curve(k), traj.p(k)
     var_rows, clu_rows = [], []
     for i, n in enumerate(ns):
@@ -547,8 +538,7 @@ def run_filtering_comparison(cfg, seed):
     count = _get(cfg, "count", 31, _instant_count)
     kernel = flt.gaussian_kernel(
         _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width")))
-    traj, dt = _model(cfg)
-    rows = _grid(traj, dt, t0, count)
+    traj, dt, rows, _ = _model(cfg, t0=t0, count=count)
     counts = rng.sample_block(traj.p(rows), n,
                               rng.derive_key(seed, np.arange(rows.size, dtype=np.uint64)))
     true_rates = traj.info_rate_curve((rows[:-1] + rows[1:]) // 2)
@@ -567,9 +557,8 @@ def run_elbow_scan(cfg, seed):
         cfg = dict(cfg, groups="9,9,8,8,8,8")
     t_eval = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
-    traj, dt = _model(cfg, ells)
-    k_eval = _row(traj, t_eval, "t")
-    scores = cl.principal_scores(cl.kmeans_features(traj, _grid(traj, dt)))
+    traj, _, rows, k_eval = _model(cfg, ells, t=t_eval)
+    scores = cl.principal_scores(cl.kmeans_features(traj, rows))
     p, pdot = traj.p(k_eval), traj.pdot(k_eval)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.lloyd(scores, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
@@ -582,8 +571,8 @@ def run_theory_vs_mc(cfg, seed):
     n = _get(cfg, "n", 10000, _positive_int)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, k, p2 = _at_t(cfg, [ell])
-    f, q, qdot = _clusters(traj, dt, k, ell)
+    traj, dt, rows, k, p2 = _at_t(cfg, [ell])
+    f, q, qdot = _clusters(traj, rows, k, ell)
 
     est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(DEFAULT_P, c / 1000),
                                      reps, rng.derive_key(seed, 0), DEFAULT_P, 1000)

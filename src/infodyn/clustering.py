@@ -145,21 +145,22 @@ def principal_scores(features) -> tuple[np.ndarray, np.ndarray]:
     points is the features' own up to rounding, which the tie rule of
     ``lloyd`` absorbs; model features (see ``kmeans_features``) have r <= 2
     however many instants they hold.  The sign of the first axis, arbitrary
-    in an SVD, is fixed by its largest component.
+    in an SVD, is fixed by its largest component.  A point is a row-wise sum
+    per axis, not a BLAS product, which rounds a row by its position in the
+    block: identical feature rows give identical points, bit for bit.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[0] == 0:
         raise ValueError("need at least 1 feature row, got 0")
     centered = features - features.mean(axis=0)
     _, sigma, vt = np.linalg.svd(centered, full_matrices=False)
-    v = vt[0]
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0:
-        v = -v
-    order = np.argsort(centered @ v, kind="stable")
     rank = max(1, int(np.count_nonzero(sigma > sigma[0] * max(centered.shape)
                                        * np.finfo(float).eps)))
-    return centered @ vt[:rank].T, order
+    axes = vt[:rank]
+    if axes[0, np.argmax(np.abs(axes[0]))] < 0:
+        axes[0] *= -1.0
+    points = np.column_stack([(centered * axis).sum(axis=1) for axis in axes])
+    return points, np.argsort(points[:, 0], kind="stable")
 
 
 def lloyd(scores, n_clusters: int) -> Clustering:

@@ -163,16 +163,8 @@ class Trajectory:
         return self.params.n_variants
 
     def index_at(self, t: float) -> int:
-        """Grid index of a grid time; raises for a time outside [0, t_end] or
-        more than 1e-9 steps from a grid point."""
-        t = float(t)
-        if not 0.0 <= t <= self.t_end + 1e-12:
-            raise ValueError(f"time {t} outside trajectory domain [0, {self.t_end}]")
-        steps = t / self.step
-        idx = round(steps)
-        if abs(steps - idx) > 1e-9:
-            raise ValueError(f"time {t} is not a point of the grid of step {self.step:g}")
-        return idx
+        """Grid index of a grid time, by the rule of ``grid_index``."""
+        return grid_index(t, self.step, self.times.size - 1)
 
     def _exponents(self, rows) -> np.ndarray:
         """log I = log i0 + gamma * X - epsilon * t at the rows."""
@@ -246,6 +238,19 @@ def grid_steps(t_end: float, step: float) -> int:
     if n_steps < 1:
         raise ValueError(f"t_end = {t_end:g} is shorter than one step of {step:g}")
     return n_steps
+
+
+def grid_index(t: float, step: float, n_steps: int) -> int:
+    """Index of the time t on the grid 0, step, ..., n_steps * step, known
+    before it is integrated; raises for a time outside the grid or more than
+    1e-9 steps from a grid point."""
+    t, steps = float(t), float(t) / step
+    if not 0.0 <= steps <= n_steps + 1e-9:
+        raise ValueError(f"time {t} outside trajectory domain [0, {n_steps * step}]")
+    idx = round(steps)
+    if abs(steps - idx) > 1e-9:
+        raise ValueError(f"time {t} is not a point of the grid of step {step:g}")
+    return idx
 
 
 def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:

@@ -318,7 +318,7 @@ def test_criterion_12_filtering(desk_traj):
 
 def test_criterion_13_determinism(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("experiment = fisher-bias-vs-n\nn = 5000\n"
+    cfg.write_text("experiment = fisher-bias-vs-t\nt0 = 4.875\ncount = 2\nn = 5000,20000\n"
                    "replications = 60\nseed = 13\n")
     cli.run(str(cfg), str(tmp_path / "a"))
     cli.run(str(cfg), str(tmp_path / "b"))

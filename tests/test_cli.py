@@ -33,7 +33,7 @@ SHIPPED_DIGESTS = {
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "071e5772aaf4627fc0a68c56ed4c6ebe12497773d5ef0ce475eade0410e9377f",
+            "ac3a3bbb5c4a7630cbdcb93d91ef1fe7b37026b2f9fbbfac7ed7d79229a1977f",
         "elbow_summary.csv":
             "0e938bd8fbe33387602074136906a7d08fa981dd412dbf9023bcfd239b5e1e72",
         "manifest.json":
@@ -46,14 +46,14 @@ SHIPPED_DIGESTS = {
             "902ed301c52b11332fe9486e33eeac441589e14b37d0e364512629e3e134f102",
     },
     "fisher_bias_vs_n": {
-        "fisher_bias_vs_n.csv":
-            "3ee10ca803fa11bab5391c20ed2843072247107d949457dcdc7934f9567d27da",
+        "fisher_bias_vs_t.csv":
+            "e8e6c388048d21603386c03c3f72447bd2dd290abc91f63e0672b3d5b2d2c3fa",
         "manifest.json":
-            "ee4bced645cc4604b1393ac41bfdb86389000c48cb5ccb9c9778ed544c6c5d46",
+            "2f0a01ba680f2b4927c54d531d2dd3d744a5609335fdd7f94b7c0fb484efd0db",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "f133155a6947052ffae624b4ce5b4be786721a2876151ee0e1784dfcbc133a79",
+            "34abe2084b31d8ac11ef36478bbc363adb2ec0de50825c71749becc34fbd3d5a",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -111,14 +111,14 @@ SAMPLED_DIGESTS = {
             "902ed301c52b11332fe9486e33eeac441589e14b37d0e364512629e3e134f102",
     },
     "fisher_bias_vs_n": {
-        "fisher_bias_vs_n.csv":
+        "fisher_bias_vs_t.csv":
             "2e0454793a37a8f9da0300ec0e30bccc2a123ac8e965e7db31c13d6dde35647f",
         "manifest.json":
-            "ee4bced645cc4604b1393ac41bfdb86389000c48cb5ccb9c9778ed544c6c5d46",
+            "2f0a01ba680f2b4927c54d531d2dd3d744a5609335fdd7f94b7c0fb484efd0db",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "3c88f62c45be2bf3debe4e86f36ab5fb16df25b2d37a2e97d2484f66bc08ba72",
+            "05192a2a84ef31d0f842e7135e93c9c424207909e71694fab96fff2d90178a4d",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -326,8 +326,7 @@ class TestRunner:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "bad value for 'n'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "experiment", ["fisher-bias-vs-t", "filtering-comparison", "theory-vs-mc"])
+    @pytest.mark.parametrize("experiment", ["filtering-comparison", "theory-vs-mc"])
     def test_single_n_rejects_list(self, tmp_path, capsys, experiment):
         cfg = write_cfg(tmp_path, f"experiment = {experiment}\nn = 1000,5\n")
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -346,11 +345,11 @@ class TestRunner:
          "time 1.01 is not a point of the grid of step 0.0125"),
         ("experiment = filtering-comparison\nshape = 0.5\n", "unknown key 'shape'"),
         ("experiment = filtering-comparison\nhalf_width = -1\n", "bad value for 'half_width'"),
-        ("experiment = fisher-bias-vs-n\nn = 0\n", "bad value for 'n'"),
+        ("experiment = fisher-bias-vs-t\nn = 0\n", "bad value for 'n'"),
         ("experiment = theory-vs-mc\nn = 0\n", "bad value for 'n'"),
         ("experiment = model-trajectory\nN = 0\n", "bad value for 'N'"),
         ("experiment = model-trajectory\nN = -3\n", "bad value for 'N'"),
-        ("experiment = fisher-bias-vs-n\nreplications = 1\n", "bad value for 'replications'"),
+        ("experiment = fisher-bias-vs-t\nreplications = 1\n", "bad value for 'replications'"),
         ("experiment = fisher-bias-vs-t\ncount = 1\n", "bad value for 'count'"),
         ("experiment = model-trajectory\nell = 0\n", "bad value for 'ell'"),
         ("experiment = elbow-scan\nell = 0,4,5,6\n", "bad value for 'ell'"),
@@ -362,7 +361,7 @@ class TestRunner:
          "unknown key 'epsilon'"),
         ("experiment = model-trajectory\nN = 1\ni0 = 0.05,inf\n", "unknown key 'i0'"),
         ("experiment = model-trajectory\nr0 = -1\n", "unknown key 'r0'"),
-        ("experiment = fisher-bias-vs-n\nt = inf\n", "bad value for 't'"),
+        ("experiment = theory-vs-mc\nt = inf\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = nan\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = 20\n",
          "bad value for 't': t must lie on the model grid (time 20.0 outside"),
@@ -370,6 +369,9 @@ class TestRunner:
          "bad value for 't': t must lie on the model grid (time 1.01 is not a point"),
         ("experiment = filtering-comparison\nt0 = -1\n", "bad value for 't0'"),
         ("experiment = theory-vs-mc\nt = 100\n", "time 100.0 outside trajectory domain"),
+        # 10 steps of 5e-14 after t_end, within an absolute 1e-12 of it
+        ("experiment = elbow-scan\ndt = 1e-12\nt_end = 1e-11\nt = 1.05e-11\n",
+         "bad value for 't': t must lie on the model grid (time 1.05e-11 outside"),
         ("experiment = filtering-comparison\nt0 = 1.9\n",
          "bad value for 't0': 1.9 is less than one step dt = 0.25 before t_end = 2.0"),
         ("experiment = filtering-comparison\nt0 = 3\n", "bad value for 't0'"),
@@ -384,7 +386,7 @@ class TestRunner:
         ("experiment = info-rate-moments\nN = 3\nell = 5\n",
          "bad value for 'ell': 5 clusters for 4 variants"),
         ("experiment = distance-moments\np = 1\n", "bad value for 'p'"),
-        ("experiment = fisher-bias-vs-n\nt = 0\n", "bad value for 't'"),
+        ("experiment = theory-vs-mc\nt = 0\n", "bad value for 't'"),
         ("experiment = info-rate-moments\nt = 2\n", "bad value for 't'"),
         ("experiment = fisher-bias-vs-t\ncount = 100\n",
          "bad value for 'count': 100 instants from t0 = 0.0 at step dt = 0.25 end at 24.75"),
@@ -398,8 +400,10 @@ class TestRunner:
          "key 't' is not read by experiment 'distance-moments'"),
         ("experiment = model-trajectory\nn = 100\n",
          "key 'n' is not read by experiment 'model-trajectory'"),
+        # fisher-bias-vs-n is now a config of fisher-bias-vs-t: a config that
+        # names it is refused by its experiment, before its keys are looked at
         ("experiment = fisher-bias-vs-n\nell = 3\n",
-         "key 'ell' is not read by experiment 'fisher-bias-vs-n'"),
+         "unknown experiment 'fisher-bias-vs-n'"),
         ("experiment = fisher-bias-vs-t\nt = 3\nell = 4\np = 0.5,0.5\nhalf_width = 2\n",
          "key 't' is not read by experiment 'fisher-bias-vs-t'"),
         ("experiment = info-rate-moments\np = 0.5,0.5\n",
@@ -416,9 +420,10 @@ class TestRunner:
          "key 't0' is not read by experiment 'model-trajectory'"),
         ("experiment = model-trajectory\ncount = 4\n",
          "key 'count' is not read by experiment 'model-trajectory'"),
+        ("experiment = fisher-bias-vs-t\nt0 = -1\n", "bad value for 't0'"),
         # an unread key is rejected before its value is read
-        ("experiment = fisher-bias-vs-t\nt0 = -1\n",
-         "key 't0' is not read by experiment 'fisher-bias-vs-t'"),
+        ("experiment = model-trajectory\nt0 = -1\n",
+         "key 't0' is not read by experiment 'model-trajectory'"),
         ("experiment = distance-moments\nn = 100,,1000\n",
          "bad value for 'n': '100,,1000' (empty entry"),
         ("experiment = distance-moments\nn = 100\nn = 200\n",
@@ -460,6 +465,33 @@ class TestRunner:
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("experiment = info-rate-moments\nN = 99999\nt_end = 6\nt = 5.01\n", "t"),
+        ("experiment = theory-vs-mc\nt = 100\n", "t"),
+        ("experiment = theory-vs-mc\nt = 0\n", "t"),
+        ("experiment = elbow-scan\nt = 20\n", "t"),
+        ("experiment = filtering-comparison\nN = 99999\ncount = 400\n", "count"),
+        ("experiment = filtering-comparison\nt0 = 0.01\n", "t0"),
+        ("experiment = fisher-bias-vs-t\nt0 = 9.9\n", "t0"),
+        ("experiment = fisher-bias-vs-t\ncount = 100\n", "count"),
+        ("experiment = fisher-bias-vs-t\nt_end = 0.2\n", "t_end"),
+        ("experiment = model-trajectory\nt_end = 0.2\n", "t_end"),
+    ])
+    def test_time_keys_are_checked_before_integrating(self, tmp_path, capsys, monkeypatch,
+                                                      text, key):
+        # dt and t_end fix the model grid, so a time that is off it, or
+        # instants that do not fit on it, are refused before solve_sir runs
+        def fail(*args):
+            raise AssertionError("solve_sir was called")
+
+        monkeypatch.setattr(cli.dyn, "solve_sir", fail)
+        if "t_end" not in text:
+            text += "t_end = 10\n"
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert f"bad value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_input_keeps_an_existing_out(self, tmp_path, capsys):
@@ -522,8 +554,8 @@ class TestRunner:
 SMALL_CONFIGS = {
     "distance-moments": "p = 0.2,0.3,0.5\nn = 50,100\nreplications = 4\nseed = 3\n",
     "model-trajectory": "N = 3\ndt = 0.25\nt_end = 1\nell = 2\nseed = 3\n",
-    "fisher-bias-vs-n": "N = 3\nt = 0.5\nt_end = 1\nn = 100,200\nreplications = 4\n",
-    "fisher-bias-vs-t": "N = 3\nn = 100\nreplications = 4\ncount = 3\nt_end = 1\n",
+    "fisher-bias-vs-t": ("N = 3\nn = 100,200\nreplications = 4\nt0 = 0.25\ncount = 3\n"
+                         "t_end = 1\n"),
     "info-rate-moments": "N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
     "filtering-comparison": "N = 3\nn = 1000\nt0 = 0.25\ncount = 5\nt_end = 2\nhalf_width = 1\n",
     "elbow-scan": "groups = 3,3,2,2,2,2\nell = 4,5,6,7\nt = 0.5\nt_end = 2\n",
@@ -612,7 +644,7 @@ class TestModelKeys:
 
     @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.25, 1 / 3, 0.7, 3.0])
     def test_sampling_step_and_half_step_are_grid_rows(self, dt):
-        traj, got = cli._model(cli.parse_config(
+        traj, got, _, _ = cli._model(cli.parse_config(
             f"experiment = model-trajectory\nN = 1\ndt = {dt!r}\nt_end = {dt!r}\n"))
         assert got == dt
         assert traj.step == dt / 20
@@ -631,18 +663,21 @@ SMALL_RUN_KEYS = {
 
 class TestExperiments:
     def test_fisher_bias_vs_n_layout(self, tmp_path):
+        # the vs-n slice: one interval around t = 5, one block of rows per n
         cfg = write_cfg(
             tmp_path,
-            "experiment = fisher-bias-vs-n\nn = 5000\nreplications = 40\nseed = 2\n",
+            "experiment = fisher-bias-vs-t\nt0 = 4.875\ncount = 2\nn = 5000,20000\n"
+            "replications = 40\nseed = 2\n",
         )
         out = tmp_path / "out"
         cli.run(cfg, str(out))
-        rows = (out / "fisher_bias_vs_n.csv").read_text().strip().splitlines()
-        assert rows[0] == "n,mc_mean,mc_se,theory_mean,theory_sd"
-        assert len(rows) == 2
-        values = rows[1].split(",")
-        assert values[0] == "5000"
-        assert float(values[1]) > 0
+        rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
+        assert rows[0] == "t,n,mc_mean,mc_se,theory_mean,theory_sd"
+        assert len(rows) == 3
+        for row, n in zip(rows[1:], ("5000", "20000")):
+            values = row.split(",")
+            assert values[:2] == ["5", n]
+            assert float(values[2]) > 0
 
     def test_model_trajectory_artifacts(self, tmp_path):
         cfg = write_cfg(
@@ -699,7 +734,7 @@ class TestExperiments:
         if experiment == "fisher-bias-vs-t":
             rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
             assert len(rows) == 1 + 40
-            assert rows[-1].startswith("9.875,")
+            assert rows[-1].startswith("9.875,1000,")
 
     def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, capsys):
         # 5.01 is no point of the dt/20 grid
@@ -720,15 +755,16 @@ class TestExperiments:
         # t0, dt and t_end are decimals as a config gives them
         t0, dt, t_end = round(first * step, 10), round(stride * step, 10), round(t_end, 3)
         traj = cli.dyn.integrate_sir(cli.dyn.default_sir_params(2), t_end, step)
+        grid = traj.step, traj.times.size - 1
         if t0 + dt > traj.t_end + 1e-9:
             key = "t0" if t0 else "t_end"  # with t0 = 0, t_end is too short
             with pytest.raises(cli.ConfigError, match=f"bad value for '{key}'"):
-                cli._grid(traj, dt, t0)
+                cli._grid(*grid, dt, t0)
             return
         count = cli.dyn.grid_steps(traj.t_end - t0, dt) + 1
         want = [traj.index_at(t0 + k * dt) for k in range(count)]
-        assert cli._grid(traj, dt, t0).tolist() == want
-        assert cli._grid(traj, dt, t0, 2).tolist() == want[:2]
+        assert cli._grid(*grid, dt, t0).tolist() == want
+        assert cli._grid(*grid, dt, t0, 2).tolist() == want[:2]
 
     def test_model_integrates_two_runs_per_grid_step(self, monkeypatch):
         # the mc-wide benchmark model: RK4 at dt/20 and dt/40 up to t_end = 6
@@ -740,7 +776,7 @@ class TestExperiments:
             return integrate(params, t_end, step)
 
         monkeypatch.setattr(cli.dyn, "integrate_sir", counted)
-        traj, dt = cli._model(cli.parse_config(
+        traj, dt, _, _ = cli._model(cli.parse_config(
             "experiment = info-rate-moments\nN = 999\nt = 5\nt_end = 6\n"))
         assert steps == [480, 960]
         assert traj.times.size == 481 and traj.step == dt / 20
@@ -970,8 +1006,8 @@ class TestWriteCsv:
     def test_model_trajectory(self, tmp_path):
         text = "experiment = model-trajectory\nN = 99\n"
         cli.run(write_cfg(tmp_path, text), str(tmp_path / "out"))
-        traj, dt = cli._model(cli.parse_config(text), [3])
-        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, cli._grid(traj, dt)), 3)
+        traj, _, grid, _ = cli._model(cli.parse_config(text), [3])
+        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, grid), 3)
         rows = slice(None, None, 2)
         p, pdot, d, mean_d, g_tt = traj.replicator(rows)
         header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d")

@@ -343,18 +343,18 @@ class TestKmeans:
         # six distinct rate rows: with more clusters than that, re-seeding an
         # emptied cluster on a duplicate point and the tie rule can cycle
         # through labellings; the run ends where the cycle closes, with these
-        # zero-based labels, one character per variant.  Rounding in the
-        # distances to coincident centroids decides how identical points are
-        # split, so any change of the distance arithmetic moves these labels;
-        # every split keeps each cluster inside one rate group, and so loses
-        # no information, for the full-space reference as well
+        # zero-based labels, one character per variant.  Identical rows give
+        # identical points, so the seeding order and the re-seeding rule, not
+        # rounding, decide how a group of them is split; every split keeps
+        # each cluster inside one rate group, and so loses no information,
+        # for the full-space reference as well
         pinned = {
-            7: "00000000011111111133333333444444445555555566666622",
-            8: "60000000011111111133333333444444445555555577777722",
-            9: "47000000022222222233333333555555556666666688888811",
-            10: "13600000022222222244444444555555557777777799999988",
-            11: "035811111222222222444444446666666677777777aaaaaa99",
-            12: "135790000222222222444444446666666688888888bbbbbbaa",
+            7: "20000000011111111133333333444444445555555566666666",
+            8: "26000000011111111133333333444444445555555577777777",
+            9: "14700000022222222233333333555555556666666688888888",
+            10: "03691111122222222244444444555555557777777788888888",
+            11: "1358a000022222222244444444666666667777777799999999",
+            12: "13579b000222222222444444446666666688888888aaaaaaaa",
         }
         groups = [9, 9, 8, 8, 8, 8]
         traj = dyn.integrate_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
@@ -369,6 +369,19 @@ class TestKmeans:
                 assert f.n_clusters == ell
                 assert all(np.unique(group[f.labels == a]).size == 1 for a in range(ell))
                 assert cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f) < 1e-30
+
+    def test_identical_feature_rows_give_identical_points(self):
+        # the shipped elbow model: each rate group's feature rows are equal,
+        # and so must be its points, bit for bit, wherever the rows sit
+        groups = [9, 9, 8, 8, 8, 8]
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
+        feats = cl.kmeans_features(traj, np.arange(41) * 20)
+        points, order = cl.principal_scores(feats)
+        group = np.repeat(np.arange(6), groups)
+        for g in range(6):
+            assert len(np.unique(feats[group == g], axis=0)) == 1
+            assert len(np.unique(points[group == g], axis=0)) == 1, g
+        assert np.all(np.diff(points[order, 0]) >= 0)
 
     def test_validation(self):
         for n_clusters in (0, 4):

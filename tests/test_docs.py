@@ -1,5 +1,6 @@
 """README's module table names only what its modules define and every
-class and function the package exports, and its config-key paragraph names
+class and function the package exports, its experiment list names every
+experiment the runner has and no other, and its config-key paragraph names
 every key the runner accepts."""
 
 import importlib
@@ -55,3 +56,11 @@ def test_readme_names_every_config_key():
     start = text.index("Config keys (all optional except `experiment`)")
     paragraph = text[start:text.index("\n\n", start)]
     assert cli.KNOWN_KEYS - set(re.findall(r"`(\w+)`", paragraph)) == set()
+
+
+def test_readme_lists_every_experiment():
+    text = README.read_text()
+    start = text.index("Experiments (`experiment =` in the config):")
+    listed = re.findall(r"^- `([\w-]+)` - ", text[start:text.index("\n\n", start + 50)], re.M)
+    assert sorted(listed) == sorted(cli.EXPERIMENTS)
+    assert len(listed) == len(set(listed))

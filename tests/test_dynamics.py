@@ -534,7 +534,7 @@ class TestCsvExport:
         cfg.write_text(text)
         cli.run(str(cfg), str(tmp_path / "out"))
         path = tmp_path / "out" / "trajectory.csv"
-        traj, _ = cli._model(cli.parse_config(text))
+        traj = cli._model(cli.parse_config(text))[0]
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
         names = [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, 6)]

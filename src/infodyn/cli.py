@@ -436,23 +436,28 @@ def _clustering_table(f: cl.Clustering) -> tuple:
     return ["mu", "label"], [np.arange(1, f.labels.size + 1), f.labels + 1]
 
 
-def _mean_var_rows(label: str, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
-    """Mean row and variance row of a scalar estimate; `label` has a {} for
-    the moment name.  The SE of the sample variance s^2 of R replications is
-    sqrt((m4 - s^4 (R-3)/(R-1)) / R), with m4 the fourth central moment: the
-    estimate of Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R, which holds for
-    any distribution with a fourth moment, not only for normal data."""
+def _mean_var_rows(labels, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
+    """The `quantity, mc_value, mc_se, theory_value` columns of a mean row
+    and a variance row per component j of an estimate, labelled labels[j]
+    with a {} for the moment name.  The SE of the sample variance s^2 of R
+    replications is sqrt((m4 - s^4 (R-3)/(R-1)) / R), with m4 the fourth
+    central moment: the estimate of Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R,
+    which holds for any distribution with a fourth moment, not only for
+    normal data."""
     var, reps = est.std * est.std, est.replications
     var_se = np.sqrt((est.fourth_moment - var * var * (reps - 3) / (reps - 1)) / reps)
-    return [(label.format("mean"), est.mean, est.standard_error, mean_th),
-            (label.format("var"), var, var_se, var_th)]
+    pairs = [np.column_stack(np.broadcast_arrays(a, b)).ravel()
+             for a, b in ((est.mean, var), (est.standard_error, var_se), (mean_th, var_th))]
+    return [[label.format(moment) for label in labels for moment in ("mean", "var")], *pairs]
 
 
-def _component_rows(n: int, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
-    """`n, idx, mc_mean, mc_se, mc_var, theory_mean, theory_var` rows, one per
-    component of a vector estimate and of the closed-form columns (idx from 1)."""
-    return [(n, idx, mean, se, std * std, m_th, v_th) for idx, (mean, se, std, m_th, v_th)
-            in enumerate(zip(est.mean, est.standard_error, est.std, mean_th, var_th), start=1)]
+def _component_columns(n: int, est: smp.MonteCarloEstimate, part: slice, mean_th, var_th) -> list:
+    """`n, idx, mc_mean, mc_se, mc_var, theory_mean, theory_var` columns, one row
+    per component in `part` of a vector estimate and of the closed-form
+    columns (idx from 1)."""
+    mean, se, std = est.mean[part], est.standard_error[part], est.std[part]
+    return [np.full(mean.size, n), np.arange(1, mean.size + 1), mean, se, std * std,
+            mean_th, var_th]
 
 
 @experiment("distance-moments", "p", "n", "replications")
@@ -516,18 +521,22 @@ def run_info_rate_moments(cfg, seed):
     traj, dt, rows, k, p2 = _at_t(cfg, [ell])
     f, q, qdot = _clusters(traj, rows, k, ell)
     rate, p = traj.info_rate_curve(k), traj.p(k)
-    var_rows, clu_rows = [], []
+    clu_rate, m = self_information_rate(q, qdot), traj.n_variants
+    variants, clusters = [], []
     for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, dt)[:, 0], reps,
-                                         rng.derive_key(seed, 2 * i), p2, n)
-        var_rows += _component_rows(n, est, *th.info_rate_moments(rate, p, n, dt))
-        est = smp.monte_carlo_components(lambda c: smp.cluster_info_rate_hat(c, n, dt, f)[:, 0],
-                                         reps, rng.derive_key(seed, 2 * i + 1), p2, n)
-        clu_rows += _component_rows(n, est, *th.info_rate_moments(
-            self_information_rate(q, qdot), q, n, dt))
+        # one block per n: the rates of the M variants and of the ell
+        # clusters, estimated on the same counts
+        est = smp.monte_carlo_components(
+            lambda c: np.concatenate((smp.info_rate_hat(c / n, dt)[:, 0],
+                                      smp.cluster_info_rate_hat(c, n, dt, f)[:, 0]), axis=1),
+            reps, rng.derive_key(seed, i), p2, n)
+        variants.append(_component_columns(n, est, slice(m), *th.info_rate_moments(
+            rate, p, n, dt)))
+        clusters.append(_component_columns(n, est, slice(m, None), *th.info_rate_moments(
+            clu_rate, q, n, dt)))
     header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
-    return {"info_rate_variants.csv": (header, zip(*var_rows)),
-            "info_rate_clusters.csv": (header, zip(*clu_rows)),
+    return {"info_rate_variants.csv": (header, [np.concatenate(c) for c in zip(*variants)]),
+            "info_rate_clusters.csv": (header, [np.concatenate(c) for c in zip(*clusters)]),
             "clustering.csv": _clustering_table(f)}
 
 
@@ -536,8 +545,11 @@ def run_filtering_comparison(cfg, seed):
     n = _get(cfg, "n", 250000, _positive_int)
     t0 = _get(cfg, "t0", 2.5, _time)
     count = _get(cfg, "count", 31, _instant_count)
-    kernel = flt.gaussian_kernel(
-        _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width")))
+    half_width = _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width"))
+    if half_width >= count:  # offsets past count - 1 reach no further instant
+        raise ConfigError(f"bad value for 'half_width': {half_width} is not less than the "
+                          f"{count} sampling instants (at most count - 1 = {count - 1})")
+    kernel = flt.gaussian_kernel(half_width)
     traj, dt, rows, _ = _model(cfg, t0=t0, count=count)
     counts = rng.sample_block(traj.p(rows), n,
                               rng.derive_key(seed, np.arange(rows.size, dtype=np.uint64)))
@@ -576,25 +588,25 @@ def run_theory_vs_mc(cfg, seed):
 
     est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(DEFAULT_P, c / 1000),
                                      reps, rng.derive_key(seed, 0), DEFAULT_P, 1000)
-    rows = _mean_var_rows("distance_{}", est, *th.distance_moments(DEFAULT_P, 1000))
+    distance = _mean_var_rows(["distance_{}"], est, *th.distance_moments(DEFAULT_P, 1000))
 
-    est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps,
-                                     rng.derive_key(seed, 1), p2, n)
-    rows += _mean_var_rows("fisher_{}", est, *th.fisher_prediction(
-        traj.fisher_curve(k), traj.n_variants - 1, n, dt))
+    def estimator(c):
+        """The Fisher information, the clustered one and variant 1's rate, on
+        the same counts."""
+        phat = c / n
+        return np.column_stack((smp.fisher_hat(phat, dt)[:, 0],
+                                smp.clustered_fisher_hat(c, n, dt, f)[:, 0],
+                                smp.info_rate_hat(phat, dt)[:, 0, 0]))
 
-    est = smp.monte_carlo_components(lambda c: smp.clustered_fisher_hat(c, n, dt, f)[:, 0], reps,
-                                     rng.derive_key(seed, 2), p2, n)
+    est = smp.monte_carlo_components(estimator, reps, rng.derive_key(seed, 1), p2, n)
     # ell clusters: ell - 1 degrees of freedom
-    rows += _mean_var_rows("clustered_fisher_{}", est, *th.fisher_prediction(
-        fisher_information(q, qdot), ell - 1, n, dt))
-
-    est = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, dt)[:, 0, 0], reps,
-                                     rng.derive_key(seed, 3), p2, n)
-    rows += _mean_var_rows("info_rate_{}_mu1", est, *th.info_rate_moments(
-        traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt))
-
-    return {"theory_vs_mc.csv": (["quantity", "mc_value", "mc_se", "theory_value"], zip(*rows))}
+    theory = [th.fisher_prediction(traj.fisher_curve(k), traj.n_variants - 1, n, dt),
+              th.fisher_prediction(fisher_information(q, qdot), ell - 1, n, dt),
+              th.info_rate_moments(traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt)]
+    sampled = _mean_var_rows(["fisher_{}", "clustered_fisher_{}", "info_rate_{}_mu1"], est,
+                             *np.array(theory).T)
+    return {"theory_vs_mc.csv": (["quantity", "mc_value", "mc_se", "theory_value"],
+                                 [np.concatenate(c) for c in zip(distance, sampled)])}
 
 
 # every key some experiment reads

@@ -61,9 +61,9 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "b3ecee5c18b23a6a246739a4dbdce017622edce1dceef874e13d5f2ba2e37dde",
+            "febc468066131245a1d5f4795be11da2054bf0102ba2f55fbb6efb812c4adb47",
         "info_rate_variants.csv":
-            "553aac0fea983406b396a0ebc99ce56ce30f74707ce3d07c58698804e50dc74c",
+            "53972c855222803ee29384a7a113b591b6783818e30d8151048450e93c1bba18",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -81,7 +81,7 @@ SHIPPED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "c8d8a64b0d111472015de46fc242fe6cfccc6455b163621586bc9532f6c29ca8",
+            "ff2bcfd9d8c15adf3e02d83d62037fe58cb761ea3e5b29b1e8e241b3c646dd3e",
     },
 }
 
@@ -126,9 +126,9 @@ SAMPLED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "f427452de1b35dac77072fb4330737273bd72600263e907fdcee398b1d8e6501",
+            "c96c6d2253974a47e3fee526a21e25609ca9fce1e3c2782e6610a4ea2e6c527e",
         "info_rate_variants.csv":
-            "36985311afd3c5868db7f85383a5bdee3850c35dcc49e2b81f2ce97cee8e2fe9",
+            "31aec96876942866c04d8700b0477fa100134053c8942c57fc8c92a846b3ca99",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -142,7 +142,7 @@ SAMPLED_DIGESTS = {
         "manifest.json":
             "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
         "theory_vs_mc.csv":
-            "04a4ba9a0f1f71dc51196ef7f6b47a057e6ce0a1852f80c4d604a679bbc522e5",
+            "d1edda277ecf3b3c0f04e578d930e0649e06be3f8accc32f53701651d09a5095",
     },
 }
 
@@ -345,6 +345,12 @@ class TestRunner:
          "time 1.01 is not a point of the grid of step 0.0125"),
         ("experiment = filtering-comparison\nshape = 0.5\n", "unknown key 'shape'"),
         ("experiment = filtering-comparison\nhalf_width = -1\n", "bad value for 'half_width'"),
+        # a kernel offset past count - 1 reaches no further instant: 31 at the
+        # default count, and a width whose kernel no memory holds
+        ("experiment = filtering-comparison\nt_end = 10\nhalf_width = 31\n",
+         "bad value for 'half_width': 31 is not less than the 31 sampling instants"),
+        ("experiment = filtering-comparison\nt_end = 10\nhalf_width = 1000000000000\n",
+         "bad value for 'half_width'"),
         ("experiment = fisher-bias-vs-t\nn = 0\n", "bad value for 'n'"),
         ("experiment = theory-vs-mc\nn = 0\n", "bad value for 'n'"),
         ("experiment = model-trajectory\nN = 0\n", "bad value for 'N'"),
@@ -712,6 +718,26 @@ class TestExperiments:
         clusters = (out / "info_rate_clusters.csv").read_text().strip().splitlines()
         assert len(clusters) == 1 + 2
 
+    def test_cluster_rows_share_the_variant_draws(self, tmp_path):
+        # with one cluster per variant, a cluster's counts are its variant's
+        # counts; one block per n gives both rows the same mc_* cells
+        cfg = write_cfg(tmp_path, "experiment = info-rate-moments\nN = 3\nell = 4\n"
+                                  "n = 1000,5000\nreplications = 20\nt = 1\nt_end = 2\n")
+        out = tmp_path / "out"
+        cli.run(cfg, str(out))
+
+        def mc_cells(name):
+            header, *rows = [line.split(",") for line in (out / name).read_text().splitlines()]
+            cols = [j for j, key in enumerate(header) if key.startswith("mc_")]
+            return {(row[0], row[1]): [row[j] for j in cols] for row in rows}
+
+        label = dict(line.split(",") for line in (out / "clustering.csv").read_text().split()[1:])
+        assert sorted(label.values()) == ["1", "2", "3", "4"]
+        variants = mc_cells("info_rate_variants.csv")
+        assert len(variants) == 8
+        assert mc_cells("info_rate_clusters.csv") == {
+            (n, label[mu]): cells for (n, mu), cells in variants.items()}
+
     def test_filtering_comparison_layout(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -842,7 +868,7 @@ class TestVarianceCells:
         exact = math.sqrt((mu4 - sigma2 ** 2 * (reps - 3) / (reps - 1)) / reps)
         est = cli.smp.monte_carlo_components(lambda c: cli.smp.fisher_hat(c / n, dt)[:, 0],
                                              reps, 5, np.stack([p, p]), n)
-        (_, var, var_se, _), = cli._mean_var_rows("fisher_{}", est, 0.0, sigma2)[1:]
+        _, (_, var), (_, var_se), _ = cli._mean_var_rows(["fisher_{}"], est, 0.0, sigma2)
         assert var == pytest.approx(sigma2, rel=0.05)
         # the fourth-moment estimate has a relative spread of about 4 % here
         assert var_se == pytest.approx(exact, rel=0.15)

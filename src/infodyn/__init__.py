@@ -17,7 +17,6 @@ from .dynamics import (
 from .sampling import (
     MonteCarloEstimate,
     cluster_info_rate_hat,
-    clustered_fisher_hat,
     fisher_hat,
     info_rate_hat,
     monte_carlo_components,

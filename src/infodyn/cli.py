@@ -23,8 +23,7 @@ from . import filtering as flt
 from . import rng
 from . import sampling as smp
 from . import theory as th
-from .simplex import (fisher_information, require_interior, self_information_rate,
-                      shahshahani_distance_sq)
+from .simplex import require_interior, self_information_rate, shahshahani_distance_sq
 
 # experiment name -> (fn(cfg, seed) -> {artifact: (header, columns)}, the keys it reads)
 EXPERIMENTS = {}
@@ -416,48 +415,33 @@ def _grid(step: float, n_steps: int, dt: float, t0: float = 0.0, count: int | No
     return first + stride * np.arange(count)
 
 
-def _at_t(cfg, ells=()) -> tuple:
-    """_model with `t` and its pair: returns (trajectory, dt, rows of the full
-    sampling grid, row of t, the (2, M) distributions at t - dt/2 and
-    t + dt/2).  `ells` is passed to _model."""
-    traj, dt, rows, k = _model(cfg, ells, t=_get(cfg, "t", 5.0, _time), pair=True)
-    return traj, dt, rows, k, traj.p(np.array([k - 10, k + 10]))
-
-
-def _clusters(traj: dyn.Trajectory, rows, k: int, ell: int) -> tuple:
-    """K-means into ell clusters on the sampling rows; returns the
-    clustering and the cluster sums q and qdot at model-grid row k."""
-    f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
-    return f, cl.aggregate(traj.p(k), f), cl.aggregate(traj.pdot(k), f)
-
-
 def _clustering_table(f: cl.Clustering) -> tuple:
     """`clustering.csv`: one `mu,label` row per variant, both 1-based."""
     return ["mu", "label"], [np.arange(1, f.labels.size + 1), f.labels + 1]
 
 
-def _mean_var_rows(labels, est: smp.MonteCarloEstimate, mean_th, var_th) -> list:
-    """The `quantity, mc_value, mc_se, theory_value` columns of a mean row
-    and a variance row per component j of an estimate, labelled labels[j]
-    with a {} for the moment name.  The SE of the sample variance s^2 of R
-    replications is sqrt((m4 - s^4 (R-3)/(R-1)) / R), with m4 the fourth
-    central moment: the estimate of Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R,
-    which holds for any distribution with a fourth moment, not only for
-    normal data."""
-    var, reps = est.std * est.std, est.replications
-    var_se = np.sqrt((est.fourth_moment - var * var * (reps - 3) / (reps - 1)) / reps)
-    pairs = [np.column_stack(np.broadcast_arrays(a, b)).ravel()
-             for a, b in ((est.mean, var), (est.standard_error, var_se), (mean_th, var_th))]
-    return [[label.format(moment) for label in labels for moment in ("mean", "var")], *pairs]
+# the last columns of every Monte Carlo table
+MC_COLUMNS = ["mc_mean", "mc_se", "mc_var", "mc_var_se", "theory_mean", "theory_var"]
 
 
-def _component_columns(n: int, est: smp.MonteCarloEstimate, part: slice, mean_th, var_th) -> list:
-    """`n, idx, mc_mean, mc_se, mc_var, theory_mean, theory_var` columns, one row
-    per component in `part` of a vector estimate and of the closed-form
-    columns (idx from 1)."""
-    mean, se, std = est.mean[part], est.standard_error[part], est.std[part]
-    return [np.full(mean.size, n), np.arange(1, mean.size + 1), mean, se, std * std,
-            mean_th, var_th]
+def _mc_columns(est: smp.MonteCarloEstimate, mean_th, var_th, part=slice(None)) -> list:
+    """The MC_COLUMNS of the components in `part` of an estimate (the one
+    value of a scalar estimate) against their closed-form mean and variance.
+    The SE of the sample variance s^2 of R replications is sqrt((m4 - s^4
+    (R-3)/(R-1)) / R), with m4 the fourth central moment: the estimate of
+    Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R, which holds for any
+    distribution with a fourth moment, not only for normal data."""
+    mean, se, std, m4 = (np.atleast_1d(a)[part] for a in
+                         (est.mean, est.standard_error, est.std, est.fourth_moment))
+    var, reps = std * std, est.replications
+    var_se = np.sqrt((m4 - var * var * (reps - 3) / (reps - 1)) / reps)
+    return [mean, se, var, var_se, np.atleast_1d(mean_th), np.atleast_1d(var_th)]
+
+
+def _mc_table(lead: list, blocks: list) -> tuple:
+    """A Monte Carlo table: the `lead` columns, then MC_COLUMNS, one block of
+    rows per entry of `blocks` (its lead columns, then _mc_columns)."""
+    return [*lead, *MC_COLUMNS], [np.concatenate(col) for col in zip(*blocks)]
 
 
 @experiment("distance-moments", "p", "n", "replications")
@@ -465,14 +449,12 @@ def run_distance_moments(cfg, seed):
     p = _get(cfg, "p", DEFAULT_P, _distribution)
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, _replications)
-    rows = []
+    blocks = []
     for i, n in enumerate(ns):
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), reps,
                                          rng.derive_key(seed, i), p, n)
-        mean_th, var_th = th.distance_moments(p, n)
-        rows.append((n, est.mean, est.standard_error, est.std * est.std, mean_th, var_th))
-    return {"distance_moments.csv": (
-        ["n", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"], zip(*rows))}
+        blocks.append([[n], *_mc_columns(est, *th.distance_moments(p, n))])
+    return {"distance_moments.csv": _mc_table(["n"], blocks)}
 
 
 @experiment("model-trajectory", "ell", *_MODEL_KEYS)
@@ -491,26 +473,32 @@ def run_model_trajectory(cfg, seed):
             "fisher.csv": (["t", "g_tt", "g_f"], [times, g_tt, cl.clustered_fisher(p, pdot, f)])}
 
 
-@experiment("fisher-bias-vs-t", "n", "replications", "t0", "count", *_MODEL_KEYS)
+@experiment("fisher-bias-vs-t", "n", "replications", "t0", "count", "ell", *_MODEL_KEYS)
 def run_fisher_bias_vs_t(cfg, seed):
     ns = _get(cfg, "n", [100000], _int_list)
     reps = _get(cfg, "replications", 500, _replications)
     t0 = _get(cfg, "t0", 0.0, _time)
     count = _get(cfg, "count", None, _instant_count)
-    traj, dt, rows, _ = _model(cfg, t0=t0, count=count)
-    p = traj.p(rows)
+    ell = _get(cfg, "ell", 3, _cluster_count)
+    traj, dt, rows, _ = _model(cfg, [ell], t0=t0, count=count)
+    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj.step, traj.times.size - 1, dt)), ell)
+    p, m = traj.p(rows), traj.n_variants
     mid = (rows[:-1] + rows[1:]) // 2  # dt/2 is 10 grid steps
-    g_tt = traj.fisher_curve(mid)
+    # the variant rows (ell = M) over g_tt, then the cluster rows over g_f
+    parts = ((slice(mid.size), m, traj.fisher_curve(mid)),
+             (slice(mid.size, None), ell, cl.clustered_fisher(traj.p(mid), traj.pdot(mid), f)))
     blocks = []
     for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt), reps,
-                                         rng.derive_key(seed, i), p, n)
-        mean_th, var_th = th.fisher_prediction(g_tt, traj.n_variants - 1, n, dt)
-        blocks.append((traj.times[mid], np.full(mid.size, n), est.mean, est.standard_error,
-                       mean_th, np.sqrt(var_th)))
-    return {"fisher_bias_vs_t.csv": (
-        ["t", "n", "mc_mean", "mc_se", "theory_mean", "theory_sd"],
-        [np.concatenate(col) for col in zip(*blocks)])}
+        # one block per n: the Fisher information of the M variants and of
+        # the ell clusters, estimated on the same counts
+        est = smp.monte_carlo_components(
+            lambda c: np.concatenate((smp.fisher_hat(c / n, dt),
+                                      smp.fisher_hat(cl.aggregate(c, f) / n, dt)), axis=-1),
+            reps, rng.derive_key(seed, i), p, n)
+        for part, n_cats, g in parts:
+            blocks.append([traj.times[mid], np.full(mid.size, n), np.full(mid.size, n_cats),
+                           *_mc_columns(est, *th.fisher_prediction(g, n_cats - 1, n, dt), part)])
+    return {"fisher_bias_vs_t.csv": _mc_table(["t", "n", "ell"], blocks)}
 
 
 @experiment("info-rate-moments", "n", "replications", "ell", "t", *_MODEL_KEYS)
@@ -518,10 +506,12 @@ def run_info_rate_moments(cfg, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, rows, k, p2 = _at_t(cfg, [ell])
-    f, q, qdot = _clusters(traj, rows, k, ell)
-    rate, p = traj.info_rate_curve(k), traj.p(k)
-    clu_rate, m = self_information_rate(q, qdot), traj.n_variants
+    traj, dt, rows, k = _model(cfg, [ell], t=_get(cfg, "t", 5.0, _time), pair=True)
+    f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
+    p, m = traj.p(k), traj.n_variants
+    q, qdot = cl.aggregate(p, f), cl.aggregate(traj.pdot(k), f)
+    rate, clu_rate = traj.info_rate_curve(k), self_information_rate(q, qdot)
+    p2 = traj.p(np.array([k - 10, k + 10]))  # at t - dt/2 and t + dt/2
     variants, clusters = [], []
     for i, n in enumerate(ns):
         # one block per n: the rates of the M variants and of the ell
@@ -530,13 +520,12 @@ def run_info_rate_moments(cfg, seed):
             lambda c: np.concatenate((smp.info_rate_hat(c / n, dt)[:, 0],
                                       smp.cluster_info_rate_hat(c, n, dt, f)[:, 0]), axis=1),
             reps, rng.derive_key(seed, i), p2, n)
-        variants.append(_component_columns(n, est, slice(m), *th.info_rate_moments(
-            rate, p, n, dt)))
-        clusters.append(_component_columns(n, est, slice(m, None), *th.info_rate_moments(
-            clu_rate, q, n, dt)))
-    header = ["n", "idx", "mc_mean", "mc_se", "mc_var", "theory_mean", "theory_var"]
-    return {"info_rate_variants.csv": (header, [np.concatenate(c) for c in zip(*variants)]),
-            "info_rate_clusters.csv": (header, [np.concatenate(c) for c in zip(*clusters)]),
+        variants.append([np.full(m, n), np.arange(1, m + 1), *_mc_columns(
+            est, *th.info_rate_moments(rate, p, n, dt), slice(m))])
+        clusters.append([np.full(ell, n), np.arange(1, ell + 1), *_mc_columns(
+            est, *th.info_rate_moments(clu_rate, q, n, dt), slice(m, None))])
+    return {"info_rate_variants.csv": _mc_table(["n", "idx"], variants),
+            "info_rate_clusters.csv": _mc_table(["n", "idx"], clusters),
             "clustering.csv": _clustering_table(f)}
 
 
@@ -576,37 +565,6 @@ def run_elbow_scan(cfg, seed):
     ell_star = cl.elbow_select(curve)
     return {"elbow_curve.csv": (["ell", "delta_g"], zip(*curve)),
             "elbow_summary.csv": (["ell_star", str(ell_star)], [])}
-
-
-@experiment("theory-vs-mc", "n", "replications", "ell", "t", *_MODEL_KEYS)
-def run_theory_vs_mc(cfg, seed):
-    n = _get(cfg, "n", 10000, _positive_int)
-    reps = _get(cfg, "replications", 1000, _replications)
-    ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, rows, k, p2 = _at_t(cfg, [ell])
-    f, q, qdot = _clusters(traj, rows, k, ell)
-
-    est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(DEFAULT_P, c / 1000),
-                                     reps, rng.derive_key(seed, 0), DEFAULT_P, 1000)
-    distance = _mean_var_rows(["distance_{}"], est, *th.distance_moments(DEFAULT_P, 1000))
-
-    def estimator(c):
-        """The Fisher information, the clustered one and variant 1's rate, on
-        the same counts."""
-        phat = c / n
-        return np.column_stack((smp.fisher_hat(phat, dt)[:, 0],
-                                smp.clustered_fisher_hat(c, n, dt, f)[:, 0],
-                                smp.info_rate_hat(phat, dt)[:, 0, 0]))
-
-    est = smp.monte_carlo_components(estimator, reps, rng.derive_key(seed, 1), p2, n)
-    # ell clusters: ell - 1 degrees of freedom
-    theory = [th.fisher_prediction(traj.fisher_curve(k), traj.n_variants - 1, n, dt),
-              th.fisher_prediction(fisher_information(q, qdot), ell - 1, n, dt),
-              th.info_rate_moments(traj.info_rate_curve(k)[0], traj.p(k)[0], n, dt)]
-    sampled = _mean_var_rows(["fisher_{}", "clustered_fisher_{}", "info_rate_{}_mu1"], est,
-                             *np.array(theory).T)
-    return {"theory_vs_mc.csv": (["quantity", "mc_value", "mc_se", "theory_value"],
-                                 [np.concatenate(c) for c in zip(distance, sampled)])}
 
 
 # every key some experiment reads
@@ -662,6 +620,10 @@ def main(argv=None) -> int:
         artifacts = run(args.config, args.out, args.seed)
     except (ConfigError, OSError, ValueError, smp.MonteCarloError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'MemoryError'}); the variants (N, groups) "
+              f"and the model grid (t_end / dt) set what a run holds", file=sys.stderr)
         return 2
     for name in artifacts:
         print(os.path.join(args.out, name))

@@ -10,8 +10,9 @@ instants feed a discretised Fisher information
 and the per-variant information rates s_mu * (phat_hi - phat_lo) / dt.
 The estimators take a frequency series phat of shape (..., K, M), such as
 counts / n or a filtered series, and return one value (or one row of
-rates) per interval k = 0..K-2 between instants k and k+1.  The clustered
-ones take counts and n, and sum each cluster's counts as integers, exactly.
+rates) per interval k = 0..K-2 between instants k and k+1.  Clustered
+estimates are these estimators on the cluster sums aggregate(counts, f) / n,
+whose counts are summed as integers, exactly.
 
 ``monte_carlo_components`` is the Monte Carlo driver.  Replication r has
 the seed derive_key(seed, r) and draws a 1-D p under that key, or row k of
@@ -64,14 +65,6 @@ def fisher_hat(phat: np.ndarray, dt: float) -> np.ndarray:
     s = _rate_weights(p_lo, p_hi)
     diff = (p_hi - p_lo) / dt
     return np.sum(s * diff * diff, axis=-1)
-
-
-def clustered_fisher_hat(counts: np.ndarray, n: int, dt: float, f: Clustering) -> np.ndarray:
-    """Sampled Fisher information of the clustered counts, shape (..., K-1).
-
-    Cluster counts are summed as integers, which is exact, before dividing
-    by n."""
-    return fisher_hat(aggregate(counts, f) / n, dt)
 
 
 def info_rate_hat(phat: np.ndarray, dt: float) -> np.ndarray:

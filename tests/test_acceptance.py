@@ -147,7 +147,7 @@ def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
     g_f = float(np.sum(qdot * qdot / q))
     ell = desk_f3.n_clusters
     est_cl = smp.monte_carlo_components(
-        lambda c: smp.clustered_fisher_hat(c, n, DT, desk_f3)[:, 0], reps, 606,
+        lambda c: smp.fisher_hat(cl.aggregate(c, desk_f3) / n, DT)[:, 0], reps, 606,
         two_point_p(desk_traj, t), n)
     est_un = fisher_mc(desk_traj, t, n, reps, seed=607)
     bias_cl = est_cl.mean - g_f
@@ -215,7 +215,7 @@ def test_criterion_08_exact_identities(desk_traj):
     # identity clustering is bitwise-identical on both estimator routes
     counts = sample_grid(desk_traj, 3000 + STRIDE * np.arange(5), 800, seed=88)
     ident = cl.Clustering(range(1, N_VARIANTS + 1))
-    assert np.array_equal(smp.clustered_fisher_hat(counts, 800, DT, ident),
+    assert np.array_equal(smp.fisher_hat(cl.aggregate(counts, ident) / 800, DT),
                           smp.fisher_hat(counts / 800, DT))
     k = desk_traj.index_at(4.0)
     p4, pdot4 = desk_traj.p(k), desk_traj.pdot(k)

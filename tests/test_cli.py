@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
-WORKLOADS = CONFIGS.parent.parent / "perfbench" / "workloads.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 # SHA-256 of every file each shipped config writes at its own seed,
 # manifest.json included, computed with numpy 2.4.6.  Any change to these
@@ -27,7 +28,7 @@ WORKLOADS = CONFIGS.parent.parent / "perfbench" / "workloads.py"
 SHIPPED_DIGESTS = {
     "distance_moments": {
         "distance_moments.csv":
-            "adfe3366f98a955ee039b7721a68b9745b35350e05a8487bf9be7980f41af18c",
+            "229a2f88e265c72e85ed47f7835438eef6d9a12260ac4aeae0554802ece28944",
         "manifest.json":
             "a35de6ad00d655b159cb3db6ca4e1b49d7df884a63bbae9914d524a6abc380ce",
     },
@@ -47,13 +48,13 @@ SHIPPED_DIGESTS = {
     },
     "fisher_bias_vs_n": {
         "fisher_bias_vs_t.csv":
-            "e8e6c388048d21603386c03c3f72447bd2dd290abc91f63e0672b3d5b2d2c3fa",
+            "b6de7e26889234cd2d4e7746b7aa459b84c5463835a3a2fc948c9d7852352672",
         "manifest.json":
-            "2f0a01ba680f2b4927c54d531d2dd3d744a5609335fdd7f94b7c0fb484efd0db",
+            "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "34abe2084b31d8ac11ef36478bbc363adb2ec0de50825c71749becc34fbd3d5a",
+            "12d2ed8bc4dc87a1389b51076545b76a217760b727ff478335764f02f15d28df",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -61,9 +62,9 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "febc468066131245a1d5f4795be11da2054bf0102ba2f55fbb6efb812c4adb47",
+            "ff719b210aacb498c994a5aa53401fd9f439465c1378d705c54fb7ad38c024f4",
         "info_rate_variants.csv":
-            "53972c855222803ee29384a7a113b591b6783818e30d8151048450e93c1bba18",
+            "2915390d36af686d01071a26569c090da40c25cebad3518cf2701f91a7643ca0",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -76,12 +77,6 @@ SHIPPED_DIGESTS = {
             "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
         "trajectory.csv":
             "0027523e87fcdda810c9c79aa542ece547c4a76af7480513c0137ad0166f12a1",
-    },
-    "theory_vs_mc": {
-        "manifest.json":
-            "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
-        "theory_vs_mc.csv":
-            "ff2bcfd9d8c15adf3e02d83d62037fe58cb761ea3e5b29b1e8e241b3c646dd3e",
     },
 }
 
@@ -96,7 +91,7 @@ MODEL_FREE = {"clustering.csv", "elbow_summary.csv", "manifest.json"}
 SAMPLED_DIGESTS = {
     "distance_moments": {
         "distance_moments.csv":
-            "369e9721ffb4d4c5a68f3263025fb780013c1f6117469d6f189d763527063cef",
+            "46c540c1ccb9d79d7a370a9d5ed984084dfd3e66f8376de66995d84333c25a29",
         "manifest.json":
             "a35de6ad00d655b159cb3db6ca4e1b49d7df884a63bbae9914d524a6abc380ce",
     },
@@ -112,13 +107,13 @@ SAMPLED_DIGESTS = {
     },
     "fisher_bias_vs_n": {
         "fisher_bias_vs_t.csv":
-            "2e0454793a37a8f9da0300ec0e30bccc2a123ac8e965e7db31c13d6dde35647f",
+            "3a7735e22ff8d4259785b7c9827944178ef87efe84fe09c70e40d51353fee072",
         "manifest.json":
-            "2f0a01ba680f2b4927c54d531d2dd3d744a5609335fdd7f94b7c0fb484efd0db",
+            "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "05192a2a84ef31d0f842e7135e93c9c424207909e71694fab96fff2d90178a4d",
+            "003d3ac93120c79ee55828f6070283268a8744ba23ae2d1bbe0bbff44c6a52c3",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -126,9 +121,9 @@ SAMPLED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "c96c6d2253974a47e3fee526a21e25609ca9fce1e3c2782e6610a4ea2e6c527e",
+            "ebfe6ee89a87a643560b9d061f24f6b6e2a52f6ded12087572d7b1ad75cc3a17",
         "info_rate_variants.csv":
-            "31aec96876942866c04d8700b0477fa100134053c8942c57fc8c92a846b3ca99",
+            "a464fd56625a6522a0006dd819a21687d6b0eeba149878e5480004660bd4a311",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -137,12 +132,6 @@ SAMPLED_DIGESTS = {
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "manifest.json":
             "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
-    },
-    "theory_vs_mc": {
-        "manifest.json":
-            "736b5ff19274d3c86c6545ac3aedfbf91a73c37a2c9b2e01c2dea38bc3beeda7",
-        "theory_vs_mc.csv":
-            "d1edda277ecf3b3c0f04e578d930e0649e06be3f8accc32f53701651d09a5095",
     },
 }
 
@@ -156,6 +145,14 @@ def sampled_bytes(name, blob):
     if not cols:
         return None
     return "\n".join(",".join(row[j] for j in cols) for row in rows).encode()
+
+
+def load_perfbench(name):
+    """A module of perfbench/, which is not a package."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -179,7 +176,7 @@ class TestConfigParsing:
 
     def test_rejects_unknown_key(self):
         with pytest.raises(cli.ConfigError, match="unknown key"):
-            cli.parse_config("experiment = theory-vs-mc\nbogus = 1\n")
+            cli.parse_config("experiment = info-rate-moments\nbogus = 1\n")
 
     def test_rejects_missing_experiment(self):
         with pytest.raises(cli.ConfigError, match="experiment"):
@@ -223,9 +220,7 @@ class TestConfigParsing:
         # a model key comes with a shipped config, benchmark workload or
         # warm-up that sets it; dt, the sampling step of every closed form,
         # may keep its default everywhere
-        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-        wl = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(wl)
+        wl = load_perfbench("workloads")
         runs = [cli.parse_config(path.read_text()) for path in CONFIGS.glob("*.cfg")]
         runs += [cfg for cycle, _ in wl.WORKLOADS.values() for cfg in cycle]
         runs += wl.WARMUP.values()
@@ -288,7 +283,7 @@ class TestRunner:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
-            "experiment = theory-vs-mc\nn = 2000\nreplications = 60\nseed = 5\n",
+            "experiment = fisher-bias-vs-t\nn = 2000\ncount = 3\nreplications = 60\nseed = 5\n",
         )
         cli.run(cfg, str(tmp_path / "a"))
         cli.run(cfg, str(tmp_path / "b"))
@@ -320,13 +315,13 @@ class TestRunner:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize(
-        "experiment", ["fisher-bias-vs-t", "filtering-comparison", "theory-vs-mc"])
+        "experiment", ["fisher-bias-vs-t", "filtering-comparison", "info-rate-moments"])
     def test_empty_list_rejected(self, tmp_path, capsys, experiment):
         cfg = write_cfg(tmp_path, f"experiment = {experiment}\nn = ,\n")
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "bad value for 'n'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", ["filtering-comparison", "theory-vs-mc"])
+    @pytest.mark.parametrize("experiment", ["filtering-comparison"])
     def test_single_n_rejects_list(self, tmp_path, capsys, experiment):
         cfg = write_cfg(tmp_path, f"experiment = {experiment}\nn = 1000,5\n")
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -352,7 +347,7 @@ class TestRunner:
         ("experiment = filtering-comparison\nt_end = 10\nhalf_width = 1000000000000\n",
          "bad value for 'half_width'"),
         ("experiment = fisher-bias-vs-t\nn = 0\n", "bad value for 'n'"),
-        ("experiment = theory-vs-mc\nn = 0\n", "bad value for 'n'"),
+        ("experiment = info-rate-moments\nn = 0\n", "bad value for 'n'"),
         ("experiment = model-trajectory\nN = 0\n", "bad value for 'N'"),
         ("experiment = model-trajectory\nN = -3\n", "bad value for 'N'"),
         ("experiment = fisher-bias-vs-t\nreplications = 1\n", "bad value for 'replications'"),
@@ -367,14 +362,14 @@ class TestRunner:
          "unknown key 'epsilon'"),
         ("experiment = model-trajectory\nN = 1\ni0 = 0.05,inf\n", "unknown key 'i0'"),
         ("experiment = model-trajectory\nr0 = -1\n", "unknown key 'r0'"),
-        ("experiment = theory-vs-mc\nt = inf\n", "bad value for 't'"),
+        ("experiment = info-rate-moments\nt = inf\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = nan\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = 20\n",
          "bad value for 't': t must lie on the model grid (time 20.0 outside"),
         ("experiment = elbow-scan\nt = 1.01\n",
          "bad value for 't': t must lie on the model grid (time 1.01 is not a point"),
         ("experiment = filtering-comparison\nt0 = -1\n", "bad value for 't0'"),
-        ("experiment = theory-vs-mc\nt = 100\n", "time 100.0 outside trajectory domain"),
+        ("experiment = info-rate-moments\nt = 100\n", "time 100.0 outside trajectory domain"),
         # 10 steps of 5e-14 after t_end, within an absolute 1e-12 of it
         ("experiment = elbow-scan\ndt = 1e-12\nt_end = 1e-11\nt = 1.05e-11\n",
          "bad value for 't': t must lie on the model grid (time 1.05e-11 outside"),
@@ -392,7 +387,7 @@ class TestRunner:
         ("experiment = info-rate-moments\nN = 3\nell = 5\n",
          "bad value for 'ell': 5 clusters for 4 variants"),
         ("experiment = distance-moments\np = 1\n", "bad value for 'p'"),
-        ("experiment = theory-vs-mc\nt = 0\n", "bad value for 't'"),
+        ("experiment = info-rate-moments\nt = 0\n", "bad value for 't'"),
         ("experiment = info-rate-moments\nt = 2\n", "bad value for 't'"),
         ("experiment = fisher-bias-vs-t\ncount = 100\n",
          "bad value for 'count': 100 instants from t0 = 0.0 at step dt = 0.25 end at 24.75"),
@@ -418,10 +413,13 @@ class TestRunner:
          "key 'replications' is not read by experiment 'filtering-comparison'"),
         ("experiment = elbow-scan\ncount = 5\n",
          "key 'count' is not read by experiment 'elbow-scan'"),
-        ("experiment = theory-vs-mc\nt0 = 1\n",
-         "key 't0' is not read by experiment 'theory-vs-mc'"),
-        ("experiment = theory-vs-mc\np = 0.2,0.3,0.5\n",
-         "key 'p' is not read by experiment 'theory-vs-mc'"),
+        ("experiment = info-rate-moments\nt0 = 1\n",
+         "key 't0' is not read by experiment 'info-rate-moments'"),
+        # theory-vs-mc's comparisons are rows of the other Monte Carlo tables
+        ("experiment = theory-vs-mc\nell = 3\n", "unknown experiment 'theory-vs-mc'"),
+        # fisher-bias-vs-t clusters into ell = 3 by default, more than N + 1 = 2
+        ("experiment = fisher-bias-vs-t\nN = 1\n",
+         "bad value for 'ell': 3 clusters for 2 variants"),
         ("experiment = model-trajectory\nt0 = 1\n",
          "key 't0' is not read by experiment 'model-trajectory'"),
         ("experiment = model-trajectory\ncount = 4\n",
@@ -442,7 +440,7 @@ class TestRunner:
         # one grid step, refused before integrating
         ("experiment = model-trajectory\ndt = 5e-324\n",
          "bad value for 'dt': the model grid step dt/20 = 0 is below the smallest normal float"),
-        ("experiment = theory-vs-mc\nt_end = 1e-300\n",
+        ("experiment = info-rate-moments\nt_end = 1e-300\n",
          "bad value for 't_end': t_end = 1e-300 is shorter than one step of 0.0125"),
         ("experiment = fisher-bias-vs-t\nt_end = 10\ndt = 1e300\n",
          "bad value for 't_end': t_end = 10 is shorter than one step of 5e+298"),
@@ -475,8 +473,8 @@ class TestRunner:
 
     @pytest.mark.parametrize("text, key", [
         ("experiment = info-rate-moments\nN = 99999\nt_end = 6\nt = 5.01\n", "t"),
-        ("experiment = theory-vs-mc\nt = 100\n", "t"),
-        ("experiment = theory-vs-mc\nt = 0\n", "t"),
+        ("experiment = info-rate-moments\nt = 100\n", "t"),
+        ("experiment = info-rate-moments\nt = 0\n", "t"),
         ("experiment = elbow-scan\nt = 20\n", "t"),
         ("experiment = filtering-comparison\nN = 99999\ncount = 400\n", "count"),
         ("experiment = filtering-comparison\nt0 = 0.01\n", "t0"),
@@ -499,6 +497,33 @@ class TestRunner:
         assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
         assert f"bad value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("exc, shown", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)"),
+         "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"),
+        (MemoryError(), "MemoryError")])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, exc, shown):
+        # a model too large for memory: reported on one line, no traceback,
+        # and no output directory, since run writes after the experiment
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli.dyn, "solve_sir", fail)
+        cfg = write_cfg(tmp_path,
+                        "experiment = model-trajectory\n" + SMALL_CONFIGS["model-trajectory"])
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory ({shown}); ")
+        assert "(N, groups)" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_console_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["infodyn"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.main
 
     def test_bad_input_keeps_an_existing_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = elbow-scan\nt_end = 0.2\nt = 0.1\n")
@@ -561,11 +586,10 @@ SMALL_CONFIGS = {
     "distance-moments": "p = 0.2,0.3,0.5\nn = 50,100\nreplications = 4\nseed = 3\n",
     "model-trajectory": "N = 3\ndt = 0.25\nt_end = 1\nell = 2\nseed = 3\n",
     "fisher-bias-vs-t": ("N = 3\nn = 100,200\nreplications = 4\nt0 = 0.25\ncount = 3\n"
-                         "t_end = 1\n"),
+                         "t_end = 1\nell = 2\n"),
     "info-rate-moments": "N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
     "filtering-comparison": "N = 3\nn = 1000\nt0 = 0.25\ncount = 5\nt_end = 2\nhalf_width = 1\n",
     "elbow-scan": "groups = 3,3,2,2,2,2\nell = 4,5,6,7\nt = 0.5\nt_end = 2\n",
-    "theory-vs-mc": "N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
 }
 MALFORMED = ["x", "nan", "inf", "-1", ","]
 
@@ -669,21 +693,40 @@ SMALL_RUN_KEYS = {
 
 class TestExperiments:
     def test_fisher_bias_vs_n_layout(self, tmp_path):
-        # the vs-n slice: one interval around t = 5, one block of rows per n
+        # the vs-n slice: one interval around t = 5, one block of rows per n,
+        # the ten variants' row (ell = M) before the two clusters' row
         cfg = write_cfg(
             tmp_path,
             "experiment = fisher-bias-vs-t\nt0 = 4.875\ncount = 2\nn = 5000,20000\n"
-            "replications = 40\nseed = 2\n",
+            "replications = 40\nell = 2\nseed = 2\n",
         )
         out = tmp_path / "out"
         cli.run(cfg, str(out))
         rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
-        assert rows[0] == "t,n,mc_mean,mc_se,theory_mean,theory_sd"
-        assert len(rows) == 3
-        for row, n in zip(rows[1:], ("5000", "20000")):
+        assert rows[0] == "t,n,ell," + ",".join(cli.MC_COLUMNS)
+        assert len(rows) == 5
+        for row, lead in zip(rows[1:], (["5", "5000", "10"], ["5", "5000", "2"],
+                                        ["5", "20000", "10"], ["5", "20000", "2"])):
             values = row.split(",")
-            assert values[:2] == ["5", n]
-            assert float(values[2]) > 0
+            assert values[:3] == lead
+            assert float(values[3]) > 0
+
+    def test_fisher_clusters_of_one_variant_repeat_the_variant_rows(self, tmp_path):
+        # with one cluster per variant, each cluster row is its variant
+        # estimator's row summed in another order (K-means labels permute
+        # the variants), so only to rounding
+        cfg = write_cfg(tmp_path, "experiment = fisher-bias-vs-t\nN = 3\nell = 4\n"
+                                  "n = 1000,5000\nreplications = 20\ncount = 4\nt_end = 2\n")
+        out = tmp_path / "out"
+        cli.run(cfg, str(out))
+        header, *rows = [line.split(",") for line in
+                         (out / "fisher_bias_vs_t.csv").read_text().splitlines()]
+        table = np.array([[float(cell) for cell in row] for row in rows])
+        assert len(table) == 2 * 2 * 3 and np.all(table[:, 2] == 4)
+        for block in table.reshape(2, 2, 3, -1):  # per n: variant rows, then cluster rows
+            for name in ("mc_mean", "theory_mean"):
+                j = header.index(name)
+                assert block[1, :, j] == pytest.approx(block[0, :, j], rel=1e-12, abs=0), name
 
     def test_model_trajectory_artifacts(self, tmp_path):
         cfg = write_cfg(
@@ -713,7 +756,7 @@ class TestExperiments:
         out = tmp_path / "out"
         cli.run(cfg, str(out))
         rows = (out / "info_rate_variants.csv").read_text().strip().splitlines()
-        assert rows[0] == "n,idx,mc_mean,mc_se,mc_var,theory_mean,theory_var"
+        assert rows[0] == "n,idx," + ",".join(cli.MC_COLUMNS)
         assert len(rows) == 1 + 10
         clusters = (out / "info_rate_clusters.csv").read_text().strip().splitlines()
         assert len(clusters) == 1 + 2
@@ -758,9 +801,10 @@ class TestExperiments:
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 0
         if experiment == "fisher-bias-vs-t":
+            # 40 intervals, of the ten variants and of the three clusters
             rows = (out / "fisher_bias_vs_t.csv").read_text().strip().splitlines()
-            assert len(rows) == 1 + 40
-            assert rows[-1].startswith("9.875,1000,")
+            assert len(rows) == 1 + 2 * 40
+            assert rows[40].startswith("9.875,1000,10,") and rows[-1].startswith("9.875,1000,3,")
 
     def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, capsys):
         # 5.01 is no point of the dt/20 grid
@@ -808,15 +852,11 @@ class TestExperiments:
         assert traj.times.size == 481 and traj.step == dt / 20
 
 
-# one small config of each experiment that writes an mc_var cell, the file,
-# and which rows of which column hold the variances
-MC_VAR_CELLS = {
-    "distance-moments": ("p = 0.2,0.3,0.5\nn = 50,100\nreplications = 4\n",
-                         ["distance_moments.csv"], "mc_var"),
-    "info-rate-moments": ("N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
-                          ["info_rate_variants.csv", "info_rate_clusters.csv"], "mc_var"),
-    "theory-vs-mc": ("N = 3\nt = 0.5\nt_end = 1\nn = 100\nreplications = 4\nell = 2\n",
-                     ["theory_vs_mc.csv"], "mc_value"),
+# the Monte Carlo tables of each experiment that writes them
+MC_TABLES = {
+    "distance-moments": ["distance_moments.csv"],
+    "fisher-bias-vs-t": ["fisher_bias_vs_t.csv"],
+    "info-rate-moments": ["info_rate_variants.csv", "info_rate_clusters.csv"],
 }
 
 
@@ -829,7 +869,7 @@ def square_differs_from_pow():
 
 
 class TestVarianceCells:
-    @pytest.mark.parametrize("experiment", sorted(MC_VAR_CELLS))
+    @pytest.mark.parametrize("experiment", sorted(MC_TABLES))
     def test_mc_var_is_the_product_std_times_std(self, tmp_path, monkeypatch, experiment):
         # every Monte Carlo std is replaced by x; each variance cell must read
         # back as x * x, the correctly rounded square, not as pow(x, 2)
@@ -844,14 +884,13 @@ class TestVarianceCells:
             return dataclasses.replace(est, std=std, fourth_moment=std ** 4)
 
         monkeypatch.setattr(cli.smp, "monte_carlo_components", fixed_std)
-        text, files, column = MC_VAR_CELLS[experiment]
+        text = SMALL_CONFIGS[experiment]
         cli.run(write_cfg(tmp_path, f"experiment = {experiment}\n" + text), str(tmp_path / "o"))
         cells = []
-        for name in files:
+        for name in MC_TABLES[experiment]:
             header, *rows = [line.split(",") for line in
                              (tmp_path / "o" / name).read_text().splitlines()]
-            j = header.index(column)
-            cells += [row[j] for row in rows if header[0] != "quantity" or "_var" in row[0]]
+            cells += [row[header.index("mc_var")] for row in rows]
         assert cells and all(float(cell) == x * x for cell in cells), (x, cells)
 
 
@@ -868,7 +907,7 @@ class TestVarianceCells:
         exact = math.sqrt((mu4 - sigma2 ** 2 * (reps - 3) / (reps - 1)) / reps)
         est = cli.smp.monte_carlo_components(lambda c: cli.smp.fisher_hat(c / n, dt)[:, 0],
                                              reps, 5, np.stack([p, p]), n)
-        _, (_, var), (_, var_se), _ = cli._mean_var_rows(["fisher_{}"], est, 0.0, sigma2)
+        _, _, (var,), (var_se,), _, _ = cli._mc_columns(est, 0.0, sigma2)
         assert var == pytest.approx(sigma2, rel=0.05)
         # the fourth-moment estimate has a relative spread of about 4 % here
         assert var_se == pytest.approx(exact, rel=0.15)
@@ -876,6 +915,29 @@ class TestVarianceCells:
 
 
 class TestShippedOutputs:
+    def test_monte_carlo_rows_lie_near_their_closed_forms(self, tmp_path):
+        # every row of every shipped Monte Carlo table, its mean against
+        # mc_se and its variance against mc_var_se, within the benchmark's
+        # z gate
+        z_max = load_perfbench("checks").Z_MAX
+        worst = {}
+        for path in sorted(CONFIGS.glob("*.cfg")):
+            out = tmp_path / path.stem
+            for name in cli.run(str(path), str(out)):
+                header, *rows = (out / name).read_text().splitlines()
+                header = header.split(",")
+                if "mc_mean" not in header:
+                    continue
+                assert header[-len(cli.MC_COLUMNS):] == cli.MC_COLUMNS, name
+                table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+                col = {key: table[:, j] for j, key in enumerate(header)}
+                assert np.all(col["mc_se"] > 0) and np.all(col["mc_var_se"] > 0), name
+                for moment, se in (("mean", "mc_se"), ("var", "mc_var_se")):
+                    z = (col[f"mc_{moment}"] - col[f"theory_{moment}"]) / col[se]
+                    worst[path.stem, name, moment] = np.abs(z).max()
+        assert len(worst) == 2 * 5
+        assert max(worst.values()) <= z_max, worst
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
     def test_outputs_match_pinned_digests(self, tmp_path, path):
         cli.run(str(path), str(tmp_path))
@@ -1048,7 +1110,7 @@ class TestWriteCsv:
             assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_mixed_cells(self, tmp_path):
-        # the theory_vs_mc.csv shape: a string, an integer and float columns
+        # a labelled table: a string, an integer and float columns
         rows = [("distance_mean", 1000, 0.0019500000000000001, 0.1, 1e-7),
                 ("distance_var", 1000, -2.5e-6, 0.0, 123456789.25),
                 ("fisher_mean", 10 ** 18, 1e300, -1e-300, math.inf),

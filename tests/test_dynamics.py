@@ -549,7 +549,7 @@ class TestCsvExport:
     def test_bytes_match_csv_writer(self, tmp_path):
         # cells that are negative (couplings), zero (t = 0) and in exponent
         # form (the share of a variant that starts at 1e-7), next to a string
-        # column, as in theory_vs_mc.csv, and an integer column
+        # column and an integer column
         params = dyn.SirParams([2.0, 2.0, 0.5], [1.0, 1.0, 1.5], 0.9,
                                [1e-7, 0.04, 0.06 - 1e-7], 0.0)
         traj = dyn.integrate_sir(params, 1.0, 0.01)

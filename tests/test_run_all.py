@@ -18,7 +18,7 @@ def run_script(*args):
 def test_every_shipped_config_writes_a_manifest(tmp_path):
     done = run_script("--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert len(CONFIGS) == 8
+    assert len(CONFIGS) == 7
     for cfg in CONFIGS:
         assert (tmp_path / cfg.stem / "manifest.json").is_file(), cfg.stem
 

@@ -216,15 +216,17 @@ class TestFisherHat:
         assert abs(vals.mean() - exact) <= 3 * se
 
 
-class TestClusteredFisherHat:
+class TestClusteredFisherEstimate:
+    """fisher_hat on the cluster sums aggregate(counts, f) / n."""
+
     def test_single_cluster_is_zero(self):
         counts = np.array([[5, 3, 2], [6, 2, 2]])
-        assert smp.clustered_fisher_hat(counts, 10, DT, Clustering([1] * 3)).tolist() == [0.0]
+        assert smp.fisher_hat(aggregate(counts, Clustering([1] * 3)) / 10, DT).tolist() == [0.0]
 
     def test_identity_clustering_bitwise(self, desk_traj):
         counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(5), 500, seed=2)
         ident = Clustering(range(1, 11))
-        assert np.array_equal(smp.clustered_fisher_hat(counts, 500, DT, ident),
+        assert np.array_equal(smp.fisher_hat(aggregate(counts, ident) / 500, DT),
                               smp.fisher_hat(counts / 500, DT))
 
     def test_coarsening_never_increases(self):
@@ -236,14 +238,14 @@ class TestClusteredFisherHat:
             ell = int(gen.integers(1, m))
             coarse = random_clustering(gen, m, ell)
             fine = refine(gen, coarse)
-            g_fine = smp.clustered_fisher_hat(counts, 30, DT, fine)[0]
-            g_coarse = smp.clustered_fisher_hat(counts, 30, DT, coarse)[0]
+            g_fine = smp.fisher_hat(aggregate(counts, fine) / 30, DT)[0]
+            g_coarse = smp.fisher_hat(aggregate(counts, coarse) / 30, DT)[0]
             assert 0.0 <= g_coarse <= g_fine + 1e-12
             assert smp.fisher_hat(counts / 30, DT)[0] >= g_fine - 1e-12
 
     def test_wrong_size_clustering(self):
         with pytest.raises(ValueError):
-            smp.clustered_fisher_hat(np.array([[5, 5], [6, 4]]), 10, DT, Clustering(range(1, 4)))
+            smp.fisher_hat(aggregate(np.array([[5, 5], [6, 4]]), Clustering(range(1, 4))) / 10, DT)
 
 
 class TestInfoRateHat:
@@ -281,7 +283,7 @@ class TestWholeGridEstimators:
             f = random_clustering(gen, n_variants, max(1, n_variants // 4))
             fisher, clustered, rates, cluster_rates = reference_estimates(counts, n, DT, f)
             assert np.array_equal(smp.fisher_hat(counts / n, DT), fisher)
-            assert np.array_equal(smp.clustered_fisher_hat(counts, n, DT, f), clustered)
+            assert np.array_equal(smp.fisher_hat(aggregate(counts, f) / n, DT), clustered)
             assert np.array_equal(smp.info_rate_hat(counts / n, DT), np.stack(rates))
             assert np.array_equal(smp.cluster_info_rate_hat(counts, n, DT, f),
                                   np.stack(cluster_rates))
@@ -304,7 +306,7 @@ class TestWholeGridEstimators:
             w[:, 1 + dead] = 0.0
         counts = gen.multinomial(n, w / w.sum(axis=1, keepdims=True), size=(chunk, count))
         f = random_clustering(gen, m, min(ell, m))
-        batched = (smp.fisher_hat(counts / n, DT), smp.clustered_fisher_hat(counts, n, DT, f),
+        batched = (smp.fisher_hat(counts / n, DT), smp.fisher_hat(aggregate(counts, f) / n, DT),
                    smp.info_rate_hat(counts / n, DT), smp.cluster_info_rate_hat(counts, n, DT, f))
         for c in range(chunk):
             for got, want in zip(batched, reference_estimates(counts[c], n, DT, f)):

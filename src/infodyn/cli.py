@@ -23,7 +23,7 @@ from . import filtering as flt
 from . import rng
 from . import sampling as smp
 from . import theory as th
-from .simplex import require_interior, self_information_rate, shahshahani_distance_sq
+from .simplex import self_information_rate, shahshahani_distance_sq
 
 # experiment name -> (fn(cfg, seed) -> {artifact: (header, columns)}, the keys it reads)
 EXPERIMENTS = {}
@@ -134,28 +134,9 @@ def _int_list(text: str) -> list[int]:
     return [_positive_int(x) for x in _entries(text)]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in _entries(text)]
-
-
-def _distribution(text: str) -> np.ndarray:
-    """Comma-list distribution as a read-only array: at least two entries,
-    every one positive, summing to 1 within 1e-9; a sum off by more than
-    1e-12 (float accumulation) is renormalised."""
-    p = np.array(_float_list(text))
-    if p.size < 2:
-        raise ValueError("a distribution needs at least 2 entries")
-    require_interior(p)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    if abs(total - 1.0) > 1e-12:
-        p = p / total
-    p.flags.writeable = False
-    return p
-
-
-DEFAULT_P = _distribution("0.1,0.2,0.3,0.4")
+# the distribution distance-moments draws from
+DEFAULT_P = np.array([0.1, 0.2, 0.3, 0.4])
+DEFAULT_P.flags.writeable = False
 
 
 # Cells formatted per chunk of whole rows by write_csv.  On the model-scan
@@ -444,9 +425,9 @@ def _mc_table(lead: list, blocks: list) -> tuple:
     return [*lead, *MC_COLUMNS], [np.concatenate(col) for col in zip(*blocks)]
 
 
-@experiment("distance-moments", "p", "n", "replications")
+@experiment("distance-moments", "n", "replications")
 def run_distance_moments(cfg, seed):
-    p = _get(cfg, "p", DEFAULT_P, _distribution)
+    p = DEFAULT_P
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, _replications)
     blocks = []
@@ -529,16 +510,15 @@ def run_info_rate_moments(cfg, seed):
             "clustering.csv": _clustering_table(f)}
 
 
-@experiment("filtering-comparison", "n", "t0", "count", "half_width", *_MODEL_KEYS)
+@experiment("filtering-comparison", "n", "t0", "count", *_MODEL_KEYS)
 def run_filtering_comparison(cfg, seed):
     n = _get(cfg, "n", 250000, _positive_int)
     t0 = _get(cfg, "t0", 2.5, _time)
     count = _get(cfg, "count", 31, _instant_count)
-    half_width = _get(cfg, "half_width", flt.DEFAULT_HALF_WIDTH, _at_least(0, "half width"))
-    if half_width >= count:  # offsets past count - 1 reach no further instant
-        raise ConfigError(f"bad value for 'half_width': {half_width} is not less than the "
-                          f"{count} sampling instants (at most count - 1 = {count - 1})")
-    kernel = flt.gaussian_kernel(half_width)
+    if count <= flt.DEFAULT_HALF_WIDTH:  # offsets past count - 1 reach no further instant
+        raise ConfigError(f"bad value for 'count': {count} sampling instants do not exceed the "
+                          f"Gaussian kernel's half width {flt.DEFAULT_HALF_WIDTH}")
+    kernel = flt.gaussian_kernel()
     traj, dt, rows, _ = _model(cfg, t0=t0, count=count)
     counts = rng.sample_block(traj.p(rows), n,
                               rng.derive_key(seed, np.arange(rows.size, dtype=np.uint64)))
@@ -564,7 +544,7 @@ def run_elbow_scan(cfg, seed):
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.lloyd(scores, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
     return {"elbow_curve.csv": (["ell", "delta_g"], zip(*curve)),
-            "elbow_summary.csv": (["ell_star", str(ell_star)], [])}
+            "elbow_summary.csv": (["ell_star"], [[ell_star]])}
 
 
 # every key some experiment reads
@@ -574,7 +554,10 @@ KNOWN_KEYS = frozenset().union(*(keys for _, keys in EXPERIMENTS.values()))
 def run(config_path, outdir, seed_override=None) -> list[str]:
     """Execute the configured experiment, then create `outdir` and write its
     tables and the manifest; returns the artifact list.  A run that fails
-    before the experiment returns creates and writes nothing."""
+    before the experiment returns creates and writes nothing; an `outdir`
+    that exists and is no directory fails before the experiment starts."""
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise NotADirectoryError(f"--out {outdir!r} exists and is not a directory")
     with open(config_path, "rb") as fh:
         raw = fh.read()
     cfg = parse_config(raw.decode("utf-8-sig"))  # a leading byte-order mark is skipped

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from infodyn import clustering as cl
 from infodyn import dynamics as dyn
 from infodyn import theory as th
-from infodyn.cli import _distribution
 from infodyn.simplex import (
     fisher_information,
     require_interior,
@@ -52,34 +51,6 @@ def points_with_tangents(draw):
     d = np.asarray(d)
     pdot = p * (d - np.dot(p, d))
     return p, pdot - pdot.sum() / len(pdot), d
-
-
-class TestDistribution:
-    """A distribution read from a config's comma list."""
-
-    def test_renormalizes_small_drift(self):
-        p = _distribution("0.5000000002,0.5")
-        assert p.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_large_drift(self):
-        with pytest.raises(ValueError, match="sum"):
-            _distribution("0.5,0.6")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="index 1"):
-            _distribution("1.1,-0.1")
-
-    def test_interior_predicate(self):
-        assert _distribution("0.3,0.7").tolist() == [0.3, 0.7]
-        with pytest.raises(ValueError, match="entry 0.0 at index 1"):
-            _distribution("1,0")
-        with pytest.raises(ValueError, match="at least 2 entries"):
-            _distribution("1")
-
-    def test_immutable(self):
-        p = _distribution("0.4,0.6")
-        with pytest.raises(ValueError):
-            p[0] = 0.9
 
 
 class TestRequireInterior:

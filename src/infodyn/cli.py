@@ -555,9 +555,16 @@ def run(config_path, outdir, seed_override=None) -> list[str]:
     """Execute the configured experiment, then create `outdir` and write its
     tables and the manifest; returns the artifact list.  A run that fails
     before the experiment returns creates and writes nothing; an `outdir`
-    that exists and is no directory fails before the experiment starts."""
-    if os.path.exists(outdir) and not os.path.isdir(outdir):
-        raise NotADirectoryError(f"--out {outdir!r} exists and is not a directory")
+    that exists, or lies below a path that exists, and is no directory fails
+    before the experiment starts."""
+    target = head = os.path.abspath(outdir)
+    while not os.path.lexists(head):  # the filesystem root always exists
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        if head == target:
+            raise NotADirectoryError(f"--out {outdir!r} exists and is not a directory")
+        raise NotADirectoryError(f"--out {outdir!r} lies below {head!r}, "
+                                 "which is not a directory")
     with open(config_path, "rb") as fh:
         raw = fh.read()
     cfg = parse_config(raw.decode("utf-8-sig"))  # a leading byte-order mark is skipped

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infodyn import cli
+from infodyn import filtering as flt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -247,10 +249,11 @@ class TestRunner:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["out", "config"])
+    @pytest.mark.parametrize("bad", ["out", "out-below-a-file", "config"])
     def test_file_system_error_names_the_path(self, tmp_path, capsys, monkeypatch, bad):
-        # --out an existing regular file, --config a directory: no traceback;
-        # an --out file is refused and kept before a long experiment runs
+        # --out an existing regular file or a path below one, --config a
+        # directory: no traceback; an --out below a file is refused, and the
+        # file kept, before a long experiment runs
         def fail(*args):
             raise AssertionError("the experiment was called")
 
@@ -259,18 +262,25 @@ class TestRunner:
         cfg = write_cfg(tmp_path, "experiment = fisher-bias-vs-t\ncount = 41\n"
                                   "replications = 50\n")
         out = tmp_path / "out"
-        if bad == "out":
-            out.write_text("kept\n")
-            path = str(out)
-        else:
+        flag = out
+        if bad == "config":
             cfg = path = str(tmp_path / "configs")
             os.mkdir(cfg)
-        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        else:
+            out.write_text("kept\n")
+            path = str(out)
+            if bad == "out-below-a-file":
+                flag = out / "sub" / "dir"
+        assert cli.main(["--config", cfg, "--out", str(flag)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(path) in err
         assert not out.is_dir()  # no output directory, so no artifact
         if bad == "out":
             assert err == f"error: --out {path!r} exists and is not a directory\n"
+        elif bad == "out-below-a-file":
+            assert err == (f"error: --out {str(flag)!r} lies below {path!r}, "
+                           "which is not a directory\n")
+        if bad != "config":
             assert out.read_text() == "kept\n"
 
     def test_manifest_contents(self, tmp_path):
@@ -775,6 +785,30 @@ class TestExperiments:
         assert len(variants) == 8
         assert mc_cells("info_rate_clusters.csv") == {
             (n, label[mu]): cells for (n, mu), cells in variants.items()}
+
+    def test_filtering_comparison_runs_at_the_fewest_instants(self, tmp_path):
+        # one instant past the kernel's half width is the least count accepted
+        count = flt.DEFAULT_HALF_WIDTH + 1
+        cfg = write_cfg(tmp_path, small_config("filtering-comparison", count=str(count)))
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "filtering_rmse.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 4  # a header and the four variants of N = 3
+
+    @pytest.mark.parametrize("experiment", sorted(SMALL_CONFIGS))
+    def test_every_table_is_a_header_and_rows(self, tmp_path, experiment):
+        # a CSV reader takes the first line as the header: each table has
+        # at least one data row, as wide as the header, with no empty cell
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\n" + SMALL_CONFIGS[experiment])
+        out = tmp_path / "out"
+        artifacts = cli.run(cfg, str(out))
+        for name in artifacts:
+            if not name.endswith(".csv"):
+                continue
+            with open(out / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and len(set(header)) == len(header), name
+            assert all(len(row) == len(header) and all(row) for row in rows), name
 
     def test_filtering_comparison_layout(self, tmp_path):
         cfg = write_cfg(

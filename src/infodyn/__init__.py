@@ -11,7 +11,6 @@ from .dynamics import (
     Trajectory,
     default_sir_params,
     grouped_sir_params,
-    integrate_sir,
     solve_sir,
 )
 from .sampling import (

@@ -332,8 +332,8 @@ def _model(cfg, ells=(), t0=0.0, count=None, t=None, pair=False) -> tuple:
     if step < sys.float_info.min:  # a subnormal step is too coarse to keep dt 20 steps
         raise ConfigError(f"bad value for 'dt': the model grid step dt/20 = {step:g} is below "
                           f"the smallest normal float {sys.float_info.min:g}")
-    # solve_sir's first run keeps 2 t_end / step + 1 float64 states
-    if 2.0 * t_end / step + 1.0 > np.iinfo(np.intp).max / 8:
+    # solve_sir keeps four float64 per grid point: S, X, R and sum(I)
+    if 4.0 * (t_end / step + 1.0) > np.iinfo(np.intp).max / 8:
         raise ConfigError(f"bad value for 't_end' or 'dt': t_end = {t_end:g} is "
                           f"{t_end / step:.3g} fine steps of {step:g}, more than an array can hold")
     try:

@@ -13,12 +13,11 @@ with the cumulative susceptible fraction X(t) = integral of S over [0, t]
     I(t) = i0 * exp(gamma * X(t) - epsilon * t).
 
 The system is therefore the ODE in (S, X, R) with X' = S, where the sums
-over variants are taken over that closed form: no approximation is made
-before the time discretisation, which is classical fixed-step RK4 on the
-three scalars.  Variants with equal rates share one exponential, so the
-sums run over the distinct rate pairs (gamma, epsilon), each with the
-summed i0 of its variants.  R stays an integrated state rather than 1 - S - sum(I), so
-conservation remains a check of the integration.
+over variants are taken over that closed form.  Variants with equal rates
+share one exponential, so the sums run over the distinct rate pairs
+(gamma, epsilon), each with the summed i0 of its variants.  R stays an
+integrated state rather than 1 - S - sum(I), so conservation remains a
+check of the integration.
 
 The distribution p = I / sum(I) = softmax(log i0 + gamma * X - epsilon * t)
 is positive by construction, and its velocity is computed analytically from
@@ -28,12 +27,14 @@ the replicator identity
 
 which keeps derivative checks free of finite-difference bias.
 
-`solve_sir` is the integrator the experiments use.  It runs RK4 at two
-internal steps, h and h/2, and stores their Richardson combination
-y_{h/2} + (y_{h/2} - y_h)/15 on the grid 0, step, 2 step, ...: a
-fifth-order solution.  The difference of the two runs is the classical
-step-doubling error estimate; while it is above STEP_TOL, both internal
-steps are halved and the stored grid stays the same.
+`solve_sir` is the integrator the experiments use: the Taylor method with
+automatic differentiation (Jorba and Zou 2005, Exp. Math. 14, 99).  Along
+the curve the exponents log I are affine in X, so one exponential per
+series step gives I at its start, and the recurrences of I' = I * (gamma *
+S - epsilon) every further Taylor coefficient of I, S, X and R.  The series
+steps do not depend on the grid: a grid step longer than a series step
+spans several, and a model whose rates need more than MAX_HALVINGS
+halvings of the series step fails at any grid step.
 """
 
 from __future__ import annotations
@@ -44,9 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 CONSERVATION_TOL = 1e-6
-# bound on the step-doubling estimate of solve_sir (see there), and how many
-# times it may halve its internal steps to meet it
-STEP_TOL = 1e-9
+# solve_sir's Taylor series (see there): the number of coefficients, the
+# series step, the bound on the truncation estimate, a few units in the last
+# place of an O(1) state, and how many times the series step may be halved
+# to meet it
+SERIES_ORDER = 30
+SERIES_STEP = 0.5
+STEP_TOL = 1e-15
 MAX_HALVINGS = 4
 # initial susceptible fraction of the default and grouped parameter sets
 DEFAULT_S0 = 0.9445
@@ -222,8 +227,7 @@ def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> In
             f"non-finite state (S={s}, X={x}, R={r}, infected {total}) {where}")
     if not 0.0 <= s <= 1.0:
         return IntegrationError(f"susceptible fraction {s} left [0, 1] {where}")
-    return IntegrationError(
-        f"conservation drift {abs(s + total + r - 1.0):.3e} {where}; use a smaller step")
+    return IntegrationError(f"conservation drift {abs(s + total + r - 1.0):.3e} {where}")
 
 
 def grid_steps(t_end: float, step: float) -> int:
@@ -253,120 +257,101 @@ def grid_index(t: float, step: float, n_steps: int) -> int:
     return idx
 
 
-def integrate_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
-    """Classical RK4 solution of the reduced (S, X, R) system on the uniform
-    grid 0, step, 2 step, ..., up to the last point not after t_end.
-
-    The sums run over one row per distinct rate pair (gamma, epsilon), in
-    the order of first occurrence, carrying the sum of its variants' i0:
-    variants with equal rates have I = i0 * exp(gamma * X - epsilon * t)
-    with one exponential, so this is exact up to rounding, and a model of
-    a few rate groups costs a few rows however many variants it has.  With
-    every pair distinct the rows are the variants themselves, bit for bit.
-
-    Each stage takes the exponents log i0 + gamma * X - epsilon * t as one
-    matrix-vector product, exponentiates them to I, and takes the sums
-    gamma . I, epsilon . I and sum(I) as a second one; the state itself is
-    three Python floats.  Every grid point is checked as it is reached: the
-    first with a non-finite state, S outside [0, 1], or S + sum(I) + R off
-    1 by more than CONSERVATION_TOL raises IntegrationError naming its step
-    and t.
-    """
-    n_steps = grid_steps(t_end, step)
-    times = np.arange(n_steps + 1) * step
-
+def rate_rows(params: SirParams) -> tuple:
+    """(log i0, gamma, epsilon) of one row per distinct rate pair, in the
+    order of first occurrence, each carrying the summed i0 of its variants:
+    variants with equal rates share I = i0 * exp(gamma * X - epsilon * t), so
+    sums over variants are sums over these rows, exact up to rounding.  With
+    every pair distinct the rows are the variants, bit for bit."""
     _, first, pair = np.unique(np.column_stack((params.gamma, params.epsilon)), axis=0,
                                return_index=True, return_inverse=True)
     order = np.argsort(first)  # the distinct pairs in order of first occurrence
     row = np.argsort(order)[pair.ravel()]  # the row of each variant
-    gamma, epsilon = params.gamma[first[order]], params.epsilon[first[order]]
-    i0 = np.bincount(row, weights=params.i0)
-    exponents = np.column_stack((np.log(i0), gamma, -epsilon))
-    weights = np.stack((gamma, epsilon, np.ones_like(gamma)))
-    point = np.ones(3)  # (1, X, t)
-    infected = np.empty(gamma.size)
-    sums = np.empty(3)
-    # bound ndarray.dot skips np.dot's array-function dispatch; same BLAS call
-    exponents_dot, weights_dot = exponents.dot, weights.dot
-
-    def rates(x, t):
-        """(gamma . I, epsilon . I, sum(I)) at (X, t), as Python floats."""
-        point[1] = x
-        point[2] = t
-        np.exp(exponents_dot(point, out=infected), out=infected)
-        return weights_dot(infected, out=sums).tolist()
-
-    s, x, r = params.s0, 0.0, params.r0
-    half, sixth = 0.5 * step, step / 6.0
-    states = []  # (S, X, R, sum(I)) at each grid point
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
-        for k, t in enumerate(times.tolist()):
-            g1, e1, total = rates(x, t)
-            if not (0.0 <= s <= 1.0 and abs(s + total + r - 1.0) <= CONSERVATION_TOL
-                    and math.isfinite(x)):
-                raise _failure(k, t, s, x, r, total)
-            states.append((s, x, r, total))
-            if k == n_steps:
-                break
-            ds1 = -s * g1
-            s2, x2 = s + half * ds1, x + half * s
-            g2, e2, _ = rates(x2, t + half)
-            ds2 = -s2 * g2
-            s3, x3 = s + half * ds2, x + half * s2
-            g3, e3, _ = rates(x3, t + half)
-            ds3 = -s3 * g3
-            s4, x4 = s + step * ds3, x + step * s3
-            g4, e4, _ = rates(x4, t + step)
-            ds4 = -s4 * g4
-            s, x, r = (s + sixth * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
-                       x + sixth * (s + 2.0 * s2 + 2.0 * s3 + s4),
-                       r + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
-    return Trajectory(times, *np.array(states).T, params)
+    return (np.log(np.bincount(row, weights=params.i0)), params.gamma[first[order]],
+            params.epsilon[first[order]])
 
 
 def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
-    """Richardson-extrapolated RK4 solution on the grid 0, step, 2 step, ...,
-    up to the last point not after t_end.
+    """Taylor-series solution of the reduced (S, X, R) system on the uniform
+    grid 0, step, 2 step, ..., up to the last point not after t_end.
 
-    Runs integrate_sir at the internal steps h = step and h/2, both to the
-    grid's last point, and stores y = y_{h/2} + (y_{h/2} - y_h)/15 of S, X,
-    R and sum(I) at the grid points.  The runs' difference Delta estimates
-    the error of the coarser one; to first order
+    The sums over variants run over the rows of rate_rows.  Series steps of
+    length h run from t = 0 whatever the grid.  At the start t0 of each, one
+    exponential gives the rows' I[0] = exp(log i0 + gamma X - epsilon t0),
+    and I' = I (gamma S - epsilon) the further coefficients of (t - t0)^k,
+    P = SERIES_ORDER of each:
 
-        est = max_k ptp(gamma) |Delta X_k| + max(gamma) |Delta S_k|
+        J[k] = sum_i S[i] I[k-i]          I[k+1] = (gamma J[k] - epsilon I[k]) / (k+1)
+        S[k+1] = -gamma . J[k] / (k+1)    X[k+1] = S[k] / (k+1)
+        R[k+1] = epsilon . I[k] / (k+1)
 
-    bounds the change it makes in log p and in the couplings.  While
-    est > STEP_TOL, or while a run fails its checks, h is halved and the
-    finer run becomes the coarser one; the stored grid does not change.  An
-    estimate or a failure that persists after MAX_HALVINGS halvings raises
-    IntegrationError naming it and the step.
+    The polynomials give the state at every grid point in [t0, t0 + h] and
+    at t0 + h, where the next step starts.  Their last terms estimate the
+    truncation error; to first order
+
+        est = (ptp(gamma) |X[P-1]| + max(gamma) |S[P-1]| + |sum I[P-1]|) h^(P-1)
+
+    bounds the change it makes in log p, in the couplings and in sum(I), the
+    last term being all there is when gamma is 0.  While est > STEP_TOL, h is
+    halved, for this step and the later ones; an estimate still above it
+    after MAX_HALVINGS halvings raises IntegrationError naming it, h and t0.
+    The first grid point with a non-finite state, S outside [0, 1], or
+    S + sum(I) + R off 1 by more than CONSERVATION_TOL raises
+    IntegrationError naming its step and t.  Nothing depends on t_end but
+    the number of rows: a shorter t_end gives the first rows of a longer
+    one, bit for bit.
     """
     n_steps = grid_steps(t_end, step)
-    spread, top = float(np.ptp(params.gamma)), float(np.max(params.gamma))
+    log_i0, gamma, epsilon = rate_rows(params)
+    exponents = np.column_stack((log_i0, gamma, -epsilon))
+    weights = np.column_stack((epsilon, np.ones_like(gamma)))
+    spread, top = float(np.ptp(gamma)), float(np.max(gamma))
+    powers = np.arange(SERIES_ORDER)
+    inverse = 1.0 / powers[1:]
+    # gamma / (k+1) and epsilon / (k+1), the rates of the coefficient k+1
+    gamma_k, epsilon_k = np.outer(inverse, gamma), np.outer(inverse, epsilon)
+    infected = np.empty((SERIES_ORDER, gamma.size))  # I[k] of every row
+    coeffs = np.empty((SERIES_ORDER, 4))  # the S, X, R and sum(I) coefficients
+    s_c, x_c, r_c, total_c = coeffs.T
 
-    def grid_states(div):
-        """(S, X, R, sum(I)) at the grid points from RK4 at step / div."""
-        traj = integrate_sir(params, n_steps * step, step / div)
-        return [state[::div] for state in (traj.susceptible, traj.cumulative_susceptible,
-                                           traj.recovered, traj.total_infected)]
-
-    coarse, div = None, 1
-    for _ in range(MAX_HALVINGS + 1):
-        try:
-            if coarse is None:
-                coarse = grid_states(div)
-            fine = grid_states(2 * div)
-        except IntegrationError as exc:
-            coarse, failure = None, str(exc)
-        else:
-            est = float(np.max(spread * np.abs(fine[1] - coarse[1])
-                               + top * np.abs(fine[0] - coarse[0])))
-            if est <= STEP_TOL:
-                return Trajectory(np.arange(n_steps + 1) * step,
-                                  *(f + (f - c) / 15.0 for f, c in zip(fine, coarse)), params)
-            coarse, failure = fine, f"step-doubling error estimate {est:.3e} > {STEP_TOL:g}"
-        last = step / div
-        div *= 2
-    raise IntegrationError(
-        f"step check failed after {MAX_HALVINGS} halvings of step {step:g}, at RK4 steps "
-        f"{last:g} and {last / 2.0:g}: {failure}; use a smaller step")
+    states = np.empty((n_steps + 1, 4))  # (S, X, R, sum(I)) at each grid point
+    s, x, r = params.s0, 0.0, params.r0
+    t0, h, halvings, k = 0.0, SERIES_STEP, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
+        while k <= n_steps:
+            np.exp(exponents.dot((1.0, x, t0)), out=infected[0])
+            s_c[0], x_c[0], r_c[0] = s, x, r
+            for j in range(SERIES_ORDER - 1):
+                nxt = infected[j + 1]
+                np.multiply(s_c[j::-1].dot(infected[:j + 1]), gamma_k[j], out=nxt)
+                s_c[j + 1] = -nxt.sum()
+                nxt -= epsilon_k[j] * infected[j]
+            recovery, total_c[:] = infected.dot(weights).T
+            x_c[1:] = s_c[:-1] * inverse
+            r_c[1:] = recovery[:-1] * inverse
+            est = (spread * abs(x_c[-1]) + top * abs(s_c[-1]) + abs(total_c[-1])) * h ** powers[-1]
+            if not est <= STEP_TOL:
+                if halvings == MAX_HALVINGS:
+                    raise IntegrationError(
+                        f"series truncation estimate {est:.3e} > {STEP_TOL:g} at t={t0:g}, "
+                        f"after {MAX_HALVINGS} halvings of the series step {SERIES_STEP:g} "
+                        f"to {h:g}")
+                h, halvings = 0.5 * h, halvings + 1
+                continue
+            # every grid point in [t0, t0 + h], also after t_end, so that no
+            # value depends on t_end
+            stop = math.floor((t0 + h) / step * (1.0 + 1e-12))
+            if stop >= k:
+                values = (np.arange(k, stop + 1) * step - t0)[:, None] ** powers @ coeffs
+                values = values[:n_steps + 1 - k]
+                s_v, x_v, r_v, total_v = values.T
+                ok = ((0.0 <= s_v) & (s_v <= 1.0) & np.isfinite(x_v)
+                      & (np.abs(s_v + total_v + r_v - 1.0) <= CONSERVATION_TOL))
+                if not ok.all():
+                    bad = int(np.argmin(ok))
+                    raise _failure(k + bad, (k + bad) * step, *values[bad].tolist())
+                states[k:k + len(values)] = values
+                k = stop + 1
+            s, x, r, _ = (h ** powers @ coeffs).tolist()
+            t0 += h
+    return Trajectory(np.arange(n_steps + 1) * step, *states.T, params)

@@ -1,12 +1,15 @@
 """The CI workflow installs every test dependency that pyproject.toml lists,
-so a new one cannot land in only one of the two places."""
+and runs every benchmark workload, so that a new one cannot land in only
+one of the two places."""
 
+import importlib.util
 import pathlib
 import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def project(requirement):
@@ -18,9 +21,20 @@ def test_workflow_installs_every_test_extra():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as fh:
         extras = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
-    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    workflow = WORKFLOW.read_text()
     line = re.search(r"pip install (numpy==.*)$", workflow, re.M).group(1)
     installed = line.split()
     # the pinned output digests assume numpy 2.4.6's binomial sampler
     assert "numpy==2.4.6" in installed
     assert {project(extra) for extra in extras} - {project(token) for token in installed} == set()
+
+
+def test_workflow_runs_every_benchmark_workload():
+    # perfbench/ is not a package: its workloads module is loaded by path
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    step = re.search(r"- name: Benchmark workloads\n(?:\s+.*\n)*?\s+for workload in (.*); do$",
+                     WORKFLOW.read_text(), re.M)
+    assert step is not None, "no 'for workload in ...' loop in the Benchmark workloads step"
+    assert set(workloads.WORKLOADS) - set(step.group(1).split()) == set()

@@ -36,7 +36,7 @@ SHIPPED_DIGESTS = {
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "ac3a3bbb5c4a7630cbdcb93d91ef1fe7b37026b2f9fbbfac7ed7d79229a1977f",
+            "cf19d23ebc82aa9ba0767bd9a992b23462b66f769eef03d65a92636068a848e6",
         "elbow_summary.csv":
             "54b9750212b1b94adb6be5152e187bc0baffbd75489e1b7cbcf792bfd6bf3f83",
         "manifest.json":
@@ -44,19 +44,19 @@ SHIPPED_DIGESTS = {
     },
     "filtering_comparison": {
         "filtering_rmse.csv":
-            "714227a219d06e27a2f2cdfda78af66f16ce7c62e7f542518f77b7dd76b7248a",
+            "54d293dd1258ee52f8030d90633734efffb3ce7b60d745c850c4968e638c0852",
         "manifest.json":
             "79dfcf655bb27738a1b95cb75d30b86b8c0ce8210737b86f0271d0bbcb01290e",
     },
     "fisher_bias_vs_n": {
         "fisher_bias_vs_t.csv":
-            "b6de7e26889234cd2d4e7746b7aa459b84c5463835a3a2fc948c9d7852352672",
+            "0e0e43a5c905cf33d39b0c48f9211ad1ffdebbe675cf2ca56b1c20b3d998e5c5",
         "manifest.json":
             "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "12d2ed8bc4dc87a1389b51076545b76a217760b727ff478335764f02f15d28df",
+            "fe969c55543d118bc23ab39bf746451ba8c636eda342ea52af203caa788ed8a3",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -64,9 +64,9 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "ff719b210aacb498c994a5aa53401fd9f439465c1378d705c54fb7ad38c024f4",
+            "510417b88efb6200065786ccb164568006112958ab945644685d27d7f418de53",
         "info_rate_variants.csv":
-            "2915390d36af686d01071a26569c090da40c25cebad3518cf2701f91a7643ca0",
+            "9c376072592a0e760bdad95e2c699ab51cdbc927af27532a037735d445062243",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
@@ -74,11 +74,11 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "fisher.csv":
-            "8e3381a69915f08426f08abbae281fd08c46dae25476a3d13cc453ba479d4f05",
+            "1c4b129e8c9f81ddfeb34ed08712fdb725b6e7b7d455248aca666dbb5b5ea1d3",
         "manifest.json":
             "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
         "trajectory.csv":
-            "0027523e87fcdda810c9c79aa542ece547c4a76af7480513c0137ad0166f12a1",
+            "bcc137df92f804b9fcc3295d67a864c964ac8050c0bfccda99a1a2a0b1488db0",
     },
 }
 
@@ -458,9 +458,6 @@ class TestRunner:
          "bad value for 't_end' or 'dt': t_end = 1e+308 is inf fine steps of 0.0125"),
         ("experiment = model-trajectory\nt_end = 10\ndt = 1e-306\n",
          "bad value for 't_end' or 'dt': t_end = 10 is inf fine steps of 5e-308"),
-        # a dt whose grid step dt/20 is too coarse for the integrator's step check
-        ("experiment = model-trajectory\ndt = 20\nt_end = 100\n",
-         "bad value for 'dt': step check failed after 4 halvings of step 1"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         if not text.startswith("experiment = distance-moments") and "t_end" not in text:
@@ -496,6 +493,30 @@ class TestRunner:
         out = tmp_path / "out"
         assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
         assert f"bad value for '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coarse_dt_runs_and_conserves(self, tmp_path):
+        # a grid step dt/20 = 1 spans two series steps of the integrator
+        text = "experiment = model-trajectory\ndt = 20\nt_end = 100\n"
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").exists()
+        traj = cli._model(cli.parse_config(text))[0]
+        assert traj.times.size == 101
+        drift = traj.susceptible + traj.infected().sum(axis=1) + traj.recovered - 1.0
+        assert np.max(np.abs(drift)) <= 4e-15
+
+    def test_integration_error_is_a_bad_dt(self, tmp_path, capsys, monkeypatch):
+        # a series step that misses its tolerance at every halving
+        monkeypatch.setattr(cli.dyn, "STEP_TOL", 1e-300)
+        monkeypatch.setattr(cli.dyn, "MAX_HALVINGS", 0)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "experiment = model-trajectory\nt_end = 2\n")
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'dt': series truncation estimate ")
+        assert err.endswith(" > 1e-300 at t=0, after 0 halvings of the series step 0.5 to 0.5 "
+                            "(the model grid step is dt/20)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("exc, shown", [
@@ -853,7 +874,7 @@ class TestExperiments:
         # as many as end by the rule of the model grid, each located by index_at;
         # t0, dt and t_end are decimals as a config gives them
         t0, dt, t_end = round(first * step, 10), round(stride * step, 10), round(t_end, 3)
-        traj = cli.dyn.integrate_sir(cli.dyn.default_sir_params(2), t_end, step)
+        traj = cli.dyn.solve_sir(cli.dyn.default_sir_params(2), t_end, step)
         grid = traj.step, traj.times.size - 1
         if t0 + dt > traj.t_end + 1e-9:
             key = "t0" if t0 else "t_end"  # with t0 = 0, t_end is too short
@@ -865,19 +886,19 @@ class TestExperiments:
         assert cli._grid(*grid, dt, t0).tolist() == want
         assert cli._grid(*grid, dt, t0, 2).tolist() == want[:2]
 
-    def test_model_integrates_two_runs_per_grid_step(self, monkeypatch):
-        # the mc-wide benchmark model: RK4 at dt/20 and dt/40 up to t_end = 6
-        steps = []
-        integrate = cli.dyn.integrate_sir
+    def test_model_integrates_once_on_its_grid(self, monkeypatch):
+        # the mc-wide benchmark model: one solve_sir call at dt/20 up to t_end = 6
+        calls = []
+        solve = cli.dyn.solve_sir
 
         def counted(params, t_end, step):
-            steps.append(round(t_end / step))
-            return integrate(params, t_end, step)
+            calls.append((t_end, step))
+            return solve(params, t_end, step)
 
-        monkeypatch.setattr(cli.dyn, "integrate_sir", counted)
+        monkeypatch.setattr(cli.dyn, "solve_sir", counted)
         traj, dt, _, _ = cli._model(cli.parse_config(
             "experiment = info-rate-moments\nN = 999\nt = 5\nt_end = 6\n"))
-        assert steps == [480, 960]
+        assert calls == [(6.0, dt / 20)]
         assert traj.times.size == 481 and traj.step == dt / 20
 
 

@@ -240,11 +240,11 @@ class TestDeltaForms:
 
 class TestSufficiencyResiduals:
     def test_identity_is_exact(self):
-        traj = dyn.integrate_sir(dyn.default_sir_params(4), 2.0, 1e-3)
+        traj = dyn.solve_sir(dyn.default_sir_params(4), 2.0, 1e-3)
         assert cl.sufficiency_residuals(traj, cl.Clustering(range(1, 5))) == 0.0
 
     def test_symmetric_model_block_clustering(self):
-        traj = dyn.integrate_sir(dyn.grouped_sir_params([2, 2, 2]), 10.0, 1e-3)
+        traj = dyn.solve_sir(dyn.grouped_sir_params([2, 2, 2]), 10.0, 1e-3)
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert cl.sufficiency_residuals(traj, f) < 1e-8
 
@@ -262,7 +262,7 @@ class TestSufficiencyResiduals:
         labels = f.labels
 
         def gap(step):
-            traj = dyn.integrate_sir(params, 5.0, step)
+            traj = dyn.solve_sir(params, 5.0, step)
             p = traj.p()
             q = np.stack([p[:, labels == a].sum(axis=1) for a in range(3)], axis=1)
             r = p / q[:, labels]
@@ -277,7 +277,7 @@ class TestSufficiencyResiduals:
         assert 3.5 <= coarse / fine <= 4.5
 
     def test_generic_model_not_sufficient(self):
-        traj = dyn.integrate_sir(dyn.default_sir_params(6), 5.0, 1e-3)
+        traj = dyn.solve_sir(dyn.default_sir_params(6), 5.0, 1e-3)
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert cl.sufficiency_residuals(traj, f) > 1e-4
         k = traj.index_at(1.0)
@@ -357,7 +357,7 @@ class TestKmeans:
             12: "13579b000222222222444444446666666688888888aaaaaaaa",
         }
         groups = [9, 9, 8, 8, 8, 8]
-        traj = dyn.integrate_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
         feats = cl.kmeans_features(traj, np.arange(41) * 20)  # every 0.25
         assert len(np.unique(feats, axis=0)) == 6
         group = np.repeat(np.arange(6), groups)
@@ -453,13 +453,13 @@ class TestSharedScores:
 class TestKmeansFeatures:
     def test_constant_model_gives_zero_rows(self):
         params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.03, 0.07], 0.0)
-        traj = dyn.integrate_sir(params, 2.0, 1e-3)
+        traj = dyn.solve_sir(params, 2.0, 1e-3)
         feats = cl.kmeans_features(traj, np.array([500, 1000, 1500]))
         assert feats.shape == (2, 3)
         assert np.max(np.abs(feats)) < 1e-12
 
     def test_single_instant_gives_scalar_features(self):
-        traj = dyn.integrate_sir(dyn.default_sir_params(4), 2.0, 1e-3)
+        traj = dyn.solve_sir(dyn.default_sir_params(4), 2.0, 1e-3)
         feats = cl.kmeans_features(traj, np.array([1000]))
         assert feats.shape == (4, 1)
 
@@ -472,7 +472,7 @@ class TestKmeansFeatures:
 
     def test_desk_model_bands_follow_coupling_order(self):
         # monotone rate design: rate rows separate into contiguous bands
-        traj = dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
+        traj = dyn.solve_sir(dyn.default_sir_params(10), 10.0, 1e-3)
         f = cl.kmeans(cl.kmeans_features(traj, np.arange(41) * 250), 3)  # every 0.25
         changes = np.count_nonzero(np.diff(f.labels))
         assert changes == 2  # three contiguous blocks

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -54,9 +53,9 @@ def reference_integrate_sir(params, t_end, step):
 
 
 def per_variant_integrate_sir(params, t_end, step):
-    """`dyn.integrate_sir` with one row per variant rather than per distinct
-    rate pair, and without its checks: the sums over variants taken term by
-    term, the reference of the row reduction."""
+    """Classical RK4 on the reduced (S, X, R) system, with the sums over
+    variants taken term by term and no checks: the fine-step reference of
+    `dyn.solve_sir`."""
     n_steps = dyn.grid_steps(t_end, step)
     times = np.arange(n_steps + 1) * step
     exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
@@ -87,7 +86,7 @@ def per_variant_integrate_sir(params, t_end, step):
 
 @pytest.fixture(scope="module")
 def desk_traj():
-    return dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
+    return dyn.solve_sir(dyn.default_sir_params(10), 10.0, 1e-3)
 
 
 class TestSirParams:
@@ -148,7 +147,7 @@ class TestIntegration:
         # equal rates: shares never move whatever the initial split
         params = dyn.SirParams([2.0, 2.0, 2.0], [1.0, 1.0, 1.0], 0.9,
                                [0.01, 0.04, 0.05], 0.0)
-        traj = dyn.integrate_sir(params, 5.0, 1e-3)
+        traj = dyn.solve_sir(params, 5.0, 1e-3)
         assert np.max(np.abs(traj.p() - traj.p(0))) < 1e-12
         assert np.max(np.abs(traj.pdot())) < 1e-12
         assert np.max(traj.fisher_curve()) < 1e-24
@@ -160,22 +159,11 @@ class TestIntegration:
         # the sums the integrator checked are those of the reconstructed I
         assert np.allclose(desk_traj.total_infected, infected, rtol=1e-14, atol=0.0)
 
-    def test_rk4_order(self):
-        params = dyn.default_sir_params(4)
-        ref = dyn.integrate_sir(params, 2.0, 0.00125)
-
-        def endpoint_err(step):
-            traj = dyn.integrate_sir(params, 2.0, step)
-            return np.max(np.abs(traj.infected(-1) - ref.infected(-1)))
-
-        ratio = endpoint_err(0.05) / endpoint_err(0.025)
-        assert 12.0 <= ratio <= 20.0
-
     def test_replicator_velocity_matches_finite_difference(self):
         params = dyn.default_sir_params(6)
 
         def fd_error(step):
-            traj = dyn.integrate_sir(params, 2.0, step)
+            traj = dyn.solve_sir(params, 2.0, step)
             p = traj.p()
             fd = (p[2:] - p[:-2]) / (2.0 * step)
             return np.max(np.abs(fd - traj.pdot(slice(1, -1))))
@@ -188,8 +176,8 @@ class TestIntegration:
         perm = np.array([3, 0, 4, 1, 2])
         permuted = dyn.SirParams(params.gamma[perm], params.epsilon[perm],
                                  params.s0, params.i0[perm], params.r0)
-        a = dyn.integrate_sir(params, 3.0, 1e-3)
-        b = dyn.integrate_sir(permuted, 3.0, 1e-3)
+        a = dyn.solve_sir(params, 3.0, 1e-3)
+        b = dyn.solve_sir(permuted, 3.0, 1e-3)
         assert np.allclose(a.p()[:, perm], b.p(), atol=1e-14)
         assert np.allclose(a.pdot()[:, perm], b.pdot(), atol=1e-14)
         assert np.allclose(a.couplings()[:, perm], b.couplings(), atol=1e-14)
@@ -200,7 +188,7 @@ class TestIntegration:
         i0 = np.geomspace(4.0, 1.0, 10)
         i0 *= (1.0 - base.s0) / i0.sum()
         params = dyn.SirParams(base.gamma, base.epsilon, base.s0, i0, base.r0)
-        traj = dyn.integrate_sir(params, 10.0, 1e-3)
+        traj = dyn.solve_sir(params, 10.0, 1e-3)
         p = traj.p()
         gap = p[:, -1] - p[:, 0]  # strongest minus weakest share
         assert gap[0] < 0 < gap[-1]
@@ -208,7 +196,7 @@ class TestIntegration:
     @pytest.mark.parametrize("n_variants, t_end", [(2, 10.0), (10, 10.0), (1000, 2.0)])
     def test_agrees_with_reference_loop(self, n_variants, t_end):
         params = dyn.default_sir_params(n_variants)
-        traj = dyn.integrate_sir(params, t_end, 1e-3)
+        traj = dyn.solve_sir(params, t_end, 1e-3)
         states = reference_integrate_sir(params, t_end, 1e-3)
         infected = states[:, 1:-1]
         p = infected / infected.sum(axis=1, keepdims=True)
@@ -227,7 +215,7 @@ class TestIntegration:
         s0 = gen.uniform(0.5, 0.99)
         params = dyn.SirParams(gen.uniform(0.0, 3.0, m), gen.uniform(0.0, 2.0, m), s0,
                                i0 * (1.0 - s0) / i0.sum(), 0.0)
-        traj = dyn.integrate_sir(params, 2.0, 0.01)
+        traj = dyn.solve_sir(params, 2.0, 0.01)
         p = traj.p()
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= m * 1e-15
@@ -249,42 +237,50 @@ class TestIntegration:
             assert np.array_equal(part, whole[row])
 
     @pytest.mark.parametrize("gamma, epsilon, i0, step, t_end", [
-        ([200.0, 100.0], [1.0, 1.0], [0.05, 0.05], 0.1, 2.0),      # overflow
-        ([68.0, 0.7], [53.0, 339.0], [0.25, 0.25], 0.01, 2.0),     # conservation drift
-        ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56, 5.6),   # conservation drift
+        ([200.0, 100.0], [1.0, 1.0], [0.05, 0.05], 0.1, 2.0),
+        ([68.0, 0.7], [53.0, 339.0], [0.25, 0.25], 0.01, 2.0),
+        ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56, 5.6),
     ])
-    def test_first_failure_matches_reference_loop(self, gamma, epsilon, i0, step, t_end):
-        # the full-system loop rejects these models too (at steps 1, 11 and
-        # 1); the reduced one fails its checks at step 1 in each
+    def test_rates_past_the_last_halving_fail_as_in_the_reference_loop(
+            self, gamma, epsilon, i0, step, t_end):
+        # the full-system loop rejects these models (at steps 1, 11 and 1);
+        # their first series step misses the tolerance at every halving
         params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
         with pytest.raises(dyn.IntegrationError):
             reference_integrate_sir(params, t_end, step)
-        with pytest.raises(dyn.IntegrationError) as got:
-            dyn.integrate_sir(params, t_end, step)
-        where = re.escape(f"at step 1, t={step:g}")
-        assert re.fullmatch(
-            rf"non-finite state \(S=.+, X=.+, R=.+, infected inf\) {where}"
-            rf"|conservation drift \d\.\d{{3}}e[+-]\d+ {where}; use a smaller step",
-            str(got.value))
-
-    def test_susceptible_outside_unit_interval_reported(self):
-        # a step far too long for the rates overshoots S above 1 at step 1
-        params = dyn.SirParams([8.0, 8.0], [1.0, 1.0], 0.9, [0.05, 0.05], 0.0)
         with pytest.raises(dyn.IntegrationError,
-                           match=r"susceptible fraction 3\.04\d* left \[0, 1\] at step 1, t=1$"):
-            dyn.integrate_sir(params, 5.0, 1.0)
+                           match=r"^series truncation estimate \d\.\d{3}e\+\d+ > 1e-15 at t=0, "
+                                 r"after 4 halvings of the series step 0\.5 to 0\.03125$"):
+            dyn.solve_sir(params, t_end, step)
+
+    @pytest.mark.parametrize("gamma, epsilon, i0, step, error", [
+        ([8.0, 8.0], [1.0, 1.0], [0.05, 0.05], 0.5,
+         r"conservation drift 9\.488e-02 at step 2, t=1"),
+        ([16.0, 16.0], [1.0, 1.0], [0.05, 0.05], 0.25,
+         r"susceptible fraction -0\.378\d* left \[0, 1\] at step 1, t=0\.25"),
+        ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56,
+         r"non-finite state \(S=nan, X=nan, R=nan, infected nan\) at step 1, t=0\.56"),
+    ])
+    def test_checks_name_the_first_failing_grid_point(self, gamma, epsilon, i0, step, error,
+                                                      monkeypatch):
+        # with the truncation estimate off, a series step of 0.5 far too long
+        # for the rates fails a check at a grid point
+        monkeypatch.setattr(dyn, "STEP_TOL", np.inf)
+        params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
+        with pytest.raises(dyn.IntegrationError, match=f"^{error}$"):
+            dyn.solve_sir(params, 5.0, step)
 
     def test_bad_step_rejected(self):
         params = dyn.default_sir_params(3)
         for t_end, step in ((1.0, 0.0), (0.001, 0.01), (1.0, float("nan")),
                             (float("inf"), 0.01)):
             with pytest.raises(ValueError):
-                dyn.integrate_sir(params, t_end, step)
+                dyn.solve_sir(params, t_end, step)
 
     @pytest.mark.parametrize("t_end, step, points, last", [
         (1.0, 0.4, 3, 0.8), (0.35, 0.2, 2, 0.2), (10.0, 0.0125, 801, 10.0)])
     def test_grid_ends_at_last_point_not_after_t_end(self, t_end, step, points, last):
-        traj = dyn.integrate_sir(dyn.default_sir_params(3), t_end, step)
+        traj = dyn.solve_sir(dyn.default_sir_params(3), t_end, step)
         assert traj.times.size == points
         assert traj.t_end == pytest.approx(last, rel=1e-15)
 
@@ -297,12 +293,12 @@ def fast_params(gamma_lo, gamma_hi):
 
 
 class TestSolveSir:
-    """Richardson-extrapolated RK4 against plain RK4 at dt/2000 = 1.25e-4."""
+    """The Taylor series against plain RK4 at dt/2000 = 1.25e-4."""
 
     @staticmethod
     def errors(params, t_end, step=0.0125):
         traj = dyn.solve_sir(params, t_end, step)
-        ref = dyn.integrate_sir(params, t_end, 1.25e-4)
+        ref = per_variant_integrate_sir(params, t_end, 1.25e-4)
         rows = np.arange(traj.times.size) * int(round(step / 1.25e-4))
         p_err = np.max(np.abs(traj.p() - ref.p(rows)) / ref.p(rows))
         g_ref = ref.fisher_curve(rows)
@@ -315,48 +311,93 @@ class TestSolveSir:
         assert traj.times.size == int(round(t_end / 0.0125)) + 1
         assert p_err <= 5e-14 and g_err <= 5e-14
 
-    def test_extrapolation_is_fifth_order(self, monkeypatch):
-        # with the step check off, halving the step divides the error by ~2^5
-        monkeypatch.setattr(dyn, "STEP_TOL", np.inf)
-        params = dyn.default_sir_params(4)
-        ref_step = 0.1 / 256
-        ref = dyn.integrate_sir(params, 2.0, ref_step)
-
-        def err(step):
-            # at the points of the coarser grid, 0, 0.1, ..., 2
-            traj = dyn.solve_sir(params, 2.0, step)
-            rows = np.arange(0, traj.times.size, int(round(0.1 / step)))
-            ref_rows = rows * int(round(step / ref_step))
-            return np.max(np.abs(traj.infected(rows) - ref.infected(ref_rows)))
-
-        assert 24.0 <= err(0.1) / err(0.05) <= 48.0
-
     def test_fast_model_halves_and_keeps_its_grid(self, monkeypatch):
-        steps = []
-        integrate = dyn.integrate_sir
-
-        def counted(params, t_end, step):
-            steps.append(step)
-            return integrate(params, t_end, step)
-
-        monkeypatch.setattr(dyn, "integrate_sir", counted)
-        traj, p_err, g_err = self.errors(fast_params(6.0, 8.0), 10.0)
-        # two halvings, then the reference run
-        assert steps == [0.0125, 0.00625, 0.003125, 0.0015625, 1.25e-4]
+        # gamma in [6, 8] needs two halvings of the series step, to 0.125
+        params = fast_params(6.0, 8.0)
+        monkeypatch.setattr(dyn, "MAX_HALVINGS", 1)
+        with pytest.raises(dyn.IntegrationError, match="to 0.25$"):
+            dyn.solve_sir(params, 10.0, 0.0125)
+        monkeypatch.setattr(dyn, "MAX_HALVINGS", 2)
+        traj, p_err, g_err = self.errors(params, 10.0)
         assert np.array_equal(traj.times, np.arange(801) * 0.0125)
         assert p_err <= 5e-14 and g_err <= 5e-14
 
-    def test_run_failing_its_checks_is_halved(self):
-        # plain RK4 at 0.0125 drifts past CONSERVATION_TOL on this model
+    def test_fastest_model_takes_every_halving(self, monkeypatch):
+        # gamma in [20, 22] needs all MAX_HALVINGS = 4 halvings, to 0.03125
         params = fast_params(20.0, 22.0)
-        with pytest.raises(dyn.IntegrationError, match="conservation drift"):
-            dyn.integrate_sir(params, 2.0, 0.0125)
         traj, p_err, g_err = self.errors(params, 2.0)
         assert p_err <= 5e-14 and g_err <= 5e-14
+        monkeypatch.setattr(dyn, "MAX_HALVINGS", 3)
+        with pytest.raises(dyn.IntegrationError, match="to 0.0625$"):
+            dyn.solve_sir(params, 2.0, 0.0125)
+
+    @staticmethod
+    def no_infection(epsilon, step):
+        """Largest error at the grid points of the model with gamma = 0, for
+        S, X, I, sum(I) and R: S stays s0, X = s0 t, I = i0 exp(-epsilon t),
+        and R gains what I loses."""
+        i0 = np.linspace(0.01, 0.05, len(epsilon))
+        traj = dyn.solve_sir(dyn.SirParams(np.zeros(len(epsilon)), epsilon, 0.8, i0,
+                                           0.2 - i0.sum()), 10.0, step)
+        t = traj.times
+        decay = np.exp(-np.outer(t, epsilon))
+        return [np.max(np.abs(got - want)) for got, want in (
+            (traj.susceptible, np.full(t.size, 0.8)),
+            (traj.cumulative_susceptible, 0.8 * t),
+            (traj.infected(), i0 * decay),
+            (traj.total_infected, (i0 * decay).sum(axis=1)),
+            (traj.recovered, 0.2 - (i0 * decay).sum(axis=1)))]
+
+    @pytest.mark.parametrize("step", [0.0125, 1e-3, 0.3, 1.0])
+    def test_no_infection_matches_closed_form(self, step):
+        assert max(self.no_infection([0.5, 0.9, 1.1, 2.0], step)) <= 1e-14
+
+    def test_fast_decay_halves_by_the_infected_term(self, monkeypatch):
+        # with gamma = 0, S and X have no error to show: the sum(I) term of
+        # the estimate halves the series step three times for epsilon = 40
+        errors = self.no_infection([0.5, 40.0], 0.0125)
+        assert max(errors[:1] + errors[2:]) <= 1e-14
+        assert errors[1] <= 1e-14 * 8.0  # X = 8 at t = 10, summed over 160 steps
+        monkeypatch.setattr(dyn, "MAX_HALVINGS", 2)
+        with pytest.raises(dyn.IntegrationError, match="to 0.125$"):
+            self.no_infection([0.5, 40.0], 0.0125)
+
+    @pytest.mark.parametrize("groups", [[3], [50]])
+    @pytest.mark.parametrize("step", [0.0125, 1e-3])
+    def test_one_rate_group_keeps_its_first_integral(self, groups, step):
+        # one rate row: S + sum(I) - (epsilon / gamma) log S is constant
+        # along the exact curve (Kermack and McKendrick)
+        params = dyn.grouped_sir_params(groups)
+        traj = dyn.solve_sir(params, 10.0, step)
+        ratio = params.epsilon[0] / params.gamma[0]
+        for total in (traj.infected().sum(axis=1), traj.total_infected):
+            invariant = traj.susceptible + total - ratio * np.log(traj.susceptible)
+            assert np.max(np.abs(invariant - invariant[0])) <= 1e-15
+
+    @pytest.mark.parametrize("params", [dyn.default_sir_params(10), dyn.default_sir_params(1000),
+                                        fast_params(6.0, 8.0)], ids=["N9", "N999", "fast"])
+    def test_shorter_t_end_gives_a_prefix(self, params):
+        # the series steps start at 0 whatever t_end: mc-wide's t_end = 6
+        # model is the shipped t_end = 10 model cut short, bit for bit
+        short, full = dyn.solve_sir(params, 6.0, 0.0125), dyn.solve_sir(params, 10.0, 0.0125)
+        rows = short.times.size
+        for name in ("times", "susceptible", "cumulative_susceptible", "recovered",
+                     "total_infected"):
+            assert np.array_equal(getattr(short, name), getattr(full, name)[:rows]), name
+
+    def test_coarse_grid_step_spans_several_series_steps(self):
+        # dt = 20 with t_end = 100: a grid step of 1 spans two series steps,
+        # whose polynomials give the points of a fine grid too
+        traj = dyn.solve_sir(dyn.default_sir_params(10), 100.0, 1.0)
+        fine = dyn.solve_sir(dyn.default_sir_params(10), 100.0, 0.0125)
+        assert traj.times.size == 101
+        for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
+            got, want = getattr(traj, name), getattr(fine, name)[::80]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize("n_variants, digest", [
-        (10, "7388c471c0f85096244835ed7f81ae9eaad2873d7ddbb256b4a901ade2810b65"),
-        (1000, "3980f48985243696a3fa1dd82519966af9854f0d7277737c5e50b6f320da2edd"),
+        (10, "3d77330cb197b43dd4973677cf68107e97db9c18680bdfb78d550f697e206ada"),
+        (1000, "121d438ac31de3f8d6d6d51f8d8d8b29b669e898ce5aec4f2411fe8db614cb91"),
     ])
     def test_states_match_pinned_digest(self, n_variants, digest):
         # a change meant to touch only Python overhead must keep every byte;
@@ -399,9 +440,8 @@ class TestSolveSir:
         monkeypatch.setattr(dyn, "MAX_HALVINGS", 1)
         params = fast_params(6.0, 8.0)
         with pytest.raises(dyn.IntegrationError,
-                           match=r"after 1 halvings of step 0\.0125, at RK4 steps 0\.00625 and "
-                                 r"0\.003125: step-doubling error estimate \d\.\d{3}e-09 > 1e-09; "
-                                 "use a smaller step$"):
+                           match=r"^series truncation estimate \d\.\d{3}e-12 > 1e-15 at t=0, after "
+                                 r"1 halvings of the series step 0\.5 to 0\.25$"):
             dyn.solve_sir(params, 10.0, 0.0125)
 
 
@@ -412,9 +452,15 @@ def interleaved_params():
                          [0.01, 0.02, 0.03, 0.015, 0.025], 0.0)
 
 
+def per_variant_rows(params):
+    """`dyn.rate_rows` with one row per variant: the sums over variants
+    taken term by term, the reference of the row reduction."""
+    return np.log(params.i0), params.gamma, params.epsilon
+
+
 class TestRatePairRows:
-    """integrate_sir sums over one row per distinct rate pair; solve_sir on
-    it matches solve_sir on the per-variant sums within 1e-13 relative."""
+    """solve_sir sums over one row per distinct rate pair; it matches
+    solve_sir on the per-variant sums within 1e-13 relative."""
 
     @pytest.mark.parametrize("params", [
         dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]),
@@ -424,7 +470,7 @@ class TestRatePairRows:
     ], ids=["elbow-scan", "model-scan", "interleaved", "one-group"])
     def test_solve_sir_matches_per_variant_sums(self, params, monkeypatch):
         traj = dyn.solve_sir(params, 10.0, 0.0125)
-        monkeypatch.setattr(dyn, "integrate_sir", per_variant_integrate_sir)
+        monkeypatch.setattr(dyn, "rate_rows", per_variant_rows)
         ref = dyn.solve_sir(params, 10.0, 0.0125)
         for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
             got, want = getattr(traj, name), getattr(ref, name)
@@ -443,23 +489,25 @@ class TestRatePairRows:
         # with the summed i0, not as the sorted pairs B, C, A
         merged = dyn.SirParams([2.5, 1.5, 2.0], [1.1, 0.9, 1.0], 0.9,
                                [0.01 + 0.03, 0.02 + 0.025, 0.015], 0.0)
-        traj = dyn.integrate_sir(interleaved_params(), 5.0, 0.0125)
-        ref = per_variant_integrate_sir(merged, 5.0, 0.0125)
+        traj = dyn.solve_sir(interleaved_params(), 5.0, 0.0125)
+        ref = dyn.solve_sir(merged, 5.0, 0.0125)
         for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
-    def test_distinct_pairs_are_the_variants(self):
+    def test_distinct_pairs_are_the_variants(self, monkeypatch):
         # every pair distinct: the rows are the variants, bit for bit
         for params in (dyn.default_sir_params(10), fast_params(6.0, 8.0)):
-            traj = dyn.integrate_sir(params, 5.0, 0.0125)
-            ref = per_variant_integrate_sir(params, 5.0, 0.0125)
+            traj = dyn.solve_sir(params, 5.0, 0.0125)
+            with monkeypatch.context() as patch:
+                patch.setattr(dyn, "rate_rows", per_variant_rows)
+                ref = dyn.solve_sir(params, 5.0, 0.0125)
             for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
                 assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
 
 def first_row(params):
     """Trajectory of one step, whose row 0 is the initial condition."""
-    return dyn.integrate_sir(params, 0.01, 0.01)
+    return dyn.solve_sir(params, 0.01, 0.01)
 
 
 class TestCouplings:
@@ -552,7 +600,7 @@ class TestCsvExport:
         # column and an integer column
         params = dyn.SirParams([2.0, 2.0, 0.5], [1.0, 1.0, 1.5], 0.9,
                                [1e-7, 0.04, 0.06 - 1e-7], 0.0)
-        traj = dyn.integrate_sir(params, 1.0, 0.01)
+        traj = dyn.solve_sir(params, 1.0, 0.01)
         header = (["quantity", "k", "t", "S"]
                   + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]
                   + ["mean_d"])

@@ -20,7 +20,7 @@ P4 = np.array([0.1, 0.2, 0.3, 0.4])
 
 @pytest.fixture(scope="module")
 def desk_traj():
-    return dyn.integrate_sir(dyn.default_sir_params(10), 10.0, 1e-3)
+    return dyn.solve_sir(dyn.default_sir_params(10), 10.0, 1e-3)
 
 
 def sample_grid(traj, rows, n, seed):
@@ -147,7 +147,7 @@ class TestSampleTrajectory:
     def test_instants_use_isolated_substreams(self):
         # instant k is reproducible alone via the (seed, k) sub-stream
         for n_variants in (2, 10, 1000):
-            traj = dyn.integrate_sir(dyn.default_sir_params(n_variants), 2.0, 0.01)
+            traj = dyn.solve_sir(dyn.default_sir_params(n_variants), 2.0, 0.01)
             for count, stride in ((2, 50), (41, 5)):  # dt = 0.5 and 0.05
                 rows = stride * np.arange(count)
                 for n in (1, 100000):

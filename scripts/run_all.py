@@ -6,11 +6,17 @@ Each config goes through the `infodyn` command line, so a bad config or
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import time
 
-from infodyn import cli
+# one OpenBLAS thread, set before numpy loads OpenBLAS: at two threads the
+# clustering SVD of a run can stall for a quarter of a second, and the
+# outputs are the same bytes at one thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from infodyn import cli  # noqa: E402
 
 
 def main():

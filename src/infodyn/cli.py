@@ -140,10 +140,11 @@ DEFAULT_P.flags.writeable = False
 
 
 # Cells formatted per chunk of whole rows by write_csv.  On the model-scan
-# benchmark workload's 401 x 3003 trajectory.csv (2-core machine, numpy 2.4.6,
-# best of 9), chunks of 2**12 to 2**16 cells wrote it in 0.22 to 0.29 s, all
-# within the machine's noise, against 1.1 to 1.4 s with `%` per cell; smaller
-# chunks keep the temporaries (about 100 bytes a cell) small.
+# benchmark workload's 401 x 1002 trajectory.csv (9.0 MB; 2-core machine,
+# numpy 2.4.6, best of 9 in two runs), chunks of 2**13 to 2**16 cells wrote it
+# in 0.07 to 0.08 s and 2**12 in 0.09 to 0.14 s, against 0.21 to 0.27 s with
+# one `%` per row; smaller chunks keep the temporaries (about 100 bytes a
+# cell) small.
 CSV_CHUNK_CELLS = 1 << 13
 
 
@@ -360,7 +361,10 @@ def _model(cfg, ells=(), t0=0.0, count=None, t=None, pair=False) -> tuple:
     try:
         return dyn.solve_sir(params, t_end, step), dt, rows, k
     except dyn.IntegrationError as exc:
-        raise ConfigError(f"bad value for 'dt': {exc} (the model grid step is dt/20)") from exc
+        key = "groups" if "groups" in cfg else "N"
+        raise ConfigError(f"bad value for {key!r}: the rates of its variants cannot be "
+                          f"integrated, and 'dt' and 't_end' do not change the series steps: "
+                          f"{exc}") from exc
 
 
 def _row(step: float, n_steps: int, t: float, key: str) -> int:
@@ -444,13 +448,16 @@ def run_model_trajectory(cfg, seed):
     traj, _, rows, _ = _model(cfg, [ell])
     f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
     rows = slice(None, None, 2)  # every dt/10
-    m = traj.n_variants
-    header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, m + 1)]
-              + ["mean_d"])
-    p, pdot, d, mean_d, g_tt = traj.replicator(rows)
+    m, params = traj.n_variants, traj.params
+    p, pdot, g_tt = traj.replicator(rows)
     times = traj.times[rows]
-    return {"trajectory.csv": (header, [times, traj.susceptible[rows], p, pdot, d, mean_d]),
-            "clustering.csv": _clustering_table(f),
+    # the state alone: with the rates of variants.csv, d = gamma S - epsilon,
+    # <d> = sum(p d) and pdot = p (d - <d>) follow from it bit for bit
+    return {"trajectory.csv": (["t", "S"] + [f"p_{i}" for i in range(1, m + 1)],
+                               [times, traj.susceptible[rows], p]),
+            "variants.csv": (["mu", "gamma", "epsilon", "i0", "label"],
+                             [np.arange(1, m + 1), params.gamma, params.epsilon, params.i0,
+                              f.labels + 1]),
             "fisher.csv": (["t", "g_tt", "g_f"], [times, g_tt, cl.clustered_fisher(p, pdot, f)])}
 
 

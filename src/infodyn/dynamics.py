@@ -167,10 +167,6 @@ class Trajectory:
     def n_variants(self) -> int:
         return self.params.n_variants
 
-    def index_at(self, t: float) -> int:
-        """Grid index of a grid time, by the rule of ``grid_index``."""
-        return grid_index(t, self.step, self.times.size - 1)
-
     def _exponents(self, rows) -> np.ndarray:
         """log I = log i0 + gamma * X - epsilon * t at the rows."""
         x = np.asarray(self.cumulative_susceptible[rows])[..., None]
@@ -195,14 +191,13 @@ class Trajectory:
         return self.params.gamma * s - self.params.epsilon
 
     def replicator(self, rows=slice(None)) -> tuple:
-        """(p, pdot, d, <d>_p, g_tt) at the rows, from one evaluation of p and
-        of the couplings d: the velocity pdot = p * (d - <d>_p) and the Fisher
+        """(p, pdot, g_tt) at the rows, from one evaluation of p and of the
+        couplings d: the velocity pdot = p * (d - <d>_p) and the Fisher
         information g_tt = sum(pdot^2 / p) = sum(pdot * (d - <d>_p))."""
         p, d = self.p(rows), self.couplings(rows)
-        mean_d = np.sum(p * d, axis=-1)
-        rate = d - mean_d[..., None]
+        rate = d - np.sum(p * d, axis=-1)[..., None]
         pdot = p * rate
-        return p, pdot, d, mean_d, np.sum(pdot * rate, axis=-1)
+        return p, pdot, np.sum(pdot * rate, axis=-1)
 
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
         """Self-information rates pdot/p = d - <d>_p."""
@@ -216,7 +211,7 @@ class Trajectory:
 
     def fisher_curve(self, rows=slice(None)) -> np.ndarray:
         """g_tt(t) = sum(pdot^2 / p) = sum(p * (d - <d>_p)^2)."""
-        return self.replicator(rows)[4]
+        return self.replicator(rows)[2]
 
 
 def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> IntegrationError:

@@ -18,6 +18,7 @@ from infodyn import rng
 from infodyn import sampling as smp
 from infodyn import theory as th
 from infodyn.simplex import fisher_information, shahshahani_distance_sq
+from conftest import index_at
 
 DT = 0.25
 STRIDE = 250  # DT in model-grid rows of step 1e-3
@@ -43,7 +44,7 @@ def desk_f3(desk_traj):
 
 def two_point_p(traj, t):
     """Distributions at t - DT/2 and t + DT/2, one row each."""
-    k = traj.index_at(t)
+    k = index_at(traj, t)
     return traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
 
 
@@ -86,7 +87,7 @@ def test_criterion_02_distance_variance():
 
 
 def test_criterion_03_fisher_bias(desk_traj):
-    g_tt = float(desk_traj.fisher_curve()[desk_traj.index_at(5.0)])
+    g_tt = float(desk_traj.fisher_curve()[index_at(desk_traj, 5.0)])
     started = time.perf_counter()
     devs = []
     for i, n in enumerate((10**4, 10**5)):
@@ -130,7 +131,7 @@ def test_criterion_04_second_order_bias():
 
 def test_criterion_05_fisher_variance(desk_traj):
     n, reps, t = 10**4, 2000, 2.0
-    g_tt = float(desk_traj.fisher_curve()[desk_traj.index_at(t)])
+    g_tt = float(desk_traj.fisher_curve()[index_at(desk_traj, t)])
     est = fisher_mc(desk_traj, t, n, reps, seed=505)
     _, var_th = th.fisher_prediction(g_tt, N_DOF, n, DT)
     rel = abs(est.std**2 - var_th) / var_th
@@ -140,7 +141,7 @@ def test_criterion_05_fisher_variance(desk_traj):
 
 def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
     n, reps, t = 10**4, 2000, 5.0
-    k = desk_traj.index_at(t)
+    k = index_at(desk_traj, t)
     g_tt = float(desk_traj.fisher_curve()[k])
     q = cl.aggregate(desk_traj.p(k), desk_f3)
     qdot = cl.aggregate(desk_traj.pdot(k), desk_f3)
@@ -164,7 +165,7 @@ def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
 
 def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     n, reps, t = 10**4, 1000, 5.0
-    k = desk_traj.index_at(t)
+    k = index_at(desk_traj, t)
     p = desk_traj.p(k)
     rate = desk_traj.info_rate_curve(k)
     q = cl.aggregate(p, desk_f3)
@@ -217,7 +218,7 @@ def test_criterion_08_exact_identities(desk_traj):
     ident = cl.Clustering(range(1, N_VARIANTS + 1))
     assert np.array_equal(smp.fisher_hat(cl.aggregate(counts, ident) / 800, DT),
                           smp.fisher_hat(counts / 800, DT))
-    k = desk_traj.index_at(4.0)
+    k = index_at(desk_traj, 4.0)
     p4, pdot4 = desk_traj.p(k), desk_traj.pdot(k)
     assert cl.clustered_fisher(p4, pdot4, ident) == fisher_information(p4, pdot4)
 
@@ -288,7 +289,7 @@ def test_criterion_10_conservation_and_step_independence(desk_traj):
 def test_criterion_11_elbow():
     traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 1e-3)
     feats = cl.kmeans_features(traj, STRIDE * np.arange(41))
-    k = traj.index_at(1.0)
+    k = index_at(traj, 1.0)
     p, pdot = traj.p(k), traj.pdot(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell)))
              for ell in range(4, 11)]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import filtering as flt
+from conftest import index_at
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -71,21 +72,21 @@ SHIPPED_DIGESTS = {
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
     "model_trajectory": {
-        "clustering.csv":
-            "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "fisher.csv":
             "1c4b129e8c9f81ddfeb34ed08712fdb725b6e7b7d455248aca666dbb5b5ea1d3",
         "manifest.json":
-            "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
+            "72bf0d16579131676370d00bb3da4b0ec9bf4e1c74157e8309bbf13c2ecf124f",
         "trajectory.csv":
-            "bcc137df92f804b9fcc3295d67a864c964ac8050c0bfccda99a1a2a0b1488db0",
+            "91a7e2b0d2f6c5141facf7f1cfa64a169a669843f7a1194eb94e7aaa116e9e17",
+        "variants.csv":
+            "d5895847812ed635f928a0e9b1c253f8b1f5b2b837f2be2bacb6fe22fd069fb2",
     },
 }
 
 
-# Shipped files that hold no model-derived or closed-form number; SAMPLED_DIGESTS
-# pins them whole.
-MODEL_FREE = {"clustering.csv", "elbow_summary.csv", "manifest.json"}
+# Shipped files that hold no model-derived or closed-form number (the rates
+# of variants.csv are set, not integrated); SAMPLED_DIGESTS pins them whole.
+MODEL_FREE = {"clustering.csv", "variants.csv", "elbow_summary.csv", "manifest.json"}
 
 # SHA-256 of the random half of each shipped output, from sampled_bytes: the
 # mc_* columns of each CSV, and the model-free files whole.  A declared
@@ -130,10 +131,10 @@ SAMPLED_DIGESTS = {
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
     "model_trajectory": {
-        "clustering.csv":
-            "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "manifest.json":
-            "cf425660d5aea4afaeb65c1bddb30b704838aec20db92393f544e431e2fedffd",
+            "72bf0d16579131676370d00bb3da4b0ec9bf4e1c74157e8309bbf13c2ecf124f",
+        "variants.csv":
+            "d5895847812ed635f928a0e9b1c253f8b1f5b2b837f2be2bacb6fe22fd069fb2",
     },
 }
 
@@ -506,17 +507,22 @@ class TestRunner:
         drift = traj.susceptible + traj.infected().sum(axis=1) + traj.recovered - 1.0
         assert np.max(np.abs(drift)) <= 4e-15
 
-    def test_integration_error_is_a_bad_dt(self, tmp_path, capsys, monkeypatch):
-        # a series step that misses its tolerance at every halving
+    @pytest.mark.parametrize("model, key", [("", "N"), ("groups = 2,3\n", "groups")],
+                             ids=["N", "groups"])
+    def test_integration_error_names_the_rates(self, tmp_path, capsys, monkeypatch, model, key):
+        # a series step that misses its tolerance at every halving: the rates
+        # set the series steps, so the error names the key of the rates
         monkeypatch.setattr(cli.dyn, "STEP_TOL", 1e-300)
         monkeypatch.setattr(cli.dyn, "MAX_HALVINGS", 0)
         out = tmp_path / "out"
-        cfg = write_cfg(tmp_path, "experiment = model-trajectory\nt_end = 2\n")
+        cfg = write_cfg(tmp_path, "experiment = model-trajectory\nt_end = 2\n" + model)
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad value for 'dt': series truncation estimate ")
-        assert err.endswith(" > 1e-300 at t=0, after 0 halvings of the series step 0.5 to 0.5 "
-                            "(the model grid step is dt/20)\n")
+        assert err.startswith(f"error: bad value for '{key}': the rates of its variants cannot "
+                              "be integrated, and 'dt' and 't_end' do not change the series "
+                              "steps: series truncation estimate ")
+        assert err.endswith(" > 1e-300 at t=0, after 0 halvings of the series step 0.5 "
+                            "to 0.5\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("exc, shown", [
@@ -699,8 +705,8 @@ class TestModelKeys:
             f"experiment = model-trajectory\nN = 1\ndt = {dt!r}\nt_end = {dt!r}\n"))
         assert got == dt
         assert traj.step == dt / 20
-        assert traj.index_at(dt / 2) == 10
-        assert traj.index_at(dt) == traj.times.size - 1 == 20
+        assert index_at(traj, dt / 2) == 10
+        assert index_at(traj, dt) == traj.times.size - 1 == 20
 
 
 # the sample size, replications and cluster count of a quick run, as far as
@@ -761,7 +767,7 @@ class TestExperiments:
         )
         out = tmp_path / "out"
         artifacts = cli.run(cfg, str(out))
-        assert set(artifacts) == {"trajectory.csv", "clustering.csv", "fisher.csv", "manifest.json"}
+        assert set(artifacts) == {"trajectory.csv", "variants.csv", "fisher.csv", "manifest.json"}
         fisher = np.loadtxt(out / "fisher.csv", delimiter=",", skiprows=1)
         assert np.all(fisher[:, 1] >= fisher[:, 2] - 1e-12)  # g_tt >= g_f
 
@@ -882,7 +888,7 @@ class TestExperiments:
                 cli._grid(*grid, dt, t0)
             return
         count = cli.dyn.grid_steps(traj.t_end - t0, dt) + 1
-        want = [traj.index_at(t0 + k * dt) for k in range(count)]
+        want = [index_at(traj, t0 + k * dt) for k in range(count)]
         assert cli._grid(*grid, dt, t0).tolist() == want
         assert cli._grid(*grid, dt, t0, 2).tolist() == want[:2]
 
@@ -1142,22 +1148,36 @@ class TestWriteCsv:
                 assert fh_got.read().splitlines() == fh_ref.read().splitlines()
 
     def test_model_trajectory(self, tmp_path):
+        # trajectory.csv holds t, S and p, and variants.csv the rates: the
+        # couplings d = gamma S - epsilon, their mean <d> = sum(p d) and the
+        # velocity pdot = p (d - <d>) rebuilt from the two files are the
+        # model's, bit for bit; fisher.csv is as the reference writer writes it
         text = "experiment = model-trajectory\nN = 99\n"
         cli.run(write_cfg(tmp_path, text), str(tmp_path / "out"))
         traj, _, grid, _ = cli._model(cli.parse_config(text), [3])
         f = cli.cl.kmeans(cli.cl.kmeans_features(traj, grid), 3)
         rows = slice(None, None, 2)
-        p, pdot, d, mean_d, g_tt = traj.replicator(rows)
-        header = (["t", "S"] + [f"{name}_{i}" for name in ("p", "pdot", "d")
-                                for i in range(1, 101)] + ["mean_d"])
-        table = np.column_stack((traj.times[rows], traj.susceptible[rows], p, pdot, d, mean_d))
-        reference_write_csv(tmp_path / "trajectory.csv", header, map(np.ndarray.tolist, table))
+        p, pdot, g_tt = traj.replicator(rows)
+        names = [f"p_{i}" for i in range(1, 101)]
+        table = np.genfromtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", names=True)
+        assert list(table.dtype.names) == ["t", "S", *names]
+        variants = np.genfromtxt(tmp_path / "out" / "variants.csv", delimiter=",", names=True)
+        assert list(variants.dtype.names) == ["mu", "gamma", "epsilon", "i0", "label"]
+        for name, want in (("mu", np.arange(1, 101)), ("gamma", traj.params.gamma),
+                           ("epsilon", traj.params.epsilon), ("i0", traj.params.i0),
+                           ("label", f.labels + 1)):
+            assert np.array_equal(variants[name], want), name
+        s, p_read = table["S"], np.column_stack([table[name] for name in names])
+        assert np.array_equal(table["t"], traj.times[rows])
+        assert np.array_equal(s, traj.susceptible[rows]) and np.array_equal(p_read, p)
+        d = variants["gamma"] * s[:, None] - variants["epsilon"]
+        rate = d - np.sum(p_read * d, axis=-1)[:, None]
+        assert np.array_equal(d, traj.couplings(rows))
+        assert np.array_equal(p_read * rate, pdot)
+        assert np.array_equal(np.sum(p_read * rate * rate, axis=-1), g_tt)
         reference_write_csv(tmp_path / "fisher.csv", ["t", "g_tt", "g_f"],
                             zip(traj.times[rows], g_tt, cli.cl.clustered_fisher(p, pdot, f)))
-        reference_write_csv(tmp_path / "clustering.csv", ["mu", "label"],
-                            enumerate((f.labels + 1).tolist(), start=1))
-        for name in ("trajectory.csv", "fisher.csv", "clustering.csv"):
-            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert (tmp_path / "out" / "fisher.csv").read_bytes() == (tmp_path / "fisher.csv").read_bytes()
 
     def test_mixed_cells(self, tmp_path):
         # a labelled table: a string, an integer and float columns

@@ -9,6 +9,7 @@ from infodyn import dynamics as dyn
 from infodyn import rng
 from infodyn import sampling as smp
 from infodyn.simplex import fisher_information
+from conftest import index_at
 
 
 def random_instance(gen, size):
@@ -280,7 +281,7 @@ class TestSufficiencyResiduals:
         traj = dyn.solve_sir(dyn.default_sir_params(6), 5.0, 1e-3)
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert cl.sufficiency_residuals(traj, f) > 1e-4
-        k = traj.index_at(1.0)
+        k = index_at(traj, 1.0)
         dg = cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f)
         assert dg > 0.0
 
@@ -361,7 +362,7 @@ class TestKmeans:
         feats = cl.kmeans_features(traj, np.arange(41) * 20)  # every 0.25
         assert len(np.unique(feats, axis=0)) == 6
         group = np.repeat(np.arange(6), groups)
-        k = traj.index_at(1.0)
+        k = index_at(traj, 1.0)
         for ell, labels in pinned.items():
             got = "".join("0123456789ab"[a] for a in cl.kmeans(feats, ell).labels)
             assert got == labels, ell

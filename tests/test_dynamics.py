@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import dynamics as dyn
+from conftest import index_at
 
 
 def reference_integrate_sir(params, t_end, step):
@@ -228,9 +229,8 @@ class TestIntegration:
             assert np.array_equal(accessor(slice(3, None, 7)), every[3::7]), name
         # the one evaluation gives each accessor's array, row by row as whole
         every = traj.replicator()
-        for name, whole in zip(("p", "pdot", "couplings"), every):
+        for name, whole in zip(("p", "pdot", "fisher_curve"), every):
             assert np.array_equal(whole, getattr(traj, name)()), name
-        assert np.array_equal(every[4], traj.fisher_curve())
         for part, whole in zip(traj.replicator(rows), every):
             assert np.array_equal(part, whole[rows])
         for part, whole in zip(traj.replicator(row), every):
@@ -431,7 +431,7 @@ class TestSolveSir:
             reference = mpmath.odefun(rates, 0, [mpmath.mpf(params.s0), 0, mpmath.mpf(params.r0)],
                                       degree=20)
             for t in (0.5, 1.0, 1.5, 2.0):
-                k = traj.index_at(t)
+                k = index_at(traj, t)
                 got = (traj.susceptible[k], traj.cumulative_susceptible[k], traj.recovered[k])
                 for name, value, want in zip("SXR", got, reference(t)):
                     assert abs(value - float(want)) <= 1e-13 * abs(float(want)), (t, name)
@@ -526,30 +526,29 @@ class TestCouplings:
 
     def test_mean_coupling_examples(self):
         # p = (0.25, 0.75) with couplings (4, 0), then equal couplings (2, 2)
-        params = dyn.SirParams([10.0, 2.0], [1.0, 1.0], 0.5, [0.125, 0.375], 0.0)
-        assert first_row(params).replicator(0)[3] == pytest.approx(1.0, rel=1e-15)
-        params = dyn.SirParams([6.0, 6.0], [1.0, 1.0], 0.5, [0.15, 0.35], 0.0)
-        assert first_row(params).replicator(0)[3] == pytest.approx(2.0, rel=1e-15)
+        for params, want in ((dyn.SirParams([10.0, 2.0], [1.0, 1.0], 0.5, [0.125, 0.375]), 1.0),
+                             (dyn.SirParams([6.0, 6.0], [1.0, 1.0], 0.5, [0.15, 0.35]), 2.0)):
+            traj = first_row(params)
+            assert np.dot(traj.p(0), traj.couplings(0)) == pytest.approx(want, rel=1e-15)
 
     def test_fisher_equals_coupling_variance_on_grid(self, desk_traj):
         g = desk_traj.fisher_curve()
-        d = desk_traj.couplings()
-        mean_d = desk_traj.replicator()[3]
-        var_d = np.sum(desk_traj.p() * (d - mean_d[:, None]) ** 2, axis=1)
+        p, d = desk_traj.p(), desk_traj.couplings()
+        var_d = np.sum(p * (d - np.sum(p * d, axis=1)[:, None]) ** 2, axis=1)
         assert np.all(g >= 0.0)
         mask = var_d > 1e-30
         assert np.max(np.abs(g[mask] / var_d[mask] - 1.0)) < 1e-10
 
     def test_weighted_rate_identity(self, desk_traj):
         # tangency written through couplings: sum p*(d - <d>) = 0
-        resid = np.sum(desk_traj.p() * (desk_traj.couplings()
-                                        - desk_traj.replicator()[3][:, None]), axis=1)
+        p, d = desk_traj.p(), desk_traj.couplings()
+        resid = np.sum(p * (d - np.sum(p * d, axis=1)[:, None]), axis=1)
         assert np.max(np.abs(resid)) < 1e-12
 
 
 class TestTrajectoryAt:
     def test_initial_condition_exact(self, desk_traj):
-        k = desk_traj.index_at(0.0)
+        k = index_at(desk_traj, 0.0)
         params = desk_traj.params
         expected = params.i0 / params.i0.sum()
         assert np.allclose(desk_traj.p(k), expected, atol=1e-15)
@@ -558,19 +557,19 @@ class TestTrajectoryAt:
     def test_off_grid_time_raises(self, desk_traj):
         step = desk_traj.step
         t_grid = 100 * step
-        assert desk_traj.index_at(t_grid) == 100
+        assert index_at(desk_traj, t_grid) == 100
         with pytest.raises(ValueError, match=r"time 0\.1004 is not a point of the grid "
                                              r"of step 0\.001$"):
-            desk_traj.index_at(t_grid + 0.4 * step)
+            index_at(desk_traj, t_grid + 0.4 * step)
 
     def test_velocity_is_tangent(self, desk_traj):
-        assert abs(desk_traj.pdot(desk_traj.index_at(3.21)).sum()) < 1e-10
+        assert abs(desk_traj.pdot(index_at(desk_traj, 3.21)).sum()) < 1e-10
 
     def test_out_of_range(self, desk_traj):
         with pytest.raises(ValueError, match="time 11.0 outside"):
-            desk_traj.index_at(11.0)
+            index_at(desk_traj, 11.0)
         with pytest.raises(ValueError, match="time -0.5 outside"):
-            desk_traj.index_at(-0.5)
+            index_at(desk_traj, -0.5)
 
 
 class TestCsvExport:
@@ -585,12 +584,9 @@ class TestCsvExport:
         traj = cli._model(cli.parse_config(text))[0]
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
-        names = [f"{name}_{i}" for name in ("p", "pdot", "d") for i in range(1, 6)]
-        assert header == ["t", "S"] + names + ["mean_d"]
-        rows = slice(None, None, 2)  # the default output_stride
-        expected = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows),
-                                    traj.pdot(rows), traj.couplings(rows),
-                                    traj.replicator(rows)[3]))
+        assert header == ["t", "S"] + [f"p_{i}" for i in range(1, 6)]
+        rows = slice(None, None, 2)  # every dt/10
+        expected = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows)))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, expected)  # 17 digits read back exactly
 
@@ -605,7 +601,8 @@ class TestCsvExport:
                   + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]
                   + ["mean_d"])
         rows = [[f"row_{k}", k, traj.times[k], traj.susceptible[k]] + list(traj.p(k))
-                + list(traj.pdot(k)) + list(traj.couplings(k)) + [traj.replicator(k)[3]]
+                + list(traj.pdot(k)) + list(traj.couplings(k))
+                + [np.dot(traj.p(k), traj.couplings(k))]
                 for k in range(0, traj.times.size, 7)]
         path = tmp_path / "fast.csv"
         cli.write_csv(path, header, zip(*rows))

@@ -12,6 +12,7 @@ from infodyn import rng
 from infodyn import sampling as smp
 from infodyn.clustering import Clustering, aggregate
 from infodyn.simplex import shahshahani_distance_sq
+from conftest import index_at
 
 DT = 0.25
 STRIDE = 250  # DT in rows of desk_traj, whose step is 1e-3
@@ -185,7 +186,7 @@ class TestFisherHat:
     def test_scaled_bias_law_mid_sample_size(self, desk_traj):
         # (MC mean - g_tt) * n dt^2 / (2N) is 1 at the middle sample size too
         n, dt, reps = 30000, 0.25, 300
-        k = desk_traj.index_at(5.0)
+        k = index_at(desk_traj, 5.0)
         p = desk_traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
         g_tt = float(desk_traj.fisher_curve()[k])
         est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps, 4242,

@@ -6,8 +6,9 @@ Imports infodyn from <root>/src, so the same script measures any checkout.
 Prints one JSON object of medians (and the raw samples):
 
 - `solve_sir` on the grouped model of six rate groups at M = 1000 and 10**5
-  variants, t_end = 10, step 0.0125 (dt = 0.25);
-- `kmeans_features` at M = 10**5 on the 41 sampling instants: traced
+  variants, at the 41 sampling instants 0, 0.25, ..., 10 (dt = 0.25,
+  t_end = 10);
+- `kmeans_features` at M = 10**5 on those 41 instants: traced
   (tracemalloc) peak;
 - an elbow-scan run at M = 10**5 (six groups, ell = 4..7), through
   `cli.run`: wall time, tracemalloc peak, and the ru_maxrss of a fresh
@@ -69,11 +70,11 @@ def in_process(repeats: int) -> dict:
         samples = []
         for _ in range(repeats):
             start = time.perf_counter()
-            traj = dyn.solve_sir(params, 10.0, 0.0125)
+            traj = dyn.solve_sir(params, np.arange(41) * 0.25)
             samples.append(time.perf_counter() - start)
         out[f"solve_sir_grouped_M{m}_s"] = samples
     tracemalloc.start()
-    cl.kmeans_features(traj, np.arange(41) * 20)  # every dt = 0.25
+    cl.kmeans_features(traj, slice(None))
     out["kmeans_features_M100000_traced_peak_mb"] = [tracemalloc.get_traced_memory()[1] / 2 ** 20]
     tracemalloc.stop()
     return out

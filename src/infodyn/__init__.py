@@ -23,14 +23,12 @@ from .sampling import (
 from .clustering import (
     Clustering,
     clustered_fisher,
-    delta_g_coupling_form,
     delta_g_prob_form,
     elbow_select,
     kmeans,
     kmeans_features,
     lloyd,
     principal_scores,
-    sufficiency_residuals,
 )
 from .theory import (
     distance_moments,

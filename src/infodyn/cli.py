@@ -321,26 +321,20 @@ def _scan_counts(text: str) -> list[int]:
     return values
 
 
-def _model(cfg, ells=(), t0=0.0, count=None, t=None, pair=False) -> tuple:
-    """Parse the model keys, check each count of `ells` (the value of `ell`)
-    against the variant count, locate `t` (with `pair`, t - dt/2 and t + dt/2,
-    10 rows away, too) and the sampling instants (_grid) on the model grid of
-    step dt/20, which dt and t_end alone fix; only then integrate the model.
-    Returns (trajectory, dt, rows of the instants, row of t or None)."""
+def _model(cfg, ells=()) -> tuple:
+    """Parse the model keys and check each count of `ells` (the value of
+    `ell`) against the variant count.  Returns (params, dt, t_end)."""
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
-    step = dt / 20.0
-    if step < sys.float_info.min:  # a subnormal step is too coarse to keep dt 20 steps
-        raise ConfigError(f"bad value for 'dt': the model grid step dt/20 = {step:g} is below "
-                          f"the smallest normal float {sys.float_info.min:g}")
-    # solve_sir keeps four float64 per grid point: S, X, R and sum(I)
-    if 4.0 * (t_end / step + 1.0) > np.iinfo(np.intp).max / 8:
-        raise ConfigError(f"bad value for 't_end' or 'dt': t_end = {t_end:g} is "
-                          f"{t_end / step:.3g} fine steps of {step:g}, more than an array can hold")
-    try:
-        n_steps = dyn.grid_steps(t_end, step)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 't_end': {exc}") from exc
+    # model-trajectory's every dt/10 is the densest grid of float64 times a
+    # run builds (and dt/10 may underflow to 0); a dt below the default is
+    # taken for the fault, else t_end
+    step = dt / 10.0
+    points = t_end / step if step else math.inf
+    if not points < np.iinfo(np.intp).max / 8:
+        key = "dt" if dt < 0.25 else "t_end"
+        raise ConfigError(f"bad value for {key!r}: t_end = {t_end:g} is {points:.3g} steps "
+                          f"dt/10 = {step:g}, more times than an array can hold")
     if "groups" in cfg:
         if "N" in cfg:
             raise ConfigError("keys 'groups' and 'N' cannot both be set: "
@@ -353,39 +347,15 @@ def _model(cfg, ells=(), t0=0.0, count=None, t=None, pair=False) -> tuple:
         if ell > n_var:
             raise ConfigError(f"bad value for 'ell': {ell} clusters for {n_var} variants "
                               f"(need 1 <= n_clusters <= {n_var})")
-    k = None if t is None else _row(step, n_steps, t, "t")
-    if pair and not 10 <= k <= n_steps - 10:
-        raise ConfigError(f"bad value for 't': t - dt/2 = {t - dt / 2.0:g} and t + dt/2 = "
-                          f"{t + dt / 2.0:g} must lie in [0, t_end = {n_steps * step:g}]")
-    rows = _grid(step, n_steps, dt, t0, count)
-    try:
-        return dyn.solve_sir(params, t_end, step), dt, rows, k
-    except dyn.IntegrationError as exc:
-        key = "groups" if "groups" in cfg else "N"
-        raise ConfigError(f"bad value for {key!r}: the rates of its variants cannot be "
-                          f"integrated, and 'dt' and 't_end' do not change the series steps: "
-                          f"{exc}") from exc
+    return params, dt, t_end
 
 
-def _row(step: float, n_steps: int, t: float, key: str) -> int:
-    """Row of the time `t`, the value of `key`, on the grid 0, step, ..., n_steps
-    * step; a time off the grid or outside it raises a ConfigError naming `key`."""
-    try:
-        return dyn.grid_index(t, step, n_steps)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {key} must lie on the model grid "
-                          f"({exc})") from exc
-
-
-def _grid(step: float, n_steps: int, dt: float, t0: float = 0.0, count: int | None = None):
-    """Rows of the sampling instants t0, t0 + dt, ... on the grid 0, step, ...,
-    n_steps * step, dt a whole number of steps: `count` of them or, by
-    default, every one up to the last row; a larger `count` is an error."""
-    stride = round(dt / step)
-    t_end = n_steps * step
-    first = _row(step, n_steps, t0, "t0")
-    fits = (n_steps - first) // stride + 1
-    if fits < 2 and first == 0:
+def _instants(dt: float, t_end: float, t0: float = 0.0, count: int | None = None):
+    """The sampling instants t0 + j dt: `count` of them or, by default, every
+    one up to t_end (within a relative 1e-9 of the span); fewer than two, or
+    a larger `count`, is an error."""
+    fits = math.floor((t_end - t0) / dt * (1.0 + 1e-9)) + 1
+    if fits < 2 and t0 == 0.0:
         raise ConfigError(f"bad value for 't_end': {t_end} is less than one sampling "
                           f"step dt = {dt}")
     if fits < 2:
@@ -397,7 +367,32 @@ def _grid(step: float, n_steps: int, dt: float, t0: float = 0.0, count: int | No
         raise ConfigError(f"bad value for 'count': {count} instants from t0 = {t0} at step "
                           f"dt = {dt} end at {t0 + (count - 1) * dt}, after t_end = "
                           f"{t_end} (at most {fits} fit)")
-    return first + stride * np.arange(count)
+    return t0 + dt * np.arange(count)
+
+
+def _inside(t_end: float, times, what: str) -> None:
+    """Refuse the key 't' unless `times`, which `what` names, lie in [0,
+    t_end], within a relative 1e-9 at t_end."""
+    if not (0.0 <= min(times) and max(times) <= t_end * (1.0 + 1e-9)):
+        raise ConfigError(f"bad value for 't': {what} must lie in [0, t_end = {t_end:g}]")
+
+
+def _solve(cfg, params, *times) -> tuple:
+    """One solve_sir call at all of `times`, each a time or an array of them.
+    Returns the trajectory and, for each entry, its row or the slice of its
+    rows.  An IntegrationError names the key of the rates."""
+    rows, start = [], 0
+    for t in times:
+        size = np.size(t)
+        rows.append(slice(start, start + size) if np.ndim(t) else start)
+        start += size
+    try:
+        return dyn.solve_sir(params, np.hstack(times)), rows
+    except dyn.IntegrationError as exc:
+        key = "groups" if "groups" in cfg else "N"
+        raise ConfigError(f"bad value for {key!r}: the rates of its variants cannot be "
+                          f"integrated, and 'dt' and 't_end' do not change the series steps: "
+                          f"{exc}") from exc
 
 
 def _clustering_table(f: cl.Clustering) -> tuple:
@@ -445,10 +440,11 @@ def run_distance_moments(cfg, seed):
 @experiment("model-trajectory", "ell", *_MODEL_KEYS)
 def run_model_trajectory(cfg, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, _, rows, _ = _model(cfg, [ell])
-    f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
-    rows = slice(None, None, 2)  # every dt/10
-    m, params = traj.n_variants, traj.params
+    params, dt, t_end = _model(cfg, [ell])
+    traj, (grid, rows) = _solve(cfg, params, _instants(dt, t_end),
+                                _instants(dt / 10.0, t_end))  # every dt/10
+    f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
+    m = params.n_variants
     p, pdot, g_tt = traj.replicator(rows)
     times = traj.times[rows]
     # the state alone: with the rates of variants.csv, d = gamma S - epsilon,
@@ -468,13 +464,17 @@ def run_fisher_bias_vs_t(cfg, seed):
     t0 = _get(cfg, "t0", 0.0, _time)
     count = _get(cfg, "count", None, _instant_count)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, rows, _ = _model(cfg, [ell], t0=t0, count=count)
-    f = cl.kmeans(cl.kmeans_features(traj, _grid(traj.step, traj.times.size - 1, dt)), ell)
-    p, m = traj.p(rows), traj.n_variants
-    mid = (rows[:-1] + rows[1:]) // 2  # dt/2 is 10 grid steps
+    params, dt, t_end = _model(cfg, [ell])
+    grid = _instants(dt, t_end)
+    instants = _instants(dt, t_end, t0, count)
+    traj, (grid, rows, mid) = _solve(cfg, params, grid, instants, instants[:-1] + dt / 2.0)
+    f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
+    p, m = traj.p(rows), params.n_variants
+    p_mid, pdot_mid, g_tt = traj.replicator(mid)
+    times, size = traj.times[mid], instants.size - 1
     # the variant rows (ell = M) over g_tt, then the cluster rows over g_f
-    parts = ((slice(mid.size), m, traj.fisher_curve(mid)),
-             (slice(mid.size, None), ell, cl.clustered_fisher(traj.p(mid), traj.pdot(mid), f)))
+    parts = ((slice(size), m, g_tt),
+             (slice(size, None), ell, cl.clustered_fisher(p_mid, pdot_mid, f)))
     blocks = []
     for i, n in enumerate(ns):
         # one block per n: the Fisher information of the M variants and of
@@ -484,7 +484,7 @@ def run_fisher_bias_vs_t(cfg, seed):
                                       smp.fisher_hat(cl.aggregate(c, f) / n, dt)), axis=-1),
             reps, rng.derive_key(seed, i), p, n)
         for part, n_cats, g in parts:
-            blocks.append([traj.times[mid], np.full(mid.size, n), np.full(mid.size, n_cats),
+            blocks.append([times, np.full(size, n), np.full(size, n_cats),
                            *_mc_columns(est, *th.fisher_prediction(g, n_cats - 1, n, dt), part)])
     return {"fisher_bias_vs_t.csv": _mc_table(["t", "n", "ell"], blocks)}
 
@@ -494,12 +494,17 @@ def run_info_rate_moments(cfg, seed):
     ns = _get(cfg, "n", [1000, 10000, 100000], _int_list)
     reps = _get(cfg, "replications", 1000, _replications)
     ell = _get(cfg, "ell", 3, _cluster_count)
-    traj, dt, rows, k = _model(cfg, [ell], t=_get(cfg, "t", 5.0, _time), pair=True)
-    f = cl.kmeans(cl.kmeans_features(traj, rows), ell)
-    p, m = traj.p(k), traj.n_variants
+    t = _get(cfg, "t", 5.0, _time)
+    params, dt, t_end = _model(cfg, [ell])
+    grid = _instants(dt, t_end)
+    pair = [t - dt / 2.0, t + dt / 2.0]
+    _inside(t_end, pair, f"t - dt/2 = {pair[0]:g} and t + dt/2 = {pair[1]:g}")
+    traj, (grid, k, ends) = _solve(cfg, params, grid, t, pair)
+    f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
+    p, m = traj.p(k), params.n_variants
     q, qdot = cl.aggregate(p, f), cl.aggregate(traj.pdot(k), f)
     rate, clu_rate = traj.info_rate_curve(k), self_information_rate(q, qdot)
-    p2 = traj.p(np.array([k - 10, k + 10]))  # at t - dt/2 and t + dt/2
+    p2 = traj.p(ends)  # at t - dt/2 and t + dt/2
     variants, clusters = [], []
     for i, n in enumerate(ns):
         # one block per n: the rates of the M variants and of the ell
@@ -526,28 +531,33 @@ def run_filtering_comparison(cfg, seed):
         raise ConfigError(f"bad value for 'count': {count} sampling instants do not exceed the "
                           f"Gaussian kernel's half width {flt.DEFAULT_HALF_WIDTH}")
     kernel = flt.gaussian_kernel()
-    traj, dt, rows, _ = _model(cfg, t0=t0, count=count)
+    params, dt, t_end = _model(cfg)
+    instants = _instants(dt, t_end, t0, count)
+    traj, (rows, mid) = _solve(cfg, params, instants, instants[:-1] + dt / 2.0)
     counts = rng.sample_block(traj.p(rows), n,
-                              rng.derive_key(seed, np.arange(rows.size, dtype=np.uint64)))
-    true_rates = traj.info_rate_curve((rows[:-1] + rows[1:]) // 2)
+                              rng.derive_key(seed, np.arange(count, dtype=np.uint64)))
+    true_rates = traj.info_rate_curve(mid)
     phat = counts / n
     raw = smp.info_rate_hat(phat, dt)
     filt = smp.info_rate_hat(flt.filter_probs(phat, kernel), dt)
     rmse_raw = np.sqrt(np.mean((raw - true_rates) ** 2, axis=0))
     rmse_filt = np.sqrt(np.mean((filt - true_rates) ** 2, axis=0))
     return {"filtering_rmse.csv": (["mu", "rmse_raw", "rmse_filtered"],
-                                   [np.arange(1, traj.n_variants + 1), rmse_raw, rmse_filt])}
+                                   [np.arange(1, params.n_variants + 1), rmse_raw, rmse_filt])}
 
 
 @experiment("elbow-scan", "t", "ell", *_MODEL_KEYS)
 def run_elbow_scan(cfg, seed):
     if not cfg.keys() & {"groups", "N"}:
         cfg = dict(cfg, groups="9,9,8,8,8,8")
-    t_eval = _get(cfg, "t", 1.0, _time)
+    t = _get(cfg, "t", 1.0, _time)
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
-    traj, _, rows, k_eval = _model(cfg, ells, t=t_eval)
-    scores = cl.principal_scores(cl.kmeans_features(traj, rows))
-    p, pdot = traj.p(k_eval), traj.pdot(k_eval)
+    params, dt, t_end = _model(cfg, ells)
+    grid = _instants(dt, t_end)
+    _inside(t_end, [t], f"t = {t:g}")
+    traj, (grid, k) = _solve(cfg, params, grid, t)
+    scores = cl.principal_scores(cl.kmeans_features(traj, grid))
+    p, pdot = traj.p(k), traj.pdot(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.lloyd(scores, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
     return {"elbow_curve.csv": (["ell", "delta_g"], zip(*curve)),
@@ -574,7 +584,12 @@ def run(config_path, outdir, seed_override=None) -> list[str]:
                                  "which is not a directory")
     with open(config_path, "rb") as fh:
         raw = fh.read()
-    cfg = parse_config(raw.decode("utf-8-sig"))  # a leading byte-order mark is skipped
+    try:
+        text = raw.decode().removeprefix("\ufeff")  # a leading byte-order mark is skipped
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {config_path!r} is not UTF-8: byte {exc.start} "
+                          f"(0x{raw[exc.start]:02x}) {exc.reason}") from exc
+    cfg = parse_config(text)
     name = cfg["experiment"]
     if name not in EXPERIMENTS:
         raise ConfigError(
@@ -620,7 +635,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory ({str(exc) or 'MemoryError'}); the variants (N, groups) "
-              f"and the model grid (t_end / dt) set what a run holds", file=sys.stderr)
+              f"and the number of times (t_end / dt) set what a run holds", file=sys.stderr)
         return 2
     for name in artifacts:
         print(os.path.join(args.out, name))

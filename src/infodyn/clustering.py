@@ -90,35 +90,10 @@ def delta_g_prob_form(p, pdot, f: Clustering) -> np.ndarray:
     return np.sum(q * aggregate(r * dev * dev, f), axis=-1)
 
 
-def delta_g_coupling_form(p, d, f: Clustering) -> np.ndarray:
-    """Information loss as the cluster-averaged variance of the couplings."""
-    p = require_interior(p)
-    d = np.asarray(d, dtype=float)
-    f.check_size(d.shape[-1])
-    q, r = _shares(p, f)
-    dev = d - aggregate(r * d, f)[..., f.labels]
-    return np.sum(q * aggregate(r * dev * dev, f), axis=-1)
-
-
-def sufficiency_residuals(traj, f: Clustering) -> float:
-    """Max |d/dt (p_mu / q_{f(mu)})| over the grid.
-
-    Vanishing residuals characterise a sufficient clustering: the shares
-    inside every cluster are frozen in time.  The derivative is exact: with
-    the replicator velocity pdot = p (d - <d>_p), the share r_mu =
-    p_mu / q_a of variant mu in its cluster a moves as
-
-        dr_mu/dt = r_mu (d_mu - sum_{nu in a} r_nu d_nu).
-    """
-    d = traj.couplings()
-    _, r = _shares(traj.p(), f)
-    return float(np.max(np.abs(r * (d - aggregate(r * d, f)[:, f.labels]))))
-
-
 def kmeans_features(traj, rows) -> np.ndarray:
-    """Per-variant feature rows: information rates at an array of model-grid
-    rows; sampled or filtered rate rows can be passed to kmeans directly
-    instead.
+    """Per-variant feature rows: information rates at the rows of a model
+    trajectory; sampled or filtered rate rows can be passed to kmeans
+    directly instead.
 
     The model's features have rank at most 2 once centered.  Row mu is
     gamma_mu S_k - epsilon_mu - <d>_k over the rows k, and the shift <d>_k is

@@ -32,9 +32,10 @@ automatic differentiation (Jorba and Zou 2005, Exp. Math. 14, 99).  Along
 the curve the exponents log I are affine in X, so one exponential per
 series step gives I at its start, and the recurrences of I' = I * (gamma *
 S - epsilon) every further Taylor coefficient of I, S, X and R.  The series
-steps do not depend on the grid: a grid step longer than a series step
-spans several, and a model whose rates need more than MAX_HALVINGS
-halvings of the series step fails at any grid step.
+steps do not depend on the times a caller asks for: the state at a time is
+a function of the rates and that time alone, and a model whose rates need
+more than MAX_HALVINGS halvings of the series step fails whatever times
+are asked for.
 """
 
 from __future__ import annotations
@@ -133,14 +134,14 @@ def grouped_sir_params(group_sizes) -> SirParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Continuous model on a uniform fine grid.
+    """Continuous model at the times a caller asked for.
 
-    Stores one value per grid point of S, X (the integral of S), R and the
-    total infected fraction sum(I); all arrays are read-only.  The
-    per-variant quantities are evaluated from them for the fine-grid
-    ``rows`` a caller asks for: an index, an index array or a slice, all
-    rows by default.  The result has one row of variants per requested
-    row, or is a single row for an integer index.
+    Stores one value per time of S, X (the integral of S), R and the total
+    infected fraction sum(I); all arrays are read-only.  The per-variant
+    quantities are evaluated from them for the ``rows`` a caller asks for:
+    an index, an index array or a slice, all rows by default.  The result
+    has one row of variants per requested row, or is a single row for an
+    integer index.
     """
 
     times: np.ndarray
@@ -154,14 +155,6 @@ class Trajectory:
         for arr in (self.times, self.susceptible, self.cumulative_susceptible,
                     self.recovered, self.total_infected):
             arr.flags.writeable = False
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
     @property
     def n_variants(self) -> int:
@@ -214,9 +207,17 @@ class Trajectory:
         return self.replicator(rows)[2]
 
 
-def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> IntegrationError:
-    """The error for grid point k, whose state failed a check."""
-    where = f"at step {k}, t={t:g}"
+def _valid(states) -> np.ndarray:
+    """Whether each row (S, X, R, sum(I)) is finite, has S in [0, 1] and
+    S + sum(I) + R within CONSERVATION_TOL of 1."""
+    s, x, r, total = np.asarray(states).T
+    return ((0.0 <= s) & (s <= 1.0) & np.isfinite(x)
+            & (np.abs(s + total + r - 1.0) <= CONSERVATION_TOL))
+
+
+def _failure(t: float, s: float, x: float, r: float, total: float) -> IntegrationError:
+    """The error for the time t, whose state failed a check of _valid."""
+    where = f"at t={t:g}"
     if not all(math.isfinite(v) for v in (s, x, r, total)):
         return IntegrationError(
             f"non-finite state (S={s}, X={x}, R={r}, infected {total}) {where}")
@@ -225,31 +226,25 @@ def _failure(k: int, t: float, s: float, x: float, r: float, total: float) -> In
     return IntegrationError(f"conservation drift {abs(s + total + r - 1.0):.3e} {where}")
 
 
-def grid_steps(t_end: float, step: float) -> int:
-    """Steps of the grid 0, step, 2 step, ... up to its last point not after
-    t_end (within a relative 1e-9, so that rounding in t_end / step does not
-    drop a point)."""
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    if not 0.0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
-    n_steps = math.floor(t_end / step * (1.0 + 1e-9))
-    if n_steps < 1:
-        raise ValueError(f"t_end = {t_end:g} is shorter than one step of {step:g}")
-    return n_steps
-
-
-def grid_index(t: float, step: float, n_steps: int) -> int:
-    """Index of the time t on the grid 0, step, ..., n_steps * step, known
-    before it is integrated; raises for a time outside the grid or more than
-    1e-9 steps from a grid point."""
-    t, steps = float(t), float(t) / step
-    if not 0.0 <= steps <= n_steps + 1e-9:
-        raise ValueError(f"time {t} outside trajectory domain [0, {n_steps * step}]")
-    idx = round(steps)
-    if abs(steps - idx) > 1e-9:
-        raise ValueError(f"time {t} is not a point of the grid of step {step:g}")
-    return idx
+def _states(times, starts, polys) -> np.ndarray:
+    """The (S, X, R, sum(I)) rows at `times`: each time in the first series
+    step [starts[j], starts[j + 1]] that holds it, the last step ending at
+    or after max(times), by Horner's rule on the step's polynomials polys[j]
+    at t - starts[j].  Every operation is elementwise, so a row rounds as it
+    would alone.  The earliest time whose state fails a check of _valid
+    raises IntegrationError naming it."""
+    step = np.searchsorted(starts[1:], times)
+    offset = (times - starts[step])[:, None]
+    states = polys[step, -1]
+    for k in range(SERIES_ORDER - 2, -1, -1):
+        states *= offset
+        states += polys[step, k]
+    ok = _valid(states)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        first = bad[np.argmin(times[bad])]
+        raise _failure(times[first], *states[first].tolist())
+    return states
 
 
 def rate_rows(params: SirParams) -> tuple:
@@ -266,23 +261,25 @@ def rate_rows(params: SirParams) -> tuple:
             params.epsilon[first[order]])
 
 
-def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
-    """Taylor-series solution of the reduced (S, X, R) system on the uniform
-    grid 0, step, 2 step, ..., up to the last point not after t_end.
+def solve_sir(params: SirParams, times) -> Trajectory:
+    """Taylor-series solution of the reduced (S, X, R) system at `times`, a
+    1-d array of finite times >= 0 in any order: row i of the trajectory is
+    the state at times[i], which depends on params and times[i] alone, bit
+    for bit.
 
     The sums over variants run over the rows of rate_rows.  Series steps of
-    length h run from t = 0 whatever the grid.  At the start t0 of each, one
-    exponential gives the rows' I[0] = exp(log i0 + gamma X - epsilon t0),
-    and I' = I (gamma S - epsilon) the further coefficients of (t - t0)^k,
-    P = SERIES_ORDER of each:
+    length h run from t = 0 until one reaches max(times).  At the start t0 of
+    each, one exponential gives the rows' I[0] = exp(log i0 + gamma X -
+    epsilon t0), and I' = I (gamma S - epsilon) the further coefficients of
+    (t - t0)^k, P = SERIES_ORDER of each:
 
         J[k] = sum_i S[i] I[k-i]          I[k+1] = (gamma J[k] - epsilon I[k]) / (k+1)
         S[k+1] = -gamma . J[k] / (k+1)    X[k+1] = S[k] / (k+1)
         R[k+1] = epsilon . I[k] / (k+1)
 
-    The polynomials give the state at every grid point in [t0, t0 + h] and
-    at t0 + h, where the next step starts.  Their last terms estimate the
-    truncation error; to first order
+    The polynomials give the state at t0 + h, where the next step starts, and
+    at every time asked for in [t0, t0 + h] (_states).  Their last terms
+    estimate the truncation error; to first order
 
         est = (ptp(gamma) |X[P-1]| + max(gamma) |S[P-1]| + |sum I[P-1]|) h^(P-1)
 
@@ -290,13 +287,19 @@ def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     last term being all there is when gamma is 0.  While est > STEP_TOL, h is
     halved, for this step and the later ones; an estimate still above it
     after MAX_HALVINGS halvings raises IntegrationError naming it, h and t0.
-    The first grid point with a non-finite state, S outside [0, 1], or
-    S + sum(I) + R off 1 by more than CONSERVATION_TOL raises
-    IntegrationError naming its step and t.  Nothing depends on t_end but
-    the number of rows: a shorter t_end gives the first rows of a longer
-    one, bit for bit.
+    A time with a non-finite state, S outside [0, 1], or S + sum(I) + R off 1
+    by more than CONSERVATION_TOL raises IntegrationError naming it; the
+    earliest such time asked for, or else the end of the first series step
+    that fails a check before max(times).
     """
-    n_steps = grid_steps(t_end, step)
+    times = np.array(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"times must be a non-empty 1-d array, got shape {times.shape}")
+    finite = (0.0 <= times) & (times < math.inf)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"times[{bad}] = {times[bad]} is not a finite time of at least 0")
+    t_max = float(times.max())
     log_i0, gamma, epsilon = rate_rows(params)
     exponents = np.column_stack((log_i0, gamma, -epsilon))
     weights = np.column_stack((epsilon, np.ones_like(gamma)))
@@ -309,11 +312,11 @@ def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
     coeffs = np.empty((SERIES_ORDER, 4))  # the S, X, R and sum(I) coefficients
     s_c, x_c, r_c, total_c = coeffs.T
 
-    states = np.empty((n_steps + 1, 4))  # (S, X, R, sum(I)) at each grid point
+    starts, polys = [], []  # each series step's t0 and coefficients
     s, x, r = params.s0, 0.0, params.r0
-    t0, h, halvings, k = 0.0, SERIES_STEP, 0, 0
+    t0, h, halvings = 0.0, SERIES_STEP, 0
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
-        while k <= n_steps:
+        while True:
             np.exp(exponents.dot((1.0, x, t0)), out=infected[0])
             s_c[0], x_c[0], r_c[0] = s, x, r
             for j in range(SERIES_ORDER - 1):
@@ -333,20 +336,16 @@ def solve_sir(params: SirParams, t_end: float, step: float) -> Trajectory:
                         f"to {h:g}")
                 h, halvings = 0.5 * h, halvings + 1
                 continue
-            # every grid point in [t0, t0 + h], also after t_end, so that no
-            # value depends on t_end
-            stop = math.floor((t0 + h) / step * (1.0 + 1e-12))
-            if stop >= k:
-                values = (np.arange(k, stop + 1) * step - t0)[:, None] ** powers @ coeffs
-                values = values[:n_steps + 1 - k]
-                s_v, x_v, r_v, total_v = values.T
-                ok = ((0.0 <= s_v) & (s_v <= 1.0) & np.isfinite(x_v)
-                      & (np.abs(s_v + total_v + r_v - 1.0) <= CONSERVATION_TOL))
-                if not ok.all():
-                    bad = int(np.argmin(ok))
-                    raise _failure(k + bad, (k + bad) * step, *values[bad].tolist())
-                states[k:k + len(values)] = values
-                k = stop + 1
-            s, x, r, _ = (h ** powers @ coeffs).tolist()
+            starts.append(t0)
+            polys.append(coeffs.copy())
+            end = h ** powers @ coeffs
             t0 += h
-    return Trajectory(np.arange(n_steps + 1) * step, *states.T, params)
+            if t0 >= t_max or not _valid(end):
+                break
+            s, x, r, _ = end.tolist()
+        starts.append(t0)
+        starts, polys = np.array(starts), np.array(polys)
+        if t0 < t_max:  # the curve fails a check at t0, before max(times)
+            _states(times[times <= t0], starts, polys)
+            raise _failure(t0, *end.tolist())
+        return Trajectory(times, *_states(times, starts, polys).T, params)

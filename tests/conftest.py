@@ -1,7 +1,35 @@
-from infodyn import dynamics as dyn
+import numpy as np
+
+from infodyn import clustering as cl
+from infodyn.simplex import require_interior
 
 
-def index_at(traj, t: float) -> int:
-    """Row of the grid time t on the trajectory's model grid, by the rule of
-    dyn.grid_index that the runner uses."""
-    return dyn.grid_index(t, traj.step, traj.times.size - 1)
+def grid(t_end: float, step: float) -> np.ndarray:
+    """The times 0, step, 2 step, ..., k step, up to the last not after t_end."""
+    return np.arange(int(round(t_end / step)) + 1) * step
+
+
+def delta_g_coupling_form(p, d, f: cl.Clustering) -> np.ndarray:
+    """Information loss as the cluster-averaged variance of the couplings:
+    the coupling form of `cl.delta_g_prob_form`, its reference."""
+    p = require_interior(p)
+    d = np.asarray(d, dtype=float)
+    f.check_size(d.shape[-1])
+    q, r = cl._shares(p, f)
+    dev = d - cl.aggregate(r * d, f)[..., f.labels]
+    return np.sum(q * cl.aggregate(r * dev * dev, f), axis=-1)
+
+
+def sufficiency_residuals(traj, f: cl.Clustering) -> float:
+    """Max |d/dt (p_mu / q_{f(mu)})| over the rows of a trajectory.
+
+    Vanishing residuals characterise a sufficient clustering: the shares
+    inside every cluster are frozen in time.  The derivative is exact: with
+    the replicator velocity pdot = p (d - <d>_p), the share r_mu =
+    p_mu / q_a of variant mu in its cluster a moves as
+
+        dr_mu/dt = r_mu (d_mu - sum_{nu in a} r_nu d_nu).
+    """
+    d = traj.couplings()
+    _, r = cl._shares(traj.p(), f)
+    return float(np.max(np.abs(r * (d - cl.aggregate(r * d, f)[:, f.labels]))))

@@ -18,10 +18,11 @@ from infodyn import rng
 from infodyn import sampling as smp
 from infodyn import theory as th
 from infodyn.simplex import fisher_information, shahshahani_distance_sq
-from conftest import index_at
+from conftest import delta_g_coupling_form, grid, sufficiency_residuals
 
 DT = 0.25
-STRIDE = 250  # DT in model-grid rows of step 1e-3
+STEP = 1e-3  # of the desk grid, the times of the desk trajectory
+STRIDE = 250  # DT in rows of the desk grid
 N_VARIANTS = 10
 N_DOF = N_VARIANTS - 1
 
@@ -34,7 +35,7 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def desk_traj():
-    return dyn.solve_sir(dyn.default_sir_params(N_VARIANTS), 10.0, 1e-3)
+    return dyn.solve_sir(dyn.default_sir_params(N_VARIANTS), grid(10.0, STEP))
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +43,19 @@ def desk_f3(desk_traj):
     return cl.kmeans(cl.kmeans_features(desk_traj, STRIDE * np.arange(41)), 3)
 
 
+def row(t):
+    """The row of the time t of the desk grid."""
+    return round(t / STEP)
+
+
 def two_point_p(traj, t):
     """Distributions at t - DT/2 and t + DT/2, one row each."""
-    k = index_at(traj, t)
+    k = row(t)
     return traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
 
 
 def sample_grid(traj, rows, n, seed):
-    """Counts at the model-grid rows, the k-th from the sub-stream (seed, k)."""
+    """Counts at the trajectory's rows, the k-th from the sub-stream (seed, k)."""
     return rng.sample_block(traj.p(rows), n,
                             rng.derive_key(seed, np.arange(len(rows), dtype=np.uint64)))
 
@@ -87,7 +93,7 @@ def test_criterion_02_distance_variance():
 
 
 def test_criterion_03_fisher_bias(desk_traj):
-    g_tt = float(desk_traj.fisher_curve()[index_at(desk_traj, 5.0)])
+    g_tt = float(desk_traj.fisher_curve()[row(5.0)])
     started = time.perf_counter()
     devs = []
     for i, n in enumerate((10**4, 10**5)):
@@ -131,7 +137,7 @@ def test_criterion_04_second_order_bias():
 
 def test_criterion_05_fisher_variance(desk_traj):
     n, reps, t = 10**4, 2000, 2.0
-    g_tt = float(desk_traj.fisher_curve()[index_at(desk_traj, t)])
+    g_tt = float(desk_traj.fisher_curve()[row(t)])
     est = fisher_mc(desk_traj, t, n, reps, seed=505)
     _, var_th = th.fisher_prediction(g_tt, N_DOF, n, DT)
     rel = abs(est.std**2 - var_th) / var_th
@@ -141,7 +147,7 @@ def test_criterion_05_fisher_variance(desk_traj):
 
 def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
     n, reps, t = 10**4, 2000, 5.0
-    k = index_at(desk_traj, t)
+    k = row(t)
     g_tt = float(desk_traj.fisher_curve()[k])
     q = cl.aggregate(desk_traj.p(k), desk_f3)
     qdot = cl.aggregate(desk_traj.pdot(k), desk_f3)
@@ -165,7 +171,7 @@ def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
 
 def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     n, reps, t = 10**4, 1000, 5.0
-    k = index_at(desk_traj, t)
+    k = row(t)
     p = desk_traj.p(k)
     rate = desk_traj.info_rate_curve(k)
     q = cl.aggregate(p, desk_f3)
@@ -205,7 +211,7 @@ def test_criterion_08_exact_identities(desk_traj):
         g = fisher_information(p, pdot)
         direct = g - cl.clustered_fisher(p, pdot, f)
         dgp = cl.delta_g_prob_form(p, pdot, f)
-        dgc = cl.delta_g_coupling_form(p, d, f)
+        dgc = delta_g_coupling_form(p, d, f)
         assert dgp >= 0.0 and dgc >= 0.0
         tol = 1e-10 * abs(direct) + 8e-16 * g
         worst = max(worst, abs(dgp - direct) / (tol + 1e-300) * 1e-10,
@@ -218,7 +224,7 @@ def test_criterion_08_exact_identities(desk_traj):
     ident = cl.Clustering(range(1, N_VARIANTS + 1))
     assert np.array_equal(smp.fisher_hat(cl.aggregate(counts, ident) / 800, DT),
                           smp.fisher_hat(counts / 800, DT))
-    k = index_at(desk_traj, 4.0)
+    k = row(4.0)
     p4, pdot4 = desk_traj.p(k), desk_traj.pdot(k)
     assert cl.clustered_fisher(p4, pdot4, ident) == fisher_information(p4, pdot4)
 
@@ -256,9 +262,9 @@ def test_criterion_08_exact_identities(desk_traj):
 
 
 def test_criterion_09_sufficiency():
-    traj = dyn.solve_sir(dyn.grouped_sir_params([2, 2, 2]), 10.0, 1e-3)
+    traj = dyn.solve_sir(dyn.grouped_sir_params([2, 2, 2]), grid(10.0, STEP))
     f = cl.Clustering([1, 1, 2, 2, 3, 3])
-    residual = cl.sufficiency_residuals(traj, f)
+    residual = sufficiency_residuals(traj, f)
     members = np.zeros((6, 3))
     members[np.arange(6), f.labels] = 1.0
     q = traj.p() @ members
@@ -276,10 +282,10 @@ def test_criterion_10_conservation_and_step_independence(desk_traj):
              + desk_traj.recovered)
     drift = float(np.max(np.abs(total - 1.0)))
 
-    # the series steps do not depend on the grid: a grid step is not a
-    # discretisation error, and halving it moves the curve only by rounding
+    # the series steps do not depend on the times asked for: a grid step is
+    # not a discretisation error, and halving it leaves the common times' states
     params = desk_traj.params
-    coarse, fine = (dyn.solve_sir(params, 2.0, step) for step in (0.05, 0.025))
+    coarse, fine = (dyn.solve_sir(params, grid(2.0, step)) for step in (0.05, 0.025))
     gap = float(np.max(np.abs(coarse.infected() - fine.infected(slice(None, None, 2)))))
     ok = drift < 1e-9 and gap <= 1e-15
     report(10, "conservation and step independence", ok,
@@ -287,9 +293,9 @@ def test_criterion_10_conservation_and_step_independence(desk_traj):
 
 
 def test_criterion_11_elbow():
-    traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 1e-3)
+    traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), grid(10.0, STEP))
     feats = cl.kmeans_features(traj, STRIDE * np.arange(41))
-    k = index_at(traj, 1.0)
+    k = row(1.0)
     p, pdot = traj.p(k), traj.pdot(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell)))
              for ell in range(4, 11)]

@@ -1,6 +1,6 @@
 """The CI workflow installs every test dependency that pyproject.toml lists,
 and runs every benchmark workload, so that a new one cannot land in only
-one of the two places."""
+one of the two places, and the large-M benchmark script."""
 
 import importlib.util
 import pathlib
@@ -38,3 +38,12 @@ def test_workflow_runs_every_benchmark_workload():
                      WORKFLOW.read_text(), re.M)
     assert step is not None, "no 'for workload in ...' loop in the Benchmark workloads step"
     assert set(workloads.WORKLOADS) - set(step.group(1).split()) == set()
+
+
+def test_workflow_runs_the_large_m_benchmark():
+    # scripts/bench_large_m.py calls the model API directly, outside the
+    # tests: a step runs it once, so that an API change cannot break it unseen
+    assert (ROOT / "scripts" / "bench_large_m.py").is_file()
+    step = re.search(r"^\s+run: python scripts/bench_large_m\.py --repeats 1$",
+                     WORKFLOW.read_text(), re.M)
+    assert step is not None, "no step runs 'python scripts/bench_large_m.py --repeats 1'"

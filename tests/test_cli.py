@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import filtering as flt
-from conftest import index_at
+from infodyn import theory as th
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -37,7 +37,7 @@ SHIPPED_DIGESTS = {
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "cf19d23ebc82aa9ba0767bd9a992b23462b66f769eef03d65a92636068a848e6",
+            "3bc025828aa4d33c44bbb6cb79850f2291d9670cc6c74d787511f17ce74756b6",
         "elbow_summary.csv":
             "54b9750212b1b94adb6be5152e187bc0baffbd75489e1b7cbcf792bfd6bf3f83",
         "manifest.json":
@@ -45,19 +45,19 @@ SHIPPED_DIGESTS = {
     },
     "filtering_comparison": {
         "filtering_rmse.csv":
-            "54d293dd1258ee52f8030d90633734efffb3ce7b60d745c850c4968e638c0852",
+            "80c7f4c07708a703157a856aa6d9d7702c3733315da04254a11aaa952d74959d",
         "manifest.json":
             "79dfcf655bb27738a1b95cb75d30b86b8c0ce8210737b86f0271d0bbcb01290e",
     },
     "fisher_bias_vs_n": {
         "fisher_bias_vs_t.csv":
-            "0e0e43a5c905cf33d39b0c48f9211ad1ffdebbe675cf2ca56b1c20b3d998e5c5",
+            "c3545fcab293801aa77e0db94004afeb32fe02b7fa37931f492d17c81722d72f",
         "manifest.json":
             "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "fe969c55543d118bc23ab39bf746451ba8c636eda342ea52af203caa788ed8a3",
+            "63442ba71b3e4d4cd6f789a6383abe4e13aaced3efa9ec3e278d4a88c1a9c99e",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -65,19 +65,19 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "510417b88efb6200065786ccb164568006112958ab945644685d27d7f418de53",
+            "5a9e97a5a20b36bb915a49119613c364de0bc8b686401353ea18f418f584543b",
         "info_rate_variants.csv":
-            "9c376072592a0e760bdad95e2c699ab51cdbc927af27532a037735d445062243",
+            "1a64d39bfa0438fde2f39927947328149bf31692d6f9364c2bbe38e014076db9",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
     "model_trajectory": {
         "fisher.csv":
-            "1c4b129e8c9f81ddfeb34ed08712fdb725b6e7b7d455248aca666dbb5b5ea1d3",
+            "10130a07f5166be6d20ae2fd3b390825371de10fe3695c66479851c6995329c3",
         "manifest.json":
             "72bf0d16579131676370d00bb3da4b0ec9bf4e1c74157e8309bbf13c2ecf124f",
         "trajectory.csv":
-            "91a7e2b0d2f6c5141facf7f1cfa64a169a669843f7a1194eb94e7aaa116e9e17",
+            "9034e54c9aaf4ec99845223f3216596240c9213007609466ec257687733a8329",
         "variants.csv":
             "d5895847812ed635f928a0e9b1c253f8b1f5b2b837f2be2bacb6fe22fd069fb2",
     },
@@ -341,8 +341,8 @@ class TestRunner:
         ("experiment = model-trajectory\nfine_step = nan\n", "unknown key 'fine_step'"),
         ("experiment = model-trajectory\nt_end = inf\n", "bad value for 't_end'"),
         ("experiment = model-trajectory\noutput_stride = 2\n", "unknown key 'output_stride'"),
-        ("experiment = info-rate-moments\nt = 1.01\n",
-         "time 1.01 is not a point of the grid of step 0.0125"),
+        ("experiment = info-rate-moments\nt = 1.9\n",
+         "bad value for 't': t - dt/2 = 1.775 and t + dt/2 = 2.025 must lie in [0, t_end = 2]"),
         ("experiment = filtering-comparison\nshape = 0.5\n", "unknown key 'shape'"),
         ("experiment = filtering-comparison\nhalf_width = 3\n", "unknown key 'half_width'"),
         # the kernel's offsets past count - 1 reach no further instant
@@ -368,14 +368,16 @@ class TestRunner:
         ("experiment = info-rate-moments\nt = inf\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = nan\n", "bad value for 't'"),
         ("experiment = elbow-scan\nt = 20\n",
-         "bad value for 't': t must lie on the model grid (time 20.0 outside"),
-        ("experiment = elbow-scan\nt = 1.01\n",
-         "bad value for 't': t must lie on the model grid (time 1.01 is not a point"),
+         "bad value for 't': t = 20 must lie in [0, t_end = 2]"),
+        # more than a relative 1e-9 after t_end
+        ("experiment = elbow-scan\nt = 2.0000001\n",
+         "bad value for 't': t = 2 must lie in [0, t_end = 2]"),
         ("experiment = filtering-comparison\nt0 = -1\n", "bad value for 't0'"),
-        ("experiment = info-rate-moments\nt = 100\n", "time 100.0 outside trajectory domain"),
-        # 10 steps of 5e-14 after t_end, within an absolute 1e-12 of it
+        ("experiment = info-rate-moments\nt = 100\n",
+         "bad value for 't': t - dt/2 = 99.875 and t + dt/2 = 100.125 must lie in [0, t_end = 2]"),
+        # 5e-13 after t_end, within an absolute 1e-12 of it
         ("experiment = elbow-scan\ndt = 1e-12\nt_end = 1e-11\nt = 1.05e-11\n",
-         "bad value for 't': t must lie on the model grid (time 1.05e-11 outside"),
+         "bad value for 't': t = 1.05e-11 must lie in [0, t_end = 1e-11]"),
         ("experiment = filtering-comparison\nt0 = 1.9\n",
          "bad value for 't0': 1.9 is less than one step dt = 0.25 before t_end = 2.0"),
         ("experiment = filtering-comparison\nt0 = 3\n", "bad value for 't0'"),
@@ -395,9 +397,12 @@ class TestRunner:
         ("experiment = fisher-bias-vs-t\ncount = 100\n",
          "bad value for 'count': 100 instants from t0 = 0.0 at step dt = 0.25 end at 24.75"),
         ("experiment = filtering-comparison\nt0 = 1\ncount = 6\n", "bad value for 'count'"),
+        # any t0 is a sampling instant; 31 of them from 0.01 do not fit
         ("experiment = filtering-comparison\nt0 = 0.01\n",
-         "bad value for 't0': t0 must lie on the model grid (time 0.01 is not a point"),
-        ("experiment = filtering-comparison\nt0 = 0.01\ncount = 5\n", "bad value for 't0'"),
+         "bad value for 'count': 31 instants from t0 = 0.01 at step dt = 0.25 end at 7.51, "
+         "after t_end = 2.0 (at most 8 fit)"),
+        ("experiment = filtering-comparison\nt0 = 1.76\ncount = 5\n",
+         "bad value for 't0': 1.76 is less than one step dt = 0.25 before t_end = 2.0"),
         ("experiment = distance-moments\nt = 3\n",
          "key 't' is not read by experiment 'distance-moments'"),
         ("experiment = model-trajectory\nn = 100\n",
@@ -437,28 +442,32 @@ class TestRunner:
          "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
         ("experiment = fisher-bias-vs-t\nt_end = 0.2\n",
          "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
-        # a model grid step of dt/20 that underflows, and a t_end shorter than
-        # one grid step, refused before integrating
-        ("experiment = model-trajectory\ndt = 5e-324\n",
-         "bad value for 'dt': the model grid step dt/20 = 0 is below the smallest normal float"),
+        # a t_end shorter than one sampling step, refused before integrating
         ("experiment = info-rate-moments\nt_end = 1e-300\n",
-         "bad value for 't_end': t_end = 1e-300 is shorter than one step of 0.0125"),
+         "bad value for 't_end': 1e-300 is less than one sampling step dt = 0.25"),
         ("experiment = fisher-bias-vs-t\nt_end = 10\ndt = 1e300\n",
-         "bad value for 't_end': t_end = 10 is shorter than one step of 5e+298"),
+         "bad value for 't_end': 10.0 is less than one sampling step dt = 1e+300"),
         ("experiment = filtering-comparison\nn = 9223372036854775808\n",
          "bad value for 'n': '9223372036854775808' (must be an integer in [1, 2**63))"),
         ("experiment = distance-moments\nn = 100,9223372036854775808\n",
          "bad value for 'n'"),
-        # grids of more points than numpy can allocate, refused before integrating
+        # more times than numpy can allocate, refused before integrating; a
+        # dt below its default is named, else t_end
         ("experiment = model-trajectory\ndt = 1e-300\n",
-         "bad value for 't_end' or 'dt': t_end = 2 is 4e+301 fine steps of 5e-302"),
+         "bad value for 'dt': t_end = 2 is 2e+301 steps dt/10 = 1e-301, more times than an "
+         "array can hold"),
         ("experiment = elbow-scan\nt_end = 1e300\n",
-         "bad value for 't_end' or 'dt': t_end = 1e+300 is 8e+301 fine steps of 0.0125"),
-        # ... also where t_end / (dt/20) overflows to inf
+         "bad value for 't_end': t_end = 1e+300 is 4e+301 steps dt/10 = 0.025, more times than "
+         "an array can hold"),
+        # ... also where t_end / dt overflows to inf, or dt/10 underflows to 0
         ("experiment = elbow-scan\nt_end = 1e308\n",
-         "bad value for 't_end' or 'dt': t_end = 1e+308 is inf fine steps of 0.0125"),
-        ("experiment = model-trajectory\nt_end = 10\ndt = 1e-306\n",
-         "bad value for 't_end' or 'dt': t_end = 10 is inf fine steps of 5e-308"),
+         "bad value for 't_end': t_end = 1e+308 is inf steps dt/10 = 0.025"),
+        ("experiment = model-trajectory\nt_end = 10\ndt = 1e-308\n",
+         "bad value for 'dt': t_end = 10 is inf steps dt/10 = 1e-309"),
+        ("experiment = model-trajectory\ndt = 5e-324\n",
+         "bad value for 'dt': t_end = 2 is inf steps dt/10 = 0"),
+        ("experiment = model-trajectory\ndt = 1e-323\nt_end = 1e-322\n",
+         "bad value for 'dt': t_end = 9.88131e-323 is inf steps dt/10 = 0"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         if not text.startswith("experiment = distance-moments") and "t_end" not in text:
@@ -470,21 +479,27 @@ class TestRunner:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [
-        ("experiment = info-rate-moments\nN = 99999\nt_end = 6\nt = 5.01\n", "t"),
         ("experiment = info-rate-moments\nt = 100\n", "t"),
         ("experiment = info-rate-moments\nt = 0\n", "t"),
         ("experiment = elbow-scan\nt = 20\n", "t"),
         ("experiment = filtering-comparison\nN = 99999\ncount = 400\n", "count"),
-        ("experiment = filtering-comparison\nt0 = 0.01\n", "t0"),
         ("experiment = fisher-bias-vs-t\nt0 = 9.9\n", "t0"),
         ("experiment = fisher-bias-vs-t\ncount = 100\n", "count"),
         ("experiment = fisher-bias-vs-t\nt_end = 0.2\n", "t_end"),
         ("experiment = model-trajectory\nt_end = 0.2\n", "t_end"),
+        ("experiment = model-trajectory\ndt = 5e-324\n", "dt"),
+        ("experiment = info-rate-moments\nN = 999\ndt = 5e-324\n", "dt"),
+        ("experiment = elbow-scan\nt_end = 1e308\n", "t_end"),
+        ("experiment = fisher-bias-vs-t\nN = 999\nt_end = 1e308\n", "t_end"),
+        ("experiment = filtering-comparison\nN = 999\nt0 = 1.9\nt_end = 2\n", "t0"),
+        ("experiment = fisher-bias-vs-t\nt0 = 1.9\nt_end = 2\n", "t0"),
     ])
     def test_time_keys_are_checked_before_integrating(self, tmp_path, capsys, monkeypatch,
                                                       text, key):
-        # dt and t_end fix the model grid, so a time that is off it, or
-        # instants that do not fit on it, are refused before solve_sir runs
+        # dt, t_end and the time keys fix every time a run asks for, so a
+        # time outside [0, t_end], instants that do not fit before it, or more
+        # times than an array holds are refused before solve_sir runs, on
+        # one line with no traceback
         def fail(*args):
             raise AssertionError("solve_sir was called")
 
@@ -493,17 +508,19 @@ class TestRunner:
             text += "t_end = 10\n"
         out = tmp_path / "out"
         assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
-        assert f"bad value for '{key}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for '{key}'") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_coarse_dt_runs_and_conserves(self, tmp_path):
-        # a grid step dt/20 = 1 spans two series steps of the integrator
+        # an output step dt/10 = 2 spans four series steps of the integrator
         text = "experiment = model-trajectory\ndt = 20\nt_end = 100\n"
         out = tmp_path / "out"
         assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
         assert (out / "trajectory.csv").exists()
-        traj = cli._model(cli.parse_config(text))[0]
-        assert traj.times.size == 101
+        params, dt, t_end = cli._model(cli.parse_config(text))
+        traj = cli.dyn.solve_sir(params, cli._instants(dt / 10, t_end))
+        assert traj.times.size == 51
         drift = traj.susceptible + traj.infected().sum(axis=1) + traj.recovered - 1.0
         assert np.max(np.abs(drift)) <= 4e-15
 
@@ -601,6 +618,20 @@ class TestRunner:
         assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
         assert manifest["experiment"] == "distance-moments"
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_config_not_utf8_names_its_file(self, tmp_path, capsys, bom):
+        # a Latin-1 byte in a comment: the error names the file and the
+        # offset of the byte in it, byte-order mark included
+        raw = bom + b"experiment = distance-moments\nn = 10 # caf\xe9\n"
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(raw)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --config {str(cfg)!r} is not UTF-8: byte {raw.index(0xe9)} (0xe9) "
+            "invalid continuation byte\n")
+        assert not out.exists()
+
     def test_largest_seed_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, "experiment = distance-moments\nn = 10\nreplications = 3\n")
         cli.run(cfg, str(tmp_path / "out"), seed_override=(1 << 64) - 1)
@@ -692,21 +723,21 @@ def small_config(experiment, **keys):
 class TestModelKeys:
     @pytest.mark.parametrize("experiment", MODEL_EXPERIMENTS)
     def test_runs_at_a_sampling_step_of_a_third(self, tmp_path, experiment):
-        # dt/2 = 1/6 is a whole number of dt/20 grid steps, as every dt/2 is;
-        # each time the small configs set is a multiple of 1/60 too
+        # no multiple of dt = 1/3 but 0 is a binary fraction, and the times
+        # the small configs set are not multiples of it
         cfg = write_cfg(tmp_path, small_config(experiment, dt=repr(1 / 3)))
         out = tmp_path / "out"
         artifacts = cli.run(cfg, str(out))
         assert artifacts and all((out / name).stat().st_size > 0 for name in artifacts)
 
     @pytest.mark.parametrize("dt", [1e-3, 0.1, 0.25, 1 / 3, 0.7, 3.0])
-    def test_sampling_step_and_half_step_are_grid_rows(self, dt):
-        traj, got, _, _ = cli._model(cli.parse_config(
+    def test_t_end_of_one_sampling_step(self, dt):
+        # two sampling instants, and eleven output times every dt/10
+        _, got, t_end = cli._model(cli.parse_config(
             f"experiment = model-trajectory\nN = 1\ndt = {dt!r}\nt_end = {dt!r}\n"))
-        assert got == dt
-        assert traj.step == dt / 20
-        assert index_at(traj, dt / 2) == 10
-        assert index_at(traj, dt) == traj.times.size - 1 == 20
+        assert got == t_end == dt
+        assert cli._instants(dt, t_end).tolist() == [0.0, dt]
+        assert np.array_equal(cli._instants(dt / 10, t_end), np.arange(11) * (dt / 10))
 
 
 # the sample size, replications and cluster count of a quick run, as far as
@@ -862,50 +893,79 @@ class TestExperiments:
             assert len(rows) == 1 + 2 * 40
             assert rows[40].startswith("9.875,1000,10,") and rows[-1].startswith("9.875,1000,3,")
 
-    def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, capsys):
-        # 5.01 is no point of the dt/20 grid
+    def test_off_grid_time_runs_on_a_finer_step(self, tmp_path):
+        # 5.01 is no multiple of dt or of any step dividing it: the model is
+        # evaluated at t, the draws at t -/+ dt/2, wherever they lie
         text = ("experiment = info-rate-moments\nt = 5.01\nt_end = 6\nn = 1000\n"
                 "replications = 5\nell = 2\n")
         out = tmp_path / "out"
-        assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
-        assert "time 5.01 is not a point of the grid of step 0.0125" in capsys.readouterr().err
+        assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        params, dt, _ = cli._model(cli.parse_config(text))
+        at_t, pair = (cli.dyn.solve_sir(params, times) for times in
+                      ([5.01], [5.01 - dt / 2, 5.01 + dt / 2]))
+        header, *rows = [line.split(",") for line in
+                         (out / "info_rate_variants.csv").read_text().splitlines()]
+        cols = {key: np.array([float(row[j]) for row in rows]) for j, key in enumerate(header)}
+        mean, var = th.info_rate_moments(at_t.info_rate_curve(0), at_t.p(0), 1000, dt)
+        assert np.array_equal(cols["theory_mean"], mean)
+        assert np.array_equal(cols["theory_var"], var)
+        est = cli.smp.monte_carlo_components(lambda c: cli.smp.info_rate_hat(c / 1000, dt)[:, 0],
+                                             5, cli.rng.derive_key(1, 0), pair.p(), 1000)
+        assert np.array_equal(cols["mc_mean"], est.mean)
 
-    @given(step=st.sampled_from([0.005, 0.01, 0.0125, 0.02]), stride=st.integers(1, 60),
-           first=st.integers(0, 300), t_end=st.floats(0.5, 4.0))
-    @example(step=0.0125, stride=20, first=7, t_end=3.1)  # t0 = 0.0875, dt = 0.25
-    @example(step=0.01, stride=30, first=290, t_end=3.0)  # less than one dt before t_end
+    @given(dt=st.sampled_from([0.01, 0.1, 0.25, 0.3, 1 / 3]), t0=st.floats(0.0, 4.0),
+           t_end=st.floats(0.5, 4.0))
+    @example(dt=0.25, t0=0.0875, t_end=3.1)
+    @example(dt=0.3, t0=2.9, t_end=3.0)  # less than one dt before t_end
+    @example(dt=0.1, t0=0.0, t_end=0.3)  # 3 * 0.1 rounds to 0.30000000000000004
     @settings(max_examples=100, deadline=None)
-    def test_grid_rows_are_the_rows_of_the_sampling_times(self, step, stride, first, t_end):
-        # the float rule that the row arithmetic replaced: instants t0 + k dt,
-        # as many as end by the rule of the model grid, each located by index_at;
-        # t0, dt and t_end are decimals as a config gives them
-        t0, dt, t_end = round(first * step, 10), round(stride * step, 10), round(t_end, 3)
-        traj = cli.dyn.solve_sir(cli.dyn.default_sir_params(2), t_end, step)
-        grid = traj.step, traj.times.size - 1
-        if t0 + dt > traj.t_end + 1e-9:
+    def test_instants_are_every_step_up_to_t_end(self, dt, t0, t_end):
+        # t0, dt and t_end are decimals as a config gives them: the instants
+        # t0 + k dt are every one up to t_end, within a relative 1e-9
+        t0, t_end = round(t0, 4), round(t_end, 3)
+        end = t_end * (1.0 + 1e-9)
+        count = 0
+        while t0 + count * dt <= end:
+            count += 1
+        if count < 2:
             key = "t0" if t0 else "t_end"  # with t0 = 0, t_end is too short
             with pytest.raises(cli.ConfigError, match=f"bad value for '{key}'"):
-                cli._grid(*grid, dt, t0)
+                cli._instants(dt, t_end, t0)
             return
-        count = cli.dyn.grid_steps(traj.t_end - t0, dt) + 1
-        want = [index_at(traj, t0 + k * dt) for k in range(count)]
-        assert cli._grid(*grid, dt, t0).tolist() == want
-        assert cli._grid(*grid, dt, t0, 2).tolist() == want[:2]
+        assert cli._instants(dt, t_end, t0).tolist() == [t0 + k * dt for k in range(count)]
+        assert cli._instants(dt, t_end, t0, 2).tolist() == [t0, t0 + dt]
 
-    def test_model_integrates_once_on_its_grid(self, monkeypatch):
-        # the mc-wide benchmark model: one solve_sir call at dt/20 up to t_end = 6
+    @pytest.mark.parametrize("experiment", MODEL_EXPERIMENTS)
+    def test_one_solve_sir_call_per_run(self, monkeypatch, tmp_path, experiment):
+        # every experiment asks solve_sir once for all the times it uses
         calls = []
         solve = cli.dyn.solve_sir
 
-        def counted(params, t_end, step):
-            calls.append((t_end, step))
-            return solve(params, t_end, step)
+        def counted(params, times):
+            calls.append(times)
+            return solve(params, times)
 
         monkeypatch.setattr(cli.dyn, "solve_sir", counted)
-        traj, dt, _, _ = cli._model(cli.parse_config(
-            "experiment = info-rate-moments\nN = 999\nt = 5\nt_end = 6\n"))
-        assert calls == [(6.0, dt / 20)]
-        assert traj.times.size == 481 and traj.step == dt / 20
+        cli.run(write_cfg(tmp_path, f"experiment = {experiment}\n" + SMALL_CONFIGS[experiment]),
+                str(tmp_path / "out"))
+        assert len(calls) == 1
+
+    def test_model_integrates_once_on_its_grid(self, monkeypatch):
+        # the mc-wide benchmark model: the sampling grid 0, dt, ..., t_end = 6
+        # for the features, t, and t -/+ dt/2 for the draws, in one call
+        calls = []
+        solve = cli.dyn.solve_sir
+
+        def counted(params, times):
+            calls.append(times)
+            return solve(params, times)
+
+        monkeypatch.setattr(cli.dyn, "solve_sir", counted)
+        cli.run_info_rate_moments(cli.parse_config(
+            "experiment = info-rate-moments\nN = 999\nt = 5\nt_end = 6\nn = 100\n"
+            "replications = 2\nell = 10\n"), 1)
+        (times,) = calls
+        assert times.tolist() == [0.25 * k for k in range(25)] + [5.0, 4.875, 5.125]
 
 
 # the Monte Carlo tables of each experiment that writes them
@@ -1154,10 +1214,11 @@ class TestWriteCsv:
         # model's, bit for bit; fisher.csv is as the reference writer writes it
         text = "experiment = model-trajectory\nN = 99\n"
         cli.run(write_cfg(tmp_path, text), str(tmp_path / "out"))
-        traj, _, grid, _ = cli._model(cli.parse_config(text), [3])
-        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, grid), 3)
-        rows = slice(None, None, 2)
-        p, pdot, g_tt = traj.replicator(rows)
+        params, dt, t_end = cli._model(cli.parse_config(text), [3])
+        traj = cli.dyn.solve_sir(params, cli._instants(dt, t_end))
+        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, slice(None)), 3)
+        traj = cli.dyn.solve_sir(params, cli._instants(dt / 10, t_end))  # every dt/10
+        p, pdot, g_tt = traj.replicator()
         names = [f"p_{i}" for i in range(1, 101)]
         table = np.genfromtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", names=True)
         assert list(table.dtype.names) == ["t", "S", *names]
@@ -1168,15 +1229,15 @@ class TestWriteCsv:
                            ("label", f.labels + 1)):
             assert np.array_equal(variants[name], want), name
         s, p_read = table["S"], np.column_stack([table[name] for name in names])
-        assert np.array_equal(table["t"], traj.times[rows])
-        assert np.array_equal(s, traj.susceptible[rows]) and np.array_equal(p_read, p)
+        assert np.array_equal(table["t"], traj.times)
+        assert np.array_equal(s, traj.susceptible) and np.array_equal(p_read, p)
         d = variants["gamma"] * s[:, None] - variants["epsilon"]
         rate = d - np.sum(p_read * d, axis=-1)[:, None]
-        assert np.array_equal(d, traj.couplings(rows))
+        assert np.array_equal(d, traj.couplings())
         assert np.array_equal(p_read * rate, pdot)
         assert np.array_equal(np.sum(p_read * rate * rate, axis=-1), g_tt)
         reference_write_csv(tmp_path / "fisher.csv", ["t", "g_tt", "g_f"],
-                            zip(traj.times[rows], g_tt, cli.cl.clustered_fisher(p, pdot, f)))
+                            zip(traj.times, g_tt, cli.cl.clustered_fisher(p, pdot, f)))
         assert (tmp_path / "out" / "fisher.csv").read_bytes() == (tmp_path / "fisher.csv").read_bytes()
 
     def test_mixed_cells(self, tmp_path):

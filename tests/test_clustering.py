@@ -9,7 +9,7 @@ from infodyn import dynamics as dyn
 from infodyn import rng
 from infodyn import sampling as smp
 from infodyn.simplex import fisher_information
-from conftest import index_at
+from conftest import delta_g_coupling_form, grid, sufficiency_residuals
 
 
 def random_instance(gen, size):
@@ -89,7 +89,7 @@ def random_rate_features(n_variants, seed):
     gen = np.random.default_rng(seed)
     params = dyn.SirParams(gen.uniform(1.5, 2.5, n_variants), gen.uniform(0.9, 1.1, n_variants),
                            0.9, np.full(n_variants, 0.1 / n_variants), 0.0)
-    return cl.kmeans_features(dyn.solve_sir(params, 10.0, 0.0125), np.arange(41) * 20)
+    return cl.kmeans_features(dyn.solve_sir(params, grid(10.0, 0.25)), slice(None))
 
 
 def centered_rank(features):
@@ -194,7 +194,7 @@ class TestDeltaForms:
         p, pdot, d = random_instance(gen, 6)
         ident = cl.Clustering(range(1, 7))
         assert cl.delta_g_prob_form(p, pdot, ident) == pytest.approx(0.0, abs=1e-18)
-        assert cl.delta_g_coupling_form(p, d, ident) == pytest.approx(0.0, abs=1e-18)
+        assert delta_g_coupling_form(p, d, ident) == pytest.approx(0.0, abs=1e-18)
 
     def test_sufficient_clustering_is_zero(self):
         gen = np.random.default_rng(5)
@@ -205,7 +205,7 @@ class TestDeltaForms:
         pdot_raw = p * (d - np.dot(p, d))
         pdot = pdot_raw - pdot_raw.sum() / 6
         assert cl.delta_g_prob_form(p, pdot, f) < 1e-12
-        assert cl.delta_g_coupling_form(p, d, f) < 1e-12
+        assert delta_g_coupling_form(p, d, f) < 1e-12
 
     def test_forms_agree_with_direct_subtraction(self):
         gen = np.random.default_rng(6)
@@ -217,7 +217,7 @@ class TestDeltaForms:
             g = fisher_information(p, pdot)
             direct = g - cl.clustered_fisher(p, pdot, f)
             dgp = cl.delta_g_prob_form(p, pdot, f)
-            dgc = cl.delta_g_coupling_form(p, d, f)
+            dgc = delta_g_coupling_form(p, d, f)
             # direct subtraction itself carries roundoff of a few ulp of g
             tol = 1e-10 * abs(direct) + 8e-16 * g + 1e-300
             assert abs(dgp - direct) <= tol
@@ -227,33 +227,33 @@ class TestDeltaForms:
     def test_coupling_count_must_match(self):
         p, _, d = random_instance(np.random.default_rng(11), 6)
         with pytest.raises(ValueError, match="covers 6 variants, need 5"):
-            cl.delta_g_coupling_form(p, d[:5], cl.Clustering(range(1, 7)))
+            delta_g_coupling_form(p, d[:5], cl.Clustering(range(1, 7)))
 
     def test_coupling_shift_invariance(self):
         gen = np.random.default_rng(7)
         p, _, d = random_instance(gen, 7)
         f = random_clustering(gen, 7, 3)
-        base = cl.delta_g_coupling_form(p, d, f)
+        base = delta_g_coupling_form(p, d, f)
         for c in (-10.0, 0.5, 1e4):
-            shifted = cl.delta_g_coupling_form(p, d + c, f)
+            shifted = delta_g_coupling_form(p, d + c, f)
             assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
 class TestSufficiencyResiduals:
     def test_identity_is_exact(self):
-        traj = dyn.solve_sir(dyn.default_sir_params(4), 2.0, 1e-3)
-        assert cl.sufficiency_residuals(traj, cl.Clustering(range(1, 5))) == 0.0
+        traj = dyn.solve_sir(dyn.default_sir_params(4), grid(2.0, 1e-3))
+        assert sufficiency_residuals(traj, cl.Clustering(range(1, 5))) == 0.0
 
     def test_symmetric_model_block_clustering(self):
-        traj = dyn.solve_sir(dyn.grouped_sir_params([2, 2, 2]), 10.0, 1e-3)
+        traj = dyn.solve_sir(dyn.grouped_sir_params([2, 2, 2]), grid(10.0, 1e-3))
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
-        assert cl.sufficiency_residuals(traj, f) < 1e-8
+        assert sufficiency_residuals(traj, f) < 1e-8
 
     def test_sufficient_blocks_vanish_to_rounding(self):
         groups = [9, 9, 8, 8, 8, 8]
-        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), grid(10.0, 0.0125))
         f = cl.Clustering(np.repeat(np.arange(1, 7), groups))
-        assert cl.sufficiency_residuals(traj, f) <= 1e-15
+        assert sufficiency_residuals(traj, f) <= 1e-15
 
     def test_matches_central_difference(self):
         # on the interior rows, where the central difference of the shares
@@ -263,7 +263,7 @@ class TestSufficiencyResiduals:
         labels = f.labels
 
         def gap(step):
-            traj = dyn.solve_sir(params, 5.0, step)
+            traj = dyn.solve_sir(params, grid(5.0, step))
             p = traj.p()
             q = np.stack([p[:, labels == a].sum(axis=1) for a in range(3)], axis=1)
             r = p / q[:, labels]
@@ -271,17 +271,17 @@ class TestSufficiencyResiduals:
             interior = dyn.Trajectory(traj.times[1:-1], traj.susceptible[1:-1],
                                       traj.cumulative_susceptible[1:-1],
                                       traj.recovered[1:-1], traj.total_infected[1:-1], params)
-            return abs(cl.sufficiency_residuals(interior, f) - fd)
+            return abs(sufficiency_residuals(interior, f) - fd)
 
         coarse, fine = gap(0.01), gap(0.005)
         assert coarse <= 2e-3 * 0.01**2
         assert 3.5 <= coarse / fine <= 4.5
 
     def test_generic_model_not_sufficient(self):
-        traj = dyn.solve_sir(dyn.default_sir_params(6), 5.0, 1e-3)
+        traj = dyn.solve_sir(dyn.default_sir_params(6), grid(5.0, 1e-3))
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
-        assert cl.sufficiency_residuals(traj, f) > 1e-4
-        k = index_at(traj, 1.0)
+        assert sufficiency_residuals(traj, f) > 1e-4
+        k = 1000  # t = 1
         dg = cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f)
         assert dg > 0.0
 
@@ -358,11 +358,11 @@ class TestKmeans:
             12: "13579b000222222222444444446666666688888888aaaaaaaa",
         }
         groups = [9, 9, 8, 8, 8, 8]
-        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
-        feats = cl.kmeans_features(traj, np.arange(41) * 20)  # every 0.25
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), grid(10.0, 0.25))
+        feats = cl.kmeans_features(traj, slice(None))
         assert len(np.unique(feats, axis=0)) == 6
         group = np.repeat(np.arange(6), groups)
-        k = index_at(traj, 1.0)
+        k = 4  # t = 1
         for ell, labels in pinned.items():
             got = "".join("0123456789ab"[a] for a in cl.kmeans(feats, ell).labels)
             assert got == labels, ell
@@ -375,8 +375,8 @@ class TestKmeans:
         # the shipped elbow model: each rate group's feature rows are equal,
         # and so must be its points, bit for bit, wherever the rows sit
         groups = [9, 9, 8, 8, 8, 8]
-        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
-        feats = cl.kmeans_features(traj, np.arange(41) * 20)
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), grid(10.0, 0.25))
+        feats = cl.kmeans_features(traj, slice(None))
         points, order = cl.principal_scores(feats)
         group = np.repeat(np.arange(6), groups)
         for g in range(6):
@@ -405,16 +405,16 @@ class TestKmeansAgainstFullSpace:
 
     @pytest.mark.parametrize("n_variants", [10, 1000])
     def test_default_model(self, n_variants):
-        traj = dyn.solve_sir(dyn.default_sir_params(n_variants), 10.0, 0.0125)
-        feats = cl.kmeans_features(traj, np.arange(41) * 20)
+        traj = dyn.solve_sir(dyn.default_sir_params(n_variants), grid(10.0, 0.25))
+        feats = cl.kmeans_features(traj, slice(None))
         for ell in (1, 2, 3, 5, 8, 10):
             assert np.array_equal(cl.kmeans(feats, ell).labels,
                                   reference_kmeans(feats, ell).labels), ell
 
     def test_sampled_rate_features(self):
         # full rank: sampled rates carry independent noise in every column
-        traj = dyn.solve_sir(dyn.default_sir_params(20), 10.0, 0.0125)
-        rows, n = np.arange(41) * 20, 100000
+        traj = dyn.solve_sir(dyn.default_sir_params(20), grid(10.0, 0.25))
+        rows, n = np.arange(41), 100000
         counts = rng.sample_block(traj.p(rows), n,
                                   rng.derive_key(3, np.arange(rows.size, dtype=np.uint64)))
         feats = np.ascontiguousarray(smp.info_rate_hat(counts / n, 0.25).T)
@@ -442,8 +442,8 @@ class TestSharedScores:
         ([167, 167, 167, 167, 166, 166], range(4, 13)),  # the model-scan benchmark
     ])
     def test_elbow_scan_models(self, groups, ells):
-        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), 10.0, 0.0125)
-        self.check(cl.kmeans_features(traj, np.arange(41) * 20), ells)
+        traj = dyn.solve_sir(dyn.grouped_sir_params(groups), grid(10.0, 0.25))
+        self.check(cl.kmeans_features(traj, slice(None)), ells)
 
     def test_full_rank_features(self):
         feats = np.random.default_rng(7).normal(size=(200, 41))
@@ -454,27 +454,27 @@ class TestSharedScores:
 class TestKmeansFeatures:
     def test_constant_model_gives_zero_rows(self):
         params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.03, 0.07], 0.0)
-        traj = dyn.solve_sir(params, 2.0, 1e-3)
-        feats = cl.kmeans_features(traj, np.array([500, 1000, 1500]))
+        traj = dyn.solve_sir(params, [0.5, 1.0, 1.5])
+        feats = cl.kmeans_features(traj, slice(None))
         assert feats.shape == (2, 3)
         assert np.max(np.abs(feats)) < 1e-12
 
     def test_single_instant_gives_scalar_features(self):
-        traj = dyn.solve_sir(dyn.default_sir_params(4), 2.0, 1e-3)
-        feats = cl.kmeans_features(traj, np.array([1000]))
+        traj = dyn.solve_sir(dyn.default_sir_params(4), [1.0])
+        feats = cl.kmeans_features(traj, np.array([0]))
         assert feats.shape == (4, 1)
 
     def test_model_features_have_rank_at_most_two(self):
         # centered rows are combinations of S and 1; grouped rates are affine
         # in one index, which leaves one direction
         assert centered_rank(random_rate_features(40, 5)) == 2
-        traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), 10.0, 0.0125)
-        assert centered_rank(cl.kmeans_features(traj, np.arange(41) * 20)) == 1
+        traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), grid(10.0, 0.25))
+        assert centered_rank(cl.kmeans_features(traj, slice(None))) == 1
 
     def test_desk_model_bands_follow_coupling_order(self):
         # monotone rate design: rate rows separate into contiguous bands
-        traj = dyn.solve_sir(dyn.default_sir_params(10), 10.0, 1e-3)
-        f = cl.kmeans(cl.kmeans_features(traj, np.arange(41) * 250), 3)  # every 0.25
+        traj = dyn.solve_sir(dyn.default_sir_params(10), grid(10.0, 0.25))
+        f = cl.kmeans(cl.kmeans_features(traj, slice(None)), 3)
         changes = np.count_nonzero(np.diff(f.labels))
         assert changes == 2  # three contiguous blocks
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import dynamics as dyn
-from conftest import index_at
+from conftest import grid
 
 
 def reference_integrate_sir(params, t_end, step):
@@ -57,8 +57,8 @@ def per_variant_integrate_sir(params, t_end, step):
     """Classical RK4 on the reduced (S, X, R) system, with the sums over
     variants taken term by term and no checks: the fine-step reference of
     `dyn.solve_sir`."""
-    n_steps = dyn.grid_steps(t_end, step)
-    times = np.arange(n_steps + 1) * step
+    times = grid(t_end, step)
+    n_steps = times.size - 1
     exponents = np.column_stack((np.log(params.i0), params.gamma, -params.epsilon))
     weights = np.stack((params.gamma, params.epsilon, np.ones_like(params.gamma)))
 
@@ -87,7 +87,7 @@ def per_variant_integrate_sir(params, t_end, step):
 
 @pytest.fixture(scope="module")
 def desk_traj():
-    return dyn.solve_sir(dyn.default_sir_params(10), 10.0, 1e-3)
+    return dyn.solve_sir(dyn.default_sir_params(10), grid(10.0, 1e-3))
 
 
 class TestSirParams:
@@ -148,7 +148,7 @@ class TestIntegration:
         # equal rates: shares never move whatever the initial split
         params = dyn.SirParams([2.0, 2.0, 2.0], [1.0, 1.0, 1.0], 0.9,
                                [0.01, 0.04, 0.05], 0.0)
-        traj = dyn.solve_sir(params, 5.0, 1e-3)
+        traj = dyn.solve_sir(params, grid(5.0, 1e-3))
         assert np.max(np.abs(traj.p() - traj.p(0))) < 1e-12
         assert np.max(np.abs(traj.pdot())) < 1e-12
         assert np.max(traj.fisher_curve()) < 1e-24
@@ -164,7 +164,7 @@ class TestIntegration:
         params = dyn.default_sir_params(6)
 
         def fd_error(step):
-            traj = dyn.solve_sir(params, 2.0, step)
+            traj = dyn.solve_sir(params, grid(2.0, step))
             p = traj.p()
             fd = (p[2:] - p[:-2]) / (2.0 * step)
             return np.max(np.abs(fd - traj.pdot(slice(1, -1))))
@@ -177,8 +177,8 @@ class TestIntegration:
         perm = np.array([3, 0, 4, 1, 2])
         permuted = dyn.SirParams(params.gamma[perm], params.epsilon[perm],
                                  params.s0, params.i0[perm], params.r0)
-        a = dyn.solve_sir(params, 3.0, 1e-3)
-        b = dyn.solve_sir(permuted, 3.0, 1e-3)
+        a = dyn.solve_sir(params, grid(3.0, 1e-3))
+        b = dyn.solve_sir(permuted, grid(3.0, 1e-3))
         assert np.allclose(a.p()[:, perm], b.p(), atol=1e-14)
         assert np.allclose(a.pdot()[:, perm], b.pdot(), atol=1e-14)
         assert np.allclose(a.couplings()[:, perm], b.couplings(), atol=1e-14)
@@ -189,7 +189,7 @@ class TestIntegration:
         i0 = np.geomspace(4.0, 1.0, 10)
         i0 *= (1.0 - base.s0) / i0.sum()
         params = dyn.SirParams(base.gamma, base.epsilon, base.s0, i0, base.r0)
-        traj = dyn.solve_sir(params, 10.0, 1e-3)
+        traj = dyn.solve_sir(params, grid(10.0, 1e-3))
         p = traj.p()
         gap = p[:, -1] - p[:, 0]  # strongest minus weakest share
         assert gap[0] < 0 < gap[-1]
@@ -197,7 +197,7 @@ class TestIntegration:
     @pytest.mark.parametrize("n_variants, t_end", [(2, 10.0), (10, 10.0), (1000, 2.0)])
     def test_agrees_with_reference_loop(self, n_variants, t_end):
         params = dyn.default_sir_params(n_variants)
-        traj = dyn.solve_sir(params, t_end, 1e-3)
+        traj = dyn.solve_sir(params, grid(t_end, 1e-3))
         states = reference_integrate_sir(params, t_end, 1e-3)
         infected = states[:, 1:-1]
         p = infected / infected.sum(axis=1, keepdims=True)
@@ -216,7 +216,7 @@ class TestIntegration:
         s0 = gen.uniform(0.5, 0.99)
         params = dyn.SirParams(gen.uniform(0.0, 3.0, m), gen.uniform(0.0, 2.0, m), s0,
                                i0 * (1.0 - s0) / i0.sum(), 0.0)
-        traj = dyn.solve_sir(params, 2.0, 0.01)
+        traj = dyn.solve_sir(params, grid(2.0, 0.01))
         p = traj.p()
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= m * 1e-15
@@ -251,38 +251,58 @@ class TestIntegration:
         with pytest.raises(dyn.IntegrationError,
                            match=r"^series truncation estimate \d\.\d{3}e\+\d+ > 1e-15 at t=0, "
                                  r"after 4 halvings of the series step 0\.5 to 0\.03125$"):
-            dyn.solve_sir(params, t_end, step)
+            dyn.solve_sir(params, grid(t_end, step))
 
     @pytest.mark.parametrize("gamma, epsilon, i0, step, error", [
         ([8.0, 8.0], [1.0, 1.0], [0.05, 0.05], 0.5,
-         r"conservation drift 9\.488e-02 at step 2, t=1"),
+         r"conservation drift 9\.488e-02 at t=1"),
         ([16.0, 16.0], [1.0, 1.0], [0.05, 0.05], 0.25,
-         r"susceptible fraction -0\.378\d* left \[0, 1\] at step 1, t=0\.25"),
+         r"susceptible fraction -0\.378\d* left \[0, 1\] at t=0\.25"),
+        # series coefficients that overflow: inf * 0 is nan even at t = 0
+        ([0.25, 0.35], [1e12, 330.0], [0.05, 0.6], 0.25,
+         r"non-finite state \(S=0\.35, X=0\.0, R=nan, infected nan\) at t=0"),
+        # no time asked for fails before 0.56, but the state at the end of the
+        # first series step, where the second would start, does
         ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56,
-         r"non-finite state \(S=nan, X=nan, R=nan, infected nan\) at step 1, t=0\.56"),
+         r"susceptible fraction -3\.437\d*e\+66 left \[0, 1\] at t=0\.5"),
     ])
     def test_checks_name_the_first_failing_grid_point(self, gamma, epsilon, i0, step, error,
                                                       monkeypatch):
         # with the truncation estimate off, a series step of 0.5 far too long
-        # for the rates fails a check at a grid point
+        # for the rates fails a check by the earliest failing time
         monkeypatch.setattr(dyn, "STEP_TOL", np.inf)
         params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
         with pytest.raises(dyn.IntegrationError, match=f"^{error}$"):
-            dyn.solve_sir(params, 5.0, step)
+            dyn.solve_sir(params, grid(5.0, step))
+        # in any order: the error names the earliest failing time
+        with pytest.raises(dyn.IntegrationError, match=f"^{error}$"):
+            dyn.solve_sir(params, grid(5.0, step)[::-1])
 
-    def test_bad_step_rejected(self):
+    @pytest.mark.parametrize("times, error", [
+        ([], r"times must be a non-empty 1-d array, got shape \(0,\)"),
+        ([[0.0, 1.0]], r"times must be a non-empty 1-d array, got shape \(1, 2\)"),
+        (0.5, r"times must be a non-empty 1-d array, got shape \(\)"),
+        ([0.0, -0.5], r"times\[1\] = -0\.5 is not a finite time of at least 0"),
+        ([1.0, 2.0, float("nan")], r"times\[2\] = nan is not a finite time of at least 0"),
+        ([float("inf")], r"times\[0\] = inf is not a finite time of at least 0"),
+    ])
+    def test_bad_times_rejected(self, times, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            dyn.solve_sir(dyn.default_sir_params(3), times)
+
+    def test_rows_are_the_times_asked_for(self):
+        # any order, repeats allowed: row i is the state at times[i]
         params = dyn.default_sir_params(3)
-        for t_end, step in ((1.0, 0.0), (0.001, 0.01), (1.0, float("nan")),
-                            (float("inf"), 0.01)):
-            with pytest.raises(ValueError):
-                dyn.solve_sir(params, t_end, step)
-
-    @pytest.mark.parametrize("t_end, step, points, last", [
-        (1.0, 0.4, 3, 0.8), (0.35, 0.2, 2, 0.2), (10.0, 0.0125, 801, 10.0)])
-    def test_grid_ends_at_last_point_not_after_t_end(self, t_end, step, points, last):
-        traj = dyn.solve_sir(dyn.default_sir_params(3), t_end, step)
-        assert traj.times.size == points
-        assert traj.t_end == pytest.approx(last, rel=1e-15)
+        times = np.array([2.5, 0.0, 7.3, 2.5, 0.1, 10.0])
+        traj = dyn.solve_sir(params, times)
+        assert np.array_equal(traj.times, times) and not traj.times.flags.writeable
+        order = np.argsort(times)
+        ordered = dyn.solve_sir(params, times[order])
+        for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
+            got = getattr(traj, name)
+            assert np.array_equal(got[order], getattr(ordered, name)), name
+            assert got[0] == got[3], name
+        assert traj.susceptible[1] == params.s0 and traj.cumulative_susceptible[1] == 0.0
 
 
 def fast_params(gamma_lo, gamma_hi):
@@ -297,7 +317,7 @@ class TestSolveSir:
 
     @staticmethod
     def errors(params, t_end, step=0.0125):
-        traj = dyn.solve_sir(params, t_end, step)
+        traj = dyn.solve_sir(params, grid(t_end, step))
         ref = per_variant_integrate_sir(params, t_end, 1.25e-4)
         rows = np.arange(traj.times.size) * int(round(step / 1.25e-4))
         p_err = np.max(np.abs(traj.p() - ref.p(rows)) / ref.p(rows))
@@ -307,8 +327,6 @@ class TestSolveSir:
     @pytest.mark.parametrize("n_variants, t_end", [(10, 10.0), (1000, 6.0)])
     def test_matches_fine_rk4(self, n_variants, t_end):
         traj, p_err, g_err = self.errors(dyn.default_sir_params(n_variants), t_end)
-        assert np.array_equal(traj.times, np.arange(traj.times.size) * 0.0125)
-        assert traj.times.size == int(round(t_end / 0.0125)) + 1
         assert p_err <= 5e-14 and g_err <= 5e-14
 
     def test_fast_model_halves_and_keeps_its_grid(self, monkeypatch):
@@ -316,10 +334,10 @@ class TestSolveSir:
         params = fast_params(6.0, 8.0)
         monkeypatch.setattr(dyn, "MAX_HALVINGS", 1)
         with pytest.raises(dyn.IntegrationError, match="to 0.25$"):
-            dyn.solve_sir(params, 10.0, 0.0125)
+            dyn.solve_sir(params, grid(10.0, 0.0125))
         monkeypatch.setattr(dyn, "MAX_HALVINGS", 2)
         traj, p_err, g_err = self.errors(params, 10.0)
-        assert np.array_equal(traj.times, np.arange(801) * 0.0125)
+        assert np.array_equal(traj.times, grid(10.0, 0.0125))
         assert p_err <= 5e-14 and g_err <= 5e-14
 
     def test_fastest_model_takes_every_halving(self, monkeypatch):
@@ -329,7 +347,7 @@ class TestSolveSir:
         assert p_err <= 5e-14 and g_err <= 5e-14
         monkeypatch.setattr(dyn, "MAX_HALVINGS", 3)
         with pytest.raises(dyn.IntegrationError, match="to 0.0625$"):
-            dyn.solve_sir(params, 2.0, 0.0125)
+            dyn.solve_sir(params, grid(2.0, 0.0125))
 
     @staticmethod
     def no_infection(epsilon, step):
@@ -338,7 +356,7 @@ class TestSolveSir:
         and R gains what I loses."""
         i0 = np.linspace(0.01, 0.05, len(epsilon))
         traj = dyn.solve_sir(dyn.SirParams(np.zeros(len(epsilon)), epsilon, 0.8, i0,
-                                           0.2 - i0.sum()), 10.0, step)
+                                           0.2 - i0.sum()), grid(10.0, step))
         t = traj.times
         decay = np.exp(-np.outer(t, epsilon))
         return [np.max(np.abs(got - want)) for got, want in (
@@ -368,7 +386,7 @@ class TestSolveSir:
         # one rate row: S + sum(I) - (epsilon / gamma) log S is constant
         # along the exact curve (Kermack and McKendrick)
         params = dyn.grouped_sir_params(groups)
-        traj = dyn.solve_sir(params, 10.0, step)
+        traj = dyn.solve_sir(params, grid(10.0, step))
         ratio = params.epsilon[0] / params.gamma[0]
         for total in (traj.infected().sum(axis=1), traj.total_infected):
             invariant = traj.susceptible + total - ratio * np.log(traj.susceptible)
@@ -377,9 +395,9 @@ class TestSolveSir:
     @pytest.mark.parametrize("params", [dyn.default_sir_params(10), dyn.default_sir_params(1000),
                                         fast_params(6.0, 8.0)], ids=["N9", "N999", "fast"])
     def test_shorter_t_end_gives_a_prefix(self, params):
-        # the series steps start at 0 whatever t_end: mc-wide's t_end = 6
-        # model is the shipped t_end = 10 model cut short, bit for bit
-        short, full = dyn.solve_sir(params, 6.0, 0.0125), dyn.solve_sir(params, 10.0, 0.0125)
+        # the series steps start at 0 whatever the last time: mc-wide's
+        # t_end = 6 model is the shipped t_end = 10 model cut short, bit for bit
+        short, full = (dyn.solve_sir(params, grid(t_end, 0.0125)) for t_end in (6.0, 10.0))
         rows = short.times.size
         for name in ("times", "susceptible", "cumulative_susceptible", "recovered",
                      "total_infected"):
@@ -388,21 +406,33 @@ class TestSolveSir:
     def test_coarse_grid_step_spans_several_series_steps(self):
         # dt = 20 with t_end = 100: a grid step of 1 spans two series steps,
         # whose polynomials give the points of a fine grid too
-        traj = dyn.solve_sir(dyn.default_sir_params(10), 100.0, 1.0)
-        fine = dyn.solve_sir(dyn.default_sir_params(10), 100.0, 0.0125)
-        assert traj.times.size == 101
+        traj = dyn.solve_sir(dyn.default_sir_params(10), grid(100.0, 1.0))
+        fine = dyn.solve_sir(dyn.default_sir_params(10), grid(100.0, 0.0125))
+        assert traj.times.size == 101 and np.array_equal(traj.times, fine.times[::80])
         for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
-            got, want = getattr(traj, name), getattr(fine, name)[::80]
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+            assert np.array_equal(getattr(traj, name), getattr(fine, name)[::80]), name
+
+    @pytest.mark.parametrize("n_variants", [10, 1000], ids=["N9", "N999"])
+    def test_state_at_a_time_ignores_the_other_times(self, n_variants):
+        # the times 0, 0.5, ..., 10 alone and inside the grid of step 0.0125:
+        # each state is computed from its own time only, bit for bit
+        params = dyn.default_sir_params(n_variants)
+        coarse = np.arange(21) * 0.5
+        fine = grid(10.0, 0.0125)
+        fine[::40] = coarse
+        alone, inside = dyn.solve_sir(params, coarse), dyn.solve_sir(params, fine)
+        for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
+            assert np.array_equal(getattr(alone, name), getattr(inside, name)[::40]), name
+        assert np.array_equal(alone.p(), inside.p(slice(None, None, 40)))
 
     @pytest.mark.parametrize("n_variants, digest", [
-        (10, "3d77330cb197b43dd4973677cf68107e97db9c18680bdfb78d550f697e206ada"),
-        (1000, "121d438ac31de3f8d6d6d51f8d8d8b29b669e898ce5aec4f2411fe8db614cb91"),
-    ])
+        (10, "bd935c1db16c283b31dba719212eb80131f51a3e48b13760423b20aaddc9765d"),
+        (1000, "94120ec69ffefe90a16eae2cebedff6ad3d76d16b2f1d80bf2804e9b146b1c83"),
+    ], ids=["N9", "N999"])
     def test_states_match_pinned_digest(self, n_variants, digest):
         # a change meant to touch only Python overhead must keep every byte;
         # a declared rounding-level change updates these digests
-        traj = dyn.solve_sir(dyn.default_sir_params(n_variants), 10.0, 0.0125)
+        traj = dyn.solve_sir(dyn.default_sir_params(n_variants), grid(10.0, 0.0125))
         h = hashlib.sha256()
         for state in (traj.susceptible, traj.cumulative_susceptible, traj.recovered,
                       traj.total_infected):
@@ -416,7 +446,7 @@ class TestSolveSir:
         # values here in about two thirds of the time
         mpmath = pytest.importorskip("mpmath")
         params = dyn.default_sir_params(10)
-        traj = dyn.solve_sir(params, 10.0, 0.0125)
+        traj = dyn.solve_sir(params, [0.5, 1.0, 1.5, 2.0])
         with mpmath.workdps(20):
             log_i0 = [mpmath.log(x) for x in params.i0.tolist()]
             gamma = [mpmath.mpf(x) for x in params.gamma.tolist()]
@@ -430,8 +460,7 @@ class TestSolveSir:
 
             reference = mpmath.odefun(rates, 0, [mpmath.mpf(params.s0), 0, mpmath.mpf(params.r0)],
                                       degree=20)
-            for t in (0.5, 1.0, 1.5, 2.0):
-                k = index_at(traj, t)
+            for k, t in enumerate(traj.times.tolist()):
                 got = (traj.susceptible[k], traj.cumulative_susceptible[k], traj.recovered[k])
                 for name, value, want in zip("SXR", got, reference(t)):
                     assert abs(value - float(want)) <= 1e-13 * abs(float(want)), (t, name)
@@ -442,7 +471,7 @@ class TestSolveSir:
         with pytest.raises(dyn.IntegrationError,
                            match=r"^series truncation estimate \d\.\d{3}e-12 > 1e-15 at t=0, after "
                                  r"1 halvings of the series step 0\.5 to 0\.25$"):
-            dyn.solve_sir(params, 10.0, 0.0125)
+            dyn.solve_sir(params, grid(10.0, 0.0125))
 
 
 def interleaved_params():
@@ -469,9 +498,9 @@ class TestRatePairRows:
         dyn.grouped_sir_params([50]),
     ], ids=["elbow-scan", "model-scan", "interleaved", "one-group"])
     def test_solve_sir_matches_per_variant_sums(self, params, monkeypatch):
-        traj = dyn.solve_sir(params, 10.0, 0.0125)
+        traj = dyn.solve_sir(params, grid(10.0, 0.0125))
         monkeypatch.setattr(dyn, "rate_rows", per_variant_rows)
-        ref = dyn.solve_sir(params, 10.0, 0.0125)
+        ref = dyn.solve_sir(params, grid(10.0, 0.0125))
         for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
             got, want = getattr(traj, name), getattr(ref, name)
             assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-13, name
@@ -480,7 +509,7 @@ class TestRatePairRows:
 
     def test_one_group_keeps_its_shares(self):
         # one rate pair, one row: the shares stay at i0 / sum(i0) exactly
-        traj = dyn.solve_sir(dyn.grouped_sir_params([50]), 10.0, 0.0125)
+        traj = dyn.solve_sir(dyn.grouped_sir_params([50]), grid(10.0, 0.0125))
         assert np.all(traj.p() == 1.0 / 50) and traj.n_variants == 50
         assert np.max(traj.fisher_curve()) < 1e-30
 
@@ -489,25 +518,25 @@ class TestRatePairRows:
         # with the summed i0, not as the sorted pairs B, C, A
         merged = dyn.SirParams([2.5, 1.5, 2.0], [1.1, 0.9, 1.0], 0.9,
                                [0.01 + 0.03, 0.02 + 0.025, 0.015], 0.0)
-        traj = dyn.solve_sir(interleaved_params(), 5.0, 0.0125)
-        ref = dyn.solve_sir(merged, 5.0, 0.0125)
+        traj = dyn.solve_sir(interleaved_params(), grid(5.0, 0.0125))
+        ref = dyn.solve_sir(merged, grid(5.0, 0.0125))
         for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
     def test_distinct_pairs_are_the_variants(self, monkeypatch):
         # every pair distinct: the rows are the variants, bit for bit
         for params in (dyn.default_sir_params(10), fast_params(6.0, 8.0)):
-            traj = dyn.solve_sir(params, 5.0, 0.0125)
+            traj = dyn.solve_sir(params, grid(5.0, 0.0125))
             with monkeypatch.context() as patch:
                 patch.setattr(dyn, "rate_rows", per_variant_rows)
-                ref = dyn.solve_sir(params, 5.0, 0.0125)
+                ref = dyn.solve_sir(params, grid(5.0, 0.0125))
             for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
                 assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
 
 def first_row(params):
-    """Trajectory of one step, whose row 0 is the initial condition."""
-    return dyn.solve_sir(params, 0.01, 0.01)
+    """Trajectory at t = 0 and 0.01, whose row 0 is the initial condition."""
+    return dyn.solve_sir(params, [0.0, 0.01])
 
 
 class TestCouplings:
@@ -548,28 +577,27 @@ class TestCouplings:
 
 class TestTrajectoryAt:
     def test_initial_condition_exact(self, desk_traj):
-        k = index_at(desk_traj, 0.0)
         params = desk_traj.params
         expected = params.i0 / params.i0.sum()
-        assert np.allclose(desk_traj.p(k), expected, atol=1e-15)
-        assert desk_traj.susceptible[k] == params.s0
+        assert desk_traj.times[0] == 0.0
+        assert np.allclose(desk_traj.p(0), expected, atol=1e-15)
+        assert desk_traj.susceptible[0] == params.s0
 
-    def test_off_grid_time_raises(self, desk_traj):
-        step = desk_traj.step
-        t_grid = 100 * step
-        assert index_at(desk_traj, t_grid) == 100
-        with pytest.raises(ValueError, match=r"time 0\.1004 is not a point of the grid "
-                                             r"of step 0\.001$"):
-            index_at(desk_traj, t_grid + 0.4 * step)
+    def test_time_between_grid_points(self, desk_traj):
+        # 0.1004 lies between two points of the desk grid of step 1e-3, and
+        # between their states
+        traj = dyn.solve_sir(desk_traj.params, [0.1004])
+        for name in ("susceptible", "cumulative_susceptible", "recovered"):
+            low, high = sorted(getattr(desk_traj, name)[100:102])
+            assert low < getattr(traj, name)[0] < high, name
 
     def test_velocity_is_tangent(self, desk_traj):
-        assert abs(desk_traj.pdot(index_at(desk_traj, 3.21)).sum()) < 1e-10
+        assert abs(dyn.solve_sir(desk_traj.params, [3.21]).pdot(0).sum()) < 1e-10
 
     def test_out_of_range(self, desk_traj):
-        with pytest.raises(ValueError, match="time 11.0 outside"):
-            index_at(desk_traj, 11.0)
-        with pytest.raises(ValueError, match="time -0.5 outside"):
-            index_at(desk_traj, -0.5)
+        for t in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match=f"times\\[1\\] = {t} is not a finite time"):
+                dyn.solve_sir(desk_traj.params, [1.0, t])
 
 
 class TestCsvExport:
@@ -581,12 +609,13 @@ class TestCsvExport:
         cfg.write_text(text)
         cli.run(str(cfg), str(tmp_path / "out"))
         path = tmp_path / "out" / "trajectory.csv"
-        traj = cli._model(cli.parse_config(text))[0]
+        params, dt, t_end = cli._model(cli.parse_config(text))
+        traj = dyn.solve_sir(params, cli._instants(dt / 10, t_end))  # every dt/10
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
         assert header == ["t", "S"] + [f"p_{i}" for i in range(1, 6)]
-        rows = slice(None, None, 2)  # every dt/10
-        expected = np.column_stack((traj.times[rows], traj.susceptible[rows], traj.p(rows)))
+        assert traj.times.size == 81
+        expected = np.column_stack((traj.times, traj.susceptible, traj.p()))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, expected)  # 17 digits read back exactly
 
@@ -596,7 +625,7 @@ class TestCsvExport:
         # column and an integer column
         params = dyn.SirParams([2.0, 2.0, 0.5], [1.0, 1.0, 1.5], 0.9,
                                [1e-7, 0.04, 0.06 - 1e-7], 0.0)
-        traj = dyn.solve_sir(params, 1.0, 0.01)
+        traj = dyn.solve_sir(params, grid(1.0, 0.01))
         header = (["quantity", "k", "t", "S"]
                   + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]
                   + ["mean_d"])

@@ -67,8 +67,8 @@ class TestFilterTrajectory:
     def test_noise_shrinks_on_static_model(self):
         # static probabilities: filtering must reduce fluctuation around truth
         params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.02, 0.08], 0.0)
-        traj = dyn.solve_sir(params, 10.0, 1e-3)
-        counts = rng.sample_block(traj.p(np.arange(41) * 250), 2000,  # every 0.25
+        traj = dyn.solve_sir(params, np.arange(41) * 0.25)
+        counts = rng.sample_block(traj.p(), 2000,
                                   rng.derive_key(4, np.arange(41, dtype=np.uint64)))
         p_true = traj.p(0)
         raw_err = np.abs(counts / 2000 - p_true).mean()

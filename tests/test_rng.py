@@ -94,7 +94,7 @@ class TestSampleCounts:
             assert np.array_equal(row[0], reference_sample_counts(p, n, rng.stream(31, n, r)))
 
     def test_bit_identical_on_trajectory_rows(self):
-        traj = dyn.solve_sir(dyn.default_sir_params(10), 10.0, 0.01)
+        traj = dyn.solve_sir(dyn.default_sir_params(10), np.arange(1001) * 0.01)
         rows = np.arange(0, traj.times.size, 50)
         block = rng.sample_block(traj.p(rows), 100000, rng.derive_key(5, rows.astype(np.uint64)))
         for k, row in zip(rows.tolist(), block):

@@ -12,7 +12,7 @@ from infodyn import rng
 from infodyn import sampling as smp
 from infodyn.clustering import Clustering, aggregate
 from infodyn.simplex import shahshahani_distance_sq
-from conftest import index_at
+from conftest import grid
 
 DT = 0.25
 STRIDE = 250  # DT in rows of desk_traj, whose step is 1e-3
@@ -21,11 +21,11 @@ P4 = np.array([0.1, 0.2, 0.3, 0.4])
 
 @pytest.fixture(scope="module")
 def desk_traj():
-    return dyn.solve_sir(dyn.default_sir_params(10), 10.0, 1e-3)
+    return dyn.solve_sir(dyn.default_sir_params(10), grid(10.0, 1e-3))
 
 
 def sample_grid(traj, rows, n, seed):
-    """Counts at the model-grid rows, the k-th drawn from the sub-stream
+    """Counts at the trajectory's rows, the k-th drawn from the sub-stream
     (seed, k): one sampled trajectory, shape (instants, variants)."""
     return rng.sample_block(traj.p(rows), n,
                             rng.derive_key(seed, np.arange(len(rows), dtype=np.uint64)))
@@ -148,7 +148,7 @@ class TestSampleTrajectory:
     def test_instants_use_isolated_substreams(self):
         # instant k is reproducible alone via the (seed, k) sub-stream
         for n_variants in (2, 10, 1000):
-            traj = dyn.solve_sir(dyn.default_sir_params(n_variants), 2.0, 0.01)
+            traj = dyn.solve_sir(dyn.default_sir_params(n_variants), grid(2.0, 0.01))
             for count, stride in ((2, 50), (41, 5)):  # dt = 0.5 and 0.05
                 rows = stride * np.arange(count)
                 for n in (1, 100000):
@@ -186,7 +186,7 @@ class TestFisherHat:
     def test_scaled_bias_law_mid_sample_size(self, desk_traj):
         # (MC mean - g_tt) * n dt^2 / (2N) is 1 at the middle sample size too
         n, dt, reps = 30000, 0.25, 300
-        k = index_at(desk_traj, 5.0)
+        k = 5000  # t = 5
         p = desk_traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
         g_tt = float(desk_traj.fisher_curve()[k])
         est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps, 4242,

@@ -14,6 +14,7 @@ from infodyn.simplex import (
 )
 
 import test_theory
+from conftest import delta_g_coupling_form
 
 
 def kl_divergence(point, reference) -> np.ndarray:
@@ -209,7 +210,7 @@ GEOMETRY = {
     "kl_divergence": lambda p, pdot, point, d, f: kl_divergence(point, p),
     "clustered_fisher": lambda p, pdot, point, d, f: cl.clustered_fisher(p, pdot, f),
     "delta_g_prob_form": lambda p, pdot, point, d, f: cl.delta_g_prob_form(p, pdot, f),
-    "delta_g_coupling_form": lambda p, pdot, point, d, f: cl.delta_g_coupling_form(p, d, f),
+    "delta_g_coupling_form": lambda p, pdot, point, d, f: delta_g_coupling_form(p, d, f),
     "fisher_bias_second_order":
         lambda p, pdot, point, d, f: th.fisher_bias_second_order(p, 1000, 0.25),
     "exact_static_fisher_mean":
@@ -237,7 +238,7 @@ class TestRowByRow:
 
     def test_trajectory_rows(self):
         # the rows the experiments evaluate: p and pdot of the model curve
-        traj = dyn.solve_sir(dyn.default_sir_params(10), 10.0, 0.0125)
+        traj = dyn.solve_sir(dyn.default_sir_params(10), np.arange(801) * 0.0125)
         f = cl.Clustering([1, 1, 1, 2, 2, 2, 3, 3, 3, 3])
         p, pdot = traj.p(), traj.pdot()
         for fn in (fisher_information, self_information_rate,

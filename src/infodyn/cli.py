@@ -380,7 +380,9 @@ def _inside(t_end: float, times, what: str) -> None:
 def _solve(cfg, params, *times) -> tuple:
     """One solve_sir call at all of `times`, each a time or an array of them.
     Returns the trajectory and, for each entry, its row or the slice of its
-    rows.  An IntegrationError names the key of the rates."""
+    rows.  An IntegrationError names the key of the rates, and a time past
+    the series steps solve_sir may take names t_end, which bounds every time
+    a run asks for."""
     rows, start = [], 0
     for t in times:
         size = np.size(t)
@@ -388,6 +390,8 @@ def _solve(cfg, params, *times) -> tuple:
         start += size
     try:
         return dyn.solve_sir(params, np.hstack(times)), rows
+    except ValueError as exc:
+        raise ConfigError(f"bad value for 't_end': {exc}") from exc
     except dyn.IntegrationError as exc:
         key = "groups" if "groups" in cfg else "N"
         raise ConfigError(f"bad value for {key!r}: the rates of its variants cannot be "

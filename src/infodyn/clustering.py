@@ -36,7 +36,7 @@ class Clustering:
             raise ValueError(f"labels must be a non-empty 1-d sequence, got shape {given.shape}")
         if given.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {given.dtype}")
-        present = np.unique(given)
+        present, _ = np.unique(given, return_counts=True)  # no numpy.ma import
         if present[0] < 1:
             raise ValueError(f"labels must be at least 1, got {present[0]}")
         unused = np.flatnonzero(present != np.arange(1, present.size + 1))
@@ -138,38 +138,94 @@ def principal_scores(features) -> tuple[np.ndarray, np.ndarray]:
     return points, np.argsort(points[:, 0], kind="stable")
 
 
+def distinct_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct, counts, of) of a 2-d array: its distinct rows in order of
+    first occurrence, how many rows equal each, and the index in `distinct`
+    of every row.  With every row distinct, `distinct` equals `rows` and
+    `of` is 0, 1, ..."""
+    perm = np.lexsort(rows.T[::-1])  # equal rows adjacent, each run in row order
+    ranked = rows[perm]
+    starts = np.ones(perm.size, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = perm[starts]  # the first row of each run
+    by_first = np.argsort(first)
+    run_row = np.empty_like(by_first)
+    run_row[by_first] = np.arange(by_first.size)
+    of = np.empty_like(perm)
+    of[perm] = run_row[np.cumsum(starts) - 1]
+    return rows[first[by_first]], np.bincount(of), of
+
+
+def _split_points(order, of, n_clusters: int) -> np.ndarray:
+    """Zero-based labels of n_clusters >= G clusters, each inside one of the
+    G distinct points `of` names: the points take labels 0..G-1 in the order
+    their rows first appear in `order`; then, walking `order`, each row after
+    the first of its point takes the next label, until n_clusters are used."""
+    walk = of[order]
+    _, firsts = np.unique(walk, return_index=True)
+    firsts.sort()
+    point_label = np.empty(firsts.size, dtype=np.intp)
+    point_label[walk[firsts]] = np.arange(firsts.size)
+    labels = point_label[of]
+    later = np.ones(order.size, dtype=bool)
+    later[firsts] = False
+    labels[order[np.flatnonzero(later)[:n_clusters - firsts.size]]] = \
+        np.arange(firsts.size, n_clusters)
+    return labels
+
+
 def lloyd(scores, n_clusters: int) -> Clustering:
     """Lloyd iterations on the (points, order) of ``principal_scores``, with
-    deterministic quantile seeding.
+    deterministic quantile seeding, run over the G distinct points.
+
+    Identical points (identical feature rows, as in a model whose variants
+    share rates) are collapsed, in order of first occurrence, into one point
+    weighted by how many variants it stands for; the centroids are these
+    count-weighted means, and each variant takes the label of its point.
+    With every point distinct the weights are 1, and each centroid sums its
+    members in variant order, as an unweighted mean over the variants does.
 
     Initial centroids are the points at the (a - 1/2)/ell quantiles of
-    `order`.  A point whose distances to two centroids agree within a
-    relative 1e-9 joins the lower-numbered one.  An emptied cluster is
-    re-seeded at the point farthest from its current centroid, so the
-    result is always surjective.
+    `order`, taken over the variants.  A point whose distances to two
+    centroids agree within a relative 1e-9 joins the lower-numbered one.  An
+    emptied cluster is re-seeded at the distinct point farthest from its
+    current centroid, taken from a cluster that holds more than one, so the
+    result is always surjective.  Iteration stops at the first labelling
+    already visited and returns the last new one.  Each iteration but the
+    last visits a new labelling, and there are finitely many, so the loop
+    ends: a converging run repeats only its final one, and the guard covers
+    the runs in which the tie rule or a re-seeding undoes the descent of the
+    objective and the labellings cycle.
 
-    Iteration stops at the first labelling already visited and returns the
-    last new one.  Each iteration but the last visits a new labelling, and
-    there are finitely many, so the loop ends.  A converging run repeats only its
-    final one; with more clusters than distinct points, re-seeding and the
-    tie rule can cycle instead, and the run ends where the cycle closes.
+    With more clusters than distinct points (ell > G) no iteration runs;
+    some point must be split, and every split inside one point costs
+    nothing.  The labels are fixed instead: each distinct point is one
+    cluster, numbered in order of first principal score (the order its
+    variants first appear in `order`), and each of the ell - G further
+    clusters takes one variant, the variants after the first of their point
+    in that same order.  Every cluster lies inside one distinct point, so
+    the K-means objective is 0.
     """
     points, order = scores
     n_points = points.shape[0]
     if not 1 <= n_clusters <= n_points:
         raise ValueError(f"need 1 <= n_clusters <= {n_points}, got {n_clusters}")
+    distinct, weights, of = distinct_rows(points)
+    n_distinct = weights.size
+    if n_clusters > n_distinct:
+        return Clustering(_split_points(order, of, n_clusters) + 1)
     picks = [order[int((a - 0.5) * n_points / n_clusters)] for a in range(1, n_clusters + 1)]
     centroids = points[picks].copy()
 
     seen = set()
     while True:
-        dist = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        dist = np.sum((distinct[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         # nearest centroid; distances equal to a relative 1e-9 count as a tie,
         # which goes to the lower-numbered centroid.  Evenly spaced features
         # give exact ties, and rounding in the features must not decide them.
         nearest = dist.min(axis=1, keepdims=True)
         new_labels = np.argmax(dist <= nearest * (1.0 + 1e-9), axis=1)
-        point_cost = dist[np.arange(n_points), new_labels]
+        point_cost = dist[np.arange(n_distinct), new_labels]
         empty = [a for a in range(n_clusters) if not np.any(new_labels == a)]
         while empty:
             a = empty.pop(0)
@@ -178,21 +234,26 @@ def lloyd(scores, n_clusters: int) -> Clustering:
             movable = sizes[new_labels] > 1
             far = int(np.argmax(np.where(movable, point_cost, -1.0)))
             new_labels[far] = a
-            centroids[a] = points[far]
+            centroids[a] = distinct[far]
             point_cost[far] = 0.0
         if new_labels.tobytes() in seen:
             break
         seen.add(new_labels.tobytes())
         labels = new_labels
         for a in range(n_clusters):
-            centroids[a] = points[labels == a].mean(axis=0)
-    return Clustering(labels + 1)
+            members = labels == a
+            centroids[a] = ((weights[members, None] * distinct[members]).sum(axis=0)
+                            / weights[members].sum())
+    return Clustering(labels[of] + 1)
 
 
 def kmeans(features, n_clusters: int) -> Clustering:
     """K-means of the feature rows into n_clusters: ``lloyd`` on their
-    ``principal_scores``.  A scan over several cluster counts takes the
-    scores once and runs ``lloyd`` for each count, with the same result."""
+    ``principal_scores``, iterated over the distinct points with each
+    weighted by its number of variants, and with a fixed labelling of zero
+    cost when n_clusters exceeds the number of distinct rows.  A scan over
+    several cluster counts takes the scores once and runs ``lloyd`` for
+    each count, with the same result."""
     return lloyd(principal_scores(features), n_clusters)
 
 

@@ -45,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import distinct_rows
+
 CONSERVATION_TOL = 1e-6
 # solve_sir's Taylor series (see there): the number of coefficients, the
 # series step, the bound on the truncation estimate, a few units in the last
@@ -54,6 +56,11 @@ SERIES_ORDER = 30
 SERIES_STEP = 0.5
 STEP_TOL = 1e-15
 MAX_HALVINGS = 4
+# the most series steps of SERIES_STEP a call may need, so times up to 2048.
+# A step holds SERIES_ORDER x 4 coefficients (about 1 KB) and takes 0.3-0.6
+# ms at 10-1000 rate rows, so a call stays within about 4 MB and 2.5 s; the
+# epidemics of the shipped models are over by t = 20.
+MAX_SERIES_STEPS = 4096
 # initial susceptible fraction of the default and grouped parameter sets
 DEFAULT_S0 = 0.9445
 
@@ -253,12 +260,9 @@ def rate_rows(params: SirParams) -> tuple:
     variants with equal rates share I = i0 * exp(gamma * X - epsilon * t), so
     sums over variants are sums over these rows, exact up to rounding.  With
     every pair distinct the rows are the variants, bit for bit."""
-    _, first, pair = np.unique(np.column_stack((params.gamma, params.epsilon)), axis=0,
-                               return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct pairs in order of first occurrence
-    row = np.argsort(order)[pair.ravel()]  # the row of each variant
-    return (np.log(np.bincount(row, weights=params.i0)), params.gamma[first[order]],
-            params.epsilon[first[order]])
+    pairs, _, row = distinct_rows(np.column_stack((params.gamma, params.epsilon)))
+    gamma, epsilon = np.ascontiguousarray(pairs.T)
+    return np.log(np.bincount(row, weights=params.i0)), gamma, epsilon
 
 
 def solve_sir(params: SirParams, times) -> Trajectory:
@@ -291,6 +295,13 @@ def solve_sir(params: SirParams, times) -> Trajectory:
     by more than CONSERVATION_TOL raises IntegrationError naming it; the
     earliest such time asked for, or else the end of the first series step
     that fails a check before max(times).
+
+    A time past MAX_SERIES_STEPS steps of SERIES_STEP raises ValueError
+    naming it, before the first step: the steps run one after another from
+    t = 0, so such a time costs its length in work and memory whatever else
+    is asked for (and from t0 = 2**52 on, t0 + h rounds to t0 and the loop
+    would never end).  A model that halves its step takes up to 2**MAX_HALVINGS
+    times as many steps.
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -300,6 +311,11 @@ def solve_sir(params: SirParams, times) -> Trajectory:
         bad = int(np.argmin(finite))
         raise ValueError(f"times[{bad}] = {times[bad]} is not a finite time of at least 0")
     t_max = float(times.max())
+    if t_max > MAX_SERIES_STEPS * SERIES_STEP:
+        bad = int(np.argmax(times))
+        raise ValueError(f"times[{bad}] = {times[bad]} needs more than MAX_SERIES_STEPS = "
+                         f"{MAX_SERIES_STEPS} series steps of {SERIES_STEP:g}: times must be "
+                         f"at most {MAX_SERIES_STEPS * SERIES_STEP:g}")
     log_i0, gamma, epsilon = rate_rows(params)
     exponents = np.column_stack((log_i0, gamma, -epsilon))
     weights = np.column_stack((epsilon, np.ones_like(gamma)))

@@ -1,6 +1,7 @@
 """The CI workflow installs every test dependency that pyproject.toml lists,
 and runs every benchmark workload, so that a new one cannot land in only
-one of the two places, and the large-M benchmark script."""
+one of the two places, and the large-M benchmark script; and the tests job
+has a timeout."""
 
 import importlib.util
 import pathlib
@@ -47,3 +48,12 @@ def test_workflow_runs_the_large_m_benchmark():
     step = re.search(r"^\s+run: python scripts/bench_large_m\.py --repeats 1$",
                      WORKFLOW.read_text(), re.M)
     assert step is not None, "no step runs 'python scripts/bench_large_m.py --repeats 1'"
+
+
+def test_tests_job_has_a_timeout():
+    # a hung test fails the job within its timeout, not GitHub's 6-hour default
+    job = re.search(r"^  tests:\n((?:    .*\n|\n)*)", WORKFLOW.read_text(), re.M)
+    assert job is not None, "no 'tests' job in the workflow"
+    minutes = re.search(r"^    timeout-minutes: (\d+)$", job.group(1), re.M)
+    assert minutes is not None, "the 'tests' job sets no timeout-minutes"
+    assert 1 <= int(minutes.group(1)) <= 60

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -540,6 +542,24 @@ class TestRunner:
                               "steps: series truncation estimate ")
         assert err.endswith(" > 1e-300 at t=0, after 0 halvings of the series step 0.5 "
                             "to 0.5\n")
+        assert not out.exists()
+
+    def test_time_past_the_series_steps_exits_2_at_once(self, tmp_path):
+        # t_end = 1e16 asks solve_sir for t = 1e16, where a series step of
+        # 0.5 no longer advances t; it is refused before the first step.  The
+        # run has a process of its own, so that a hang fails the test
+        cfg = write_cfg(tmp_path, "experiment = elbow-scan\nt_end = 1e16\ndt = 1e15\nt = 1\n")
+        out = tmp_path / "out"
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+        done = subprocess.run([sys.executable, "-m", "infodyn.cli", "--config", cfg,
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=10)
+        assert done.returncode == 2
+        assert done.stderr == ("error: bad value for 't_end': times[10] = 1e+16 needs more than "
+                               "MAX_SERIES_STEPS = 4096 series steps of 0.5: times must be at "
+                               "most 2048\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("exc, shown", [

@@ -40,8 +40,9 @@ def _principal_scores(features):
 
 
 def reference_kmeans(features, n_clusters):
-    """K-means as `cl.kmeans` runs it, but with Lloyd's iterations on every
-    feature column: the same seeds, tie rule, re-seeding and stop rule."""
+    """K-means as `cl.kmeans` runs it on distinct feature rows, but with
+    Lloyd's iterations on every feature column and every row: the same
+    seeds, tie rule, re-seeding and stop rule."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n_points = features.shape[0]
     order = np.argsort(_principal_scores(features), kind="stable")
@@ -315,16 +316,14 @@ class TestKmeans:
         assert sorted(f.labels) == [0, 1, 2, 3]
         assert kmeans_objective(feats, f) == 0.0
 
-    def test_row_permutation_changes_only_labels(self):
+    @pytest.mark.parametrize("distinct", [12, 5], ids=["distinct", "duplicates"])
+    def test_row_permutation_changes_only_labels(self, distinct):
         gen = np.random.default_rng(10)
-        feats = gen.normal(size=(12, 4))
+        feats = gen.normal(size=(distinct, 4))[np.arange(12) % distinct]
         perm = gen.permutation(12)
         f = cl.kmeans(feats, 3)
         f_perm = cl.kmeans(feats[perm], 3)
-        for i in range(12):
-            for j in range(12):
-                assert (f.labels[perm[i]] == f.labels[perm[j]]) == \
-                    (f_perm.labels[i] == f_perm.labels[j])
+        assert same_partition(f.labels[perm], f_perm.labels)
 
     def test_surjective_even_with_duplicate_rows(self):
         feats = np.zeros((5, 2))
@@ -340,22 +339,21 @@ class TestKmeans:
         nudged[3] = np.nextafter(feats[3], np.inf)
         assert np.array_equal(cl.kmeans(nudged, 3).labels, cl.kmeans(feats, 3).labels)
 
-    def test_cycling_run_ends_with_pinned_labels(self):
-        # six distinct rate rows: with more clusters than that, re-seeding an
-        # emptied cluster on a duplicate point and the tie rule can cycle
-        # through labellings; the run ends where the cycle closes, with these
-        # zero-based labels, one character per variant.  Identical rows give
-        # identical points, so the seeding order and the re-seeding rule, not
-        # rounding, decide how a group of them is split; every split keeps
-        # each cluster inside one rate group, and so loses no information,
-        # for the full-space reference as well
+    def test_more_clusters_than_rate_groups_split_the_first_group(self):
+        # six distinct rate rows: with more clusters than that, no iteration
+        # runs.  The six groups take labels 0-5 in order of first principal
+        # score, and each further cluster takes the next variant of the first
+        # group in that order, with these zero-based labels, one character
+        # per variant.  Every split keeps each cluster inside one rate group,
+        # and so loses no information, as the full-space reference's cycling
+        # iterations do
         pinned = {
-            7: "20000000011111111133333333444444445555555566666666",
-            8: "26000000011111111133333333444444445555555577777777",
-            9: "14700000022222222233333333555555556666666688888888",
-            10: "03691111122222222244444444555555557777777788888888",
-            11: "1358a000022222222244444444666666667777777799999999",
-            12: "13579b000222222222444444446666666688888888aaaaaaaa",
+            7: "06000000011111111122222222333333334444444455555555",
+            8: "06700000011111111122222222333333334444444455555555",
+            9: "06780000011111111122222222333333334444444455555555",
+            10: "06789000011111111122222222333333334444444455555555",
+            11: "06789a00011111111122222222333333334444444455555555",
+            12: "06789ab0011111111122222222333333334444444455555555",
         }
         groups = [9, 9, 8, 8, 8, 8]
         traj = dyn.solve_sir(dyn.grouped_sir_params(groups), grid(10.0, 0.25))
@@ -392,8 +390,8 @@ class TestKmeans:
 
 class TestKmeansAgainstFullSpace:
     """`cl.kmeans` runs Lloyd's iterations in the principal coordinates of the
-    features; on every input whose clusters do not split identical points it
-    gives the labels of `reference_kmeans`, which uses every column."""
+    features; on inputs with distinct rows it gives the labels of
+    `reference_kmeans`, which uses every column."""
 
     @pytest.mark.parametrize("n_variants, seed", [(10, 1), (40, 2), (40, 3), (200, 4)])
     def test_random_rate_models(self, n_variants, seed):
@@ -422,6 +420,67 @@ class TestKmeansAgainstFullSpace:
         for ell in (2, 3, 5, 8, 13):
             assert np.array_equal(cl.kmeans(feats, ell).labels,
                                   reference_kmeans(feats, ell).labels), ell
+
+
+def same_partition(a, b):
+    """Whether two label arrays group the variants alike, whatever the names."""
+    return all((a[i] == a[j]) == (b[i] == b[j]) for i in range(a.size) for j in range(a.size))
+
+
+@st.composite
+def repeated_rows(draw):
+    """(features, row of each variant): G <= 5 distinct rows of 1-3 normal
+    columns, each repeated 1-4 times, in shuffled order."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 5))
+    distinct = gen.normal(size=(n_rows, draw(st.integers(1, 3))))
+    row = np.repeat(np.arange(n_rows), draw(st.lists(st.integers(1, 4), min_size=n_rows,
+                                                    max_size=n_rows)))
+    gen.shuffle(row)
+    return distinct[row], row
+
+
+class TestRepeatedRows:
+    """`cl.lloyd` iterates over the distinct points, each weighted by its
+    number of variants, and with more clusters than distinct points it
+    splits them by a fixed rule instead."""
+
+    @given(data=repeated_rows(), ell=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, data, ell, seed):
+        feats, row = data
+        n_variants, n_rows = row.size, row.max() + 1
+        ell = 1 + (ell - 1) % n_variants
+        f = cl.kmeans(feats, ell)
+        assert f.n_clusters == ell
+        if ell <= n_rows:
+            # identical rows share a label
+            assert all(np.unique(f.labels[row == r]).size == 1 for r in range(n_rows))
+            perm = np.random.default_rng(seed).permutation(n_variants)
+            assert same_partition(f.labels[perm], cl.kmeans(feats[perm], ell).labels)
+        else:
+            # every cluster inside one distinct row, at no cost but the
+            # rounding of a mean of equal rows
+            assert all(np.unique(row[f.labels == a]).size == 1 for a in range(ell))
+            assert kmeans_objective(feats, f) <= 1e-28 * np.sum(feats * feats)
+
+    def test_distinct_rows_in_order_of_first_occurrence(self):
+        points = np.array([[2.0, 0.0], [1.0, 5.0], [2.0, 0.0], [1.0, 4.0], [1.0, 5.0]])
+        distinct, counts, of = cl.distinct_rows(points)
+        assert distinct.tolist() == [[2.0, 0.0], [1.0, 5.0], [1.0, 4.0]]
+        assert counts.tolist() == [2, 2, 1] and of.tolist() == [0, 1, 0, 2, 1]
+        distinct, counts, of = cl.distinct_rows(points[[0, 1, 3]])
+        assert np.array_equal(distinct, points[[0, 1, 3]])
+        assert counts.tolist() == [1, 1, 1] and of.tolist() == [0, 1, 2]
+
+    def test_centroids_weigh_each_point_by_its_variants(self):
+        # seeds 1.6 and 1.9; the centroid of {1.9, 1.9, 2.6} is 2.133 with
+        # each point weighted by its variants, so 1.9 stays there (0.233
+        # against 0.3 to 1.6), as in Lloyd's iterations over the variants.
+        # The unweighted mean 2.25 of the two points would send it to 1.6
+        feats = np.array([[1.6], [1.6], [1.9], [1.9], [2.6]])
+        assert cl.kmeans(feats, 2).labels.tolist() == [0, 0, 1, 1, 1]
+        assert np.array_equal(reference_kmeans(feats, 2).labels, [0, 0, 1, 1, 1])
 
 
 class TestSharedScores:

@@ -285,6 +285,13 @@ class TestIntegration:
         ([0.0, -0.5], r"times\[1\] = -0\.5 is not a finite time of at least 0"),
         ([1.0, 2.0, float("nan")], r"times\[2\] = nan is not a finite time of at least 0"),
         ([float("inf")], r"times\[0\] = inf is not a finite time of at least 0"),
+        # past the series steps a call may take, refused before the first;
+        # at t = 1e16 the steps would not even advance, t0 + 0.5 == t0
+        ([1e16], r"times\[0\] = 1e\+16 needs more than MAX_SERIES_STEPS = 4096 series "
+                 r"steps of 0\.5: times must be at most 2048"),
+        ([1.0, np.nextafter(2048.0, 3000.0)],
+         r"times\[1\] = 2048\.0000000000005 needs more than .*"),
+        ([1.7e308, 0.0], r"times\[0\] = 1\.7e\+308 needs more than .*"),
     ])
     def test_bad_times_rejected(self, times, error):
         with pytest.raises(ValueError, match=f"^{error}$"):

@@ -7,16 +7,20 @@ Prints one JSON object of medians (and the raw samples):
 
 - `solve_sir` on the grouped model of six rate groups at M = 1000 and 10**5
   variants, at the 41 sampling instants 0, 0.25, ..., 10 (dt = 0.25,
-  t_end = 10);
+  t_end = 10), and on the default model at M = 1000, every rate pair
+  distinct, at the 81 times 0, 0.125, ..., 10 that filtering-comparison
+  asks for (its 41 instants and their midpoints);
 - `kmeans_features` at M = 10**5 on those 41 instants: traced
   (tracemalloc) peak;
 - an elbow-scan run at M = 10**5 (six groups, ell = 4..7), through
   `cli.run`: wall time, tracemalloc peak, and the ru_maxrss of a fresh
   process that runs only it.
 
-Each elbow-scan sample runs in its own process, so that ru_maxrss is that
-run's; the time and the traced peak come from separate runs, since tracing
-slows the run.
+Each sample runs in its own process: an elbow-scan sample, so that
+ru_maxrss is that run's, and a `solve_sir` sample, the median of
+SOLVE_CALLS calls after one untimed call, since one process can settle at
+about twice the time of another for the same call.  The elbow-scan time and
+traced peak come from separate runs, since tracing slows the run.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ import sys
 import tempfile
 import time
 import tracemalloc
+
+# timed solve_sir calls per process, after one untimed call
+SOLVE_CALLS = 5
+SOLVE_MODELS = ("grouped_M1000", "grouped_M100000", "default_M1000")
 
 
 def groups(m: int) -> list[int]:
@@ -58,26 +66,39 @@ def elbow_once(trace: bool) -> dict:
             "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
-def in_process(repeats: int) -> dict:
+def solve_once(model: str) -> float:
+    """One solve_sir sample of `model` (one of SOLVE_MODELS), in this process."""
+    import numpy as np
+
+    from infodyn import dynamics as dyn
+
+    kind, m = model.split("_M")
+    if kind == "grouped":
+        params, times = dyn.grouped_sir_params(groups(int(m))), np.arange(41) * 0.25
+    else:
+        params, times = dyn.default_sir_params(int(m)), np.arange(81) * 0.125
+    dyn.solve_sir(params, times)
+    seconds = []
+    for _ in range(SOLVE_CALLS):
+        start = time.perf_counter()
+        dyn.solve_sir(params, times)
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds)
+
+
+def kmeans_peak() -> dict:
+    """Traced peak of kmeans_features at M = 10**5 on the 41 instants."""
     import numpy as np
 
     from infodyn import clustering as cl
     from infodyn import dynamics as dyn
 
-    out = {}
-    for m in (1000, 10 ** 5):
-        params = dyn.grouped_sir_params(groups(m))
-        samples = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            traj = dyn.solve_sir(params, np.arange(41) * 0.25)
-            samples.append(time.perf_counter() - start)
-        out[f"solve_sir_grouped_M{m}_s"] = samples
+    traj = dyn.solve_sir(dyn.grouped_sir_params(groups(10 ** 5)), np.arange(41) * 0.25)
     tracemalloc.start()
     cl.kmeans_features(traj, slice(None))
-    out["kmeans_features_M100000_traced_peak_mb"] = [tracemalloc.get_traced_memory()[1] / 2 ** 20]
+    peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
-    return out
+    return {"kmeans_features_M100000_traced_peak_mb": [peak]}
 
 
 def main() -> int:
@@ -85,6 +106,7 @@ def main() -> int:
     parser.add_argument("--root", default=".", help="checkout whose src/ is measured")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--elbow", choices=("time", "trace"), help=argparse.SUPPRESS)
+    parser.add_argument("--solve", choices=SOLVE_MODELS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"  # single-threaded BLAS, as in perfbench; children inherit it
@@ -92,11 +114,18 @@ def main() -> int:
     if args.elbow:  # one elbow-scan sample, in this process only
         print(json.dumps(elbow_once(args.elbow == "trace")))
         return 0
-    samples = in_process(args.repeats)
-    runs = [json.loads(subprocess.run(
-        [sys.executable, __file__, "--root", args.root, "--elbow", mode],
-        check=True, capture_output=True, text=True).stdout)
-        for _ in range(args.repeats) for mode in ("time", "trace")]
+    if args.solve:  # one solve_sir sample, in this process only
+        print(json.dumps(solve_once(args.solve)))
+        return 0
+
+    def sample(*flags):
+        return json.loads(subprocess.run([sys.executable, __file__, "--root", args.root, *flags],
+                                         check=True, capture_output=True, text=True).stdout)
+
+    samples = kmeans_peak()
+    for model in SOLVE_MODELS:
+        samples[f"solve_sir_{model}_s"] = [sample("--solve", model) for _ in range(args.repeats)]
+    runs = [sample("--elbow", mode) for _ in range(args.repeats) for mode in ("time", "trace")]
     samples["elbow_scan_M100000_s"] = [r["seconds"] for r in runs[::2]]
     samples["elbow_scan_M100000_traced_peak_mb"] = [r["traced_peak_mb"] for r in runs[1::2]]
     samples["elbow_scan_M100000_ru_maxrss_mb"] = [r["ru_maxrss_mb"] for r in runs[::2]]

@@ -381,8 +381,7 @@ def _solve(cfg, params, *times) -> tuple:
     """One solve_sir call at all of `times`, each a time or an array of them.
     Returns the trajectory and, for each entry, its row or the slice of its
     rows.  An IntegrationError names the key of the rates, and a time past
-    the series steps solve_sir may take names t_end, which bounds every time
-    a run asks for."""
+    dynamics.MAX_TIME names t_end, which bounds every time a run asks for."""
     rows, start = [], 0
     for t in times:
         size = np.size(t)

@@ -31,11 +31,12 @@ which keeps derivative checks free of finite-difference bias.
 automatic differentiation (Jorba and Zou 2005, Exp. Math. 14, 99).  Along
 the curve the exponents log I are affine in X, so one exponential per
 series step gives I at its start, and the recurrences of I' = I * (gamma *
-S - epsilon) every further Taylor coefficient of I, S, X and R.  The series
-steps do not depend on the times a caller asks for: the state at a time is
-a function of the rates and that time alone, and a model whose rates need
-more than MAX_HALVINGS halvings of the series step fails whatever times
-are asked for.
+S - epsilon) every further Taylor coefficient of I, S, X and R.  Each series
+step is as long as the last two coefficients allow for a truncation
+estimate of STEP_TOL, the step rule of Jorba and Zou.  The steps depend on
+the state alone, not on the times a caller asks for: the state at a time is
+a function of the rates and that time alone, and a model whose rates need a
+step shorter than MIN_STEP fails whatever times are asked for.
 """
 
 from __future__ import annotations
@@ -49,18 +50,22 @@ from .clustering import distinct_rows
 
 CONSERVATION_TOL = 1e-6
 # solve_sir's Taylor series (see there): the number of coefficients, the
-# series step, the bound on the truncation estimate, a few units in the last
-# place of an O(1) state, and how many times the series step may be halved
-# to meet it
+# truncation estimate each series step is sized to, a few units in the last
+# place of an O(1) state, and the shortest series step a model may need.
+# gamma in [20, 22] steps down to 0.041 and integrates, rates such as
+# gamma = 200 need 0.006 and fail.  Fixed steps of 0.5, halved up to four
+# times, went down to 0.03125; of 800 random models, each one that they
+# integrated takes no step shorter than 0.029 here, so MIN_STEP is a little
+# below that.
 SERIES_ORDER = 30
-SERIES_STEP = 0.5
 STEP_TOL = 1e-15
-MAX_HALVINGS = 4
-# the most series steps of SERIES_STEP a call may need, so times up to 2048.
-# A step holds SERIES_ORDER x 4 coefficients (about 1 KB) and takes 0.3-0.6
-# ms at 10-1000 rate rows, so a call stays within about 4 MB and 2.5 s; the
-# epidemics of the shipped models are over by t = 20.
-MAX_SERIES_STEPS = 4096
+MIN_STEP = 0.025
+# the last time a call may ask for.  The series steps run one after another
+# from t = 0, each at least MIN_STEP long, so a call takes at most
+# MAX_TIME / MIN_STEP = 81920 of them, each of SERIES_ORDER x 4
+# coefficients (about 1 KB); the default models reach t = 2048 in 21 steps,
+# and the epidemics of the shipped models are over by t = 20.
+MAX_TIME = 2048.0
 # initial susceptible fraction of the default and grouped parameter sets
 DEFAULT_S0 = 0.9445
 
@@ -271,8 +276,8 @@ def solve_sir(params: SirParams, times) -> Trajectory:
     the state at times[i], which depends on params and times[i] alone, bit
     for bit.
 
-    The sums over variants run over the rows of rate_rows.  Series steps of
-    length h run from t = 0 until one reaches max(times).  At the start t0 of
+    The sums over variants run over the rows of rate_rows.  Series steps run
+    from t = 0 until one reaches max(times).  At the start t0 of
     each, one exponential gives the rows' I[0] = exp(log i0 + gamma X -
     epsilon t0), and I' = I (gamma S - epsilon) the further coefficients of
     (t - t0)^k, P = SERIES_ORDER of each:
@@ -281,27 +286,32 @@ def solve_sir(params: SirParams, times) -> Trajectory:
         S[k+1] = -gamma . J[k] / (k+1)    X[k+1] = S[k] / (k+1)
         R[k+1] = epsilon . I[k] / (k+1)
 
-    The polynomials give the state at t0 + h, where the next step starts, and
-    at every time asked for in [t0, t0 + h] (_states).  Their last terms
-    estimate the truncation error; to first order
+    Their last terms estimate the truncation error; to first order
 
-        est = (ptp(gamma) |X[P-1]| + max(gamma) |S[P-1]| + |sum I[P-1]|) h^(P-1)
+        est[k] = (ptp(gamma) |X[k]| + (max(gamma) + 1/S[0]) |S[k]| + |sum I[k]|) h^k
 
-    bounds the change it makes in log p, in the couplings and in sum(I), the
-    last term being all there is when gamma is 0.  While est > STEP_TOL, h is
-    halved, for this step and the later ones; an estimate still above it
-    after MAX_HALVINGS halvings raises IntegrationError naming it, h and t0.
-    A time with a non-finite state, S outside [0, 1], or S + sum(I) + R off 1
-    by more than CONSERVATION_TOL raises IntegrationError naming it; the
-    earliest such time asked for, or else the end of the first series step
-    that fails a check before max(times).
+    bounds the change the term k makes in log p, in the couplings, in log S
+    and in sum(I), the last term being all there is when gamma is 0 (and
+    1/S[0] taken as 0 when S[0] is, since S then stays 0).  The log S term
+    keeps S's relative accuracy once it has fallen far below STEP_TOL, as
+    in an epidemic with R0 near 100.  The step h is the largest with
+    est[P-2] and est[P-1] both at most STEP_TOL (Jorba and Zou), so one
+    coefficient that happens to be near zero cannot set it; with both zero,
+    as once I underflows to 0, the series is a polynomial and the step
+    unbounded.  A step shorter than MIN_STEP, or undefined because a
+    coefficient is not finite, raises IntegrationError naming it and t0.
+    The polynomials give the state at t0 + h, where the next step starts,
+    and at every time asked for in [t0, t0 + h] (_states).  A time with a non-finite state, S outside
+    [0, 1], or S + sum(I) + R off 1 by more than CONSERVATION_TOL raises
+    IntegrationError naming it; the earliest such time asked for, or else the
+    end of the first series step that fails a check before max(times).
 
-    A time past MAX_SERIES_STEPS steps of SERIES_STEP raises ValueError
-    naming it, before the first step: the steps run one after another from
-    t = 0, so such a time costs its length in work and memory whatever else
-    is asked for (and from t0 = 2**52 on, t0 + h rounds to t0 and the loop
-    would never end).  A model that halves its step takes up to 2**MAX_HALVINGS
-    times as many steps.
+    A time past MAX_TIME raises ValueError naming it, before the first step:
+    the steps run one after another from t = 0, so a time costs work and
+    memory in step with its length whatever else is asked for (and far past
+    it t0 + h would round to t0).  The default models take 9 or 10
+    steps to t = 10 (h from 0.72 to 2.4), gamma in [6, 8] 18 (from 0.14) and
+    gamma in [20, 22] 18 to t = 2 (from 0.041).
     """
     times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -311,47 +321,49 @@ def solve_sir(params: SirParams, times) -> Trajectory:
         bad = int(np.argmin(finite))
         raise ValueError(f"times[{bad}] = {times[bad]} is not a finite time of at least 0")
     t_max = float(times.max())
-    if t_max > MAX_SERIES_STEPS * SERIES_STEP:
+    if t_max > MAX_TIME:
         bad = int(np.argmax(times))
-        raise ValueError(f"times[{bad}] = {times[bad]} needs more than MAX_SERIES_STEPS = "
-                         f"{MAX_SERIES_STEPS} series steps of {SERIES_STEP:g}: times must be "
-                         f"at most {MAX_SERIES_STEPS * SERIES_STEP:g}")
+        raise ValueError(f"times[{bad}] = {times[bad]} is past MAX_TIME: times must be at "
+                         f"most {MAX_TIME:g}")
     log_i0, gamma, epsilon = rate_rows(params)
     exponents = np.column_stack((log_i0, gamma, -epsilon))
     weights = np.column_stack((epsilon, np.ones_like(gamma)))
     spread, top = float(np.ptp(gamma)), float(np.max(gamma))
     powers = np.arange(SERIES_ORDER)
     inverse = 1.0 / powers[1:]
-    # gamma / (k+1) and epsilon / (k+1), the rates of the coefficient k+1
-    gamma_k, epsilon_k = np.outer(inverse, gamma), np.outer(inverse, epsilon)
     infected = np.empty((SERIES_ORDER, gamma.size))  # I[k] of every row
     coeffs = np.empty((SERIES_ORDER, 4))  # the S, X, R and sum(I) coefficients
     s_c, x_c, r_c, total_c = coeffs.T
+    # the views of the recurrence for each coefficient k: S[k..0], I[0..k],
+    # I[k+1], I[k], gamma / (k+1) and epsilon / (k+1)
+    recurrence = [(s_c[k::-1], infected[:k + 1], infected[k + 1], infected[k], g, e)
+                  for k, g, e in zip(range(SERIES_ORDER - 1), np.outer(inverse, gamma),
+                                     np.outer(inverse, epsilon))]
+    # est[k] = STEP_TOL at h = (STEP_TOL / (est[k] / h^k))^(1/k), k = P-2, P-1
+    roots = 1.0 / powers[-2:]
 
     starts, polys = [], []  # each series step's t0 and coefficients
     s, x, r = params.s0, 0.0, params.r0
-    t0, h, halvings = 0.0, SERIES_STEP, 0
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
+    t0 = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         while True:
             np.exp(exponents.dot((1.0, x, t0)), out=infected[0])
             s_c[0], x_c[0], r_c[0] = s, x, r
-            for j in range(SERIES_ORDER - 1):
-                nxt = infected[j + 1]
-                np.multiply(s_c[j::-1].dot(infected[:j + 1]), gamma_k[j], out=nxt)
-                s_c[j + 1] = -nxt.sum()
-                nxt -= epsilon_k[j] * infected[j]
+            for s_rev, head, nxt, cur, g, e in recurrence:
+                np.multiply(s_rev.dot(head), g, out=nxt)
+                s_c[s_rev.size] = -nxt.sum()
+                nxt -= e * cur
             recovery, total_c[:] = infected.dot(weights).T
             x_c[1:] = s_c[:-1] * inverse
             r_c[1:] = recovery[:-1] * inverse
-            est = (spread * abs(x_c[-1]) + top * abs(s_c[-1]) + abs(total_c[-1])) * h ** powers[-1]
-            if not est <= STEP_TOL:
-                if halvings == MAX_HALVINGS:
-                    raise IntegrationError(
-                        f"series truncation estimate {est:.3e} > {STEP_TOL:g} at t={t0:g}, "
-                        f"after {MAX_HALVINGS} halvings of the series step {SERIES_STEP:g} "
-                        f"to {h:g}")
-                h, halvings = 0.5 * h, halvings + 1
-                continue
+            relative = 1.0 / s if s > 0 else 0.0  # of log S
+            est = (spread * np.abs(x_c[-2:]) + (top + relative) * np.abs(s_c[-2:])
+                   + np.abs(total_c[-2:]))  # est[k] / h^k
+            h = float(np.min((STEP_TOL / est) ** roots))
+            if not h >= MIN_STEP:
+                raise IntegrationError(
+                    f"series step {h:.3e} < MIN_STEP = {MIN_STEP:g} at t={t0:g}: the "
+                    f"truncation estimate of a longer one exceeds {STEP_TOL:g}")
             starts.append(t0)
             polys.append(coeffs.copy())
             end = h ** powers @ coeffs

@@ -39,7 +39,7 @@ SHIPPED_DIGESTS = {
     },
     "elbow_scan": {
         "elbow_curve.csv":
-            "3bc025828aa4d33c44bbb6cb79850f2291d9670cc6c74d787511f17ce74756b6",
+            "cf19d23ebc82aa9ba0767bd9a992b23462b66f769eef03d65a92636068a848e6",
         "elbow_summary.csv":
             "54b9750212b1b94adb6be5152e187bc0baffbd75489e1b7cbcf792bfd6bf3f83",
         "manifest.json":
@@ -47,19 +47,19 @@ SHIPPED_DIGESTS = {
     },
     "filtering_comparison": {
         "filtering_rmse.csv":
-            "80c7f4c07708a703157a856aa6d9d7702c3733315da04254a11aaa952d74959d",
+            "0fc17b08451dbb636a7335f0e7da545addb0c5e1f5d011f1759d509f43369126",
         "manifest.json":
             "79dfcf655bb27738a1b95cb75d30b86b8c0ce8210737b86f0271d0bbcb01290e",
     },
     "fisher_bias_vs_n": {
         "fisher_bias_vs_t.csv":
-            "c3545fcab293801aa77e0db94004afeb32fe02b7fa37931f492d17c81722d72f",
+            "4f24bd9fdbf034c17791687c06f7ff532988fc84a6d3a239973d662e8ceaf764",
         "manifest.json":
             "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
     },
     "fisher_bias_vs_t": {
         "fisher_bias_vs_t.csv":
-            "63442ba71b3e4d4cd6f789a6383abe4e13aaced3efa9ec3e278d4a88c1a9c99e",
+            "25e01007dd936c4dcab7465042b42ae84fc95436597b585cb34e3e755e06af70",
         "manifest.json":
             "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
     },
@@ -67,19 +67,19 @@ SHIPPED_DIGESTS = {
         "clustering.csv":
             "00b98abb8565694bb0eca1d1dddcf1c72d7c603f09315fa133100c5261f02276",
         "info_rate_clusters.csv":
-            "5a9e97a5a20b36bb915a49119613c364de0bc8b686401353ea18f418f584543b",
+            "ac1312c23f33c486bcc72a944886c4e84f363ae3d78fe0e3b4448de52f1ce13b",
         "info_rate_variants.csv":
-            "1a64d39bfa0438fde2f39927947328149bf31692d6f9364c2bbe38e014076db9",
+            "e6da1002c24c5b781ea5ddc0952a1c7224b949e854368aa22b0b6a81f3b13b5b",
         "manifest.json":
             "457f1c4284ce822a110d0a4cd6c6b18da55b967efb37ce32caefd1e072b9a0b7",
     },
     "model_trajectory": {
         "fisher.csv":
-            "10130a07f5166be6d20ae2fd3b390825371de10fe3695c66479851c6995329c3",
+            "4fd3bdef8300ce91f2927bd92eb3fdcec54f9361bc7b0bab3013804331d0b307",
         "manifest.json":
             "72bf0d16579131676370d00bb3da4b0ec9bf4e1c74157e8309bbf13c2ecf124f",
         "trajectory.csv":
-            "9034e54c9aaf4ec99845223f3216596240c9213007609466ec257687733a8329",
+            "eee09549e947c0f0ed4d7c4afda0d50758e3887e3f5afa3802e54346bcf86d00",
         "variants.csv":
             "d5895847812ed635f928a0e9b1c253f8b1f5b2b837f2be2bacb6fe22fd069fb2",
     },
@@ -515,7 +515,8 @@ class TestRunner:
         assert not out.exists()
 
     def test_coarse_dt_runs_and_conserves(self, tmp_path):
-        # an output step dt/10 = 2 spans four series steps of the integrator
+        # an output step dt/10 = 2, longer than the first series steps of the
+        # integrator
         text = "experiment = model-trajectory\ndt = 20\nt_end = 100\n"
         out = tmp_path / "out"
         assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
@@ -529,25 +530,24 @@ class TestRunner:
     @pytest.mark.parametrize("model, key", [("", "N"), ("groups = 2,3\n", "groups")],
                              ids=["N", "groups"])
     def test_integration_error_names_the_rates(self, tmp_path, capsys, monkeypatch, model, key):
-        # a series step that misses its tolerance at every halving: the rates
-        # set the series steps, so the error names the key of the rates
+        # a series step below MIN_STEP: the rates set the series steps, so
+        # the error names the key of the rates
         monkeypatch.setattr(cli.dyn, "STEP_TOL", 1e-300)
-        monkeypatch.setattr(cli.dyn, "MAX_HALVINGS", 0)
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, "experiment = model-trajectory\nt_end = 2\n" + model)
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for '{key}': the rates of its variants cannot "
                               "be integrated, and 'dt' and 't_end' do not change the series "
-                              "steps: series truncation estimate ")
-        assert err.endswith(" > 1e-300 at t=0, after 0 halvings of the series step 0.5 "
-                            "to 0.5\n")
+                              "steps: series step ")
+        assert err.endswith(" < MIN_STEP = 0.025 at t=0: the truncation estimate of a longer "
+                            "one exceeds 1e-300\n")
         assert not out.exists()
 
-    def test_time_past_the_series_steps_exits_2_at_once(self, tmp_path):
-        # t_end = 1e16 asks solve_sir for t = 1e16, where a series step of
-        # 0.5 no longer advances t; it is refused before the first step.  The
-        # run has a process of its own, so that a hang fails the test
+    def test_time_past_max_time_exits_2_at_once(self, tmp_path):
+        # t_end = 1e16 asks solve_sir for t = 1e16, where a series step no
+        # longer advances t; it is refused before the first step.  The run
+        # has a process of its own, so that a hang fails the test
         cfg = write_cfg(tmp_path, "experiment = elbow-scan\nt_end = 1e16\ndt = 1e15\nt = 1\n")
         out = tmp_path / "out"
         src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
@@ -557,9 +557,8 @@ class TestRunner:
                                "--out", str(out)], env=env, capture_output=True, text=True,
                               timeout=10)
         assert done.returncode == 2
-        assert done.stderr == ("error: bad value for 't_end': times[10] = 1e+16 needs more than "
-                               "MAX_SERIES_STEPS = 4096 series steps of 0.5: times must be at "
-                               "most 2048\n")
+        assert done.stderr == ("error: bad value for 't_end': times[10] = 1e+16 is past "
+                               "MAX_TIME: times must be at most 2048\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("exc, shown", [

@@ -53,13 +53,17 @@ CONSERVATION_TOL = 1e-6
 # truncation estimate each series step is sized to, a few units in the last
 # place of an O(1) state, and the shortest series step a model may need.
 # gamma in [20, 22] steps down to 0.041 and integrates, rates such as
-# gamma = 200 need 0.006 and fail.  Fixed steps of 0.5, halved up to four
-# times, went down to 0.03125; of 800 random models, each one that they
-# integrated takes no step shorter than 0.029 here, so MIN_STEP is a little
-# below that.
+# gamma = 200 need 0.006 and fail; MIN_STEP sits a little below the shortest
+# step, 0.029, of the models of a random survey that the series integrated
+# under its former fixed steps (see CHANGES.md).
 SERIES_ORDER = 30
 STEP_TOL = 1e-15
 MIN_STEP = 0.025
+# in a series step that starts from S below 1 / LIFT, S's coefficients are
+# carried times LIFT, a power of two and so exact: they keep their relative
+# precision where the last of them would fall below the smallest normal
+# number
+LIFT = 2.0 ** 512
 # the last time a call may ask for.  The series steps run one after another
 # from t = 0, each at least MIN_STEP long, so a call takes at most
 # MAX_TIME / MIN_STEP = 81920 of them, each of SERIES_ORDER x 4
@@ -238,19 +242,20 @@ def _failure(t: float, s: float, x: float, r: float, total: float) -> Integratio
     return IntegrationError(f"conservation drift {abs(s + total + r - 1.0):.3e} {where}")
 
 
-def _states(times, starts, polys) -> np.ndarray:
+def _states(times, starts, polys, lifts) -> np.ndarray:
     """The (S, X, R, sum(I)) rows at `times`: each time in the first series
     step [starts[j], starts[j + 1]] that holds it, the last step ending at
     or after max(times), by Horner's rule on the step's polynomials polys[j]
-    at t - starts[j].  Every operation is elementwise, so a row rounds as it
-    would alone.  The earliest time whose state fails a check of _valid
-    raises IntegrationError naming it."""
+    at t - starts[j], S divided by the step's lifts[j].  Every operation is
+    elementwise, so a row rounds as it would alone.  The earliest time whose
+    state fails a check of _valid raises IntegrationError naming it."""
     step = np.searchsorted(starts[1:], times)
     offset = (times - starts[step])[:, None]
     states = polys[step, -1]
     for k in range(SERIES_ORDER - 2, -1, -1):
         states *= offset
         states += polys[step, k]
+    states[:, 0] /= lifts[step]
     ok = _valid(states)
     if not ok.all():
         bad = np.flatnonzero(~ok)
@@ -294,17 +299,22 @@ def solve_sir(params: SirParams, times) -> Trajectory:
     and in sum(I), the last term being all there is when gamma is 0 (and
     1/S[0] taken as 0 when S[0] is, since S then stays 0).  The log S term
     keeps S's relative accuracy once it has fallen far below STEP_TOL, as
-    in an epidemic with R0 near 100.  The step h is the largest with
-    est[P-2] and est[P-1] both at most STEP_TOL (Jorba and Zou), so one
-    coefficient that happens to be near zero cannot set it; with both zero,
-    as once I underflows to 0, the series is a polynomial and the step
-    unbounded.  A step shorter than MIN_STEP, or undefined because a
-    coefficient is not finite, raises IntegrationError naming it and t0.
+    in an epidemic with R0 near 100.  From S[0] below 1 / LIFT on, S's
+    coefficients are computed and held times LIFT, an exact power of two,
+    and divided by it where S is evaluated, so that the last of them do not
+    underflow to 0 as S nears the smallest normal number; above, the factor
+    is 1.  The step h is the largest with est[P-2] and est[P-1] both at most
+    STEP_TOL (Jorba and Zou), so one coefficient that happens to be near
+    zero cannot set it; with both zero, as once I underflows to 0, the
+    series is a polynomial and the step unbounded.  A step shorter than
+    MIN_STEP, or undefined because a coefficient is not finite, raises
+    IntegrationError naming it and t0.
     The polynomials give the state at t0 + h, where the next step starts,
-    and at every time asked for in [t0, t0 + h] (_states).  A time with a non-finite state, S outside
-    [0, 1], or S + sum(I) + R off 1 by more than CONSERVATION_TOL raises
-    IntegrationError naming it; the earliest such time asked for, or else the
-    end of the first series step that fails a check before max(times).
+    and at every time asked for in [t0, t0 + h] (_states).  A time with a
+    non-finite state, S outside [0, 1], or S + sum(I) + R off 1 by more than
+    CONSERVATION_TOL raises IntegrationError naming it; the earliest such
+    time asked for, or else the end of the first series step that fails a
+    check before max(times).
 
     A time past MAX_TIME raises ValueError naming it, before the first step:
     the steps run one after another from t = 0, so a time costs work and
@@ -342,22 +352,25 @@ def solve_sir(params: SirParams, times) -> Trajectory:
     # est[k] = STEP_TOL at h = (STEP_TOL / (est[k] / h^k))^(1/k), k = P-2, P-1
     roots = 1.0 / powers[-2:]
 
-    starts, polys = [], []  # each series step's t0 and coefficients
+    starts, polys, lifts = [], [], []  # each series step's t0, coefficients and lift
     s, x, r = params.s0, 0.0, params.r0
     t0 = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         while True:
             np.exp(exponents.dot((1.0, x, t0)), out=infected[0])
-            s_c[0], x_c[0], r_c[0] = s, x, r
+            lift = LIFT if s < 1.0 / LIFT else 1.0
+            s_c[0], x_c[0], r_c[0] = s * lift, x, r
             for s_rev, head, nxt, cur, g, e in recurrence:
                 np.multiply(s_rev.dot(head), g, out=nxt)
                 s_c[s_rev.size] = -nxt.sum()
+                if lift != 1.0:
+                    nxt /= lift
                 nxt -= e * cur
             recovery, total_c[:] = infected.dot(weights).T
-            x_c[1:] = s_c[:-1] * inverse
+            x_c[1:] = s_c[:-1] * inverse / lift
             r_c[1:] = recovery[:-1] * inverse
-            relative = 1.0 / s if s > 0 else 0.0  # of log S
-            est = (spread * np.abs(x_c[-2:]) + (top + relative) * np.abs(s_c[-2:])
+            relative = 1.0 / s_c[0] if s > 0 else 0.0  # of log S
+            est = (spread * np.abs(x_c[-2:]) + (top / lift + relative) * np.abs(s_c[-2:])
                    + np.abs(total_c[-2:]))  # est[k] / h^k
             h = float(np.min((STEP_TOL / est) ** roots))
             if not h >= MIN_STEP:
@@ -366,14 +379,16 @@ def solve_sir(params: SirParams, times) -> Trajectory:
                     f"truncation estimate of a longer one exceeds {STEP_TOL:g}")
             starts.append(t0)
             polys.append(coeffs.copy())
+            lifts.append(lift)
             end = h ** powers @ coeffs
+            end[0] /= lift
             t0 += h
             if t0 >= t_max or not _valid(end):
                 break
             s, x, r, _ = end.tolist()
         starts.append(t0)
-        starts, polys = np.array(starts), np.array(polys)
+        starts, polys, lifts = np.array(starts), np.array(polys), np.array(lifts)
         if t0 < t_max:  # the curve fails a check at t0, before max(times)
-            _states(times[times <= t0], starts, polys)
+            _states(times[times <= t0], starts, polys, lifts)
             raise _failure(t0, *end.tolist())
-        return Trajectory(times, *_states(times, starts, polys).T, params)
+        return Trajectory(times, *_states(times, starts, polys, lifts).T, params)

@@ -90,41 +90,46 @@ def per_variant_integrate_sir(params, t_end, step):
 def reference_taylor_sir(params, times):
     """The step rule of `dyn.solve_sir`, written out on its own: Taylor
     coefficients of every variant's I (not of one row per rate pair) by the
-    Cauchy product of S and I, each series step the longest whose truncation
-    estimate from the last two coefficients is at most STEP_TOL, states by
-    np.polyval, and the checks of the state after each step.  Returns the
-    step starts, the end of the last step included, and the (S, X, R,
-    sum(I)) rows at `times`.  Raises IntegrationError with solve_sir's
-    message for a step below MIN_STEP, and "<kind> at t=<time>" for the first
-    failing check, the kind being the first words of solve_sir's message."""
+    Cauchy product of S and I, S's carried times LIFT below 1 / LIFT, each
+    series step the longest whose truncation estimate from the last two
+    coefficients is at most STEP_TOL, states by np.polyval, and the checks of
+    the state after each step.  Returns the step starts, the end of the last
+    step included, and the (S, X, R, sum(I)) rows at `times`.  Raises
+    IntegrationError with solve_sir's message for a step below MIN_STEP or
+    for the first failing check."""
     order, gamma, epsilon = dyn.SERIES_ORDER, params.gamma, params.epsilon
     times = np.asarray(times, dtype=float)
     states = np.full((times.size, 4), np.nan)
     done = np.zeros(times.size, dtype=bool)
     t0, state, starts = 0.0, (params.s0, 0.0, params.r0), [0.0]
 
-    def failed(rows):
-        """The kind of failure of each (S, X, R, sum(I)) row, or ""."""
-        s, x, r, total = np.asarray(rows).T
-        return np.select([~np.isfinite([s, x, r, total]).all(axis=0), (s < 0) | (s > 1),
-                          np.abs(s + total + r - 1.0) > dyn.CONSERVATION_TOL],
-                         ["non-finite state", "susceptible fraction", "conservation drift"], "")
+    def failure(t, row):
+        """solve_sir's message for the (S, X, R, sum(I)) row at t, or ""."""
+        s, x, r, total = row
+        if not np.isfinite(row).all():
+            return f"non-finite state (S={s}, X={x}, R={r}, infected {total}) at t={t:g}"
+        if not 0.0 <= s <= 1.0:
+            return f"susceptible fraction {s} left [0, 1] at t={t:g}"
+        if abs(s + total + r - 1.0) > dyn.CONSERVATION_TOL:
+            return f"conservation drift {abs(s + total + r - 1.0):.3e} at t={t:g}"
+        return ""
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             s, x, r = state
+            lift = dyn.LIFT if s < 1.0 / dyn.LIFT else 1.0
             i_c = [params.i0 * np.exp(gamma * x - epsilon * t0)]
-            s_c, x_c, r_c = [s], [x], [r]
+            s_c, x_c, r_c = [s * lift], [x], [r]
             for k in range(order - 1):
                 conv = sum(s_c[j] * i_c[k - j] for j in range(k + 1))
-                i_c.append((gamma * conv - epsilon * i_c[k]) / (k + 1))
+                i_c.append((gamma * conv / lift - epsilon * i_c[k]) / (k + 1))
                 s_c.append(-np.dot(gamma, conv) / (k + 1))
-                x_c.append(s_c[k] / (k + 1))
+                x_c.append(s_c[k] / lift / (k + 1))
                 r_c.append(np.dot(epsilon, i_c[k]) / (k + 1))
             series = np.array([s_c, x_c, r_c, [c.sum() for c in i_c]])
-            relative = 1.0 / s if s > 0 else 0.0
+            relative = 1.0 / s_c[0] if s > 0 else 0.0
             h = np.min([(dyn.STEP_TOL / (np.ptp(gamma) * abs(x_c[k])
-                                         + (np.max(gamma) + relative) * abs(s_c[k])
+                                         + (np.max(gamma) / lift + relative) * abs(s_c[k])
                                          + abs(series[3, k]))) ** (1.0 / k)
                         for k in (order - 2, order - 1)])
             if not h >= dyn.MIN_STEP:
@@ -134,20 +139,30 @@ def reference_taylor_sir(params, times):
             inside = ~done & (times <= t0 + h)
             for c in range(4):
                 states[inside, c] = np.polyval(series[c, ::-1], times[inside] - t0)
+            states[inside, 0] /= lift
             done |= inside
             end = [np.polyval(series[c, ::-1], h) for c in range(4)]
+            end[0] /= lift
             t0 += h
             starts.append(t0)
-            if done.all() or failed([end])[0]:
+            if done.all() or failure(t0, end):
                 break
             state = end[:3]
-    bad = np.flatnonzero(done)[failed(states[done]) != ""]
-    if bad.size:  # the earliest failing time asked for
-        first = bad[np.argmin(times[bad])]
-        raise dyn.IntegrationError(f"{failed(states[first:first + 1])[0]} at t={times[first]:g}")
+    bad = [i for i in np.flatnonzero(done) if failure(times[i], states[i])]
+    if bad:  # the earliest failing time asked for
+        first = min(bad, key=lambda i: times[i])
+        raise dyn.IntegrationError(failure(times[first], states[first]))
     if not done.all():  # the end of the step that failed
-        raise dyn.IntegrationError(f"{failed([end])[0]} at t={t0:g}")
+        raise dyn.IntegrationError(failure(t0, end))
     return np.array(starts), states
+
+
+NUMBER = re.compile(r"(?<!\w)-?(?:\d+\.?\d*(?:e[-+]\d+)?|nan|inf)(?!\w)")
+
+
+def numbers_apart(message):
+    """The message with each number in it replaced by #, and the numbers."""
+    return NUMBER.sub("#", message), [float(v) for v in NUMBER.findall(message)]
 
 
 @pytest.fixture(scope="module")
@@ -324,32 +339,43 @@ class TestIntegration:
         with pytest.raises(dyn.IntegrationError, match=f"^{re.escape(str(ref.value))}$"):
             dyn.solve_sir(params, grid(t_end, step))
 
-    @pytest.mark.parametrize("gamma, epsilon, i0, step, tol, kind, asked", [
-        ([8.0, 8.0], [1.0, 1.0], [0.05, 0.05], 0.5, 1.0, "conservation drift", True),
-        ([16.0, 16.0], [1.0, 1.0], [0.05, 0.05], 0.25, np.inf, "susceptible fraction", True),
+    @pytest.mark.parametrize("gamma, epsilon, i0, step, tol, message, asked", [
+        ([8.0, 8.0], [1.0, 1.0], [0.05, 0.05], 0.5, 1.0,
+         r"conservation drift 1\.224e-01 at t=1", True),
+        ([16.0, 16.0], [1.0, 1.0], [0.05, 0.05], 0.25, np.inf,
+         r"susceptible fraction -0\.378144058722\d* left \[0, 1\] at t=0\.25", True),
         # with the step rule off, coefficients that overflow give a nan state
-        ([0.25, 0.35], [1e12, 330.0], [0.05, 0.6], 0.25, 1.0, "non-finite state", True),
+        ([0.25, 0.35], [1e12, 330.0], [0.05, 0.6], 0.25, 1.0,
+         r"non-finite state \(S=0\.35, X=0\.0, R=nan, infected nan\) at t=0", True),
         # no time asked for fails before the end of a series step, where the
         # next would start, but the state there does
-        ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56, 1e3, "susceptible fraction", False),
-        ([8.0, 8.0], [1.0, 1.0], [0.05, 0.05], 0.5, 1e3, "susceptible fraction", False),
+        ([0.25, 0.35], [6000.0, 330.0], [0.05, 0.6], 0.56, 1e3,
+         r"susceptible fraction -2\.252482776164\d* left \[0, 1\] at t=0\.00268154", False),
+        ([8.0, 8.0], [1.0, 1.0], [0.05, 0.05], 0.5, 1e3,
+         r"susceptible fraction -77\.971725992\d* left \[0, 1\] at t=0\.640213", False),
     ])
     def test_checks_name_the_first_failing_time_of_the_reference_loop(
-            self, gamma, epsilon, i0, step, tol, kind, asked, monkeypatch):
+            self, gamma, epsilon, i0, step, tol, message, asked, monkeypatch):
         # series steps far too long for the rates, sized to an estimate of
-        # tol with no floor, fail a check at the time the reference loop names
+        # tol with no floor, fail a check at the time the reference loop
+        # names, with the message pinned from it
         monkeypatch.setattr(dyn, "STEP_TOL", tol)
         monkeypatch.setattr(dyn, "MIN_STEP", 0.0)
         params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
         times = grid(5.0, step)
-        with pytest.raises(dyn.IntegrationError, match=f"^{kind} at t=") as ref:
+        with pytest.raises(dyn.IntegrationError, match=f"^{message}$") as ref:
             reference_taylor_sir(params, times)
-        where = str(ref.value)[len(kind):]
-        assert np.isclose(times, float(where.split("=")[1])).any() == asked
-        # in any order: the error names the earliest failing time
+        text, values = numbers_apart(str(ref.value))
+        assert np.isclose(times, values[-1]).any() == asked
+        # in any order: the error names the earliest failing time; its state
+        # is the reference loop's to rounding (per-variant sums there, one
+        # per rate pair here)
         for order in (times, times[::-1]):
-            with pytest.raises(dyn.IntegrationError, match=f"^{kind} .*{re.escape(where)}$"):
+            with pytest.raises(dyn.IntegrationError, match=f"^{message}$") as got:
                 dyn.solve_sir(params, order)
+            assert numbers_apart(str(got.value))[0] == text
+            assert np.allclose(numbers_apart(str(got.value))[1], values, rtol=1e-12,
+                               atol=0.0, equal_nan=True)
 
     @pytest.mark.parametrize("times, error", [
         ([], r"times must be a non-empty 1-d array, got shape \(0,\)"),
@@ -397,9 +423,9 @@ def series_steps(params, t_end):
     seen = []
     real = dyn._states
 
-    def spy(times, starts, polys):
+    def spy(times, starts, *rest):
         seen.append(starts)
-        return real(times, starts, polys)
+        return real(times, starts, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dyn, "_states", spy)
@@ -503,14 +529,38 @@ class TestSolveSir:
     def test_high_r0_keeps_the_relative_accuracy_of_s(self, gamma, epsilon, s0):
         # R0 from 100 to 500: S falls to 1e-28..1e-86, far below STEP_TOL,
         # and the first integral S + sum(I) - (epsilon / gamma) log S checks
-        # log S to within 4e-13 (with the absolute error terms alone, S went
-        # negative by about 1e-19)
+        # log S to within 4e-15 times gamma / epsilon (with the absolute
+        # error terms alone, S went negative by about 1e-19)
         params = dyn.SirParams([gamma] * 3, [epsilon] * 3, s0, [(1.0 - s0) / 3] * 3, 0.0)
         traj = dyn.solve_sir(params, grid(10.0, 0.0125))
         assert traj.susceptible[-1] < 1e-27
         invariant = (traj.susceptible + traj.total_infected
                      - epsilon / gamma * np.log(traj.susceptible))
         assert np.max(np.abs(invariant - invariant[0])) <= 4e-15
+
+    @pytest.mark.parametrize("gamma, epsilon, t_end", [(7.0, 0.005, 300.0), (3.0, 0.002, 600.0)])
+    def test_s_past_the_smallest_normal_number_keeps_its_accuracy(self, gamma, epsilon, t_end):
+        # R0 of 1400 and 1500: S falls below 1e-308 near t = 142 and 321 and
+        # on to 0, its coefficients carried times LIFT from 1 / LIFT down
+        # (unlifted, the last of them underflow, the S term of the estimate
+        # reads 0 and a step too long turns S negative)
+        params = dyn.SirParams([gamma] * 3, [epsilon] * 3, 0.9, [0.1 / 3] * 3, 0.0)
+        times = np.linspace(0.0, t_end, 2001)
+        traj = dyn.solve_sir(params, times)
+        s = traj.susceptible
+        assert np.all(np.diff(s) <= 0.0) and (s < 1e-308).sum() > 500 and s[-1] == 0.0
+        normal = s > 1e-300
+        invariant = (s + traj.total_infected - epsilon / gamma * np.log(s, where=normal,
+                                                                       out=np.ones_like(s)))
+        assert np.max(np.abs(invariant[normal] - invariant[0])) <= 4e-15
+        # the reference loop takes the same steps, to rounding, and agrees
+        # on log S where S is a normal number and on S's zeros
+        starts, ref = reference_taylor_sir(params, times)
+        assert np.allclose(series_steps(params, t_end), starts, rtol=1e-12, atol=0.0)
+        assert np.allclose(s[normal], ref[normal, 0], rtol=2e-12, atol=0.0)
+        assert np.array_equal(s == 0.0, ref[:, 0] == 0.0)
+        for c, name in enumerate(STATE_NAMES[1:], start=1):
+            assert np.max(np.abs(getattr(traj, name) - ref[:, c])) <= 4e-15, name
 
     @pytest.mark.parametrize("params", [dyn.default_sir_params(10), dyn.default_sir_params(1000),
                                         fast_params(6.0, 8.0)], ids=["N9", "N999", "fast"])

@@ -326,15 +326,9 @@ def _model(cfg, ells=()) -> tuple:
     `ell`) against the variant count.  Returns (params, dt, t_end)."""
     dt = _get(cfg, "dt", 0.25, _positive)
     t_end = _get(cfg, "t_end", 10.0, _positive)
-    # model-trajectory's every dt/10 is the densest grid of float64 times a
-    # run builds (and dt/10 may underflow to 0); a dt below the default is
-    # taken for the fault, else t_end
-    step = dt / 10.0
-    points = t_end / step if step else math.inf
-    if not points < np.iinfo(np.intp).max / 8:
-        key = "dt" if dt < 0.25 else "t_end"
-        raise ConfigError(f"bad value for {key!r}: t_end = {t_end:g} is {points:.3g} steps "
-                          f"dt/10 = {step:g}, more times than an array can hold")
+    if t_end > dyn.MAX_TIME:
+        raise ConfigError(f"bad value for 't_end': {t_end:g} is past MAX_TIME: times must be "
+                          f"at most {dyn.MAX_TIME:g}")
     if "groups" in cfg:
         if "N" in cfg:
             raise ConfigError("keys 'groups' and 'N' cannot both be set: "
@@ -352,9 +346,15 @@ def _model(cfg, ells=()) -> tuple:
 
 def _instants(dt: float, t_end: float, t0: float = 0.0, count: int | None = None):
     """The sampling instants t0 + j dt: `count` of them or, by default, every
-    one up to t_end (within a relative 1e-9 of the span); fewer than two, or
-    a larger `count`, is an error."""
-    fits = math.floor((t_end - t0) / dt * (1.0 + 1e-9)) + 1
+    one up to t_end (within a relative 1e-9 of the span).  Fewer than two, a
+    larger `count`, more by default than an array of float64 can hold (dt
+    may be as small as the smallest double, or 0), or instants that round
+    to equal times is an error."""
+    steps = (t_end - t0) / dt * (1.0 + 1e-9) if dt else math.inf
+    if count is None and not steps < np.iinfo(np.intp).max / 8:
+        raise ConfigError(f"bad value for 'dt': steps of {dt:g} from {t0:g} to t_end = "
+                          f"{t_end:g} are {steps:.3g} times, more than an array can hold")
+    fits = math.floor(steps) + 1 if steps < math.inf else math.inf
     if fits < 2 and t0 == 0.0:
         raise ConfigError(f"bad value for 't_end': {t_end} is less than one sampling "
                           f"step dt = {dt}")
@@ -367,7 +367,11 @@ def _instants(dt: float, t_end: float, t0: float = 0.0, count: int | None = None
         raise ConfigError(f"bad value for 'count': {count} instants from t0 = {t0} at step "
                           f"dt = {dt} end at {t0 + (count - 1) * dt}, after t_end = "
                           f"{t_end} (at most {fits} fit)")
-    return t0 + dt * np.arange(count)
+    times = t0 + dt * np.arange(count)
+    if not np.all(times[1:] > times[:-1]):
+        raise ConfigError(f"bad value for 'dt': instants {dt:g} apart from t0 = {t0:g} "
+                          f"round to equal times")
+    return times
 
 
 def _inside(t_end: float, times, what: str) -> None:
@@ -444,8 +448,8 @@ def run_distance_moments(cfg, seed):
 def run_model_trajectory(cfg, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
     params, dt, t_end = _model(cfg, [ell])
-    traj, (grid, rows) = _solve(cfg, params, _instants(dt, t_end),
-                                _instants(dt / 10.0, t_end))  # every dt/10
+    every = _instants(dt / 10.0, t_end)  # the densest grid, checked first
+    traj, (grid, rows) = _solve(cfg, params, _instants(dt, t_end), every)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     m = params.n_variants
     p, pdot, g_tt = traj.replicator(rows)
@@ -504,8 +508,8 @@ def run_info_rate_moments(cfg, seed):
     _inside(t_end, pair, f"t - dt/2 = {pair[0]:g} and t + dt/2 = {pair[1]:g}")
     traj, (grid, k, ends) = _solve(cfg, params, grid, t, pair)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
-    p, m = traj.p(k), params.n_variants
-    q, qdot = cl.aggregate(p, f), cl.aggregate(traj.pdot(k), f)
+    (p, pdot, _), m = traj.replicator(k), params.n_variants
+    q, qdot = cl.aggregate(p, f), cl.aggregate(pdot, f)
     rate, clu_rate = traj.info_rate_curve(k), self_information_rate(q, qdot)
     p2 = traj.p(ends)  # at t - dt/2 and t + dt/2
     variants, clusters = [], []
@@ -560,7 +564,7 @@ def run_elbow_scan(cfg, seed):
     _inside(t_end, [t], f"t = {t:g}")
     traj, (grid, k) = _solve(cfg, params, grid, t)
     scores = cl.principal_scores(cl.kmeans_features(traj, grid))
-    p, pdot = traj.p(k), traj.pdot(k)
+    p, pdot, _ = traj.replicator(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.lloyd(scores, ell))) for ell in ells]
     ell_star = cl.elbow_select(curve)
     return {"elbow_curve.csv": (["ell", "delta_g"], zip(*curve)),

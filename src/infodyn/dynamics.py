@@ -172,29 +172,18 @@ class Trajectory:
                     self.recovered, self.total_infected):
             arr.flags.writeable = False
 
-    @property
-    def n_variants(self) -> int:
-        return self.params.n_variants
-
-    def _exponents(self, rows) -> np.ndarray:
-        """log I = log i0 + gamma * X - epsilon * t at the rows."""
+    def p(self, rows=slice(None)) -> np.ndarray:
+        """Distribution p = I / sum(I), a softmax of the exponents log I =
+        log i0 + gamma * X - epsilon * t."""
         x = np.asarray(self.cumulative_susceptible[rows])[..., None]
         t = np.asarray(self.times[rows])[..., None]
-        return np.log(self.params.i0) + self.params.gamma * x - self.params.epsilon * t
-
-    def infected(self, rows=slice(None)) -> np.ndarray:
-        """Infected fractions I = i0 * exp(gamma * X - epsilon * t)."""
-        return np.exp(self._exponents(rows))
-
-    def p(self, rows=slice(None)) -> np.ndarray:
-        """Distribution p = I / sum(I), as a softmax of the exponents."""
-        a = self._exponents(rows)
+        a = np.log(self.params.i0) + self.params.gamma * x - self.params.epsilon * t
         a -= a.max(axis=-1, keepdims=True)
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
         return a
 
-    def couplings(self, rows=slice(None)) -> np.ndarray:
+    def _couplings(self, rows) -> np.ndarray:
         """Per-variant growth rates d = gamma * S - epsilon."""
         s = np.asarray(self.susceptible[rows])[..., None]
         return self.params.gamma * s - self.params.epsilon
@@ -203,24 +192,17 @@ class Trajectory:
         """(p, pdot, g_tt) at the rows, from one evaluation of p and of the
         couplings d: the velocity pdot = p * (d - <d>_p) and the Fisher
         information g_tt = sum(pdot^2 / p) = sum(pdot * (d - <d>_p))."""
-        p, d = self.p(rows), self.couplings(rows)
+        p, d = self.p(rows), self._couplings(rows)
         rate = d - np.sum(p * d, axis=-1)[..., None]
         pdot = p * rate
         return p, pdot, np.sum(pdot * rate, axis=-1)
 
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
-        """Self-information rates pdot/p = d - <d>_p."""
-        p, d = self.p(rows), self.couplings(rows)
+        """Self-information rates pdot/p = d - <d>_p, evaluated in place so
+        that many rows take less memory than through replicator."""
+        p, d = self.p(rows), self._couplings(rows)
         d -= np.sum(np.multiply(p, d, out=p), axis=-1)[..., None]
         return d
-
-    def pdot(self, rows=slice(None)) -> np.ndarray:
-        """Velocity pdot = p * (d - <d>_p)."""
-        return self.replicator(rows)[1]
-
-    def fisher_curve(self, rows=slice(None)) -> np.ndarray:
-        """g_tt(t) = sum(pdot^2 / p) = sum(p * (d - <d>_p)^2)."""
-        return self.replicator(rows)[2]
 
 
 def _valid(states) -> np.ndarray:

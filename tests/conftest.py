@@ -9,6 +9,22 @@ def grid(t_end: float, step: float) -> np.ndarray:
     return np.arange(int(round(t_end / step)) + 1) * step
 
 
+def infected(traj, rows=slice(None)) -> np.ndarray:
+    """The infected fractions I = i0 exp(gamma X - epsilon t) at the rows of a
+    trajectory, the closed form of each infected equation given X, the
+    integral of S."""
+    x = np.asarray(traj.cumulative_susceptible[rows])[..., None]
+    t = np.asarray(traj.times[rows])[..., None]
+    return traj.params.i0 * np.exp(traj.params.gamma * x - traj.params.epsilon * t)
+
+
+def couplings(traj, rows=slice(None)) -> np.ndarray:
+    """The per-variant growth rates d = gamma S - epsilon at the rows of a
+    trajectory, each infected equation's I'/I."""
+    s = np.asarray(traj.susceptible[rows])[..., None]
+    return traj.params.gamma * s - traj.params.epsilon
+
+
 def delta_g_coupling_form(p, d, f: cl.Clustering) -> np.ndarray:
     """Information loss as the cluster-averaged variance of the couplings:
     the coupling form of `cl.delta_g_prob_form`, its reference."""
@@ -30,6 +46,6 @@ def sufficiency_residuals(traj, f: cl.Clustering) -> float:
 
         dr_mu/dt = r_mu (d_mu - sum_{nu in a} r_nu d_nu).
     """
-    d = traj.couplings()
+    d = couplings(traj)
     _, r = cl._shares(traj.p(), f)
     return float(np.max(np.abs(r * (d - cl.aggregate(r * d, f)[:, f.labels]))))

@@ -18,7 +18,7 @@ from infodyn import rng
 from infodyn import sampling as smp
 from infodyn import theory as th
 from infodyn.simplex import fisher_information, shahshahani_distance_sq
-from conftest import delta_g_coupling_form, grid, sufficiency_residuals
+from conftest import delta_g_coupling_form, grid, infected, sufficiency_residuals
 
 DT = 0.25
 STEP = 1e-3  # of the desk grid, the times of the desk trajectory
@@ -93,7 +93,7 @@ def test_criterion_02_distance_variance():
 
 
 def test_criterion_03_fisher_bias(desk_traj):
-    g_tt = float(desk_traj.fisher_curve()[row(5.0)])
+    g_tt = float(desk_traj.replicator(row(5.0))[2])
     started = time.perf_counter()
     devs = []
     for i, n in enumerate((10**4, 10**5)):
@@ -137,7 +137,7 @@ def test_criterion_04_second_order_bias():
 
 def test_criterion_05_fisher_variance(desk_traj):
     n, reps, t = 10**4, 2000, 2.0
-    g_tt = float(desk_traj.fisher_curve()[row(t)])
+    g_tt = float(desk_traj.replicator(row(t))[2])
     est = fisher_mc(desk_traj, t, n, reps, seed=505)
     _, var_th = th.fisher_prediction(g_tt, N_DOF, n, DT)
     rel = abs(est.std**2 - var_th) / var_th
@@ -148,9 +148,9 @@ def test_criterion_05_fisher_variance(desk_traj):
 def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
     n, reps, t = 10**4, 2000, 5.0
     k = row(t)
-    g_tt = float(desk_traj.fisher_curve()[k])
-    q = cl.aggregate(desk_traj.p(k), desk_f3)
-    qdot = cl.aggregate(desk_traj.pdot(k), desk_f3)
+    p, pdot, g_tt = desk_traj.replicator(k)
+    g_tt = float(g_tt)
+    q, qdot = cl.aggregate(p, desk_f3), cl.aggregate(pdot, desk_f3)
     g_f = float(np.sum(qdot * qdot / q))
     ell = desk_f3.n_clusters
     est_cl = smp.monte_carlo_components(
@@ -175,7 +175,7 @@ def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     p = desk_traj.p(k)
     rate = desk_traj.info_rate_curve(k)
     q = cl.aggregate(p, desk_f3)
-    cluster_rate = cl.aggregate(desk_traj.pdot(k), desk_f3) / q
+    cluster_rate = cl.aggregate(desk_traj.replicator(k)[1], desk_f3) / q
     p_grid = two_point_p(desk_traj, t)
     var = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, DT)[:, 0], reps, 707,
                                      p_grid, n)
@@ -225,7 +225,7 @@ def test_criterion_08_exact_identities(desk_traj):
     assert np.array_equal(smp.fisher_hat(cl.aggregate(counts, ident) / 800, DT),
                           smp.fisher_hat(counts / 800, DT))
     k = row(4.0)
-    p4, pdot4 = desk_traj.p(k), desk_traj.pdot(k)
+    p4, pdot4, _ = desk_traj.replicator(k)
     assert cl.clustered_fisher(p4, pdot4, ident) == fisher_information(p4, pdot4)
 
     # refinement monotonicity on 1000 random refinement pairs
@@ -267,9 +267,9 @@ def test_criterion_09_sufficiency():
     residual = sufficiency_residuals(traj, f)
     members = np.zeros((6, 3))
     members[np.arange(6), f.labels] = 1.0
-    q = traj.p() @ members
-    qdot = traj.pdot() @ members
-    delta = traj.fisher_curve() - np.sum(qdot * qdot / q, axis=1)
+    p, pdot, g_tt = traj.replicator()
+    q, qdot = p @ members, pdot @ members
+    delta = g_tt - np.sum(qdot * qdot / q, axis=1)
     worst_delta = float(np.max(np.abs(delta)))
     ok = residual < 1e-8 and worst_delta < 1e-10
     report(9, "sufficient clustering", ok,
@@ -278,7 +278,7 @@ def test_criterion_09_sufficiency():
 
 def test_criterion_10_conservation_and_step_independence(desk_traj):
     # R is integrated; the infected fractions are reconstructed from X
-    total = (desk_traj.susceptible + desk_traj.infected().sum(axis=1)
+    total = (desk_traj.susceptible + infected(desk_traj).sum(axis=1)
              + desk_traj.recovered)
     drift = float(np.max(np.abs(total - 1.0)))
 
@@ -286,7 +286,7 @@ def test_criterion_10_conservation_and_step_independence(desk_traj):
     # not a discretisation error, and halving it leaves the common times' states
     params = desk_traj.params
     coarse, fine = (dyn.solve_sir(params, grid(2.0, step)) for step in (0.05, 0.025))
-    gap = float(np.max(np.abs(coarse.infected() - fine.infected(slice(None, None, 2)))))
+    gap = float(np.max(np.abs(infected(coarse) - infected(fine, slice(None, None, 2)))))
     ok = drift < 1e-9 and gap <= 1e-15
     report(10, "conservation and step independence", ok,
            f"drift {drift:.2e}, gap between grid steps {gap:.1e}")
@@ -296,7 +296,7 @@ def test_criterion_11_elbow():
     traj = dyn.solve_sir(dyn.grouped_sir_params([9, 9, 8, 8, 8, 8]), grid(10.0, STEP))
     feats = cl.kmeans_features(traj, STRIDE * np.arange(41))
     k = row(1.0)
-    p, pdot = traj.p(k), traj.pdot(k)
+    p, pdot, _ = traj.replicator(k)
     curve = [(ell, cl.delta_g_prob_form(p, pdot, cl.kmeans(feats, ell)))
              for ell in range(4, 11)]
     ell_star = cl.elbow_select(curve)

@@ -1,6 +1,7 @@
 """The CI workflow installs every test dependency that pyproject.toml lists,
 and runs every benchmark workload, so that a new one cannot land in only
-one of the two places, and the large-M benchmark script; and the tests job
+one of the two places, and the large-M benchmark script; it compares the
+shipped configs' outputs at one and two BLAS threads; and the tests job
 has a timeout."""
 
 import importlib.util
@@ -48,6 +49,19 @@ def test_workflow_runs_the_large_m_benchmark():
     step = re.search(r"^\s+run: python scripts/bench_large_m\.py --repeats 1$",
                      WORKFLOW.read_text(), re.M)
     assert step is not None, "no step runs 'python scripts/bench_large_m.py --repeats 1'"
+
+
+def test_workflow_compares_outputs_at_two_threads():
+    # README says the outputs are byte-identical at one and two OpenBLAS
+    # threads: a step reruns every shipped config at two and diffs the trees
+    workflow = WORKFLOW.read_text()
+    one = re.search(r"^\s+python scripts/run_all\.py --out (\S+)$", workflow, re.M)
+    assert one is not None, "no step runs 'python scripts/run_all.py' at the default thread"
+    step = re.search(r"^\s+OPENBLAS_NUM_THREADS=2 python scripts/run_all\.py --out (\S+)\n"
+                     r"\s+diff -r (\S+) (\S+)$", workflow, re.M)
+    assert step is not None, "no step reruns run_all.py at two threads and diffs the outputs"
+    assert {step.group(2), step.group(3)} == {one.group(1), step.group(1)}
+    assert one.start() < step.start()
 
 
 def test_tests_job_has_a_timeout():

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from infodyn import cli
 from infodyn import filtering as flt
 from infodyn import theory as th
+from conftest import couplings, infected
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
@@ -453,23 +454,38 @@ class TestRunner:
          "bad value for 'n': '9223372036854775808' (must be an integer in [1, 2**63))"),
         ("experiment = distance-moments\nn = 100,9223372036854775808\n",
          "bad value for 'n'"),
-        # more times than numpy can allocate, refused before integrating; a
-        # dt below its default is named, else t_end
-        ("experiment = model-trajectory\ndt = 1e-300\n",
-         "bad value for 'dt': t_end = 2 is 2e+301 steps dt/10 = 1e-301, more times than an "
-         "array can hold"),
+        # a t_end past dynamics.MAX_TIME, refused as it is read
         ("experiment = elbow-scan\nt_end = 1e300\n",
-         "bad value for 't_end': t_end = 1e+300 is 4e+301 steps dt/10 = 0.025, more times than "
-         "an array can hold"),
-        # ... also where t_end / dt overflows to inf, or dt/10 underflows to 0
+         "bad value for 't_end': 1e+300 is past MAX_TIME: times must be at most 2048"),
         ("experiment = elbow-scan\nt_end = 1e308\n",
-         "bad value for 't_end': t_end = 1e+308 is inf steps dt/10 = 0.025"),
+         "bad value for 't_end': 1e+308 is past MAX_TIME: times must be at most 2048"),
+        # ... and a time past it within 1e-9 of t_end, by solve_sir
+        ("experiment = elbow-scan\nt_end = 2048\nt = 2048.000001\n",
+         "bad value for 't_end': times[8193] = 2048.000001 is past MAX_TIME: times must be at "
+         "most 2048"),
+        # more times than numpy can allocate, refused before integrating, for
+        # the step of the grid that has too many: model-trajectory's every
+        # dt/10, or the sampling grid every dt
+        ("experiment = model-trajectory\ndt = 1e-300\n",
+         "bad value for 'dt': steps of 1e-301 from 0 to t_end = 2 are 2e+301 times, more "
+         "than an array can hold"),
+        ("experiment = model-trajectory\ndt = 1e-17\n",
+         "bad value for 'dt': steps of 1e-18 from 0 to t_end = 2 are 2e+18 times, more "
+         "than an array can hold"),
+        ("experiment = elbow-scan\ndt = 1e-300\n",
+         "bad value for 'dt': steps of 1e-300 from 0 to t_end = 2 are 2e+300 times, more "
+         "than an array can hold"),
+        # ... also where t_end / dt overflows to inf, or dt/10 underflows to 0
         ("experiment = model-trajectory\nt_end = 10\ndt = 1e-308\n",
-         "bad value for 'dt': t_end = 10 is inf steps dt/10 = 1e-309"),
+         "bad value for 'dt': steps of 1e-309 from 0 to t_end = 10 are inf times"),
         ("experiment = model-trajectory\ndt = 5e-324\n",
-         "bad value for 'dt': t_end = 2 is inf steps dt/10 = 0"),
+         "bad value for 'dt': steps of 0 from 0 to t_end = 2 are inf times"),
         ("experiment = model-trajectory\ndt = 1e-323\nt_end = 1e-322\n",
-         "bad value for 'dt': t_end = 9.88131e-323 is inf steps dt/10 = 0"),
+         "bad value for 'dt': steps of 0 from 0 to t_end = 9.88131e-323 are inf times"),
+        # a count of instants needs no grid, but instants that round to one
+        # time are refused
+        ("experiment = filtering-comparison\ndt = 1e-300\nt_end = 10\n",
+         "bad value for 'dt': instants 1e-300 apart from t0 = 2.5 round to equal times"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
         if not text.startswith("experiment = distance-moments") and "t_end" not in text:
@@ -524,7 +540,7 @@ class TestRunner:
         params, dt, t_end = cli._model(cli.parse_config(text))
         traj = cli.dyn.solve_sir(params, cli._instants(dt / 10, t_end))
         assert traj.times.size == 51
-        drift = traj.susceptible + traj.infected().sum(axis=1) + traj.recovered - 1.0
+        drift = traj.susceptible + infected(traj).sum(axis=1) + traj.recovered - 1.0
         assert np.max(np.abs(drift)) <= 4e-15
 
     @pytest.mark.parametrize("model, key", [("", "N"), ("groups = 2,3\n", "groups")],
@@ -545,8 +561,8 @@ class TestRunner:
         assert not out.exists()
 
     def test_time_past_max_time_exits_2_at_once(self, tmp_path):
-        # t_end = 1e16 asks solve_sir for t = 1e16, where a series step no
-        # longer advances t; it is refused before the first step.  The run
+        # t_end = 1e16 would ask solve_sir for t = 1e16, where a series step
+        # no longer advances t; it is refused as the config is read.  The run
         # has a process of its own, so that a hang fails the test
         cfg = write_cfg(tmp_path, "experiment = elbow-scan\nt_end = 1e16\ndt = 1e15\nt = 1\n")
         out = tmp_path / "out"
@@ -557,8 +573,8 @@ class TestRunner:
                                "--out", str(out)], env=env, capture_output=True, text=True,
                               timeout=10)
         assert done.returncode == 2
-        assert done.stderr == ("error: bad value for 't_end': times[10] = 1e+16 is past "
-                               "MAX_TIME: times must be at most 2048\n")
+        assert done.stderr == ("error: bad value for 't_end': 1e+16 is past MAX_TIME: times "
+                               "must be at most 2048\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("exc, shown", [
@@ -1252,7 +1268,7 @@ class TestWriteCsv:
         assert np.array_equal(s, traj.susceptible) and np.array_equal(p_read, p)
         d = variants["gamma"] * s[:, None] - variants["epsilon"]
         rate = d - np.sum(p_read * d, axis=-1)[:, None]
-        assert np.array_equal(d, traj.couplings())
+        assert np.array_equal(d, couplings(traj))
         assert np.array_equal(p_read * rate, pdot)
         assert np.array_equal(np.sum(p_read * rate * rate, axis=-1), g_tt)
         reference_write_csv(tmp_path / "fisher.csv", ["t", "g_tt", "g_f"],

@@ -283,7 +283,7 @@ class TestSufficiencyResiduals:
         f = cl.Clustering([1, 1, 2, 2, 3, 3])
         assert sufficiency_residuals(traj, f) > 1e-4
         k = 1000  # t = 1
-        dg = cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f)
+        dg = cl.delta_g_prob_form(*traj.replicator(k)[:2], f)
         assert dg > 0.0
 
 
@@ -367,7 +367,7 @@ class TestKmeans:
             for f in (cl.kmeans(feats, ell), reference_kmeans(feats, ell)):
                 assert f.n_clusters == ell
                 assert all(np.unique(group[f.labels == a]).size == 1 for a in range(ell))
-                assert cl.delta_g_prob_form(traj.p(k), traj.pdot(k), f) < 1e-30
+                assert cl.delta_g_prob_form(*traj.replicator(k)[:2], f) < 1e-30
 
     def test_identical_feature_rows_give_identical_points(self):
         # the shipped elbow model: each rate group's feature rows are equal,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import dynamics as dyn
-from conftest import grid
+from conftest import couplings, grid, infected
 
 
 def reference_integrate_sir(params, t_end, step):
@@ -230,15 +230,16 @@ class TestIntegration:
                                [0.01, 0.04, 0.05], 0.0)
         traj = dyn.solve_sir(params, grid(5.0, 1e-3))
         assert np.max(np.abs(traj.p() - traj.p(0))) < 1e-12
-        assert np.max(np.abs(traj.pdot())) < 1e-12
-        assert np.max(traj.fisher_curve()) < 1e-24
+        _, pdot, g_tt = traj.replicator()
+        assert np.max(np.abs(pdot)) < 1e-12
+        assert np.max(g_tt) < 1e-24
 
     def test_conservation(self, desk_traj):
-        infected = desk_traj.infected().sum(axis=1)
-        total = desk_traj.susceptible + infected + desk_traj.recovered
+        total_infected = infected(desk_traj).sum(axis=1)
+        total = desk_traj.susceptible + total_infected + desk_traj.recovered
         assert np.max(np.abs(total - 1.0)) < 1e-9
         # the sums the integrator checked are those of the reconstructed I
-        assert np.allclose(desk_traj.total_infected, infected, rtol=1e-14, atol=0.0)
+        assert np.allclose(desk_traj.total_infected, total_infected, rtol=1e-14, atol=0.0)
 
     def test_replicator_velocity_matches_finite_difference(self):
         params = dyn.default_sir_params(6)
@@ -247,7 +248,7 @@ class TestIntegration:
             traj = dyn.solve_sir(params, grid(2.0, step))
             p = traj.p()
             fd = (p[2:] - p[:-2]) / (2.0 * step)
-            return np.max(np.abs(fd - traj.pdot(slice(1, -1))))
+            return np.max(np.abs(fd - traj.replicator(slice(1, -1))[1]))
 
         ratio = fd_error(0.01) / fd_error(0.005)
         assert 3.0 <= ratio <= 5.0
@@ -260,8 +261,8 @@ class TestIntegration:
         a = dyn.solve_sir(params, grid(3.0, 1e-3))
         b = dyn.solve_sir(permuted, grid(3.0, 1e-3))
         assert np.allclose(a.p()[:, perm], b.p(), atol=1e-14)
-        assert np.allclose(a.pdot()[:, perm], b.pdot(), atol=1e-14)
-        assert np.allclose(a.couplings()[:, perm], b.couplings(), atol=1e-14)
+        assert np.allclose(a.replicator()[1][:, perm], b.replicator()[1], atol=1e-14)
+        assert np.allclose(couplings(a)[:, perm], couplings(b), atol=1e-14)
 
     def test_probability_curves_cross(self):
         # a head start for the weakest variant is overtaken by the strongest
@@ -279,12 +280,12 @@ class TestIntegration:
         params = dyn.default_sir_params(n_variants)
         traj = dyn.solve_sir(params, grid(t_end, 1e-3))
         states = reference_integrate_sir(params, t_end, 1e-3)
-        infected = states[:, 1:-1]
-        p = infected / infected.sum(axis=1, keepdims=True)
-        couplings = states[:, :1] * params.gamma - params.epsilon
-        pdot = p * (couplings - np.sum(p * couplings, axis=1)[:, None])
+        i = states[:, 1:-1]
+        p = i / i.sum(axis=1, keepdims=True)
+        d = states[:, :1] * params.gamma - params.epsilon
+        pdot = p * (d - np.sum(p * d, axis=1)[:, None])
         for got, want in ((traj.susceptible, states[:, 0]), (traj.recovered, states[:, -1]),
-                          (traj.infected(), infected), (traj.p(), p), (traj.pdot(), pdot)):
+                          (infected(traj), i), (traj.p(), p), (traj.replicator()[1], pdot)):
             assert np.max(np.abs(got - want)) <= 1e-13
 
     @given(st.integers(2, 64), st.integers(0, 2**32 - 1),
@@ -301,20 +302,16 @@ class TestIntegration:
         assert np.all(p > 0)
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= m * 1e-15
         rows = np.array(rows)
-        for name in ("p", "pdot", "couplings", "infected", "fisher_curve", "info_rate_curve"):
-            accessor = getattr(traj, name)
-            every = accessor()
-            assert np.array_equal(accessor(rows), every[rows]), name
-            assert np.array_equal(accessor(row), every[row]), name
-            assert np.array_equal(accessor(slice(3, None, 7)), every[3::7]), name
-        # the one evaluation gives each accessor's array, row by row as whole
-        every = traj.replicator()
-        for name, whole in zip(("p", "pdot", "fisher_curve"), every):
-            assert np.array_equal(whole, getattr(traj, name)()), name
-        for part, whole in zip(traj.replicator(rows), every):
-            assert np.array_equal(part, whole[rows])
-        for part, whole in zip(traj.replicator(row), every):
-            assert np.array_equal(part, whole[row])
+        # each evaluation at some rows gives those rows of its whole arrays,
+        # and replicator's p is p's
+        evaluations = (("p", lambda at: (traj.p(at),)), ("replicator", traj.replicator),
+                       ("info_rate_curve", lambda at: (traj.info_rate_curve(at),)))
+        for name, evaluate in evaluations:
+            every = evaluate(slice(None))
+            for at in (rows, row, slice(3, None, 7)):
+                for part, whole in zip(evaluate(at), every, strict=True):
+                    assert np.array_equal(part, whole[at]), name
+        assert np.array_equal(traj.replicator()[0], p)
 
     @pytest.mark.parametrize("gamma, epsilon, i0, step, t_end", [
         ([200.0, 100.0], [1.0, 1.0], [0.05, 0.05], 0.1, 2.0),
@@ -445,8 +442,8 @@ class TestSolveSir:
         ref = per_variant_integrate_sir(params, t_end, 1.25e-4)
         rows = np.arange(traj.times.size) * int(round(step / 1.25e-4))
         p_err = np.max(np.abs(traj.p() - ref.p(rows)) / ref.p(rows))
-        g_ref = ref.fisher_curve(rows)
-        return traj, p_err, np.max(np.abs(traj.fisher_curve() - g_ref)) / np.max(g_ref)
+        g_ref = ref.replicator(rows)[2]
+        return traj, p_err, np.max(np.abs(traj.replicator()[2] - g_ref)) / np.max(g_ref)
 
     @pytest.mark.parametrize("n_variants, t_end", [(10, 10.0), (1000, 6.0)])
     def test_matches_fine_rk4(self, n_variants, t_end):
@@ -489,7 +486,7 @@ class TestSolveSir:
         return [np.max(np.abs(got - want)) for got, want in (
             (traj.susceptible, np.full(t.size, 0.8)),
             (traj.cumulative_susceptible, 0.8 * t),
-            (traj.infected(), i0 * decay),
+            (infected(traj), i0 * decay),
             (traj.total_infected, (i0 * decay).sum(axis=1)),
             (traj.recovered, 0.2 - (i0 * decay).sum(axis=1)))]
 
@@ -520,7 +517,7 @@ class TestSolveSir:
         params = dyn.grouped_sir_params(groups)
         traj = dyn.solve_sir(params, grid(10.0, step))
         ratio = params.epsilon[0] / params.gamma[0]
-        for total in (traj.infected().sum(axis=1), traj.total_infected):
+        for total in (infected(traj).sum(axis=1), traj.total_infected):
             invariant = traj.susceptible + total - ratio * np.log(traj.susceptible)
             assert np.max(np.abs(invariant - invariant[0])) <= 1e-15
 
@@ -710,8 +707,9 @@ class TestRatePairRows:
     def test_one_group_keeps_its_shares(self):
         # one rate pair, one row: the shares stay at i0 / sum(i0) exactly
         traj = dyn.solve_sir(dyn.grouped_sir_params([50]), grid(10.0, 0.0125))
-        assert np.all(traj.p() == 1.0 / 50) and traj.n_variants == 50
-        assert np.max(traj.fisher_curve()) < 1e-30
+        p, _, g_tt = traj.replicator()
+        assert p.shape == (traj.times.size, 50) and np.all(p == 1.0 / 50)
+        assert np.max(g_tt) < 1e-30
 
     def test_rows_in_order_of_first_occurrence(self):
         # A, B, A, C, B integrates bit for bit as the three variants A, B, C
@@ -742,11 +740,11 @@ def first_row(params):
 class TestCouplings:
     def test_no_susceptible_means_pure_decay(self):
         params = dyn.SirParams([1.5, 2.5], [0.9, 1.1], 0.0, [0.5, 0.5], 0.0)
-        assert np.array_equal(first_row(params).couplings(), [[-0.9, -1.1], [-0.9, -1.1]])
+        assert np.array_equal(couplings(first_row(params)), [[-0.9, -1.1], [-0.9, -1.1]])
 
     def test_hand_value(self):
         params = dyn.SirParams([2.0, 3.0], [1.0, 1.0], 0.5, [0.25, 0.25], 0.0)
-        assert np.allclose(first_row(params).couplings(0), [0.0, 0.5])
+        assert np.allclose(couplings(first_row(params), 0), [0.0, 0.5])
 
     def test_out_of_range_susceptible(self):
         # the susceptible level enters from outside only as s0
@@ -758,11 +756,11 @@ class TestCouplings:
         for params, want in ((dyn.SirParams([10.0, 2.0], [1.0, 1.0], 0.5, [0.125, 0.375]), 1.0),
                              (dyn.SirParams([6.0, 6.0], [1.0, 1.0], 0.5, [0.15, 0.35]), 2.0)):
             traj = first_row(params)
-            assert np.dot(traj.p(0), traj.couplings(0)) == pytest.approx(want, rel=1e-15)
+            assert np.dot(traj.p(0), couplings(traj, 0)) == pytest.approx(want, rel=1e-15)
 
     def test_fisher_equals_coupling_variance_on_grid(self, desk_traj):
-        g = desk_traj.fisher_curve()
-        p, d = desk_traj.p(), desk_traj.couplings()
+        p, _, g = desk_traj.replicator()
+        d = couplings(desk_traj)
         var_d = np.sum(p * (d - np.sum(p * d, axis=1)[:, None]) ** 2, axis=1)
         assert np.all(g >= 0.0)
         mask = var_d > 1e-30
@@ -770,7 +768,7 @@ class TestCouplings:
 
     def test_weighted_rate_identity(self, desk_traj):
         # tangency written through couplings: sum p*(d - <d>) = 0
-        p, d = desk_traj.p(), desk_traj.couplings()
+        p, d = desk_traj.p(), couplings(desk_traj)
         resid = np.sum(p * (d - np.sum(p * d, axis=1)[:, None]), axis=1)
         assert np.max(np.abs(resid)) < 1e-12
 
@@ -792,7 +790,7 @@ class TestTrajectoryAt:
             assert low < getattr(traj, name)[0] < high, name
 
     def test_velocity_is_tangent(self, desk_traj):
-        assert abs(dyn.solve_sir(desk_traj.params, [3.21]).pdot(0).sum()) < 1e-10
+        assert abs(dyn.solve_sir(desk_traj.params, [3.21]).replicator(0)[1].sum()) < 1e-10
 
     def test_out_of_range(self, desk_traj):
         for t in (-0.5, float("nan")):
@@ -830,8 +828,8 @@ class TestCsvExport:
                   + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]
                   + ["mean_d"])
         rows = [[f"row_{k}", k, traj.times[k], traj.susceptible[k]] + list(traj.p(k))
-                + list(traj.pdot(k)) + list(traj.couplings(k))
-                + [np.dot(traj.p(k), traj.couplings(k))]
+                + list(traj.replicator(k)[1]) + list(couplings(traj, k))
+                + [np.dot(traj.p(k), couplings(traj, k))]
                 for k in range(0, traj.times.size, 7)]
         path = tmp_path / "fast.csv"
         cli.write_csv(path, header, zip(*rows))

@@ -188,7 +188,7 @@ class TestFisherHat:
         n, dt, reps = 30000, 0.25, 300
         k = 5000  # t = 5
         p = desk_traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
-        g_tt = float(desk_traj.fisher_curve()[k])
+        g_tt = float(desk_traj.replicator(k)[2])
         est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0], reps, 4242,
                                          p, n)
         scale = n * dt**2 / (2 * 9)

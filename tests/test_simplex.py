@@ -240,7 +240,7 @@ class TestRowByRow:
         # the rows the experiments evaluate: p and pdot of the model curve
         traj = dyn.solve_sir(dyn.default_sir_params(10), np.arange(801) * 0.0125)
         f = cl.Clustering([1, 1, 1, 2, 2, 2, 3, 3, 3, 3])
-        p, pdot = traj.p(), traj.pdot()
+        p, pdot, _ = traj.replicator()
         for fn in (fisher_information, self_information_rate,
                    lambda p, v: cl.clustered_fisher(p, v, f),
                    lambda p, v: cl.delta_g_prob_form(p, v, f)):

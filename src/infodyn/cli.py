@@ -139,178 +139,23 @@ DEFAULT_P = np.array([0.1, 0.2, 0.3, 0.4])
 DEFAULT_P.flags.writeable = False
 
 
-# Cells formatted per chunk of whole rows by write_csv.  On the model-scan
-# benchmark workload's 401 x 1002 trajectory.csv (9.0 MB; 2-core machine,
-# numpy 2.4.6, best of 9 in two runs), chunks of 2**13 to 2**16 cells wrote it
-# in 0.07 to 0.08 s and 2**12 in 0.09 to 0.14 s, against 0.21 to 0.27 s with
-# one `%` per row; smaller chunks keep the temporaries (about 100 bytes a
-# cell) small.
-CSV_CHUNK_CELLS = 1 << 13
-
-
-def _split(a):
-    """Dekker's split: the upper 26 bits of a (the rest, a - head, is exact)."""
-    c = a * 134217729.0  # 2**27 + 1
-    return c - (c - a)
-
-
-def _pow10_table():
-    """10**k = hi + lo for k = -290 ... 300, row k + 290: hi is 10**k and lo
-    the remainder 10**k - hi, each correctly rounded from exact integers
-    (int / int rounds correctly), so hi + lo is within 2**-106 of 10**k; and
-    hi's Dekker head and tail."""
-    his, los = [], []
-    for k in range(-290, 301):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        hi = num / den
-        hi_num, hi_den = hi.as_integer_ratio()
-        his.append(hi)
-        los.append((num * hi_den - hi_num * den) / (den * hi_den))
-    hi = np.array(his)
-    head = _split(hi)
-    return hi, np.array(los), head, hi - head
-
-
-_POW10_HI, _POW10_LO, _POW10_HEAD, _POW10_TAIL = _pow10_table()
-
-
-def _round_scaled(a, k):
-    """round(a * 10**k) as int64, for a > 0 and 10**k in the table, and
-    whether that rounding is in doubt.  a * hi = p + e exactly (Dekker's
-    product), so a * 10**k = p + e + a * lo within 2e-14 while it is below
-    2**57; the rounding is in doubt when the fraction lies within 1e-9 of 1/2,
-    which covers exact ties."""
-    i = k + 290
-    head, tail = _POW10_HEAD[i], _POW10_TAIL[i]
-    p = a * _POW10_HI[i]
-    a_head = _split(a)
-    a_tail = a - a_head
-    e = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
-    whole = np.floor(p)
-    rest = (p - whole) + (e + a * _POW10_LO[i])
-    step = np.floor(rest)
-    frac = rest - step
-    return (whole.astype(np.int64) + step.astype(np.int64) + (frac > 0.5),
-            np.abs(frac - 0.5) < 1e-9)
-
-
-# row X + 300 for the decimal exponent X = -300 ... 300 of a %.17g cell: a
-# byte for the sign, then "0." and zeros (fixed form below 1), 18 bytes for
-# the digits and point, the exponent with at least two digits (outside fixed
-# form), and the comma; rows 601 on repeat them with the sign "-"
-_CELL = np.array(["\0" + ("0." + "0" * (-1 - x) if -4 <= x < 0 else "").ljust(23, "\0")
-                  + ("" if -4 <= x < 17 else f"e{x:+03d}").ljust(5, "\0") + ","
-                  for x in range(-300, 301)], dtype="S30").view(np.uint8).reshape(-1, 30)
-_CELL = np.vstack((_CELL, _CELL))
-_CELL[601:, 0] = 45
-_J18 = np.arange(18, dtype=np.uint8)[:, None]
-# column g: the four digits of g = 0 ... 9999 as characters
-_GROUPS = (np.arange(10000, dtype=np.uint16) // np.array([[1000], [100], [10], [1]], np.uint16)
-           % 10 + 48).astype(np.uint8)
-
-
-def _format_floats(x):
-    """'%.17g,' % v for every double v of x, byte for byte: row i of the
-    returned (x.size, 30) uint8 matrix is the cell of x[i] and a comma,
-    padded with NULs.  A cell the vectorised path cannot certify is made
-    with `%`: a non-finite one, |v| outside [1e-280, 1e280], or a rounding
-    in doubt (_round_scaled).  Returns the matrix and the indices of those
-    cells."""
-    a = np.abs(x)
-    fast = (a >= 1e-280) & (a <= 1e280)
-    zero = a == 0.0
-    a = np.where(fast, a, 1.0)
-    # the decade X, 10**X <= |v| < 10**(X + 1): floor(log10 |v|), which may
-    # be one off next to a power of ten, checked against hi + lo
-    x_dec = np.floor(np.log10(a)).astype(np.intp)
-    x_dec -= a - _POW10_HI[x_dec + 290] < _POW10_LO[x_dec + 290]
-    x_dec += a - _POW10_HI[x_dec + 291] >= _POW10_LO[x_dec + 291]
-    # the 17 digits D = round(|v| * 10**(16 - X)); a D of 10**17 carries
-    # into the next decade
-    d, doubt = _round_scaled(a, 16 - x_dec)
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    x_dec += carry
-    d[zero] = 0
-
-    # the 17 digits as characters in rows 1 to 17 of 19: the leading one, then
-    # four groups of four from the table
-    lead, rest = np.divmod(d, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    chars = np.zeros((19, d.size), np.uint8)
-    chars[1] = lead
-    chars[1] += 48
-    groups = (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))
-    for row, group in zip((2, 6, 10, 14), groups):
-        np.take(_GROUPS, group, axis=1, out=chars[row:row + 4])
-    significant = ((chars[:18] > 48) * _J18).max(axis=0)  # 0 for v = 0
-    fixed = (x_dec >= -4) & (x_dec < 17)
-    whole = np.where(fixed, np.maximum(x_dec + 1, 0), 1)  # digits before the point
-    # trailing zeros after the point dropped, then the point shifted in after
-    # the whole digits
-    chars[1:18] *= _J18[1:] <= np.maximum(significant, whole)
-    point = np.where((whole > 0) & (significant > whole), whole, 18)  # 18: none
-    body = np.where(_J18 > point, chars[:18], chars[1:])
-    has_point = np.flatnonzero(point < 18)
-    body[point[has_point], has_point] = 46
-
-    out = np.take(_CELL, np.signbit(x) * 601 + x_dec + 300, axis=0)
-    out[:, 6:24] = body.T
-    slow = np.flatnonzero(~(fast | zero) | doubt)
-    for i in slow:
-        cell = ("%.17g" % x[i]).encode()
-        out[i, :29] = 0  # all but the comma
-        out[i, :len(cell)] = np.frombuffer(cell, np.uint8)
-    return out, slow
-
-
 def write_csv(path, header, columns) -> None:
     """Write a header line and one line per row of `columns`, with LF line
-    ends, as bytes; every CSV artifact is written here.  A column is a
-    sequence of cells or a 2-D float array of several columns.  A float
-    column's cells are written as '%.17g' % v writes them, byte for byte, so
-    they read back as the same doubles; any other cell (a string, an
-    integer) as str().
-
-    Float cells are formatted in chunks of CSV_CHUNK_CELLS cells, whole rows,
-    without a per-cell `%` (_format_floats).  A table gives 10**k = hi + lo,
-    both doubles correctly rounded from exact integers; with Dekker's exact
-    product a * hi = p + e, |v| * 10**(16 - X) = p + e + |v| * lo is known
-    within 2e-14, so its rounding D, the 17 digits, is certain unless the
-    fraction lies within 1e-9 of 1/2.  The decade X, 10**X <= |v| < 10**(X+1),
-    is floor(log10 |v|) moved a decade where hi + lo shows it one off (next
-    to a power of ten: the double 10.0**-277 lies below 1e-277); a D that
-    rounds up to 10**17 carries, as 10**16 at X + 1.  The %g layout follows:
-    fixed form for -4 <= X < 17, exponent form (at least two exponent
-    digits) otherwise, trailing zeros dropped.  `%` writes the cells the
-    vectorised path does not certify: non-finite ones, |v| outside [1e-280,
-    1e280] and those in the band around 1/2, exact ties among them."""
-    blocks = []  # text columns as (rows, width) uint8 cells, runs of float columns
-    rows = cells = 0
+    ends, as UTF-8; every CSV artifact is written here.  A column is a
+    sequence of cells or a 2-D array of several columns.  A float cell is
+    written as '%.17g' % v writes it, so it reads back as the same double;
+    any other cell (a string, an integer) as str()."""
+    formats, blocks, rows = [], [], 0
     for col in columns:
         col = np.asarray(col)
         rows = len(col)
-        if col.dtype.kind == "f":
-            col = col.astype(np.float64, copy=False).reshape(rows, -1)
-            if not blocks or not isinstance(blocks[-1], list):
-                blocks.append([])
-            blocks[-1].append(col)
-            cells += col.shape[1]
-        else:
-            text = np.array([str(v).encode() for v in col]).view(np.uint8).reshape(rows, -1)
-            blocks.append(np.column_stack((text, np.full(rows, 44, np.uint8))))
-            cells += 1
-    step = max(1, CSV_CHUNK_CELLS // max(cells, 1))
+        col = col.reshape(rows, -1)
+        formats += ["%.17g" if col.dtype.kind == "f" else "%s"] * col.shape[1]
+        blocks.append(col.astype(object))
+    cells = np.hstack(blocks).ravel().tolist() if blocks else []
+    line = ",".join(formats) + "\n"
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, rows, step):
-            stop = min(start + step, rows)
-            parts = [b[start:stop] if isinstance(b, np.ndarray) else
-                     _format_floats(np.hstack([c[start:stop] for c in b]).ravel())[0]
-                     .reshape(stop - start, -1) for b in blocks]
-            lines = np.hstack(parts) if len(parts) > 1 else parts[0]
-            lines[:, -1] = 10  # the last cell's comma
-            fh.write(lines.tobytes().translate(None, b"\0"))
+        fh.write((",".join(header) + "\n" + line * rows % tuple(cells)).encode())
 
 
 def _scan_counts(text: str) -> list[int]:
@@ -376,8 +221,8 @@ def _instants(dt: float, t_end: float, t0: float = 0.0, count: int | None = None
 
 def _inside(t_end: float, times, what: str) -> None:
     """Refuse the key 't' unless `times`, which `what` names, lie in [0,
-    t_end], within a relative 1e-9 at t_end."""
-    if not (0.0 <= min(times) and max(times) <= t_end * (1.0 + 1e-9)):
+    t_end], within a relative 1e-9 at t_end but not past dynamics.MAX_TIME."""
+    if not (0.0 <= min(times) and max(times) <= min(t_end * (1.0 + 1e-9), dyn.MAX_TIME)):
         raise ConfigError(f"bad value for 't': {what} must lie in [0, t_end = {t_end:g}]")
 
 
@@ -454,10 +299,11 @@ def run_model_trajectory(cfg, seed):
     m = params.n_variants
     p, pdot, g_tt = traj.replicator(rows)
     times = traj.times[rows]
-    # the state alone: with the rates of variants.csv, d = gamma S - epsilon,
-    # <d> = sum(p d) and pdot = p (d - <d>) follow from it bit for bit
-    return {"trajectory.csv": (["t", "S"] + [f"p_{i}" for i in range(1, m + 1)],
-                               [times, traj.susceptible[rows], p]),
+    # the state alone: with the rates of variants.csv, p = softmax(log i0 +
+    # gamma X - epsilon t), d = gamma S - epsilon, <d> = sum(p d) and pdot =
+    # p (d - <d>) follow from it bit for bit
+    return {"trajectory.csv": (["t", "S", "X"], [times, traj.susceptible[rows],
+                                                 traj.cumulative_susceptible[rows]]),
             "variants.csv": (["mu", "gamma", "epsilon", "i0", "label"],
                              [np.arange(1, m + 1), params.gamma, params.epsilon, params.i0,
                               f.labels + 1]),
@@ -505,7 +351,7 @@ def run_info_rate_moments(cfg, seed):
     params, dt, t_end = _model(cfg, [ell])
     grid = _instants(dt, t_end)
     pair = [t - dt / 2.0, t + dt / 2.0]
-    _inside(t_end, pair, f"t - dt/2 = {pair[0]:g} and t + dt/2 = {pair[1]:g}")
+    _inside(t_end, pair, f"t - dt/2 = {pair[0]!r} and t + dt/2 = {pair[1]!r}")
     traj, (grid, k, ends) = _solve(cfg, params, grid, t, pair)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     (p, pdot, _), m = traj.replicator(k), params.n_variants
@@ -561,7 +407,7 @@ def run_elbow_scan(cfg, seed):
     ells = _get(cfg, "ell", list(range(4, 11)), _scan_counts)
     params, dt, t_end = _model(cfg, ells)
     grid = _instants(dt, t_end)
-    _inside(t_end, [t], f"t = {t:g}")
+    _inside(t_end, [t], f"t = {t!r}")
     traj, (grid, k) = _solve(cfg, params, grid, t)
     scores = cl.principal_scores(cl.kmeans_features(traj, grid))
     p, pdot, _ = traj.replicator(k)

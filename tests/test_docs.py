@@ -2,7 +2,8 @@
 class and function the package exports, its experiment list names every
 experiment the runner has and no other, its config-key paragraph names
 every key the runner accepts, every CSV file it names is one an experiment
-writes, and every dotted name it gives resolves."""
+writes, every dotted name it gives resolves, and its recipe for p, d and
+pdot rebuilds them from the files."""
 
 import fnmatch
 import importlib
@@ -10,8 +11,11 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
+
 import infodyn
 from infodyn import cli
+from conftest import couplings
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `(infodyn(?:\.\w+)?)` \| (.*) \|$")
@@ -136,3 +140,26 @@ def test_a_removed_file_or_name_is_caught():
             "`numpy.intp`, `elbow_scan.cfg`")
     assert unknown_csv_names(text, artifacts()) == ["theory_vs_mc.csv"]
     assert unresolved_names(text) == ["dynamics.integrate_sir", "Trajectory.pdot", "np.intp"]
+
+
+def test_readme_recipe_rebuilds_the_model(tmp_path, monkeypatch):
+    # the python block after "`trajectory.csv` holds the state", run as
+    # written in the output directory of a model-trajectory run, gives the
+    # model's p, d and pdot bit for bit
+    text = README.read_text()
+    start = text.index("```python\n", text.index("`trajectory.csv` holds the state"))
+    recipe = text[start + len("```python\n"):text.index("```", start + 3)]
+    config = "experiment = model-trajectory\nN = 99\n"
+    (tmp_path / "exp.cfg").write_text(config)
+    cli.run(str(tmp_path / "exp.cfg"), str(tmp_path / "out"))
+    params, dt, t_end = cli._model(cli.parse_config(config))
+    traj = cli.dyn.solve_sir(params, cli._instants(dt / 10, t_end))  # every dt/10
+    p, pdot, _ = traj.replicator()
+    monkeypatch.chdir(tmp_path / "out")
+    names = {"np": np}
+    exec(recipe, names)
+    assert names["p"].shape == (401, 100)
+    assert np.array_equal(names["t"], traj.times)
+    assert np.array_equal(names["p"], p)
+    assert np.array_equal(names["d"], couplings(traj))
+    assert np.array_equal(names["pdot"], pdot)

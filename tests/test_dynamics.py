@@ -811,9 +811,9 @@ class TestCsvExport:
         traj = dyn.solve_sir(params, cli._instants(dt / 10, t_end))  # every dt/10
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
-        assert header == ["t", "S"] + [f"p_{i}" for i in range(1, 6)]
+        assert header == ["t", "S", "X"]
         assert traj.times.size == 81
-        expected = np.column_stack((traj.times, traj.susceptible, traj.p()))
+        expected = np.column_stack((traj.times, traj.susceptible, traj.cumulative_susceptible))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, expected)  # 17 digits read back exactly
 

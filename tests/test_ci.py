@@ -1,12 +1,15 @@
 """The CI workflow installs every test dependency that pyproject.toml lists,
 and runs every benchmark workload, so that a new one cannot land in only
 one of the two places, and the large-M benchmark script; it compares the
-shipped configs' outputs at one and two BLAS threads; and the tests job
-has a timeout."""
+shipped configs' outputs at one and two BLAS threads; the tests job has a
+timeout; and, under pyproject.toml's warning filters, a failing property
+test does not end the test session."""
 
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -71,3 +74,20 @@ def test_tests_job_has_a_timeout():
     minutes = re.search(r"^    timeout-minutes: (\d+)$", job.group(1), re.M)
     assert minutes is not None, "the 'tests' job sets no timeout-minutes"
     assert 1 <= int(minutes.group(1)) <= 60
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # hypothesis reports a failing example through libcst, whose
+    # DeprecationWarning filterwarnings = error turns into an INTERNALERROR
+    # that skips every later test, unless pyproject.toml ignores it
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert re.search(r"^1 failed, 1 passed", done.stdout, re.M), done.stdout

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -511,6 +512,9 @@ class TestRunner:
         ("experiment = fisher-bias-vs-t\nN = 999\nt_end = 1e308\n", "t_end"),
         ("experiment = filtering-comparison\nN = 999\nt0 = 1.9\nt_end = 2\n", "t0"),
         ("experiment = fisher-bias-vs-t\nt0 = 1.9\nt_end = 2\n", "t0"),
+        # within 1e-9 of t_end but past MAX_TIME
+        ("experiment = elbow-scan\nt_end = 2048\nt = 2048.000001\n", "t"),
+        ("experiment = info-rate-moments\nt_end = 2048\nt = 2047.875000001\n", "t"),
     ])
     def test_time_keys_are_checked_before_integrating(self, tmp_path, capsys, monkeypatch,
                                                       text, key):
@@ -529,6 +533,14 @@ class TestRunner:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for '{key}'") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_t_within_1e9_of_t_end_runs(self, tmp_path):
+        # the bound at MAX_TIME refuses no t that t_end's relative 1e-9 allows
+        # below it
+        text = "experiment = elbow-scan\nt_end = 2\nt = 2.000000001\n"
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert (out / "elbow_summary.csv").exists()
 
     def test_coarse_dt_runs_and_conserves(self, tmp_path):
         # an output step dt/10 = 2, longer than the first series steps of the
@@ -1119,6 +1131,42 @@ def reference_write_csv(path, header, rows) -> None:
             fh.writelines(line % tuple(row) for row in rows)
 
 
+def decade_values():
+    """Every double next to a power of ten 10**k, k = -323 ... 308: 10.0**k
+    and the correctly rounded literal 1ek, each with both neighbours."""
+    out = []
+    for k in range(-323, 309):
+        for v in dict.fromkeys((10.0 ** k, float(f"1e{k}"))):
+            out += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    return out
+
+
+def tie_values():
+    """Doubles k / 2**(17 - X), k odd, in the decade X = -8 ... 14: each has
+    exactly 18 significant digits, the last a 5, so %.17g rounds a tie."""
+    out = []
+    for x_dec in range(-8, 15):
+        scale = Fraction(2) ** (17 - x_dec)
+        lo = math.ceil(10 ** Fraction(x_dec) * scale) | 1
+        hi = math.ceil(10 ** Fraction(x_dec + 1) * scale) - 1
+        for k in dict.fromkeys((lo, (lo + hi) // 2 | 1, hi - 1 + hi % 2)):
+            v = math.ldexp(k, x_dec - 17)
+            out += [v, -v]
+    return out
+
+
+def extreme_values():
+    """Zeros, infinities, the ends of the double range, the integers next to
+    2**53, and the neighbours of 1e-4 and 1e17, where %.17g switches between
+    its fixed and exponent forms."""
+    out = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308, float(2 ** 53 - 1),
+           float(2 ** 53 + 1), float(2 ** 53 + 2), -float(2 ** 53)]
+    switch = [1e-4, 1e17, 1e16, 99999999999999999.0, 9.99999999999999999e-5]
+    return out + [math.nextafter(v, t) * s for v in switch for t in (0.0, v, math.inf)
+                  for s in (1.0, -1.0)]
+
+
 class TestWriteCsv:
     """write_csv writes the bytes of reference_write_csv, the row writer it
     replaced."""
@@ -1181,3 +1229,16 @@ class TestWriteCsv:
         reference_write_csv(tmp_path / "ref.csv", ["ell_star", "6"], [])
         assert (tmp_path / "got.csv").read_bytes() == b"ell_star,6\n"
         assert (tmp_path / "ref.csv").read_bytes() == b"ell_star,6\n"
+
+    @pytest.mark.parametrize("values", [decade_values, tie_values, extreme_values],
+                             ids=["decades", "ties", "extremes"])
+    def test_edge_doubles_read_back_exactly(self, tmp_path, values):
+        # where 17 digits are hardest to get right, each cell is what
+        # '%.17g' % v writes and reads back as v, the sign of zero included
+        values = np.array(values())
+        cli.write_csv(tmp_path / "got.csv", ["v"], [values])
+        lines = (tmp_path / "got.csv").read_text().split("\n")
+        assert lines[0] == "v" and lines[-1] == ""
+        assert lines[1:-1] == ["%.17g" % v for v in values.tolist()]
+        read = np.array([float(cell) for cell in lines[1:-1]])
+        assert np.array_equal(read.view(np.uint64), values.view(np.uint64))

@@ -15,7 +15,6 @@ from .dynamics import (
 )
 from .sampling import (
     MonteCarloEstimate,
-    cluster_info_rate_hat,
     fisher_hat,
     info_rate_hat,
     monte_carlo_components,
@@ -32,9 +31,8 @@ from .clustering import (
 )
 from .theory import (
     distance_moments,
-    exact_static_fisher_mean,
     fisher_bias,
-    fisher_bias_second_order,
+    fisher_null_mean,
     fisher_prediction,
     info_rate_moments,
 )

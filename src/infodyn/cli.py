@@ -364,7 +364,8 @@ def run_info_rate_moments(cfg, seed):
         # clusters, estimated on the same counts
         est = smp.monte_carlo_components(
             lambda c: np.concatenate((smp.info_rate_hat(c / n, dt)[:, 0],
-                                      smp.cluster_info_rate_hat(c, n, dt, f)[:, 0]), axis=1),
+                                      smp.info_rate_hat(cl.aggregate(c, f) / n, dt)[:, 0]),
+                                     axis=1),
             reps, rng.derive_key(seed, i), p2, n)
         variants.append([np.full(m, n), np.arange(1, m + 1), *_mc_columns(
             est, *th.info_rate_moments(rate, p, n, dt), slice(m))])

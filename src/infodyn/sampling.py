@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .clustering import Clustering, aggregate
+from .clustering import aggregate  # noqa: F401  perfbench tests pin sampling.aggregate
 
 # Counts drawn per chunk of replications.  On the mc-timegrid benchmark
 # workload (2-core machine, numpy 2.4.6), one unchunked block raised peak
@@ -71,11 +71,6 @@ def info_rate_hat(phat: np.ndarray, dt: float) -> np.ndarray:
     """Sampled per-variant information rates, shape (..., K-1, variants)."""
     p_lo, p_hi = phat[..., :-1, :], phat[..., 1:, :]
     return _rate_weights(p_lo, p_hi) * (p_hi - p_lo) / dt
-
-
-def cluster_info_rate_hat(counts: np.ndarray, n: int, dt: float, f: Clustering) -> np.ndarray:
-    """Sampled per-cluster information rates, shape (..., K-1, clusters)."""
-    return info_rate_hat(aggregate(counts, f) / n, dt)
 
 
 def _values(estimator, p: np.ndarray, n: int, seed: int, reps: np.ndarray) -> np.ndarray:

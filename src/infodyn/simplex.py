@@ -13,16 +13,27 @@ from __future__ import annotations
 import numpy as np
 
 
+def _require(p: np.ndarray, ok: np.ndarray, what: str) -> np.ndarray:
+    """p, if every entry is ok; raises ValueError naming the first that is not."""
+    if not ok.all():
+        idx = np.unravel_index(np.argmin(ok), p.shape)
+        where = int(idx[0]) if p.ndim == 1 else tuple(map(int, idx))
+        raise ValueError(f"{what}: entry {p[idx]} at index {where}")
+    return p
+
+
 def require_interior(p) -> np.ndarray:
     """p as a float array, every entry of which must be positive (the open
     simplex); raises ValueError naming the first entry that is not."""
     p = np.asarray(p, dtype=float)
-    inside = p > 0.0
-    if not inside.all():
-        idx = np.unravel_index(np.argmin(inside), p.shape)
-        where = int(idx[0]) if p.ndim == 1 else tuple(map(int, idx))
-        raise ValueError(f"distribution is not interior: entry {p[idx]} at index {where}")
-    return p
+    return _require(p, p > 0.0, "distribution is not interior")
+
+
+def require_probabilities(p) -> np.ndarray:
+    """p as a float array, every entry of which must lie in [0, 1]; raises
+    ValueError naming the first entry that does not."""
+    p = np.asarray(p, dtype=float)
+    return _require(p, (p >= 0.0) & (p <= 1.0), "probability outside [0, 1]")
 
 
 def _at(p, v) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,10 @@
-"""Closed-form large-n predictions for the sampled estimators.
+"""Closed-form predictions for the sampled estimators.
 
-Pure formula evaluators, used as oracles by the test suite and the
-experiment runner.  Values are returned raw, without clamping or
-smoothing; callers pick their own comparison tolerances.
+The large-n laws of the paper, and the exact finite-n moments where they
+are known (``distance_moments``, ``fisher_null_mean``).  Pure formula
+evaluators, used as oracles by the test suite and the experiment runner.
+Values are returned raw, without clamping or smoothing; callers pick their
+own comparison tolerances.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .simplex import require_interior
+from .simplex import require_interior, require_probabilities
 
 
 def distance_moments(p, n: int):
@@ -55,73 +57,50 @@ def fisher_prediction(g_tt, N: int, n: int, dt: float):
     return g_tt + fisher_bias(N, n, dt), 8.0 * g_tt / (n * dt**2) + 8.0 * N / (n**2 * dt**4)
 
 
-def fisher_bias_second_order(p, n: int, dt: float) -> np.ndarray:
-    """Bias of a constant model through order n^-2: 2N/(n dt^2) + N/(n^2 dt^2),
-    one value per row of an interior p of shape (..., N+1).
+def fisher_null_mean(p, n: int, dt: float) -> np.ndarray:
+    """Exact mean of the sampled Fisher information of a constant model,
 
-    Derivation.  Per component write the two sampled frequencies as
-    x = p + a and y = p + b, with a and b independent, mean zero and
-    variance p(1-p)/n.  Expanding the estimator term 2(b-a)^2/(2p+a+b) in
-    a and b to fourth order and taking expectations with the binomial
-    second, third and fourth moments gives
+        E[ghat] = 4 (N - sum_mu (1 - p_mu)^(2n)) / ((2n - 1) dt^2),
 
-        2(1-p)/n + (1-p)/n^2 + O(n^-3),
+    at every n >= 1, one value per row of a p of shape (..., N+1) whose
+    entries lie in [0, 1] and whose rows are distributions.
 
-    where the n^-2 coefficient collects -(1-p)(1-2p)/p from the third
-    moment and (1-p)^2/p from the fourth.  Summing over the N+1
-    components and dividing by dt^2 gives the result, whose n^-2 term
-    N/(n^2 dt^2) does not depend on p.
+    Derivation.  Both instants draw n counts, X and Y, from the same p.  Let
+    c_mu = X_mu + Y_mu be the count of variant mu pooled over the two
+    instants.  Given the pooled counts, Y_mu is hypergeometric (n draws
+    from 2n), so E[(Y_mu - X_mu)^2 | c] = c_mu (2n - c_mu)/(2n - 1), and the
+    estimator term 2 (Y_mu - X_mu)^2 / (n c_mu dt^2) has the conditional
+    mean 2 (2n - c_mu)/(n (2n - 1) dt^2) for c_mu > 0, and 0 for c_mu = 0.
+    The pooled counts sum to 2n, so over mu
 
-    Scope.  This is the complete n^-2 term only when g_tt = 0 (a constant
-    distribution across the two sampled instants).  For a time-varying
-    model the n^-2 term has a further g_tt-dependent part, which is not
-    derived and not included here.  ``exact_static_fisher_mean`` gives the
-    exact expectation to check against.
+        E[ghat | c] = 4 (M' - 1)/((2n - 1) dt^2),   M' = #{mu : c_mu > 0},
 
-    Range of validity.  The expansion needs n * min(p) >> 1.  For
-    p = (0.946, 0.006 x 9) the ratio of the exact residual (exact mean
-    minus 2N/(n dt^2)) to N/(n^2 dt^2) is -23.7 at n = 250, -1.44 at
-    n = 500, 0.989 at n = 1000 and 1.00013 at n = 4000.
-    """
-    p = require_interior(p)
-    N = p.shape[-1] - 1
-    return np.zeros(p.shape[:-1]) + (fisher_bias(N, n, dt) + N / (n**2 * dt**2))
+    and E[M'] = sum_mu (1 - (1 - p_mu)^(2n)) gives the result.  Here
+    ghat n dt^2 / 2 is Pearson's chi^2 statistic of homogeneity of the 2 x M
+    table of the two instants' counts, whose conditional moments given the
+    margins are Haldane's (1940, Biometrika 31, 346).
 
+    Where every n p_mu >> 1 the (1 - p_mu)^(2n) terms vanish and
+    4N/(2n - 1) = 2N/n + N/n^2 + ..., the large-n bias ``fisher_bias`` and
+    its n^-2 term.  Where many variants go unseen the mean falls far below
+    2N/(n dt^2): the unseen ones add nothing.  A component with p_mu = 0 adds
+    1 to N and 1 to the sum, so it changes nothing; a point mass gives 0.
 
-def exact_static_fisher_mean(p, n: int, dt: float) -> np.ndarray:
-    """Exact expectation of the sampled Fisher information for a constant model.
-
-    Both instants draw n counts from the same distribution p; a p of shape
-    (..., N+1) gives one value per row.  Each component of the estimator
-    depends only on that component's count pair, whose exact law is a
-    product of two Binomial(n, p_mu) laws, so the expectation is a sum of
-    per-component double sums, added in component order.  Counts whose
-    binomial probability is below 1e-30 are left out; since each term is
-    at most 2/dt^2, that changes a component's sum by less than
-    4 (n + 1) 1e-30 / dt^2.  Components with p_mu = 0 or 1 contribute
-    exactly zero.  Cost is the square of the kept support per component,
-    roughly (25 sqrt(n p_mu (1 - p_mu)))^2.
+    Each 1 - (1 - p_mu)^(2n) is evaluated as -expm1(2n log1p(-p_mu)), so that
+    tiny p_mu keep their precision at large n.  Raises ValueError for n < 1,
+    a dt that is not positive and finite, or an entry of p outside [0, 1],
+    naming its index.
     """
     if n < 1:
         raise ValueError(f"sample size n must be >= 1, got {n}")
     if not dt > 0:
         raise ValueError(f"time step dt must be > 0, got {dt}")
-    ks = np.arange(n + 1)
-    log_binom = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                          for k in range(n + 1)])
-    p = np.asarray(p, dtype=float)
-    total = np.zeros(p.shape[:-1])
-    for idx, p_mu in np.ndenumerate(p):
-        if p_mu == 0.0 or p_mu == 1.0:
-            continue
-        w = np.exp(log_binom + ks * math.log(p_mu) + (n - ks) * math.log1p(-p_mu))
-        keep = w >= 1e-30
-        x = ks[keep] / n
-        w = w[keep]
-        tot = x[:, None] + x[None, :]
-        vals = 2.0 * (x[:, None] - x[None, :]) ** 2 / np.where(tot > 0, tot, 1.0)
-        total[idx[:-1]] += w @ vals @ w
-    return total / dt**2
+    if not math.isfinite(dt):
+        raise ValueError(f"time step dt must be finite, got {dt}")
+    p = require_probabilities(p)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: p_mu = 1 is always seen
+        seen = -np.expm1(2 * n * np.log1p(-p))
+    return 4.0 * (np.sum(seen, axis=-1) - 1.0) / ((2 * n - 1) * dt**2)
 
 
 def info_rate_moments(i_rate, p_mu, n: int, dt: float):

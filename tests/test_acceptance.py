@@ -108,30 +108,28 @@ def test_criterion_03_fisher_bias(desk_traj):
 
 def test_criterion_04_second_order_bias():
     # Constant distribution: g_tt = 0, so the estimator's mean minus the
-    # leading bias is the n^-2 term itself.  Its size at n = 10^3 (~1.4e-4)
-    # is far below the Monte Carlo SE (~1.8e-3), so the closed form is
-    # checked against the exact-enumeration oracle, and the Monte Carlo
-    # mean against the oracle's exact mean.
+    # leading bias is the n^-2 term N/(n^2 dt^2) plus higher orders.  Its
+    # size at n = 10^3 (~1.4e-4) is far below the Monte Carlo SE (~1.8e-3),
+    # so the series term is checked against the exact mean's residual, and
+    # the Monte Carlo mean against the exact mean.
     n, reps = 1000, 5000
     p = np.array([1.0 - 9 * 0.006] + [0.006] * 9)
 
     def term_error(size):
-        lead = th.fisher_bias(N_DOF, size, DT)
-        term = th.fisher_bias_second_order(p, size, DT) - lead
-        exact_resid = th.exact_static_fisher_mean(p, size, DT) - lead
-        return abs(term - exact_resid) / abs(exact_resid)
+        exact_resid = th.fisher_null_mean(p, size, DT) - th.fisher_bias(N_DOF, size, DT)
+        return abs(N_DOF / (size**2 * DT**2) - exact_resid) / abs(exact_resid)
 
     err_1k, err_4k = term_error(n), term_error(4 * n)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, DT)[:, 0], reps, 2027,
                                      np.stack([p, p]), n)
-    mc_dev = abs(est.mean - th.exact_static_fisher_mean(p, n, DT)) / est.standard_error
+    mc_dev = abs(est.mean - th.fisher_null_mean(p, n, DT)) / est.standard_error
     ok = err_1k <= 0.05 and err_4k <= 0.001 and mc_dev <= 3.0
     report(
         4, "second-order bias term", ok,
-        f"closed-form n^-2 term vs exact residual: {100 * err_1k:.2f}% at "
+        f"series n^-2 term vs exact residual: {100 * err_1k:.2f}% at "
         f"n={n} (<= 5%), {100 * err_4k:.3f}% at n={4 * n} (<= 0.1%); "
         f"mc mean vs exact mean {mc_dev:.2f} SE (<= 3, R={reps}). "
-        f"See the theory.fisher_bias_second_order docstring.",
+        f"The exact mean is theory.fisher_null_mean.",
     )
 
 
@@ -180,7 +178,7 @@ def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     var = smp.monte_carlo_components(lambda c: smp.info_rate_hat(c / n, DT)[:, 0], reps, 707,
                                      p_grid, n)
     clu = smp.monte_carlo_components(
-        lambda c: smp.cluster_info_rate_hat(c, n, DT, desk_f3)[:, 0], reps, 708, p_grid, n)
+        lambda c: smp.info_rate_hat(cl.aggregate(c, desk_f3) / n, DT)[:, 0], reps, 708, p_grid, n)
 
     worst_mean = worst_var = 0.0
     for est, rates, probs in ((var, rate, p), (clu, cluster_rate, q)):

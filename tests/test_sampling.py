@@ -263,12 +263,13 @@ class TestInfoRateHat:
     def test_cluster_version_identity(self, desk_traj):
         counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(2), 700, seed=6)
         ident = Clustering(range(1, 11))
-        assert np.array_equal(smp.cluster_info_rate_hat(counts, 700, DT, ident),
+        assert np.array_equal(smp.info_rate_hat(aggregate(counts, ident) / 700, DT),
                               smp.info_rate_hat(counts / 700, DT))
 
     def test_cluster_version_single(self):
         counts = np.array([[5, 3, 2], [6, 2, 2]])
-        assert smp.cluster_info_rate_hat(counts, 10, DT, Clustering([1] * 3)).tolist() == [[0.0]]
+        single = aggregate(counts, Clustering([1] * 3))
+        assert smp.info_rate_hat(single / 10, DT).tolist() == [[0.0]]
 
 
 class TestWholeGridEstimators:
@@ -286,7 +287,7 @@ class TestWholeGridEstimators:
             assert np.array_equal(smp.fisher_hat(counts / n, DT), fisher)
             assert np.array_equal(smp.fisher_hat(aggregate(counts, f) / n, DT), clustered)
             assert np.array_equal(smp.info_rate_hat(counts / n, DT), np.stack(rates))
-            assert np.array_equal(smp.cluster_info_rate_hat(counts, n, DT, f),
+            assert np.array_equal(smp.info_rate_hat(aggregate(counts, f) / n, DT),
                                   np.stack(cluster_rates))
 
     @given(seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 3), count=st.integers(2, 5),
@@ -307,8 +308,9 @@ class TestWholeGridEstimators:
             w[:, 1 + dead] = 0.0
         counts = gen.multinomial(n, w / w.sum(axis=1, keepdims=True), size=(chunk, count))
         f = random_clustering(gen, m, min(ell, m))
-        batched = (smp.fisher_hat(counts / n, DT), smp.fisher_hat(aggregate(counts, f) / n, DT),
-                   smp.info_rate_hat(counts / n, DT), smp.cluster_info_rate_hat(counts, n, DT, f))
+        clustered = aggregate(counts, f) / n
+        batched = (smp.fisher_hat(counts / n, DT), smp.fisher_hat(clustered, DT),
+                   smp.info_rate_hat(counts / n, DT), smp.info_rate_hat(clustered, DT))
         for c in range(chunk):
             for got, want in zip(batched, reference_estimates(counts[c], n, DT, f)):
                 assert np.array_equal(got[c], np.array(want)), (c, got[c], want)

@@ -211,10 +211,7 @@ GEOMETRY = {
     "clustered_fisher": lambda p, pdot, point, d, f: cl.clustered_fisher(p, pdot, f),
     "delta_g_prob_form": lambda p, pdot, point, d, f: cl.delta_g_prob_form(p, pdot, f),
     "delta_g_coupling_form": lambda p, pdot, point, d, f: delta_g_coupling_form(p, d, f),
-    "fisher_bias_second_order":
-        lambda p, pdot, point, d, f: th.fisher_bias_second_order(p, 1000, 0.25),
-    "exact_static_fisher_mean":
-        lambda p, pdot, point, d, f: th.exact_static_fisher_mean(p[..., :4], 40, 0.25),
+    "fisher_null_mean": lambda p, pdot, point, d, f: th.fisher_null_mean(point, 40, 0.25),
     "normalization_z": lambda p, pdot, point, d, f: test_theory.normalization_z(p, 1000),
 }
 

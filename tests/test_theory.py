@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infodyn import clustering as cl
+from infodyn import dynamics as dyn
+from infodyn import rng
+from infodyn import sampling as smp
 from infodyn import theory as th
 from infodyn.simplex import require_interior
+from conftest import exact_static_fisher_mean, grid
 
 import test_simplex
 
@@ -90,31 +95,6 @@ class TestFisherPrediction:
             th.fisher_prediction(np.array([0.1, -0.5]), 9, 1000, 0.25)
 
 
-class TestSecondOrderBias:
-    def test_uniform_distribution_value(self):
-        # The n^-2 term must match the exact residual; the old value
-        # N^2 / (2 n^2 dt^2) is 4.5x too large here.
-        n, dt, N = 1000, 0.25, 9
-        p = np.full(N + 1, 1.0 / (N + 1))
-        lead = th.fisher_bias(N, n, dt)
-        term = th.fisher_bias_second_order(p, n, dt) - lead
-        exact_resid = th.exact_static_fisher_mean(p, n, dt) - lead
-        assert abs(term - exact_resid) <= 0.01 * abs(exact_resid)
-
-    @given(interior)
-    @settings(max_examples=100, deadline=None)
-    def test_correction_is_nonnegative(self, p):
-        n, dt = 1000, 0.25
-        N = p.size - 1
-        assert th.fisher_bias_second_order(p, n, dt) >= th.fisher_bias(N, n, dt) - 1e-18
-
-    def test_correction_fades_for_large_n(self):
-        p = np.array([0.2, 0.3, 0.5])
-        lead = th.fisher_bias(2, 10**7, 0.25)
-        full = th.fisher_bias_second_order(p, 10**7, 0.25)
-        assert abs(full - lead) / lead < 1e-5
-
-
 def lattice_fisher_mean(p, n, dt):
     """Brute force: sum over every pair of points of the multinomial lattice."""
     size = len(p)
@@ -131,25 +111,94 @@ def lattice_fisher_mean(p, n, dt):
     return float(w @ vals @ w)
 
 
-class TestExactStaticFisherMean:
+CRITERION_04_P = np.array([1.0 - 9 * 0.006] + [0.006] * 9)
+
+
+class TestFisherNullMean:
+    @pytest.mark.parametrize("p", [np.random.default_rng(m).dirichlet(np.ones(m))
+                                   for m in (4, 10, 51)] + [CRITERION_04_P],
+                             ids=["M4", "M10", "M51", "criterion04"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 100, 333, 1000])
+    def test_matches_double_sum(self, p, n):
+        assert th.fisher_null_mean(p, n, 0.25) == pytest.approx(
+            exact_static_fisher_mean(p, n, 0.25), rel=1e-12)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
     def test_matches_full_lattice(self, n):
         p = np.array([0.2, 0.3, 0.5])
-        exact = th.exact_static_fisher_mean(p, n, 0.25)
-        assert exact == pytest.approx(lattice_fisher_mean(p, n, 0.25), rel=1e-12)
+        assert th.fisher_null_mean(p, n, 0.25) == pytest.approx(
+            lattice_fisher_mean(p, n, 0.25), rel=1e-12)
 
-    def test_boundary_components_contribute_nothing(self):
-        inner = th.exact_static_fisher_mean(np.array([0.4, 0.6]), 50, 0.25)
-        padded = th.exact_static_fisher_mean(np.array([0.4, 0.0, 0.6]), 50, 0.25)
-        assert padded == inner
-        assert th.exact_static_fisher_mean(np.array([1.0, 0.0]), 50, 0.25) == 0.0
+    @given(interior)
+    @settings(max_examples=50, deadline=None)
+    def test_single_draw(self, p):
+        # n = 1: each instant sees one variant; they differ with probability 1 - sum p^2
+        assert th.fisher_null_mean(p, 1, 0.25) == pytest.approx(
+            4.0 * (1.0 - np.sum(p * p)) / 0.25**2, rel=1e-13)
+
+    @given(interior, st.integers(1, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_between_zero_and_all_seen(self, p, n):
+        value = th.fisher_null_mean(p, n, 0.25)
+        assert 0.0 <= value <= 4.0 * (p.size - 1) / ((2 * n - 1) * 0.25**2)
+
+    def test_expands_to_the_large_n_series(self):
+        # 4N/(2n - 1) = 2N/n + N/n^2 + ... where every n p >> 1
+        n, dt, N = 1000, 0.25, 9
+        p = np.full(N + 1, 1.0 / (N + 1))
+        resid = th.fisher_null_mean(p, n, dt) - th.fisher_bias(N, n, dt)
+        assert abs(resid - N / (n**2 * dt**2)) <= 0.01 * resid
+        lead = th.fisher_bias(2, 10**7, 0.25)
+        assert abs(th.fisher_null_mean([0.2, 0.3, 0.5], 10**7, 0.25) - lead) / lead < 1e-5
+
+    def test_tiny_probabilities_keep_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        p = np.array([1.0 - 3e-12, 1e-12, 2e-12])
+        n = 10**6
+        with mpmath.workdps(40):
+            seen = sum(1 - (1 - mpmath.mpf(x)) ** (2 * n) for x in p.tolist())
+            want = float(4 * (seen - 1) / ((2 * n - 1) * mpmath.mpf(0.25) ** 2))
+        assert th.fisher_null_mean(p, n, 0.25) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_rare_regime_monte_carlo(self, t):
+        # default model, M = 1000, n = 1000: min n p is below 1, so many
+        # variants go unseen and 2N/(n dt^2) is far off; the exact mean holds
+        # for the variants and, on the same counts, for ell = 10 clusters
+        n, reps, dt = 1000, 2000, 0.25
+        traj = dyn.solve_sir(dyn.default_sir_params(1000), grid(10.0, dt))
+        f = cl.kmeans(cl.kmeans_features(traj, np.arange(len(traj.times))), 10)
+        p = traj.p(round(t / dt))
+        est = smp.monte_carlo_components(
+            lambda c: np.concatenate((smp.fisher_hat(c / n, dt),
+                                      smp.fisher_hat(cl.aggregate(c, f) / n, dt)), axis=-1),
+            reps, rng.derive_key(2222, round(t / dt)), np.stack([p, p]), n)
+        z = (est.mean - [th.fisher_null_mean(p, n, dt),
+                         th.fisher_null_mean(cl.aggregate(p, f), n, dt)]) / est.standard_error
+        z_lead = (est.mean[0] - th.fisher_bias(999, n, dt)) / est.standard_error[0]
+        assert np.all(np.abs(z) <= 3.0), \
+            f"variants {z[0]:.2f} SE, clusters {z[1]:.2f} SE; 2N/(n dt^2) at {z_lead:.0f} SE"
+
+    def test_zero_components_contribute_nothing(self):
+        inner = th.fisher_null_mean(np.array([0.4, 0.6]), 50, 0.25)
+        assert th.fisher_null_mean(np.array([0.4, 0.0, 0.6]), 50, 0.25) == inner
+        for point_mass in ([1.0, 0.0], [0.0, 0.0, 1.0], [1.0]):
+            assert th.fisher_null_mean(np.array(point_mass), 50, 0.25) == 0.0
 
     def test_domain(self):
         p = np.array([0.2, 0.3, 0.5])
-        with pytest.raises(ValueError, match="sample size n"):
-            th.exact_static_fisher_mean(p, 0, 0.25)
-        with pytest.raises(ValueError, match="time step dt"):
-            th.exact_static_fisher_mean(p, 10, 0.0)
+        with pytest.raises(ValueError, match="sample size n must be >= 1"):
+            th.fisher_null_mean(p, 0, 0.25)
+        for dt in (0.0, -0.25, np.nan):
+            with pytest.raises(ValueError, match="time step dt must be > 0"):
+                th.fisher_null_mean(p, 10, dt)
+        with pytest.raises(ValueError, match="time step dt must be finite"):
+            th.fisher_null_mean(p, 10, np.inf)
+        for bad, where in (([0.5, -0.1, 0.6], "index 1"), ([1.5, 0.0], "index 0"),
+                           ([0.5, np.nan, 0.5], "index 1"), ([np.inf, 0.0], "index 0"),
+                           ([[0.5, 0.5], [0.2, 1.2]], r"index \(1, 1\)")):
+            with pytest.raises(ValueError, match=f"outside \\[0, 1\\]: entry .* at {where}"):
+                th.fisher_null_mean(bad, 10, 0.25)
 
 
 class TestClusteredPrediction:

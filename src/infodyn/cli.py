@@ -4,6 +4,10 @@ Reads a flat key=value config, runs one named experiment at desk scale,
 and writes plot-ready CSV files plus a manifest.json recording the config
 hash, the effective seed, and the artifact list.  Outputs are a pure
 function of (config, seed): rerunning produces byte-identical files.
+
+Every Monte Carlo table ends with MC_COLUMNS: the fields of the
+sampling.MonteCarloEstimate that sampling.monte_carlo_components computes,
+written as they are, then the closed-form mean and variance from theory.
 """
 
 from __future__ import annotations
@@ -252,22 +256,17 @@ def _clustering_table(f: cl.Clustering) -> tuple:
     return ["mu", "label"], [np.arange(1, f.labels.size + 1), f.labels + 1]
 
 
-# the last columns of every Monte Carlo table
-MC_COLUMNS = ["mc_mean", "mc_se", "mc_var", "mc_var_se", "theory_mean", "theory_var"]
+# the last columns of every Monte Carlo table: the estimate's fields, then
+# their closed-form mean and variance
+MC_COLUMNS = [*(f"mc_{name}" for name in smp.MonteCarloEstimate._fields),
+              "theory_mean", "theory_var"]
 
 
 def _mc_columns(est: smp.MonteCarloEstimate, mean_th, var_th, part=slice(None)) -> list:
     """The MC_COLUMNS of the components in `part` of an estimate (the one
-    value of a scalar estimate) against their closed-form mean and variance.
-    The SE of the sample variance s^2 of R replications is sqrt((m4 - s^4
-    (R-3)/(R-1)) / R), with m4 the fourth central moment: the estimate of
-    Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R, which holds for any
-    distribution with a fourth moment, not only for normal data."""
-    mean, se, std, m4 = (np.atleast_1d(a)[part] for a in
-                         (est.mean, est.standard_error, est.std, est.fourth_moment))
-    var, reps = std * std, est.replications
-    var_se = np.sqrt((m4 - var * var * (reps - 3) / (reps - 1)) / reps)
-    return [mean, se, var, var_se, np.atleast_1d(mean_th), np.atleast_1d(var_th)]
+    value of a scalar estimate) against their closed-form mean and variance."""
+    return [*(np.atleast_1d(field)[part] for field in est), np.atleast_1d(mean_th),
+            np.atleast_1d(var_th)]
 
 
 def _mc_table(lead: list, blocks: list) -> tuple:

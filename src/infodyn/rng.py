@@ -37,6 +37,12 @@ def _mix64(x, constants):
     Works on a Python int below 2**64 with ``_INT_CONSTANTS`` and, element by
     element, on a uint64 array with ``_UINT64_CONSTANTS``, whose arithmetic
     wraps modulo 2**64 like the masked int arithmetic.
+
+    Scalar keys keep the int path rather than going through numpy uint64
+    scalars: numpy's scalar multiply wraps too, but warns "overflow
+    encountered in scalar multiply" on the wrap-around the finalizer relies
+    on (numpy 2.4), which the tests' ``filterwarnings = error`` turns into a
+    failure.  Array arithmetic wraps without a warning.
     """
     _, _, mul1, mul2, shift1, shift2, shift3, mask = constants
     x = ((x ^ (x >> shift1)) * mul1) & mask

@@ -19,12 +19,15 @@ the seed derive_key(seed, r) and draws a 1-D p under that key, or row k of
 a (K, M) p under derive_key(seed, r, k).  It draws chunks of about
 CHUNK_COUNTS counts, at least one replication, and passes each whole chunk
 to the estimator.  Rows are pure functions of their keys, so results do not
-depend on the chunk size; the chunks only bound memory.
+depend on the chunk size; the chunks only bound memory.  It returns a
+``MonteCarloEstimate``, the four statistics that end every Monte Carlo table
+(mean, SE of the mean, sample variance, SE of the variance); the tables add
+only the closed-form mean and variance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,36 +44,42 @@ class MonteCarloError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """Mean, sample std, standard error and fourth central moment (the mean
-    of (value - mean)^4) of an estimator over replications, as numpy reduces
-    them: scalars for a scalar estimator, arrays for a vector one."""
+class MonteCarloEstimate(NamedTuple):
+    """Mean, its standard error, sample variance and the variance's standard
+    error of an estimator over replications: scalars for a scalar estimator,
+    arrays for a vector one."""
 
     mean: np.ndarray
-    std: np.ndarray
-    standard_error: np.ndarray
-    replications: int
-    fourth_moment: np.ndarray
+    se: np.ndarray
+    var: np.ndarray
+    var_se: np.ndarray
 
 
 def _rate_weights(p_lo: np.ndarray, p_hi: np.ndarray) -> np.ndarray:
     total = p_lo + p_hi
-    return np.where(total > 0, 2.0 / np.where(total > 0, total, 1.0), 0.0)
+    return np.divide(2.0, total, out=np.zeros_like(total), where=total > 0)
 
 
 def fisher_hat(phat: np.ndarray, dt: float) -> np.ndarray:
     """Sampled Fisher information of every interval, shape (..., K-1)."""
+    phat = np.asarray(phat, dtype=float)  # the in-place steps need floats
     p_lo, p_hi = phat[..., :-1, :], phat[..., 1:, :]
     s = _rate_weights(p_lo, p_hi)
-    diff = (p_hi - p_lo) / dt
-    return np.sum(s * diff * diff, axis=-1)
+    diff = p_hi - p_lo
+    diff /= dt
+    s *= diff
+    s *= diff
+    return np.sum(s, axis=-1)
 
 
 def info_rate_hat(phat: np.ndarray, dt: float) -> np.ndarray:
     """Sampled per-variant information rates, shape (..., K-1, variants)."""
+    phat = np.asarray(phat, dtype=float)  # the in-place steps need floats
     p_lo, p_hi = phat[..., :-1, :], phat[..., 1:, :]
-    return _rate_weights(p_lo, p_hi) * (p_hi - p_lo) / dt
+    rates = _rate_weights(p_lo, p_hi)
+    rates *= p_hi - p_lo
+    rates /= dt
+    return rates
 
 
 def _values(estimator, p: np.ndarray, n: int, seed: int, reps: np.ndarray) -> np.ndarray:
@@ -97,6 +106,12 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
     replications, each component on its own, so that component j equals the
     summary of the same estimator reduced to column j; it depends only on
     (estimator, replications, seed, p, n).
+
+    With s the sample std of the R values, the variance is s * s, the
+    correctly rounded square, and its SE is sqrt((m4 - s^4 (R-3)/(R-1)) / R),
+    with m4 the fourth central moment (the mean of (value - mean)^4): the
+    estimate of Var(s^2) = (mu4 - sigma^4 (R-3)/(R-1)) / R, which holds for
+    any distribution with a fourth moment, not only for normal data.
     The first replication whose draw or estimator raises, or whose value is
     not finite, raises MonteCarloError naming it and its seed.
     """
@@ -124,5 +139,8 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
     mean, std = values.mean(axis=-1), values.std(axis=-1, ddof=1)
     values -= mean[..., None]
     values *= values
-    return MonteCarloEstimate(mean, std, std / np.sqrt(replications), replications,
-                              np.mean(values * values, axis=-1))
+    values *= values
+    m4 = values.mean(axis=-1)
+    var = std * std
+    var_se = np.sqrt((m4 - var * var * (replications - 3) / (replications - 1)) / replications)
+    return MonteCarloEstimate(mean, std / np.sqrt(replications), var, var_se)

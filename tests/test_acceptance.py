@@ -72,7 +72,7 @@ def test_criterion_01_distance_mean():
     for i, n in enumerate((100, 1000, 10000)):
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 2000,
                                          rng.derive_key(101, i), p, n)
-        devs.append(abs(est.mean - 3.0 / n) / est.standard_error)
+        devs.append(abs(est.mean - 3.0 / n) / est.se)
     elapsed = time.perf_counter() - started
     ok = all(d <= 3.0 for d in devs) and elapsed < 10.0
     report(1, "distance mean N/n", ok,
@@ -86,7 +86,7 @@ def test_criterion_02_distance_variance():
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 10000,
                                          rng.derive_key(202, i), p, n)
         _, var_th = th.distance_moments(p, n)
-        rels.append(abs(est.std**2 - var_th) / var_th)
+        rels.append(abs(est.var - var_th) / var_th)
     ok = all(r <= 0.15 for r in rels)
     report(2, "distance variance 2N/n^2", ok,
            f"relative deviations {['%.1f%%' % (100 * r) for r in rels]}")
@@ -99,7 +99,7 @@ def test_criterion_03_fisher_bias(desk_traj):
     for i, n in enumerate((10**4, 10**5)):
         est = fisher_mc(desk_traj, 5.0, n, 500, seed=rng.derive_key(303, i))
         resid = est.mean - g_tt - th.fisher_bias(N_DOF, n, DT)
-        devs.append(abs(resid) / est.standard_error)
+        devs.append(abs(resid) / est.se)
     elapsed = time.perf_counter() - started
     ok = all(d <= 3.0 for d in devs) and elapsed < 60.0
     report(3, "fisher bias 2N/(n dt^2)", ok,
@@ -122,7 +122,7 @@ def test_criterion_04_second_order_bias():
     err_1k, err_4k = term_error(n), term_error(4 * n)
     est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, DT)[:, 0], reps, 2027,
                                      np.stack([p, p]), n)
-    mc_dev = abs(est.mean - th.fisher_null_mean(p, n, DT)) / est.standard_error
+    mc_dev = abs(est.mean - th.fisher_null_mean(p, n, DT)) / est.se
     ok = err_1k <= 0.05 and err_4k <= 0.001 and mc_dev <= 3.0
     report(
         4, "second-order bias term", ok,
@@ -138,9 +138,9 @@ def test_criterion_05_fisher_variance(desk_traj):
     g_tt = float(desk_traj.replicator(row(t))[2])
     est = fisher_mc(desk_traj, t, n, reps, seed=505)
     _, var_th = th.fisher_prediction(g_tt, N_DOF, n, DT)
-    rel = abs(est.std**2 - var_th) / var_th
+    rel = abs(est.var - var_th) / var_th
     report(5, "fisher variance law", rel <= 0.15,
-           f"mc {est.std**2:.3e} vs theory {var_th:.3e} ({100 * rel:.1f}%)")
+           f"mc {est.var:.3e} vs theory {var_th:.3e} ({100 * rel:.1f}%)")
 
 
 def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
@@ -158,7 +158,7 @@ def test_criterion_06_clustered_bias_and_ratio(desk_traj, desk_f3):
     bias_cl = est_cl.mean - g_f
     bias_un = est_un.mean - g_tt
     bias_th = 2.0 * (ell - 1) / (n * DT**2)
-    dev = abs(bias_cl - bias_th) / est_cl.standard_error
+    dev = abs(bias_cl - bias_th) / est_cl.se
     ratio = bias_un / bias_cl
     ratio_rel = abs(ratio - 4.5) / 4.5
     ok = dev <= 3.0 and ratio_rel <= 0.20
@@ -183,8 +183,8 @@ def test_criterion_07_info_rate_moments(desk_traj, desk_f3):
     worst_mean = worst_var = 0.0
     for est, rates, probs in ((var, rate, p), (clu, cluster_rate, q)):
         m_th, v_th = th.info_rate_moments(rates, probs, n, DT)
-        worst_mean = max(worst_mean, np.max(np.abs(est.mean - m_th) / est.standard_error))
-        worst_var = max(worst_var, np.max(np.abs(est.std**2 - v_th) / v_th))
+        worst_mean = max(worst_mean, np.max(np.abs(est.mean - m_th) / est.se))
+        worst_var = max(worst_var, np.max(np.abs(est.var - v_th) / v_th))
     ok = worst_mean <= 3.0 and worst_var <= 0.15
     report(7, "information-rate moments", ok,
            f"worst mean dev {worst_mean:.2f} SE, worst variance dev "

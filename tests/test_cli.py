@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import filtering as flt
+from infodyn import sampling as smp
 from infodyn import theory as th
 from conftest import infected
 
@@ -1023,39 +1023,29 @@ MC_TABLES = {
 }
 
 
-def square_differs_from_pow():
-    """A float64 x of a fixed stream whose product x * x differs from x ** 2
-    (libm's pow) on the running platform; the first of the stream if there
-    is none."""
-    xs = np.random.default_rng(0).random(10**4)
-    return next((x for x in xs if x ** 2 != x * x), xs[0])
-
-
 class TestVarianceCells:
     @pytest.mark.parametrize("experiment", sorted(MC_TABLES))
-    def test_mc_var_is_the_product_std_times_std(self, tmp_path, monkeypatch, experiment):
-        # every Monte Carlo std is replaced by x; each variance cell must read
-        # back as x * x, the correctly rounded square, not as pow(x, 2)
-        x = square_differs_from_pow()
-        monte_carlo = cli.smp.monte_carlo_components
-
-        def fixed_std(*args):
-            est = monte_carlo(*args)
-            std = x if np.ndim(est.std) == 0 else np.full(est.std.shape, x)
-            # the fourth moment of data of std x and kurtosis 1, so that the
-            # variance SE stays real
-            return dataclasses.replace(est, std=std, fourth_moment=std ** 4)
-
-        monkeypatch.setattr(cli.smp, "monte_carlo_components", fixed_std)
-        text = SMALL_CONFIGS[experiment]
-        cli.run(write_cfg(tmp_path, f"experiment = {experiment}\n" + text), str(tmp_path / "o"))
-        cells = []
+    def test_mc_var_is_the_product_std_times_std(self, tmp_path, experiment):
+        # each variance cell reads back as x * x, the correctly rounded
+        # square, of a std x that gives the row's mc_se cell as x / sqrt(R):
+        # the table holds the var and se that sampling computed from one std
+        text = f"experiment = {experiment}\n" + SMALL_CONFIGS[experiment]
+        root = math.sqrt(int(cli.parse_config(text)["replications"]))
+        cli.run(write_cfg(tmp_path, text), str(tmp_path / "o"))
+        rows = []
         for name in MC_TABLES[experiment]:
-            header, *rows = [line.split(",") for line in
-                             (tmp_path / "o" / name).read_text().splitlines()]
-            cells += [row[header.index("mc_var")] for row in rows]
-        assert cells and all(float(cell) == x * x for cell in cells), (x, cells)
-
+            with open(tmp_path / "o" / name, newline="") as fh:
+                rows += csv.DictReader(fh)
+        for row in rows:
+            se, var = float(row["mc_se"]), float(row["mc_var"])
+            stds = [se * root]  # within 2 ulps of the std behind se
+            for direction in (-math.inf, math.inf):
+                x = stds[0]
+                for _ in range(4):
+                    x = math.nextafter(x, direction)
+                    stds.append(x)
+            assert any(x / root == se and x * x == var for x in stds), row
+        assert rows
 
     def test_variance_se_matches_chi_square(self):
         # two draws of n from one static p: the Fisher estimate is pure
@@ -1068,13 +1058,12 @@ class TestVarianceCells:
         dof, scale = p.size - 1, 2.0 / (n * dt * dt)
         sigma2, mu4 = 2 * dof * scale ** 2, 12 * dof * (dof + 4) * scale ** 4
         exact = math.sqrt((mu4 - sigma2 ** 2 * (reps - 3) / (reps - 1)) / reps)
-        est = cli.smp.monte_carlo_components(lambda c: cli.smp.fisher_hat(c / n, dt)[:, 0],
-                                             reps, 5, np.stack([p, p]), n)
-        _, _, (var,), (var_se,), _, _ = cli._mc_columns(est, 0.0, sigma2)
-        assert var == pytest.approx(sigma2, rel=0.05)
+        est = smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, dt)[:, 0],
+                                         reps, 5, np.stack([p, p]), n)
+        assert est.var == pytest.approx(sigma2, rel=0.05)
         # the fourth-moment estimate has a relative spread of about 4 % here
-        assert var_se == pytest.approx(exact, rel=0.15)
-        assert var * math.sqrt(2.0 / (reps - 1)) < 0.7 * exact
+        assert est.var_se == pytest.approx(exact, rel=0.15)
+        assert est.var * math.sqrt(2.0 / (reps - 1)) < 0.7 * exact
 
 
 class TestShippedOutputs:

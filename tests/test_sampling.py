@@ -69,7 +69,9 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
     """The per-replication loop the block driver replaced: one fresh stream
     per replication (and instant), the estimator applied to one replication
     at a time, and each component summarised alone.  Returns (values, mean,
-    std, standard error, fourth central moment)."""
+    standard error, variance, variance SE): the variance is std * std, and
+    its SE sqrt((m4 - var^2 (R-3)/(R-1)) / R) with m4 the fourth central
+    moment."""
     values = []
     for r in range(replications):
         seed_r = rng.derive_key(seed, r)
@@ -81,19 +83,18 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
         values.append(estimator(counts[None])[0])
     values = np.asarray(values, dtype=float)
 
-    def fourth(column):
+    def summary(column):
+        std = float(column.std(ddof=1))
         square = (column - column.mean()) ** 2
-        return float(np.mean(square * square))
+        var, m4 = std * std, float(np.mean(square * square))
+        var_se = math.sqrt((m4 - var * var * (replications - 3) / (replications - 1))
+                           / replications)
+        return float(column.mean()), std / np.sqrt(replications), var, var_se
 
     if values.ndim == 1:
-        std = float(values.std(ddof=1))
-        return (values, float(values.mean()), std, std / np.sqrt(replications),
-                fourth(values))
-    columns = [np.ascontiguousarray(values[:, j]) for j in range(values.shape[1])]
-    stds = [float(column.std(ddof=1)) for column in columns]
-    return (values, np.array([float(column.mean()) for column in columns]), np.array(stds),
-            np.array([s / np.sqrt(replications) for s in stds]),
-            np.array([fourth(column) for column in columns]))
+        return (values, *summary(values))
+    columns = [summary(np.ascontiguousarray(values[:, j])) for j in range(values.shape[1])]
+    return (values, *(np.array(stat) for stat in zip(*columns)))
 
 
 def recording(estimator):
@@ -193,7 +194,7 @@ class TestFisherHat:
                                          p, n)
         scale = n * dt**2 / (2 * 9)
         ratio = (est.mean - g_tt) * scale
-        assert abs(ratio - 1.0) <= 3 * est.standard_error * scale
+        assert abs(ratio - 1.0) <= 3 * est.se * scale
 
     def test_exact_mean_by_enumeration(self, desk_traj):
         # brute-force expectation over all count pairs for a 2-variant model
@@ -325,20 +326,24 @@ class TestWholeGridEstimators:
                 assert fisher[k] == reference_fisher(series[k], series[k + 1], 0.25)
                 assert np.array_equal(rates[k], reference_rates(series[k], series[k + 1], 0.25))
 
+    def test_integer_series_equals_its_float_series(self):
+        # point masses as integers: the weights and steps are computed in
+        # floats all the same
+        series = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0]])
+        assert np.array_equal(smp.fisher_hat(series, DT), smp.fisher_hat(series * 1.0, DT))
+        assert np.array_equal(smp.info_rate_hat(series, DT),
+                              smp.info_rate_hat(series * 1.0, DT))
+
 
 class TestMonteCarlo:
     def test_constant_estimator(self):
         est = smp.monte_carlo_components(lambda c: np.full(len(c), 2.5), 50, 0, P4, 10)
-        assert est.mean == 2.5
-        assert est.std == 0.0
-        assert est.standard_error == 0.0
-        assert est.fourth_moment == 0.0
-        assert est.replications == 50
+        assert est == (2.5, 0.0, 0.0, 0.0)
 
     def test_standard_error_relation(self):
         est = smp.monte_carlo_components(lambda c: c[:, 0] % 97.0, 64, 0, P4, 1000)
-        assert est.std > 0.0
-        assert est.standard_error == pytest.approx(est.std / 8.0, rel=1e-12)
+        assert est.var > 0.0
+        assert est.se == pytest.approx(math.sqrt(est.var) / 8.0, rel=1e-12)
 
     def test_failure_carries_replication_index(self, monkeypatch):
         # NaN for the counts of replication 37 only: the error names 37 and
@@ -380,8 +385,8 @@ class TestMonteCarlo:
     def test_vector_components(self):
         est = smp.monte_carlo_components(
             lambda c: np.stack([c[:, 0] * 1.0, np.full(len(c), 5.0)], axis=1), 30, 1, P4, 10)
-        assert est.mean.shape == est.std.shape == est.standard_error.shape == (2,)
-        assert est.mean[1] == 5.0 and est.std[1] == 0.0
+        assert [np.shape(stat) for stat in est] == [(2,)] * 4
+        assert est.mean[1] == 5.0 and est.var[1] == 0.0
 
     def test_component_equals_its_column_alone(self):
         # each component of a (C, J) estimator is summarised bit for bit as
@@ -394,14 +399,13 @@ class TestMonteCarlo:
         est = smp.monte_carlo_components(rates, 1000, 5, p, 1000)
         for j in range(10):
             alone = smp.monte_carlo_components(lambda c: rates(c)[:, j], 1000, 5, p, 1000)
-            assert (est.mean[j], est.std[j], est.standard_error[j], est.fourth_moment[j]) == (
-                alone.mean, alone.std, alone.standard_error, alone.fourth_moment), j
+            assert tuple(stat[j] for stat in est) == alone, j
 
     def test_distance_mean_matches_theory(self):
         # Monte Carlo mean of the squared distance is N/n within 3 SE
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(P4, c / 1000),
                                          2000, 10, P4, 1000)
-        assert abs(est.mean - 0.003) <= 3 * est.standard_error
+        assert abs(est.mean - 0.003) <= 3 * est.se
 
 
 SHAPES = [(2,), (10,), (1000,), (2, 2), (2, 10), (2, 1000), (41, 2), (41, 10), (41, 1000)]
@@ -429,8 +433,7 @@ class TestChunking:
                 recorded, seen = recording(estimator)
                 est = smp.monte_carlo_components(recorded, reps, 17, p, n)
                 monkeypatch.undo()
-                got = (np.concatenate(seen), est.mean, est.std, est.standard_error,
-                       est.fourth_moment)
-                for name, a, b in zip(("values", "mean", "std", "se", "m4"), got, want):
+                got = (np.concatenate(seen), *est)
+                for name, a, b in zip(("values", *est._fields), got, want):
                     assert np.array_equal(a, b), (shape, reps, chunk, name)
                 assert np.shape(est.mean) == np.shape(want[1]), (shape, reps, chunk)

@@ -174,8 +174,8 @@ class TestFisherNullMean:
                                       smp.fisher_hat(cl.aggregate(c, f) / n, dt)), axis=-1),
             reps, rng.derive_key(2222, round(t / dt)), np.stack([p, p]), n)
         z = (est.mean - [th.fisher_null_mean(p, n, dt),
-                         th.fisher_null_mean(cl.aggregate(p, f), n, dt)]) / est.standard_error
-        z_lead = (est.mean[0] - th.fisher_bias(999, n, dt)) / est.standard_error[0]
+                         th.fisher_null_mean(cl.aggregate(p, f), n, dt)]) / est.se
+        z_lead = (est.mean[0] - th.fisher_bias(999, n, dt)) / est.se[0]
         assert np.all(np.abs(z) <= 3.0), \
             f"variants {z[0]:.2f} SE, clusters {z[1]:.2f} SE; 2N/(n dt^2) at {z_lead:.0f} SE"
 

@@ -12,15 +12,16 @@ Prints one JSON object of medians (and the raw samples):
   asks for (its 41 instants and their midpoints);
 - `kmeans_features` at M = 10**5 on those 41 instants: traced
   (tracemalloc) peak;
-- an elbow-scan run at M = 10**5 (six groups, ell = 4..7), through
-  `cli.run`: wall time, tracemalloc peak, and the ru_maxrss of a fresh
-  process that runs only it.
+- the runs of RUNS at M = 10**5 (six groups): an elbow-scan at ell =
+  4..7 and a model-trajectory at the default dt, t_end and ell, each
+  through `cli.run`: wall time, tracemalloc peak, and the ru_maxrss of a
+  fresh process that runs only it.
 
-Each sample runs in its own process: an elbow-scan sample, so that
-ru_maxrss is that run's, and a `solve_sir` sample, the median of
-SOLVE_CALLS calls after one untimed call, since one process can settle at
-about twice the time of another for the same call.  The elbow-scan time and
-traced peak come from separate runs, since tracing slows the run.
+Each sample runs in its own process: a run's sample, so that ru_maxrss is
+that run's, and a `solve_sir` sample, the median of SOLVE_CALLS calls
+after one untimed call, since one process can settle at about twice the
+time of another for the same call.  A run's time and traced peak come from
+separate processes, since tracing slows the run.
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ def groups(m: int) -> list[int]:
     return [m // 6 + (i < m % 6) for i in range(6)]
 
 
-def elbow_once(trace: bool) -> dict:
+# the config text of each run at M = 10**5
+LARGE = "groups = " + ",".join(map(str, groups(10 ** 5))) + "\nseed = 1\n"
+RUNS = {"elbow_scan": "experiment = elbow-scan\nell = 4,5,6,7\n" + LARGE,
+        "model_trajectory": "experiment = model-trajectory\n" + LARGE}
+
+
+def run_once(text: str, trace: bool) -> dict:
+    """One `cli.run` of the config `text`, in this process."""
     from infodyn import cli
 
-    text = ("experiment = elbow-scan\ngroups = " + ",".join(map(str, groups(10 ** 5)))
-            + "\nell = 4,5,6,7\nseed = 1\n")
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "elbow.cfg")
+        cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
         if trace:
@@ -105,14 +111,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=".", help="checkout whose src/ is measured")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--elbow", choices=("time", "trace"), help=argparse.SUPPRESS)
+    parser.add_argument("--run", choices=RUNS, help=argparse.SUPPRESS)
+    parser.add_argument("--trace", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--solve", choices=SOLVE_MODELS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"  # single-threaded BLAS, as in perfbench; children inherit it
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    if args.elbow:  # one elbow-scan sample, in this process only
-        print(json.dumps(elbow_once(args.elbow == "trace")))
+    if args.run:  # one sample of a run, in this process only
+        print(json.dumps(run_once(RUNS[args.run], args.trace)))
         return 0
     if args.solve:  # one solve_sir sample, in this process only
         print(json.dumps(solve_once(args.solve)))
@@ -125,10 +132,12 @@ def main() -> int:
     samples = kmeans_peak()
     for model in SOLVE_MODELS:
         samples[f"solve_sir_{model}_s"] = [sample("--solve", model) for _ in range(args.repeats)]
-    runs = [sample("--elbow", mode) for _ in range(args.repeats) for mode in ("time", "trace")]
-    samples["elbow_scan_M100000_s"] = [r["seconds"] for r in runs[::2]]
-    samples["elbow_scan_M100000_traced_peak_mb"] = [r["traced_peak_mb"] for r in runs[1::2]]
-    samples["elbow_scan_M100000_ru_maxrss_mb"] = [r["ru_maxrss_mb"] for r in runs[::2]]
+    for name in RUNS:
+        runs = [sample("--run", name, *trace) for _ in range(args.repeats)
+                for trace in ([], ["--trace"])]
+        samples[f"{name}_M100000_s"] = [r["seconds"] for r in runs[::2]]
+        samples[f"{name}_M100000_traced_peak_mb"] = [r["traced_peak_mb"] for r in runs[1::2]]
+        samples[f"{name}_M100000_ru_maxrss_mb"] = [r["ru_maxrss_mb"] for r in runs[::2]]
     print(json.dumps({"median": {k: statistics.median(v) for k, v in samples.items()},
                       "samples": samples}, indent=1))
     return 0

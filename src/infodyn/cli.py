@@ -251,6 +251,20 @@ def _solve(cfg, params, *times) -> tuple:
                           f"{exc}") from exc
 
 
+def _fisher(traj: dyn.Trajectory, rows: slice, f: cl.Clustering) -> tuple:
+    """(g_tt, g_f) at a slice of the trajectory's rows: the Fisher information
+    of the variants and of the clusters of f.  Blocks of max(1,
+    sampling.CHUNK_COUNTS // M) rows are reduced one after another, so no
+    (rows, M) table is held; each row reduces as it would alone, bit for bit."""
+    size = max(1, smp.CHUNK_COUNTS // traj.params.n_variants)
+    g_tt, g_f = [], []
+    for start in range(rows.start, rows.stop, size):
+        p, pdot, g = traj.replicator(slice(start, min(start + size, rows.stop)))
+        g_tt.append(g)
+        g_f.append(cl.clustered_fisher(p, pdot, f))
+    return np.concatenate(g_tt), np.concatenate(g_f)
+
+
 def _clustering_table(f: cl.Clustering) -> tuple:
     """`clustering.csv`: one `mu,label` row per variant, both 1-based."""
     return ["mu", "label"], [np.arange(1, f.labels.size + 1), f.labels + 1]
@@ -296,7 +310,6 @@ def run_model_trajectory(cfg, seed):
     traj, (grid, rows) = _solve(cfg, params, _instants(dt, t_end), every)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     m = params.n_variants
-    p, pdot, g_tt = traj.replicator(rows)
     times = traj.times[rows]
     # the state alone: with the rates of variants.csv, p = softmax(log i0 +
     # gamma X - epsilon t), d = gamma S - epsilon, <d> = sum(p d) and pdot =
@@ -306,7 +319,7 @@ def run_model_trajectory(cfg, seed):
             "variants.csv": (["mu", "gamma", "epsilon", "i0", "label"],
                              [np.arange(1, m + 1), params.gamma, params.epsilon, params.i0,
                               f.labels + 1]),
-            "fisher.csv": (["t", "g_tt", "g_f"], [times, g_tt, cl.clustered_fisher(p, pdot, f)])}
+            "fisher.csv": (["t", "g_tt", "g_f"], [times, *_fisher(traj, rows, f)])}
 
 
 @experiment("fisher-bias-vs-t", "n", "replications", "t0", "count", "ell", *_MODEL_KEYS)
@@ -322,11 +335,10 @@ def run_fisher_bias_vs_t(cfg, seed):
     traj, (grid, rows, mid) = _solve(cfg, params, grid, instants, instants[:-1] + dt / 2.0)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     p, m = traj.p(rows), params.n_variants
-    p_mid, pdot_mid, g_tt = traj.replicator(mid)
+    g_tt, g_f = _fisher(traj, mid, f)
     times, size = traj.times[mid], instants.size - 1
     # the variant rows (ell = M) over g_tt, then the cluster rows over g_f
-    parts = ((slice(size), m, g_tt),
-             (slice(size, None), ell, cl.clustered_fisher(p_mid, pdot_mid, f)))
+    parts = ((slice(size), m, g_tt), (slice(size, None), ell, g_f))
     blocks = []
     for i, n in enumerate(ns):
         # one block per n: the Fisher information of the M variants and of

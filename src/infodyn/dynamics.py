@@ -177,7 +177,9 @@ class Trajectory:
         log i0 + gamma * X - epsilon * t."""
         x = np.asarray(self.cumulative_susceptible[rows])[..., None]
         t = np.asarray(self.times[rows])[..., None]
-        a = np.log(self.params.i0) + self.params.gamma * x - self.params.epsilon * t
+        a = self.params.gamma * x
+        a += np.log(self.params.i0)
+        a -= self.params.epsilon * t
         a -= a.max(axis=-1, keepdims=True)
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
@@ -191,11 +193,13 @@ class Trajectory:
     def replicator(self, rows=slice(None)) -> tuple:
         """(p, pdot, g_tt) at the rows, from one evaluation of p and of the
         couplings d: the velocity pdot = p * (d - <d>_p) and the Fisher
-        information g_tt = sum(pdot^2 / p) = sum(pdot * (d - <d>_p))."""
+        information g_tt = sum(pdot^2 / p) = sum(pdot * (d - <d>_p)),
+        evaluated in place."""
         p, d = self.p(rows), self._couplings(rows)
-        rate = d - np.sum(p * d, axis=-1)[..., None]
-        pdot = p * rate
-        return p, pdot, np.sum(pdot * rate, axis=-1)
+        pdot = p * d
+        d -= pdot.sum(axis=-1)[..., None]
+        np.multiply(p, d, out=pdot)
+        return p, pdot, np.multiply(pdot, d, out=d).sum(axis=-1)
 
     def info_rate_curve(self, rows=slice(None)) -> np.ndarray:
         """Self-information rates pdot/p = d - <d>_p, evaluated in place so

@@ -37,6 +37,8 @@ from .clustering import aggregate  # noqa: F401  perfbench tests pin sampling.ag
 # Counts drawn per chunk of replications.  On the mc-timegrid benchmark
 # workload (2-core machine, numpy 2.4.6), one unchunked block raised peak
 # RSS from 40.2 to 46.7 MB; chunks of 2**14 counts ran at the same speed.
+# cli reduces the model's Fisher curves in blocks of about as many values
+# (rows times variants), at least one row.
 CHUNK_COUNTS = 1 << 14
 
 

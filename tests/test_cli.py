@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1013,6 +1014,53 @@ class TestExperiments:
             "replications = 2\nell = 10\n"), 1)
         (times,) = calls
         assert times.tolist() == [0.25 * k for k in range(25)] + [5.0, 4.875, 5.125]
+
+
+class TestFisherBlocks:
+    @pytest.mark.parametrize("m", [2, 10, 1000])
+    def test_blocks_give_the_whole_table_bit_for_bit(self, m, monkeypatch):
+        # on model-trajectory's dt/10 grid (401 rows) and fisher-bias-vs-t's
+        # 40 midpoints: blocks of one row, of 7 rows (a short last block),
+        # and of the default size give what one whole-table replicator and
+        # clustered_fisher call gives
+        _, dt, t_end = cli._model({})  # dt = 0.25, t_end = 10
+        grid = cli._instants(dt, t_end)
+        traj, (grid, every, mid) = cli._solve({}, cli.dyn.default_sir_params(m), grid,
+                                              cli._instants(dt / 10, t_end), grid[:-1] + dt / 2)
+        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, grid), min(3, m))
+        replicator, sizes = cli.dyn.Trajectory.replicator, []
+
+        def recorded(self, rows):
+            sizes.append(rows.stop - rows.start)
+            return replicator(self, rows)
+
+        default = max(1, smp.CHUNK_COUNTS // m)
+        for rows in (every, mid):
+            p, pdot, g_tt = traj.replicator(rows)
+            want = g_tt, cli.cl.clustered_fisher(p, pdot, f)
+            for chunk, size in ((m, 1), (7 * m, 7), (smp.CHUNK_COUNTS, default)):
+                monkeypatch.setattr(smp, "CHUNK_COUNTS", chunk)
+                monkeypatch.setattr(cli.dyn.Trajectory, "replicator", recorded)
+                sizes.clear()
+                got = cli._fisher(traj, rows, f)
+                monkeypatch.undo()
+                for name, a, b in zip(("g_tt", "g_f"), got, want, strict=True):
+                    assert np.array_equal(a, b), (m, rows, chunk, name)
+                n_rows = rows.stop - rows.start
+                assert sizes == [size] * (n_rows // size) + [n_rows % size] * (n_rows % size > 0)
+
+    def test_model_trajectory_holds_no_table_over_its_rows(self, tmp_path):
+        # at M = 10**4 one (401, M) table of floats is 32 MB; the run's
+        # traced peak stays below it, so it holds no such table
+        m = 10_000
+        cfg = write_cfg(tmp_path, f"experiment = model-trajectory\nN = {m - 1}\n")
+        tracemalloc.start()
+        try:
+            cli.run(cfg, str(tmp_path / "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 401 * m * 8
 
 
 # the Monte Carlo tables of each experiment that writes them

@@ -766,6 +766,25 @@ class TestCouplings:
         mask = var_d > 1e-30
         assert np.max(np.abs(g[mask] / var_d[mask] - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("rows", [slice(None), 7, [3, 0, 900]])
+    def test_in_place_evaluations_round_as_the_plain_expressions(self, desk_traj, rows):
+        # p and replicator work in place, with the same operations in the
+        # same order as these expressions, so the same bits
+        params = desk_traj.params
+        x = np.asarray(desk_traj.cumulative_susceptible[rows])[..., None]
+        t = np.asarray(desk_traj.times[rows])[..., None]
+        a = np.log(params.i0) + params.gamma * x - params.epsilon * t
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        d = couplings(desk_traj, rows)
+        rate = d - np.sum(p * d, axis=-1)[..., None]
+        pdot = p * rate
+        want = (p, pdot, np.sum(pdot * rate, axis=-1))
+        assert np.array_equal(desk_traj.p(rows), p)
+        for name, got, value in zip(("p", "pdot", "g_tt"), desk_traj.replicator(rows), want,
+                                    strict=True):
+            assert np.array_equal(got, value), name
+
     def test_weighted_rate_identity(self, desk_traj):
         # tangency written through couplings: sum p*(d - <d>) = 0
         p, d = desk_traj.p(), couplings(desk_traj)

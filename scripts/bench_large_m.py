@@ -3,7 +3,8 @@
     python3 scripts/bench_large_m.py --root . --repeats 5
 
 Imports infodyn from <root>/src, so the same script measures any checkout.
-Prints one JSON object of medians (and the raw samples):
+Prints one JSON object: under "host" the Python and numpy versions and the
+BLAS thread variables it set, then the medians (and the raw samples) of:
 
 - `solve_sir` on the grouped model of six rate groups at M = 1000 and 10**5
   variants, at the 41 sampling instants 0, 0.25, ..., 10 (dt = 0.25,
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
 import statistics
 import subprocess
@@ -115,8 +117,8 @@ def main() -> int:
     parser.add_argument("--trace", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--solve", choices=SOLVE_MODELS, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[name] = "1"  # single-threaded BLAS, as in perfbench; children inherit it
+    blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    os.environ.update(blas)  # single-threaded BLAS, as in perfbench; children inherit it
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     if args.run:  # one sample of a run, in this process only
         print(json.dumps(run_once(RUNS[args.run], args.trace)))
@@ -129,6 +131,9 @@ def main() -> int:
         return json.loads(subprocess.run([sys.executable, __file__, "--root", args.root, *flags],
                                          check=True, capture_output=True, text=True).stdout)
 
+    import numpy as np
+
+    host = {"python": platform.python_version(), "numpy": np.__version__, **blas}
     samples = kmeans_peak()
     for model in SOLVE_MODELS:
         samples[f"solve_sir_{model}_s"] = [sample("--solve", model) for _ in range(args.repeats)]
@@ -138,7 +143,8 @@ def main() -> int:
         samples[f"{name}_M100000_s"] = [r["seconds"] for r in runs[::2]]
         samples[f"{name}_M100000_traced_peak_mb"] = [r["traced_peak_mb"] for r in runs[1::2]]
         samples[f"{name}_M100000_ru_maxrss_mb"] = [r["ru_maxrss_mb"] for r in runs[::2]]
-    print(json.dumps({"median": {k: statistics.median(v) for k, v in samples.items()},
+    print(json.dumps({"host": host,
+                      "median": {k: statistics.median(v) for k, v in samples.items()},
                       "samples": samples}, indent=1))
     return 0
 

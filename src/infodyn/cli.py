@@ -24,7 +24,6 @@ import numpy as np
 from . import clustering as cl
 from . import dynamics as dyn
 from . import filtering as flt
-from . import rng
 from . import sampling as smp
 from . import theory as th
 from .simplex import self_information_rate, shahshahani_distance_sq
@@ -294,11 +293,9 @@ def run_distance_moments(cfg, seed):
     p = DEFAULT_P
     ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
     reps = _get(cfg, "replications", 2000, _replications)
-    blocks = []
-    for i, n in enumerate(ns):
-        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), reps,
-                                         rng.derive_key(seed, i), p, n)
-        blocks.append([[n], *_mc_columns(est, *th.distance_moments(p, n))])
+    ests = smp.monte_carlo_per_n(lambda c, n: shahshahani_distance_sq(p, c / n), reps, seed,
+                                 p, ns)
+    blocks = [[[n], *_mc_columns(est, *th.distance_moments(p, n))] for n, est in zip(ns, ests)]
     return {"distance_moments.csv": _mc_table(["n"], blocks)}
 
 
@@ -339,17 +336,11 @@ def run_fisher_bias_vs_t(cfg, seed):
     times, size = traj.times[mid], instants.size - 1
     # the variant rows (ell = M) over g_tt, then the cluster rows over g_f
     parts = ((slice(size), m, g_tt), (slice(size, None), ell, g_f))
-    blocks = []
-    for i, n in enumerate(ns):
-        # one block per n: the Fisher information of the M variants and of
-        # the ell clusters, estimated on the same counts
-        est = smp.monte_carlo_components(
-            lambda c: np.concatenate((smp.fisher_hat(c / n, dt),
-                                      smp.fisher_hat(cl.aggregate(c, f) / n, dt)), axis=-1),
-            reps, rng.derive_key(seed, i), p, n)
-        for part, n_cats, g in parts:
-            blocks.append([times, np.full(size, n), np.full(size, n_cats),
-                           *_mc_columns(est, *th.fisher_prediction(g, n_cats - 1, n, dt), part)])
+    ests = smp.monte_carlo_per_n(smp.with_clusters(lambda ph: smp.fisher_hat(ph, dt), f),
+                                 reps, seed, p, ns)
+    blocks = [[times, np.full(size, n), np.full(size, n_cats),
+               *_mc_columns(est, *th.fisher_prediction(g, n_cats - 1, n, dt), part)]
+              for n, est in zip(ns, ests) for part, n_cats, g in parts]
     return {"fisher_bias_vs_t.csv": _mc_table(["t", "n", "ell"], blocks)}
 
 
@@ -369,15 +360,10 @@ def run_info_rate_moments(cfg, seed):
     q, qdot = cl.aggregate(p, f), cl.aggregate(pdot, f)
     rate, clu_rate = traj.info_rate_curve(k), self_information_rate(q, qdot)
     p2 = traj.p(ends)  # at t - dt/2 and t + dt/2
+    rates = smp.with_clusters(lambda ph: smp.info_rate_hat(ph, dt)[:, 0], f)
+    ests = smp.monte_carlo_per_n(rates, reps, seed, p2, ns)
     variants, clusters = [], []
-    for i, n in enumerate(ns):
-        # one block per n: the rates of the M variants and of the ell
-        # clusters, estimated on the same counts
-        est = smp.monte_carlo_components(
-            lambda c: np.concatenate((smp.info_rate_hat(c / n, dt)[:, 0],
-                                      smp.info_rate_hat(cl.aggregate(c, f) / n, dt)[:, 0]),
-                                     axis=1),
-            reps, rng.derive_key(seed, i), p2, n)
+    for n, est in zip(ns, ests):
         variants.append([np.full(m, n), np.arange(1, m + 1), *_mc_columns(
             est, *th.info_rate_moments(rate, p, n, dt), slice(m))])
         clusters.append([np.full(ell, n), np.arange(1, ell + 1), *_mc_columns(
@@ -399,8 +385,7 @@ def run_filtering_comparison(cfg, seed):
     params, dt, t_end = _model(cfg)
     instants = _instants(dt, t_end, t0, count)
     traj, (rows, mid) = _solve(cfg, params, instants, instants[:-1] + dt / 2.0)
-    counts = rng.sample_block(traj.p(rows), n,
-                              rng.derive_key(seed, np.arange(count, dtype=np.uint64)))
+    counts = smp.sample_trajectory(traj.p(rows), n, seed)
     true_rates = traj.info_rate_curve(mid)
     phat = counts / n
     raw = smp.info_rate_hat(phat, dt)

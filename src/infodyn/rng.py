@@ -23,45 +23,37 @@ import itertools
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# SplitMix64 constants (golden-ratio increment, one, the two multipliers, the
-# three shifts, the mask), as Python ints for scalar keys and as uint64 for
-# key arrays, so that no operation converts one kind into the other.
-_INT_CONSTANTS = (0x9E3779B97F4A7C15, 1, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
-                  30, 27, 31, _MASK64)
-_UINT64_CONSTANTS = tuple(np.uint64(c) for c in _INT_CONSTANTS)
+# SplitMix64 constants: the golden-ratio increment and the two multipliers
+_GOLDEN, _MUL1, _MUL2 = (np.uint64(c) for c in
+                         (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
-def _mix64(x, constants):
-    """SplitMix64 finalizer: avalanche a 64-bit word.
-
-    Works on a Python int below 2**64 with ``_INT_CONSTANTS`` and, element by
-    element, on a uint64 array with ``_UINT64_CONSTANTS``, whose arithmetic
-    wraps modulo 2**64 like the masked int arithmetic.
-
-    Scalar keys keep the int path rather than going through numpy uint64
-    scalars: numpy's scalar multiply wraps too, but warns "overflow
-    encountered in scalar multiply" on the wrap-around the finalizer relies
-    on (numpy 2.4), which the tests' ``filterwarnings = error`` turns into a
-    failure.  Array arithmetic wraps without a warning.
-    """
-    _, _, mul1, mul2, shift1, shift2, shift3, mask = constants
-    x = ((x ^ (x >> shift1)) * mul1) & mask
-    x = ((x ^ (x >> shift2)) * mul2) & mask
-    return x ^ (x >> shift3)
+def _mix64(x):
+    """SplitMix64 finalizer of a uint64 word or array, wrapping modulo 2**64
+    (a scalar warns on the wrap unless overflow is ignored, as derive_key does)."""
+    x = (x ^ (x >> 30)) * _MUL1
+    x = (x ^ (x >> 27)) * _MUL2
+    return x ^ (x >> 31)
 
 
-def derive_key(seed: int, *indices):
+def _word(x):
+    """A uint64 array as it is; an integer (Python or numpy) as a uint64,
+    masked to 64 bits."""
+    return x if isinstance(x, np.ndarray) else np.uint64(int(x) & _MASK64)
+
+
+def derive_key(seed, *indices):
     """64-bit sub-stream key: seed xor-folded with each mixed index.
 
-    An index may be a uint64 array; the result is then the array of the
-    keys of its elements.  Keys of scalar indices are Python ints.
+    The seed or an index may be a uint64 array; the result is then the
+    array of the keys its elements broadcast to.  Keys of scalars are Python
+    ints; a negative or wider integer is masked to its low 64 bits.
     """
-    key = seed & _MASK64
-    for idx in indices:
-        c = _UINT64_CONSTANTS if isinstance(idx, np.ndarray) else _INT_CONSTANTS
-        golden, one, mask = c[0], c[1], c[-1]
-        key = _mix64(key ^ _mix64(((idx + one) * golden) & mask, c), c)
-    return key
+    with np.errstate(over="ignore"):
+        key = _word(seed)
+        for idx in indices:
+            key = _mix64(key ^ _mix64((_word(idx) + 1) * _GOLDEN))
+    return key if isinstance(key, np.ndarray) else int(key)
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

@@ -12,13 +12,15 @@ The estimators take a frequency series phat of shape (..., K, M), such as
 counts / n or a filtered series, and return one value (or one row of
 rates) per interval k = 0..K-2 between instants k and k+1.  Clustered
 estimates are these estimators on the cluster sums aggregate(counts, f) / n,
-whose counts are summed as integers, exactly.
+whose counts are summed as integers, exactly (``with_clusters``).
 
-``monte_carlo_components`` is the Monte Carlo driver.  Replication r has
-the seed derive_key(seed, r) and draws a 1-D p under that key, or row k of
-a (K, M) p under derive_key(seed, r, k).  It draws chunks of about
-CHUNK_COUNTS counts, at least one replication, and passes each whole chunk
-to the estimator.  Rows are pure functions of their keys, so results do not
+This module owns the random-stream layout.  ``monte_carlo_per_n`` gives
+block i of an experiment's n list the seed derive_key(seed, i).  Replication
+r of a block has the seed derive_key(block seed, r) and draws a 1-D p under
+that key, or a (K, M) p with ``sample_trajectory``, instant k under
+derive_key(replication seed, k).  ``monte_carlo_components``, the Monte
+Carlo driver of one block, draws chunks of about CHUNK_COUNTS counts, at
+least one replication, and passes each whole chunk to the estimator.  Rows are pure functions of their keys, so results do not
 depend on the chunk size; the chunks only bound memory.  It returns a
 ``MonteCarloEstimate``, the four statistics that end every Monte Carlo table
 (mean, SE of the mean, sample variance, SE of the variance); the tables add
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .clustering import aggregate  # noqa: F401  perfbench tests pin sampling.aggregate
+from .clustering import aggregate
 
 # Counts drawn per chunk of replications.  On the mc-timegrid benchmark
 # workload (2-core machine, numpy 2.4.6), one unchunked block raised peak
@@ -84,14 +86,27 @@ def info_rate_hat(phat: np.ndarray, dt: float) -> np.ndarray:
     return rates
 
 
+def with_clusters(estimator, f):
+    """The `monte_carlo_per_n` estimator of (counts, n) that joins, along the
+    last axis, estimator(counts / n) and estimator(aggregate(counts, f) / n)."""
+    return lambda counts, n: np.concatenate((estimator(counts / n),
+                                             estimator(aggregate(counts, f) / n)), axis=-1)
+
+
+def sample_trajectory(p: np.ndarray, n: int, seed) -> np.ndarray:
+    """Counts of size n at every row of a (K, M) p, shape (K, M): row k is
+    drawn under derive_key(seed, k).  A uint64 array of seeds of shape (C, 1)
+    draws C trajectories, shape (C, K, M)."""
+    return rng.sample_block(p, n, rng.derive_key(seed, np.arange(len(p), dtype=np.uint64)))
+
+
 def _values(estimator, p: np.ndarray, n: int, seed: int, reps: np.ndarray) -> np.ndarray:
     """Estimator values of replications `reps`, drawn as one block; raises
     ValueError for a value that is not finite."""
-    if p.ndim == 1:
-        keys = rng.derive_key(seed, reps)
-    else:
-        keys = rng.derive_key(seed, reps[:, None], np.arange(len(p), dtype=np.uint64))
-    values = np.asarray(estimator(rng.sample_block(p, n, keys)), dtype=float)
+    seeds = rng.derive_key(seed, reps)
+    counts = (rng.sample_block(p, n, seeds) if p.ndim == 1
+              else sample_trajectory(p, n, seeds[:, None]))
+    values = np.asarray(estimator(counts), dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"non-finite value {values[~finite][0]}")
@@ -146,3 +161,10 @@ def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -
     var = std * std
     var_se = np.sqrt((m4 - var * var * (replications - 3) / (replications - 1)) / replications)
     return MonteCarloEstimate(mean, std / np.sqrt(replications), var, var_se)
+
+
+def monte_carlo_per_n(estimator, replications: int, seed: int, p, ns) -> list:
+    """One MonteCarloEstimate per n of `ns`: block i is monte_carlo_components
+    at n = ns[i] under the seed derive_key(seed, i), of estimator(counts, n)."""
+    return [monte_carlo_components(lambda counts: estimator(counts, n), replications,
+                                   rng.derive_key(seed, i), p, n) for i, n in enumerate(ns)]

@@ -54,12 +54,6 @@ def two_point_p(traj, t):
     return traj.p(np.array([k - STRIDE // 2, k + STRIDE // 2]))
 
 
-def sample_grid(traj, rows, n, seed):
-    """Counts at the trajectory's rows, the k-th from the sub-stream (seed, k)."""
-    return rng.sample_block(traj.p(rows), n,
-                            rng.derive_key(seed, np.arange(len(rows), dtype=np.uint64)))
-
-
 def fisher_mc(traj, t, n, reps, seed):
     return smp.monte_carlo_components(lambda c: smp.fisher_hat(c / n, DT)[:, 0], reps, seed,
                                       two_point_p(traj, t), n)
@@ -68,11 +62,9 @@ def fisher_mc(traj, t, n, reps, seed):
 def test_criterion_01_distance_mean():
     p = np.array([0.1, 0.2, 0.3, 0.4])
     started = time.perf_counter()
-    devs = []
-    for i, n in enumerate((100, 1000, 10000)):
-        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 2000,
-                                         rng.derive_key(101, i), p, n)
-        devs.append(abs(est.mean - 3.0 / n) / est.se)
+    ns = (100, 1000, 10000)
+    ests = smp.monte_carlo_per_n(lambda c, n: shahshahani_distance_sq(p, c / n), 2000, 101, p, ns)
+    devs = [abs(est.mean - 3.0 / n) / est.se for n, est in zip(ns, ests)]
     elapsed = time.perf_counter() - started
     ok = all(d <= 3.0 for d in devs) and elapsed < 10.0
     report(1, "distance mean N/n", ok,
@@ -81,12 +73,11 @@ def test_criterion_01_distance_mean():
 
 def test_criterion_02_distance_variance():
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    rels = []
-    for i, n in enumerate((1000, 10000)):
-        est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(p, c / n), 10000,
-                                         rng.derive_key(202, i), p, n)
-        _, var_th = th.distance_moments(p, n)
-        rels.append(abs(est.var - var_th) / var_th)
+    ns = (1000, 10000)
+    ests = smp.monte_carlo_per_n(lambda c, n: shahshahani_distance_sq(p, c / n), 10000, 202, p,
+                                 ns)
+    var_th = [th.distance_moments(p, n)[1] for n in ns]
+    rels = [abs(est.var - v) / v for est, v in zip(ests, var_th)]
     ok = all(r <= 0.15 for r in rels)
     report(2, "distance variance 2N/n^2", ok,
            f"relative deviations {['%.1f%%' % (100 * r) for r in rels]}")
@@ -218,7 +209,7 @@ def test_criterion_08_exact_identities(desk_traj):
         assert abs(dgc - direct) <= tol
 
     # identity clustering is bitwise-identical on both estimator routes
-    counts = sample_grid(desk_traj, 3000 + STRIDE * np.arange(5), 800, seed=88)
+    counts = smp.sample_trajectory(desk_traj.p(3000 + STRIDE * np.arange(5)), 800, 88)
     ident = cl.Clustering(range(1, N_VARIANTS + 1))
     assert np.array_equal(smp.fisher_hat(cl.aggregate(counts, ident) / 800, DT),
                           smp.fisher_hat(counts / 800, DT))
@@ -305,7 +296,7 @@ def test_criterion_11_elbow():
 def test_criterion_12_filtering(desk_traj):
     n = 250000
     rows = 2500 + STRIDE * np.arange(31)
-    counts = sample_grid(desk_traj, rows, n, seed=1212)
+    counts = smp.sample_trajectory(desk_traj.p(rows), n, 1212)
     true_rates = desk_traj.info_rate_curve(rows[:-1] + STRIDE // 2)
     phat = counts / n
     raw = smp.info_rate_hat(phat, DT)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from infodyn import cli
 from infodyn import filtering as flt
+from infodyn import rng
 from infodyn import sampling as smp
 from infodyn import theory as th
 from conftest import infected
@@ -958,7 +959,7 @@ class TestExperiments:
         assert np.array_equal(cols["theory_mean"], mean)
         assert np.array_equal(cols["theory_var"], var)
         est = cli.smp.monte_carlo_components(lambda c: cli.smp.info_rate_hat(c / 1000, dt)[:, 0],
-                                             5, cli.rng.derive_key(1, 0), pair.p(), 1000)
+                                             5, rng.derive_key(1, 0), pair.p(), 1000)
         assert np.array_equal(cols["mc_mean"], est.mean)
 
     @given(dt=st.sampled_from([0.01, 0.1, 0.25, 0.3, 1 / 3]), t0=st.floats(0.0, 4.0),

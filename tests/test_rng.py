@@ -33,6 +33,14 @@ class TestStreams:
         keys = rng.derive_key(seed, indices)
         assert keys.dtype == np.uint64
         assert [int(k) for k in keys] == [rng.derive_key(seed, int(i)) for i in indices]
+        # scalars of any integer kind, masked to their low 64 bits, key as the
+        # array element of the same word does, and give a Python int
+        scalars = [-1, -3, 2**63, 2**64 - 1, 2**64 + 5, np.int64(-3), np.int8(-1),
+                   np.uint64(2**64 - 1), np.int32(40)]
+        words = np.array([int(i) & (2**64 - 1) for i in scalars], dtype=np.uint64)
+        scalar_keys = [rng.derive_key(seed, i) for i in scalars]
+        assert all(type(k) is int for k in scalar_keys)
+        assert scalar_keys == [int(k) for k in rng.derive_key(seed, words)]
 
 
 def fresh_stream(key):

@@ -24,13 +24,6 @@ def desk_traj():
     return dyn.solve_sir(dyn.default_sir_params(10), grid(10.0, 1e-3))
 
 
-def sample_grid(traj, rows, n, seed):
-    """Counts at the trajectory's rows, the k-th drawn from the sub-stream
-    (seed, k): one sampled trajectory, shape (instants, variants)."""
-    return rng.sample_block(traj.p(rows), n,
-                            rng.derive_key(seed, np.arange(len(rows), dtype=np.uint64)))
-
-
 def reference_between(p_lo, p_hi):
     """Weights and displacement of the per-instant estimators that the
     whole-grid ones replaced."""
@@ -136,14 +129,14 @@ def refine(gen, coarse):
 class TestSampleTrajectory:
     def test_deterministic(self, desk_traj):
         rows = STRIDE * np.arange(9)
-        a = sample_grid(desk_traj, rows, 1000, seed=77)
-        b = sample_grid(desk_traj, rows, 1000, seed=77)
+        a = smp.sample_trajectory(desk_traj.p(rows), 1000, 77)
+        b = smp.sample_trajectory(desk_traj.p(rows), 1000, 77)
         assert np.array_equal(a, b)
-        c = sample_grid(desk_traj, rows, 1000, seed=78)
+        c = smp.sample_trajectory(desk_traj.p(rows), 1000, 78)
         assert not np.array_equal(a, c)
 
     def test_counts_sum_to_n(self, desk_traj):
-        counts = sample_grid(desk_traj, STRIDE * np.arange(9), 321, seed=5)
+        counts = smp.sample_trajectory(desk_traj.p(STRIDE * np.arange(9)), 321, 5)
         assert np.all(counts.sum(axis=1) == 321)
 
     def test_instants_use_isolated_substreams(self):
@@ -153,14 +146,14 @@ class TestSampleTrajectory:
             for count, stride in ((2, 50), (41, 5)):  # dt = 0.5 and 0.05
                 rows = stride * np.arange(count)
                 for n in (1, 100000):
-                    counts = sample_grid(traj, rows, n, seed=91)
+                    counts = smp.sample_trajectory(traj.p(rows), n, 91)
                     for k, row in enumerate(rows.tolist()):
                         direct = rng.stream(91, k).multinomial(n, traj.p(row))
                         assert np.array_equal(counts[k], direct), (n_variants, count, n, k)
 
     def test_large_n_consistency(self, desk_traj):
         rows = STRIDE * np.arange(41)
-        counts = sample_grid(desk_traj, rows, 10_000_000, seed=11)
+        counts = smp.sample_trajectory(desk_traj.p(rows), 10_000_000, 11)
         for k, row in enumerate(rows.tolist()):
             assert np.max(np.abs(counts[k] / 10_000_000 - desk_traj.p(row))) < 1e-3
 
@@ -226,7 +219,7 @@ class TestClusteredFisherEstimate:
         assert smp.fisher_hat(aggregate(counts, Clustering([1] * 3)) / 10, DT).tolist() == [0.0]
 
     def test_identity_clustering_bitwise(self, desk_traj):
-        counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(5), 500, seed=2)
+        counts = smp.sample_trajectory(desk_traj.p(4000 + STRIDE * np.arange(5)), 500, 2)
         ident = Clustering(range(1, 11))
         assert np.array_equal(smp.fisher_hat(aggregate(counts, ident) / 500, DT),
                               smp.fisher_hat(counts / 500, DT))
@@ -262,7 +255,7 @@ class TestInfoRateHat:
         assert smp.info_rate_hat(np.array([[5, 5, 0], [6, 4, 0]]) / 10, DT)[0, 2] == 0.0
 
     def test_cluster_version_identity(self, desk_traj):
-        counts = sample_grid(desk_traj, 4000 + STRIDE * np.arange(2), 700, seed=6)
+        counts = smp.sample_trajectory(desk_traj.p(4000 + STRIDE * np.arange(2)), 700, 6)
         ident = Clustering(range(1, 11))
         assert np.array_equal(smp.info_rate_hat(aggregate(counts, ident) / 700, DT),
                               smp.info_rate_hat(counts / 700, DT))
@@ -406,6 +399,61 @@ class TestMonteCarlo:
         est = smp.monte_carlo_components(lambda c: shahshahani_distance_sq(P4, c / 1000),
                                          2000, 10, P4, 1000)
         assert abs(est.mean - 0.003) <= 3 * est.se
+
+
+class TestStreamLayout:
+    """Which sub-stream a draw uses: block i of an n list, replication r of a
+    block and instant k of a trajectory are all keyed here."""
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 10)], ids=lambda s: "x".join(map(str, s)))
+    def test_block_i_is_monte_carlo_components_under_its_key(self, shape):
+        p = np.random.default_rng(7).dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        ns = [10, 1000, 10]
+
+        def estimator(counts, n):
+            return counts.reshape(len(counts), -1)[:, :3] / n
+
+        ests = smp.monte_carlo_per_n(estimator, 30, 23, p, ns)
+        assert len(ests) == len(ns)
+        for i, (n, est) in enumerate(zip(ns, ests)):
+            alone = smp.monte_carlo_components(lambda c: estimator(c, n), 30,
+                                               rng.derive_key(23, i), p, n)
+            for name, a, b in zip(est._fields, est, alone):
+                assert np.array_equal(a, b), (shape, i, name)
+        # the same n in another block draws other counts
+        assert not np.array_equal(ests[0].mean, ests[2].mean)
+
+    def test_replication_r_draws_sample_trajectory(self, monkeypatch):
+        p = np.random.default_rng(8).dirichlet(np.ones(10), size=5)
+        seen = []
+
+        def estimator(counts):
+            seen.append(counts.copy())
+            return counts[:, :, 0] * 1.0
+
+        monkeypatch.setattr(smp, "CHUNK_COUNTS", 7 * p.size)  # chunks of 7 replications
+        smp.monte_carlo_components(estimator, 20, 41, p, 500)
+        drawn = np.concatenate(seen)
+        assert drawn.shape == (20, 5, 10)
+        for r in range(20):
+            want = smp.sample_trajectory(p, 500, rng.derive_key(41, r))
+            assert np.array_equal(drawn[r], want), r
+
+    @pytest.mark.parametrize("instants", [2, 5])
+    def test_with_clusters_on_the_integer_cluster_sums(self, instants):
+        gen = np.random.default_rng(instants)
+        f = random_clustering(gen, 10, 3)
+        counts = gen.multinomial(1000, gen.dirichlet(np.ones(10)), size=(6, instants))
+        sums = np.stack([counts[..., f.labels == a].sum(axis=-1) for a in range(3)], axis=-1)
+        assert sums.dtype.kind == "i" and np.all(sums.sum(axis=-1) == 1000)
+        for estimator in (lambda ph: smp.fisher_hat(ph, DT),
+                          lambda ph: smp.info_rate_hat(ph, DT)[:, 0]):
+            joined = smp.with_clusters(estimator, f)(counts, 1000)
+            variants = estimator(counts / 1000)
+            width = variants.shape[-1]
+            assert joined.shape == (6, width + estimator(sums / 1000).shape[-1])
+            assert np.array_equal(joined[:, :width], variants)
+            assert np.array_equal(joined[:, width:], estimator(sums / 1000))
 
 
 SHAPES = [(2,), (10,), (1000,), (2, 2), (2, 10), (2, 1000), (41, 2), (41, 10), (41, 1000)]

@@ -20,11 +20,12 @@ r of a block has the seed derive_key(block seed, r) and draws a 1-D p under
 that key, or a (K, M) p with ``sample_trajectory``, instant k under
 derive_key(replication seed, k).  ``monte_carlo_components``, the Monte
 Carlo driver of one block, draws chunks of about CHUNK_COUNTS counts, at
-least one replication, and passes each whole chunk to the estimator.  Rows are pure functions of their keys, so results do not
-depend on the chunk size; the chunks only bound memory.  It returns a
-``MonteCarloEstimate``, the four statistics that end every Monte Carlo table
-(mean, SE of the mean, sample variance, SE of the variance); the tables add
-only the closed-form mean and variance.
+least one replication, and passes each whole chunk to the estimator.  Rows
+are pure functions of their keys, so results do not depend on the chunk
+size; the chunks only bound memory.  It returns a ``MonteCarloEstimate``,
+the four statistics that end every Monte Carlo table (mean, SE of the mean,
+sample variance, SE of the variance); the tables add only the closed-form
+mean and variance.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def _values(estimator, p: np.ndarray, n: int, seed: int, reps: np.ndarray) -> np
     return values
 
 
-def monte_carlo_components(estimator, replications: int, seed: int, p, n: int) -> MonteCarloEstimate:
+def monte_carlo_components(estimator, replications: int, seed: int, p,
+                           n: int) -> MonteCarloEstimate:
     """Monte Carlo summary, component by component, of a vectorised estimator.
 
     Replication r = 0..R-1 draws n-sample multinomial counts from p (see the

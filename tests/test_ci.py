@@ -3,7 +3,8 @@ and runs every benchmark workload, so that a new one cannot land in only
 one of the two places, and the large-M benchmark script; it compares the
 shipped configs' outputs at one and two BLAS threads; the tests job has a
 timeout; and, under pyproject.toml's warning filters, a failing property
-test does not end the test session."""
+test does not end the test session.  No line of the program, its scripts
+or its tests is wider than 100 characters."""
 
 import importlib.util
 import pathlib
@@ -91,3 +92,14 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert re.search(r"^1 failed, 1 passed", done.stdout, re.M), done.stdout
+
+
+def test_no_line_is_wider_than_100_characters():
+    # src/, scripts/ and tests/ keep one width; perfbench/ is not checked
+    wide = [f"{path.relative_to(ROOT)}:{lineno} ({len(line)})"
+            for top in ("src", "scripts", "tests")
+            for path in sorted((ROOT / top).rglob("*"))
+            if path.suffix in {".py", ".cfg"}
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if len(line) > 100]
+    assert wide == []

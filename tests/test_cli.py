@@ -499,6 +499,81 @@ class TestRunner:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, key, value, error", [
+        # every key read through a range converter, at the first value outside
+        # its range; a float key also at NaN, inf and -0.0 where -0.0 is outside
+        *(("model-trajectory", key, value, "must be positive and finite")
+          for key in ("dt", "t_end") for value in ("0", "-0.0", "nan", "inf", "-inf")),
+        *((experiment, key, value, "must be a finite time of at least 0")
+          for experiment, key in (("fisher-bias-vs-t", "t0"), ("filtering-comparison", "t0"),
+                                  ("info-rate-moments", "t"), ("elbow-scan", "t"))
+          for value in ("-5e-324", "nan", "inf")),
+        ("distance-moments", "seed", "-1", "must lie in [0, 2**64)"),
+        ("distance-moments", "seed", "18446744073709551616", "must lie in [0, 2**64)"),
+        *((experiment, key, value, "must be an integer in [1, 2**63)")
+          for experiment, key, values in (
+              ("distance-moments", "n", ("0", "100,0", "9223372036854775808")),
+              ("fisher-bias-vs-t", "n", ("1,0",)),
+              ("info-rate-moments", "n", ("0,1",)),
+              ("filtering-comparison", "n", ("0", "9223372036854775808")),
+              ("model-trajectory", "groups", ("9,0", "9223372036854775808,1")))
+          for value in values),
+        ("model-trajectory", "N", "0", "N must be at least 1"),
+        ("distance-moments", "replications", "1", "replications must be at least 2"),
+        ("fisher-bias-vs-t", "replications", "1", "replications must be at least 2"),
+        ("model-trajectory", "ell", "0", "cluster count must be at least 1"),
+        ("info-rate-moments", "ell", "0", "cluster count must be at least 1"),
+        ("fisher-bias-vs-t", "count", "1", "number of sampling instants must be at least 2"),
+        ("filtering-comparison", "count", "1", "number of sampling instants must be at least 2"),
+        # a value that is no number keeps the parser's own message
+        ("model-trajectory", "N", "1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("model-trajectory", "dt", "x", "could not convert string to float: 'x'"),
+    ])
+    def test_range_converter_refuses(self, tmp_path, capsys, experiment, key, value, error):
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {key!r}: {value!r} ({error})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        # the value just inside each range passes its converter: a run either
+        # completes or is refused by a later check, which names its own reason
+        ("experiment = model-trajectory\nt_end = 2\ndt = 5e-324\n",
+         "bad value for 'dt': steps of 0 from 0 to t_end = 2 are inf times, more than an "
+         "array can hold"),
+        ("experiment = model-trajectory\nt_end = 5e-324\n",
+         "bad value for 't_end': 5e-324 is less than one sampling step dt = 0.025"),
+        ("experiment = model-trajectory\nt_end = 2\ndt = 1.7976931348623157e308\n",
+         "bad value for 't_end': 2.0 is less than one sampling step dt = 1.7976931348623158e+307"),
+        ("experiment = model-trajectory\nt_end = 2\nN = 1\nell = 1\n", None),
+        ("experiment = model-trajectory\nt_end = 2\ngroups = 1,1\nell = 1\n", None),
+        ("experiment = distance-moments\nn = 1,9223372036854775807\nreplications = 2\n"
+         "seed = 18446744073709551615\n", None),
+        ("experiment = distance-moments\nn = 100\nreplications = 2\nseed = 0\n", None),
+        # -0.0 is the time 0
+        ("experiment = fisher-bias-vs-t\nt_end = 2\nt0 = -0.0\ncount = 2\nn = 1\n"
+         "replications = 2\nN = 1\nell = 1\n", None),
+        ("experiment = elbow-scan\nt_end = 2\nt = -0.0\n", None),
+        ("experiment = info-rate-moments\nt_end = 2\nt = -0.0\n",
+         "bad value for 't': t - dt/2 = -0.125 and t + dt/2 = 0.125 must lie in [0, t_end = 2]"),
+        ("experiment = filtering-comparison\nt_end = 2\nt0 = 0\nn = 9223372036854775807\n"
+         "count = 2\n",
+         "bad value for 'count': 2 sampling instants do not exceed the Gaussian kernel's "
+         "half width 3"),
+    ])
+    def test_range_converter_accepts_the_boundary(self, tmp_path, capsys, text, error):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        code = cli.main(["--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if error is None:
+            assert (code, err) == (0, "")
+            seed = cli.parse_config(text).get("seed", "1")
+            assert json.loads((out / "manifest.json").read_text())["seed"] == int(seed)
+        else:
+            assert (code, err) == (2, f"error: {error}\n")
+
     @pytest.mark.parametrize("text, key", [
         ("experiment = info-rate-moments\nt = 100\n", "t"),
         ("experiment = info-rate-moments\nt = 0\n", "t"),
@@ -1064,6 +1139,43 @@ class TestFisherBlocks:
         assert peak < 401 * m * 8
 
 
+class TestRateBlocks:
+    @pytest.mark.parametrize("source", ["shipped", "mc-wide"])
+    def test_info_rate_moments_is_a_fisher_bias_vs_t_rate_block(self, source):
+        # the estimates of info-rate-moments at t are, bit for bit, the rate
+        # block of the two instants t -+ dt/2 drawn as fisher-bias-vs-t draws
+        # from t0 = t - dt/2 with count = 2: the same instants, keys and
+        # K-means clustering, and the rate estimator with the clusters joined
+        if source == "shipped":
+            text = (CONFIGS / "info_rate_moments.cfg").read_text()
+        else:
+            wl = load_perfbench("workloads")
+            text = wl.config_text(wl.WIDE, 1)
+        cfg = cli.parse_config(text)
+        seed, t, reps, ell = (int(cfg["seed"]), float(cfg["t"]), int(cfg["replications"]),
+                              int(cfg["ell"]))
+        ns = [int(n) for n in cfg["n"].split(",")]
+        tables = cli.EXPERIMENTS["info-rate-moments"][0](cfg, seed)
+        params, dt, t_end = cli._model(cfg, [ell])
+        grid = cli._instants(dt, t_end)
+        instants = cli._instants(dt, t_end, t - dt / 2.0, 2)
+        assert instants.tolist() == [t - dt / 2.0, t + dt / 2.0]
+        traj, (grid, rows, _) = cli._solve(cfg, params, grid, instants, instants[:-1] + dt / 2.0)
+        f = cli.cl.kmeans(cli.cl.kmeans_features(traj, grid), ell)
+        assert np.array_equal(tables["clustering.csv"][1][1], f.labels + 1)
+        ests = smp.monte_carlo_per_n(smp.with_clusters(lambda ph: smp.info_rate_hat(ph, dt), f),
+                                     reps, seed, traj.p(rows), ns)
+        m = params.n_variants
+        for name, part in (("info_rate_variants.csv", slice(m)),
+                           ("info_rate_clusters.csv", slice(m, None))):
+            header, columns = tables[name]
+            got = dict(zip(header, columns, strict=True))
+            for field in smp.MonteCarloEstimate._fields:
+                # one interval: row 0 of each (1, M + ell) estimate
+                want = np.concatenate([getattr(est, field)[0, part] for est in ests])
+                assert got[f"mc_{field}"].tobytes() == want.tobytes(), (source, name, field)
+
+
 # the Monte Carlo tables of each experiment that writes them
 MC_TABLES = {
     "distance-moments": ["distance_moments.csv"],
@@ -1249,7 +1361,8 @@ class TestWriteCsv:
             assert np.array_equal(variants[name], want), name
         reference_write_csv(tmp_path / "fisher.csv", ["t", "g_tt", "g_f"],
                             zip(traj.times, g_tt, cli.cl.clustered_fisher(p, pdot, f)))
-        assert (tmp_path / "out" / "fisher.csv").read_bytes() == (tmp_path / "fisher.csv").read_bytes()
+        want = (tmp_path / "fisher.csv").read_bytes()
+        assert (tmp_path / "out" / "fisher.csv").read_bytes() == want
 
     def test_mixed_cells(self, tmp_path):
         # a labelled table: a string, an integer and float columns

@@ -358,8 +358,8 @@ class TestMonteCarlo:
 
     def test_draw_failure_names_replication_zero(self):
         p = np.array([[0.5, 0.5], [0.6, -0.1]])
-        with pytest.raises(smp.MonteCarloError,
-                           match=rf"^replication 0 \(seed {rng.derive_key(8, 0)}\) failed: ") as got:
+        match = rf"^replication 0 \(seed {rng.derive_key(8, 0)}\) failed: "
+        with pytest.raises(smp.MonteCarloError, match=match) as got:
             smp.monte_carlo_components(lambda c: smp.fisher_hat(c / 10, DT), 20, 8, p, 10)
         assert isinstance(got.value.__cause__, ValueError)
 

@@ -79,62 +79,36 @@ def _get(cfg, key, default, conv):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError("must be positive and finite")
-    return value
-
-
-def _time(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise ValueError("must be a finite time of at least 0")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise ValueError("must lie in [0, 2**64)")
-    return value
-
-
-def _at_least(low: int, what: str):
-    """Converter to an integer of at least `low`; `what` names the value
-    in the error."""
-    def conv(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ValueError(f"{what} must be at least {low}")
+def _within(kind, low, high, message: str):
+    """Converter of a config value to `kind` in [low, high); any other
+    value, NaN included, raises ValueError(message)."""
+    def conv(text: str):
+        value = kind(text)
+        if not low <= value < high:
+            raise ValueError(message)
         return value
     return conv
 
 
-def _positive_int(text: str) -> int:
-    """An integer in [1, 2**63); numpy draws no larger sample size."""
-    value = int(text)
-    if not 1 <= value < 1 << 63:
-        raise ValueError("must be an integer in [1, 2**63)")
-    return value
-
-
-_replications = _at_least(2, "replications")
-_cluster_count = _at_least(1, "cluster count")
-_instant_count = _at_least(2, "number of sampling instants")
-
-
-def _entries(text: str) -> list[str]:
-    """The entries of a comma list; an empty entry is an error."""
-    entries = text.split(",")
-    if not all(entry.strip() for entry in entries):
-        raise ValueError("empty entry in the comma list")
-    return entries
+# from the least positive double, 5e-324: every positive finite float, not -0.0
+_positive = _within(float, math.nextafter(0.0, 1.0), math.inf, "must be positive and finite")
+_time = _within(float, 0.0, math.inf, "must be a finite time of at least 0")
+_seed = _within(int, 0, 1 << 64, "must lie in [0, 2**64)")
+# a sample size; numpy draws none of 2**63 or more
+_positive_int = _within(int, 1, 1 << 63, "must be an integer in [1, 2**63)")
+# N, the dimension of the simplex of the N + 1 variants
+_dimension = _within(int, 1, math.inf, "N must be at least 1")
+_replications = _within(int, 2, math.inf, "replications must be at least 2")
+_cluster_count = _within(int, 1, math.inf, "cluster count must be at least 1")
+_instant_count = _within(int, 2, math.inf, "number of sampling instants must be at least 2")
 
 
 def _int_list(text: str) -> list[int]:
-    """Comma list of integers in [1, 2**63)."""
-    return [_positive_int(x) for x in _entries(text)]
+    """Comma list of integers in [1, 2**63); an empty entry is an error."""
+    entries = text.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValueError("empty entry in the comma list")
+    return [_positive_int(x) for x in entries]
 
 
 # the distribution distance-moments draws from
@@ -183,7 +157,7 @@ def _model(cfg, ells=()) -> tuple:
                               "'groups' fixes the variants and their rates")
         params = _get(cfg, "groups", None, lambda text: dyn.grouped_sir_params(_int_list(text)))
     else:
-        params = dyn.default_sir_params(_get(cfg, "N", 9, _at_least(1, "N")) + 1)
+        params = dyn.default_sir_params(_get(cfg, "N", 9, _dimension) + 1)
     n_var = params.gamma.size
     for ell in ells:
         if ell > n_var:

@@ -542,10 +542,10 @@ class TestRunner:
         ("experiment = model-trajectory\nt_end = 2\ndt = 5e-324\n",
          "bad value for 'dt': steps of 0 from 0 to t_end = 2 are inf times, more than an "
          "array can hold"),
-        ("experiment = model-trajectory\nt_end = 5e-324\n",
-         "bad value for 't_end': 5e-324 is less than one sampling step dt = 0.025"),
-        ("experiment = model-trajectory\nt_end = 2\ndt = 1.7976931348623157e308\n",
-         "bad value for 't_end': 2.0 is less than one sampling step dt = 1.7976931348623158e+307"),
+        ("experiment = fisher-bias-vs-t\nt_end = 5e-324\n",
+         "bad value for 't_end': 5e-324 is less than one sampling step dt = 0.25"),
+        ("experiment = fisher-bias-vs-t\nt_end = 2\ndt = 1.7976931348623157e308\n",
+         "bad value for 't_end': 2.0 is less than one sampling step dt = 1.7976931348623157e+308"),
         ("experiment = model-trajectory\nt_end = 2\nN = 1\nell = 1\n", None),
         ("experiment = model-trajectory\nt_end = 2\ngroups = 1,1\nell = 1\n", None),
         ("experiment = distance-moments\nn = 1,9223372036854775807\nreplications = 2\n"

@@ -277,7 +277,8 @@ def run_distance_moments(cfg, seed):
 def run_model_trajectory(cfg, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
     params, dt, t_end = _model(cfg, [ell])
-    every = _instants(dt / 10.0, t_end)  # the densest grid, checked first
+    _instants(dt, t_end, count=2)  # a t_end under one step is refused naming dt itself
+    every = _instants(dt / 10.0, t_end)  # its size is checked before any grid is built
     traj, (grid, rows) = _solve(cfg, params, _instants(dt, t_end), every)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     m = params.n_variants

@@ -18,10 +18,6 @@ import numpy as np
 from .simplex import fisher_information, require_interior, self_information_rate
 
 
-class NoElbowError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class Clustering:
     """Surjective map of variants onto clusters, given by 1-based labels
@@ -263,7 +259,7 @@ def elbow_select(delta_curve) -> int:
     Takes (ell, delta_g) pairs with strictly increasing ell and returns
     the interior ell with the largest discrete second difference of the
     loss; ties break toward smaller ell.  A curve with no curvature above
-    1e-12 has no elbow.
+    1e-12 has no elbow and raises ValueError.
     """
     pairs = [(int(e), float(dg)) for e, dg in delta_curve]
     if len(pairs) < 4:
@@ -274,5 +270,5 @@ def elbow_select(delta_curve) -> int:
     dg = np.array([g for _, g in pairs])
     second = dg[2:] - 2.0 * dg[1:-1] + dg[:-2]
     if np.max(second) <= 1e-12:
-        raise NoElbowError("no elbow: curve has no convex kink above tolerance")
+        raise ValueError("no elbow: curve has no convex kink above tolerance")
     return int(ells[1:-1][int(np.argmax(second))])

@@ -80,15 +80,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SirParams:
-    """Rates and initial conditions for N+1 variants."""
+    """Rates and initial conditions for N+1 variants; R starts at 0, so s0 and
+    i0 sum to 1."""
 
     gamma: np.ndarray
     epsilon: np.ndarray
     s0: float
     i0: np.ndarray
-    r0: float
 
-    def __init__(self, gamma, epsilon, s0, i0, r0=0.0):
+    def __init__(self, gamma, epsilon, s0, i0):
         gamma = np.asarray(gamma, dtype=float)
         epsilon = np.asarray(epsilon, dtype=float)
         i0 = np.asarray(i0, dtype=float)
@@ -102,13 +102,12 @@ class SirParams:
                 raise ValueError(f"{name}[{idx}] = {arr[idx]} is not finite")
         if np.any(gamma < 0) or np.any(epsilon < 0):
             raise ValueError("rates must be nonnegative")
-        for name, value in (("s0", s0), ("r0", r0)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"initial fraction {name} = {value} outside [0, 1]")
+        if not 0.0 <= s0 <= 1.0:
+            raise ValueError(f"initial fraction s0 = {s0} outside [0, 1]")
         if np.any(i0 <= 0):
             idx = int(np.argmin(i0))
             raise ValueError(f"initial infected fraction at index {idx} is not > 0")
-        total = float(s0 + i0.sum() + r0)
+        total = float(s0 + i0.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"initial fractions sum to {total}, not 1")
         for name, val in (("gamma", gamma), ("epsilon", epsilon), ("i0", i0)):
@@ -116,7 +115,6 @@ class SirParams:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "s0", float(s0))
-        object.__setattr__(self, "r0", float(r0))
 
     @property
     def n_variants(self) -> int:
@@ -132,7 +130,7 @@ def default_sir_params(n_variants: int = 10) -> SirParams:
 def grouped_sir_params(group_sizes) -> SirParams:
     """Variants in blocks with identical rates inside each block; the block
     rates are evenly spaced, gamma over [1.5, 2.5] and epsilon over
-    [0.9, 1.1], and the model starts at s0 = DEFAULT_S0, r0 = 0, uniform i0.
+    [0.9, 1.1], and the model starts at s0 = DEFAULT_S0 with uniform i0.
 
     Within a block the couplings coincide for all times, so the block
     clustering is a sufficient statistic of the induced model.
@@ -339,7 +337,7 @@ def solve_sir(params: SirParams, times) -> Trajectory:
     roots = 1.0 / powers[-2:]
 
     starts, polys, lifts = [], [], []  # each series step's t0, coefficients and lift
-    s, x, r = params.s0, 0.0, params.r0
+    s, x, r = params.s0, 0.0, 0.0
     t0 = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         while True:

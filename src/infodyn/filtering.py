@@ -15,11 +15,9 @@ DEFAULT_HALF_WIDTH = 3
 DEFAULT_SHAPE = 4.0 / 9.0
 
 
-def gaussian_kernel(half_width: int = DEFAULT_HALF_WIDTH) -> np.ndarray:
-    """Normalised weights exp(-DEFAULT_SHAPE * k^2) for k = -half_width..half_width."""
-    if half_width < 0:
-        raise ValueError("half_width must be >= 0")
-    k = np.arange(-half_width, half_width + 1)
+def gaussian_kernel() -> np.ndarray:
+    """Normalised weights exp(-DEFAULT_SHAPE * k^2) for |k| <= DEFAULT_HALF_WIDTH."""
+    k = np.arange(-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH + 1)
     w = np.exp(-DEFAULT_SHAPE * k.astype(float) ** 2)
     return w / w.sum()
 

@@ -3,12 +3,12 @@
 Streams are numpy Generators backed by Philox, a counter-based bit
 generator.  Sub-streams are derived by mixing the base seed with a
 structured index through a SplitMix64-style finalizer, so any (seed,
-index...) pair names the same stream regardless of the order in which
-streams are created or consumed.  Indices fold in one at a time, so
-derive_key(seed, r, k) == derive_key(derive_key(seed, r), k), and index
-arrays broadcast into tables of keys.  ``sample_block`` draws one row per
-key, each equal to a draw from a fresh stream with that key: any row can be
-reproduced alone, and slices of the keys give slices of the block.
+index) pair names the same stream regardless of the order in which
+streams are created or consumed.  A nested index is a chain of keys,
+derive_key(derive_key(seed, r), k), and seed and index arrays broadcast
+into tables of keys.  ``sample_block`` draws one row per key, each equal
+to a draw from a fresh stream with that key: any row can be reproduced
+alone, and slices of the keys give slices of the block.
 
 Multinomial counts come from numpy's ``Generator.multinomial``, which draws
 them by sequential conditional binomials.  ``tests/test_rng.py`` keeps that
@@ -42,23 +42,21 @@ def _word(x):
     return x if isinstance(x, np.ndarray) else np.uint64(int(x) & _MASK64)
 
 
-def derive_key(seed, *indices):
-    """64-bit sub-stream key: seed xor-folded with each mixed index.
+def derive_key(seed, index):
+    """64-bit sub-stream key: seed xor-folded with the mixed index.
 
-    The seed or an index may be a uint64 array; the result is then the
-    array of the keys its elements broadcast to.  Keys of scalars are Python
-    ints; a negative or wider integer is masked to its low 64 bits.
+    The seed or the index may be a uint64 array; the result is then the
+    array of the keys their elements broadcast to.  Keys of scalars are
+    Python ints; a negative or wider integer is masked to its low 64 bits.
     """
     with np.errstate(over="ignore"):
-        key = _word(seed)
-        for idx in indices:
-            key = _mix64(key ^ _mix64((_word(idx) + 1) * _GOLDEN))
+        key = _mix64(_word(seed) ^ _mix64((_word(index) + 1) * _GOLDEN))
     return key if isinstance(key, np.ndarray) else int(key)
 
 
-def stream(seed: int, *indices: int) -> np.random.Generator:
-    """Generator for the sub-stream named by (seed, indices...)."""
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, *indices)))
+def stream(key: int) -> np.random.Generator:
+    """Generator for the sub-stream with this 64-bit key."""
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_block(p: np.ndarray, n: int, keys) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -220,6 +221,55 @@ class TestConfigParsing:
         unset = {name: sorted(keys - free - shipped[name])
                  for name, (_, keys) in cli.EXPERIMENTS.items()}
         assert {name: keys for name, keys in unset.items() if keys} == {}
+
+    def test_library_inputs_are_passed_by_some_call(self):
+        # the library counterpart of the test above: every optional
+        # parameter (a default or a *args) of a public function, class or
+        # method of an infodyn module is passed by some call in src/ or
+        # scripts/, so a run can reach what it changes; calls are matched by
+        # the callee's name alone
+        calls = {}
+        for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    starred = any(isinstance(a, ast.Starred) for a in node.args)
+                    passed = (math.inf if starred else len(node.args),
+                              {k.arg for k in node.keywords})
+                    calls.setdefault(name, []).append(passed)
+
+        def optional(fn, skip):
+            """(name, position) of each optional parameter of fn; the
+            position of a keyword-only one is inf, of the first of *args
+            its own index."""
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            params = [(a.arg, i - skip) for i, a in enumerate(positional)
+                      if i >= len(positional) - len(args.defaults)]
+            params += [(a.arg, math.inf) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            if args.vararg:
+                params.append(("*" + args.vararg.arg, len(positional) - skip))
+            return params
+
+        unpassed = []
+        for path in (ROOT / "src" / "infodyn").glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                public = not getattr(node, "name", "_").startswith("_")
+                if isinstance(node, ast.FunctionDef) and public:
+                    functions = [(node.name, node, 0)]
+                elif isinstance(node, ast.ClassDef) and public:
+                    functions = [(node.name if fn.name == "__init__" else fn.name, fn, 1)
+                                 for fn in node.body if isinstance(fn, ast.FunctionDef)
+                                 and (fn.name == "__init__" or not fn.name.startswith("_"))]
+                else:
+                    continue
+                for name, fn, skip in functions:
+                    for param, position in optional(fn, skip):
+                        if not any(count > position or param in keywords
+                                   for count, keywords in calls.get(name, [])):
+                            unpassed.append(f"{path.stem}.{name}({param})")
+        assert unpassed == []
 
     def test_model_keys_are_set_by_some_run(self):
         # a model key comes with a shipped config, benchmark workload or
@@ -546,6 +596,14 @@ class TestRunner:
          "bad value for 't_end': 5e-324 is less than one sampling step dt = 0.25"),
         ("experiment = fisher-bias-vs-t\nt_end = 2\ndt = 1.7976931348623157e308\n",
          "bad value for 't_end': 2.0 is less than one sampling step dt = 1.7976931348623157e+308"),
+        # model-trajectory also builds a grid of step dt/10, but names the dt it was given
+        ("experiment = model-trajectory\nt_end = 5e-324\n",
+         "bad value for 't_end': 5e-324 is less than one sampling step dt = 0.25"),
+        ("experiment = model-trajectory\nt_end = 2\ndt = 1.7976931348623157e308\n",
+         "bad value for 't_end': 2.0 is less than one sampling step dt = 1.7976931348623157e+308"),
+        ("experiment = model-trajectory\ndt = 1e-17\n",
+         "bad value for 'dt': steps of 1e-18 from 0 to t_end = 10 are 1e+19 times, more than an "
+         "array can hold"),
         ("experiment = model-trajectory\nt_end = 2\nN = 1\nell = 1\n", None),
         ("experiment = model-trajectory\nt_end = 2\ngroups = 1,1\nell = 1\n", None),
         ("experiment = distance-moments\nn = 1,9223372036854775807\nreplications = 2\n"

@@ -89,7 +89,7 @@ def random_rate_features(n_variants, seed):
     at the 41 instants 0, 0.25, ..., 10."""
     gen = np.random.default_rng(seed)
     params = dyn.SirParams(gen.uniform(1.5, 2.5, n_variants), gen.uniform(0.9, 1.1, n_variants),
-                           0.9, np.full(n_variants, 0.1 / n_variants), 0.0)
+                           0.9, np.full(n_variants, 0.1 / n_variants))
     return cl.kmeans_features(dyn.solve_sir(params, grid(10.0, 0.25)), slice(None))
 
 
@@ -512,7 +512,7 @@ class TestSharedScores:
 
 class TestKmeansFeatures:
     def test_constant_model_gives_zero_rows(self):
-        params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.03, 0.07], 0.0)
+        params = dyn.SirParams([2.0, 2.0], [1.0, 1.0], 0.9, [0.03, 0.07])
         traj = dyn.solve_sir(params, [0.5, 1.0, 1.5])
         feats = cl.kmeans_features(traj, slice(None))
         assert feats.shape == (2, 3)
@@ -546,7 +546,8 @@ class TestElbow:
 
     def test_strictly_linear_has_no_elbow(self):
         curve = [(e, 10.0 - e) for e in range(2, 9)]
-        with pytest.raises(cl.NoElbowError):
+        with pytest.raises(ValueError, match="^no elbow: curve has no convex kink above "
+                                             "tolerance$"):
             cl.elbow_select(curve)
 
     def test_tie_breaks_toward_smaller_ell(self):

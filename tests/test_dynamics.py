@@ -29,7 +29,7 @@ def reference_integrate_sir(params, t_end, step):
         dr = np.dot(epsilon, infected)
         return np.concatenate(([ds], di, [dr]))
 
-    state = np.concatenate(([params.s0], params.i0, [params.r0]))
+    state = np.concatenate(([params.s0], params.i0, [0.0]))
     states = np.empty((n_steps + 1, state.size))
     states[0] = state
     for k in range(n_steps):
@@ -67,7 +67,7 @@ def per_variant_integrate_sir(params, t_end, step):
     def rates(x, t):
         return weights.dot(np.exp(exponents.dot([1.0, x, t]))).tolist()
 
-    s, x, r = params.s0, 0.0, params.r0
+    s, x, r = params.s0, 0.0, 0.0
     half, sixth = 0.5 * step, step / 6.0
     states = []
     for k, t in enumerate(times.tolist()):
@@ -101,7 +101,7 @@ def reference_taylor_sir(params, times):
     times = np.asarray(times, dtype=float)
     states = np.full((times.size, 4), np.nan)
     done = np.zeros(times.size, dtype=bool)
-    t0, state, starts = 0.0, (params.s0, 0.0, params.r0), [0.0]
+    t0, state, starts = 0.0, (params.s0, 0.0, 0.0), [0.0]
 
     def failure(t, row):
         """solve_sir's message for the (S, X, R, sum(I)) row at t, or ""."""
@@ -173,26 +173,24 @@ def desk_traj():
 class TestSirParams:
     def test_rejects_bad_normalisation(self):
         with pytest.raises(ValueError, match="sum"):
-            dyn.SirParams([1.0, 1.0], [0.5, 0.5], 0.9, [0.1, 0.1], 0.0)
+            dyn.SirParams([1.0, 1.0], [0.5, 0.5], 0.9, [0.1, 0.1])
 
     def test_rejects_nonpositive_infected(self):
         with pytest.raises(ValueError, match="index 1"):
-            dyn.SirParams([1.0, 1.0], [0.5, 0.5], 0.9, [0.1, 0.0], 0.0)
+            dyn.SirParams([1.0, 1.0], [0.5, 0.5], 0.9, [0.1, 0.0])
 
-    @pytest.mark.parametrize("s0, i0, r0, name", [
-        (1.05, [0.05, 0.05], -0.15, "s0"),
-        (-0.1, [0.5, 0.5], 0.1, "s0"),
-        (0.9, [0.1, 0.1], -0.1, "r0"),
-        (0.0, [0.05, 0.05], 1.0 + 1e-9, "r0"),
-        (float("nan"), [0.5, 0.5], 0.0, "s0"),
+    @pytest.mark.parametrize("s0, i0", [
+        (1.05, [0.05, 0.05]),
+        (-0.1, [0.5, 0.5]),
+        (float("nan"), [0.5, 0.5]),
     ])
-    def test_rejects_initial_fraction_outside_unit_interval(self, s0, i0, r0, name):
-        with pytest.raises(ValueError, match=f"initial fraction {name} = .* outside \\[0, 1\\]"):
-            dyn.SirParams([2.0, 2.0], [1.0, 1.0], s0, i0, r0)
+    def test_rejects_initial_fraction_outside_unit_interval(self, s0, i0):
+        with pytest.raises(ValueError, match="initial fraction s0 = .* outside \\[0, 1\\]"):
+            dyn.SirParams([2.0, 2.0], [1.0, 1.0], s0, i0)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError, match="rates"):
-            dyn.SirParams([1.0, -1.0], [0.5, 0.5], 0.8, [0.1, 0.1], 0.0)
+            dyn.SirParams([1.0, -1.0], [0.5, 0.5], 0.8, [0.1, 0.1])
 
     @pytest.mark.parametrize("name", ["gamma", "epsilon", "i0"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -201,13 +199,13 @@ class TestSirParams:
         arrays = {"gamma": [1.0, 1.0, 1.0], "epsilon": [0.5, 0.5, 0.5], "i0": [0.1, 0.05, 0.05]}
         arrays[name][1] = bad
         with pytest.raises(ValueError, match=rf"^{name}\[1\] = {bad} is not finite$"):
-            dyn.SirParams(arrays["gamma"], arrays["epsilon"], 0.8, arrays["i0"], 0.0)
+            dyn.SirParams(arrays["gamma"], arrays["epsilon"], 0.8, arrays["i0"])
 
     def test_default_generator(self):
         params = dyn.default_sir_params(10)
         assert params.gamma[0] == 1.5 and params.gamma[-1] == 2.5
         assert params.epsilon[0] == 0.9 and params.epsilon[-1] == 1.1
-        assert params.s0 + params.i0.sum() + params.r0 == pytest.approx(1.0, abs=1e-15)
+        assert params.s0 + params.i0.sum() == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("n_variants", [2, 3, 10, 50, 1000])
     def test_default_generator_is_evenly_spaced(self, n_variants):
@@ -227,7 +225,7 @@ class TestIntegration:
     def test_symmetric_variants_are_static(self):
         # equal rates: shares never move whatever the initial split
         params = dyn.SirParams([2.0, 2.0, 2.0], [1.0, 1.0, 1.0], 0.9,
-                               [0.01, 0.04, 0.05], 0.0)
+                               [0.01, 0.04, 0.05])
         traj = dyn.solve_sir(params, grid(5.0, 1e-3))
         assert np.max(np.abs(traj.p() - traj.p(0))) < 1e-12
         _, pdot, g_tt = traj.replicator()
@@ -257,7 +255,7 @@ class TestIntegration:
         params = dyn.default_sir_params(5)
         perm = np.array([3, 0, 4, 1, 2])
         permuted = dyn.SirParams(params.gamma[perm], params.epsilon[perm],
-                                 params.s0, params.i0[perm], params.r0)
+                                 params.s0, params.i0[perm])
         a = dyn.solve_sir(params, grid(3.0, 1e-3))
         b = dyn.solve_sir(permuted, grid(3.0, 1e-3))
         assert np.allclose(a.p()[:, perm], b.p(), atol=1e-14)
@@ -269,7 +267,7 @@ class TestIntegration:
         base = dyn.default_sir_params(10)
         i0 = np.geomspace(4.0, 1.0, 10)
         i0 *= (1.0 - base.s0) / i0.sum()
-        params = dyn.SirParams(base.gamma, base.epsilon, base.s0, i0, base.r0)
+        params = dyn.SirParams(base.gamma, base.epsilon, base.s0, i0)
         traj = dyn.solve_sir(params, grid(10.0, 1e-3))
         p = traj.p()
         gap = p[:, -1] - p[:, 0]  # strongest minus weakest share
@@ -296,7 +294,7 @@ class TestIntegration:
         i0 = gen.uniform(1e-3, 1.0, m)
         s0 = gen.uniform(0.5, 0.99)
         params = dyn.SirParams(gen.uniform(0.0, 3.0, m), gen.uniform(0.0, 2.0, m), s0,
-                               i0 * (1.0 - s0) / i0.sum(), 0.0)
+                               i0 * (1.0 - s0) / i0.sum())
         traj = dyn.solve_sir(params, grid(2.0, 0.01))
         p = traj.p()
         assert np.all(p > 0)
@@ -325,7 +323,7 @@ class TestIntegration:
         # the full-system loop rejects these models (at steps 1, 11, 1 and 1);
         # their first series step is shorter than MIN_STEP, the same step in
         # the Taylor reference loop
-        params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
+        params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0)
         with pytest.raises(dyn.IntegrationError):
             reference_integrate_sir(params, t_end, step)
         with pytest.raises(dyn.IntegrationError) as ref:
@@ -358,7 +356,7 @@ class TestIntegration:
         # names, with the message pinned from it
         monkeypatch.setattr(dyn, "STEP_TOL", tol)
         monkeypatch.setattr(dyn, "MIN_STEP", 0.0)
-        params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0, 0.0)
+        params = dyn.SirParams(gamma, epsilon, 1.0 - sum(i0), i0)
         times = grid(5.0, step)
         with pytest.raises(dyn.IntegrationError, match=f"^{message}$") as ref:
             reference_taylor_sir(params, times)
@@ -410,8 +408,7 @@ class TestIntegration:
 def fast_params(gamma_lo, gamma_hi):
     """default_sir_params(10) with gamma spread evenly over [gamma_lo, gamma_hi]."""
     base = dyn.default_sir_params(10)
-    return dyn.SirParams(np.linspace(gamma_lo, gamma_hi, 10), base.epsilon, base.s0, base.i0,
-                         base.r0)
+    return dyn.SirParams(np.linspace(gamma_lo, gamma_hi, 10), base.epsilon, base.s0, base.i0)
 
 
 def series_steps(params, t_end):
@@ -479,16 +476,17 @@ class TestSolveSir:
         S, X, I, sum(I) and R: S stays s0, X = s0 t, I = i0 exp(-epsilon t),
         and R gains what I loses."""
         i0 = np.linspace(0.01, 0.05, len(epsilon))
-        traj = dyn.solve_sir(dyn.SirParams(np.zeros(len(epsilon)), epsilon, 0.8, i0,
-                                           0.2 - i0.sum()), grid(10.0, step))
+        s0 = 1.0 - i0.sum()
+        traj = dyn.solve_sir(dyn.SirParams(np.zeros(len(epsilon)), epsilon, s0, i0),
+                             grid(10.0, step))
         t = traj.times
         decay = np.exp(-np.outer(t, epsilon))
         return [np.max(np.abs(got - want)) for got, want in (
-            (traj.susceptible, np.full(t.size, 0.8)),
-            (traj.cumulative_susceptible, 0.8 * t),
+            (traj.susceptible, np.full(t.size, s0)),
+            (traj.cumulative_susceptible, s0 * t),
             (infected(traj), i0 * decay),
             (traj.total_infected, (i0 * decay).sum(axis=1)),
-            (traj.recovered, 0.2 - (i0 * decay).sum(axis=1)))]
+            (traj.recovered, i0.sum() - (i0 * decay).sum(axis=1)))]
 
     @pytest.mark.parametrize("step", [0.0125, 1e-3, 0.3, 1.0])
     def test_no_infection_matches_closed_form(self, step):
@@ -501,11 +499,11 @@ class TestSolveSir:
         # for k = 28, 29
         errors = self.no_infection([0.5, 40.0], 0.0125)
         assert max(errors[:1] + errors[2:]) <= 1e-14
-        assert errors[1] <= 1e-14 * 8.0  # X = 8 at t = 10, summed over 11 steps
+        assert errors[1] <= 1e-14 * 8.0  # X = 9.4 at t = 10, summed over 11 steps
         i0, epsilon = np.linspace(0.01, 0.05, 2), np.array([0.5, 40.0])
         first = min((dyn.STEP_TOL * math.factorial(k) / abs(np.dot(i0, (-epsilon) ** k)))
                     ** (1.0 / k) for k in (28, 29))
-        params = dyn.SirParams(np.zeros(2), epsilon, 0.8, i0, 0.2 - i0.sum())
+        params = dyn.SirParams(np.zeros(2), epsilon, 1.0 - i0.sum(), i0)
         starts = series_steps(params, 10.0)
         assert starts.size == 12 and starts[1] == pytest.approx(first, rel=1e-13)
 
@@ -528,7 +526,7 @@ class TestSolveSir:
         # and the first integral S + sum(I) - (epsilon / gamma) log S checks
         # log S to within 4e-15 times gamma / epsilon (with the absolute
         # error terms alone, S went negative by about 1e-19)
-        params = dyn.SirParams([gamma] * 3, [epsilon] * 3, s0, [(1.0 - s0) / 3] * 3, 0.0)
+        params = dyn.SirParams([gamma] * 3, [epsilon] * 3, s0, [(1.0 - s0) / 3] * 3)
         traj = dyn.solve_sir(params, grid(10.0, 0.0125))
         assert traj.susceptible[-1] < 1e-27
         invariant = (traj.susceptible + traj.total_infected
@@ -541,7 +539,7 @@ class TestSolveSir:
         # on to 0, its coefficients carried times LIFT from 1 / LIFT down
         # (unlifted, the last of them underflow, the S term of the estimate
         # reads 0 and a step too long turns S negative)
-        params = dyn.SirParams([gamma] * 3, [epsilon] * 3, 0.9, [0.1 / 3] * 3, 0.0)
+        params = dyn.SirParams([gamma] * 3, [epsilon] * 3, 0.9, [0.1 / 3] * 3)
         times = np.linspace(0.0, t_end, 2001)
         traj = dyn.solve_sir(params, times)
         s = traj.susceptible
@@ -616,7 +614,7 @@ class TestSolveSir:
         (dyn.grouped_sir_params([3, 4, 3]), 20.0, 12),
         (fast_params(6.0, 8.0), 10.0, 18),
         (fast_params(20.0, 22.0), 2.0, 18),
-        (dyn.SirParams(np.zeros(2), [0.5, 40.0], 0.8, [0.01, 0.05], 0.14), 10.0, 11),
+        (dyn.SirParams(np.zeros(2), [0.5, 40.0], 0.94, [0.01, 0.05]), 10.0, 11),
     ], ids=["N9", "N999", "N9-t100", "grouped", "fast", "fastest", "no-infection"])
     def test_steps_follow_the_reference_loop(self, params, t_end, steps):
         # the step rule written out on its own over the variants: the same
@@ -663,7 +661,7 @@ class TestSolveSir:
                             for a, g, e in zip(log_i0, gamma, epsilon)]
                 return [-s * mpmath.fdot(gamma, infected), s, mpmath.fdot(epsilon, infected)]
 
-            reference = mpmath.odefun(rates, 0, [mpmath.mpf(params.s0), 0, mpmath.mpf(params.r0)],
+            reference = mpmath.odefun(rates, 0, [mpmath.mpf(params.s0), 0, 0],
                                       degree=20)
             for k, t in enumerate(traj.times.tolist()):
                 got = (traj.susceptible[k], traj.cumulative_susceptible[k], traj.recovered[k])
@@ -675,7 +673,7 @@ def interleaved_params():
     """Rate pairs A, B, A, C, B with unequal i0: the distinct pairs in order of
     first occurrence are not the sorted ones."""
     return dyn.SirParams([2.5, 1.5, 2.5, 2.0, 1.5], [1.1, 0.9, 1.1, 1.0, 0.9], 0.9,
-                         [0.01, 0.02, 0.03, 0.015, 0.025], 0.0)
+                         [0.01, 0.02, 0.03, 0.015, 0.025])
 
 
 def per_variant_rows(params):
@@ -715,7 +713,7 @@ class TestRatePairRows:
         # A, B, A, C, B integrates bit for bit as the three variants A, B, C
         # with the summed i0, not as the sorted pairs B, C, A
         merged = dyn.SirParams([2.5, 1.5, 2.0], [1.1, 0.9, 1.0], 0.9,
-                               [0.01 + 0.03, 0.02 + 0.025, 0.015], 0.0)
+                               [0.01 + 0.03, 0.02 + 0.025, 0.015])
         traj = dyn.solve_sir(interleaved_params(), grid(5.0, 0.0125))
         ref = dyn.solve_sir(merged, grid(5.0, 0.0125))
         for name in ("susceptible", "cumulative_susceptible", "recovered", "total_infected"):
@@ -739,17 +737,17 @@ def first_row(params):
 
 class TestCouplings:
     def test_no_susceptible_means_pure_decay(self):
-        params = dyn.SirParams([1.5, 2.5], [0.9, 1.1], 0.0, [0.5, 0.5], 0.0)
+        params = dyn.SirParams([1.5, 2.5], [0.9, 1.1], 0.0, [0.5, 0.5])
         assert np.array_equal(couplings(first_row(params)), [[-0.9, -1.1], [-0.9, -1.1]])
 
     def test_hand_value(self):
-        params = dyn.SirParams([2.0, 3.0], [1.0, 1.0], 0.5, [0.25, 0.25], 0.0)
+        params = dyn.SirParams([2.0, 3.0], [1.0, 1.0], 0.5, [0.25, 0.25])
         assert np.allclose(couplings(first_row(params), 0), [0.0, 0.5])
 
     def test_out_of_range_susceptible(self):
         # the susceptible level enters from outside only as s0
         with pytest.raises(ValueError, match="s0 = 1.5 outside"):
-            dyn.SirParams([2.0, 2.0], [1.0, 1.0], 1.5, [0.1, 0.1], -0.7)
+            dyn.SirParams([2.0, 2.0], [1.0, 1.0], 1.5, [0.1, 0.1])
 
     def test_mean_coupling_examples(self):
         # p = (0.25, 0.75) with couplings (4, 0), then equal couplings (2, 2)
@@ -841,7 +839,7 @@ class TestCsvExport:
         # form (the share of a variant that starts at 1e-7), next to a string
         # column and an integer column
         params = dyn.SirParams([2.0, 2.0, 0.5], [1.0, 1.0, 1.5], 0.9,
-                               [1e-7, 0.04, 0.06 - 1e-7], 0.0)
+                               [1e-7, 0.04, 0.06 - 1e-7])
         traj = dyn.solve_sir(params, grid(1.0, 0.01))
         header = (["quantity", "k", "t", "S"]
                   + [f"{name}_{i}" for name in ("p", "pdot", "d") for i in (1, 2, 3)]

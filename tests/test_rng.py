@@ -10,18 +10,18 @@ from infodyn import rng
 
 class TestStreams:
     def test_same_key_same_sequence(self):
-        a = rng.stream(42, 3).integers(0, 2**63, size=16)
-        b = rng.stream(42, 3).integers(0, 2**63, size=16)
+        a = rng.stream(rng.derive_key(42, 3)).integers(0, 2**63, size=16)
+        b = rng.stream(rng.derive_key(42, 3)).integers(0, 2**63, size=16)
         assert np.array_equal(a, b)
 
     def test_distinct_indices_decorrelated(self):
-        a = rng.stream(42, 0).integers(0, 2**63, size=64)
-        b = rng.stream(42, 1).integers(0, 2**63, size=64)
+        a = rng.stream(rng.derive_key(42, 0)).integers(0, 2**63, size=64)
+        b = rng.stream(rng.derive_key(42, 1)).integers(0, 2**63, size=64)
         assert not np.array_equal(a, b)
 
     def test_multi_index_paths_distinct(self):
-        assert rng.derive_key(7, 1, 2) != rng.derive_key(7, 2, 1)
-        assert rng.derive_key(7, 1) != rng.derive_key(7, 1, 0)
+        assert rng.derive_key(rng.derive_key(7, 1), 2) != rng.derive_key(rng.derive_key(7, 2), 1)
+        assert rng.derive_key(7, 1) != rng.derive_key(rng.derive_key(7, 1), 0)
 
     def test_key_is_64_bit(self):
         for seed in (0, 1, 2**64 - 1):
@@ -91,22 +91,23 @@ class TestSampleCounts:
         # numpy's multinomial: same counts and the same stream state after
         # every draw; a row of sample_block is the first draw of its stream
         for r, (m, kind, p) in enumerate(reference_cases()):
-            ours, ref = rng.stream(31, n, r), rng.stream(31, n, r)
+            key = rng.derive_key(rng.derive_key(31, n), r)
+            ours, ref = rng.stream(key), rng.stream(key)
             for draw in range(3):
                 got = ours.multinomial(n, p)
                 want = reference_sample_counts(p, n, ref)
                 assert np.array_equal(got, want), (m, kind, n, draw)
                 assert ours.integers(0, 2**63) == ref.integers(0, 2**63), (m, kind, n, draw)
-            row = rng.sample_block(p, n, np.array([rng.derive_key(31, n, r)], dtype=np.uint64))
+            row = rng.sample_block(p, n, np.array([key], dtype=np.uint64))
             assert row.dtype == np.int64
-            assert np.array_equal(row[0], reference_sample_counts(p, n, rng.stream(31, n, r)))
+            assert np.array_equal(row[0], reference_sample_counts(p, n, rng.stream(key)))
 
     def test_bit_identical_on_trajectory_rows(self):
         traj = dyn.solve_sir(dyn.default_sir_params(10), np.arange(1001) * 0.01)
         rows = np.arange(0, traj.times.size, 50)
         block = rng.sample_block(traj.p(rows), 100000, rng.derive_key(5, rows.astype(np.uint64)))
         for k, row in zip(rows.tolist(), block):
-            ours, ref = rng.stream(5, k), rng.stream(5, k)
+            ours, ref = rng.stream(rng.derive_key(5, k)), rng.stream(rng.derive_key(5, k))
             want = reference_sample_counts(traj.p(k), 100000, ref)
             assert np.array_equal(ours.multinomial(100000, traj.p(k)), want)
             assert ours.integers(0, 2**63) == ref.integers(0, 2**63)
@@ -120,7 +121,8 @@ class TestSampleCounts:
         cases = [(m, kind, p) for m, kind, p in reference_cases() if m in (2, 10, 100, 1000)]
         seed = 2**63 + count
         reps = np.arange(3, dtype=np.uint64)
-        keys = rng.derive_key(seed, reps[:, None], np.arange(count, dtype=np.uint64))
+        keys = rng.derive_key(rng.derive_key(seed, reps[:, None]),
+                              np.arange(count, dtype=np.uint64))
         keys[0, 0], keys[2, 1] = 0, 2**64 - 1
         for m, kind, p in cases:
             rows = np.stack([np.roll(p, k) for k in range(count)])
@@ -141,7 +143,7 @@ class TestSampleCounts:
         # the determinism contract: drawing keys[a:b] alone gives rows a..b
         gen = np.random.default_rng(shape[0] * shape[1])
         p = gen.dirichlet(np.ones(shape[1]), size=shape[0])
-        keys = rng.derive_key(5, np.arange(9, dtype=np.uint64)[:, None],
+        keys = rng.derive_key(rng.derive_key(5, np.arange(9, dtype=np.uint64)[:, None]),
                               np.arange(shape[0], dtype=np.uint64))
         whole = rng.sample_block(p, 1000, keys)
         for a, b in ((0, 1), (0, 9), (3, 7), (8, 9)):

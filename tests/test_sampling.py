@@ -71,7 +71,7 @@ def reference_monte_carlo(estimator, replications, seed, p, n):
         if p.ndim == 1:
             counts = rng.stream(seed_r).multinomial(n, p)
         else:
-            counts = np.stack([rng.stream(seed_r, k).multinomial(n, row)
+            counts = np.stack([rng.stream(rng.derive_key(seed_r, k)).multinomial(n, row)
                                for k, row in enumerate(p)])
         values.append(estimator(counts[None])[0])
     values = np.asarray(values, dtype=float)
@@ -148,7 +148,7 @@ class TestSampleTrajectory:
                 for n in (1, 100000):
                     counts = smp.sample_trajectory(traj.p(rows), n, 91)
                     for k, row in enumerate(rows.tolist()):
-                        direct = rng.stream(91, k).multinomial(n, traj.p(row))
+                        direct = rng.stream(rng.derive_key(91, k)).multinomial(n, traj.p(row))
                         assert np.array_equal(counts[k], direct), (n_variants, count, n, k)
 
     def test_large_n_consistency(self, desk_traj):
@@ -204,7 +204,7 @@ class TestFisherHat:
             exact += pmf(i, p_lo[0]) * pmf(j, p_hi[0]) * value
 
         reps = 40000
-        keys = rng.derive_key(2024, np.arange(reps, dtype=np.uint64)[:, None],
+        keys = rng.derive_key(rng.derive_key(2024, np.arange(reps, dtype=np.uint64)[:, None]),
                               np.arange(2, dtype=np.uint64))
         vals = smp.fisher_hat(rng.sample_block(np.stack([p_lo, p_hi]), n, keys) / n, dt)[:, 0]
         se = vals.std(ddof=1) / np.sqrt(reps)

@@ -14,9 +14,10 @@ BLAS thread variables it set, then the medians (and the raw samples) of:
 - `kmeans_features` at M = 10**5 on those 41 instants: traced
   (tracemalloc) peak;
 - the runs of RUNS at M = 10**5 (six groups): an elbow-scan at ell =
-  4..7 and a model-trajectory at the default dt, t_end and ell, each
-  through `cli.run`: wall time, tracemalloc peak, and the ru_maxrss of a
-  fresh process that runs only it.
+  4..7, a model-trajectory at the default dt, t_end and ell, and a
+  fisher-bias-vs-t Monte Carlo run over the 41 instants at n = 10**5 with
+  4 replications, each through `cli.run`: wall time, tracemalloc peak, and
+  the ru_maxrss of a fresh process that runs only it.
 
 Each sample runs in its own process: a run's sample, so that ru_maxrss is
 that run's, and a `solve_sir` sample, the median of SOLVE_CALLS calls
@@ -52,7 +53,9 @@ def groups(m: int) -> list[int]:
 # the config text of each run at M = 10**5
 LARGE = "groups = " + ",".join(map(str, groups(10 ** 5))) + "\nseed = 1\n"
 RUNS = {"elbow_scan": "experiment = elbow-scan\nell = 4,5,6,7\n" + LARGE,
-        "model_trajectory": "experiment = model-trajectory\n" + LARGE}
+        "model_trajectory": "experiment = model-trajectory\n" + LARGE,
+        "fisher_bias_vs_t": "experiment = fisher-bias-vs-t\ncount = 41\nn = 100000\n"
+                            "replications = 4\n" + LARGE}
 
 
 def run_once(text: str, trace: bool) -> dict:

@@ -31,7 +31,7 @@ from .simplex import self_information_rate, shahshahani_distance_sq
 # experiment name -> (fn(cfg, seed) -> {artifact: (header, columns)}, the keys it reads)
 EXPERIMENTS = {}
 
-# the keys of the model, which every experiment but distance-moments reads
+# the keys of the model, which every experiment reads
 _MODEL_KEYS = ("N", "dt", "t_end", "groups")
 
 
@@ -111,11 +111,6 @@ def _int_list(text: str) -> list[int]:
     return [_positive_int(x) for x in entries]
 
 
-# the distribution distance-moments draws from
-DEFAULT_P = np.array([0.1, 0.2, 0.3, 0.4])
-DEFAULT_P.flags.writeable = False
-
-
 def write_csv(path, header, columns) -> None:
     """Write a header line and one line per row of `columns`, with LF line
     ends, as UTF-8; every CSV artifact is written here.  A column is a
@@ -166,16 +161,18 @@ def _model(cfg, ells=()) -> tuple:
     return params, dt, t_end
 
 
-def _instants(dt: float, t_end: float, t0: float = 0.0, count: int | None = None):
+def _instants(dt: float, t_end: float, t0: float = 0.0, count: int | None = None,
+              of: str = ""):
     """The sampling instants t0 + j dt: `count` of them or, by default, every
     one up to t_end (within a relative 1e-9 of the span).  Fewer than two, a
     larger `count`, more by default than an array of float64 can hold (dt
     may be as small as the smallest double, or 0), or instants that round
-    to equal times is an error."""
+    to equal times is an error.  `of` ends the refusal of too many times,
+    naming the step where it is not the config's dt."""
     steps = (t_end - t0) / dt * (1.0 + 1e-9) if dt else math.inf
     if count is None and not steps < np.iinfo(np.intp).max / 8:
         raise ConfigError(f"bad value for 'dt': steps of {dt:g} from {t0:g} to t_end = "
-                          f"{t_end:g} are {steps:.3g} times, more than an array can hold")
+                          f"{t_end:g} are {steps:.3g} times, more than an array can hold{of}")
     fits = math.floor(steps) + 1 if steps < math.inf else math.inf
     if fits < 2 and t0 == 0.0:
         raise ConfigError(f"bad value for 't_end': {t_end} is less than one sampling "
@@ -262,23 +259,13 @@ def _mc_table(lead: list, blocks: list) -> tuple:
     return [*lead, *MC_COLUMNS], [np.concatenate(col) for col in zip(*blocks)]
 
 
-@experiment("distance-moments", "n", "replications")
-def run_distance_moments(cfg, seed):
-    p = DEFAULT_P
-    ns = _get(cfg, "n", [100, 1000, 10000], _int_list)
-    reps = _get(cfg, "replications", 2000, _replications)
-    ests = smp.monte_carlo_per_n(lambda c, n: shahshahani_distance_sq(p, c / n), reps, seed,
-                                 p, ns)
-    blocks = [[[n], *_mc_columns(est, *th.distance_moments(p, n))] for n, est in zip(ns, ests)]
-    return {"distance_moments.csv": _mc_table(["n"], blocks)}
-
-
 @experiment("model-trajectory", "ell", *_MODEL_KEYS)
 def run_model_trajectory(cfg, seed):
     ell = _get(cfg, "ell", 3, _cluster_count)
     params, dt, t_end = _model(cfg, [ell])
     _instants(dt, t_end, count=2)  # a t_end under one step is refused naming dt itself
-    every = _instants(dt / 10.0, t_end)  # its size is checked before any grid is built
+    # its size is checked before any grid is built
+    every = _instants(dt / 10.0, t_end, of=f"; the step is dt/10 for dt = {dt}")
     traj, (grid, rows) = _solve(cfg, params, _instants(dt, t_end), every)
     f = cl.kmeans(cl.kmeans_features(traj, grid), ell)
     m = params.n_variants
@@ -310,13 +297,19 @@ def run_fisher_bias_vs_t(cfg, seed):
     g_tt, g_f = _fisher(traj, mid, f)
     times, size = traj.times[mid], instants.size - 1
     # the variant rows (ell = M) over g_tt, then the cluster rows over g_f
-    parts = ((slice(size), m, g_tt), (slice(size, None), ell, g_f))
-    ests = smp.monte_carlo_per_n(smp.with_clusters(lambda ph: smp.fisher_hat(ph, dt), f),
-                                 reps, seed, p, ns)
+    parts = ((slice(size), m, g_tt), (slice(size, 2 * size), ell, g_f))
+    fisher = smp.with_clusters(lambda ph: smp.fisher_hat(ph, dt), f)
+    # each replication's Fisher values, then, on the same counts, the squared
+    # distance D_k of its variant frequencies from p_k at every instant
+    ests = smp.monte_carlo_per_n(lambda c, n: np.concatenate(
+        (fisher(c, n), shahshahani_distance_sq(p, c / n)), axis=-1), reps, seed, p, ns)
     blocks = [[times, np.full(size, n), np.full(size, n_cats),
                *_mc_columns(est, *th.fisher_prediction(g, n_cats - 1, n, dt), part)]
               for n, est in zip(ns, ests) for part, n_cats, g in parts]
-    return {"fisher_bias_vs_t.csv": _mc_table(["t", "n", "ell"], blocks)}
+    distances = [[instants, np.full(size + 1, n), *_mc_columns(
+        est, *th.distance_moments(p, n), slice(2 * size, None))] for n, est in zip(ns, ests)]
+    return {"fisher_bias_vs_t.csv": _mc_table(["t", "n", "ell"], blocks),
+            "distance_moments.csv": _mc_table(["t", "n"], distances)}
 
 
 @experiment("info-rate-moments", "n", "replications", "ell", "t", *_MODEL_KEYS)

@@ -55,7 +55,9 @@ def shahshahani_distance_sq(reference, point) -> np.ndarray:
     """
     reference, point = _at(reference, point)
     diff = point - reference
-    return np.sum(diff * diff / reference, axis=-1)
+    diff *= diff  # in place: a (C, M) block of points adds one temporary, not three
+    diff /= reference
+    return np.sum(diff, axis=-1)
 
 
 def fisher_information(p, pdot) -> np.ndarray:

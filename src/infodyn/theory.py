@@ -19,7 +19,8 @@ from .simplex import require_interior, require_probabilities
 def distance_moments(p, n: int):
     """Exact mean and variance of the squared sampling distance
     D = sum((x/n - p)^2 / p) of n multinomial draws x from an interior p of
-    shape (..., N+1), one variance per row.
+    shape (..., N+1): one mean and one variance per row, two arrays of shape
+    p.shape[:-1], elementwise like fisher_prediction and info_rate_moments.
 
     D is Pearson's statistic X^2 divided by n, whose first two moments are
     known for every n >= 1, so
@@ -34,7 +35,8 @@ def distance_moments(p, n: int):
         raise ValueError(f"need at least 2 categories and n >= 1, got {p.shape[-1]} and {n}")
     N = p.shape[-1] - 1
     correction = np.sum(1.0 / p, axis=-1) - (N + 1) ** 2 - 2 * (N + 1) + 2
-    return N / n, 2.0 * N / n**2 + correction / n**3
+    var = 2.0 * N / n**2 + correction / n**3
+    return np.full_like(var, N / n), var
 
 
 def fisher_bias(N: int, n: int, dt: float) -> float:

@@ -24,6 +24,7 @@ from infodyn import filtering as flt
 from infodyn import rng
 from infodyn import sampling as smp
 from infodyn import theory as th
+from infodyn.simplex import self_information_rate, shahshahani_distance_sq
 from conftest import infected
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -34,12 +35,6 @@ WORKLOADS = ROOT / "perfbench" / "workloads.py"
 # manifest.json included, computed with numpy 2.4.6.  Any change to these
 # bytes is an output change, to be declared in CHANGES.md with the new digests.
 SHIPPED_DIGESTS = {
-    "distance_moments": {
-        "distance_moments.csv":
-            "229a2f88e265c72e85ed47f7835438eef6d9a12260ac4aeae0554802ece28944",
-        "manifest.json":
-            "6e0ffb901943abd68280a82008b5f5a50a995c41a300bd4b1363f8712e46237f",
-    },
     "elbow_scan": {
         "elbow_curve.csv":
             "cf19d23ebc82aa9ba0767bd9a992b23462b66f769eef03d65a92636068a848e6",
@@ -55,16 +50,20 @@ SHIPPED_DIGESTS = {
             "79dfcf655bb27738a1b95cb75d30b86b8c0ce8210737b86f0271d0bbcb01290e",
     },
     "fisher_bias_vs_n": {
+        "distance_moments.csv":
+            "ee7d68fd0599a8c0c79b1822c9b5a432ec3a63f099e0b06de94a53665e65ecd9",
         "fisher_bias_vs_t.csv":
             "4f24bd9fdbf034c17791687c06f7ff532988fc84a6d3a239973d662e8ceaf764",
         "manifest.json":
-            "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
+            "0f44fea2837e9e4cc637a45541664242f016c1bb3a127659a423f690d235dbcc",
     },
     "fisher_bias_vs_t": {
+        "distance_moments.csv":
+            "f9ddab0248b79d647ff3485550af49180954714ed5c33d2c4e4e5b7b1637623b",
         "fisher_bias_vs_t.csv":
             "25e01007dd936c4dcab7465042b42ae84fc95436597b585cb34e3e755e06af70",
         "manifest.json":
-            "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
+            "699d5b723344d520cb22d7bd3f8b9d3926924f993d8ba6568cb81a9bff339ed7",
     },
     "info_rate_moments": {
         "clustering.csv":
@@ -97,12 +96,6 @@ MODEL_FREE = {"clustering.csv", "variants.csv", "elbow_summary.csv", "manifest.j
 # mc_* columns of each CSV, and the model-free files whole.  A declared
 # change of the model numbers leaves these; a moved multinomial count does not.
 SAMPLED_DIGESTS = {
-    "distance_moments": {
-        "distance_moments.csv":
-            "46c540c1ccb9d79d7a370a9d5ed984084dfd3e66f8376de66995d84333c25a29",
-        "manifest.json":
-            "6e0ffb901943abd68280a82008b5f5a50a995c41a300bd4b1363f8712e46237f",
-    },
     "elbow_scan": {
         "elbow_summary.csv":
             "54b9750212b1b94adb6be5152e187bc0baffbd75489e1b7cbcf792bfd6bf3f83",
@@ -114,16 +107,20 @@ SAMPLED_DIGESTS = {
             "79dfcf655bb27738a1b95cb75d30b86b8c0ce8210737b86f0271d0bbcb01290e",
     },
     "fisher_bias_vs_n": {
+        "distance_moments.csv":
+            "82b48bf824c87f8d14e8c2654f5af2153a9277ed74acb5eccf7fb283c0f9535a",
         "fisher_bias_vs_t.csv":
             "3a7735e22ff8d4259785b7c9827944178ef87efe84fe09c70e40d51353fee072",
         "manifest.json":
-            "a865765e4741994e70a6be9d5a27e5363504b37495f91a3ce96e6158470de525",
+            "0f44fea2837e9e4cc637a45541664242f016c1bb3a127659a423f690d235dbcc",
     },
     "fisher_bias_vs_t": {
+        "distance_moments.csv":
+            "a38c928aaf10146ec69b5f674d0413538f083118934762460eda1761c93503c7",
         "fisher_bias_vs_t.csv":
             "003d3ac93120c79ee55828f6070283268a8744ba23ae2d1bbe0bbff44c6a52c3",
         "manifest.json":
-            "8b9482fcfddf325f3ff7510b10b23d05641bb6c931bbb2b944217908643a8a12",
+            "699d5b723344d520cb22d7bd3f8b9d3926924f993d8ba6568cb81a9bff339ed7",
     },
     "info_rate_moments": {
         "clustering.csv":
@@ -163,6 +160,10 @@ def load_perfbench(name):
     return module
 
 
+# the model of a quick fisher-bias-vs-t run: 4 variants, 5 instants, 2 clusters
+SMALL_MODEL = "N = 3\nt_end = 1\nell = 2\n"
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -179,8 +180,8 @@ def read_all(outdir):
 
 class TestConfigParsing:
     def test_basic(self):
-        cfg = cli.parse_config("experiment = distance-moments\nn = 10,20 # desk\n")
-        assert cfg == {"experiment": "distance-moments", "n": "10,20"}
+        cfg = cli.parse_config("experiment = fisher-bias-vs-t\nn = 10,20 # desk\n")
+        assert cfg == {"experiment": "fisher-bias-vs-t", "n": "10,20"}
 
     def test_rejects_unknown_key(self):
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -341,20 +342,23 @@ class TestRunner:
     def test_manifest_contents(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
-            "experiment = distance-moments\nn = 100\nreplications = 50\nseed = 9\n",
+            "experiment = fisher-bias-vs-t\n" + SMALL_MODEL + "n = 100\nreplications = 50\n"
+            "seed = 9\n",
         )
         out = tmp_path / "out"
         artifacts = cli.run(cfg, str(out))
         assert "manifest.json" in artifacts
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["experiment"] == "distance-moments"
+        assert manifest["experiment"] == "fisher-bias-vs-t"
         assert manifest["seed"] == 9
-        assert manifest["artifacts"] == ["distance_moments.csv"]
+        assert manifest["artifacts"] == ["distance_moments.csv", "fisher_bias_vs_t.csv"]
         assert len(manifest["config_sha256"]) == 64
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(
-            tmp_path, "experiment = distance-moments\nn = 200\nreplications = 50\nseed = 1\n"
+            tmp_path,
+            "experiment = fisher-bias-vs-t\n" + SMALL_MODEL + "n = 200\nreplications = 50\n"
+            "seed = 1\n",
         )
         cli.run(cfg, str(tmp_path / "a"))
         cli.run(cfg, str(tmp_path / "b"), seed_override=2)
@@ -445,7 +449,7 @@ class TestRunner:
          "bad value for 'ell': 7 clusters for 6 variants"),
         ("experiment = info-rate-moments\nN = 3\nell = 5\n",
          "bad value for 'ell': 5 clusters for 4 variants"),
-        ("experiment = distance-moments\np = 0.1,0.2,0.3,0.4\n", "unknown key 'p'"),
+        ("experiment = fisher-bias-vs-t\np = 0.1,0.2,0.3,0.4\n", "unknown key 'p'"),
         ("experiment = info-rate-moments\nt = 0\n", "bad value for 't'"),
         ("experiment = info-rate-moments\nt = 2\n", "bad value for 't'"),
         ("experiment = fisher-bias-vs-t\ncount = 100\n",
@@ -457,8 +461,8 @@ class TestRunner:
          "after t_end = 2.0 (at most 8 fit)"),
         ("experiment = filtering-comparison\nt0 = 1.76\ncount = 5\n",
          "bad value for 't0': 1.76 is less than one step dt = 0.25 before t_end = 2.0"),
-        ("experiment = distance-moments\nt = 3\n",
-         "key 't' is not read by experiment 'distance-moments'"),
+        ("experiment = filtering-comparison\nt = 3\n",
+         "key 't' is not read by experiment 'filtering-comparison'"),
         ("experiment = model-trajectory\nn = 100\n",
          "key 'n' is not read by experiment 'model-trajectory'"),
         # fisher-bias-vs-n is now a config of fisher-bias-vs-t: a config that
@@ -488,9 +492,10 @@ class TestRunner:
         # an unread key is rejected before its value is read
         ("experiment = model-trajectory\nt0 = -1\n",
          "key 't0' is not read by experiment 'model-trajectory'"),
-        ("experiment = distance-moments\nn = 100,,1000\n",
+        ("experiment = fisher-bias-vs-t\nn = 100,,1000\n",
          "bad value for 'n': '100,,1000' (empty entry"),
-        ("experiment = distance-moments\nn = 100\nn = 200\n",
+        # t_end set after the key, so that no line is added before it
+        ("experiment = fisher-bias-vs-t\nn = 100\nn = 200\nt_end = 2\n",
          "line 3: key 'n' is already set on line 2"),
         ("experiment = elbow-scan\nt_end = 0.2\nt = 0.1\n",
          "bad value for 't_end': 0.2 is less than one sampling step dt = 0.25"),
@@ -503,7 +508,7 @@ class TestRunner:
          "bad value for 't_end': 10.0 is less than one sampling step dt = 1e+300"),
         ("experiment = filtering-comparison\nn = 9223372036854775808\n",
          "bad value for 'n': '9223372036854775808' (must be an integer in [1, 2**63))"),
-        ("experiment = distance-moments\nn = 100,9223372036854775808\n",
+        ("experiment = fisher-bias-vs-t\nn = 100,9223372036854775808\n",
          "bad value for 'n'"),
         # a t_end past dynamics.MAX_TIME, refused as it is read
         ("experiment = elbow-scan\nt_end = 1e300\n",
@@ -541,8 +546,8 @@ class TestRunner:
          "bad value for 'dt': instants 1e-300 apart from t0 = 2.5 round to equal times"),
     ])
     def test_bad_input_writes_no_artifact(self, tmp_path, capsys, text, error):
-        if not text.startswith("experiment = distance-moments") and "t_end" not in text:
-            text = "t_end = 2\n" + text  # a short model; distance-moments reads no t_end
+        if "t_end" not in text:
+            text = "t_end = 2\n" + text  # a short model
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert cli.main(["--config", cfg, "--out", str(out)]) == 2
@@ -558,18 +563,17 @@ class TestRunner:
           for experiment, key in (("fisher-bias-vs-t", "t0"), ("filtering-comparison", "t0"),
                                   ("info-rate-moments", "t"), ("elbow-scan", "t"))
           for value in ("-5e-324", "nan", "inf")),
-        ("distance-moments", "seed", "-1", "must lie in [0, 2**64)"),
-        ("distance-moments", "seed", "18446744073709551616", "must lie in [0, 2**64)"),
+        ("fisher-bias-vs-t", "seed", "-1", "must lie in [0, 2**64)"),
+        ("fisher-bias-vs-t", "seed", "18446744073709551616", "must lie in [0, 2**64)"),
         *((experiment, key, value, "must be an integer in [1, 2**63)")
           for experiment, key, values in (
-              ("distance-moments", "n", ("0", "100,0", "9223372036854775808")),
-              ("fisher-bias-vs-t", "n", ("1,0",)),
+              ("fisher-bias-vs-t", "n", ("0", "100,0", "9223372036854775808", "1,0")),
               ("info-rate-moments", "n", ("0,1",)),
               ("filtering-comparison", "n", ("0", "9223372036854775808")),
               ("model-trajectory", "groups", ("9,0", "9223372036854775808,1")))
           for value in values),
         ("model-trajectory", "N", "0", "N must be at least 1"),
-        ("distance-moments", "replications", "1", "replications must be at least 2"),
+        ("info-rate-moments", "replications", "1", "replications must be at least 2"),
         ("fisher-bias-vs-t", "replications", "1", "replications must be at least 2"),
         ("model-trajectory", "ell", "0", "cluster count must be at least 1"),
         ("info-rate-moments", "ell", "0", "cluster count must be at least 1"),
@@ -591,7 +595,7 @@ class TestRunner:
         # completes or is refused by a later check, which names its own reason
         ("experiment = model-trajectory\nt_end = 2\ndt = 5e-324\n",
          "bad value for 'dt': steps of 0 from 0 to t_end = 2 are inf times, more than an "
-         "array can hold"),
+         "array can hold; the step is dt/10 for dt = 5e-324"),
         ("experiment = fisher-bias-vs-t\nt_end = 5e-324\n",
          "bad value for 't_end': 5e-324 is less than one sampling step dt = 0.25"),
         ("experiment = fisher-bias-vs-t\nt_end = 2\ndt = 1.7976931348623157e308\n",
@@ -603,12 +607,13 @@ class TestRunner:
          "bad value for 't_end': 2.0 is less than one sampling step dt = 1.7976931348623157e+308"),
         ("experiment = model-trajectory\ndt = 1e-17\n",
          "bad value for 'dt': steps of 1e-18 from 0 to t_end = 10 are 1e+19 times, more than an "
-         "array can hold"),
+         "array can hold; the step is dt/10 for dt = 1e-17"),
         ("experiment = model-trajectory\nt_end = 2\nN = 1\nell = 1\n", None),
         ("experiment = model-trajectory\nt_end = 2\ngroups = 1,1\nell = 1\n", None),
-        ("experiment = distance-moments\nn = 1,9223372036854775807\nreplications = 2\n"
-         "seed = 18446744073709551615\n", None),
-        ("experiment = distance-moments\nn = 100\nreplications = 2\nseed = 0\n", None),
+        ("experiment = fisher-bias-vs-t\nt_end = 2\ncount = 2\nN = 1\nell = 1\n"
+         "n = 1,9223372036854775807\nreplications = 2\nseed = 18446744073709551615\n", None),
+        ("experiment = fisher-bias-vs-t\nt_end = 2\ncount = 2\nN = 1\nell = 1\nn = 100\n"
+         "replications = 2\nseed = 0\n", None),
         # -0.0 is the time 0
         ("experiment = fisher-bias-vs-t\nt_end = 2\nt0 = -0.0\ncount = 2\nn = 1\n"
          "replications = 2\nN = 1\nell = 1\n", None),
@@ -763,7 +768,7 @@ class TestRunner:
         ("-1", None), ("18446744073709551616", None), ("1.5", None), ("1", "-1"),
     ])
     def test_seed_outside_u64_rejected(self, tmp_path, capsys, cfg_seed, flag):
-        cfg = write_cfg(tmp_path, f"experiment = distance-moments\nseed = {cfg_seed}\n")
+        cfg = write_cfg(tmp_path, f"experiment = fisher-bias-vs-t\nseed = {cfg_seed}\n")
         out = tmp_path / "out"
         argv = ["--config", cfg, "--out", str(out)] + (["--seed", flag] if flag else [])
         assert cli.main(argv) == 2
@@ -791,20 +796,22 @@ class TestRunner:
     def test_byte_order_mark_is_skipped(self, tmp_path):
         # a UTF-8 BOM before the first key is not part of it; the manifest
         # hashes the file's bytes, BOM included
-        raw = b"\xef\xbb\xbfexperiment = distance-moments\nn = 10\nreplications = 3\n"
+        raw = (b"\xef\xbb\xbfexperiment = fisher-bias-vs-t\n" + SMALL_MODEL.encode()
+               + b"n = 10\nreplications = 3\n")
         cfg = tmp_path / "bom.cfg"
         cfg.write_bytes(raw)
         out = tmp_path / "out"
-        assert cli.run(str(cfg), str(out)) == ["distance_moments.csv", "manifest.json"]
+        assert cli.run(str(cfg), str(out)) == ["distance_moments.csv", "fisher_bias_vs_t.csv",
+                                               "manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest()
-        assert manifest["experiment"] == "distance-moments"
+        assert manifest["experiment"] == "fisher-bias-vs-t"
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
     def test_config_not_utf8_names_its_file(self, tmp_path, capsys, bom):
         # a Latin-1 byte in a comment: the error names the file and the
         # offset of the byte in it, byte-order mark included
-        raw = bom + b"experiment = distance-moments\nn = 10 # caf\xe9\n"
+        raw = bom + b"experiment = fisher-bias-vs-t\nn = 10 # caf\xe9\n"
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(raw)
         out = tmp_path / "out"
@@ -815,7 +822,8 @@ class TestRunner:
         assert not out.exists()
 
     def test_largest_seed_runs(self, tmp_path):
-        cfg = write_cfg(tmp_path, "experiment = distance-moments\nn = 10\nreplications = 3\n")
+        cfg = write_cfg(tmp_path, "experiment = fisher-bias-vs-t\n" + SMALL_MODEL
+                        + "n = 10\nreplications = 3\n")
         cli.run(cfg, str(tmp_path / "out"), seed_override=(1 << 64) - 1)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == (1 << 64) - 1
@@ -823,7 +831,6 @@ class TestRunner:
 
 # A small config of every experiment, each key of which the experiment reads.
 SMALL_CONFIGS = {
-    "distance-moments": "n = 50,100\nreplications = 4\nseed = 3\n",
     "model-trajectory": "N = 3\ndt = 0.25\nt_end = 1\nell = 2\nseed = 3\n",
     "fisher-bias-vs-t": ("N = 3\nn = 100,200\nreplications = 4\nt0 = 0.25\ncount = 3\n"
                          "t_end = 1\nell = 2\n"),
@@ -968,11 +975,6 @@ class TestExperiments:
                 j = header.index(name)
                 assert block[1, :, j] == pytest.approx(block[0, :, j], rel=1e-12, abs=0), name
 
-    def test_distance_moments_draws_from_a_read_only_distribution(self):
-        assert cli.DEFAULT_P.tolist() == [0.1, 0.2, 0.3, 0.4] and cli.DEFAULT_P.sum() == 1.0
-        with pytest.raises(ValueError):
-            cli.DEFAULT_P[0] = 0.9
-
     def test_model_trajectory_artifacts(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -1075,25 +1077,37 @@ class TestExperiments:
             assert len(rows) == 1 + 2 * 40
             assert rows[40].startswith("9.875,1000,10,") and rows[-1].startswith("9.875,1000,3,")
 
-    def test_off_grid_time_runs_on_a_finer_step(self, tmp_path):
+    @pytest.mark.parametrize("t, model", [(5.01, "t_end = 6\n"),
+                                          (0.45, "N = 3\ndt = 0.2\nt_end = 1\n")],
+                             ids=["off-grid", "rounded-midpoint"])
+    def test_off_grid_time_runs_on_a_finer_step(self, tmp_path, t, model):
         # 5.01 is no multiple of dt or of any step dividing it: the model is
-        # evaluated at t, the draws at t -/+ dt/2, wherever they lie
-        text = ("experiment = info-rate-moments\nt = 5.01\nt_end = 6\nn = 1000\n"
+        # evaluated at t, the draws at t -/+ dt/2, wherever they lie.  At dt =
+        # 0.2 the midpoint (0.45 - dt/2) + dt/2 of the draws is
+        # 0.44999999999999996, where every closed form of the four variants
+        # of N = 3 and of their clusters differs from its value at t itself
+        text = (f"experiment = info-rate-moments\nt = {t}\n{model}n = 1000\n"
                 "replications = 5\nell = 2\n")
         out = tmp_path / "out"
         assert cli.main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
-        params, dt, _ = cli._model(cli.parse_config(text))
-        at_t, pair = (cli.dyn.solve_sir(params, times) for times in
-                      ([5.01], [5.01 - dt / 2, 5.01 + dt / 2]))
-        header, *rows = [line.split(",") for line in
-                         (out / "info_rate_variants.csv").read_text().splitlines()]
-        cols = {key: np.array([float(row[j]) for row in rows]) for j, key in enumerate(header)}
-        mean, var = th.info_rate_moments(at_t.info_rate_curve(0), at_t.p(0), 1000, dt)
-        assert np.array_equal(cols["theory_mean"], mean)
-        assert np.array_equal(cols["theory_var"], var)
+        params, dt, t_end = cli._model(cli.parse_config(text))
+        grid, at_t, pair = (cli.dyn.solve_sir(params, times) for times in
+                            (cli._instants(dt, t_end), [t], [t - dt / 2, t + dt / 2]))
+        f = cli.cl.kmeans(cli.cl.kmeans_features(grid, slice(None)), 2)
+        p, pdot, _ = at_t.replicator(0)
+        q, qdot = cli.cl.aggregate(p, f), cli.cl.aggregate(pdot, f)
+        cols = {}
+        for name, rate, prob in (("info_rate_variants.csv", at_t.info_rate_curve(0), p),
+                                 ("info_rate_clusters.csv", self_information_rate(q, qdot), q)):
+            header, *rows = [line.split(",") for line in (out / name).read_text().splitlines()]
+            cols[name] = {key: np.array([float(row[j]) for row in rows])
+                          for j, key in enumerate(header)}
+            mean, var = th.info_rate_moments(rate, prob, 1000, dt)
+            assert np.array_equal(cols[name]["theory_mean"], mean), name
+            assert np.array_equal(cols[name]["theory_var"], var), name
         est = cli.smp.monte_carlo_components(lambda c: cli.smp.info_rate_hat(c / 1000, dt)[:, 0],
                                              5, rng.derive_key(1, 0), pair.p(), 1000)
-        assert np.array_equal(cols["mc_mean"], est.mean)
+        assert np.array_equal(cols["info_rate_variants.csv"]["mc_mean"], est.mean)
 
     @given(dt=st.sampled_from([0.01, 0.1, 0.25, 0.3, 1 / 3]), t0=st.floats(0.0, 4.0),
            t_end=st.floats(0.5, 4.0))
@@ -1234,10 +1248,55 @@ class TestRateBlocks:
                 assert got[f"mc_{field}"].tobytes() == want.tobytes(), (source, name, field)
 
 
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("source", ["shipped", "mc-timegrid"])
+    def test_distance_cells_are_the_distance_alone(self, source):
+        # the distance_moments.csv cells of a fisher-bias-vs-t run are, bit
+        # for bit, a Monte Carlo run of the distance alone on the run's own
+        # (K, M) p, against the exact moments at each instant: the Fisher
+        # values reduced beside it on the same counts change none of them
+        if source == "shipped":
+            text = (CONFIGS / "fisher_bias_vs_t.cfg").read_text()
+        else:
+            wl = load_perfbench("workloads")
+            text = wl.config_text(wl.TIMEGRID, 1)
+        cfg = cli.parse_config(text)
+        seed, reps, count = int(cfg["seed"]), int(cfg["replications"]), int(cfg["count"])
+        ns = [int(n) for n in cfg["n"].split(",")]
+        tables = cli.EXPERIMENTS["fisher-bias-vs-t"][0](cfg, seed)
+        params, dt, t_end = cli._model(cfg)
+        instants = cli._instants(dt, t_end, float(cfg.get("t0", 0)), count)
+        traj, (rows,) = cli._solve(cfg, params, instants)
+        p = traj.p(rows)
+        ests = smp.monte_carlo_per_n(lambda c, n: shahshahani_distance_sq(p, c / n), reps, seed,
+                                     p, ns)
+        moments = [th.distance_moments(p, n) for n in ns]
+        header, columns = tables["distance_moments.csv"]
+        got = dict(zip(header, columns, strict=True))
+        assert len(got["t"]) == count * len(ns)
+        want = {"t": np.tile(instants, len(ns)), "n": np.repeat(ns, count),
+                **{f"mc_{field}": np.concatenate([getattr(est, field) for est in ests])
+                   for field in smp.MonteCarloEstimate._fields},
+                "theory_mean": np.concatenate([mean for mean, _ in moments]),
+                "theory_var": np.concatenate([var for _, var in moments])}
+        assert header == list(want)
+        for key, cells in want.items():
+            assert got[key].tobytes() == cells.tobytes(), (source, key)
+
+    def test_distance_cells_do_not_depend_on_ell(self, tmp_path):
+        # the distance is of the variants alone: the cluster columns drawn
+        # beside it, at ell = 2 or 3, leave its bytes as they are
+        blobs = []
+        for ell in (2, 3):
+            out = tmp_path / f"ell{ell}"
+            cli.run(write_cfg(tmp_path, small_config("fisher-bias-vs-t", ell=str(ell))), str(out))
+            blobs.append((out / "distance_moments.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+
 # the Monte Carlo tables of each experiment that writes them
 MC_TABLES = {
-    "distance-moments": ["distance_moments.csv"],
-    "fisher-bias-vs-t": ["fisher_bias_vs_t.csv"],
+    "fisher-bias-vs-t": ["fisher_bias_vs_t.csv", "distance_moments.csv"],
     "info-rate-moments": ["info_rate_variants.csv", "info_rate_clusters.csv"],
 }
 
@@ -1273,7 +1332,7 @@ class TestVarianceCells:
         # sample variance of R replications.  mu4 / sigma^4 = 3 + 12/N, so
         # the normal-data SE var * sqrt(2/(R-1)) is too small by about
         # sqrt(1 + 6/N) (0.58 times the exact SE at N = 3).
-        p, n, dt, reps = cli.DEFAULT_P, 10000, 0.25, 20000
+        p, n, dt, reps = np.array([0.1, 0.2, 0.3, 0.4]), 10000, 0.25, 20000
         dof, scale = p.size - 1, 2.0 / (n * dt * dt)
         sigma2, mu4 = 2 * dof * scale ** 2, 12 * dof * (dof + 4) * scale ** 4
         exact = math.sqrt((mu4 - sigma2 ** 2 * (reps - 3) / (reps - 1)) / reps)
@@ -1306,7 +1365,7 @@ class TestShippedOutputs:
                 for moment, se in (("mean", "mc_se"), ("var", "mc_var_se")):
                     z = (col[f"mc_{moment}"] - col[f"theory_{moment}"]) / col[se]
                     worst[path.stem, name, moment] = np.abs(z).max()
-        assert len(worst) == 2 * 5
+        assert len(worst) == 2 * 6
         assert max(worst.values()) <= z_max, worst
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)

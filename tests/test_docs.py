@@ -74,7 +74,6 @@ def test_readme_lists_every_experiment():
 
 # a small config of each experiment; the tables it returns name its artifacts
 SMALL_CONFIGS = {
-    "distance-moments": "n = 10\nreplications = 2",
     "model-trajectory": "N = 2\nt_end = 1\nell = 2",
     "fisher-bias-vs-t": "N = 2\nt_end = 1\nell = 2\nn = 10\nreplications = 2",
     "info-rate-moments": "N = 2\nt_end = 1\nell = 2\nt = 0.5\nn = 10\nreplications = 2",

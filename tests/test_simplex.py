@@ -88,6 +88,21 @@ class TestShahshahani:
         with pytest.raises(ValueError, match="index"):
             shahshahani_distance_sq([1.0, 0.0], [0.5, 0.5])
 
+    def test_block_is_the_plain_formula_and_leaves_its_inputs(self):
+        # the difference is squared and divided in place; the result is bit
+        # for bit sum((point - reference)^2 / reference), in either
+        # direction of broadcast, and neither argument is written to
+        ref = np.array([0.1, 0.2, 0.3, 0.4])
+        refs = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
+        points = np.array([[0.12, 0.18, 0.33, 0.37], [0.2, 0.2, 0.2, 0.4], [0.1, 0.2, 0.3, 0.4]])
+        for r, pt in ((ref, points), (refs, ref), (refs, points)):
+            r_before, pt_before = r.copy(), pt.copy()
+            got = shahshahani_distance_sq(r, pt)
+            assert got.shape == (3,)
+            np.testing.assert_array_equal(got, np.sum((pt - r) * (pt - r) / r, axis=-1))
+            np.testing.assert_array_equal(r, r_before)
+            np.testing.assert_array_equal(pt, pt_before)
+
     def test_sampling_mean_matches_dimension_over_n(self):
         # mean over many multinomial samplings approaches N/n
         from infodyn import rng

@@ -61,6 +61,19 @@ class TestDistanceMoments:
         assert var.shape == (2,)
         assert var[0] == th.distance_moments(p[0], 10)[1]
 
+    def test_mean_is_one_per_row(self):
+        # the mean is elementwise like the variance: N/n at every row, in
+        # the shape p.shape[:-1], so a (K, M) block of p needs no broadcast
+        p = np.array([[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]],
+                      [[0.7, 0.1, 0.1, 0.1], [0.4, 0.3, 0.2, 0.1]],
+                      [[0.5, 0.2, 0.2, 0.1], [0.1, 0.1, 0.1, 0.7]]])
+        mean, var = th.distance_moments(p, 10)
+        assert mean.shape == var.shape == (3, 2)
+        assert np.all(mean == 0.3)
+        row_mean, row_var = th.distance_moments(p[0, 0], 10)
+        assert np.shape(row_mean) == np.shape(row_var) == ()
+        assert row_mean == 0.3
+
     def test_mean_scaling(self):
         p = np.full(6, 1.0 / 6.0)
         m1, _ = th.distance_moments(p, 1000)
